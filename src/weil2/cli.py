@@ -16,7 +16,7 @@ import sys
 
 from . import verify, witt
 from .cyclotomic import Cyc8
-from .galois import ring
+from .galois import MAX_D, ring
 from .heisenberg import enumerate_asp, enumerate_sp_R
 from .symplectic import SympSpace, enumerate_enhanced
 from .weil import SplitWeilRepresentation, WeilRepresentation, lambda_root, mu_root
@@ -118,22 +118,9 @@ def _cocycle_rows(d, n, mode, sample_count, seed):
                         rows.append((eN.key(), eM.key(), eL.key(), c))
     else:
         rng = random.Random(seed)
-        lift_cache = {}
-
-        def lifts_of(r):
-            if r not in lift_cache:
-                lift_cache[r] = sp.enumerate_submodule_lifts(r)
-            return lift_cache[r]
-
         for _ in range(sample_count):
-            while True:
-                rN, rM, rL = (rng.choice(subs) for _ in range(3))
-                if (sp.transversal_k(rN, rM) and sp.transversal_k(rM, rL)
-                        and sp.transversal_k(rN, rL)):
-                    break
-            eN = verify._random_enhancement(sp, rng.choice(lifts_of(rN)), rng)
-            eM = verify._random_enhancement(sp, rng.choice(lifts_of(rM)), rng)
-            eL = verify._random_enhancement(sp, rng.choice(lifts_of(rL)), rng)
+            eN, eM, eL = (verify._random_enhancement(sp, sp.random_lift(r, rng), rng)
+                          for r in verify._sample_transversal_triple(sp, subs, rng))
             rows.append((eN.key(), eM.key(), eL.key(),
                          formula_scalar(sp, eN, eM, eL)))
     return rows
@@ -314,6 +301,24 @@ def cmd_emit_corpus(args):
 # -- parser ------------------------------------------------------------------------
 
 
+def _int_in(lo, hi=None):
+    """An argparse type: an integer in lo..hi (no upper end when hi is None)."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < lo or (hi is not None and value > hi):
+            want = f"{lo}..{hi}" if hi is not None else f">= {lo}"
+            raise argparse.ArgumentTypeError(f"must be {want}, got {value}")
+        return value
+    return parse
+
+
+DEGREE = _int_in(1, MAX_D)
+POSITIVE = _int_in(1)
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="weil2",
@@ -322,17 +327,17 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_common(q, d_default=1, n_default=1):
-        q.add_argument("--d", type=int, default=d_default,
+        q.add_argument("--d", type=DEGREE, default=d_default,
                        help="Galois ring degree (1..4)")
-        q.add_argument("--n", type=int, default=n_default,
+        q.add_argument("--n", type=POSITIVE, default=n_default,
                        help="number of hyperbolic pairs")
         q.add_argument("--seed", type=int, default=0)
         q.add_argument("--mode", choices=("exhaustive", "sampled"), default=None)
-        q.add_argument("--sample-count", type=int, default=200)
+        q.add_argument("--sample-count", type=POSITIVE, default=200)
         q.add_argument("--out", default=None, help="write output to a file")
 
     q = sub.add_parser("ring-info", help="Galois ring parameters")
-    q.add_argument("--d", type=int, required=True)
+    q.add_argument("--d", type=DEGREE, required=True)
     q.add_argument("--out", default=None)
     q.set_defaults(func=cmd_ring_info)
 
@@ -351,11 +356,11 @@ def build_parser():
     q = sub.add_parser("verify", help="run exact verification suites")
     q.add_argument("--suite", default="all",
                    choices=verify.SUITE_NAMES + ("all",))
-    q.add_argument("--d", type=int, default=None)
-    q.add_argument("--n", type=int, default=None)
+    q.add_argument("--d", type=DEGREE, default=None)
+    q.add_argument("--n", type=POSITIVE, default=None)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--mode", choices=("exhaustive", "sampled"), default=None)
-    q.add_argument("--sample-count", type=int, default=200)
+    q.add_argument("--sample-count", type=POSITIVE, default=200)
     q.add_argument("--out", default=None)
     q.add_argument("--format", choices=("text", "json"), default="text")
     q.set_defaults(func=cmd_verify)

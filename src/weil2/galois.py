@@ -257,10 +257,6 @@ class GaloisRing:
             raise ZeroDivisionError("discriminant class of a non-unit")
         return min(self._mul[u][s] for s in self.unit_squares)
 
-    # -- serialization --------------------------------------------------------
-    def spec(self):
-        return {"d": self.d, "modulus": list(self.modulus)}
-
     def __repr__(self):
         return f"GaloisRing(d={self.d}, modulus={list(self.modulus)})"
 

@@ -152,22 +152,8 @@ def intertwiner_matrix(model_M, model_L):
     return tuple(out)
 
 
-def exponents_to_matrix(E):
-    return tuple(tuple(Cyc8.i_pow(e) for e in row) for row in E)
-
-
 # -- exact Z[i] fast path ------------------------------------------------------
-# a Z[i] value is an (re, im) int pair; i^e rotations are table lookups
-
-_ROT = ((1, 0), (0, 1), (-1, 0), (0, -1))
-
-
-def zi_of_exp(e):
-    return _ROT[e % 4]
-
-
-def zi_mul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+# a Z[i] value is an (re, im) int pair
 
 
 def zi_rot(a, e):

@@ -37,6 +37,9 @@ class SympSpace:
         self.n = n
         self.dim = 2 * n
         self.dn = ring.d * n
+        # per-space caches, filled on first use only
+        self._lifted = {}       # k-vector -> its {0,1}-coordinate lift
+        self._lift_frames = {}  # Lagrangian rows -> (initial lift, dual family)
 
     # -- forms ---------------------------------------------------------------
     def bt(self, vt, wt):
@@ -50,7 +53,11 @@ class SympSpace:
         return self.R.sub(self.bt(vt, wt), self.bt(wt, vt))
 
     def lift_vec(self, v):
-        return tuple(self.R.lift(x) for x in v)
+        """The {0,1}-coordinate lift of a k-vector (a tuple), memoized."""
+        vt = self._lifted.get(v)
+        if vt is None:
+            vt = self._lifted[v] = tuple(self.R.lift(x) for x in v)
+        return vt
 
     def reduce_vec(self, vt):
         return tuple(self.R.reduce(x) for x in vt)
@@ -72,6 +79,11 @@ class SympSpace:
             s ^= R.field_mul(v[i], w[n + i])
         return s
 
+    def omega_field(self, v, w):
+        """The residue symplectic form: omega(v, w) = 2 * lift(omega_field(v, w)),
+        so a k-subspace is omega-isotropic exactly when it is omega_field-isotropic."""
+        return self.beta_field(v, w) ^ self.beta_field(w, v)
+
     def zero_vec_k(self):
         return (0,) * self.dim
 
@@ -86,31 +98,37 @@ class SympSpace:
     # -- Lagrangian subspaces of V --------------------------------------------
     def enumerate_lagrangians(self):
         """All n-dimensional isotropic subspaces of V as canonical RREF bases,
-        sorted.  Enumerates echelon patterns (pivot sets + free entries) and
-        filters by isotropy."""
+        sorted.  For each pivot set the echelon rows are chosen one at a
+        time, and a row that is not orthogonal to the rows above it is
+        pruned with every completion of it."""
         _check_cap(self.R.d, self.n)
-        R, n, m = self.R, self.n, self.dim
-        q = R.field_size
+        n, m, q = self.n, self.dim, self.R.field_size
         found = []
+        chosen = []
+
+        def extend(candidates):
+            if len(chosen) == n:
+                found.append(tuple(chosen))
+                return
+            for row in candidates[len(chosen)]:
+                if all(self.omega_field(row, r) == 0 for r in chosen):
+                    chosen.append(row)
+                    extend(candidates)
+                    chosen.pop()
+
         for pivots in itertools.combinations(range(m), n):
-            free_pos = []
-            for i in range(n):
-                for c in range(pivots[i] + 1, m):
-                    if c not in pivots:
-                        free_pos.append((i, c))
-            for vals in itertools.product(range(q), repeat=len(free_pos)):
-                rows = [[0] * m for _ in range(n)]
-                for i in range(n):
-                    rows[i][pivots[i]] = 1
-                for (i, c), v in zip(free_pos, vals):
-                    rows[i][c] = v
-                rows = [tuple(r) for r in rows]
-                if all(
-                    self.omega(rows[i], rows[j]) == 0
-                    for i in range(n)
-                    for j in range(i + 1, n)
-                ):
-                    found.append(tuple(rows))
+            candidates = []
+            for p in pivots:
+                free = [c for c in range(p + 1, m) if c not in pivots]
+                rows = []
+                for vals in itertools.product(range(q), repeat=len(free)):
+                    row = [0] * m
+                    row[p] = 1
+                    for c, v in zip(free, vals):
+                        row[c] = v
+                    rows.append(tuple(row))
+                candidates.append(rows)
+            extend(candidates)
         return tuple(sorted(found))
 
     def standard_lagrangian(self):
@@ -135,9 +153,6 @@ class SympSpace:
         )
 
     # -- enhanced Lagrangians ---------------------------------------------------
-    def coords_in_rref(self, rows, pivots, v):
-        return tuple(v[p] for p in pivots)
-
     def enhance_from_lift(self, basis):
         """The enhancement alpha(l) = bt(lt, lt) of the reduction of a free
         isotropic lift; independent of which lift of l in the submodule is
@@ -190,7 +205,8 @@ class SympSpace:
                 delta[v] = s
             alpha = {v: R.add(base.alpha_of(v), delta[v]) for v in elements}
             out.append(EnhancedLagrangian(self, rows, alpha))
-        assert len({e.alpha for e in out}) == len(out)
+        if len({e.alpha for e in out}) != len(out):
+            raise RuntimeError("enhancement torsor has repeated elements")
         return tuple(sorted(out, key=lambda e: e.alpha))
 
     # -- free submodule lifts -----------------------------------------------------
@@ -208,9 +224,8 @@ class SympSpace:
                 if w:
                     corr = linalg.vec_add(R, corr, linalg.vec_scale(R, w, duals[j]))
             b[i] = corr
-        for i in range(len(b)):
-            for j in range(len(b)):
-                assert self.omt(b[i], b[j]) == 0, "lift correction failed"
+        if any(self.omt(bi, bj) for bi in b for bj in b):
+            raise RuntimeError("lift correction failed")
         basis, _ = linalg.rref_ring(R, b)
         return basis
 
@@ -226,33 +241,63 @@ class SympSpace:
             duals.append(linalg.solve_ring(R, tuple(rows), target))
         return duals
 
+    def _lift_frame(self, rows):
+        """(initial lift, its dual family) of the subspace, cached per rows."""
+        frame = self._lift_frames.get(rows)
+        if frame is None:
+            base = self.initial_lift(rows)
+            frame = self._lift_frames[rows] = (base, self._dual_family(base))
+        return frame
+
+    def _lift_at(self, rows, vals):
+        """The lift base + 2*S*duals of the subspace, where S is the
+        symmetric n x n matrix over k whose upper triangle, read row by
+        row, is `vals`."""
+        R, n = self.R, self.n
+        base, duals = self._lift_frame(rows)
+        S = [[0] * n for _ in range(n)]
+        it = iter(vals)
+        for i in range(n):
+            for j in range(i, n):
+                S[i][j] = S[j][i] = next(it)
+        basis = []
+        for i in range(n):
+            vt = base[i]
+            for j in range(n):
+                if S[i][j]:
+                    c = R.mul(R.two, R.lift(S[i][j]))
+                    vt = linalg.vec_add(R, vt, linalg.vec_scale(R, c, duals[j]))
+            basis.append(vt)
+        can, _ = linalg.rref_ring(R, basis)
+        return can
+
     def enumerate_submodule_lifts(self, rows):
         """All free Lagrangian submodules reducing onto the subspace; they
         form a torsor over symmetric n x n matrices over k."""
-        R, n = self.R, self.n
-        base = self.initial_lift(rows)
-        duals = self._dual_family(base)
-        q = R.field_size
-        pos = [(i, j) for i in range(n) for j in range(i, n)]
-        seen = {}
-        for vals in itertools.product(range(q), repeat=len(pos)):
-            S = [[0] * n for _ in range(n)]
-            for (i, j), v in zip(pos, vals):
-                S[i][j] = S[j][i] = v
-            basis = []
-            for i in range(n):
-                vt = base[i]
-                for j in range(n):
-                    if S[i][j]:
-                        c = R.mul(R.two, R.lift(S[i][j]))
-                        vt = linalg.vec_add(R, vt, linalg.vec_scale(R, c, duals[j]))
-                basis.append(vt)
-            can, _ = linalg.rref_ring(R, basis)
-            seen[can] = True
-        lifts = tuple(sorted(seen))
-        expected = q ** (n * (n + 1) // 2)
-        assert len(lifts) == expected, (len(lifts), expected)
+        q, n = self.R.field_size, self.n
+        npos = n * (n + 1) // 2
+        lifts = tuple(sorted({
+            self._lift_at(rows, vals)
+            for vals in itertools.product(range(q), repeat=npos)
+        }))
+        if len(lifts) != q ** npos:
+            raise RuntimeError(
+                f"{len(lifts)} lifts of a Lagrangian, expected {q ** npos}")
         return lifts
+
+    def random_lift(self, rows, rng):
+        """A uniformly random free Lagrangian submodule over the subspace:
+        one uniform draw of S in the torsor that enumerate_submodule_lifts
+        walks.  It takes one rng.randrange(q^(n(n+1)/2)) call, the same
+        draw as rng.choice on the list of all lifts."""
+        q, n = self.R.field_size, self.n
+        npos = n * (n + 1) // 2
+        idx = rng.randrange(q ** npos)
+        vals = []
+        for _ in range(npos):
+            idx, v = divmod(idx, q)
+            vals.append(v)
+        return self._lift_at(rows, vals)
 
     def enumerate_oriented(self):
         """All oriented Lagrangians (canonical submodule basis, unit)."""
@@ -353,10 +398,12 @@ class EnhancedLagrangian:
 
     def _validate(self):
         sp, R = self.space, self.space.R
-        assert len(self.rows) == sp.n, "not middle-dimensional"
+        if len(self.rows) != sp.n:
+            raise ValueError("subspace is not middle-dimensional")
         for l1 in self.elements:
             for l2 in self.elements:
-                assert sp.omega(l1, l2) == 0, "subspace is not isotropic"
+                if sp.omega(l1, l2) != 0:
+                    raise ValueError("subspace is not isotropic")
                 lhs = R.sub(
                     R.sub(self._amap[_xor(l1, l2)], self._amap[l1]), self._amap[l2]
                 )

@@ -264,6 +264,16 @@ def cocycle_checks_exhaustive(d, n):
     return checks
 
 
+def _sample_transversal_triple(sp, subs, rng):
+    """Draw subspace triples uniformly (three rng.choice calls each) until
+    one is pairwise transversal."""
+    while True:
+        rN, rM, rL = (rng.choice(subs) for _ in range(3))
+        if (sp.transversal_k(rN, rM) and sp.transversal_k(rM, rL)
+                and sp.transversal_k(rN, rL)):
+            return rN, rM, rL
+
+
 def _random_enhancement(sp, lift_rows, rng):
     """Twist the canonical enhancement by a uniformly random additive map
     into the 2-torsion ideal."""
@@ -290,26 +300,16 @@ def cocycle_checks_sampled(d, n, count, seed):
     R = ring(d)
     sp = SympSpace(R, n)
     subs = sp.enumerate_lagrangians()
-    lift_cache = {}
     dn = d * n
     target4 = Cyc8.from_rational(Fraction((-1) ** dn * 4 ** dn))
     tag = f"d{d}n{n}"
 
-    def lifts_of(rows):
-        if rows not in lift_cache:
-            lift_cache[rows] = sp.enumerate_submodule_lifts(rows)
-        return lift_cache[rows]
-
     bad_route = bad_pow = bad_or = 0
     for _ in range(count):
-        while True:
-            rN, rM, rL = (rng.choice(subs) for _ in range(3))
-            if (sp.transversal_k(rN, rM) and sp.transversal_k(rM, rL)
-                    and sp.transversal_k(rN, rL)):
-                break
-        Nt = rng.choice(lifts_of(rN))
-        Mt = rng.choice(lifts_of(rM))
-        Lt = rng.choice(lifts_of(rL))
+        rN, rM, rL = _sample_transversal_triple(sp, subs, rng)
+        Nt = sp.random_lift(rN, rng)
+        Mt = sp.random_lift(rM, rng)
+        Lt = sp.random_lift(rL, rng)
         eN = _random_enhancement(sp, Nt, rng)
         eM = _random_enhancement(sp, Mt, rng)
         eL = _random_enhancement(sp, Lt, rng)
@@ -429,22 +429,16 @@ def transport_checks_sampled(d, n, count, seed):
     R = ring(d)
     sp = SympSpace(R, n)
     subs = sp.enumerate_lagrangians()
-    lift_cache = {}
-
-    def lifts_of(rows):
-        if rows not in lift_cache:
-            lift_cache[rows] = sp.enumerate_submodule_lifts(rows)
-        return lift_cache[rows]
 
     bad_t = bad_s = 0
     for _ in range(count):
         rows3 = [rng.choice(subs) for _ in range(3)]
-        enh3 = [_random_enhancement(sp, rng.choice(lifts_of(r)), rng) for r in rows3]
+        enh3 = [_random_enhancement(sp, sp.random_lift(r, rng), rng) for r in rows3]
         a, b, c = enh3
         if (trivialization_transport(sp, a, b).compose(trivialization_transport(sp, b, c))
                 != trivialization_transport(sp, a, c)):
             bad_t += 1
-        ors = [OrientedLagrangian(rng.choice(lifts_of(r)), rng.choice(_unit_list(R)))
+        ors = [OrientedLagrangian(sp.random_lift(r, rng), rng.choice(_unit_list(R)))
                for r in rows3]
         oa, ob, oc = ors
         if (splitting_transport(sp, oa, ob).compose(splitting_transport(sp, ob, oc))
@@ -515,24 +509,12 @@ def suite_splitting(seed=0):
         Rs = ring(dd)
         sps = SympSpace(Rs, nn)
         subs_s = sps.enumerate_lagrangians()
-        lift_cache = {}
-
-        def lifts_of(rows, _sps=sps, _cache=lift_cache):
-            if rows not in _cache:
-                _cache[rows] = _sps.enumerate_submodule_lifts(rows)
-            return _cache[rows]
-
         count = 100
         bad = 0
         for _ in range(count):
-            while True:
-                rN, rM, rL = (rng.choice(subs_s) for _ in range(3))
-                if (sps.transversal_k(rN, rM) and sps.transversal_k(rM, rL)
-                        and sps.transversal_k(rN, rL)):
-                    break
-            ors = [OrientedLagrangian(rng.choice(lifts_of(r)),
+            ors = [OrientedLagrangian(sps.random_lift(r, rng),
                                       rng.choice(_unit_list(Rs)))
-                   for r in (rN, rM, rL)]
+                   for r in _sample_transversal_triple(sps, subs_s, rng)]
             if not _a_identity_holds(sps, *ors):
                 bad += 1
         checks.append(_c(f"splitting.norm-coeff-identity.d{dd}n{nn}", bad == 0,
@@ -703,22 +685,12 @@ def suite_disc(seed=0):
         Rs = ring(dd)
         sps = SympSpace(Rs, nn)
         subs_s = sps.enumerate_lagrangians()
-        lift_cache = {}
         count = 50
         bad = 0
         for _ in range(count):
-            while True:
-                rows3 = [rng.choice(subs_s) for _ in range(3)]
-                if (sps.transversal_k(rows3[0], rows3[1])
-                        and sps.transversal_k(rows3[1], rows3[2])
-                        and sps.transversal_k(rows3[0], rows3[2])):
-                    break
-            ors = []
-            for r in rows3:
-                if r not in lift_cache:
-                    lift_cache[r] = sps.enumerate_submodule_lifts(r)
-                ors.append(OrientedLagrangian(rng.choice(lift_cache[r]),
-                                              rng.choice(_unit_list(Rs))))
+            ors = [OrientedLagrangian(sps.random_lift(r, rng),
+                                      rng.choice(_unit_list(Rs)))
+                   for r in _sample_transversal_triple(sps, subs_s, rng)]
             if not _disc_combination_ok(sps, *ors):
                 bad += 1
         checks.append(_c(f"disc.four-term-combination.d{dd}n{nn}", bad == 0,

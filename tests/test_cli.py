@@ -135,6 +135,24 @@ def test_verify_unknown_suite(capsys):
         main(["verify", "--suite", "nonsense"])
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--suite", "cocycle", "--d", "2", "--n", "2", "--mode", "sampled",
+      "--sample-count", "0"], "--sample-count: must be >= 1, got 0"),
+    (["cocycle-table", "--sample-count", "-3"], "--sample-count: must be >= 1, got -3"),
+    (["verify", "--d", "1", "--n", "0"], "--n: must be >= 1, got 0"),
+    (["cocycle-table", "--d", "1", "--n", "0"], "--n: must be >= 1, got 0"),
+    (["cocycle-table", "--d", "5"], "--d: must be 1..4, got 5"),
+    (["ring-info", "--d", "0"], "--d: must be 1..4, got 0"),
+])
+def test_bad_sizes_exit_2_at_parse_time(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_weil_matrix(capsys):
     rc, out = run_cli(capsys, "weil-matrix", "--d", "1", "--n", "1",
                       "--element", "0")

@@ -10,6 +10,11 @@ The census numbers are frozen from exhaustive enumeration:
 """
 
 import itertools
+import math
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
@@ -209,3 +214,122 @@ def test_exhaustive_cap_guard():
     sp = SympSpace(ring(1), 5)
     with pytest.raises(CapExceeded):
         list(sp.enumerate_lagrangians())
+
+
+def _lagrangians_by_echelon_filter(sp):
+    """Reference enumeration: every echelon pattern (pivot set plus free
+    entries), kept when omega vanishes on each pair of rows."""
+    R, n, m = sp.R, sp.n, sp.dim
+    found = []
+    for pivots in itertools.combinations(range(m), n):
+        free_pos = [(i, c) for i in range(n)
+                    for c in range(pivots[i] + 1, m) if c not in pivots]
+        for vals in itertools.product(range(R.field_size), repeat=len(free_pos)):
+            rows = [[0] * m for _ in range(n)]
+            for i in range(n):
+                rows[i][pivots[i]] = 1
+            for (i, c), v in zip(free_pos, vals):
+                rows[i][c] = v
+            rows = [tuple(r) for r in rows]
+            if all(sp.omega(rows[i], rows[j]) == 0
+                   for i in range(n) for j in range(i + 1, n)):
+                found.append(tuple(rows))
+    return tuple(sorted(found))
+
+
+@pytest.mark.parametrize("d,n", [(1, 1), (2, 1), (3, 1), (1, 2), (1, 3)])
+def test_backtracking_lagrangians_match_echelon_filter(d, n):
+    sp = SympSpace(ring(d), n)
+    assert sp.enumerate_lagrangians() == _lagrangians_by_echelon_filter(sp)
+
+
+@pytest.mark.parametrize("d,n", [(1, 1), (2, 1), (1, 2), (2, 2), (1, 4)])
+def test_lagrangian_count_formula(d, n):
+    """#Lagrangians of a 2n-dimensional symplectic space over F_q is
+    prod_{i <= n} (q^i + 1); 2,295 at d = 1, n = 4."""
+    q = 2 ** d
+    want = math.prod(q ** i + 1 for i in range(1, n + 1))
+    assert len(SympSpace(ring(d), n).enumerate_lagrangians()) == want
+    if (d, n) == (1, 4):
+        assert want == 2295
+
+
+def test_residue_symplectic_form():
+    """omega(v, w) = 2 * lift(beta_field(v, w) + beta_field(w, v)) on all pairs."""
+    for d, n in ((1, 2), (2, 1)):
+        sp = SympSpace(ring(d), n)
+        R = sp.R
+        for v in sp.all_vectors_k():
+            for w in sp.all_vectors_k():
+                want = R.mul(R.two, R.lift(sp.beta_field(v, w) ^ sp.beta_field(w, v)))
+                assert sp.omega(v, w) == want
+
+
+class _CountingRng:
+    """Stands in for random.Random: randrange returns 0, 1, 2, ... in turn."""
+
+    def __init__(self):
+        self.next = 0
+
+    def randrange(self, stop):
+        value, self.next = self.next, self.next + 1
+        assert value < stop
+        return value
+
+
+@pytest.mark.parametrize("d,n", [(1, 2), (2, 1), (2, 2)])
+def test_random_lift_is_a_bijection_onto_lifts(d, n):
+    """Driven over every symmetric S, random_lift hits each enumerated lift
+    exactly once, so a uniform S gives a uniform lift."""
+    sp = SympSpace(ring(d), n)
+    size = sp.R.field_size ** (n * (n + 1) // 2)
+    for rows in sp.enumerate_lagrangians():
+        rng = _CountingRng()
+        drawn = [sp.random_lift(rows, rng) for _ in range(size)]
+        assert len(set(drawn)) == size
+        assert tuple(sorted(drawn)) == sp.enumerate_submodule_lifts(rows)
+
+
+def test_random_lift_consumes_one_choice_worth_of_rng():
+    """A lift draw advances the generator exactly as rng.choice on the list
+    of all lifts would, so the draws after it are unchanged."""
+    sp = SympSpace(ring(1), 3)
+    rows = sp.standard_lagrangian()
+    size = len(sp.enumerate_submodule_lifts(rows))
+    for seed in range(5):
+        a, b = random.Random(seed), random.Random(seed)
+        sp.random_lift(rows, a)
+        b.choice(range(size))
+        assert a.getstate() == b.getstate()
+
+
+_INVALID_UNDER_O = """
+from weil2.galois import ring
+from weil2.symplectic import EnhancedLagrangian, SympSpace
+
+sp = SympSpace(ring(1), 2)
+cases = {
+    # span(e1, f1): omega(e1, f1) = 2
+    "isotropic": ((1, 0, 0, 0), (0, 0, 1, 0)),
+    # a line in a 4-dimensional space
+    "middle-dimensional": ((1, 0, 0, 0),),
+}
+for word, rows in cases.items():
+    alpha = {v: 0 for v in sp.span_k(rows)}
+    try:
+        EnhancedLagrangian(sp, rows, alpha)
+    except ValueError as exc:
+        assert word in str(exc), exc
+    else:
+        raise SystemExit(f"accepted a subspace that is not {word}")
+print("ok")
+"""
+
+
+def test_enhanced_lagrangian_invariants_survive_optimize():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", _INVALID_UNDER_O],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
