@@ -74,7 +74,8 @@ class AspElement:
     def _validate(self):
         sp, R = self.space, self.space.R
         vecs = tuple(sp.all_vectors_k())
-        assert len(self._amap) == len(vecs), "alpha must be total on V"
+        if len(self._amap) != len(vecs):
+            raise ValueError("alpha must be total on V")
         for v in vecs:
             gv = self.apply_g(v)
             for w in vecs:
@@ -89,13 +90,7 @@ class AspElement:
                     raise ValueError("alpha is not compatible with g")
 
     def apply_g(self, v):
-        R = self.space.R
-        out = [0] * self.space.dim
-        for j, c in enumerate(v):
-            if c:
-                for t, e in enumerate(self.g[j]):
-                    out[t] ^= R.field_mul(c, e)
-        return tuple(out)
+        return linalg.vec_mat_field(self.space.R, v, self.g)
 
     def alpha_of(self, v):
         return self._amap[v]
@@ -144,7 +139,7 @@ def asp_mul(space, a, b):
 
 def asp_inv(space, a):
     R = space.R
-    ginv = _field_matrix_inverse(space, a.g)
+    ginv = linalg.inverse_field(R, a.g)
     tmp = AspElement(space, ginv, {v: 0 for v in space.all_vectors_k()},
                      validate=False)
     alpha = {v: R.neg(a.alpha_of(tmp.apply_g(v))) for v in space.all_vectors_k()}
@@ -153,24 +148,6 @@ def asp_inv(space, a):
 
 def _std_rows(space):
     return tuple(space.std_basis_k(i) for i in range(space.dim))
-
-
-def _field_matrix_inverse(space, g):
-    R = space.R
-    m = space.dim
-    aug = [list(g[i]) + [1 if j == i else 0 for j in range(m)] for i in range(m)]
-    for c in range(m):
-        p = next(i for i in range(c, m) if aug[i][c])
-        aug[c], aug[p] = aug[p], aug[c]
-        inv = R.field_inv(aug[c][c])
-        aug[c] = [R.field_mul(inv, x) for x in aug[c]]
-        for i in range(m):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x ^ R.field_mul(f, y) for x, y in zip(aug[i], aug[c])]
-    # rows of the inverse as a row-action matrix: we keep the convention
-    # v -> sum_j v[j] * rows[j], so invert the row matrix directly
-    return tuple(tuple(row[m:]) for row in aug)
 
 
 # -- symplectic groups and lifts ----------------------------------------------
@@ -188,7 +165,7 @@ def enumerate_sp_k(space):
             continue
         rows = _std_rows(space)
         imgs = [
-            tuple(_row_apply(space, g, rows[i])) for i in range(m)
+            linalg.vec_mat_field(R, rows[i], g) for i in range(m)
         ]
         if all(
             space.omega(imgs[i], imgs[j]) == space.omega(rows[i], rows[j])
@@ -196,16 +173,6 @@ def enumerate_sp_k(space):
             for j in range(i + 1, m)
         ):
             out.append(g)
-    return tuple(out)
-
-
-def _row_apply(space, g, v):
-    R = space.R
-    out = [0] * space.dim
-    for j, c in enumerate(v):
-        if c:
-            for t, e in enumerate(g[j]):
-                out[t] ^= R.field_mul(c, e)
     return tuple(out)
 
 
@@ -236,12 +203,7 @@ def enumerate_sp_R(space):
 
 def apply_sp_R(space, gt, vt):
     """Row-action of an R-matrix: v -> sum_j v[j] * gt[j]."""
-    R = space.R
-    out = (0,) * space.dim
-    for j, c in enumerate(vt):
-        if c:
-            out = linalg.vec_add(R, out, linalg.vec_scale(R, c, gt[j]))
-    return out
+    return linalg.vec_mat(space.R, vt, gt)
 
 
 def is_symplectic_R(space, gt):
@@ -278,8 +240,8 @@ def symplectic_lift_matrix(space, g):
     symplectic Gram-Schmidt over R.  All correction coefficients live in 2R,
     so the residue never moves."""
     R, n, m = space.R, space.n, space.dim
-    b = [space.lift_vec(_row_apply(space, g, space.std_basis_k(i))) for i in range(n)]
-    c = [space.lift_vec(_row_apply(space, g, space.std_basis_k(n + i))) for i in range(n)]
+    b = [space.lift_vec(linalg.vec_mat_field(R, space.std_basis_k(i), g)) for i in range(n)]
+    c = [space.lift_vec(linalg.vec_mat_field(R, space.std_basis_k(n + i), g)) for i in range(n)]
     # make the b-block isotropic against an exact dual family
     duals = space._dual_family(b)
     for i in range(n):
@@ -308,11 +270,13 @@ def symplectic_lift_matrix(space, g):
                 corr = linalg.vec_add(R, corr, linalg.vec_scale(R, w, b[i]))
         c[j] = corr
     gt = tuple(b) + tuple(c)
-    assert is_symplectic_R(space, gt), "symplectic lift failed"
+    if not is_symplectic_R(space, gt):
+        raise RuntimeError("symplectic lift failed")
     red = tuple(space.reduce_vec(r) for r in gt)
-    assert red == tuple(
-        _row_apply(space, g, space.std_basis_k(i)) for i in range(m)
-    ), "lift does not reduce to g"
+    if red != tuple(
+        linalg.vec_mat_field(R, space.std_basis_k(i), g) for i in range(m)
+    ):
+        raise RuntimeError("lift does not reduce to g")
     return gt
 
 
@@ -355,7 +319,8 @@ def enumerate_asp(space):
                     gi += R.d
                 alpha[v] = s
             out.append(AspElement(space, g, alpha, validate=False))
-    assert len({e.key() for e in out}) == len(out)
+    if len({e.key() for e in out}) != len(out):
+        raise RuntimeError("ASp(V) enumeration has repeated elements")
     return tuple(out)
 
 
@@ -365,8 +330,8 @@ def preserves_residue_quadratic(space, g):
     """Whether g preserves Q(v) = bt(v, v) mod 2 (the residue quadratic
     form of the splitting)."""
     for v in space.all_vectors_k():
-        if space.beta_field(_row_apply(space, g, v), _row_apply(space, g, v)) \
-                != space.beta_field(v, v):
+        gv = linalg.vec_mat_field(space.R, v, g)
+        if space.beta_field(gv, gv) != space.beta_field(v, v):
             return False
     return True
 
@@ -381,7 +346,7 @@ def residue_polarization(space, g):
     R = space.R
 
     def c(v, w):
-        gv, gw = _row_apply(space, g, v), _row_apply(space, g, w)
+        gv, gw = linalg.vec_mat_field(R, v, g), linalg.vec_mat_field(R, w, g)
         return space.beta_field(gv, gw) ^ space.beta_field(v, w)
 
     gens = []

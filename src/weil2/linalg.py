@@ -1,14 +1,149 @@
-"""Linear algebra over GR(4,d) and its residue field.
+"""Linear algebra over GR(4,d), its residue field k and Q(zeta_8).
 
 Matrices are tuples of row tuples.  Ring entries are element indices of a
-GaloisRing; field entries are bitmasks.  Over the local ring every
-invertible matrix admits unit pivots (invertibility mod 2 lifts), so plain
-Gaussian elimination works; nothing here handles non-unit pivots except det,
-which falls back to a Leibniz sum for small sizes.
+GaloisRing; field entries are bitmasks; Q(zeta_8) entries are Cyc8.
+
+Every elimination goes through one kernel, `eliminate`: reduced row echelon
+form on the leading columns, in place, with unit pivots only.  The algebra
+enters through an ops object (zero, one, pivot test, inverse, row scale,
+row update), and there are three of them:
+
+* ``ring_ops(R)``: a pivot must be a unit of R.  Over the local ring every
+  invertible matrix has unit pivots (invertibility mod 2 lifts), so this is
+  enough for the free submodules and invertible matrices used here; a row
+  with no unit entry left is not pivoted.
+* ``field_ops(R)``: k, where every nonzero entry is a pivot.
+* ``CYC8_OPS``: Q(zeta_8), likewise a field.
+
+`rref`, `solve_many` (one elimination for several right-hand sides) and
+`invert` work in any of the three algebras.  On them sit the ring wrappers
+`rref_ring`, `solve_ring`, `inverse_ring` and the n > 5 branch of
+`det_ring`, which reads the signed product of the pivots; the field
+wrappers `rref_field`, `solve_field`, `rank_field` and `inverse_field`; and,
+with `CYC8_OPS`, `models.matrix_inverse_cyc` and `weil.commutant_dimension`.
+`vec_mat` and `vec_mat_field` are the row action v -> sum_j v[j] * A[j].
 """
 from __future__ import annotations
 
+import functools
 import itertools
+from typing import NamedTuple
+
+from .cyclotomic import Cyc8
+
+
+class ScalarOps(NamedTuple):
+    """What the elimination kernel needs to know about an algebra.  The row
+    operations act on whole rows, so an algebra keeps its own inner loop."""
+    zero: object
+    one: object
+    is_pivot: object  # x -> whether x may serve as a pivot
+    inv: object       # x -> x^-1
+    scale: object     # (c, row) -> [c * x for x in row]
+    update: object    # (row, f, prow) -> [x - f * y for x, y in zip(row, prow)]
+
+
+@functools.cache
+def ring_ops(R):
+    """The ops of GR(4, d), built once per ring: pivots are units."""
+    mul, sub = R.mul, R.sub
+    return ScalarOps(
+        0, R.one, R.is_unit, R.inv,
+        lambda c, row: [mul(c, x) for x in row],
+        lambda row, f, prow: [sub(x, mul(f, y)) for x, y in zip(row, prow)],
+    )
+
+
+@functools.cache
+def field_ops(R):
+    """The ops of the residue field k of R, built once per ring."""
+    fmul = R.field_mul
+    return ScalarOps(
+        0, 1, bool, R.field_inv,
+        lambda c, row: [fmul(c, x) for x in row],
+        lambda row, f, prow: [x ^ fmul(f, y) for x, y in zip(row, prow)],
+    )
+
+
+CYC8_OPS = ScalarOps(
+    Cyc8.from_rational(0), Cyc8.from_rational(1), bool,
+    lambda x: x.inverse(),
+    lambda c, row: [c * x for x in row],
+    lambda row, f, prow: [x - f * y for x, y in zip(row, prow)],
+)
+
+
+def eliminate(ops, rows, ncols, with_det=False):
+    """Reduce the list of row lists `rows` to reduced row echelon form on its
+    first `ncols` columns, in place, using pivots that pass ops.is_pivot;
+    later columns (right-hand sides) ride along.  Returns the pivot columns;
+    pivoted rows come first, in pivot order.  With `with_det`, returns
+    (pivot columns, signed product of the pivots): the determinant of a
+    square matrix whose columns all pivot."""
+    is_pivot, inv, scale, update = ops.is_pivot, ops.inv, ops.scale, ops.update
+    det = ops.one
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        p = next((i for i in range(r, nrows) if is_pivot(rows[i][c])), None)
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            if with_det:
+                det = update([ops.zero], det, [ops.one])[0]  # 0 - det * 1
+        pv = rows[r][c]
+        if with_det:
+            det = scale(pv, [det])[0]  # pv * det
+        prow = rows[r] = scale(inv(pv), rows[r])
+        for i in range(nrows):
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = update(rows[i], f, prow)
+        pivots.append(c)
+        r += 1
+    return (pivots, det) if with_det else pivots
+
+
+def solve_many(ops, A, rhs):
+    """One solution x_b of A x = b for each b in rhs, from one elimination
+    of A with the right-hand sides appended as columns; free unknowns are
+    zero.  None when some system is inconsistent (or, over the ring, needs
+    a non-unit pivot)."""
+    n, m = len(A), len(A[0])
+    aug = [list(A[i]) + [b[i] for b in rhs] for i in range(n)]
+    pivots = eliminate(ops, aug, m)
+    if any(any(row) for row in aug[len(pivots):]):
+        return None
+    out = []
+    for j in range(m, m + len(rhs)):
+        x = [ops.zero] * m
+        for row, c in zip(aug, pivots):
+            x[c] = row[j]
+        out.append(tuple(x))
+    return out
+
+
+def invert(ops, A, over):
+    """A^-1 from one elimination of [A | I]; ZeroDivisionError naming the
+    algebra `over` when A is singular."""
+    n = len(A)
+    aug = [list(row) + [ops.one if j == i else ops.zero for j in range(n)]
+           for i, row in enumerate(A)]
+    if len(eliminate(ops, aug, n)) < n:
+        raise ZeroDivisionError(f"matrix is not invertible over {over}")
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def rref(ops, rows):
+    """(reduced pivoted rows, pivot columns) of a matrix; rows that find no
+    pivot are dropped."""
+    rows = [list(r) for r in rows]
+    pivots = eliminate(ops, rows, len(rows[0]) if rows else 0)
+    return tuple(tuple(r) for r in rows[:len(pivots)]), tuple(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +177,16 @@ def mat_vec(R, A, v):
     return tuple(out)
 
 
+def vec_mat(R, v, A):
+    """The row action v -> sum_j v[j] * A[j] over the ring."""
+    add, mul = R.add, R.mul
+    out = [0] * len(A[0])
+    for c, row in zip(v, A):
+        if c:
+            out = [add(s, mul(c, x)) for s, x in zip(out, row)]
+    return tuple(out)
+
+
 def vec_add(R, u, v):
     return tuple(R.add(a, b) for a, b in zip(u, v))
 
@@ -67,84 +212,31 @@ def transpose(A):
 def rref_ring(R, rows):
     """Row-reduce over the ring using unit pivots only.
 
-    Returns (reduced rows without zero rows, pivot columns).  Rows that
-    cannot be unit-pivoted (all entries non-unit) are reduced as far as
-    possible and kept at the bottom; for the free submodules this library
-    manipulates they never occur.
+    Returns (reduced pivoted rows, pivot columns).  Rows that cannot be
+    unit-pivoted (all entries non-unit) are dropped; for the free submodules
+    this library manipulates they never occur.
     """
-    rows = [list(r) for r in rows]
-    m = len(rows[0]) if rows else 0
-    piv_cols = []
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, len(rows)) if R.is_unit(rows[i][c])), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = R.inv(rows[r][c])
-        rows[r] = [R.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [R.sub(x, R.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    out = [tuple(row) for row in rows[:r] if any(row)]
-    return tuple(out), tuple(piv_cols)
+    return rref(ring_ops(R), rows)
 
 
 def solve_ring(R, A, b):
     """One solution x of A x = b over the ring; A's columns must admit unit
     pivots covering all nonzero rows (true for the full-rank systems used
     here).  Raises ValueError when inconsistent."""
-    n, m = len(A), len(A[0])
-    aug = [list(A[i]) + [b[i]] for i in range(n)]
-    piv = []
-    r = 0
-    for c in range(m):
-        p = next((i for i in range(r, n) if R.is_unit(aug[i][c])), None)
-        if p is None:
-            continue
-        aug[r], aug[p] = aug[p], aug[r]
-        inv = R.inv(aug[r][c])
-        aug[r] = [R.mul(inv, x) for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [R.sub(x, R.mul(f, y)) for x, y in zip(aug[i], aug[r])]
-        piv.append(c)
-        r += 1
-    for i in range(r, n):
-        if any(aug[i][:m]) or aug[i][m] != 0:
-            raise ValueError("inconsistent or non-unit-pivot system")
-    x = [0] * m
-    for i, c in enumerate(piv):
-        x[c] = aug[i][m]
-    return tuple(x)
+    xs = solve_many(ring_ops(R), A, (b,))
+    if xs is None:
+        raise ValueError("inconsistent or non-unit-pivot system")
+    return xs[0]
 
 
 def inverse_ring(R, A):
-    n = len(A)
-    aug = [list(A[i]) + [R.one if j == i else 0 for j in range(n)] for i in range(n)]
-    for c in range(n):
-        p = next((i for i in range(c, n) if R.is_unit(aug[i][c])), None)
-        if p is None:
-            raise ZeroDivisionError("matrix is not invertible over the ring")
-        aug[c], aug[p] = aug[p], aug[c]
-        inv = R.inv(aug[c][c])
-        aug[c] = [R.mul(inv, x) for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [R.sub(x, R.mul(f, y)) for x, y in zip(aug[i], aug[c])]
-    return tuple(tuple(row[n:]) for row in aug)
+    return invert(ring_ops(R), A, "the ring")
 
 
 def det_ring(R, A):
-    """Determinant over the ring; Leibniz for size <= 5, else unit-pivot
-    elimination (sufficient for the invertible matrices used at size > 5)."""
+    """Determinant over the ring; Leibniz for size <= 5, else the signed
+    pivot product of a unit-pivot elimination (sufficient for the invertible
+    matrices used at size > 5)."""
     n = len(A)
     if n == 0:
         return R.one
@@ -157,21 +249,9 @@ def det_ring(R, A):
                 term = R.mul(term, A[i][perm[i]])
             det = R.add(det, R.neg(term) if inv % 2 else term)
         return det
-    rows = [list(r) for r in A]
-    det = R.one
-    for c in range(n):
-        p = next((i for i in range(c, n) if R.is_unit(rows[i][c])), None)
-        if p is None:
-            raise ValueError("no unit pivot; use a smaller matrix for Leibniz")
-        if p != c:
-            rows[c], rows[p] = rows[p], rows[c]
-            det = R.neg(det)
-        det = R.mul(det, rows[c][c])
-        inv = R.inv(rows[c][c])
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = R.mul(inv, rows[i][c])
-                rows[i] = [R.sub(x, R.mul(f, y)) for x, y in zip(rows[i], rows[c])]
+    pivots, det = eliminate(ring_ops(R), [list(r) for r in A], n, with_det=True)
+    if len(pivots) < n:
+        raise ValueError("no unit pivot; use a smaller matrix for Leibniz")
     return det
 
 
@@ -179,56 +259,29 @@ def det_ring(R, A):
 # residue-field matrices (entries are bitmasks of k = F_{2^d})
 # ---------------------------------------------------------------------------
 
+def vec_mat_field(R, v, A):
+    """The row action v -> sum_j v[j] * A[j] over k."""
+    fmul = R.field_mul
+    out = [0] * len(A[0])
+    for c, row in zip(v, A):
+        if c:
+            out = [s ^ fmul(c, x) for s, x in zip(out, row)]
+    return tuple(out)
+
+
 def rref_field(R, rows):
     """Reduced row echelon form over k; returns (rows, pivot columns)."""
-    rows = [list(r) for r in rows if any(r)]
-    m = len(rows[0]) if rows else 0
-    piv_cols = []
-    r = 0
-    for c in range(m):
-        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        inv = R.field_inv(rows[r][c])
-        rows[r] = [R.field_mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x ^ R.field_mul(f, y) for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return tuple(tuple(r_) for r_ in rows[:r]), tuple(piv_cols)
+    return rref(field_ops(R), rows)
 
 
 def solve_field(R, A, b):
     """One solution of A x = b over k, or None when inconsistent."""
-    n, m = len(A), len(A[0])
-    aug = [list(A[i]) + [b[i]] for i in range(n)]
-    piv = []
-    r = 0
-    for c in range(m):
-        p = next((i for i in range(r, n) if aug[i][c]), None)
-        if p is None:
-            continue
-        aug[r], aug[p] = aug[p], aug[r]
-        inv = R.field_inv(aug[r][c])
-        aug[r] = [R.field_mul(inv, x) for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x ^ R.field_mul(f, y) for x, y in zip(aug[i], aug[r])]
-        piv.append(c)
-        r += 1
-    for i in range(r, n):
-        if aug[i][m]:
-            return None
-    x = [0] * m
-    for i, c in enumerate(piv):
-        x[c] = aug[i][m]
-    return tuple(x)
+    xs = solve_many(field_ops(R), A, (b,))
+    return None if xs is None else xs[0]
+
+
+def inverse_field(R, A):
+    return invert(field_ops(R), A, "the residue field")
 
 
 def rank_field(R, rows):
@@ -240,12 +293,7 @@ def span_field(R, rows, width=None):
     the coefficient tuples (deterministic enumeration of a subspace)."""
     if not rows:
         return ((0,) * (width or 0),)
-    out = []
-    for coeffs in itertools.product(range(R.field_size), repeat=len(rows)):
-        v = [0] * len(rows[0])
-        for c, row in zip(coeffs, rows):
-            if c:
-                for j, x in enumerate(row):
-                    v[j] ^= R.field_mul(c, x)
-        out.append(tuple(v))
-    return tuple(out)
+    return tuple(
+        vec_mat_field(R, coeffs, rows)
+        for coeffs in itertools.product(range(R.field_size), repeat=len(rows))
+    )

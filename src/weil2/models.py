@@ -19,8 +19,7 @@ expand to exact cyclotomic numbers on demand.
 """
 from __future__ import annotations
 
-import itertools
-
+from . import linalg
 from .cyclotomic import Cyc8
 from .witt import gauss_sum, trace_form
 
@@ -43,14 +42,8 @@ class Model:
 
     def split(self, v):
         """v = l + t with l in L and t in the transversal."""
-        R = self.space.R
-        l = [0] * self.space.dim
-        for p, row in zip(self.enh.pivots, self.enh.rows):
-            c = v[p]
-            if c:
-                for a, e in enumerate(row):
-                    l[a] ^= R.field_mul(c, e)
-        l = tuple(l)
+        l = linalg.vec_mat_field(
+            self.space.R, [v[p] for p in self.enh.pivots], self.enh.rows)
         t = tuple(a ^ b for a, b in zip(v, l))
         return l, t
 
@@ -90,34 +83,39 @@ def standard_model(space):
     return Model(space, enh)
 
 
+def _intertwiner_term(model_M, model_L, m, tM):
+    """(psi-exponent, l, t_L) of the term m of F_{M,L} in row t_M, where
+    m + t_M = l + t_L with l in L: the exponent of
+    psi(alpha_M(m) + beta(m, t_M) - alpha_L(l) - beta(l, t_L))."""
+    sp = model_M.space
+    R = sp.R
+    l, tL = model_L.split(tuple(a ^ b for a, b in zip(m, tM)))
+    e = R.psi_exp(R.sub(
+        R.sub(R.add(model_M.enh.alpha_of(m), sp.beta(m, tM)),
+              model_L.enh.alpha_of(l)),
+        sp.beta(l, tL),
+    ))
+    return e, l, tL
+
+
 def intertwiner_exponents(model_M, model_L):
     """The exponent matrix of F_{M,L} for a transversal pair: entry
     [t_M][t_L] is the psi-exponent of the single m in M with
     m + t_M + t_L in L."""
     sp = model_M.space
-    R = sp.R
-    eM, eL = model_M.enh, model_L.enh
-    if not sp.transversal_k(eM.rows, eL.rows):
+    if not sp.transversal_k(model_M.enh.rows, model_L.enh.rows):
         raise ValueError("exponent form requires a transversal pair")
     rows = []
     for tM in model_M.reps:
         row = [None] * model_L.dim
-        for m in eM.elements:
-            v = tuple(a ^ b for a, b in zip(m, tM))
-            l, tL = model_L.split(v)
-            e = R.psi_exp(
-                R.sub(
-                    R.sub(
-                        R.add(eM.alpha_of(m), sp.beta(m, tM)),
-                        eL.alpha_of(l),
-                    ),
-                    sp.beta(l, tL),
-                )
-            )
+        for m in model_M.enh.elements:
+            e, _, tL = _intertwiner_term(model_M, model_L, m, tM)
             j = model_L.rep_index[tL]
-            assert row[j] is None, "transversal pair must hit each column once"
+            if row[j] is not None:
+                raise RuntimeError("transversal pair hits a column twice")
             row[j] = e
-        assert all(x is not None for x in row)
+        if None in row:
+            raise RuntimeError("transversal pair misses a column")
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -125,26 +123,14 @@ def intertwiner_exponents(model_M, model_L):
 def intertwiner_matrix(model_M, model_L):
     """F_{M,L} as an exact cyclotomic matrix; works for any pair (entries
     are Z[i] sums over the fibre of m + t_M + t_L in L)."""
-    sp = model_M.space
-    R = sp.R
-    eM, eL = model_M.enh, model_L.enh
-    spanL = set(eL.elements)
+    spanL = set(model_L.enh.elements)
     out = []
     for tM in model_M.reps:
         row = [[0, 0, 0, 0] for _ in range(model_L.dim)]
-        for m in eM.elements:
-            v = tuple(a ^ b for a, b in zip(m, tM))
-            l, tL = model_L.split(v)
-            assert l in spanL
-            e = R.psi_exp(
-                R.sub(
-                    R.sub(
-                        R.add(eM.alpha_of(m), sp.beta(m, tM)),
-                        eL.alpha_of(l),
-                    ),
-                    sp.beta(l, tL),
-                )
-            )
+        for m in model_M.enh.elements:
+            e, l, tL = _intertwiner_term(model_M, model_L, m, tM)
+            if l not in spanL:
+                raise RuntimeError("split left the Lagrangian")
             row[model_L.rep_index[tL]][e] += 1
         out.append(tuple(
             Cyc8((c[0] - c[2], 0, c[1] - c[3], 0)) for c in row
@@ -223,23 +209,8 @@ def matrix_scale_cyc(c, A):
 
 
 def matrix_inverse_cyc(A):
-    """Exact inverse over Q(zeta8) by Gauss-Jordan."""
-    n = len(A)
-    zero, one = Cyc8.from_rational(0), Cyc8.from_rational(1)
-    aug = [list(A[i]) + [one if j == i else zero for j in range(n)]
-           for i in range(n)]
-    for c in range(n):
-        p = next((i for i in range(c, n) if not aug[i][c].is_zero()), None)
-        if p is None:
-            raise ZeroDivisionError("singular matrix over Q(zeta8)")
-        aug[c], aug[p] = aug[p], aug[c]
-        inv = aug[c][c].inverse()
-        aug[c] = [inv * x for x in aug[c]]
-        for i in range(n):
-            if i != c and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return tuple(tuple(row[n:]) for row in aug)
+    """Exact inverse over Q(zeta8) through the shared elimination kernel."""
+    return linalg.invert(linalg.CYC8_OPS, A, "Q(zeta8)")
 
 
 # -- the three routes to the association scalar ---------------------------------
@@ -295,9 +266,8 @@ def gauss_scalar(space, eN, eM, eL, lifts=None):
     else:
         Mt, Nt, Lt = lifts
     gram = space.omega_tilde_L_gram(Mt, Nt, Lt)
-    for i in range(len(gram)):
-        for j in range(i + 1, len(gram)):
-            assert gram[i][j] == gram[j][i], "omt_L must be symmetric"
+    if gram != linalg.transpose(gram):
+        raise RuntimeError("omt_L must be symmetric")
 
     baseM = space.enhance_from_lift(Mt)
     baseN = space.enhance_from_lift(Nt)

@@ -158,22 +158,21 @@ class SympSpace:
         isotropic lift; independent of which lift of l in the submodule is
         used (the cross terms cancel against isotropy)."""
         R = self.R
-        rows = tuple(self.reduce_vec(b) for b in basis)
-        rows_r, pivots = linalg.rref_field(R, rows)
-        # re-express the lift basis against the canonical reduced rows so the
-        # stored subspace basis stays canonical
-        basis_can = []
-        for row in rows_r:
-            coeffs = linalg.solve_field(R, linalg.transpose(rows), row)
-            vt = (0,) * self.dim
-            for c, b in zip(coeffs, basis):
-                vt = linalg.vec_add(R, vt, linalg.vec_scale(R, R.lift(c), b))
-            basis_can.append(vt)
+        # one elimination of [reduced basis | I] gives the canonical reduced
+        # rows and, on the right, the combinations of the basis that reduce
+        # onto them; the same combinations of the lift keep the stored
+        # subspace basis canonical
+        aug = [list(self.reduce_vec(b)) + [int(i == j) for j in range(len(basis))]
+               for i, b in enumerate(basis)]
+        pivots = linalg.eliminate(linalg.field_ops(R), aug, self.dim)
+        rows_r = tuple(tuple(row[:self.dim]) for row in aug[:len(pivots)])
+        basis_can = [
+            linalg.vec_mat(R, [R.lift(c) for c in row[self.dim:]], basis)
+            for row in aug[:len(pivots)]
+        ]
         alpha = {}
         for coeffs in itertools.product(range(R.field_size), repeat=len(rows_r)):
-            vt = (0,) * self.dim
-            for c, b in zip(coeffs, basis_can):
-                vt = linalg.vec_add(R, vt, linalg.vec_scale(R, R.lift(c), b))
+            vt = linalg.vec_mat(R, [R.lift(c) for c in coeffs], basis_can)
             alpha[self.reduce_vec(vt)] = self.bt(vt, vt)
         return EnhancedLagrangian(self, rows_r, alpha)
 
@@ -331,33 +330,26 @@ class SympSpace:
 
     def r_map(self, M_rows, N_rows, L_rows):
         """The projection onto N along L, restricted to M, as a dense dict.
-        Defined by r(m) - m in L; requires N + L = V."""
+        Defined by r(m) - m in L; requires N + L = V.  One elimination
+        solves for the images of M's basis rows; r is linear and span_k is
+        linear in its coefficient tuple, so the two spans match term by
+        term."""
         R = self.R
         if not self.transversal_k(N_rows, L_rows):
             raise ValueError("r_map needs N transversal to L")
         cols = linalg.transpose(tuple(N_rows) + tuple(L_rows))
-        out = {}
-        for m in self.span_k(M_rows):
-            x = linalg.solve_field(R, cols, m)
-            nv = [0] * self.dim
-            for c, row in zip(x[: len(N_rows)], N_rows):
-                for t, e in enumerate(row):
-                    nv[t] ^= R.field_mul(c, e)
-            out[m] = tuple(nv)
-        return out
+        xs = linalg.solve_many(linalg.field_ops(R), cols, M_rows)
+        images = [linalg.vec_mat_field(R, x[:len(N_rows)], N_rows) for x in xs]
+        return dict(zip(self.span_k(M_rows), self.span_k(images)))
 
     def r_map_tilde(self, Mt, Nt, Lt):
         """Images of Mt's basis under the projection onto Nt along Lt."""
         R = self.R
         cols = linalg.transpose(tuple(Nt) + tuple(Lt))
-        images = []
-        for m in Mt:
-            x = linalg.solve_ring(R, cols, m)
-            nv = (0,) * self.dim
-            for c, row in zip(x[: len(Nt)], Nt):
-                nv = linalg.vec_add(R, nv, linalg.vec_scale(R, c, row))
-            images.append(nv)
-        return images
+        xs = linalg.solve_many(linalg.ring_ops(R), cols, Mt)
+        if xs is None:
+            raise ValueError("inconsistent or non-unit-pivot system")
+        return [linalg.vec_mat(R, x[:len(Nt)], Nt) for x in xs]
 
     def omega_tilde_L_gram(self, Mt, Nt, Lt):
         """Gram matrix of the R-valued symmetric form omt_L(m1, m2) =

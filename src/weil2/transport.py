@@ -109,16 +109,19 @@ def trivialization_transport(space, eM, eL):
     return ScaledTransport(A * A, [F1, F2], 4)
 
 
+def wedge_form(space, oM, oL):
+    """B = diag(1, .., 1, w) over R, with w the wedge pairing of o_L and o_M."""
+    R, n = space.R, space.n
+    w = space.wedge_pairing(oL, oM)
+    return tuple(
+        tuple((w if i == n - 1 else R.one) if i == j else 0 for j in range(n))
+        for i in range(n)
+    )
+
+
 def splitting_scalar(space, oM, oL):
     """A_split(Mt, Lt) / |M|^2 for a transversal oriented pair."""
-    R = space.R
-    w = space.wedge_pairing(oL, oM)
-    B = tuple(
-        tuple((R.one if i < space.n - 1 else w) if i == j else 0
-              for j in range(space.n))
-        for i in range(space.n)
-    )
-    G = gauss_sum(trace_form(R, B))
+    G = gauss_sum(trace_form(space.R, wedge_form(space, oM, oL)))
     return (G * G) * Cyc8.from_rational(Fraction(1, 4 ** space.dn))
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import linalg, witt
 from .cyclotomic import Cyc8, I, ONE, mu4_exponent
-from .galois import ring
+from .galois import MAX_D, ring
 from .heisenberg import (
     all_h_elements,
     apply_sp_R,
@@ -46,6 +46,7 @@ from .transport import (
     transport_square,
     trivialization_transport,
     trivializing_scalar,
+    wedge_form,
 )
 from .weil import (
     SplitWeilRepresentation,
@@ -293,9 +294,27 @@ def _random_enhancement(sp, lift_rows, rng):
     return EnhancedLagrangian(sp, base.rows, amap)
 
 
+def _check_count(count):
+    """A sampled check visits `count` triples; none would pass vacuously."""
+    if count < 1:
+        raise ValueError(f"sample count must be >= 1, got {count}")
+
+
+def _shape(d, n):
+    """(d, n) with None meaning 1; ValueError for d outside 1..4 or n < 1."""
+    d = 1 if d is None else d
+    n = 1 if n is None else n
+    if not 1 <= d <= MAX_D:
+        raise ValueError(f"d must be in 1..{MAX_D}, got {d}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return d, n
+
+
 def cocycle_checks_sampled(d, n, count, seed):
     """Seeded sample of pairwise-transversal triples: three-route agreement,
     fourth power, and the oriented identity."""
+    _check_count(count)
     rng = random.Random(seed)
     R = ring(d)
     sp = SympSpace(R, n)
@@ -337,8 +356,7 @@ def cocycle_checks_sampled(d, n, count, seed):
 
 def suite_cocycle(d=None, n=None, mode=None, sample_count=200, seed=0):
     if d is not None or n is not None:
-        d = d or 1
-        n = n or 1
+        d, n = _shape(d, n)
         if mode == "exhaustive" or (mode is None and d * n <= 2):
             checks = cocycle_checks_exhaustive(d, n)
             if d * n == 1:
@@ -425,6 +443,7 @@ def suite_trivialization():
 
 def transport_checks_sampled(d, n, count, seed):
     """Seeded multiplicativity spot-checks of T and S at larger sizes."""
+    _check_count(count)
     rng = random.Random(seed)
     R = ring(d)
     sp = SympSpace(R, n)
@@ -461,13 +480,8 @@ def _unit_list(R):
 
 def _norm_coeff(sp, oM, oL):
     """A_{M,L} = G(2 [R^n, tr B]) with B = diag(1, .., 1, wedge(o_L, o_M))."""
-    R = sp.R
-    w = sp.wedge_pairing(oL, oM)
-    B = tuple(
-        tuple((w if i == sp.n - 1 else R.one) if i == j else 0 for j in range(sp.n))
-        for i in range(sp.n)
-    )
-    return witt.gauss_sum(witt.scale_gram(2, witt.trace_form(R, B)))
+    B = wedge_form(sp, oM, oL)
+    return witt.gauss_sum(witt.scale_gram(2, witt.trace_form(sp.R, B)))
 
 
 def _a_identity_holds(sp, oN, oM, oL):
@@ -599,16 +613,11 @@ def wedge_identity_checks(d, n):
                         if not (sp.transversal_k(L, M) and sp.transversal_k(N, M)):
                             continue
                         for Mt in lifts[M]:
-                            rbasis = []
-                            for m in Mt:
-                                x = linalg.mat_mul(R, (m,), sinv)[0]
-                                v = (0,) * sp.dim
-                                for i in range(sp.n):
-                                    if x[i]:
-                                        v = linalg.vec_add(
-                                            R, v, linalg.vec_scale(R, x[i], Nt[i]))
-                                rbasis.append(v)
-                            det_g = _pair_det(sp, tuple(rbasis), Mt)
+                            rbasis = tuple(
+                                linalg.vec_mat(R, linalg.vec_mat(R, m, sinv)[:sp.n], Nt)
+                                for m in Mt
+                            )
+                            det_g = _pair_det(sp, rbasis, Mt)
                             lhs = R.mul(det_g, d_ln)
                             rhs = R.mul(sign, R.mul(_pair_det(sp, Lt, Mt),
                                                     _pair_det(sp, Mt, Nt)))
@@ -618,23 +627,13 @@ def wedge_identity_checks(d, n):
     return bad, total
 
 
-def _b_form(sp, oA, oB):
-    """B_{A,B} = diag(1, ..., 1, wedge(o_B, o_A)) over R."""
-    R = sp.R
-    w = sp.wedge_pairing(oB, oA)
-    return tuple(
-        tuple((w if i == sp.n - 1 else R.one) if i == j else 0 for j in range(sp.n))
-        for i in range(sp.n)
-    )
-
-
 def _disc_combination_ok(sp, oN, oM, oL):
     R = sp.R
     gram = sp.omega_tilde_L_gram(oM.basis, oN.basis, oL.basis)
     X = witt.trace_form(R, gram)
-    X = witt.direct_sum(X, witt.trace_form(R, _b_form(sp, oN, oM)))
-    X = witt.direct_sum(X, witt.trace_form(R, _b_form(sp, oM, oL)))
-    X = witt.direct_sum(X, witt.neg_gram(witt.trace_form(R, _b_form(sp, oN, oL))))
+    X = witt.direct_sum(X, witt.trace_form(R, wedge_form(sp, oN, oM)))
+    X = witt.direct_sum(X, witt.trace_form(R, wedge_form(sp, oM, oL)))
+    X = witt.direct_sum(X, witt.neg_gram(witt.trace_form(R, wedge_form(sp, oN, oL))))
     counts, _ = witt.decompose(X)
     return witt.counts_rank(counts) == 4 * R.d * sp.n and witt.counts_disc(counts) == 1
 
@@ -844,7 +843,7 @@ def run_suite(name, d=None, n=None, mode=None, sample_count=200, seed=0):
         return suite_cocycle(d, n, mode, sample_count, seed)
     if name == "trivialization":
         if d is not None or n is not None:
-            dd, nn = d or 1, n or 1
+            dd, nn = _shape(d, n)
             if (dd, nn) != (1, 1):
                 return transport_checks_sampled(dd, nn, sample_count, seed)
         return suite_trivialization()

@@ -17,11 +17,11 @@ through the section lift_sp, and the cocycle drops to mu2 = {+-1}.
 """
 from __future__ import annotations
 
+from . import linalg
 from .cyclotomic import Cyc8, ZETA, mu4_exponent, sqrt2_pow
 from .heisenberg import asp_inv, lift_sp
-from .models import Model, matrix_inverse_cyc, matrix_mul_cyc
+from .models import Model, matrix_inverse_cyc, matrix_mul_cyc, matrix_scale_cyc
 from .transport import (
-    ScaledTransport,
     enhanced_of_oriented,
     matrix_ratio,
     splitting_transport,
@@ -44,7 +44,8 @@ def lambda_root(s):
     root = sqrt2_pow(-k)
     if fr.numerator < 0:
         root = ZETA * root
-    assert root ** 4 == s
+    if root ** 4 != s:
+        raise RuntimeError(f"{root} is not a fourth root of {s}")
     return root
 
 
@@ -64,7 +65,8 @@ def mu_root(s):
     if j is None:
         raise ValueError(f"splitting scalar unit part {unit} is not in mu4")
     root = Cyc8.zeta_pow(j) * sqrt2_pow(-m)
-    assert root * root == s
+    if root * root != s:
+        raise RuntimeError(f"{root} is not a square root of {s}")
     return root
 
 
@@ -99,7 +101,7 @@ class WeilRepresentation:
         key = enh.key()
         if key not in self._ehat:
             T = trivialization_transport(self.space, enh, self.base)
-            self._ehat[key] = matrix_scale(lambda_root(T.scalar), T.product())
+            self._ehat[key] = matrix_scale_cyc(lambda_root(T.scalar), T.product())
         return self._ehat[key]
 
     def transition(self, eM, eL):
@@ -155,7 +157,7 @@ class SplitWeilRepresentation:
         key = oriented.key()
         if key not in self._ehat:
             S = splitting_transport(self.space, oriented, self.base)
-            self._ehat[key] = matrix_scale(mu_root(S.scalar), S.product())
+            self._ehat[key] = matrix_scale_cyc(mu_root(S.scalar), S.product())
         return self._ehat[key]
 
     def transition(self, oM, oL):
@@ -189,10 +191,6 @@ class SplitWeilRepresentation:
         return r
 
 
-def matrix_scale(c, A):
-    return tuple(tuple(c * x for x in row) for row in A)
-
-
 def _act_enhanced(space, a, enh):
     from .heisenberg import act_on_enhanced
     return act_on_enhanced(space, a, enh)
@@ -213,25 +211,7 @@ def commutant_dimension(space, operators):
                     row[i * m + k] = row[i * m + k] + W[k][j]
                     row[k * m + j] = row[k * m + j] - W[i][k]
                 rows.append(row)
-    rank = 0
-    cols = m * m
-    rows = [list(r) for r in rows]
-    r = 0
-    for c in range(cols):
-        p = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return cols - r
+    return m * m - len(linalg.eliminate(linalg.CYC8_OPS, rows, m * m))
 
 
 def coboundary_ratio(rep_alt, rep, Phi, a):

@@ -2,6 +2,9 @@
 determinism of every report."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -200,3 +203,18 @@ def test_out_flag_writes_file(tmp_path, capsys):
     rc, out = run_cli(capsys, "ring-info", "--d", "1", "--out", str(p))
     assert rc == 0
     assert json.loads(p.read_text())["size"] == 4
+
+
+def test_weil_suite_passes_under_optimize():
+    """Every invariant of the weil and intro suites is an explicit raise, so
+    the suite still runs, and passes, with asserts stripped."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "weil2.cli", "verify", "--suite", "weil",
+         "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    checks = json.loads(proc.stdout)["checks"]
+    assert len(checks) >= 10
+    assert all(c["passed"] for c in checks), checks

@@ -1,9 +1,12 @@
+import itertools
 import random
 
 import pytest
 
 from weil2 import linalg
+from weil2.cyclotomic import Cyc8
 from weil2.galois import ring
+from weil2.models import matrix_mul_cyc
 
 
 def _random_matrix(R, rng, n):
@@ -95,3 +98,131 @@ def test_vector_helpers():
     assert linalg.vec_add(R, (1, 2), (3, 3)) == (0, 1)
     assert linalg.vec_sub(R, (0, 0), (1, 3)) == (3, 1)
     assert linalg.vec_scale(R, 2, (1, 2)) == (2, 0)
+
+
+# -- the elimination kernel, through each algebra's wrappers -------------------
+
+def _random_cyc(rng):
+    return Cyc8(tuple(rng.randrange(-2, 3) for _ in range(4)), rng.choice((1, 2)))
+
+
+def _field_mat_mul(R, A, B):
+    return tuple(linalg.vec_mat_field(R, row, B) for row in A)
+
+
+def _algebras():
+    """(name, ops, random scalar, matrix product) for the ring at
+    d = 1, 2, the residue field at d = 1, 2 and Q(zeta_8)."""
+    out = []
+    for d in (1, 2):
+        R = ring(d)
+        out.append((f"ring-d{d}", linalg.ring_ops(R),
+                    lambda rng, R=R: rng.randrange(R.size),
+                    lambda A, B, R=R: linalg.mat_mul(R, A, B)))
+        out.append((f"field-d{d}", linalg.field_ops(R),
+                    lambda rng, R=R: rng.randrange(R.field_size),
+                    lambda A, B, R=R: _field_mat_mul(R, A, B)))
+    out.append(("cyc8", linalg.CYC8_OPS, _random_cyc, matrix_mul_cyc))
+    return out
+
+
+ALGEBRAS = _algebras()
+
+
+def _identity(ops, n):
+    return tuple(tuple(ops.one if i == j else ops.zero for j in range(n))
+                 for i in range(n))
+
+
+def _random_square(ops, scalar, rng, n, invertible):
+    while True:
+        A = tuple(tuple(scalar(rng) for _ in range(n)) for _ in range(n))
+        rows = [list(r) for r in A]
+        if not invertible or len(linalg.eliminate(ops, rows, n)) == n:
+            return A
+
+
+@pytest.mark.parametrize("name,ops,scalar,mul", ALGEBRAS, ids=[a[0] for a in ALGEBRAS])
+def test_kernel_solve_and_inverse(name, ops, scalar, mul):
+    rng = random.Random(name)
+    for n in (1, 2, 3, 4):
+        for _ in range(6):
+            A = _random_square(ops, scalar, rng, n, invertible=True)
+            b = tuple(scalar(rng) for _ in range(n))
+            (x,) = linalg.solve_many(ops, A, (b,))
+            assert mul(A, tuple((xi,) for xi in x)) == tuple((bi,) for bi in b)
+            Ainv = linalg.invert(ops, A, name)
+            assert mul(A, Ainv) == _identity(ops, n)
+
+
+def _in_row_space(ops, rows, v):
+    return linalg.solve_many(ops, linalg.transpose(rows), (v,)) is not None
+
+
+@pytest.mark.parametrize("name,ops,scalar,mul", ALGEBRAS, ids=[a[0] for a in ALGEBRAS])
+def test_kernel_rref_idempotent_and_row_space(name, ops, scalar, mul):
+    rng = random.Random(name)
+    for nrows, ncols in ((1, 3), (2, 4), (3, 3), (2, 5)):
+        for _ in range(6):
+            # rows of an invertible matrix span a free summand (unit pivots
+            # exist over the ring), and a dependent row rides along
+            A = _random_square(ops, scalar, rng, ncols, invertible=True)[:nrows]
+            if nrows > 1:
+                A += (tuple(ops.update(list(A[0]), ops.one, A[1])),)
+            can, pivots = linalg.rref(ops, A)
+            assert len(can) == len(pivots) == nrows
+            assert linalg.rref(ops, can) == (can, pivots)
+            assert all(_in_row_space(ops, A, row) for row in can)
+            assert all(_in_row_space(ops, can, row) for row in A)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_wrappers_match_kernel(d):
+    R = ring(d)
+    rng = random.Random(100 + d)
+    for _ in range(10):
+        rows = tuple(tuple(rng.randrange(R.field_size) for _ in range(4)) for _ in range(3))
+        assert linalg.rref_field(R, rows) == linalg.rref(linalg.field_ops(R), rows)
+        A = _random_square(linalg.field_ops(R), lambda g: g.randrange(R.field_size),
+                           rng, 3, invertible=True)
+        assert _field_mat_mul(R, A, linalg.inverse_field(R, A)) == \
+            _identity(linalg.field_ops(R), 3)
+        b = tuple(rng.randrange(R.field_size) for _ in range(3))
+        x = linalg.solve_field(R, A, b)
+        assert _field_mat_mul(R, A, tuple((c,) for c in x)) == tuple((c,) for c in b)
+
+
+def test_singular_inverse_raises():
+    R = ring(1)
+    with pytest.raises(ZeroDivisionError):
+        linalg.inverse_ring(R, ((2, 0), (0, 1)))
+    with pytest.raises(ZeroDivisionError):
+        linalg.inverse_field(R, ((1, 1), (1, 1)))
+    with pytest.raises(ValueError):
+        linalg.solve_ring(R, ((1, 0), (0, 2)), (0, 1))
+    assert linalg.solve_field(R, ((1, 1), (1, 1)), (0, 1)) is None
+
+
+def _leibniz_det(R, A):
+    n = len(A)
+    det = 0
+    for perm in itertools.permutations(range(n)):
+        sign = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = R.one
+        for i in range(n):
+            term = R.mul(term, A[i][perm[i]])
+        det = R.add(det, R.neg(term) if sign % 2 else term)
+    return det
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_det_ring_elimination_branch_matches_leibniz(d):
+    R = ring(d)
+    rng = random.Random(60 + d)
+    for _ in range(4):
+        A = _random_square(linalg.ring_ops(R), lambda g: g.randrange(R.size),
+                           rng, 6, invertible=True)
+        assert linalg.det_ring(R, A) == _leibniz_det(R, A)
+    # a row swap flips the sign
+    B = (A[1], A[0]) + A[2:]
+    assert linalg.det_ring(R, B) == R.neg(linalg.det_ring(R, A))

@@ -210,6 +210,74 @@ def test_r_map_projects_along_complement():
                 assert diff in set(sp.span_k(std))
 
 
+def _r_map_reference(sp, M_rows, N_rows, L_rows):
+    """The projection onto N along L by one solve_field per element of M."""
+    R = sp.R
+    cols = linalg.transpose(tuple(N_rows) + tuple(L_rows))
+    out = {}
+    for m in sp.span_k(M_rows):
+        x = linalg.solve_field(R, cols, m)
+        nv = [0] * sp.dim
+        for c, row in zip(x[:len(N_rows)], N_rows):
+            for t, e in enumerate(row):
+                nv[t] ^= R.field_mul(c, e)
+        out[m] = tuple(nv)
+    return out
+
+
+@pytest.mark.parametrize("d,n", [(1, 2), (2, 1)])
+def test_r_map_matches_per_element_solves(d, n):
+    sp = SympSpace(ring(d), n)
+    lags = sp.enumerate_lagrangians()
+    seen = 0
+    for N in lags:
+        for L in lags:
+            if not sp.transversal_k(N, L):
+                continue
+            for M in lags:
+                got = sp.r_map(M, N, L)
+                want = _r_map_reference(sp, M, N, L)
+                assert list(got.items()) == list(want.items())
+                seen += 1
+    assert seen == TRANSVERSAL_PAIRS[(d, n)] * len(lags)
+
+
+def _r_map_tilde_reference(sp, Mt, Nt, Lt):
+    """r^Lt on Mt's basis by one solve_ring per basis vector."""
+    R = sp.R
+    cols = linalg.transpose(tuple(Nt) + tuple(Lt))
+    images = []
+    for m in Mt:
+        x = linalg.solve_ring(R, cols, m)
+        nv = (0,) * sp.dim
+        for c, row in zip(x[:len(Nt)], Nt):
+            nv = linalg.vec_add(R, nv, linalg.vec_scale(R, c, row))
+        images.append(nv)
+    return images
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return "inconsistent"
+
+
+def test_r_map_tilde_matches_per_vector_solves():
+    sp = SympSpace(ring(1), 2)
+    lags = sp.enumerate_lagrangians()
+    rng = random.Random(17)
+    transversal = 0
+    for _ in range(200):
+        Mt, Nt, Lt = (sp.random_lift(rng.choice(lags), rng) for _ in range(3))
+        transversal += sp.transversal_R(Nt, Lt)
+        # off the transversal pairs both report the same inconsistency or
+        # the same particular solution
+        assert _outcome(sp.r_map_tilde, Mt, Nt, Lt) == \
+            _outcome(_r_map_tilde_reference, sp, Mt, Nt, Lt)
+    assert transversal > 100
+
+
 def test_exhaustive_cap_guard():
     sp = SympSpace(ring(1), 5)
     with pytest.raises(CapExceeded):

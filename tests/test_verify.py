@@ -40,3 +40,28 @@ def test_suite_routing_names():
     names = {c.name for c in verify.run_suite(
         "trivialization", d=2, n=1, sample_count=5, seed=1)}
     assert names and all("d2n1" in n for n in names)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_sampled_checks_refuse_zero_samples(count):
+    with pytest.raises(ValueError, match="sample count"):
+        verify.cocycle_checks_sampled(2, 2, count, 0)
+    with pytest.raises(ValueError, match="sample count"):
+        verify.transport_checks_sampled(2, 1, count, 0)
+
+
+@pytest.mark.parametrize("d,n,word", [(0, 1, "d must"), (5, 1, "d must"),
+                                      (1, 0, "n must"), (2, -1, "n must")])
+def test_bad_shapes_raise_instead_of_defaulting(d, n, word):
+    with pytest.raises(ValueError, match=word):
+        verify.suite_cocycle(d, n)
+    with pytest.raises(ValueError, match=word):
+        verify.run_suite("cocycle", d=d, n=n)
+    with pytest.raises(ValueError, match=word):
+        verify.run_suite("trivialization", d=d, n=n, sample_count=1)
+
+
+def test_only_none_defaults_to_one():
+    """d = None with n = 1 still means d1n1."""
+    names = [c.name for c in verify.suite_cocycle(None, 1)]
+    assert "cocycle.three-route.d1n1" in names
