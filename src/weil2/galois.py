@@ -72,10 +72,12 @@ def graeffe_lift(g) -> tuple:
     ghat = [c % 2 for c in g]
     gneg = [(c if i % 2 == 0 else -c) % 4 for i, c in enumerate(ghat)]
     p = _polmul(ghat, gneg)
-    assert all(c == 0 for i, c in enumerate(p) if i % 2 == 1), "product not even"
+    if any(c for c in p[1::2]):
+        raise RuntimeError("Graeffe product is not even")
     sign = 1 if d % 2 == 0 else -1
     f = tuple((sign * p[2 * i]) % 4 for i in range(d + 1))
-    assert f[-1] == 1, "lift is not monic"
+    if f[-1] != 1:
+        raise RuntimeError("Graeffe lift is not monic")
     return f
 
 
@@ -139,7 +141,8 @@ class GaloisRing:
                 t = self.add(t, cur)
                 cur = self._frob[cur]
             tc = self.coords(t)
-            assert all(c == 0 for c in tc[1:]), "trace escaped the prime subring"
+            if any(tc[1:]):
+                raise RuntimeError("trace escaped the prime subring")
             self._trace.append(tc[0])
         self.units = tuple(a for a in range(size) if any(c % 2 for c in coords[a]))
         self._inv = {}
@@ -210,7 +213,8 @@ class GaloisRing:
             r = self._mul[r][cur]
             cur = self._frob[cur]
         rc = self.coords(r)
-        assert all(c == 0 for c in rc[1:])
+        if any(rc[1:]):
+            raise RuntimeError("norm escaped the prime subring")
         return rc[0]
 
     def embed_z4(self, c: int) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 
 from . import linalg
-from .symplectic import _check_cap
+from .symplectic import _check_candidates, _check_cap
 
 
 # -- the group H(V) ---------------------------------------------------------
@@ -153,11 +153,11 @@ def _std_rows(space):
 # -- symplectic groups and lifts ----------------------------------------------
 
 def enumerate_sp_k(space):
-    """All of Sp(V) over the residue field (row-action convention);
-    exhaustive, so capped."""
-    _check_cap(space.R.d, space.n, "Sp(V) enumeration")
+    """All of Sp(V) over the residue field (row-action convention): a
+    filter over all q^{(2n)^2} k-matrices, so capped on that count."""
     R, m = space.R, space.dim
     q = R.field_size
+    _check_candidates(q ** (m * m), "Sp(V) enumeration over all k-matrices")
     out = []
     for entries in itertools.product(range(q), repeat=m * m):
         g = tuple(tuple(entries[i * m:(i + 1) * m]) for i in range(m))

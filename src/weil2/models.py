@@ -19,6 +19,8 @@ expand to exact cyclotomic numbers on demand.
 """
 from __future__ import annotations
 
+from math import lcm
+
 from . import linalg
 from .cyclotomic import Cyc8
 from .witt import gauss_sum, trace_form
@@ -189,18 +191,43 @@ def proportionality_scalar(comp, F_exp):
     return Cyc8((c[0], 0, c[1], 0))
 
 
+def _integer_rows(A):
+    """A over the lcm D of its entries' denominators: per row, the
+    (column, numerator 4-tuple) of each nonzero entry; and D."""
+    D = lcm(*(x.den for row in A for x in row))
+    rows = [
+        [(j, x.a if x.den == D else tuple(c * (D // x.den) for c in x.a))
+         for j, x in enumerate(row) if x.a != (0, 0, 0, 0)]
+        for row in A
+    ]
+    return rows, D
+
+
 def matrix_mul_cyc(A, B):
-    n, mid, m = len(A), len(B), len(B[0])
-    zero = Cyc8.from_rational(0)
+    """The exact product A B of Q(zeta_8) matrices (tuples of Cyc8 rows).
+
+    Summing Cyc8 products entry by entry builds, and gcd-normalizes, one
+    Cyc8 per multiply and per add.  Instead each operand is brought to one
+    common denominator, so the sums run over plain integer 4-tuples
+    (multiplied mod z^4 + 1, zero entries skipped: the operators here are
+    monomial or sparse), and only the finished entry, over DA * DB, is
+    normalized.  Cyc8's normal form is canonical, so the result equals the
+    entrywise sum exactly."""
+    rows_a, da = _integer_rows(A)
+    rows_b, db = _integer_rows(B)
+    den = da * db
+    m = len(B[0])
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = zero
-            for k in range(mid):
-                s = s + A[i][k] * B[k][j]
-            row.append(s)
-        out.append(tuple(row))
+    for row in rows_a:
+        acc = [[0, 0, 0, 0] for _ in range(m)]
+        for k, (a0, a1, a2, a3) in row:
+            for j, (b0, b1, b2, b3) in rows_b[k]:
+                s = acc[j]
+                s[0] += a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1
+                s[1] += a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2
+                s[2] += a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3
+                s[3] += a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
+        out.append(tuple(Cyc8(s, den) for s in acc))
     return tuple(out)
 
 

@@ -12,10 +12,12 @@ k-vectors are tuples of bitmasks, R-vectors tuples of ring indices.
 from __future__ import annotations
 
 import itertools
+import os
 
 from . import linalg
 
 MAX_EXHAUSTIVE_DN = 4
+MAX_CANDIDATES = 2 ** 16
 
 
 class CapExceeded(ValueError):
@@ -23,11 +25,20 @@ class CapExceeded(ValueError):
 
 
 def _check_cap(d, n, what="exhaustive enumeration"):
-    import os
     if d * n > MAX_EXHAUSTIVE_DN and not os.environ.get("WEIL2_UNSAFE_NO_CAPS"):
         raise CapExceeded(
             f"{what} refused at d*n = {d * n} > {MAX_EXHAUSTIVE_DN} "
             "(set WEIL2_UNSAFE_NO_CAPS=1 to override)"
+        )
+
+
+def _check_candidates(count, what):
+    """Refuse a brute-force search predicted to test more than
+    MAX_CANDIDATES candidates, before testing any."""
+    if count > MAX_CANDIDATES and not os.environ.get("WEIL2_UNSAFE_NO_CAPS"):
+        raise CapExceeded(
+            f"{what} refused: it would test {count:,} candidates "
+            f"> {MAX_CANDIDATES:,} (set WEIL2_UNSAFE_NO_CAPS=1 to override)"
         )
 
 

@@ -282,7 +282,8 @@ def decompose(B):
         sum(1 for b in blocks if b == M4),
     )
     U = tuple(tuple(Ucols[j][i] for j in range(n)) for i in range(n))
-    assert apply_congruence(U, B) == canonical_gram(counts), "witness failed"
+    if apply_congruence(U, B) != canonical_gram(counts):
+        raise RuntimeError("decompose: the congruence witness failed")
     return counts, U
 
 

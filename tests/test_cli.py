@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -173,6 +174,41 @@ def test_weil_matrix(capsys):
     assert len(data["symplectic_matrix"]) == 2
 
 
+# the pinned d1n1 operator of ASp(V) element 0: the residue swap and
+# (1 - i)/2 * [[1, 1], [1, -1]]
+_WEIL_MATRIX_D1N1 = {
+    "schema_version": 1, "kind": "enhanced", "d": 1, "n": 1,
+    "element_index": 0, "residue_matrix": [[0, 1], [1, 0]],
+    "matrix": [[["1/2", "0", "-1/2", "0"], ["1/2", "0", "-1/2", "0"]],
+               [["1/2", "0", "-1/2", "0"], ["-1/2", "0", "1/2", "0"]]],
+}
+
+
+def test_weil_matrix_d1n1_unchanged(capsys):
+    rc, out = run_cli(capsys, "weil-matrix", "--d", "1", "--n", "1")
+    assert rc == 0
+    assert out == json.dumps(_WEIL_MATRIX_D1N1, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("d,n,count", [
+    (1, 3, "68,719,476,736"),
+    (1, 4, "18,446,744,073,709,551,616"),
+    (2, 2, "4,294,967,296"),
+])
+def test_weil_matrix_refuses_sp_search_promptly(capsys, monkeypatch, d, n, count):
+    """Sp(V) is found by filtering all q^{4n^2} k-matrices; shapes with more
+    than 2^16 of them are refused before the search starts."""
+    monkeypatch.delenv("WEIL2_UNSAFE_NO_CAPS", raising=False)
+    t0 = time.perf_counter()
+    rc = main(["weil-matrix", "--d", str(d), "--n", str(n)])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"test {count} candidates" in captured.err
+    assert captured.out == ""
+    assert elapsed < 5.0
+
+
 def test_weil_matrix_out_of_range(capsys):
     rc, _ = run_cli(capsys, "weil-matrix", "--d", "1", "--n", "1",
                     "--element", "999")
@@ -218,3 +254,17 @@ def test_weil_suite_passes_under_optimize():
     checks = json.loads(proc.stdout)["checks"]
     assert len(checks) >= 10
     assert all(c["passed"] for c in checks), checks
+
+
+def test_ring_and_witt_commands_under_optimize():
+    """The Galois ring's table checks and the Witt decomposition witness
+    are explicit raises, so they still run with asserts stripped."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    for argv in (["ring-info", "--d", "4"],
+                 ["witt", "classify", "[[1,0,0],[0,1,0],[0,0,1]]"]):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "weil2.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert json.loads(proc.stdout)

@@ -7,10 +7,11 @@ is a scalar, frozen below for every ordering of {std, dual, third}.
 """
 
 import itertools
+import random
 
 import pytest
 
-from weil2.cyclotomic import Cyc8, I, ONE
+from weil2.cyclotomic import ZETA, Cyc8, I, ONE
 from weil2.galois import ring
 from weil2.heisenberg import all_h_elements, h_mul
 from weil2.models import (
@@ -143,6 +144,103 @@ def test_three_routes_agree():
                     assert c ** 4 == MINUS_FOUR
                     count += 1
     assert count == 48
+
+
+@pytest.mark.parametrize("d,n,stride,pairs", [
+    (1, 1, 1, 24), (2, 1, 1, 5120), (1, 2, 5, 384),
+])
+def test_intertwiner_adjoint_is_scaled_inverse(d, n, stride, pairs):
+    """F* F = 2^{dn} I for the canonical intertwiner of a transversal pair:
+    by irreducibility F* F is scalar, and its diagonal sums q^n squared
+    fourth roots of unity.  Every ordered transversal pair of enhanced
+    Lagrangians at d1n1 and d2n1; every `stride`-th one at d1n2."""
+    sp = SympSpace(ring(d), n)
+    enh = enumerate_enhanced(sp)
+    models = [Model(sp, e) for e in enh]
+    transversal = [
+        (mM, mL) for mM in models for mL in models
+        if sp.transversal_k(mM.enh.rows, mL.enh.rows)
+    ][::stride]
+    assert len(transversal) == pairs
+    dim = models[0].dim
+    scaled_identity = tuple(
+        tuple(Cyc8.from_rational(2 ** (d * n) if i == j else 0) for j in range(dim))
+        for i in range(dim)
+    )
+    for mM, mL in transversal:
+        F = intertwiner_matrix(mM, mL)
+        F_star = tuple(tuple(F[j][i].conj() for j in range(dim)) for i in range(dim))
+        assert matrix_mul_cyc(F_star, F) == scaled_identity
+
+
+def _matrix_mul_reference(A, B):
+    """The definition: each entry a sum of Cyc8 products."""
+    return tuple(
+        tuple(sum((A[i][k] * B[k][j] for k in range(len(B))), Cyc8.from_rational(0))
+              for j in range(len(B[0])))
+        for i in range(len(A))
+    )
+
+
+def _random_matrix(rng, rows, cols, density):
+    """Sparse entries with coefficients in -3..3 over mixed denominators."""
+    def entry():
+        if rng.random() >= density:
+            return Cyc8.from_rational(0)
+        return Cyc8(tuple(rng.randrange(-3, 4) for _ in range(4)),
+                    rng.choice((1, 2, 3, 4, 6, 8, 9)))
+    return tuple(tuple(entry() for _ in range(cols)) for _ in range(rows))
+
+
+def _with_zero_row(M, i):
+    zero = (Cyc8.from_rational(0),) * len(M[0])
+    return M[:i] + (zero,) + M[i + 1:]
+
+
+def _with_zero_col(M, j):
+    return tuple(r[:j] + (Cyc8.from_rational(0),) + r[j + 1:] for r in M)
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 2), (3, 1, 4), (2, 5, 3), (16, 16, 16)])
+def test_matrix_mul_cyc_matches_entrywise_sums(shape):
+    rows, mid, cols = shape
+    rng = random.Random(8 * rows + mid + cols)
+    zeta3 = ZETA ** 3
+    for density in (1.0, 0.4, 0.1):
+        A = _random_matrix(rng, rows, mid, density)
+        B = _random_matrix(rng, mid, cols, density)
+        # entries outside Q(i), over the denominators 2 and 3
+        A = (A[0][:-1] + (ZETA / 2,),) + A[1:]
+        B = B[:-1] + ((zeta3 / 3,) * cols,)
+        if rows > 1:
+            A = _with_zero_row(A, rows - 1)
+        if cols > 1:
+            B = _with_zero_col(B, 0)
+        assert len({x.den for r in A + B for x in r}) > 2
+        assert matrix_mul_cyc(A, B) == _matrix_mul_reference(A, B)
+
+
+def test_matrix_mul_cyc_monomial_16x16():
+    """Monomial operators with zeta-power entries over powers of 2, the
+    shape of the materialized trivialization products."""
+    rng = random.Random(16)
+
+    def monomial():
+        perm = list(range(16))
+        rng.shuffle(perm)
+        return tuple(
+            tuple(ZETA ** rng.randrange(8) / 2 ** rng.randrange(3) if perm[i] == j
+                  else Cyc8.from_rational(0) for j in range(16))
+            for i in range(16)
+        )
+
+    for _ in range(3):
+        A, B = monomial(), monomial()
+        assert matrix_mul_cyc(A, B) == _matrix_mul_reference(A, B)
+    zero = tuple((Cyc8.from_rational(0),) * 16 for _ in range(16))
+    prod = matrix_mul_cyc(monomial(), zero)
+    assert prod == zero
+    assert all(x.den == 1 for r in prod for x in r)
 
 
 def test_matrix_inverse_cyc():
