@@ -15,12 +15,15 @@ row update), and there are three of them:
 * ``field_ops(R)``: k, where every nonzero entry is a pivot.
 * ``CYC8_OPS``: Q(zeta_8), likewise a field.
 
-`rref`, `solve_many` (one elimination for several right-hand sides) and
-`invert` work in any of the three algebras.  On them sit the ring wrappers
-`rref_ring`, `solve_ring`, `inverse_ring` and the n > 5 branch of
-`det_ring`, which reads the signed product of the pivots; the field
-wrappers `rref_field`, `solve_field`, `rank_field` and `inverse_field`; and,
-with `CYC8_OPS`, `models.matrix_inverse_cyc` and `weil.commutant_dimension`.
+`rref`, `solve_many` (one elimination for several right-hand sides),
+`factor` (the row transform of one elimination, kept for later right-hand
+sides) and `invert` work in any of the three algebras.  On them sit the
+ring wrappers `rref_ring`, `solve_ring`, `inverse_ring` and the n > 5
+branch of `det_ring`, which reads the signed product of the pivots; the
+field wrappers `rref_field`, `solve_field`, `rank_field` and
+`inverse_field`; and, with `CYC8_OPS`, `models.matrix_inverse_cyc` and
+`weil.commutant_dimension`.  `SympSpace.r_map_tilde` keeps one `factor`
+per pair of lifts.
 `vec_mat` and `vec_mat_field` are the row action v -> sum_j v[j] * A[j].
 """
 from __future__ import annotations
@@ -127,15 +130,26 @@ def solve_many(ops, A, rhs):
     return out
 
 
+def factor(ops, A):
+    """One elimination of [A | I]: (the row transform E, the pivot columns,
+    whether a row left without a pivot is nonzero on A).  The pivots depend
+    on A alone, so `solve_many` reduces each right-hand side b to E b: with
+    the pivots and that flag, E answers every system A x = b."""
+    n, m = len(A), len(A[0])
+    aug = [list(row) + [ops.one if j == i else ops.zero for j in range(n)]
+           for i, row in enumerate(A)]
+    pivots = eliminate(ops, aug, m)
+    stuck = any(any(row[:m]) for row in aug[len(pivots):])
+    return tuple(tuple(row[m:]) for row in aug), tuple(pivots), stuck
+
+
 def invert(ops, A, over):
     """A^-1 from one elimination of [A | I]; ZeroDivisionError naming the
     algebra `over` when A is singular."""
-    n = len(A)
-    aug = [list(row) + [ops.one if j == i else ops.zero for j in range(n)]
-           for i, row in enumerate(A)]
-    if len(eliminate(ops, aug, n)) < n:
+    E, pivots, _ = factor(ops, A)
+    if len(pivots) < len(A):
         raise ZeroDivisionError(f"matrix is not invertible over {over}")
-    return tuple(tuple(row[n:]) for row in aug)
+    return E
 
 
 def rref(ops, rows):

@@ -48,9 +48,14 @@ class SympSpace:
         self.n = n
         self.dim = 2 * n
         self.dn = ring.d * n
-        # per-space caches, filled on first use only
-        self._lifted = {}       # k-vector -> its {0,1}-coordinate lift
-        self._lift_frames = {}  # Lagrangian rows -> (initial lift, dual family)
+        # five per-space caches of geometry that the enhancement and lift
+        # loops ask for again and again; each starts empty, fills on first
+        # use only and has no size limit
+        self._lifted = {}        # k-vector -> its {0,1}-coordinate lift
+        self._lift_frames = {}   # Lagrangian rows -> (initial lift, dual family)
+        self._transversal = {}   # (rows1, rows2) -> transversal_k
+        self._r_maps = {}        # (M, N, L) rows -> the r_map dict
+        self._r_factors = {}     # (Nt, Lt) -> linalg.factor of (Nt + Lt)^T
 
     # -- forms ---------------------------------------------------------------
     def bt(self, vt, wt):
@@ -153,7 +158,13 @@ class SympSpace:
         return linalg.span_field(self.R, rows, width=self.dim)
 
     def transversal_k(self, rows1, rows2):
-        return linalg.rank_field(self.R, tuple(rows1) + tuple(rows2)) == self.dim
+        """Whether the spans of the two row lists add up to V, memoized."""
+        key = (tuple(rows1), tuple(rows2))
+        ok = self._transversal.get(key)
+        if ok is None:
+            ok = self._transversal[key] = (
+                linalg.rank_field(self.R, key[0] + key[1]) == self.dim)
+        return ok
 
     def transversal_R(self, basis1, basis2):
         # Nakayama: a pair of free submodules is transversal over R iff the
@@ -344,23 +355,44 @@ class SympSpace:
         Defined by r(m) - m in L; requires N + L = V.  One elimination
         solves for the images of M's basis rows; r is linear and span_k is
         linear in its coefficient tuple, so the two spans match term by
-        term."""
-        R = self.R
-        if not self.transversal_k(N_rows, L_rows):
-            raise ValueError("r_map needs N transversal to L")
-        cols = linalg.transpose(tuple(N_rows) + tuple(L_rows))
-        xs = linalg.solve_many(linalg.field_ops(R), cols, M_rows)
-        images = [linalg.vec_mat_field(R, x[:len(N_rows)], N_rows) for x in xs]
-        return dict(zip(self.span_k(M_rows), self.span_k(images)))
+        term.  The dict is memoized per (M, N, L) and shared by every
+        caller: it must not be mutated."""
+        key = (tuple(M_rows), tuple(N_rows), tuple(L_rows))
+        r = self._r_maps.get(key)
+        if r is None:
+            R = self.R
+            if not self.transversal_k(N_rows, L_rows):
+                raise ValueError("r_map needs N transversal to L")
+            cols = linalg.transpose(key[1] + key[2])
+            xs = linalg.solve_many(linalg.field_ops(R), cols, M_rows)
+            images = [linalg.vec_mat_field(R, x[:len(N_rows)], N_rows) for x in xs]
+            r = self._r_maps[key] = dict(zip(self.span_k(M_rows), self.span_k(images)))
+        return r
 
     def r_map_tilde(self, Mt, Nt, Lt):
-        """Images of Mt's basis under the projection onto Nt along Lt."""
+        """Images of Mt's basis under the projection onto Nt along Lt: the
+        solutions linalg.solve_many finds (free unknowns zero), read off
+        one linalg.factor of (Nt + Lt)^T cached per (Nt, Lt)."""
         R = self.R
-        cols = linalg.transpose(tuple(Nt) + tuple(Lt))
-        xs = linalg.solve_many(linalg.ring_ops(R), cols, Mt)
-        if xs is None:
+        key = (tuple(Nt), tuple(Lt))
+        fac = self._r_factors.get(key)
+        if fac is None:
+            E, pivots, stuck = linalg.factor(
+                linalg.ring_ops(R), linalg.transpose(key[0] + key[1]))
+            # E m as the row action of m on E^T, which skips m's zeros
+            fac = self._r_factors[key] = (linalg.transpose(E), pivots, stuck)
+        Et, pivots, stuck = fac
+        ys = [linalg.vec_mat(R, m, Et) for m in Mt]
+        if stuck or any(any(y[len(pivots):]) for y in ys):
             raise ValueError("inconsistent or non-unit-pivot system")
-        return [linalg.vec_mat(R, x[:len(Nt)], Nt) for x in xs]
+        images = []
+        for y in ys:
+            coeffs = [0] * len(Nt)
+            for yi, c in zip(y, pivots):
+                if c < len(Nt):
+                    coeffs[c] = yi
+            images.append(linalg.vec_mat(R, coeffs, Nt))
+        return images
 
     def omega_tilde_L_gram(self, Mt, Nt, Lt):
         """Gram matrix of the R-valued symmetric form omt_L(m1, m2) =

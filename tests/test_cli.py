@@ -1,6 +1,7 @@
 """Command-line interface: output schemas, exit codes, and byte-level
 determinism of every report."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -89,6 +90,15 @@ def test_cocycle_table_deterministic(capsys):
     _, first = run_cli(capsys, "cocycle-table", "--d", "1", "--n", "1")
     _, second = run_cli(capsys, "cocycle-table", "--d", "1", "--n", "1")
     assert first == second
+
+
+def test_cocycle_table_d1n2_golden(capsys):
+    """The whole exhaustive d1n2 table (30,720 rows), pinned by its hash."""
+    rc, out = run_cli(capsys, "cocycle-table", "--d", "1", "--n", "2",
+                      "--format", "json")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1f3f469510643295e28bb5135042678e159c3d891cf8052983af50731534bb9d")
 
 
 def test_cocycle_table_sampled_seeded(capsys):

@@ -278,6 +278,69 @@ def test_r_map_tilde_matches_per_vector_solves():
     assert transversal > 100
 
 
+@pytest.mark.parametrize("d,n", [(1, 2), (2, 1)])
+def test_r_map_memo_matches_a_fresh_space(d, n):
+    sp = SympSpace(ring(d), n)
+    lags = sp.enumerate_lagrangians()
+    triples = [(M, N, L) for N in lags for L in lags if sp.transversal_k(N, L)
+               for M in lags]
+    first = [sp.r_map(*t) for t in triples]
+    for t, r in zip(triples, first):
+        again = sp.r_map(*t)
+        assert again is r
+        fresh = SympSpace(ring(d), n).r_map(*t)
+        assert list(again.items()) == list(fresh.items())
+
+
+def test_r_map_memo_raises_on_every_non_transversal_call():
+    sp = SympSpace(ring(1), 2)
+    std = sp.standard_lagrangian()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            sp.r_map(sp.dual_standard_lagrangian(), std, std)
+
+
+def test_r_map_tilde_factor_matches_per_vector_solves():
+    """Every lift of every Lagrangian through the cached factor of a few
+    fixed (Nt, Lt): transversal pairs, a non-transversal pair on which
+    some Mt have particular solutions, and two lifts of one subspace."""
+    sp = SympSpace(ring(1), 2)
+    lags = sp.enumerate_lagrangians()
+    lifts = {L: sp.enumerate_submodule_lifts(L) for L in lags}
+    every_Mt = [Mt for L in lags for Mt in lifts[L]]
+    transversal = [(N, L) for N in lags for L in lags if sp.transversal_k(N, L)]
+    pairs = [(lifts[N][0], lifts[L][1]) for N, L in transversal[:3]]
+    pairs.append(next(
+        (lifts[N][0], lifts[L][1]) for N in lags for L in lags
+        if not sp.transversal_k(N, L) and any(
+            _outcome(_r_map_tilde_reference, sp, Mt, lifts[N][0], lifts[L][1])
+            != "inconsistent" for Mt in every_Mt)))
+    pairs.append((lifts[lags[0]][0], lifts[lags[0]][1]))
+    outcomes = {"inconsistent": 0, "particular": 0}
+    for Nt, Lt in pairs:
+        for _ in range(2):
+            for Mt in every_Mt:
+                got = _outcome(sp.r_map_tilde, Mt, Nt, Lt)
+                assert got == _outcome(_r_map_tilde_reference, sp, Mt, Nt, Lt)
+                if not sp.transversal_R(Nt, Lt):
+                    outcomes["inconsistent" if got == "inconsistent"
+                             else "particular"] += 1
+    assert len(sp._r_factors) == len(pairs)
+    assert outcomes["inconsistent"] > 1 and outcomes["particular"] > 1
+
+
+def test_transversal_k_memo_matches_rank():
+    R = ring(1)
+    sp = SympSpace(R, 2)
+    lags = sp.enumerate_lagrangians()
+    for _ in range(2):
+        for a in lags:
+            for b in lags:
+                want = linalg.rank_field(R, a + b) == sp.dim
+                assert sp.transversal_k(a, b) == want
+    assert len(sp._transversal) == len(lags) ** 2
+
+
 def test_exhaustive_cap_guard():
     sp = SympSpace(ring(1), 5)
     with pytest.raises(CapExceeded):
