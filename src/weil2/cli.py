@@ -18,7 +18,7 @@ from . import verify, witt
 from .cyclotomic import Cyc8
 from .galois import MAX_D, ring
 from .heisenberg import enumerate_asp, enumerate_sp_R
-from .symplectic import SympSpace, enumerate_enhanced
+from .symplectic import SympSpace, check_sweep, enumerate_enhanced
 from .weil import SplitWeilRepresentation, WeilRepresentation, lambda_root, mu_root
 from .transport import splitting_transport, trivialization_transport
 
@@ -103,53 +103,86 @@ def cmd_witt(args):
 
 
 def _cocycle_rows(d, n, mode, sample_count, seed):
+    """The cocycle table as (repr N, repr M, repr L, C) rows; an exhaustive
+    sweep computes each enhanced Lagrangian's repr once."""
     from .models import formula_scalar
+    if mode == "exhaustive":
+        check_sweep(d, n)
     R = ring(d)
     sp = SympSpace(R, n)
     subs = sp.enumerate_lagrangians()
     rows = []
     if mode == "exhaustive":
-        enh = {s: sp.enumerate_enhancements(s) for s in subs}
+        enh = {s: [(e, repr(e.key())) for e in sp.enumerate_enhancements(s)]
+               for s in subs}
         for (rN, rM, rL) in verify._transversal_triples(sp, subs):
-            for eN in enh[rN]:
-                for eM in enh[rM]:
-                    for eL in enh[rL]:
-                        c = formula_scalar(sp, eN, eM, eL)
-                        rows.append((eN.key(), eM.key(), eL.key(), c))
+            for eN, kN in enh[rN]:
+                for eM, kM in enh[rM]:
+                    for eL, kL in enh[rL]:
+                        rows.append((kN, kM, kL, formula_scalar(sp, eN, eM, eL)))
     else:
         rng = random.Random(seed)
         for _ in range(sample_count):
             eN, eM, eL = (verify._random_enhancement(sp, sp.random_lift(r, rng), rng)
                           for r in verify._sample_transversal_triple(sp, subs, rng))
-            rows.append((eN.key(), eM.key(), eL.key(),
+            rows.append((repr(eN.key()), repr(eM.key()), repr(eL.key()),
                          formula_scalar(sp, eN, eM, eL)))
     return rows
+
+
+# stands in for the table rows in a payload handed to _dumps_with_rows
+_ROWS = "\0rows"
+
+
+def _rows_json(rows):
+    """The rows as the JSON list {"N", "M", "L", "C"} objects that
+    json.dumps(..., indent=2) writes at depth 1 of a document, byte for
+    byte, assembled from fragments encoded once per distinct key and C."""
+    if not rows:
+        return "[]"
+    keys, values = {}, {}
+    blocks = []
+    for kN, kM, kL, c in rows:
+        for k in (kN, kM, kL):
+            if k not in keys:
+                keys[k] = json.dumps(k)
+        if c not in values:
+            values[c] = "[\n" + ",\n".join(
+                "        " + json.dumps(x) for x in c.to_json()) + "\n      ]"
+        blocks.append(
+            '    {\n      "N": %s,\n      "M": %s,\n      "L": %s,\n'
+            '      "C": %s\n    }' % (keys[kN], keys[kM], keys[kL], values[c]))
+    return "[\n" + ",\n".join(blocks) + "\n  ]"
+
+
+def _dumps_with_rows(payload, rows):
+    """json.dumps(payload, indent=2) + "\n", where payload holds the
+    top-level value _ROWS in place of the table rows."""
+    text = json.dumps(payload, indent=2)
+    return text.replace(json.dumps(_ROWS), _rows_json(rows), 1) + "\n"
 
 
 def cmd_cocycle_table(args):
     dn = args.d * args.n
     mode = args.mode or ("exhaustive" if dn <= 2 else "sampled")
-    if mode == "exhaustive" and dn > 4:
-        print("exhaustive triple sweep rejected for d*n > 4", file=sys.stderr)
-        return 2
     rows = _cocycle_rows(args.d, args.n, mode, args.sample_count, args.seed)
     if args.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
             "prng": verify.PRNG_NAME,
             "d": args.d, "n": args.n, "mode": mode, "seed": args.seed,
-            "rows": [
-                {"N": repr(kN), "M": repr(kM), "L": repr(kL), "C": c.to_json()}
-                for (kN, kM, kL, c) in rows
-            ],
+            "rows": _ROWS,
         }
-        _print(args.out, json.dumps(payload, indent=2) + "\n")
+        _print(args.out, _dumps_with_rows(payload, rows))
     else:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["N", "M", "L", "c0", "c1", "c2", "c3"])
+        coords = {}
         for (kN, kM, kL, c) in rows:
-            w.writerow([repr(kN), repr(kM), repr(kL)] + list(c.to_json()))
+            if c not in coords:
+                coords[c] = c.to_json()
+            w.writerow([kN, kM, kL, *coords[c]])
         _print(args.out, buf.getvalue())
     return 0
 
@@ -251,10 +284,7 @@ def cmd_emit_corpus(args):
     else:
         rows = _cocycle_rows(args.d, args.n, "sampled", args.sample_count,
                              args.seed)
-    corpus["cocycle_table"] = [
-        {"N": repr(kN), "M": repr(kM), "L": repr(kL), "C": c.to_json()}
-        for (kN, kM, kL, c) in rows
-    ]
+    corpus["cocycle_table"] = _ROWS
 
     classifications = []
     for r in (1, 2):
@@ -294,7 +324,7 @@ def cmd_emit_corpus(args):
                        "mu": mu_root(St.scalar).to_json()})
         corpus["mu_roots"] = mu
 
-    _print(args.out, json.dumps(corpus, indent=2) + "\n")
+    _print(args.out, _dumps_with_rows(corpus, rows))
     return 0
 
 

@@ -257,21 +257,14 @@ def formula_scalar(space, eN, eM, eL):
     """Route 2: the quadratic character sum
     C = sum_{m in M} psi(alpha_M(m) + alpha_N(r(m)) - alpha_L(m - r(m))
                          - beta(m, r(m))),
-    with r the projection onto N along L."""
+    with r the projection onto N along L.  Everything but the three alphas
+    depends on the subspaces alone and is read from space.r_terms."""
     R = space.R
-    r = space.r_map(eM.rows, eN.rows, eL.rows)
+    add, sub, psi_exp = R.add, R.sub, R.psi_exp
+    aM, aN, aL = eM._amap, eN._amap, eL._amap
     tally = [0, 0, 0, 0]
-    for m in eM.elements:
-        rm = r[m]
-        lm = tuple(a ^ b for a, b in zip(m, rm))
-        q = R.sub(
-            R.sub(
-                R.add(eM.alpha_of(m), eN.alpha_of(rm)),
-                eL.alpha_of(lm),
-            ),
-            space.beta(m, rm),
-        )
-        tally[R.psi_exp(q)] += 1
+    for m, rm, lm, b in space.r_terms(eM.rows, eN.rows, eL.rows):
+        tally[psi_exp(sub(sub(add(aM[m], aN[rm]), aL[lm]), b))] += 1
     return Cyc8((tally[0] - tally[2], 0, tally[1] - tally[3], 0))
 
 
@@ -299,17 +292,16 @@ def gauss_scalar(space, eN, eM, eL, lifts=None):
     baseM = space.enhance_from_lift(Mt)
     baseN = space.enhance_from_lift(Nt)
     baseL = space.enhance_from_lift(Lt)
-    r = space.r_map(eM.rows, eN.rows, eL.rows)
     piv = baseM.pivots
-
-    def sigma(m):
-        rm = r[m]
-        lm = tuple(a ^ b for a, b in zip(m, rm))
+    # psi-exponent of sigma(m), the enhancement part of the character sum
+    # relative to the canonical enhancements of the lifts
+    sigma_exp = {}
+    for m, rm, lm, _ in space.r_terms(eM.rows, eN.rows, eL.rows):
         s = R.add(
             R.sub(eM.alpha_of(m), baseM.alpha_of(m)),
             R.sub(eN.alpha_of(rm), baseN.alpha_of(rm)),
         )
-        return R.sub(s, R.sub(eL.alpha_of(lm), baseL.alpha_of(lm)))
+        sigma_exp[m] = R.psi_exp(R.sub(s, R.sub(eL.alpha_of(lm), baseL.alpha_of(lm))))
 
     def coeffs(m):
         # ring coefficients of the {0,1}-coordinate lift of m against Mt
@@ -329,7 +321,7 @@ def gauss_scalar(space, eN, eM, eL, lifts=None):
     for cand in eM.elements:
         cc = coeffs(cand)
         if all(
-            R.psi_exp(sigma(m)) == R.psi_exp(R.mul(R.two, gram_eval(cc, coeffs(m))))
+            sigma_exp[m] == R.psi_exp(R.mul(R.two, gram_eval(cc, coeffs(m))))
             for m in eM.elements
         ):
             m_sigma = cand

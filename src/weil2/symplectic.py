@@ -18,6 +18,7 @@ from . import linalg
 
 MAX_EXHAUSTIVE_DN = 4
 MAX_CANDIDATES = 2 ** 16
+MAX_SWEEP = 2 ** 20
 
 
 class CapExceeded(ValueError):
@@ -32,14 +33,52 @@ def _check_cap(d, n, what="exhaustive enumeration"):
         )
 
 
+def _refuse_above(count, cap, what, work):
+    """Refuse `what` before it starts when it would do `count` > `cap`
+    units of `work`, a phrase such as "test {:,} candidates"."""
+    if count > cap and not os.environ.get("WEIL2_UNSAFE_NO_CAPS"):
+        raise CapExceeded(
+            f"{what} refused: it would {work.format(count)} > {cap:,} "
+            "(set WEIL2_UNSAFE_NO_CAPS=1 to override)"
+        )
+
+
 def _check_candidates(count, what):
     """Refuse a brute-force search predicted to test more than
     MAX_CANDIDATES candidates, before testing any."""
-    if count > MAX_CANDIDATES and not os.environ.get("WEIL2_UNSAFE_NO_CAPS"):
-        raise CapExceeded(
-            f"{what} refused: it would test {count:,} candidates "
-            f"> {MAX_CANDIDATES:,} (set WEIL2_UNSAFE_NO_CAPS=1 to override)"
-        )
+    _refuse_above(count, MAX_CANDIDATES, what, "test {:,} candidates")
+
+
+def transversal_triple_count(q, n):
+    """The number of pairwise-transversal triples of Lagrangian subspaces of
+    k^{2n}, |k| = q, in closed form: prod_{i<=n} (q^i + 1) Lagrangians N,
+    q^{n(n+1)/2} Lagrangians L transversal to N (graphs of symmetric maps),
+    and sigma_n(q) = q^{n(n+1)/2} prod_{i<=ceil(n/2)} (1 - q^{1-2i})
+    Lagrangians M transversal to both (the invertible symmetric n x n
+    matrices over k)."""
+    lagrangians = 1
+    for i in range(1, n + 1):
+        lagrangians *= q ** i + 1
+    half = (n + 1) // 2
+    sigma = q ** (n * (n + 1) // 2 - half * half)
+    for i in range(1, half + 1):
+        sigma *= q ** (2 * i - 1) - 1
+    return lagrangians * q ** (n * (n + 1) // 2) * sigma
+
+
+def check_sweep(d, n, lifts=False):
+    """Refuse an exhaustive cocycle sweep over GR(4, d)^{2n} predicted to
+    visit more than MAX_SWEEP triples, before any work: each subspace
+    triple carries q^{3dn} enhanced triples and, when the sweep also runs
+    over free lifts, q^{3n(n+1)/2} lift triples."""
+    q = 2 ** d
+    triples = transversal_triple_count(q, n)
+    what = f"exhaustive cocycle sweep at d{d}n{n}"
+    _refuse_above(triples * q ** (3 * d * n), MAX_SWEEP, what,
+                  "visit {:,} enhanced triples")
+    if lifts:
+        _refuse_above(triples * q ** (3 * n * (n + 1) // 2), MAX_SWEEP, what,
+                      "visit {:,} lift triples")
 
 
 class SympSpace:
@@ -48,13 +87,14 @@ class SympSpace:
         self.n = n
         self.dim = 2 * n
         self.dn = ring.d * n
-        # five per-space caches of geometry that the enhancement and lift
+        # six per-space caches of geometry that the enhancement and lift
         # loops ask for again and again; each starts empty, fills on first
         # use only and has no size limit
         self._lifted = {}        # k-vector -> its {0,1}-coordinate lift
         self._lift_frames = {}   # Lagrangian rows -> (initial lift, dual family)
+        self._enhanced = {}      # lift basis -> enhance_from_lift
         self._transversal = {}   # (rows1, rows2) -> transversal_k
-        self._r_maps = {}        # (M, N, L) rows -> the r_map dict
+        self._r_maps = {}        # (M, N, L) rows -> (r_map dict, r_terms)
         self._r_factors = {}     # (Nt, Lt) -> linalg.factor of (Nt + Lt)^T
 
     # -- forms ---------------------------------------------------------------
@@ -178,7 +218,16 @@ class SympSpace:
     def enhance_from_lift(self, basis):
         """The enhancement alpha(l) = bt(lt, lt) of the reduction of a free
         isotropic lift; independent of which lift of l in the submodule is
-        used (the cross terms cancel against isotropy)."""
+        used (the cross terms cancel against isotropy).  Memoized per lift
+        basis: the EnhancedLagrangian is shared by every caller and must
+        not be mutated."""
+        key = tuple(tuple(b) for b in basis)
+        enh = self._enhanced.get(key)
+        if enh is None:
+            enh = self._enhanced[key] = self._enhance(key)
+        return enh
+
+    def _enhance(self, basis):
         R = self.R
         # one elimination of [reduced basis | I] gives the canonical reduced
         # rows and, on the right, the combinations of the basis that reduce
@@ -357,17 +406,29 @@ class SympSpace:
         linear in its coefficient tuple, so the two spans match term by
         term.  The dict is memoized per (M, N, L) and shared by every
         caller: it must not be mutated."""
+        return self._projection(M_rows, N_rows, L_rows)[0]
+
+    def r_terms(self, M_rows, N_rows, L_rows):
+        """The enhancement-free terms of the character sum over M, one
+        (m, r(m), m - r(m), beta(m, r(m))) per element of M in span_k
+        order; kept in the same per-(M, N, L) entry as r_map."""
+        return self._projection(M_rows, N_rows, L_rows)[1]
+
+    def _projection(self, M_rows, N_rows, L_rows):
         key = (tuple(M_rows), tuple(N_rows), tuple(L_rows))
-        r = self._r_maps.get(key)
-        if r is None:
+        entry = self._r_maps.get(key)
+        if entry is None:
             R = self.R
             if not self.transversal_k(N_rows, L_rows):
                 raise ValueError("r_map needs N transversal to L")
             cols = linalg.transpose(key[1] + key[2])
             xs = linalg.solve_many(linalg.field_ops(R), cols, M_rows)
             images = [linalg.vec_mat_field(R, x[:len(N_rows)], N_rows) for x in xs]
-            r = self._r_maps[key] = dict(zip(self.span_k(M_rows), self.span_k(images)))
-        return r
+            r = dict(zip(self.span_k(M_rows), self.span_k(images)))
+            terms = tuple((m, rm, _xor(m, rm), self.beta(m, rm))
+                          for m, rm in r.items())
+            entry = self._r_maps[key] = (r, terms)
+        return entry
 
     def r_map_tilde(self, Mt, Nt, Lt):
         """Images of Mt's basis under the projection onto Nt along Lt: the

@@ -38,7 +38,13 @@ from .models import (
     matrix_mul_cyc,
     matrix_scale_cyc,
 )
-from .symplectic import EnhancedLagrangian, OrientedLagrangian, SympSpace, enumerate_enhanced
+from .symplectic import (
+    EnhancedLagrangian,
+    OrientedLagrangian,
+    SympSpace,
+    check_sweep,
+    enumerate_enhanced,
+)
 from .transport import (
     ScaledTransport,
     enhanced_of_oriented,
@@ -217,9 +223,10 @@ def cocycle_checks_small():
 
 
 def cocycle_checks_exhaustive(d, n):
-    """Exhaustive fourth-power and oriented-identity sweep at d*n <= 2."""
-    if d * n > 4:
-        raise ValueError("exhaustive triple sweep rejected for d*n > 4")
+    """Exhaustive fourth-power and oriented-identity sweep; refused, before
+    any work, at shapes where it would visit more than MAX_SWEEP triples
+    (every shape with d*n > 2)."""
+    check_sweep(d, n, lifts=True)
     R = ring(d)
     sp = SympSpace(R, n)
     subs = sp.enumerate_lagrangians()

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from weil2 import cli
 from weil2.cli import main
 
 
@@ -101,6 +102,43 @@ def test_cocycle_table_d1n2_golden(capsys):
         "1f3f469510643295e28bb5135042678e159c3d891cf8052983af50731534bb9d")
 
 
+def test_cocycle_table_d2n1_golden(capsys):
+    """The exhaustive d2n1 table (245,760 rows) in JSON and CSV, pinned by
+    their hashes."""
+    for fmt, digest in (
+        ("json", "f761842ddb37fd68a2da05362cab9045f155b0b0256b7a80dc2ef8a7f4421461"),
+        ("csv", "cbe83edf2aaf7140d432bfcb1c0b477209fdb6a35452f2d978528c552313b031"),
+    ):
+        rc, out = run_cli(capsys, "cocycle-table", "--d", "2", "--n", "1",
+                          "--format", fmt)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+_TAIL = {"after": [[1, 2], {"x": "y"}], "last": 0}
+
+
+@pytest.mark.parametrize("d,n,mode,count,seed,tail", [
+    (1, 1, "exhaustive", 0, 0, {}),
+    (1, 1, "exhaustive", 0, 0, _TAIL),
+    (2, 1, "exhaustive", 0, 0, {}),
+    (2, 2, "sampled", 40, 7, _TAIL),
+    (1, 1, "empty", 0, 0, {}),
+    (1, 1, "empty", 0, 0, _TAIL),
+])
+def test_row_writer_matches_json_dumps(d, n, mode, count, seed, tail):
+    """The pre-encoded rows are laid out exactly as json.dumps(indent=2)
+    lays out the row dicts, in a table payload and in a payload whose rows
+    are followed by other keys, as in emit-corpus."""
+    rows = [] if mode == "empty" else cli._cocycle_rows(d, n, mode, count, seed)
+    dicts = [{"N": kN, "M": kM, "L": kL, "C": c.to_json()}
+             for (kN, kM, kL, c) in rows]
+    head = {"schema_version": 1, "d": d, "n": n, "mode": mode}
+    want = json.dumps({**head, "rows": dicts, **tail}, indent=2) + "\n"
+    got = cli._dumps_with_rows({**head, "rows": cli._ROWS, **tail}, rows)
+    assert got == want
+
+
 def test_cocycle_table_sampled_seeded(capsys):
     args = ("cocycle-table", "--d", "2", "--n", "1", "--mode", "sampled",
             "--sample-count", "5", "--seed", "11", "--format", "json")
@@ -120,6 +158,29 @@ def test_cocycle_table_rejects_large_exhaustive(capsys):
     rc, _ = run_cli(capsys, "cocycle-table", "--d", "3", "--n", "2",
                     "--mode", "exhaustive")
     assert rc == 2
+
+
+@pytest.mark.parametrize("d,n,count", [
+    (2, 2, "4,380,866,641,920"),
+    (1, 3, "123,863,040"),
+    (3, 1, "67,645,734,912"),
+])
+@pytest.mark.parametrize("command", ["cocycle-table", "verify"])
+def test_exhaustive_sweep_refused_promptly(capsys, monkeypatch, command, d, n, count):
+    """The predicted number of enhanced triples is above the cap, so both
+    commands exit 2 with the count before enumerating anything."""
+    monkeypatch.delenv("WEIL2_UNSAFE_NO_CAPS", raising=False)
+    argv = [command, "--d", str(d), "--n", str(n), "--mode", "exhaustive"]
+    if command == "verify":
+        argv += ["--suite", "cocycle"]
+    t0 = time.perf_counter()
+    rc = main(argv)
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"visit {count} enhanced triples" in captured.err
+    assert captured.out == ""
+    assert elapsed < 2.0
 
 
 def test_verify_text_format(capsys):
@@ -242,6 +303,13 @@ def test_emit_corpus_deterministic(tmp_path, capsys):
     assert "cocycle_table" in data
     assert "weil_matrices" in data
     assert "split_weil_matrices" in data
+
+
+def test_emit_corpus_d1n2_golden(capsys):
+    rc, out = run_cli(capsys, "emit-corpus", "--d", "1", "--n", "2")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "01825dcfd79bafcf88dc3595ef898a8935723fc29542f5275ec4027a9614e988")
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

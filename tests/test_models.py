@@ -146,6 +146,57 @@ def test_three_routes_agree():
     assert count == 48
 
 
+def _formula_reference(sp, eN, eM, eL):
+    """The character sum term by term: r(m), m - r(m) and beta(m, r(m))
+    recomputed for every element of M."""
+    R = sp.R
+    r = sp.r_map(eM.rows, eN.rows, eL.rows)
+    tally = [0, 0, 0, 0]
+    for m in eM.elements:
+        rm = r[m]
+        lm = tuple(a ^ b for a, b in zip(m, rm))
+        q = R.sub(R.sub(R.add(eM.alpha_of(m), eN.alpha_of(rm)), eL.alpha_of(lm)),
+                  sp.beta(m, rm))
+        tally[R.psi_exp(q)] += 1
+    return Cyc8((tally[0] - tally[2], 0, tally[1] - tally[3], 0))
+
+
+def test_formula_scalar_terms_once_per_subspace_triple():
+    """All 30,720 enhanced triples at d1n2 against the term-by-term sum.
+    The subspace terms are computed once per subspace triple: 480 entries,
+    and beta runs once per element of M of each (4 * 480 times)."""
+    from weil2.verify import _transversal_triples
+
+    sp = SympSpace(ring(1), 2)
+    ref = SympSpace(ring(1), 2)
+    subs = sp.enumerate_lagrangians()
+    enh = {s: sp.enumerate_enhancements(s) for s in subs}
+    beta_calls = 0
+    plain_beta = sp.beta
+
+    def counted_beta(v, w):
+        nonlocal beta_calls
+        beta_calls += 1
+        return plain_beta(v, w)
+
+    sp.beta = counted_beta
+    count = 0
+    for rN, rM, rL in _transversal_triples(sp, subs):
+        for eN in enh[rN]:
+            for eM in enh[rM]:
+                for eL in enh[rL]:
+                    assert formula_scalar(sp, eN, eM, eL) == \
+                        _formula_reference(ref, eN, eM, eL)
+                    count += 1
+    assert count == 30720
+    assert len(sp._r_maps) == 480
+    assert beta_calls == 4 * 480
+    for (M, N, L), (r, terms) in sp._r_maps.items():
+        assert sp.r_terms(M, N, L) is terms
+        assert [t[:2] for t in terms] == list(r.items())
+        assert [t[0] for t in terms] == list(sp.span_k(M))
+
+
 @pytest.mark.parametrize("d,n,stride,pairs", [
     (1, 1, 1, 24), (2, 1, 1, 5120), (1, 2, 5, 384),
 ])

@@ -20,7 +20,8 @@ import pytest
 
 from weil2.galois import ring
 from weil2.symplectic import (
-    CapExceeded, SympSpace, enumerate_enhanced,
+    MAX_SWEEP, CapExceeded, SympSpace, check_sweep, enumerate_enhanced,
+    transversal_triple_count,
 )
 from weil2 import linalg
 
@@ -132,6 +133,20 @@ def test_enhance_from_lift_canonical():
         assert e.alpha_of(sp.zero_vec_k()) == 0
         # the enhancement lies among the full torsor for that subspace
         assert e in sp.enumerate_enhancements(rows)
+
+
+@pytest.mark.parametrize("d,n", [(1, 2), (2, 1)])
+def test_enhance_from_lift_memo(d, n):
+    """One shared EnhancedLagrangian per lift basis, however the basis is
+    passed, equal to what a fresh space computes."""
+    sp = SympSpace(ring(d), n)
+    for rows in sp.enumerate_lagrangians():
+        for lift in sp.enumerate_submodule_lifts(rows):
+            e = sp.enhance_from_lift(lift)
+            assert sp.enhance_from_lift([list(b) for b in lift]) is e
+            fresh = SympSpace(ring(d), n).enhance_from_lift(lift)
+            assert e.key() == fresh.key()
+            assert e.pivots == fresh.pivots
 
 
 def test_enhancement_keys_distinct():
@@ -464,3 +479,44 @@ def test_enhanced_lagrangian_invariants_survive_optimize():
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+@pytest.mark.parametrize("d,n,triples", [
+    (1, 1, 6), (2, 1, 60), (1, 2, 480), (3, 1, 504), (1, 3, 241920),
+])
+def test_transversal_triple_count_formula(d, n, triples):
+    from weil2.verify import _transversal_triples
+
+    assert transversal_triple_count(2 ** d, n) == triples
+    sp = SympSpace(ring(d), n)
+    assert len(_transversal_triples(sp, sp.enumerate_lagrangians())) == triples
+
+
+@pytest.mark.parametrize("d,n", [(1, 1), (2, 1), (1, 2)])
+def test_check_sweep_keeps_the_gated_shapes(monkeypatch, d, n):
+    monkeypatch.delenv("WEIL2_UNSAFE_NO_CAPS", raising=False)
+    check_sweep(d, n, lifts=True)
+
+
+@pytest.mark.parametrize("d,n", [(3, 1), (2, 2), (1, 3), (4, 1), (1, 4)])
+def test_check_sweep_refuses_with_the_count(monkeypatch, d, n):
+    monkeypatch.delenv("WEIL2_UNSAFE_NO_CAPS", raising=False)
+    q = 2 ** d
+    enhanced = transversal_triple_count(q, n) * q ** (3 * d * n)
+    assert enhanced > MAX_SWEEP
+    with pytest.raises(CapExceeded, match=f"visit {enhanced:,} enhanced triples"):
+        check_sweep(d, n)
+    monkeypatch.setenv("WEIL2_UNSAFE_NO_CAPS", "1")
+    check_sweep(d, n, lifts=True)
+
+
+def test_check_sweep_counts_lift_triples(monkeypatch):
+    """At d1n2 the sweep over free lifts is the larger one: 480 * 2^9 =
+    245,760 lift triples against 480 * 2^6 = 30,720 enhanced triples."""
+    import weil2.symplectic as symplectic
+
+    monkeypatch.delenv("WEIL2_UNSAFE_NO_CAPS", raising=False)
+    monkeypatch.setattr(symplectic, "MAX_SWEEP", 100000)
+    check_sweep(1, 2)
+    with pytest.raises(CapExceeded, match="visit 245,760 lift triples"):
+        check_sweep(1, 2, lifts=True)
