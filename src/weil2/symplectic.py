@@ -66,19 +66,20 @@ def transversal_triple_count(q, n):
     return lagrangians * q ** (n * (n + 1) // 2) * sigma
 
 
-def check_sweep(d, n, lifts=False):
-    """Refuse an exhaustive cocycle sweep over GR(4, d)^{2n} predicted to
-    visit more than MAX_SWEEP triples, before any work: each subspace
-    triple carries q^{3dn} enhanced triples and, when the sweep also runs
-    over free lifts, q^{3n(n+1)/2} lift triples."""
-    q = 2 ** d
-    triples = transversal_triple_count(q, n)
+def check_sweep(d, n):
+    """Refuse an exhaustive cocycle sweep over GR(4, d)^{2n} before any
+    work: always at d*n > MAX_EXHAUSTIVE_DN, and otherwise above MAX_SWEEP
+    enhanced triples, q^{3dn} per subspace triple.  The sweep over free
+    lifts in verify needs no count of its own: at this cap, every shape
+    whose lift triples (q^{3n(n+1)/2} per subspace triple) outnumber its
+    enhanced triples is refused by the enhanced count, except d1n2 with
+    245,760 lift triples."""
     what = f"exhaustive cocycle sweep at d{d}n{n}"
-    _refuse_above(triples * q ** (3 * d * n), MAX_SWEEP, what,
-                  "visit {:,} enhanced triples")
-    if lifts:
-        _refuse_above(triples * q ** (3 * n * (n + 1) // 2), MAX_SWEEP, what,
-                      "visit {:,} lift triples")
+    if d * n > MAX_EXHAUSTIVE_DN:
+        raise CapExceeded(f"{what} rejected for d*n > {MAX_EXHAUSTIVE_DN}")
+    q = 2 ** d
+    _refuse_above(transversal_triple_count(q, n) * q ** (3 * d * n), MAX_SWEEP,
+                  what, "visit {:,} enhanced triples")
 
 
 class SympSpace:

@@ -226,7 +226,7 @@ def cocycle_checks_exhaustive(d, n):
     """Exhaustive fourth-power and oriented-identity sweep; refused, before
     any work, at shapes where it would visit more than MAX_SWEEP triples
     (every shape with d*n > 2)."""
-    check_sweep(d, n, lifts=True)
+    check_sweep(d, n)
     R = ring(d)
     sp = SympSpace(R, n)
     subs = sp.enumerate_lagrangians()

@@ -495,7 +495,7 @@ def test_transversal_triple_count_formula(d, n, triples):
 @pytest.mark.parametrize("d,n", [(1, 1), (2, 1), (1, 2)])
 def test_check_sweep_keeps_the_gated_shapes(monkeypatch, d, n):
     monkeypatch.delenv("WEIL2_UNSAFE_NO_CAPS", raising=False)
-    check_sweep(d, n, lifts=True)
+    check_sweep(d, n)
 
 
 @pytest.mark.parametrize("d,n", [(3, 1), (2, 2), (1, 3), (4, 1), (1, 4)])
@@ -507,16 +507,12 @@ def test_check_sweep_refuses_with_the_count(monkeypatch, d, n):
     with pytest.raises(CapExceeded, match=f"visit {enhanced:,} enhanced triples"):
         check_sweep(d, n)
     monkeypatch.setenv("WEIL2_UNSAFE_NO_CAPS", "1")
-    check_sweep(d, n, lifts=True)
+    check_sweep(d, n)
 
 
-def test_check_sweep_counts_lift_triples(monkeypatch):
-    """At d1n2 the sweep over free lifts is the larger one: 480 * 2^9 =
-    245,760 lift triples against 480 * 2^6 = 30,720 enhanced triples."""
-    import weil2.symplectic as symplectic
-
-    monkeypatch.delenv("WEIL2_UNSAFE_NO_CAPS", raising=False)
-    monkeypatch.setattr(symplectic, "MAX_SWEEP", 100000)
-    check_sweep(1, 2)
-    with pytest.raises(CapExceeded, match="visit 245,760 lift triples"):
-        check_sweep(1, 2, lifts=True)
+@pytest.mark.parametrize("d,n", [(3, 2), (1, 5), (4, 2)])
+def test_check_sweep_refuses_past_d_times_n_4_under_the_override(monkeypatch, d, n):
+    """No sweep at d*n > 4 can finish, so the override does not lift it."""
+    monkeypatch.setenv("WEIL2_UNSAFE_NO_CAPS", "1")
+    with pytest.raises(CapExceeded, match=r"rejected for d\*n > 4"):
+        check_sweep(d, n)
