@@ -312,6 +312,22 @@ def test_emit_corpus_d1n2_golden(capsys):
         "01825dcfd79bafcf88dc3595ef898a8935723fc29542f5275ec4027a9614e988")
 
 
+def test_emit_corpus_d1n1_golden(capsys):
+    """All 24 Weil matrices, the 48 split matrices and the lambda/mu roots,
+    pinned by their hash."""
+    rc, out = run_cli(capsys, "emit-corpus", "--d", "1", "--n", "1")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "63198c3a9d13001b5f76019aa70ebfa9e06198a4c1c6a47e3bbbf6bcf0b546d1")
+
+
+def test_verify_weil_json_golden(capsys):
+    rc, out = run_cli(capsys, "verify", "--suite", "weil", "--format", "json")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0e1e53fe2465ec3afb400c7170394c6b46cb16849186e915f2f915c8ea237bdf")
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     p = tmp_path / "ring.json"
     rc, out = run_cli(capsys, "ring-info", "--d", "1", "--out", str(p))
