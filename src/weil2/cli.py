@@ -218,7 +218,7 @@ def cmd_verify(args):
 
 
 def _matrix_json(M):
-    return [[x.to_json() for x in row] for row in M]
+    return [[x.to_json() for x in row] for row in M.to_cyc()]
 
 
 def cmd_weil_matrix(args):

@@ -21,9 +21,8 @@ sides) and `invert` work in any of the three algebras.  On them sit the
 ring wrappers `rref_ring`, `solve_ring`, `inverse_ring` and the n > 5
 branch of `det_ring`, which reads the signed product of the pivots; the
 field wrappers `rref_field`, `solve_field`, `rank_field` and
-`inverse_field`; and, with `CYC8_OPS`, `models.matrix_inverse_cyc` and
-`weil.commutant_dimension`.  `SympSpace.r_map_tilde` keeps one `factor`
-per pair of lifts.
+`inverse_field`; and, with `CYC8_OPS`, `weil.commutant_dimension`.
+`SympSpace.r_map_tilde` keeps one `factor` per pair of lifts.
 `vec_mat` and `vec_mat_field` are the row action v -> sum_j v[j] * A[j].
 """
 from __future__ import annotations

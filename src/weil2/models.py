@@ -13,13 +13,12 @@ The right translation pi_L(h) f = f(. h) realizes H(V) on H_L with one
 psi-entry per matrix row.  Between two models the canonical intertwiner is
 averaging over the source Lagrangian:
     (F_{M,L} f)(h) = sum_{m in M} f((m, alpha_M(m)) * h).
-For a transversal pair every matrix entry of F_{M,L} is a single fourth
-root of unity; we store the exponent matrix (entries in Z/4) and only
-expand to exact cyclotomic numbers on demand.
+Operators are ZiMatrix values: a unit zeta^e sqrt2^s times a
+Gaussian-integer matrix.  For a transversal pair every matrix entry of
+F_{M,L} is a single fourth root of unity, and the composition route to the
+association scalar works on the exponent matrix (entries in Z/4).
 """
 from __future__ import annotations
-
-from math import lcm
 
 from . import linalg
 from .cyclotomic import Cyc8
@@ -71,13 +70,9 @@ class Model:
         return tuple(out)
 
     def pi_matrix(self, h):
-        """pi(h) as an exact matrix of fourth roots of unity (one nonzero
-        per row)."""
-        n = self.dim
-        M = [[Cyc8.from_rational(0)] * n for _ in range(n)]
-        for i, (e, j) in enumerate(self.pi_exponents(h)):
-            M[i][j] = Cyc8.i_pow(e)
-        return tuple(tuple(r) for r in M)
+        """pi(h) as a ZiMatrix of fourth roots of unity (one nonzero per
+        row)."""
+        return ZiMatrix.monomial(self.pi_exponents(h), self.dim)
 
 
 def standard_model(space):
@@ -123,8 +118,8 @@ def intertwiner_exponents(model_M, model_L):
 
 
 def intertwiner_matrix(model_M, model_L):
-    """F_{M,L} as an exact cyclotomic matrix; works for any pair (entries
-    are Z[i] sums over the fibre of m + t_M + t_L in L)."""
+    """F_{M,L} as a ZiMatrix; works for any pair (entries are Z[i] sums
+    over the fibre of m + t_M + t_L in L)."""
     spanL = set(model_L.enh.elements)
     out = []
     for tM in model_M.reps:
@@ -134,10 +129,8 @@ def intertwiner_matrix(model_M, model_L):
             if l not in spanL:
                 raise RuntimeError("split left the Lagrangian")
             row[model_L.rep_index[tL]][e] += 1
-        out.append(tuple(
-            Cyc8((c[0] - c[2], 0, c[1] - c[3], 0)) for c in row
-        ))
-    return tuple(out)
+        out.append(tuple((c[0] - c[2], c[1] - c[3]) for c in row))
+    return ZiMatrix(0, 0, out)
 
 
 # -- exact Z[i] fast path ------------------------------------------------------
@@ -191,53 +184,205 @@ def proportionality_scalar(comp, F_exp):
     return Cyc8((c[0], 0, c[1], 0))
 
 
-def _integer_rows(A):
-    """A over the lcm D of its entries' denominators: per row, the
-    (column, numerator 4-tuple) of each nonzero entry; and D."""
-    D = lcm(*(x.den for row in A for x in row))
-    rows = [
-        [(j, x.a if x.den == D else tuple(c * (D // x.den) for c in x.a))
-         for j, x in enumerate(row) if x.a != (0, 0, 0, 0)]
-        for row in A
-    ]
-    return rows, D
+# -- exact operators ---------------------------------------------------------------
+# Every operator of the models -> transports -> Weil layers is a unit monomial
+# times a Gaussian-integer matrix: pi(h) and P_a are monomial with mu4
+# entries, intertwiners have Z[i] entries, and every root and transport
+# scalar is zeta^e sqrt2^s.  So an operator is kept as that triple, and
+# Cyc8 numbers are built only for scalars and for output.
+
+_I_POW = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-def matrix_mul_cyc(A, B):
-    """The exact product A B of Q(zeta_8) matrices (tuples of Cyc8 rows).
+def _zeta_coeffs(e, s):
+    """zeta^e sqrt2^s as (coefficients over 1, z, z^2, z^3, denominator)."""
+    t, odd = divmod(s, 2)
+    c = [0, 0, 0, 0]
+    # sqrt2 = z - z^3
+    for k, sign in (((e + 1, 1), (e + 3, -1)) if odd else ((e, 1),)):
+        k %= 8
+        c[k % 4] += sign if k < 4 else -sign
+    if t >= 0:
+        return tuple(x << t for x in c), 1
+    return tuple(c), 1 << -t
 
-    Summing Cyc8 products entry by entry builds, and gcd-normalizes, one
-    Cyc8 per multiply and per add.  Instead each operand is brought to one
-    common denominator, so the sums run over plain integer 4-tuples
-    (multiplied mod z^4 + 1, zero entries skipped: the operators here are
-    monomial or sparse), and only the finished entry, over DA * DB, is
-    normalized.  Cyc8's normal form is canonical, so the result equals the
-    entrywise sum exactly."""
-    rows_a, da = _integer_rows(A)
-    rows_b, db = _integer_rows(B)
-    den = da * db
-    m = len(B[0])
+
+def _times_unit(z, u, den):
+    """The Cyc8 (re + im z^2) * (u0 + u1 z + u2 z^2 + u3 z^3) / den."""
+    re, im = z
+    u0, u1, u2, u3 = u
+    return Cyc8((re * u0 - im * u2, re * u1 - im * u3,
+                 re * u2 + im * u0, re * u3 + im * u1), den)
+
+
+def monomial_exponents(c):
+    """(e, s) with c = zeta^e sqrt2^s exactly, e in 0..7; ValueError when c
+    is not of that form."""
+    nz = [x for x in c.a if x]
+    if nz:
+        # every nonzero coefficient of zeta^e sqrt2^(2t or 2t+1) is +-2^t
+        t = abs(nz[0]).bit_length() - c.den.bit_length()
+        for s in (2 * t, 2 * t + 1):
+            for e in range(8):
+                if Cyc8(*_zeta_coeffs(e, s)) == c:
+                    return e, s
+    raise ValueError(f"{c} is not zeta^e * sqrt2^s")
+
+
+def _zi_matmul(X, Y):
+    """X Y over Z[i], zero entries skipped (the operators here are monomial
+    or sparse)."""
+    m = len(Y[0])
+    ynz = [[(j, br, bi) for j, (br, bi) in enumerate(row) if br or bi]
+           for row in Y]
     out = []
-    for row in rows_a:
-        acc = [[0, 0, 0, 0] for _ in range(m)]
-        for k, (a0, a1, a2, a3) in row:
-            for j, (b0, b1, b2, b3) in rows_b[k]:
-                s = acc[j]
-                s[0] += a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1
-                s[1] += a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2
-                s[2] += a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3
-                s[3] += a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
-        out.append(tuple(Cyc8(s, den) for s in acc))
+    for row in X:
+        re = [0] * m
+        im = [0] * m
+        for k, (ar, ai) in enumerate(row):
+            if ar or ai:
+                for j, br, bi in ynz[k]:
+                    re[j] += ar * br - ai * bi
+                    im[j] += ar * bi + ai * br
+        out.append(tuple(zip(re, im)))
     return tuple(out)
 
 
-def matrix_scale_cyc(c, A):
-    return tuple(tuple(c * x for x in row) for row in A)
+def _zi_scale(X, w):
+    wr, wi = w
+    return tuple(tuple((xr * wr - xi * wi, xr * wi + xi * wr) for xr, xi in row)
+                 for row in X)
 
 
-def matrix_inverse_cyc(A):
-    """Exact inverse over Q(zeta8) through the shared elimination kernel."""
-    return linalg.invert(linalg.CYC8_OPS, A, "Q(zeta8)")
+class ZiMatrix:
+    """The exact matrix zeta^zeta_exp * sqrt2^sqrt2_exp * rows, where rows is
+    a tuple of row tuples of Gaussian integers (re, im).
+
+    Two values are equal when the matrices they stand for are, whatever
+    their triples.  Products add exponents; inverses go by the adjoint;
+    `ratio` divides by a proportional operator; `to_cyc` gives the dense
+    Cyc8 matrix."""
+
+    __slots__ = ("zeta_exp", "sqrt2_exp", "rows")
+
+    def __init__(self, zeta_exp, sqrt2_exp, rows):
+        object.__setattr__(self, "zeta_exp", zeta_exp % 8)
+        object.__setattr__(self, "sqrt2_exp", sqrt2_exp)
+        object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
+
+    def __setattr__(self, *_):
+        raise AttributeError("ZiMatrix is immutable")
+
+    @staticmethod
+    def monomial(entries, cols):
+        """The Z[i] matrix with one i^e per row: entries is (e, column) per
+        row."""
+        zero = (0, 0)
+        rows = []
+        for e, j in entries:
+            row = [zero] * cols
+            row[j] = _I_POW[e % 4]
+            rows.append(tuple(row))
+        return ZiMatrix(0, 0, rows)
+
+    @property
+    def shape(self):
+        return len(self.rows), len(self.rows[0])
+
+    def __matmul__(self, other):
+        if not isinstance(other, ZiMatrix):
+            return NotImplemented
+        return ZiMatrix(self.zeta_exp + other.zeta_exp,
+                        self.sqrt2_exp + other.sqrt2_exp,
+                        _zi_matmul(self.rows, other.rows))
+
+    def scaled(self, c):
+        """c * self for a Cyc8 scalar c = zeta^e sqrt2^s."""
+        e, s = monomial_exponents(c)
+        return ZiMatrix(self.zeta_exp + e, self.sqrt2_exp + s, self.rows)
+
+    def kron(self, other):
+        """The Kronecker product: entry (i b + k, j b' + l) is
+        self[i][j] * other[k][l]."""
+        rows = []
+        for ra in self.rows:
+            for rb in other.rows:
+                rows.append(tuple((ar * br - ai * bi, ar * bi + ai * br)
+                                  for ar, ai in ra for br, bi in rb))
+        return ZiMatrix(self.zeta_exp + other.zeta_exp,
+                        self.sqrt2_exp + other.sqrt2_exp, rows)
+
+    def adjoint(self):
+        """The conjugate transpose."""
+        return ZiMatrix(-self.zeta_exp, self.sqrt2_exp,
+                        [tuple((re, -im) for re, im in col)
+                         for col in zip(*self.rows)])
+
+    def inverse(self):
+        """A^{-1} = A* / c from A A* = c I.  Raises ValueError unless the
+        Z[i] part satisfies that with c a power of 2 (so that the inverse is
+        again of this form)."""
+        n, m = self.shape
+        adj = self.adjoint()
+        P = _zi_matmul(self.rows, adj.rows)
+        c = P[0][0][0]
+        k = c.bit_length() - 1
+        if n != m or c <= 0 or any(
+                P[i][j] != ((c, 0) if i == j else (0, 0))
+                for i in range(n) for j in range(n)):
+            raise ValueError("A A* is not a nonzero scalar matrix")
+        if c != 1 << k:
+            raise ValueError(f"A A* = {c} I: not a power of 2")
+        return ZiMatrix(-self.zeta_exp, -self.sqrt2_exp - 2 * k, adj.rows)
+
+    def ratio(self, other):
+        """The Cyc8 r with self == r * other, or None when other is zero or
+        the two are not proportional."""
+        if self.shape != other.shape:
+            raise ValueError(f"shapes {self.shape} and {other.shape} differ")
+        X, Y = self.rows, other.rows
+        first = next(((p, q) for rx, ry in zip(X, Y) for p, q in zip(rx, ry)
+                      if q != (0, 0)), None)
+        if first is None:
+            return None
+        (pr, pi), (qr, qi) = first
+        # X q == Y p entrywise over Z[i]
+        for rx, ry in zip(X, Y):
+            for (xr, xi), (yr, yi) in zip(rx, ry):
+                if (xr * qr - xi * qi != yr * pr - yi * pi
+                        or xr * qi + xi * qr != yr * pi + yi * pr):
+                    return None
+        u, den = _zeta_coeffs(self.zeta_exp - other.zeta_exp,
+                              self.sqrt2_exp - other.sqrt2_exp)
+        # p / q = p conj(q) / |q|^2
+        return _times_unit((pr * qr + pi * qi, pi * qr - pr * qi), u,
+                           den * (qr * qr + qi * qi))
+
+    def __eq__(self, other):
+        if not isinstance(other, ZiMatrix):
+            return NotImplemented
+        if self.shape != other.shape:
+            return False
+        a, b = (self, other) if self.sqrt2_exp <= other.sqrt2_exp else (other, self)
+        de, ds = b.zeta_exp - a.zeta_exp, b.sqrt2_exp - a.sqrt2_exp
+        if (de - ds) % 2:
+            # zeta^de sqrt2^ds lies outside Q(i): equal only when both are 0
+            return a.is_zero() and b.is_zero()
+        (w0, _, w2, _), _ = _zeta_coeffs(de, ds)
+        return a.rows == _zi_scale(b.rows, (w0, w2))
+
+    def is_zero(self):
+        return all(x == (0, 0) for row in self.rows for x in row)
+
+    def to_cyc(self):
+        """The dense matrix of Cyc8 entries."""
+        u, den = _zeta_coeffs(self.zeta_exp, self.sqrt2_exp)
+        return tuple(tuple(_times_unit(x, u, den) for x in row)
+                     for row in self.rows)
+
+    def __repr__(self):
+        return (f"ZiMatrix(zeta^{self.zeta_exp} sqrt2^{self.sqrt2_exp}, "
+                f"{self.rows})")
 
 
 # -- the three routes to the association scalar ---------------------------------

@@ -497,14 +497,18 @@ class EnhancedLagrangian:
         sp, R = self.space, self.space.R
         if len(self.rows) != sp.n:
             raise ValueError("subspace is not middle-dimensional")
-        for l1 in self.elements:
-            for l2 in self.elements:
-                if sp.omega(l1, l2) != 0:
+        # each unordered pair once: omega(l1, l2) = b12 - b21, and once
+        # b12 = b21 both conditions are symmetric in (l1, l2)
+        elems = self.elements
+        for i, l1 in enumerate(elems):
+            for l2 in elems[i:]:
+                b12 = sp.beta(l1, l2)
+                if b12 != sp.beta(l2, l1):
                     raise ValueError("subspace is not isotropic")
                 lhs = R.sub(
                     R.sub(self._amap[_xor(l1, l2)], self._amap[l1]), self._amap[l2]
                 )
-                if lhs != sp.beta(l1, l2):
+                if lhs != b12:
                     raise ValueError("alpha does not polarize beta")
 
     def alpha_of(self, v):

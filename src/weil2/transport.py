@@ -3,7 +3,8 @@ intertwiners, with exact equality testing.
 
 A ScaledTransport (s, [P1, .., Pk], p) stands for s^{1/p} * P1 ... Pk
 without ever extracting the root: two transports are equal when their
-chain products are proportional, P = r * P', and s == s' * r^p.
+chain products (ZiMatrix values) are proportional, P = r * P', and
+s == s' * r^p.
 
 The trivializing scalar for the intertwiner groupoid is the rational
     A = (-1)^{dn} / 4^{dn}
@@ -21,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclotomic import Cyc8
-from .models import Model, intertwiner_matrix, matrix_mul_cyc
+from .models import Model, intertwiner_matrix
 from .witt import gauss_sum, trace_form
 
 
@@ -36,7 +37,7 @@ class ScaledTransport:
     def product(self):
         P = self.chain[0]
         for Q in self.chain[1:]:
-            P = matrix_mul_cyc(P, Q)
+            P = P @ Q
         return P
 
     def compose(self, other):
@@ -51,7 +52,7 @@ class ScaledTransport:
         """s1^{1/p} P1 == s2^{1/p} P2: with P1 = r P2 this is s1 r^p == s2."""
         if not isinstance(other, ScaledTransport) or self.power != other.power:
             return NotImplemented
-        r = matrix_ratio(self.product(), other.product())
+        r = self.product().ratio(other.product())
         if r is None:
             return False
         return self.scalar * r ** self.power == other.scalar
@@ -59,26 +60,6 @@ class ScaledTransport:
     def __repr__(self):
         return (f"ScaledTransport(scalar={self.scalar}, "
                 f"chain_len={len(self.chain)}, power={self.power})")
-
-
-def matrix_ratio(P, Q):
-    """r with P == r * Q, or None if not proportional (Q must be nonzero
-    somewhere P is)."""
-    r = None
-    for i in range(len(P)):
-        for j in range(len(P[0])):
-            if not Q[i][j].is_zero():
-                r = P[i][j] / Q[i][j]
-                break
-        if r is not None:
-            break
-    if r is None:
-        return None
-    for i in range(len(P)):
-        for j in range(len(P[0])):
-            if P[i][j] != r * Q[i][j]:
-                return None
-    return r
 
 
 def trivializing_scalar(space):

@@ -35,8 +35,6 @@ from .models import (
     formula_scalar,
     gauss_scalar,
     intertwiner_matrix,
-    matrix_mul_cyc,
-    matrix_scale_cyc,
 )
 from .symplectic import (
     EnhancedLagrangian,
@@ -48,7 +46,6 @@ from .symplectic import (
 from .transport import (
     ScaledTransport,
     enhanced_of_oriented,
-    matrix_ratio,
     splitting_transport,
     transport_square,
     trivialization_transport,
@@ -255,6 +252,9 @@ def cocycle_checks_exhaustive(d, n):
     for rows in subs:
         for lt in lifts[rows]:
             canon[lt] = sp.enhance_from_lift(lt)
+    # the grams take few values (at most 64 at d1n2, over 245,760 triples)
+    gauss_of_gram = functools.cache(
+        lambda gram: witt.gauss_sum(witt.trace_form(R, gram)))
     bad_or = total_or = 0
     for (rN, rM, rL) in triples:
         for Nt in lifts[rN]:
@@ -262,8 +262,7 @@ def cocycle_checks_exhaustive(d, n):
             for Mt in lifts[rM]:
                 eM = canon[Mt]
                 for Lt in lifts[rL]:
-                    gram = sp.omega_tilde_L_gram(Mt, Nt, Lt)
-                    G = witt.gauss_sum(witt.trace_form(R, gram))
+                    G = gauss_of_gram(sp.omega_tilde_L_gram(Mt, Nt, Lt))
                     if formula_scalar(sp, eN, eM, canon[Lt]) != G:
                         bad_or += 1
                     total_or += 1
@@ -382,21 +381,13 @@ def suite_cocycle(d=None, n=None, mode=None, sample_count=200, seed=0):
 # -- Trivialization (suite "trivialization") ----------------------------------
 
 
-def _kron(A, B):
-    cols_a, cols_b = len(A[0]), len(B[0])
-    return tuple(
-        tuple(A[i][j] * B[k][l] for j in range(cols_a) for l in range(cols_b))
-        for i in range(len(A)) for k in range(len(B))
-    )
-
-
 def materialize_transport(T):
     """The honest matrix on the 4th tensor power: scalar * P tensor ... P."""
     P = T.product()
     out = P
     for _ in range(T.power - 1):
-        out = _kron(out, P)
-    return matrix_scale_cyc(T.scalar, out)
+        out = out.kron(P)
+    return out.scaled(T.scalar)
 
 
 def suite_trivialization():
@@ -440,8 +431,7 @@ def suite_trivialization():
     for a in enh:
         for b in enh:
             for c in enh:
-                prod = matrix_mul_cyc(mats[(a.key(), b.key())],
-                                      mats[(b.key(), c.key())])
+                prod = mats[(a.key(), b.key())] @ mats[(b.key(), c.key())]
                 if prod != mats[(a.key(), c.key())]:
                     bad += 1
     checks.append(_c("trivialization.materialized-16x16", bad == 0,
@@ -773,7 +763,7 @@ def suite_weil():
     lifts = {g: lift_sp(sp, g) for g in spR}
     bad = 0
     for g in spR:
-        r = matrix_ratio(S.operator(g), W.operator(lifts[g]))
+        r = S.operator(g).ratio(W.operator(lifts[g]))
         if r is None or mu4_exponent(r) is None:
             bad += 1
     checks.append(_c("weil.split-vs-enhanced", bad == 0,

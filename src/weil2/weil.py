@@ -20,10 +20,9 @@ from __future__ import annotations
 from . import linalg
 from .cyclotomic import Cyc8, ZETA, mu4_exponent, sqrt2_pow
 from .heisenberg import asp_inv, lift_sp
-from .models import Model, matrix_inverse_cyc, matrix_mul_cyc, matrix_scale_cyc
+from .models import Model, ZiMatrix
 from .transport import (
     enhanced_of_oriented,
-    matrix_ratio,
     splitting_transport,
     trivialization_transport,
 )
@@ -71,60 +70,71 @@ def mu_root(s):
 
 
 def translation_matrix(space, a, model_src, model_dst):
-    """P_a: H_{src} -> H_{dst} for dst = a.src, (P_a f)(h) = f(a^{-1} h)."""
+    """P_a: H_{src} -> H_{dst} for dst = a.src, (P_a f)(h) = f(a^{-1} h),
+    as a monomial ZiMatrix."""
     inv = asp_inv(space, a)
-    rows = []
+    entries = []
     for t in model_dst.reps:
         e, col = model_src.eval_exponent(inv.apply_h((t, 0)))
-        rows.append((e, model_src.rep_index[col]))
-    zero = Cyc8.from_rational(0)
-    out = [[zero] * model_src.dim for _ in range(model_dst.dim)]
-    for i, (e, j) in enumerate(rows):
-        out[i][j] = Cyc8.i_pow(e)
-    return tuple(tuple(r) for r in out)
+        entries.append((e, model_src.rep_index[col]))
+    return ZiMatrix.monomial(entries, model_src.dim)
 
 
-class WeilRepresentation:
-    """Enhanced-level construction over a fixed base model."""
+class _TransportedRepresentation:
+    """What the enhanced and the oriented construction share: the honest
+    transports E_X = root(s) * (chain product) of the transport from X to
+    the base, their transitions E_{X,Y} = E_X E_Y^{-1}, and the operator
+    E_{base, target} P_a.  A subclass names its transport and root."""
 
-    def __init__(self, space, base=None):
+    def __init__(self, space, base, base_enh):
         self.space = space
-        self.base = base if base is not None else space.enhance_from_lift(
-            space.standard_oriented().basis
-        )
-        self.base_model = Model(space, self.base)
+        self.base = base
+        self.base_model = Model(space, base_enh)
         self._ehat = {}
         self._ops = {}
 
-    def e_hat(self, enh):
-        """lambda * (chain product) of T_{enh, base}: an honest matrix."""
-        key = enh.key()
+    def e_hat(self, x):
+        """root(s) * (chain product) of the transport from x to the base:
+        an honest matrix."""
+        key = x.key()
         if key not in self._ehat:
-            T = trivialization_transport(self.space, enh, self.base)
-            self._ehat[key] = matrix_scale_cyc(lambda_root(T.scalar), T.product())
+            T = self.transport(self.space, x, self.base)
+            self._ehat[key] = T.product().scaled(self.root(T.scalar))
         return self._ehat[key]
 
-    def transition(self, eM, eL):
-        """E_{M,L}: H_L -> H_M, composing exactly (no scalar slack)."""
-        return matrix_mul_cyc(self.e_hat(eM), matrix_inverse_cyc(self.e_hat(eL)))
+    def transition(self, x, y):
+        """E_{x,y}: H_y -> H_x, composing exactly (no scalar slack)."""
+        return self.e_hat(x) @ self.e_hat(y).inverse()
+
+    def _assemble(self, a, target, target_enh):
+        P = translation_matrix(self.space, a, self.base_model,
+                               Model(self.space, target_enh))
+        return self.transition(self.base, target) @ P
+
+
+class WeilRepresentation(_TransportedRepresentation):
+    """Enhanced-level construction over a fixed base model."""
+
+    transport = staticmethod(trivialization_transport)
+    root = staticmethod(lambda_root)
+
+    def __init__(self, space, base=None):
+        if base is None:
+            base = space.enhance_from_lift(space.standard_oriented().basis)
+        super().__init__(space, base, base)
 
     def operator(self, a):
         key = a.key()
         if key not in self._ops:
             target = _act_enhanced(self.space, a, self.base)
-            P = translation_matrix(
-                self.space, a, self.base_model, Model(self.space, target)
-            )
-            E = self.transition(self.base, target)
-            self._ops[key] = matrix_mul_cyc(E, P)
+            self._ops[key] = self._assemble(a, target, target)
         return self._ops[key]
 
     def cocycle(self, a, b):
         """W(a) W(b) = c(a, b) W(ab); the scalar is a fourth root of unity."""
         from .heisenberg import asp_mul
-        lhs = matrix_mul_cyc(self.operator(a), self.operator(b))
-        rhs = self.operator(asp_mul(self.space, a, b))
-        r = matrix_ratio(lhs, rhs)
+        lhs = self.operator(a) @ self.operator(b)
+        r = lhs.ratio(self.operator(asp_mul(self.space, a, b)))
         if r is None:
             raise ValueError("Weil operators do not compose projectively")
         if mu4_exponent(r) is None:
@@ -132,58 +142,46 @@ class WeilRepresentation:
         return r
 
     def egorov_defect(self, a, h):
-        """W(a) pi(h) - pi(a h) W(a), as matrices (zero iff Egorov holds)."""
+        """W(a) pi(h) - pi(a h) W(a), as Cyc8 matrices (zero iff Egorov
+        holds)."""
         W = self.operator(a)
-        lhs = matrix_mul_cyc(W, self.base_model.pi_matrix(h))
-        rhs = matrix_mul_cyc(self.base_model.pi_matrix(a.apply_h(h)), W)
-        return tuple(
-            tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(lhs, rhs)
-        )
+        lhs = W @ self.base_model.pi_matrix(h)
+        rhs = self.base_model.pi_matrix(a.apply_h(h)) @ W
+        # pi(h) is a ZiMatrix with unit scalar, so both sides carry W's
+        if (lhs.zeta_exp, lhs.sqrt2_exp) != (rhs.zeta_exp, rhs.sqrt2_exp):
+            raise RuntimeError("pi(h) carries a scalar")
+        return ZiMatrix(lhs.zeta_exp, lhs.sqrt2_exp, (
+            tuple((xr - yr, xi - yi) for (xr, xi), (yr, yi) in zip(r1, r2))
+            for r1, r2 in zip(lhs.rows, rhs.rows))).to_cyc()
 
 
-class SplitWeilRepresentation:
+class SplitWeilRepresentation(_TransportedRepresentation):
     """Oriented-level construction: operators attach to Sp(Vt) and the
     cocycle lands in {+1, -1}."""
 
+    transport = staticmethod(splitting_transport)
+    root = staticmethod(mu_root)
+
     def __init__(self, space, base=None):
-        self.space = space
-        self.base = base if base is not None else space.standard_oriented()
-        self.base_enh = enhanced_of_oriented(space, self.base)
-        self.base_model = Model(space, self.base_enh)
-        self._ehat = {}
-        self._ops = {}
-
-    def e_hat(self, oriented):
-        key = oriented.key()
-        if key not in self._ehat:
-            S = splitting_transport(self.space, oriented, self.base)
-            self._ehat[key] = matrix_scale_cyc(mu_root(S.scalar), S.product())
-        return self._ehat[key]
-
-    def transition(self, oM, oL):
-        return matrix_mul_cyc(self.e_hat(oM), matrix_inverse_cyc(self.e_hat(oL)))
+        if base is None:
+            base = space.standard_oriented()
+        super().__init__(space, base, enhanced_of_oriented(space, base))
 
     def operator(self, gt):
-        key = gt
-        if key not in self._ops:
+        if gt not in self._ops:
             a = lift_sp(self.space, gt, validate=False)
             target = self.space.oriented_transform(gt, self.base)
-            P = translation_matrix(
-                self.space, a, self.base_model,
-                Model(self.space, enhanced_of_oriented(self.space, target)),
-            )
-            E = self.transition(self.base, target)
-            self._ops[key] = matrix_mul_cyc(E, P)
-        return self._ops[key]
+            self._ops[gt] = self._assemble(
+                a, target, enhanced_of_oriented(self.space, target))
+        return self._ops[gt]
 
     def cocycle(self, gt, ht):
         """W(g) W(h) = c(g, h) W(gh) with c = +-1.  The operator product
         acts by h first, so the matrix of gh has rows ht[i] * gt."""
         from .heisenberg import apply_sp_R
         prod = tuple(apply_sp_R(self.space, gt, ht[i]) for i in range(self.space.dim))
-        lhs = matrix_mul_cyc(self.operator(gt), self.operator(ht))
-        rhs = self.operator(prod)
-        r = matrix_ratio(lhs, rhs)
+        lhs = self.operator(gt) @ self.operator(ht)
+        r = lhs.ratio(self.operator(prod))
         if r is None:
             raise ValueError("split operators do not compose projectively")
         if not (r == Cyc8.from_rational(1) or r == Cyc8.from_rational(-1)):
@@ -199,10 +197,10 @@ def _act_enhanced(space, a, enh):
 def commutant_dimension(space, operators):
     """dim of {X : X W = W X for all W}: the exact nullity of the stacked
     commutator system over Q(zeta8)."""
-    m = len(operators[0])
+    m = operators[0].shape[0]
     zero = Cyc8.from_rational(0)
     rows = []
-    for W in operators:
+    for W in (op.to_cyc() for op in operators):
         # (X W - W X)[i][j] = sum_k X[i][k] W[k][j] - W[i][k] X[k][j]
         for i in range(m):
             for j in range(m):
@@ -217,10 +215,7 @@ def commutant_dimension(space, operators):
 def coboundary_ratio(rep_alt, rep, Phi, a):
     """b(a) with W'(a) = b(a) * Phi W(a) Phi^{-1}; the two constructions
     differ by an explicit mu4-valued coboundary."""
-    conj = matrix_mul_cyc(
-        matrix_mul_cyc(Phi, rep.operator(a)), matrix_inverse_cyc(Phi)
-    )
-    r = matrix_ratio(rep_alt.operator(a), conj)
+    r = rep_alt.operator(a).ratio(Phi @ rep.operator(a) @ Phi.inverse())
     if r is None:
         raise ValueError("object change does not conjugate the operators")
     if mu4_exponent(r) is None:

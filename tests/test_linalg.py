@@ -6,7 +6,6 @@ import pytest
 from weil2 import linalg
 from weil2.cyclotomic import Cyc8
 from weil2.galois import ring
-from weil2.models import matrix_mul_cyc
 
 
 def _random_matrix(R, rng, n):
@@ -110,6 +109,14 @@ def _field_mat_mul(R, A, B):
     return tuple(linalg.vec_mat_field(R, row, B) for row in A)
 
 
+def _cyc_mat_mul(A, B):
+    return tuple(
+        tuple(sum((A[i][k] * B[k][j] for k in range(len(B))), Cyc8.from_rational(0))
+              for j in range(len(B[0])))
+        for i in range(len(A))
+    )
+
+
 def _algebras():
     """(name, ops, random scalar, matrix product) for the ring at
     d = 1, 2, the residue field at d = 1, 2 and Q(zeta_8)."""
@@ -122,7 +129,7 @@ def _algebras():
         out.append((f"field-d{d}", linalg.field_ops(R),
                     lambda rng, R=R: rng.randrange(R.field_size),
                     lambda A, B, R=R: _field_mat_mul(R, A, B)))
-    out.append(("cyc8", linalg.CYC8_OPS, _random_cyc, matrix_mul_cyc))
+    out.append(("cyc8", linalg.CYC8_OPS, _random_cyc, _cyc_mat_mul))
     return out
 
 

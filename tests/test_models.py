@@ -8,15 +8,17 @@ is a scalar, frozen below for every ordering of {std, dual, third}.
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from weil2.cyclotomic import ZETA, Cyc8, I, ONE
 from weil2.galois import ring
 from weil2.heisenberg import all_h_elements, h_mul
+from weil2.cyclotomic import sqrt2_pow
 from weil2.models import (
-    Model, composition_scalar, formula_scalar, gauss_scalar,
-    intertwiner_matrix, matrix_inverse_cyc, matrix_mul_cyc, standard_model,
+    Model, ZiMatrix, composition_scalar, formula_scalar, gauss_scalar,
+    intertwiner_matrix, monomial_exponents, standard_model,
 )
 from weil2.symplectic import SympSpace, enumerate_enhanced
 
@@ -50,8 +52,8 @@ def test_pi_is_a_representation():
     elems = list(all_h_elements(sp))
     for h1 in elems:
         for h2 in elems:
-            lhs = matrix_mul_cyc(m.pi_matrix(h1), m.pi_matrix(h2))
-            assert lhs == m.pi_matrix(h_mul(sp, h1, h2))
+            lhs = (m.pi_matrix(h1) @ m.pi_matrix(h2)).to_cyc()
+            assert lhs == m.pi_matrix(h_mul(sp, h1, h2)).to_cyc()
 
 
 def test_pi_central_character():
@@ -60,7 +62,7 @@ def test_pi_central_character():
     for e in enumerate_enhanced(sp):
         m = Model(sp, e)
         for z in range(4):
-            mat = m.pi_matrix((sp.zero_vec_k(), z))
+            mat = m.pi_matrix((sp.zero_vec_k(), z)).to_cyc()
             for r in range(m.dim):
                 for c in range(m.dim):
                     want = Cyc8.i_pow(z) if r == c else Cyc8.from_rational(0)
@@ -71,7 +73,7 @@ def test_intertwiner_dual_to_std_is_fourier():
     sp = _space()
     e = _named_enhanced(sp)
     F = intertwiner_matrix(Model(sp, e["std"]), Model(sp, e["dual"]))
-    assert F == ((ONE, ONE), (ONE, -ONE))
+    assert F.to_cyc() == ((ONE, ONE), (ONE, -ONE))
 
 
 def test_intertwiner_property():
@@ -86,8 +88,8 @@ def test_intertwiner_property():
             mM, mL = Model(sp, eM), Model(sp, eL)
             F = intertwiner_matrix(mM, mL)
             for h in elems:
-                assert matrix_mul_cyc(F, mL.pi_matrix(h)) == \
-                    matrix_mul_cyc(mM.pi_matrix(h), F)
+                assert (F @ mL.pi_matrix(h)).to_cyc() == \
+                    (mM.pi_matrix(h) @ F).to_cyc()
 
 
 def test_intertwiner_entries_are_fourth_roots():
@@ -100,7 +102,7 @@ def test_intertwiner_entries_are_fourth_roots():
         for eL in enh:
             if not sp.transversal_k(eM.rows, eL.rows):
                 continue
-            F = intertwiner_matrix(Model(sp, eM), Model(sp, eL))
+            F = intertwiner_matrix(Model(sp, eM), Model(sp, eL)).to_cyc()
             for row in F:
                 for x in row:
                     assert x in mu4
@@ -218,10 +220,15 @@ def test_intertwiner_adjoint_is_scaled_inverse(d, n, stride, pairs):
         tuple(Cyc8.from_rational(2 ** (d * n) if i == j else 0) for j in range(dim))
         for i in range(dim)
     )
+    identity = tuple(tuple(ONE if i == j else Cyc8.from_rational(0)
+                           for j in range(dim)) for i in range(dim))
     for mM, mL in transversal:
         F = intertwiner_matrix(mM, mL)
-        F_star = tuple(tuple(F[j][i].conj() for j in range(dim)) for i in range(dim))
-        assert matrix_mul_cyc(F_star, F) == scaled_identity
+        Fc = F.to_cyc()
+        F_star = tuple(tuple(Fc[j][i].conj() for j in range(dim)) for i in range(dim))
+        assert F.adjoint().to_cyc() == F_star
+        assert (F.adjoint() @ F).to_cyc() == scaled_identity
+        assert (F.inverse() @ F).to_cyc() == identity
 
 
 def _matrix_mul_reference(A, B):
@@ -233,71 +240,134 @@ def _matrix_mul_reference(A, B):
     )
 
 
-def _random_matrix(rng, rows, cols, density):
-    """Sparse entries with coefficients in -3..3 over mixed denominators."""
+def _kron_reference(A, B):
+    return tuple(
+        tuple(x * y for x in ra for y in rb) for ra in A for rb in B
+    )
+
+
+def _random_zi(rng, rows, cols, density, e, s):
+    """Sparse Z[i] entries with parts in -3..3, under zeta^e sqrt2^s."""
     def entry():
         if rng.random() >= density:
-            return Cyc8.from_rational(0)
-        return Cyc8(tuple(rng.randrange(-3, 4) for _ in range(4)),
-                    rng.choice((1, 2, 3, 4, 6, 8, 9)))
-    return tuple(tuple(entry() for _ in range(cols)) for _ in range(rows))
+            return (0, 0)
+        return (rng.randrange(-3, 4), rng.randrange(-3, 4))
+    return ZiMatrix(e, s, [[entry() for _ in range(cols)] for _ in range(rows)])
 
 
 def _with_zero_row(M, i):
-    zero = (Cyc8.from_rational(0),) * len(M[0])
-    return M[:i] + (zero,) + M[i + 1:]
+    rows = M.rows[:i] + (((0, 0),) * len(M.rows[0]),) + M.rows[i + 1:]
+    return ZiMatrix(M.zeta_exp, M.sqrt2_exp, rows)
 
 
 def _with_zero_col(M, j):
-    return tuple(r[:j] + (Cyc8.from_rational(0),) + r[j + 1:] for r in M)
+    rows = tuple(r[:j] + ((0, 0),) + r[j + 1:] for r in M.rows)
+    return ZiMatrix(M.zeta_exp, M.sqrt2_exp, rows)
 
 
 @pytest.mark.parametrize("shape", [(1, 3, 2), (3, 1, 4), (2, 5, 3), (16, 16, 16)])
-def test_matrix_mul_cyc_matches_entrywise_sums(shape):
+def test_zi_matrix_product_matches_entrywise_sums(shape):
+    """Product, Kronecker product and ratio against the Cyc8 definitions,
+    over mixed zeta and sqrt2 exponents, with a zero row and column."""
     rows, mid, cols = shape
     rng = random.Random(8 * rows + mid + cols)
-    zeta3 = ZETA ** 3
     for density in (1.0, 0.4, 0.1):
-        A = _random_matrix(rng, rows, mid, density)
-        B = _random_matrix(rng, mid, cols, density)
-        # entries outside Q(i), over the denominators 2 and 3
-        A = (A[0][:-1] + (ZETA / 2,),) + A[1:]
-        B = B[:-1] + ((zeta3 / 3,) * cols,)
+        # an odd zeta exponent over a negative sqrt2 exponent times an even
+        # one over a nonnegative one
+        A = _random_zi(rng, rows, mid, density, 2 * rng.randrange(4) + 1,
+                       -rng.randrange(1, 6))
+        B = _random_zi(rng, mid, cols, density, 2 * rng.randrange(4),
+                       rng.randrange(6))
         if rows > 1:
             A = _with_zero_row(A, rows - 1)
         if cols > 1:
             B = _with_zero_col(B, 0)
-        assert len({x.den for r in A + B for x in r}) > 2
-        assert matrix_mul_cyc(A, B) == _matrix_mul_reference(A, B)
+        Ac, Bc = A.to_cyc(), B.to_cyc()
+        assert (A @ B).to_cyc() == _matrix_mul_reference(Ac, Bc)
+        if rows * mid * cols <= 64:
+            assert A.kron(B).to_cyc() == _kron_reference(Ac, Bc)
+        c = ZETA ** rng.randrange(8) * sqrt2_pow(rng.randrange(-4, 5))
+        scaled = B.scaled(c)
+        assert scaled.to_cyc() == tuple(tuple(c * x for x in r) for r in Bc)
+        if not B.is_zero():
+            assert scaled.ratio(B) == c
+            assert scaled == ZiMatrix(0, 0, B.rows).scaled(
+                ZETA ** B.zeta_exp * sqrt2_pow(B.sqrt2_exp) * c)
 
 
-def test_matrix_mul_cyc_monomial_16x16():
-    """Monomial operators with zeta-power entries over powers of 2, the
-    shape of the materialized trivialization products."""
+def test_zi_matrix_monomial_16x16():
+    """Monomial operators with i-power entries under zeta^e sqrt2^s, the
+    shape of pi(h) and P_a: product, inverse by adjoint and ratio."""
     rng = random.Random(16)
 
     def monomial():
         perm = list(range(16))
         rng.shuffle(perm)
-        return tuple(
-            tuple(ZETA ** rng.randrange(8) / 2 ** rng.randrange(3) if perm[i] == j
-                  else Cyc8.from_rational(0) for j in range(16))
-            for i in range(16)
-        )
+        M = ZiMatrix.monomial([(rng.randrange(4), j) for j in perm], 16)
+        return ZiMatrix(rng.randrange(8), rng.randrange(-4, 5), M.rows)
 
+    identity = tuple(tuple(ONE if i == j else Cyc8.from_rational(0)
+                           for j in range(16)) for i in range(16))
     for _ in range(3):
         A, B = monomial(), monomial()
-        assert matrix_mul_cyc(A, B) == _matrix_mul_reference(A, B)
-    zero = tuple((Cyc8.from_rational(0),) * 16 for _ in range(16))
-    prod = matrix_mul_cyc(monomial(), zero)
-    assert prod == zero
-    assert all(x.den == 1 for r in prod for x in r)
+        assert (A @ B).to_cyc() == _matrix_mul_reference(A.to_cyc(), B.to_cyc())
+        assert (A @ A.inverse()).to_cyc() == identity
+        assert (A.inverse() @ A).to_cyc() == identity
+        assert A.ratio(A @ B @ B.inverse()) == ONE
+    zero = ZiMatrix(3, -2, [[(0, 0)] * 16 for _ in range(16)])
+    prod = monomial() @ zero
+    assert prod == zero == ZiMatrix(0, 0, zero.rows)
+    assert prod.is_zero()
+    assert all(x == Cyc8.from_rational(0) for r in prod.to_cyc() for x in r)
 
 
-def test_matrix_inverse_cyc():
-    F = ((ONE, ONE), (ONE, -ONE))
-    Finv = matrix_inverse_cyc(F)
-    prod = matrix_mul_cyc(F, Finv)
+def test_zi_matrix_inverse_by_adjoint():
+    F = ZiMatrix(0, 0, [[(1, 0), (1, 0)], [(1, 0), (-1, 0)]])
+    prod = (F @ F.inverse()).to_cyc()
     for r in range(2):
         for c in range(2):
             assert prod[r][c] == (ONE if r == c else Cyc8.from_rational(0))
+    assert F.inverse().to_cyc() == tuple(
+        tuple(x / 2 for x in row) for row in F.to_cyc())
+    # A A* not scalar, not a power of 2 (A A* = 3 I), singular, not square
+    for rows in ([[(1, 0), (1, 0)], [(0, 0), (1, 0)]],
+                 [[(1, 0), (1, 1)], [(-1, 1), (1, 0)]],
+                 [[(0, 0), (0, 0)], [(0, 0), (0, 0)]],
+                 [[(1, 0), (0, 0)]]):
+        with pytest.raises(ValueError):
+            ZiMatrix(1, 3, rows).inverse()
+
+
+def test_zi_matrix_ratio_and_equality():
+    X = ((1, 2), (0, -1))
+    A = ZiMatrix(0, 0, [X])
+    assert ZiMatrix(2, 0, [X]) == ZiMatrix(0, 0, [((-2, 1), (1, 0))])  # i X
+    assert ZiMatrix(1, 1, [X]) == ZiMatrix(0, 0, [((-1, 3), (1, -1))])  # (1+i) X
+    assert ZiMatrix(0, 2, [X]) == ZiMatrix(0, 0, [((2, 4), (0, -2))])
+    assert ZiMatrix(1, 0, [X]) != A
+    assert ZiMatrix(0, 1, [X]) != A
+    assert A != ZiMatrix(0, 0, [X, X])
+    assert ZiMatrix(1, 0, [((0, 0), (0, 0))]) == ZiMatrix(0, 7, [((0, 0), (0, 0))])
+    # non-proportional operands and a zero divisor
+    assert A.ratio(ZiMatrix(0, 0, [((1, 2), (0, 1))])) is None
+    assert A.ratio(ZiMatrix(5, 3, [((0, 0), (0, 0))])) is None
+    # a zero numerator is proportional with ratio 0
+    assert ZiMatrix(0, 0, [((0, 0), (0, 0))]).ratio(A) == Cyc8.from_rational(0)
+    # X = (1 + 2i) Y with a zero entry first: r = zeta^-4 sqrt2^-3 (1 + 2i)
+    Y = ((0, 0), (1, -1), (2, 1))
+    X = ((0, 0), (3, 1), (0, 5))
+    r = ZiMatrix(3, -1, [X]).ratio(ZiMatrix(7, 2, [Y]))
+    assert r == ZETA ** -4 * sqrt2_pow(-3) * (ONE + 2 * I)
+    assert ZiMatrix(7, 2, [Y]).ratio(ZiMatrix(3, -1, [X])) == r.inverse()
+    with pytest.raises(ValueError):
+        A.ratio(ZiMatrix(0, 0, [X, X]))
+
+
+def test_monomial_exponents():
+    for e in range(8):
+        for s in range(-5, 6):
+            assert monomial_exponents(ZETA ** e * sqrt2_pow(s)) == (e, s)
+    for c in (ONE + ZETA, Cyc8.from_rational(3), Cyc8.from_rational(0),
+              ONE + 2 * I, Cyc8.from_rational(Fraction(1, 3))):
+        with pytest.raises(ValueError):
+            monomial_exponents(c)

@@ -20,8 +20,8 @@ import pytest
 
 from weil2.galois import ring
 from weil2.symplectic import (
-    MAX_SWEEP, CapExceeded, SympSpace, check_sweep, enumerate_enhanced,
-    transversal_triple_count,
+    MAX_SWEEP, CapExceeded, EnhancedLagrangian, SympSpace, check_sweep,
+    enumerate_enhanced, transversal_triple_count,
 )
 from weil2 import linalg
 
@@ -123,6 +123,23 @@ def test_enhancement_alpha_polarizes_beta():
                     want = sp.R.add(sp.R.add(e.alpha_of(v), e.alpha_of(w)),
                                     sp.beta(v, w))
                     assert e.alpha_of(s) == want
+
+
+@pytest.mark.parametrize("d,n", [(1, 2), (2, 1)])
+def test_alpha_changed_at_one_element_is_refused(d, n):
+    """Changing a valid alpha at any one nonzero element, by a unit or by
+    2, breaks polarization, and validation says so."""
+    sp = SympSpace(ring(d), n)
+    R = sp.R
+    for rows in sp.enumerate_lagrangians()[:3]:
+        e = sp.enhance_from_lift(sp.initial_lift(rows))
+        EnhancedLagrangian(sp, rows, e._amap)
+        for v in e.elements[1:]:
+            for delta in (R.one, R.two):
+                alpha = dict(e._amap)
+                alpha[v] = R.add(alpha[v], delta)
+                with pytest.raises(ValueError, match="^alpha does not polarize beta$"):
+                    EnhancedLagrangian(sp, rows, alpha)
 
 
 def test_enhance_from_lift_canonical():
@@ -456,18 +473,23 @@ from weil2.symplectic import EnhancedLagrangian, SympSpace
 sp = SympSpace(ring(1), 2)
 cases = {
     # span(e1, f1): omega(e1, f1) = 2
-    "isotropic": ((1, 0, 0, 0), (0, 0, 1, 0)),
+    "subspace is not isotropic": (((1, 0, 0, 0), (0, 0, 1, 0)), {}),
     # a line in a 4-dimensional space
-    "middle-dimensional": ((1, 0, 0, 0),),
+    "subspace is not middle-dimensional": (((1, 0, 0, 0),), {}),
+    # alpha = 0 polarizes beta = 0 on span(e1, e2); change it at e1
+    "alpha does not polarize beta": (((1, 0, 0, 0), (0, 1, 0, 0)),
+                                     {(1, 0, 0, 0): 1}),
 }
-for word, rows in cases.items():
+for message, (rows, changed) in cases.items():
     alpha = {v: 0 for v in sp.span_k(rows)}
+    alpha.update(changed)
     try:
         EnhancedLagrangian(sp, rows, alpha)
     except ValueError as exc:
-        assert word in str(exc), exc
+        if str(exc) != message:
+            raise SystemExit(f"expected {message!r}, got {exc!r}")
     else:
-        raise SystemExit(f"accepted a subspace that is not {word}")
+        raise SystemExit(f"accepted: {message}")
 print("ok")
 """
 

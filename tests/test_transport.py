@@ -13,10 +13,11 @@ from fractions import Fraction
 
 from weil2.cyclotomic import Cyc8
 from weil2.galois import ring
+from weil2.models import ZiMatrix
 from weil2.symplectic import SympSpace, enumerate_enhanced
 from weil2.transport import (
     ScaledTransport, enhanced_of_oriented, first_transversal_rows,
-    matrix_ratio, splitting_scalar, splitting_transport, transport_square,
+    splitting_scalar, splitting_transport, transport_square,
     trivialization_transport, trivializing_scalar,
 )
 
@@ -64,9 +65,8 @@ def test_transport_to_self_is_trivial():
         M = T.product()
         # the resolved product is scalar * identity once the root is taken;
         # at the transport level the composite must be proportional to 1
-        ratio = matrix_ratio(M, tuple(
-            tuple(Cyc8.from_rational(1 if i == j else 0) for j in range(len(M)))
-            for i in range(len(M))))
+        n = M.shape[0]
+        ratio = M.ratio(ZiMatrix.monomial([(0, i) for i in range(n)], n))
         assert ratio is not None
 
 
