@@ -84,12 +84,15 @@ class _TransportedRepresentation:
     """What the enhanced and the oriented construction share: the honest
     transports E_X = root(s) * (chain product) of the transport from X to
     the base, their transitions E_{X,Y} = E_X E_Y^{-1}, and the operator
-    E_{base, target} P_a.  A subclass names its transport and root."""
+    E_{base, target} P_a, given the transport function and the root of its
+    scalar."""
 
-    def __init__(self, space, base, base_enh):
+    def __init__(self, space, base, base_enh, transport, root):
         self.space = space
         self.base = base
         self.base_model = Model(space, base_enh)
+        self._transport = transport
+        self._root = root
         self._ehat = {}
         self._ops = {}
 
@@ -98,8 +101,8 @@ class _TransportedRepresentation:
         an honest matrix."""
         key = x.key()
         if key not in self._ehat:
-            T = self.transport(self.space, x, self.base)
-            self._ehat[key] = T.product().scaled(self.root(T.scalar))
+            T = self._transport(self.space, x, self.base)
+            self._ehat[key] = T.product().scaled(self._root(T.scalar))
         return self._ehat[key]
 
     def transition(self, x, y):
@@ -115,13 +118,11 @@ class _TransportedRepresentation:
 class WeilRepresentation(_TransportedRepresentation):
     """Enhanced-level construction over a fixed base model."""
 
-    transport = staticmethod(trivialization_transport)
-    root = staticmethod(lambda_root)
-
     def __init__(self, space, base=None):
         if base is None:
             base = space.enhance_from_lift(space.standard_oriented().basis)
-        super().__init__(space, base, base)
+        super().__init__(space, base, base, trivialization_transport,
+                         lambda_root)
 
     def operator(self, a):
         key = a.key()
@@ -159,13 +160,11 @@ class SplitWeilRepresentation(_TransportedRepresentation):
     """Oriented-level construction: operators attach to Sp(Vt) and the
     cocycle lands in {+1, -1}."""
 
-    transport = staticmethod(splitting_transport)
-    root = staticmethod(mu_root)
-
     def __init__(self, space, base=None):
         if base is None:
             base = space.standard_oriented()
-        super().__init__(space, base, enhanced_of_oriented(space, base))
+        super().__init__(space, base, enhanced_of_oriented(space, base),
+                         splitting_transport, mu_root)
 
     def operator(self, gt):
         if gt not in self._ops:
