@@ -104,7 +104,8 @@ def cmd_witt(args):
 
 def _cocycle_rows(d, n, mode, sample_count, seed):
     """The cocycle table as (repr N, repr M, repr L, C) rows; an exhaustive
-    sweep computes each enhanced Lagrangian's repr once."""
+    sweep computes each enhanced Lagrangian's repr and each subspace
+    triple's character-sum terms once."""
     from .models import formula_scalar
     if mode == "exhaustive":
         check_sweep(d, n)
@@ -116,10 +117,12 @@ def _cocycle_rows(d, n, mode, sample_count, seed):
         enh = {s: [(e, repr(e.key())) for e in sp.enumerate_enhancements(s)]
                for s in subs}
         for (rN, rM, rL) in verify._transversal_triples(sp, subs):
+            terms = sp.r_terms(rM, rN, rL)
             for eN, kN in enh[rN]:
                 for eM, kM in enh[rM]:
                     for eL, kL in enh[rL]:
-                        rows.append((kN, kM, kL, formula_scalar(sp, eN, eM, eL)))
+                        rows.append((kN, kM, kL,
+                                     formula_scalar(sp, eN, eM, eL, terms)))
     else:
         rng = random.Random(seed)
         for _ in range(sample_count):

@@ -217,9 +217,6 @@ class GaloisRing:
             raise RuntimeError("norm escaped the prime subring")
         return rc[0]
 
-    def embed_z4(self, c: int) -> int:
-        return c % 4
-
     def psi_exp(self, a: int) -> int:
         """Exponent e with psi(a) = i^e; the workhorse for hot loops."""
         return self._trace[a]

@@ -179,17 +179,6 @@ def mat_mul(R, A, B):
     return tuple(out)
 
 
-def mat_vec(R, A, v):
-    add, mul = R.add, R.mul
-    out = []
-    for row in A:
-        s = 0
-        for a, x in zip(row, v):
-            s = add(s, mul(a, x))
-        out.append(s)
-    return tuple(out)
-
-
 def vec_mat(R, v, A):
     """The row action v -> sum_j v[j] * A[j] over the ring."""
     add, mul = R.add, R.mul

@@ -20,6 +20,8 @@ association scalar works on the exponent matrix (entries in Z/4).
 """
 from __future__ import annotations
 
+import functools
+
 from . import linalg
 from .cyclotomic import Cyc8
 from .witt import gauss_sum, trace_form
@@ -398,19 +400,28 @@ def composition_scalar(space, eN, eM, eL):
     return proportionality_scalar(comp, FNL)
 
 
-def formula_scalar(space, eN, eM, eL):
+def formula_scalar(space, eN, eM, eL, terms=None):
     """Route 2: the quadratic character sum
     C = sum_{m in M} psi(alpha_M(m) + alpha_N(r(m)) - alpha_L(m - r(m))
                          - beta(m, r(m))),
     with r the projection onto N along L.  Everything but the three alphas
-    depends on the subspaces alone and is read from space.r_terms."""
+    depends on the subspaces alone: terms is space.r_terms of (M, N, L),
+    read here when the caller does not pass it."""
     R = space.R
     add, sub, psi_exp = R.add, R.sub, R.psi_exp
     aM, aN, aL = eM._amap, eN._amap, eL._amap
+    if terms is None:
+        terms = space.r_terms(eM.rows, eN.rows, eL.rows)
     tally = [0, 0, 0, 0]
-    for m, rm, lm, b in space.r_terms(eM.rows, eN.rows, eL.rows):
+    for m, rm, lm, b in terms:
         tally[psi_exp(sub(sub(add(aM[m], aN[rm]), aL[lm]), b))] += 1
-    return Cyc8((tally[0] - tally[2], 0, tally[1] - tally[3], 0))
+    return _gaussian_scalar(tally[0] - tally[2], tally[1] - tally[3])
+
+
+@functools.cache
+def _gaussian_scalar(re, im):
+    """re + i im as a Cyc8, one shared (immutable) instance per value."""
+    return Cyc8((re, 0, im, 0))
 
 
 def gauss_scalar(space, eN, eM, eL, lifts=None):

@@ -706,6 +706,24 @@ def _ring_unimodular_rank2_sample(R):
 # -- Weil representation (suite "weil") ---------------------------------------
 
 
+def asp_cayley_table(space, asp):
+    """The index pos (key -> position in asp) of the enumerated group asp
+    and its Cayley table as positions: table[i][j] = pos of
+    asp_mul(asp[i], asp[j]).  One asp_mul per ordered pair; a product
+    outside asp raises."""
+    pos = {a.key(): i for i, a in enumerate(asp)}
+    table = []
+    for a in asp:
+        row = []
+        for b in asp:
+            p = pos.get(asp_mul(space, a, b).key())
+            if p is None:
+                raise RuntimeError("ASp(V) enumeration is not closed under products")
+            row.append(p)
+        table.append(row)
+    return pos, table
+
+
 def suite_weil():
     R = ring(1)
     sp = SympSpace(R, 1)
@@ -728,34 +746,37 @@ def suite_weil():
     checks.append(_c("weil.egorov", bad == 0,
                      f"W(a) pi(h) = pi(a h) W(a) on {len(asp)}x{len(H)} pairs"))
 
-    cvals = set()
-    cc = {}
-    for a in asp:
-        for b in asp:
-            v = W.cocycle(a, b)
-            cc[(a.key(), b.key())] = v
-            cvals.add(mu4_exponent(v))
+    # cocycle and coboundary values as mu4 exponents over the Cayley table;
+    # cocycle and coboundary_ratio raise outside mu4, so no exponent is None
+    # and sums mod 4 test the products exactly
+    N = len(asp)
+    pos, table = asp_cayley_table(sp, asp)
+    cc = [[mu4_exponent(W.cocycle(a, b, asp[p])) for b, p in zip(asp, row)]
+          for a, row in zip(asp, table)]
+    cvals = {e for row in cc for e in row}
     exps = sorted(v for v in cvals if v is not None)
     checks.append(_c("weil.cocycle-mu4", None not in cvals,
-                     f"{len(asp) ** 2} pairs; exponents seen: {exps}"))
+                     f"{N ** 2} pairs; exponents seen: {exps}"))
 
-    prod = {(a.key(), b.key()): asp_mul(sp, a, b) for a in asp for b in asp}
     bad = 0
-    for a in asp:
-        for b in asp:
-            ab = prod[(a.key(), b.key())]
-            for c in asp:
-                bc = prod[(b.key(), c.key())]
-                if cc[(a.key(), b.key())] * cc[(ab.key(), c.key())] \
-                        != cc[(a.key(), bc.key())] * cc[(b.key(), c.key())]:
+    for i in range(N):
+        ti, ci = table[i], cc[i]
+        for j in range(N):
+            # c(a, b) + c(ab, c) - c(a, bc) - c(b, c) over all c
+            cij, cab, tj, cj = ci[j], cc[ti[j]], table[j], cc[j]
+            for k in range(N):
+                if (cij + cab[k] - ci[tj[k]] - cj[k]) % 4:
                     bad += 1
     checks.append(_c("weil.cocycle-identity", bad == 0,
-                     f"2-cocycle identity on {len(asp) ** 3} triples"))
+                     f"2-cocycle identity on {N ** 3} triples"))
 
+    # products in Sp over Z4, h first: sp_prod[(g, h)] has rows h[i] * g
+    sp_prod = {(g, h): tuple(apply_sp_R(sp, g, h[i]) for i in range(sp.dim))
+               for g in spR for h in spR}
     svals = set()
     for g in spR:
         for h in spR:
-            svals.add(S.cocycle(g, h))
+            svals.add(S.cocycle(g, h, sp_prod[(g, h)]))
     in_mu2 = svals <= {ONE, Cyc8.from_rational(-1)}
     checks.append(_c("weil.split-cocycle-mu2", in_mu2,
                      f"{len(spR) ** 2} pairs in Sp over Z4; values are signs"))
@@ -769,14 +790,24 @@ def suite_weil():
     checks.append(_c("weil.split-vs-enhanced", bad == 0,
                      f"W_s(g) is a mu4 multiple of W(lift(g)) for all {len(spR)} g"))
 
+    lift_pos = {g: pos.get(a.key()) for g, a in lifts.items()}
+
+    def lift_product_key(g2, g1):
+        """lift(g2) lift(g1), read off the Cayley table when both lifts are
+        enumerated elements."""
+        p2, p1 = lift_pos[g2], lift_pos[g1]
+        if p2 is None or p1 is None:
+            return asp_mul(sp, lifts[g2], lifts[g1]).key()
+        return asp[table[p2][p1]].key()
+
     bad = 0
     for g1 in spR:
         for g2 in spR:
-            g12 = tuple(apply_sp_R(sp, g2, g1[i]) for i in range(sp.dim))
+            g12 = sp_prod[(g2, g1)]
             # a product missing from spR is lifted on its own: closure is
             # not assumed
             a12 = lifts[g12] if g12 in lifts else lift_sp(sp, g12)
-            if asp_mul(sp, lifts[g2], lifts[g1]).key() != a12.key():
+            if lift_product_key(g2, g1) != a12.key():
                 bad += 1
     checks.append(_c("weil.lift-multiplicative", bad == 0,
                      f"lift(g1 g2) = lift(g2) lift(g1) on {len(spR) ** 2} pairs"))
@@ -788,16 +819,18 @@ def suite_weil():
     dual = sp.enhance_from_lift(sp.initial_lift(sp.dual_standard_lagrangian()))
     W2 = WeilRepresentation(sp, base=dual)
     Phi = intertwiner_matrix(W2.base_model, W.base_model)
-    b = {a.key(): coboundary_ratio(W2, W, Phi, a) for a in asp}
+    b = [mu4_exponent(coboundary_ratio(W2, W, Phi, a)) for a in asp]
     bad = 0
-    for a in asp:
-        for c in asp:
-            ab = prod[(a.key(), c.key())]
-            if W2.cocycle(a, c) * b[ab.key()] != cc[(a.key(), c.key())] * b[a.key()] * b[c.key()]:
+    for i in range(N):
+        ti, ci = table[i], cc[i]
+        for k in range(N):
+            # c'(a, c) + b(ac) - c(a, c) - b(a) - b(c)
+            c2 = mu4_exponent(W2.cocycle(asp[i], asp[k], asp[ti[k]]))
+            if (c2 + b[ti[k]] - ci[k] - b[i] - b[k]) % 4:
                 bad += 1
     checks.append(_c("weil.object-independence", bad == 0,
                      f"base change shifts the cocycle by an explicit coboundary "
-                     f"({len(asp) ** 2} pairs)"))
+                     f"({N ** 2} pairs)"))
     return checks
 
 

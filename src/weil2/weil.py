@@ -131,11 +131,11 @@ class WeilRepresentation(_TransportedRepresentation):
             self._ops[key] = self._assemble(a, target, target)
         return self._ops[key]
 
-    def cocycle(self, a, b):
-        """W(a) W(b) = c(a, b) W(ab); the scalar is a fourth root of unity."""
-        from .heisenberg import asp_mul
+    def cocycle(self, a, b, ab):
+        """W(a) W(b) = c(a, b) W(ab), with ab = asp_mul(space, a, b) from
+        the caller; the scalar is a fourth root of unity."""
         lhs = self.operator(a) @ self.operator(b)
-        r = lhs.ratio(self.operator(asp_mul(self.space, a, b)))
+        r = lhs.ratio(self.operator(ab))
         if r is None:
             raise ValueError("Weil operators do not compose projectively")
         if mu4_exponent(r) is None:
@@ -174,13 +174,12 @@ class SplitWeilRepresentation(_TransportedRepresentation):
                 a, target, enhanced_of_oriented(self.space, target))
         return self._ops[gt]
 
-    def cocycle(self, gt, ht):
+    def cocycle(self, gt, ht, ght):
         """W(g) W(h) = c(g, h) W(gh) with c = +-1.  The operator product
-        acts by h first, so the matrix of gh has rows ht[i] * gt."""
-        from .heisenberg import apply_sp_R
-        prod = tuple(apply_sp_R(self.space, gt, ht[i]) for i in range(self.space.dim))
+        acts by h first, so the caller's matrix ght of gh has rows
+        apply_sp_R(space, gt, ht[i]) = ht[i] * gt."""
         lhs = self.operator(gt) @ self.operator(ht)
-        r = lhs.ratio(self.operator(prod))
+        r = lhs.ratio(self.operator(ght))
         if r is None:
             raise ValueError("split operators do not compose projectively")
         if not (r == Cyc8.from_rational(1) or r == Cyc8.from_rational(-1)):

@@ -13,6 +13,10 @@ import pytest
 from weil2 import cli
 from weil2.cli import main
 
+# SHA-256 of `verify --suite weil --format json`, with and without -O
+WEIL_JSON_SHA256 = \
+    "0e1e53fe2465ec3afb400c7170394c6b46cb16849186e915f2f915c8ea237bdf"
+
 
 def run_cli(capsys, *argv):
     rc = main(list(argv))
@@ -324,8 +328,7 @@ def test_emit_corpus_d1n1_golden(capsys):
 def test_verify_weil_json_golden(capsys):
     rc, out = run_cli(capsys, "verify", "--suite", "weil", "--format", "json")
     assert rc == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "0e1e53fe2465ec3afb400c7170394c6b46cb16849186e915f2f915c8ea237bdf")
+    assert hashlib.sha256(out.encode()).hexdigest() == WEIL_JSON_SHA256
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -337,7 +340,8 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 def test_weil_suite_passes_under_optimize():
     """Every invariant of the weil and intro suites is an explicit raise, so
-    the suite still runs, and passes, with asserts stripped."""
+    the suite still runs, passes and writes the same report with asserts
+    stripped."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run(
@@ -348,6 +352,7 @@ def test_weil_suite_passes_under_optimize():
     checks = json.loads(proc.stdout)["checks"]
     assert len(checks) >= 10
     assert all(c["passed"] for c in checks), checks
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == WEIL_JSON_SHA256
 
 
 def test_ring_and_witt_commands_under_optimize():

@@ -150,11 +150,9 @@ def test_disc_class_squares():
                 assert R.disc_class(R.mul(u, s)) == R.disc_class(u)
 
 
-def test_embed_z4_and_coords():
+def test_z4_coords_and_round_trip():
     R = ring(3)
     for c in range(4):
-        e = R.embed_z4(c)
-        assert R.coords(e)[0] == c
-        assert all(x == 0 for x in R.coords(e)[1:])
+        assert R.coords(c) == (c, 0, 0)
     for a in range(R.size):
         assert R.from_coords(R.coords(a)) == a

@@ -55,7 +55,7 @@ def test_solve_ring():
     for _ in range(30):
         A = _random_invertible(R, rng, 3)
         x = tuple(rng.randrange(R.size) for _ in range(3))
-        b = linalg.mat_vec(R, A, x)
+        b = linalg.vec_mat(R, x, linalg.transpose(A))
         assert linalg.solve_ring(R, A, b) == x
 
 

@@ -164,9 +164,11 @@ def _formula_reference(sp, eN, eM, eL):
 
 
 def test_formula_scalar_terms_once_per_subspace_triple():
-    """All 30,720 enhanced triples at d1n2 against the term-by-term sum.
-    The subspace terms are computed once per subspace triple: 480 entries,
-    and beta runs once per element of M of each (4 * 480 times)."""
+    """All 30,720 enhanced triples at d1n2 against the term-by-term sum,
+    with the terms read inside formula_scalar and passed by the caller; both
+    give the same shared Cyc8.  The subspace terms are computed once per
+    subspace triple: 480 entries, and beta runs once per element of M of
+    each (4 * 480 times)."""
     from weil2.verify import _transversal_triples
 
     sp = SympSpace(ring(1), 2)
@@ -184,11 +186,13 @@ def test_formula_scalar_terms_once_per_subspace_triple():
     sp.beta = counted_beta
     count = 0
     for rN, rM, rL in _transversal_triples(sp, subs):
+        terms = sp.r_terms(rM, rN, rL)
         for eN in enh[rN]:
             for eM in enh[rM]:
                 for eL in enh[rL]:
-                    assert formula_scalar(sp, eN, eM, eL) == \
-                        _formula_reference(ref, eN, eM, eL)
+                    c = formula_scalar(sp, eN, eM, eL)
+                    assert c == _formula_reference(ref, eN, eM, eL)
+                    assert formula_scalar(sp, eN, eM, eL, terms) is c
                     count += 1
     assert count == 30720
     assert len(sp._r_maps) == 480

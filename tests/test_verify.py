@@ -1,6 +1,11 @@
 import pytest
 
 from weil2 import verify
+from weil2.cyclotomic import I
+from weil2.galois import ring
+from weil2.heisenberg import asp_mul, enumerate_asp
+from weil2.symplectic import SympSpace
+from weil2.weil import WeilRepresentation
 
 
 def test_prng_is_named():
@@ -65,3 +70,60 @@ def test_only_none_defaults_to_one():
     """d = None with n = 1 still means d1n1."""
     names = [c.name for c in verify.suite_cocycle(None, 1)]
     assert "cocycle.three-route.d1n1" in names
+
+
+def _weil_space():
+    return SympSpace(ring(1), 1)
+
+
+def test_asp_cayley_table_is_the_group_law():
+    """Every row and column is a permutation of the positions, and every
+    entry is the position of the asp_mul product."""
+    sp = _weil_space()
+    asp = enumerate_asp(sp)
+    pos, table = verify.asp_cayley_table(sp, asp)
+    n = len(asp)
+    assert n == 24
+    assert pos == {a.key(): i for i, a in enumerate(asp)}
+    everything = list(range(n))
+    for i in range(n):
+        assert sorted(table[i]) == everything
+        assert sorted(table[j][i] for j in range(n)) == everything
+        for j in range(n):
+            assert asp[table[i][j]].key() == asp_mul(sp, asp[i], asp[j]).key()
+
+
+def _weil_passed():
+    checks = verify.suite_weil()
+    passed = {c.name: c.passed for c in checks}
+    assert len(passed) == len(checks)
+    return passed
+
+
+def test_cocycle_identity_fails_on_a_tampered_pair(monkeypatch):
+    """i times the cocycle on one pair stays in mu4 but breaks the 2-cocycle
+    identity, so the exponent loop must see it."""
+    asp = enumerate_asp(_weil_space())
+    tampered = (asp[5].key(), asp[11].key())
+    honest = WeilRepresentation.cocycle
+
+    def cocycle(self, a, b, ab):
+        value = honest(self, a, b, ab)
+        return I * value if (a.key(), b.key()) == tampered else value
+
+    monkeypatch.setattr(WeilRepresentation, "cocycle", cocycle)
+    passed = _weil_passed()
+    assert passed["weil.cocycle-mu4"]
+    assert not passed["weil.cocycle-identity"]
+
+
+def test_object_independence_fails_on_a_tampered_coboundary(monkeypatch):
+    tampered = enumerate_asp(_weil_space())[7].key()
+    honest = verify.coboundary_ratio
+
+    def coboundary_ratio(rep_alt, rep, Phi, a):
+        value = honest(rep_alt, rep, Phi, a)
+        return I * value if a.key() == tampered else value
+
+    monkeypatch.setattr(verify, "coboundary_ratio", coboundary_ratio)
+    assert not _weil_passed()["weil.object-independence"]

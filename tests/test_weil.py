@@ -18,7 +18,8 @@ import pytest
 from weil2.cyclotomic import Cyc8, I, ONE, mu4_exponent, sqrt2_pow
 from weil2.galois import ring
 from weil2.heisenberg import (
-    all_h_elements, asp_identity, enumerate_asp, enumerate_sp_R, lift_sp,
+    all_h_elements, apply_sp_R, asp_identity, asp_mul, enumerate_asp,
+    enumerate_sp_R, lift_sp,
 )
 from weil2.models import Model, intertwiner_matrix
 from weil2.symplectic import SympSpace
@@ -102,7 +103,7 @@ def test_cocycle_exponent_histogram():
     hist = {}
     for a in asp:
         for b in asp:
-            e = mu4_exponent(W.cocycle(a, b))
+            e = mu4_exponent(W.cocycle(a, b, asp_mul(sp, a, b)))
             assert e is not None
             hist[e] = hist.get(e, 0) + 1
     assert hist == {0: 280, 1: 56, 2: 56, 3: 184}
@@ -110,16 +111,15 @@ def test_cocycle_exponent_histogram():
 
 def test_cocycle_identity_sampled():
     """c(a,b) c(ab,c) = c(b,c) c(a,bc) on a deterministic slice of ASp^3."""
-    from weil2.heisenberg import asp_mul
-
     sp = _space()
     W = WeilRepresentation(sp)
     asp = list(enumerate_asp(sp))
     for a in asp[::3]:
         for b in asp[::4]:
             for c in asp[::5]:
-                lhs = W.cocycle(a, b) * W.cocycle(asp_mul(sp, a, b), c)
-                rhs = W.cocycle(b, c) * W.cocycle(a, asp_mul(sp, b, c))
+                ab, bc = asp_mul(sp, a, b), asp_mul(sp, b, c)
+                lhs = W.cocycle(a, b, ab) * W.cocycle(ab, c, asp_mul(sp, ab, c))
+                rhs = W.cocycle(b, c, bc) * W.cocycle(a, bc, asp_mul(sp, a, bc))
                 assert lhs == rhs
 
 
@@ -130,7 +130,8 @@ def test_split_cocycle_is_sign():
     minus = 0
     for g in gs:
         for h in gs:
-            c = Ws.cocycle(g, h)
+            gh = tuple(apply_sp_R(sp, g, h[i]) for i in range(sp.dim))
+            c = Ws.cocycle(g, h, gh)
             assert c in (ONE, -ONE)
             if c == -ONE:
                 minus += 1
@@ -162,8 +163,6 @@ def test_commutant_dimensions():
 
 def test_object_independence_coboundary():
     """Changing the base object changes the cocycle by an exact coboundary."""
-    from weil2.heisenberg import asp_mul
-
     sp = _space()
     W = WeilRepresentation(sp)
     dual = sp.enhance_from_lift(sp.initial_lift(sp.dual_standard_lagrangian()))
@@ -176,8 +175,8 @@ def test_object_independence_coboundary():
     for a1 in asp[::3]:
         for a2 in asp[::4]:
             prod = asp_mul(sp, a1, a2)
-            lhs = W2.cocycle(a1, a2) * b[prod.key()]
-            rhs = W.cocycle(a1, a2) * b[a1.key()] * b[a2.key()]
+            lhs = W2.cocycle(a1, a2, prod) * b[prod.key()]
+            rhs = W.cocycle(a1, a2, prod) * b[a1.key()] * b[a2.key()]
             assert lhs == rhs
 
 
