@@ -18,6 +18,7 @@ from . import verify, witt
 from .cyclotomic import Cyc8
 from .galois import MAX_D, ring
 from .heisenberg import enumerate_asp, enumerate_sp_R
+from .models import formula_scalar
 from .symplectic import SympSpace, check_sweep, enumerate_enhanced
 from .weil import SplitWeilRepresentation, WeilRepresentation, lambda_root, mu_root
 from .transport import splitting_transport, trivialization_transport
@@ -106,7 +107,6 @@ def _cocycle_rows(d, n, mode, sample_count, seed):
     """The cocycle table as (repr N, repr M, repr L, C) rows; an exhaustive
     sweep computes each enhanced Lagrangian's repr and each subspace
     triple's character-sum terms once."""
-    from .models import formula_scalar
     if mode == "exhaustive":
         check_sweep(d, n)
     R = ring(d)
@@ -126,7 +126,7 @@ def _cocycle_rows(d, n, mode, sample_count, seed):
     else:
         rng = random.Random(seed)
         for _ in range(sample_count):
-            eN, eM, eL = (verify._random_enhancement(sp, sp.random_lift(r, rng), rng)
+            eN, eM, eL = (sp.random_enhancement(sp.random_lift(r, rng), rng)
                           for r in verify._sample_transversal_triple(sp, subs, rng))
             rows.append((repr(eN.key()), repr(eM.key()), repr(eL.key()),
                          formula_scalar(sp, eN, eM, eL)))

@@ -12,9 +12,16 @@ it acts on H(V) by (v, z) -> (g v, z + alpha(v)).
 from __future__ import annotations
 
 import itertools
+import os
 
 from . import linalg
-from .symplectic import _check_candidates, _check_cap
+from .symplectic import (
+    CapExceeded,
+    EnhancedLagrangian,
+    Twists,
+    _check_candidates,
+    _check_cap,
+)
 
 
 # -- the group H(V) ---------------------------------------------------------
@@ -179,8 +186,6 @@ def enumerate_sp_k(space):
 def enumerate_sp_R(space):
     """All of Sp(Vt) over R (row-action); exhaustive over matrix entries,
     so only sensible at n = d = 1 (|Sp_2(Z4)| = 48)."""
-    import os
-    from .symplectic import CapExceeded
     if space.R.d * space.n > 1 and not os.environ.get("WEIL2_UNSAFE_NO_CAPS"):
         raise CapExceeded("Sp(Vt) enumeration over all entries; n = d = 1 only")
     R, m = space.R, space.dim
@@ -283,7 +288,6 @@ def symplectic_lift_matrix(space, g):
 def act_on_enhanced(space, a, enh):
     """ASp(V) acting on enhanced Lagrangians:
     (g, alpha_g) . (L, alpha) = (g L, l -> alpha(g^-1 l) + alpha_g(g^-1 l))."""
-    from .symplectic import EnhancedLagrangian
     R = space.R
     inv = asp_inv(space, a)
     new_rows = tuple(a.apply_g(r) for r in enh.rows)
@@ -298,27 +302,13 @@ def enumerate_asp(space):
     """All of ASp(V): one section alpha per g in Sp(V) (via a symplectic
     lift), shifted by the torsor Hom(V, 2R)."""
     _check_cap(space.R.d, space.n, "ASp(V) enumeration")
-    R = space.R
     vecs = tuple(space.all_vectors_k())
-    two_tors = sorted(R.two_torsion())
-    # F2-generators of V: xi^a e_i
-    gens = [(i, 1 << a) for i in range(space.dim) for a in range(R.d)]
     out = []
     for g in enumerate_sp_k(space):
         base = lift_sp(space, symplectic_lift_matrix(space, g), validate=False)
-        for vals in itertools.product(two_tors, repeat=len(gens)):
-            alpha = {}
-            for v in vecs:
-                s = base.alpha_of(v)
-                gi = 0
-                for i in range(space.dim):
-                    c = v[i]
-                    for aexp in range(R.d):
-                        if (c >> aexp) & 1:
-                            s = R.add(s, vals[gi + aexp])
-                    gi += R.d
-                alpha[v] = s
-            out.append(AspElement(space, g, alpha, validate=False))
+        twists = Twists(space.R, (base.alpha_of(v) for v in vecs), vecs, space.dim)
+        for alpha in twists.all():
+            out.append(AspElement(space, g, dict(zip(vecs, alpha)), validate=False))
     if len({e.key() for e in out}) != len(out):
         raise RuntimeError("ASp(V) enumeration has repeated elements")
     return tuple(out)

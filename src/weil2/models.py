@@ -16,7 +16,8 @@ averaging over the source Lagrangian:
 Operators are ZiMatrix values: a unit zeta^e sqrt2^s times a
 Gaussian-integer matrix.  For a transversal pair every matrix entry of
 F_{M,L} is a single fourth root of unity, and the composition route to the
-association scalar works on the exponent matrix (entries in Z/4).
+association scalar is the ZiMatrix product F_{N,M} F_{M,L} divided by
+F_{N,L}.
 """
 from __future__ import annotations
 
@@ -97,28 +98,6 @@ def _intertwiner_term(model_M, model_L, m, tM):
     return e, l, tL
 
 
-def intertwiner_exponents(model_M, model_L):
-    """The exponent matrix of F_{M,L} for a transversal pair: entry
-    [t_M][t_L] is the psi-exponent of the single m in M with
-    m + t_M + t_L in L."""
-    sp = model_M.space
-    if not sp.transversal_k(model_M.enh.rows, model_L.enh.rows):
-        raise ValueError("exponent form requires a transversal pair")
-    rows = []
-    for tM in model_M.reps:
-        row = [None] * model_L.dim
-        for m in model_M.enh.elements:
-            e, _, tL = _intertwiner_term(model_M, model_L, m, tM)
-            j = model_L.rep_index[tL]
-            if row[j] is not None:
-                raise RuntimeError("transversal pair hits a column twice")
-            row[j] = e
-        if None in row:
-            raise RuntimeError("transversal pair misses a column")
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def intertwiner_matrix(model_M, model_L):
     """F_{M,L} as a ZiMatrix; works for any pair (entries are Z[i] sums
     over the fibre of m + t_M + t_L in L)."""
@@ -133,57 +112,6 @@ def intertwiner_matrix(model_M, model_L):
             row[model_L.rep_index[tL]][e] += 1
         out.append(tuple((c[0] - c[2], c[1] - c[3]) for c in row))
     return ZiMatrix(0, 0, out)
-
-
-# -- exact Z[i] fast path ------------------------------------------------------
-# a Z[i] value is an (re, im) int pair
-
-
-def zi_rot(a, e):
-    r, i = a
-    e %= 4
-    if e == 0:
-        return (r, i)
-    if e == 1:
-        return (-i, r)
-    if e == 2:
-        return (-r, -i)
-    return (i, -r)
-
-
-def compose_exponent_matrices(A, B):
-    """(A B)[i][j] = sum_k i^{A[i][k] + B[k][j]} as Z[i] pairs."""
-    n, mid, m = len(A), len(B), len(B[0])
-    out = []
-    for i in range(n):
-        Ai = A[i]
-        row = []
-        for j in range(m):
-            re = im = 0
-            for k in range(mid):
-                e = (Ai[k] + B[k][j]) % 4
-                if e == 0:
-                    re += 1
-                elif e == 1:
-                    im += 1
-                elif e == 2:
-                    re -= 1
-                else:
-                    im -= 1
-            row.append((re, im))
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def proportionality_scalar(comp, F_exp):
-    """comp = C * i^{F_exp} entrywise: extract C in Z[i] and verify every
-    entry; returns the exact Cyc8 scalar."""
-    c = zi_rot(comp[0][0], -F_exp[0][0])
-    for i in range(len(comp)):
-        for j in range(len(comp[0])):
-            if zi_rot(c, F_exp[i][j]) != comp[i][j]:
-                raise ValueError("composite is not proportional to the target")
-    return Cyc8((c[0], 0, c[1], 0))
 
 
 # -- exact operators ---------------------------------------------------------------
@@ -390,14 +318,17 @@ class ZiMatrix:
 # -- the three routes to the association scalar ---------------------------------
 
 def composition_scalar(space, eN, eM, eL):
-    """Route 1: compose F_{N,M} F_{M,L} and divide by F_{N,L}; asserts full
+    """Route 1: compose F_{N,M} F_{M,L} and divide by F_{N,L}, checking full
     proportionality.  Requires all three pairs transversal."""
+    for a, b in ((eN, eM), (eM, eL), (eN, eL)):
+        if not space.transversal_k(a.rows, b.rows):
+            raise ValueError("composition route requires a transversal pair")
     mN, mM, mL = Model(space, eN), Model(space, eM), Model(space, eL)
-    FNM = intertwiner_exponents(mN, mM)
-    FML = intertwiner_exponents(mM, mL)
-    FNL = intertwiner_exponents(mN, mL)
-    comp = compose_exponent_matrices(FNM, FML)
-    return proportionality_scalar(comp, FNL)
+    c = (intertwiner_matrix(mN, mM) @ intertwiner_matrix(mM, mL)).ratio(
+        intertwiner_matrix(mN, mL))
+    if c is None:
+        raise ValueError("composite is not proportional to the target")
+    return c
 
 
 def formula_scalar(space, eN, eM, eL, terms=None):

@@ -252,33 +252,19 @@ class SympSpace:
         """Every solution alpha of the polarization equation over the fixed
         subspace.  The solution set is a torsor over the group homomorphisms
         L -> R (which land in the 2-torsion 2R)."""
-        R = self.R
         base = self.enhance_from_lift(self.initial_lift(rows))
-        rows = base.rows
-        gens = []  # F2-generators of L: xi^a * (basis row i)
-        for row in rows:
-            for a in range(R.d):
-                gens.append((row, 1 << a))
-        two_tors = sorted(R.two_torsion())
-        out = []
-        elements = base.elements
-        for vals in itertools.product(two_tors, repeat=len(gens)):
-            delta = {}
-            for v in elements:
-                coeffs = tuple(v[p] for p in base.pivots)
-                s = 0
-                gi = 0
-                for c in coeffs:
-                    for a in range(R.d):
-                        if (c >> a) & 1:
-                            s = R.add(s, vals[gi + a])
-                    gi += R.d
-                delta[v] = s
-            alpha = {v: R.add(base.alpha_of(v), delta[v]) for v in elements}
-            out.append(EnhancedLagrangian(self, rows, alpha))
+        out = [EnhancedLagrangian(self, base.rows, dict(zip(base.elements, alpha)))
+               for alpha in _enhancement_twists(base).all()]
         if len({e.alpha for e in out}) != len(out):
             raise RuntimeError("enhancement torsor has repeated elements")
         return tuple(sorted(out, key=lambda e: e.alpha))
+
+    def random_enhancement(self, lift_rows, rng):
+        """The canonical enhancement of the lift twisted by a uniformly
+        random map into 2R: one rng.choice per F2-generator of L."""
+        base = self.enhance_from_lift(lift_rows)
+        alpha = _enhancement_twists(base).sample(rng)
+        return EnhancedLagrangian(self, base.rows, dict(zip(base.elements, alpha)))
 
     # -- free submodule lifts -----------------------------------------------------
     def initial_lift(self, rows):
@@ -532,6 +518,53 @@ class EnhancedLagrangian:
 
 def _xor(u, v):
     return tuple(a ^ b for a, b in zip(u, v))
+
+
+class Twists:
+    """The torsor twist by Hom(k^m, 2R): the values base[j] + f(coords[j])
+    for a group homomorphism f from k^m into the 2-torsion ideal 2R.  f is
+    fixed by its values on the F2-generators xi^a e_i of k^m, read
+    row-major (i outer, a inner).  `all` gives every f, in itertools.product
+    order of those values over the sorted 2R; `sample` draws one f with an
+    rng.choice over the sorted 2R per generator, in the same order."""
+
+    __slots__ = ("R", "base", "gens", "_bits")
+
+    def __init__(self, R, base, coords, m):
+        self.R = R
+        self.base = tuple(base)
+        self.gens = m * R.d
+        # per vector, the generators its coordinates' bits pick out
+        self._bits = tuple(
+            tuple(i * R.d + a for i, c in enumerate(x) for a in range(R.d)
+                  if (c >> a) & 1)
+            for x in coords)
+
+    def _at(self, vals):
+        add = self.R.add
+        out = []
+        for s, bits in zip(self.base, self._bits):
+            for j in bits:
+                s = add(s, vals[j])
+            out.append(s)
+        return tuple(out)
+
+    def all(self):
+        tors = self.R.two_torsion()
+        return [self._at(vals)
+                for vals in itertools.product(tors, repeat=self.gens)]
+
+    def sample(self, rng):
+        tors = self.R.two_torsion()
+        return self._at([rng.choice(tors) for _ in range(self.gens)])
+
+
+def _enhancement_twists(base):
+    """The twists of an enhanced Lagrangian's alpha, on its elements in
+    order, with coordinates against its reduced rows (read at the pivots)."""
+    return Twists(base.space.R, base.alpha,
+                  [tuple(v[p] for p in base.pivots) for v in base.elements],
+                  len(base.rows))
 
 
 class OrientedLagrangian:

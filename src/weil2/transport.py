@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .cyclotomic import Cyc8
 from .models import Model, intertwiner_matrix
+from .symplectic import OrientedLagrangian
 from .witt import gauss_sum, trace_form
 
 
@@ -112,7 +113,6 @@ def enhanced_of_oriented(space, oX):
 
 def splitting_transport(space, oM, oL):
     """S_{Mt,Lt}: power-2 transport refining T over oriented Lagrangians."""
-    from .symplectic import OrientedLagrangian
     eM = enhanced_of_oriented(space, oM)
     eL = enhanced_of_oriented(space, oL)
     if eM.rows != eL.rows and space.transversal_k(eM.rows, eL.rows):

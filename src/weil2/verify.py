@@ -37,7 +37,6 @@ from .models import (
     intertwiner_matrix,
 )
 from .symplectic import (
-    EnhancedLagrangian,
     OrientedLagrangian,
     SympSpace,
     check_sweep,
@@ -282,25 +281,6 @@ def _sample_transversal_triple(sp, subs, rng):
             return rN, rM, rL
 
 
-def _random_enhancement(sp, lift_rows, rng):
-    """Twist the canonical enhancement by a uniformly random additive map
-    into the 2-torsion ideal."""
-    base = sp.enhance_from_lift(lift_rows)
-    R = sp.R
-    tors = list(R.two_torsion())
-    dvals = [[rng.choice(tors) for _ in range(R.d)] for _ in base.rows]
-    amap = {}
-    for l, a0 in zip(base.elements, base.alpha):
-        s = a0
-        for i, p in enumerate(base.pivots):
-            c = l[p]
-            for a in range(R.d):
-                if (c >> a) & 1:
-                    s = R.add(s, dvals[i][a])
-        amap[l] = s
-    return EnhancedLagrangian(sp, base.rows, amap)
-
-
 def _check_count(count):
     """A sampled check visits `count` triples; none would pass vacuously."""
     if count < 1:
@@ -336,9 +316,9 @@ def cocycle_checks_sampled(d, n, count, seed):
         Nt = sp.random_lift(rN, rng)
         Mt = sp.random_lift(rM, rng)
         Lt = sp.random_lift(rL, rng)
-        eN = _random_enhancement(sp, Nt, rng)
-        eM = _random_enhancement(sp, Mt, rng)
-        eL = _random_enhancement(sp, Lt, rng)
+        eN = sp.random_enhancement(Nt, rng)
+        eM = sp.random_enhancement(Mt, rng)
+        eL = sp.random_enhancement(Lt, rng)
         c1 = composition_scalar(sp, eN, eM, eL)
         c2 = formula_scalar(sp, eN, eM, eL)
         c3 = gauss_scalar(sp, eN, eM, eL)
@@ -450,7 +430,7 @@ def transport_checks_sampled(d, n, count, seed):
     bad_t = bad_s = 0
     for _ in range(count):
         rows3 = [rng.choice(subs) for _ in range(3)]
-        enh3 = [_random_enhancement(sp, sp.random_lift(r, rng), rng) for r in rows3]
+        enh3 = [sp.random_enhancement(sp.random_lift(r, rng), rng) for r in rows3]
         a, b, c = enh3
         if (trivialization_transport(sp, a, b).compose(trivialization_transport(sp, b, c))
                 != trivialization_transport(sp, a, c)):
@@ -724,6 +704,24 @@ def asp_cayley_table(space, asp):
     return pos, table
 
 
+def egorov_check(W, asp, pi):
+    """weil.egorov: W(a) pi(h) = pi(a h) W(a) as ZiMatrix values for every a
+    in asp and every h of pi, a dict h -> pi(h) on the base model; an image
+    a h outside pi gets its own pi_matrix."""
+    bad = 0
+    for a in asp:
+        Wa = W.operator(a)
+        for h, pi_h in pi.items():
+            ah = a.apply_h(h)
+            pi_ah = pi.get(ah)
+            if pi_ah is None:
+                pi_ah = W.base_model.pi_matrix(ah)
+            if Wa @ pi_h != pi_ah @ Wa:
+                bad += 1
+    return _c("weil.egorov", bad == 0,
+              f"W(a) pi(h) = pi(a h) W(a) on {len(asp)}x{len(pi)} pairs")
+
+
 def suite_weil():
     R = ring(1)
     sp = SympSpace(R, 1)
@@ -735,28 +733,20 @@ def suite_weil():
     checks = []
 
     ops_pi = [W.base_model.pi_matrix(h) for h in H]
-    checks.append(_c("weil.heisenberg-commutant", commutant_dimension(sp, ops_pi) == 1,
+    checks.append(_c("weil.heisenberg-commutant", commutant_dimension(ops_pi) == 1,
                      "pi is irreducible: commutant has dimension 1"))
+    checks.append(egorov_check(W, asp, dict(zip(H, ops_pi))))
 
-    bad = 0
-    for a in asp:
-        for h in H:
-            if any(not x.is_zero() for row in W.egorov_defect(a, h) for x in row):
-                bad += 1
-    checks.append(_c("weil.egorov", bad == 0,
-                     f"W(a) pi(h) = pi(a h) W(a) on {len(asp)}x{len(H)} pairs"))
-
-    # cocycle and coboundary values as mu4 exponents over the Cayley table;
-    # cocycle and coboundary_ratio raise outside mu4, so no exponent is None
-    # and sums mod 4 test the products exactly
+    # cocycle and coboundary values are mu4 exponents (cocycle and
+    # coboundary_ratio raise outside mu4), so sums mod 4 over the Cayley
+    # table test the products exactly
     N = len(asp)
     pos, table = asp_cayley_table(sp, asp)
-    cc = [[mu4_exponent(W.cocycle(a, b, asp[p])) for b, p in zip(asp, row)]
+    cc = [[W.cocycle(a, b, asp[p]) for b, p in zip(asp, row)]
           for a, row in zip(asp, table)]
     cvals = {e for row in cc for e in row}
-    exps = sorted(v for v in cvals if v is not None)
-    checks.append(_c("weil.cocycle-mu4", None not in cvals,
-                     f"{N ** 2} pairs; exponents seen: {exps}"))
+    checks.append(_c("weil.cocycle-mu4", cvals <= {0, 1, 2, 3},
+                     f"{N ** 2} pairs; exponents seen: {sorted(cvals)}"))
 
     bad = 0
     for i in range(N):
@@ -773,12 +763,8 @@ def suite_weil():
     # products in Sp over Z4, h first: sp_prod[(g, h)] has rows h[i] * g
     sp_prod = {(g, h): tuple(apply_sp_R(sp, g, h[i]) for i in range(sp.dim))
                for g in spR for h in spR}
-    svals = set()
-    for g in spR:
-        for h in spR:
-            svals.add(S.cocycle(g, h, sp_prod[(g, h)]))
-    in_mu2 = svals <= {ONE, Cyc8.from_rational(-1)}
-    checks.append(_c("weil.split-cocycle-mu2", in_mu2,
+    svals = {S.cocycle(g, h, sp_prod[(g, h)]) for g in spR for h in spR}
+    checks.append(_c("weil.split-cocycle-mu2", svals <= {0, 2},
                      f"{len(spR) ** 2} pairs in Sp over Z4; values are signs"))
 
     lifts = {g: lift_sp(sp, g) for g in spR}
@@ -813,19 +799,19 @@ def suite_weil():
                      f"lift(g1 g2) = lift(g2) lift(g1) on {len(spR) ** 2} pairs"))
 
     checks.append(_c("weil.commutant", commutant_dimension(
-        sp, [W.operator(a) for a in asp]) == 1, "Weil operators span an "
+        [W.operator(a) for a in asp]) == 1, "Weil operators span an "
         "irreducible system"))
 
     dual = sp.enhance_from_lift(sp.initial_lift(sp.dual_standard_lagrangian()))
     W2 = WeilRepresentation(sp, base=dual)
     Phi = intertwiner_matrix(W2.base_model, W.base_model)
-    b = [mu4_exponent(coboundary_ratio(W2, W, Phi, a)) for a in asp]
+    b = [coboundary_ratio(W2, W, Phi, a) for a in asp]
     bad = 0
     for i in range(N):
         ti, ci = table[i], cc[i]
         for k in range(N):
             # c'(a, c) + b(ac) - c(a, c) - b(a) - b(c)
-            c2 = mu4_exponent(W2.cocycle(asp[i], asp[k], asp[ti[k]]))
+            c2 = W2.cocycle(asp[i], asp[k], asp[ti[k]])
             if (c2 + b[ti[k]] - ci[k] - b[i] - b[k]) % 4:
                 bad += 1
     checks.append(_c("weil.object-independence", bad == 0,

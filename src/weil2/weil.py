@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from . import linalg
 from .cyclotomic import Cyc8, ZETA, mu4_exponent, sqrt2_pow
-from .heisenberg import asp_inv, lift_sp
+from .heisenberg import act_on_enhanced, asp_inv, lift_sp
 from .models import Model, ZiMatrix
 from .transport import (
     enhanced_of_oriented,
@@ -114,6 +114,14 @@ class _TransportedRepresentation:
                                Model(self.space, target_enh))
         return self.transition(self.base, target) @ P
 
+    def cocycle(self, x, y, xy):
+        """The exponent c in 0..3 with W(x) W(y) = i^c W(xy), for the
+        caller's group product xy (asp_mul(space, x, y) for ASp(V); for
+        Sp(Vt), whose operator product acts by y first, the matrix with
+        rows apply_sp_R(space, x, y[i]) = y[i] * x)."""
+        return _mu4_ratio(self.operator(x) @ self.operator(y),
+                          self.operator(xy), "cocycle")
+
 
 class WeilRepresentation(_TransportedRepresentation):
     """Enhanced-level construction over a fixed base model."""
@@ -127,38 +135,14 @@ class WeilRepresentation(_TransportedRepresentation):
     def operator(self, a):
         key = a.key()
         if key not in self._ops:
-            target = _act_enhanced(self.space, a, self.base)
+            target = act_on_enhanced(self.space, a, self.base)
             self._ops[key] = self._assemble(a, target, target)
         return self._ops[key]
-
-    def cocycle(self, a, b, ab):
-        """W(a) W(b) = c(a, b) W(ab), with ab = asp_mul(space, a, b) from
-        the caller; the scalar is a fourth root of unity."""
-        lhs = self.operator(a) @ self.operator(b)
-        r = lhs.ratio(self.operator(ab))
-        if r is None:
-            raise ValueError("Weil operators do not compose projectively")
-        if mu4_exponent(r) is None:
-            raise ValueError(f"cocycle value {r} is not a fourth root of unity")
-        return r
-
-    def egorov_defect(self, a, h):
-        """W(a) pi(h) - pi(a h) W(a), as Cyc8 matrices (zero iff Egorov
-        holds)."""
-        W = self.operator(a)
-        lhs = W @ self.base_model.pi_matrix(h)
-        rhs = self.base_model.pi_matrix(a.apply_h(h)) @ W
-        # pi(h) is a ZiMatrix with unit scalar, so both sides carry W's
-        if (lhs.zeta_exp, lhs.sqrt2_exp) != (rhs.zeta_exp, rhs.sqrt2_exp):
-            raise RuntimeError("pi(h) carries a scalar")
-        return ZiMatrix(lhs.zeta_exp, lhs.sqrt2_exp, (
-            tuple((xr - yr, xi - yi) for (xr, xi), (yr, yi) in zip(r1, r2))
-            for r1, r2 in zip(lhs.rows, rhs.rows))).to_cyc()
 
 
 class SplitWeilRepresentation(_TransportedRepresentation):
     """Oriented-level construction: operators attach to Sp(Vt) and the
-    cocycle lands in {+1, -1}."""
+    cocycle lands in {+1, -1} (exponents 0 and 2)."""
 
     def __init__(self, space, base=None):
         if base is None:
@@ -174,25 +158,8 @@ class SplitWeilRepresentation(_TransportedRepresentation):
                 a, target, enhanced_of_oriented(self.space, target))
         return self._ops[gt]
 
-    def cocycle(self, gt, ht, ght):
-        """W(g) W(h) = c(g, h) W(gh) with c = +-1.  The operator product
-        acts by h first, so the caller's matrix ght of gh has rows
-        apply_sp_R(space, gt, ht[i]) = ht[i] * gt."""
-        lhs = self.operator(gt) @ self.operator(ht)
-        r = lhs.ratio(self.operator(ght))
-        if r is None:
-            raise ValueError("split operators do not compose projectively")
-        if not (r == Cyc8.from_rational(1) or r == Cyc8.from_rational(-1)):
-            raise ValueError(f"split cocycle value {r} is not a sign")
-        return r
 
-
-def _act_enhanced(space, a, enh):
-    from .heisenberg import act_on_enhanced
-    return act_on_enhanced(space, a, enh)
-
-
-def commutant_dimension(space, operators):
+def commutant_dimension(operators):
     """dim of {X : X W = W X for all W}: the exact nullity of the stacked
     commutator system over Q(zeta8)."""
     m = operators[0].shape[0]
@@ -211,11 +178,19 @@ def commutant_dimension(space, operators):
 
 
 def coboundary_ratio(rep_alt, rep, Phi, a):
-    """b(a) with W'(a) = b(a) * Phi W(a) Phi^{-1}; the two constructions
-    differ by an explicit mu4-valued coboundary."""
-    r = rep_alt.operator(a).ratio(Phi @ rep.operator(a) @ Phi.inverse())
+    """The exponent b in 0..3 with W'(a) = i^b Phi W(a) Phi^{-1}: the two
+    constructions differ by an explicit mu4-valued coboundary."""
+    return _mu4_ratio(rep_alt.operator(a),
+                      Phi @ rep.operator(a) @ Phi.inverse(), "coboundary")
+
+
+def _mu4_ratio(X, Y, what):
+    """The exponent c in 0..3 with X = i^c Y; ValueError when X and Y are
+    not proportional or the ratio is not a fourth root of unity."""
+    r = X.ratio(Y)
     if r is None:
-        raise ValueError("object change does not conjugate the operators")
-    if mu4_exponent(r) is None:
-        raise ValueError(f"coboundary value {r} is not a fourth root of unity")
-    return r
+        raise ValueError(f"{what}: operators are not proportional")
+    c = mu4_exponent(r)
+    if c is None:
+        raise ValueError(f"{what} value {r} is not a fourth root of unity")
+    return c

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 
+from . import linalg
 from .cyclotomic import Cyc8, sqrt2_pow
 
 HYP = ((0, 1), (1, 0))
@@ -377,7 +378,6 @@ def ring_gauss(R, B):
 def ring_disc(R, B):
     """Discriminant of an R-valued unimodular gram: det in R^x modulo
     squares of units (canonical orbit representative)."""
-    from . import linalg
     return R.disc_class(linalg.det_ring(R, B))
 
 

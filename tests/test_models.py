@@ -127,6 +127,20 @@ def test_composition_scalar_frozen_triangle():
         assert got ** 4 == MINUS_FOUR
 
 
+@pytest.mark.parametrize("d,n", [(1, 1), (1, 2)])
+def test_composition_scalar_refuses_a_non_transversal_pair(d, n):
+    """Each of the three pairs is checked; a repeated subspace is the
+    simplest non-transversal pair."""
+    sp = SympSpace(ring(d), n)
+    subs = sp.enumerate_lagrangians()
+    a = subs[0]
+    b = next(s for s in subs if sp.transversal_k(a, s))
+    eA, eB = (sp.enhance_from_lift(sp.initial_lift(r)) for r in (a, b))
+    for triple in ((eA, eA, eB), (eA, eB, eB), (eA, eB, eA)):
+        with pytest.raises(ValueError, match="transversal"):
+            composition_scalar(sp, *triple)
+
+
 def test_three_routes_agree():
     """Composite, closed formula, and Gauss-sum route give one scalar."""
     sp = _space()

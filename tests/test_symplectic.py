@@ -152,6 +152,64 @@ def test_enhance_from_lift_canonical():
         assert e in sp.enumerate_enhancements(rows)
 
 
+def _twisted_by_loop(sp, lift_rows, rng):
+    """The random enhancement as an explicit loop over generator bits: one
+    rng.choice over 2R per F2-generator xi^a of each reduced row, row by
+    row, added to the canonical enhancement of the lift."""
+    R = sp.R
+    base = sp.enhance_from_lift(lift_rows)
+    tors = list(R.two_torsion())
+    dvals = [[rng.choice(tors) for _ in range(R.d)] for _ in base.rows]
+    amap = {}
+    for l, a0 in zip(base.elements, base.alpha):
+        s = a0
+        for i, p in enumerate(base.pivots):
+            for a in range(R.d):
+                if (l[p] >> a) & 1:
+                    s = R.add(s, dvals[i][a])
+        amap[l] = s
+    return EnhancedLagrangian(sp, base.rows, amap)
+
+
+@pytest.mark.parametrize("d,n", [(1, 2), (2, 1), (2, 2), (1, 4)])
+def test_random_enhancement_draws_like_the_loop(d, n):
+    """Same enhancement and same rng state afterwards as the explicit loop,
+    on random lifts of every kind of subspace."""
+    sp = SympSpace(ring(d), n)
+    subs = sp.enumerate_lagrangians()
+    pick = random.Random(d * 10 + n)
+    for seed in range(12):
+        lift = sp.random_lift(pick.choice(subs), pick)
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert sp.random_enhancement(lift, rng) == _twisted_by_loop(sp, lift, ref)
+        assert rng.getstate() == ref.getstate()
+
+
+class _ScriptedChoice:
+    """An rng whose choice returns the scripted values in order, and checks
+    that it is offered the sorted 2R."""
+
+    def __init__(self, R, values):
+        self._tors, self._values = R.two_torsion(), iter(values)
+
+    def choice(self, seq):
+        assert tuple(seq) == self._tors
+        return next(self._values)
+
+
+@pytest.mark.parametrize("d,n", [(1, 2), (2, 1)])
+def test_random_enhancement_covers_the_torsor_once(d, n):
+    """Driven over every generator value tuple, the sample entry hits each
+    enumerated enhancement exactly once."""
+    sp = SympSpace(ring(d), n)
+    R = sp.R
+    for rows in sp.enumerate_lagrangians():
+        lift = sp.initial_lift(rows)
+        hits = [sp.random_enhancement(lift, _ScriptedChoice(R, vals))
+                for vals in itertools.product(R.two_torsion(), repeat=n * d)]
+        assert sorted(hits) == list(sp.enumerate_enhancements(rows))
+
+
 @pytest.mark.parametrize("d,n", [(1, 2), (2, 1)])
 def test_enhance_from_lift_memo(d, n):
     """One shared EnhancedLagrangian per lift basis, however the basis is

@@ -1,11 +1,10 @@
 import pytest
 
 from weil2 import verify
-from weil2.cyclotomic import I
 from weil2.galois import ring
-from weil2.heisenberg import asp_mul, enumerate_asp
+from weil2.heisenberg import all_h_elements, asp_mul, enumerate_asp, enumerate_sp_R
 from weil2.symplectic import SympSpace
-from weil2.weil import WeilRepresentation
+from weil2.weil import SplitWeilRepresentation, WeilRepresentation
 
 
 def test_prng_is_named():
@@ -109,7 +108,7 @@ def test_cocycle_identity_fails_on_a_tampered_pair(monkeypatch):
 
     def cocycle(self, a, b, ab):
         value = honest(self, a, b, ab)
-        return I * value if (a.key(), b.key()) == tampered else value
+        return (value + 1) % 4 if (a.key(), b.key()) == tampered else value
 
     monkeypatch.setattr(WeilRepresentation, "cocycle", cocycle)
     passed = _weil_passed()
@@ -123,7 +122,51 @@ def test_object_independence_fails_on_a_tampered_coboundary(monkeypatch):
 
     def coboundary_ratio(rep_alt, rep, Phi, a):
         value = honest(rep_alt, rep, Phi, a)
-        return I * value if a.key() == tampered else value
+        return (value + 1) % 4 if a.key() == tampered else value
 
     monkeypatch.setattr(verify, "coboundary_ratio", coboundary_ratio)
     assert not _weil_passed()["weil.object-independence"]
+
+
+def test_split_cocycle_fails_on_a_shifted_exponent(monkeypatch):
+    """i times the split cocycle on one pair is in mu4 but not a sign."""
+    sp = _weil_space()
+    gs = enumerate_sp_R(sp)
+    tampered = (gs[3], gs[17])
+    honest = SplitWeilRepresentation.cocycle
+
+    def cocycle(self, g, h, gh):
+        value = honest(self, g, h, gh)
+        return (value + 1) % 4 if (g, h) == tampered else value
+
+    monkeypatch.setattr(SplitWeilRepresentation, "cocycle", cocycle)
+    passed = _weil_passed()
+    assert not passed["weil.split-cocycle-mu2"]
+    assert passed["weil.cocycle-identity"]
+
+
+class _RightTranslated:
+    """A Weil representation whose operator at one element a0 is
+    W(a0) pi(h0)."""
+
+    def __init__(self, W, a0, h0):
+        self.base_model = W.base_model
+        self._W, self._key = W, a0.key()
+        self._pi = W.base_model.pi_matrix(h0)
+
+    def operator(self, a):
+        op = self._W.operator(a)
+        return op @ self._pi if a.key() == self._key else op
+
+
+def test_egorov_fails_on_a_right_translated_operator():
+    sp = _weil_space()
+    asp = enumerate_asp(sp)
+    W = WeilRepresentation(sp)
+    pi = {h: W.base_model.pi_matrix(h) for h in all_h_elements(sp)}
+    assert verify.egorov_check(W, asp, pi).passed
+    # h0 = (e_1, 0) does not commute with (f_1, 0): pi(h0) is not central
+    h0 = (sp.std_basis_k(0), 0)
+    check = verify.egorov_check(_RightTranslated(W, asp[9], h0), asp, pi)
+    assert check.name == "weil.egorov"
+    assert not check.passed
