@@ -8,20 +8,20 @@ so the commutator of (v, 0) and (w, 0) is (0, om(v, w)) and the center is
 0 x R.  An element of ASp(V) is a pair (g, alpha) with g in Sp(V) and
     alpha(v1 + v2) - alpha(v1) - alpha(v2) = beta(g v1, g v2) - beta(v1, v2);
 it acts on H(V) by (v, z) -> (g v, z + alpha(v)).
+
+Sp(V) and Sp(Vt) come from one row-by-row builder, and ASp(V) from Sp(V);
+each enumeration is refused above MAX_GROUP elements predicted by
+group_order and checks its count against the same closed form.
 """
 from __future__ import annotations
 
 import itertools
-import os
+import math
 
 from . import linalg
-from .symplectic import (
-    CapExceeded,
-    EnhancedLagrangian,
-    Twists,
-    _check_candidates,
-    _check_cap,
-)
+from .symplectic import EnhancedLagrangian, Twists, _check_cap, _refuse_above
+
+MAX_GROUP = 2 ** 16
 
 
 # -- the group H(V) ---------------------------------------------------------
@@ -136,7 +136,7 @@ def asp_mul(space, a, b):
     """(g, alpha_g) (h, alpha_h) = (g h, alpha_g o h + alpha_h): apply b
     first, then a."""
     R = space.R
-    comp = tuple(a.apply_g(b.apply_g(_std_rows(space)[i])) for i in range(space.dim))
+    comp = tuple(a.apply_g(r) for r in b.g)
     alpha = {
         v: R.add(a.alpha_of(b.apply_g(v)), b.alpha_of(v))
         for v in space.all_vectors_k()
@@ -147,63 +147,85 @@ def asp_mul(space, a, b):
 def asp_inv(space, a):
     R = space.R
     ginv = linalg.inverse_field(R, a.g)
-    tmp = AspElement(space, ginv, {v: 0 for v in space.all_vectors_k()},
-                     validate=False)
-    alpha = {v: R.neg(a.alpha_of(tmp.apply_g(v))) for v in space.all_vectors_k()}
+    alpha = {v: R.neg(a.alpha_of(linalg.vec_mat_field(R, v, ginv)))
+             for v in space.all_vectors_k()}
     return AspElement(space, ginv, alpha, validate=False)
-
-
-def _std_rows(space):
-    return tuple(space.std_basis_k(i) for i in range(space.dim))
 
 
 # -- symplectic groups and lifts ----------------------------------------------
 
-def enumerate_sp_k(space):
-    """All of Sp(V) over the residue field (row-action convention): a
-    filter over all q^{(2n)^2} k-matrices, so capped on that count."""
-    R, m = space.R, space.dim
-    q = R.field_size
-    _check_candidates(q ** (m * m), "Sp(V) enumeration over all k-matrices")
+def group_order(space, group):
+    """The closed-form order of "Sp(V)", "Sp(Vt)" or "ASp(V)", q = 2^d:
+    |Sp_{2n}(F_q)| = q^{n^2} prod_{i<=n} (q^{2i} - 1); reduction
+    Sp(Vt) -> Sp(V) is onto with kernel 1 + 2 sp_{2n}(F_q), of order
+    q^{n(2n+1)}; ASp(V) is Sp(V) times the torsor Hom(V, 2R), of order
+    q^{2dn}."""
+    q, n = space.R.field_size, space.n
+    sp = q ** (n * n) * math.prod(q ** (2 * i) - 1 for i in range(1, n + 1))
+    return {"Sp(V)": sp, "Sp(Vt)": sp * q ** (n * (2 * n + 1)),
+            "ASp(V)": sp * q ** (2 * space.dn)}[group]
+
+
+def _enumerate_group(space, group, build, *args):
+    """build(*args) as a tuple, refused before it starts above MAX_GROUP
+    elements predicted by group_order, and a RuntimeError unless it holds
+    exactly that many distinct elements."""
+    order = group_order(space, group)
+    _refuse_above(order, MAX_GROUP,
+                  f"{group} enumeration at d{space.R.d}n{space.n}",
+                  "build {:,} elements")
+    out = tuple(build(*args))
+    count = len(set(out))
+    if count != order:
+        raise RuntimeError(f"{group} enumeration found {count:,} distinct "
+                           f"elements, expected {order:,}")
+    return out
+
+
+def _symplectic_matrices(vectors, form, gram):
+    """Every matrix g whose rows, drawn from `vectors`, satisfy
+    form(g_i, g_j) = gram[i][j]: the rows are picked one at a time in the
+    order of `vectors`, and a row whose values against the rows above it
+    differ from `gram` is pruned with every completion of it.  A matrix
+    preserving a non-degenerate form is invertible, so no rank test is
+    needed.  Lexicographic when `vectors` is."""
+    vectors = tuple(vectors)
+    m = len(gram)
     out = []
-    for entries in itertools.product(range(q), repeat=m * m):
-        g = tuple(tuple(entries[i * m:(i + 1) * m]) for i in range(m))
-        if linalg.rank_field(R, g) != m:
-            continue
-        rows = _std_rows(space)
-        imgs = [
-            linalg.vec_mat_field(R, rows[i], g) for i in range(m)
-        ]
-        if all(
-            space.omega(imgs[i], imgs[j]) == space.omega(rows[i], rows[j])
-            for i in range(m)
-            for j in range(i + 1, m)
-        ):
-            out.append(g)
-    return tuple(out)
+    rows = []
+
+    def extend():
+        i = len(rows)
+        if i == m:
+            out.append(tuple(rows))
+            return
+        for v in vectors:
+            if all(form(rows[j], v) == gram[j][i] for j in range(i)):
+                rows.append(v)
+                extend()
+                rows.pop()
+
+    extend()
+    return out
+
+
+def enumerate_sp_k(space):
+    """All of Sp(V) over the residue field (row-action convention), in
+    lexicographic order."""
+    e = [space.std_basis_k(i) for i in range(space.dim)]
+    gram = [[space.omega_field(a, b) for b in e] for a in e]
+    return _enumerate_group(space, "Sp(V)", _symplectic_matrices,
+                            space.all_vectors_k(), space.omega_field, gram)
 
 
 def enumerate_sp_R(space):
-    """All of Sp(Vt) over R (row-action); exhaustive over matrix entries,
-    so only sensible at n = d = 1 (|Sp_2(Z4)| = 48)."""
-    if space.R.d * space.n > 1 and not os.environ.get("WEIL2_UNSAFE_NO_CAPS"):
-        raise CapExceeded("Sp(Vt) enumeration over all entries; n = d = 1 only")
-    R, m = space.R, space.dim
-    rows_std = tuple(
-        tuple(R.one if j == i else 0 for j in range(m)) for i in range(m)
-    )
-    out = []
-    for entries in itertools.product(range(R.size), repeat=m * m):
-        g = tuple(tuple(entries[i * m:(i + 1) * m]) for i in range(m))
-        if not R.is_unit(linalg.det_ring(R, g)):
-            continue
-        if all(
-            space.omt(g[i], g[j]) == space.omt(rows_std[i], rows_std[j])
-            for i in range(m)
-            for j in range(i + 1, m)
-        ):
-            out.append(g)
-    return tuple(out)
+    """All of Sp(Vt) over R (row-action), in lexicographic order of ring
+    indices; the {0,1} lifts of e_1..f_n are the standard R-basis."""
+    e = [space.lift_vec(space.std_basis_k(i)) for i in range(space.dim)]
+    gram = [[space.omt(a, b) for b in e] for a in e]
+    vectors = itertools.product(range(space.R.size), repeat=space.dim)
+    return _enumerate_group(space, "Sp(Vt)", _symplectic_matrices,
+                            vectors, space.omt, gram)
 
 
 def apply_sp_R(space, gt, vt):
@@ -212,16 +234,11 @@ def apply_sp_R(space, gt, vt):
 
 
 def is_symplectic_R(space, gt):
-    rows_std = tuple(
-        tuple(space.R.one if j == i else 0 for j in range(space.dim))
-        for i in range(space.dim)
-    )
-    imgs = [apply_sp_R(space, gt, r) for r in rows_std]
-    return all(
-        space.omt(imgs[i], imgs[j]) == space.omt(rows_std[i], rows_std[j])
-        for i in range(space.dim)
-        for j in range(space.dim)
-    )
+    """Whether the rows of gt, the images of e_1..f_n, keep their omt Gram
+    matrix."""
+    e = [space.lift_vec(space.std_basis_k(i)) for i in range(space.dim)]
+    return all(space.omt(gt[i], gt[j]) == space.omt(e[i], e[j])
+               for i in range(space.dim) for j in range(space.dim))
 
 
 def lift_sp(space, gt, validate=True):
@@ -244,9 +261,9 @@ def symplectic_lift_matrix(space, g):
     """Some gt in Sp(Vt) reducing to g in Sp(V): lift rows {0,1}, then run
     symplectic Gram-Schmidt over R.  All correction coefficients live in 2R,
     so the residue never moves."""
-    R, n, m = space.R, space.n, space.dim
-    b = [space.lift_vec(linalg.vec_mat_field(R, space.std_basis_k(i), g)) for i in range(n)]
-    c = [space.lift_vec(linalg.vec_mat_field(R, space.std_basis_k(n + i), g)) for i in range(n)]
+    R, n = space.R, space.n
+    b = [space.lift_vec(tuple(g[i])) for i in range(n)]
+    c = [space.lift_vec(tuple(g[n + i])) for i in range(n)]
     # make the b-block isotropic against an exact dual family
     duals = space._dual_family(b)
     for i in range(n):
@@ -277,10 +294,7 @@ def symplectic_lift_matrix(space, g):
     gt = tuple(b) + tuple(c)
     if not is_symplectic_R(space, gt):
         raise RuntimeError("symplectic lift failed")
-    red = tuple(space.reduce_vec(r) for r in gt)
-    if red != tuple(
-        linalg.vec_mat_field(R, space.std_basis_k(i), g) for i in range(m)
-    ):
+    if tuple(space.reduce_vec(r) for r in gt) != tuple(map(tuple, g)):
         raise RuntimeError("lift does not reduce to g")
     return gt
 
@@ -299,19 +313,20 @@ def act_on_enhanced(space, a, enh):
 
 
 def enumerate_asp(space):
-    """All of ASp(V): one section alpha per g in Sp(V) (via a symplectic
-    lift), shifted by the torsor Hom(V, 2R)."""
-    _check_cap(space.R.d, space.n, "ASp(V) enumeration")
+    """All of ASp(V), refused above MAX_GROUP predicted elements before
+    Sp(V) is built."""
+    return _enumerate_group(space, "ASp(V)", _asp_elements, space)
+
+
+def _asp_elements(space):
+    """One section alpha per g in Sp(V) (via a symplectic lift), shifted by
+    the torsor Hom(V, 2R)."""
     vecs = tuple(space.all_vectors_k())
-    out = []
     for g in enumerate_sp_k(space):
         base = lift_sp(space, symplectic_lift_matrix(space, g), validate=False)
         twists = Twists(space.R, (base.alpha_of(v) for v in vecs), vecs, space.dim)
         for alpha in twists.all():
-            out.append(AspElement(space, g, dict(zip(vecs, alpha)), validate=False))
-    if len({e.key() for e in out}) != len(out):
-        raise RuntimeError("ASp(V) enumeration has repeated elements")
-    return tuple(out)
+            yield AspElement(space, g, dict(zip(vecs, alpha)), validate=False)
 
 
 # -- the k-valued obstruction -------------------------------------------------
@@ -339,23 +354,15 @@ def residue_polarization(space, g):
         gv, gw = linalg.vec_mat_field(R, v, g), linalg.vec_mat_field(R, w, g)
         return space.beta_field(gv, gw) ^ space.beta_field(v, w)
 
-    gens = []
-    for i in range(space.dim):
-        for a in range(R.d):
-            e = [0] * space.dim
-            e[i] = 1 << a
-            gens.append(tuple(e))
+    m = space.dim
     phi = {}
     for v in space.all_vectors_k():
-        bits = []
-        for i in range(space.dim):
-            for a in range(R.d):
-                if (v[i] >> a) & 1:
-                    bits.append(gens[i * R.d + a])
+        # v as a sum of F_2-basis vectors, one per set bit
+        bits = [tuple(1 << a if j == i else 0 for j in range(m))
+                for i in range(m) for a in range(R.d) if (v[i] >> a) & 1]
         s = 0
-        for x in range(len(bits)):
-            for y in range(x + 1, len(bits)):
-                s ^= c(bits[x], bits[y])
+        for x, y in itertools.combinations(bits, 2):
+            s ^= c(x, y)
         phi[v] = s
     for v in phi:
         for w in phi:

@@ -17,7 +17,6 @@ import os
 from . import linalg
 
 MAX_EXHAUSTIVE_DN = 4
-MAX_CANDIDATES = 2 ** 16
 MAX_SWEEP = 2 ** 20
 
 
@@ -35,18 +34,12 @@ def _check_cap(d, n, what="exhaustive enumeration"):
 
 def _refuse_above(count, cap, what, work):
     """Refuse `what` before it starts when it would do `count` > `cap`
-    units of `work`, a phrase such as "test {:,} candidates"."""
+    units of `work`, a phrase such as "build {:,} elements"."""
     if count > cap and not os.environ.get("WEIL2_UNSAFE_NO_CAPS"):
         raise CapExceeded(
             f"{what} refused: it would {work.format(count)} > {cap:,} "
             "(set WEIL2_UNSAFE_NO_CAPS=1 to override)"
         )
-
-
-def _check_candidates(count, what):
-    """Refuse a brute-force search predicted to test more than
-    MAX_CANDIDATES candidates, before testing any."""
-    _refuse_above(count, MAX_CANDIDATES, what, "test {:,} candidates")
 
 
 def transversal_triple_count(q, n):

@@ -75,20 +75,25 @@ def first_transversal_rows(space, rows1, rows2):
     raise ValueError("no common transversal subspace found")
 
 
+def _intertwiner_chain(space, eM, eL):
+    """(Kt, chain): the intertwiners from the model of eL to the model of
+    eM, one when the pair is transversal (Kt is None), else two through
+    the enhanced initial lift Kt of their first common transversal."""
+    if eM.rows != eL.rows and space.transversal_k(eM.rows, eL.rows):
+        return None, [intertwiner_matrix(Model(space, eM), Model(space, eL))]
+    Kt = space.initial_lift(first_transversal_rows(space, eM.rows, eL.rows))
+    mK = Model(space, space.enhance_from_lift(Kt))
+    return Kt, [intertwiner_matrix(Model(space, eM), mK),
+                intertwiner_matrix(mK, Model(space, eL))]
+
+
 def trivialization_transport(space, eM, eL):
     """T_{M,L}: power-4 transport from the model of (L, alpha_L) to the
     model of (M, alpha_M); routed through the first common transversal
     when the pair itself is not transversal."""
     A = trivializing_scalar(space)
-    if eM.rows != eL.rows and space.transversal_k(eM.rows, eL.rows):
-        F = intertwiner_matrix(Model(space, eM), Model(space, eL))
-        return ScaledTransport(A, [F], 4)
-    rows = first_transversal_rows(space, eM.rows, eL.rows)
-    eK = space.enhance_from_lift(space.initial_lift(rows))
-    mK = Model(space, eK)
-    F1 = intertwiner_matrix(Model(space, eM), mK)
-    F2 = intertwiner_matrix(mK, Model(space, eL))
-    return ScaledTransport(A * A, [F1, F2], 4)
+    Kt, chain = _intertwiner_chain(space, eM, eL)
+    return ScaledTransport(A if Kt is None else A * A, chain, 4)
 
 
 def wedge_form(space, oM, oL):
@@ -113,19 +118,14 @@ def enhanced_of_oriented(space, oX):
 
 def splitting_transport(space, oM, oL):
     """S_{Mt,Lt}: power-2 transport refining T over oriented Lagrangians."""
-    eM = enhanced_of_oriented(space, oM)
-    eL = enhanced_of_oriented(space, oL)
-    if eM.rows != eL.rows and space.transversal_k(eM.rows, eL.rows):
-        F = intertwiner_matrix(Model(space, eM), Model(space, eL))
-        return ScaledTransport(splitting_scalar(space, oM, oL), [F], 2)
-    rows = first_transversal_rows(space, eM.rows, eL.rows)
-    oK = OrientedLagrangian(space.initial_lift(rows), space.R.one)
-    eK = enhanced_of_oriented(space, oK)
-    mK = Model(space, eK)
-    F1 = intertwiner_matrix(Model(space, eM), mK)
-    F2 = intertwiner_matrix(mK, Model(space, eL))
-    s = splitting_scalar(space, oM, oK) * splitting_scalar(space, oK, oL)
-    return ScaledTransport(s, [F1, F2], 2)
+    Kt, chain = _intertwiner_chain(space, enhanced_of_oriented(space, oM),
+                                   enhanced_of_oriented(space, oL))
+    if Kt is None:
+        s = splitting_scalar(space, oM, oL)
+    else:
+        oK = OrientedLagrangian(Kt, space.R.one)
+        s = splitting_scalar(space, oM, oK) * splitting_scalar(space, oK, oL)
+    return ScaledTransport(s, chain, 2)
 
 
 def transport_square(S):

@@ -435,9 +435,7 @@ def transport_checks_sampled(d, n, count, seed):
         if (trivialization_transport(sp, a, b).compose(trivialization_transport(sp, b, c))
                 != trivialization_transport(sp, a, c)):
             bad_t += 1
-        ors = [OrientedLagrangian(sp.random_lift(r, rng), rng.choice(_unit_list(R)))
-               for r in rows3]
-        oa, ob, oc = ors
+        oa, ob, oc = (_random_oriented(sp, r, rng) for r in rows3)
         if (splitting_transport(sp, oa, ob).compose(splitting_transport(sp, ob, oc))
                 != splitting_transport(sp, oa, oc)):
             bad_s += 1
@@ -449,8 +447,28 @@ def transport_checks_sampled(d, n, count, seed):
     ]
 
 
-def _unit_list(R):
-    return sorted(R.units)
+def _random_oriented(sp, rows, rng):
+    """A uniform free lift of the subspace, then a uniform orientation unit."""
+    return OrientedLagrangian(sp.random_lift(rows, rng),
+                              rng.choice(sorted(sp.R.units)))
+
+
+def _sampled_oriented_checks(name, holds, count, rng):
+    """`name`.d2n1 and .d1n2: holds(sp, oN, oM, oL) on `count` sampled
+    pairwise-transversal oriented triples at each shape."""
+    checks = []
+    for (d, n) in ((2, 1), (1, 2)):
+        sp = SympSpace(ring(d), n)
+        subs = sp.enumerate_lagrangians()
+        bad = 0
+        for _ in range(count):
+            ors = [_random_oriented(sp, r, rng)
+                   for r in _sample_transversal_triple(sp, subs, rng)]
+            if not holds(sp, *ors):
+                bad += 1
+        checks.append(_c(f"{name}.d{d}n{n}", bad == 0,
+                         f"{count} sampled oriented triples, {bad} failures"))
+    return checks
 
 
 # -- Splitting and normalization coefficients (suite "splitting") -------------
@@ -496,21 +514,9 @@ def suite_splitting(seed=0):
     checks = [_c("splitting.norm-coeff-identity.d1n1", bad == 0,
                  f"A_NM A_ML = G(2[M,-tr w_L]) A_NL on {total} oriented triples")]
 
-    rng = random.Random(seed)
-    for (dd, nn) in ((2, 1), (1, 2)):
-        Rs = ring(dd)
-        sps = SympSpace(Rs, nn)
-        subs_s = sps.enumerate_lagrangians()
-        count = 100
-        bad = 0
-        for _ in range(count):
-            ors = [OrientedLagrangian(sps.random_lift(r, rng),
-                                      rng.choice(_unit_list(Rs)))
-                   for r in _sample_transversal_triple(sps, subs_s, rng)]
-            if not _a_identity_holds(sps, *ors):
-                bad += 1
-        checks.append(_c(f"splitting.norm-coeff-identity.d{dd}n{nn}", bad == 0,
-                         f"{count} sampled oriented triples, {bad} failures"))
+    checks += _sampled_oriented_checks("splitting.norm-coeff-identity",
+                                       _a_identity_holds, 100,
+                                       random.Random(seed))
 
     S = {(a.key(), b.key()): splitting_transport(sp, a, b)
          for a in oriented for b in oriented}
@@ -654,21 +660,9 @@ def suite_disc(seed=0):
     checks.append(_c("disc.four-term-combination.d1n1", bad == 0,
                      f"d(X) = 1 on {total} oriented triples"))
 
-    rng = random.Random(seed)
-    for (dd, nn) in ((2, 1), (1, 2)):
-        Rs = ring(dd)
-        sps = SympSpace(Rs, nn)
-        subs_s = sps.enumerate_lagrangians()
-        count = 50
-        bad = 0
-        for _ in range(count):
-            ors = [OrientedLagrangian(sps.random_lift(r, rng),
-                                      rng.choice(_unit_list(Rs)))
-                   for r in _sample_transversal_triple(sps, subs_s, rng)]
-            if not _disc_combination_ok(sps, *ors):
-                bad += 1
-        checks.append(_c(f"disc.four-term-combination.d{dd}n{nn}", bad == 0,
-                         f"{count} sampled oriented triples, {bad} failures"))
+    checks += _sampled_oriented_checks("disc.four-term-combination",
+                                       _disc_combination_ok, 50,
+                                       random.Random(seed))
     return checks
 
 

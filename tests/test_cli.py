@@ -266,20 +266,23 @@ def test_weil_matrix_d1n1_unchanged(capsys):
 
 
 @pytest.mark.parametrize("d,n,count", [
-    (1, 3, "68,719,476,736"),
-    (1, 4, "18,446,744,073,709,551,616"),
-    (2, 2, "4,294,967,296"),
+    (1, 3, "92,897,280"),
+    (2, 2, "64,172,851,200"),
+    (1, 4, "12,128,668,876,800"),
+    (3, 1, "132,120,576"),
+    (4, 1, "17,523,466,567,680"),
 ])
 def test_weil_matrix_refuses_sp_search_promptly(capsys, monkeypatch, d, n, count):
-    """Sp(V) is found by filtering all q^{4n^2} k-matrices; shapes with more
-    than 2^16 of them are refused before the search starts."""
+    """ASp(V) is refused above 2^16 elements predicted by its closed-form
+    order, before Sp(V) is built; d3n1 and d4n1 used to run out of
+    memory instead."""
     monkeypatch.delenv("WEIL2_UNSAFE_NO_CAPS", raising=False)
     t0 = time.perf_counter()
     rc = main(["weil-matrix", "--d", str(d), "--n", str(n)])
     elapsed = time.perf_counter() - t0
     captured = capsys.readouterr()
     assert rc == 2
-    assert f"test {count} candidates" in captured.err
+    assert f"build {count} elements" in captured.err
     assert captured.out == ""
     assert elapsed < 5.0
 

@@ -2,18 +2,26 @@
 residue field and over R, and the enhanced (affine) symplectic group ASp.
 
 Frozen orders at d = n = 1: |H| = 16 (V x Z4), |Sp(V)| = 6, |Sp(Vt)| = 48,
-|ASp| = 24.
+|ASp| = 24; the closed forms of heisenberg.group_order hold at every shape
+the enumerations accept.
 """
 
+import itertools
+import math
 import random
+import re
 
+import pytest
+
+from weil2 import heisenberg, linalg
 from weil2.galois import ring
-from weil2.symplectic import SympSpace, enumerate_enhanced
+from weil2.symplectic import CapExceeded, SympSpace, enumerate_enhanced
 from weil2.heisenberg import (
     act_on_enhanced, all_h_elements, apply_sp_R, asp_identity, asp_inv,
     asp_mul, center_element, enumerate_asp, enumerate_sp_R, enumerate_sp_k,
-    h_commutator, h_identity, h_inv, h_mul, is_symplectic_R, lift_sp,
-    preserves_residue_quadratic, residue_polarization, symplectic_lift_matrix,
+    group_order, h_commutator, h_identity, h_inv, h_mul, is_symplectic_R,
+    lift_sp, preserves_residue_quadratic, residue_polarization,
+    symplectic_lift_matrix,
 )
 
 
@@ -156,6 +164,140 @@ def test_residue_quadratic_preservers():
     sp = _space()
     winners = [g for g in enumerate_sp_k(sp) if preserves_residue_quadratic(sp, g)]
     assert winners == [((0, 1), (1, 0)), ((1, 0), (0, 1))]
+    for g in enumerate_sp_k(sp):
+        pol = residue_polarization(sp, g)
+        assert (pol is not None) == preserves_residue_quadratic(sp, g)
+
+
+# -- the row-by-row builder against the brute-force filters it replaced --------
+
+
+def _filter_sp_k(sp):
+    """Reference: every full-rank k-matrix whose rows keep omega's values
+    on the standard basis, in lexicographic order of the entries."""
+    R, m = sp.R, sp.dim
+    e = [sp.std_basis_k(i) for i in range(m)]
+    out = []
+    for entries in itertools.product(range(R.field_size), repeat=m * m):
+        g = tuple(tuple(entries[i * m:(i + 1) * m]) for i in range(m))
+        if linalg.rank_field(R, g) == m and all(
+                sp.omega(g[i], g[j]) == sp.omega(e[i], e[j])
+                for i in range(m) for j in range(i + 1, m)):
+            out.append(g)
+    return tuple(out)
+
+
+def _filter_sp_R(sp):
+    """Reference: every R-matrix of unit determinant whose rows keep omt's
+    values on the standard basis, in lexicographic order of the entries."""
+    R, m = sp.R, sp.dim
+    e = [sp.lift_vec(sp.std_basis_k(i)) for i in range(m)]
+    out = []
+    for entries in itertools.product(range(R.size), repeat=m * m):
+        g = tuple(tuple(entries[i * m:(i + 1) * m]) for i in range(m))
+        if R.is_unit(linalg.det_ring(R, g)) and all(
+                sp.omt(g[i], g[j]) == sp.omt(e[i], e[j])
+                for i in range(m) for j in range(i + 1, m)):
+            out.append(g)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("d,n", [(1, 1), (2, 1), (3, 1)])
+def test_sp_k_builder_matches_filter(d, n):
+    sp = SympSpace(ring(d), n)
+    assert enumerate_sp_k(sp) == _filter_sp_k(sp)
+
+
+def test_sp_R_builder_matches_filter():
+    sp = _space()
+    assert enumerate_sp_R(sp) == _filter_sp_R(sp)
+
+
+# every shape each enumeration accepts, with its closed-form order
+ACCEPTED_ORDERS = [
+    ("Sp(V)", enumerate_sp_k, 1, 1, 6),
+    ("Sp(V)", enumerate_sp_k, 2, 1, 60),
+    ("Sp(V)", enumerate_sp_k, 1, 2, 720),
+    ("Sp(V)", enumerate_sp_k, 3, 1, 504),
+    ("Sp(V)", enumerate_sp_k, 4, 1, 4080),
+    ("Sp(Vt)", enumerate_sp_R, 1, 1, 48),
+    ("Sp(Vt)", enumerate_sp_R, 2, 1, 3840),
+    ("ASp(V)", enumerate_asp, 1, 1, 24),
+    ("ASp(V)", enumerate_asp, 2, 1, 15360),
+    ("ASp(V)", enumerate_asp, 1, 2, 11520),
+]
+
+
+@pytest.mark.parametrize("group,enumerate_group,d,n,order", ACCEPTED_ORDERS)
+def test_closed_form_orders(group, enumerate_group, d, n, order):
+    sp = SympSpace(ring(d), n)
+    assert group_order(sp, group) == order
+    assert len(set(enumerate_group(sp))) == order
+
+
+@pytest.mark.parametrize("group,enumerate_group,d,n,order", [
+    ("Sp(V)", enumerate_sp_k, 1, 3, 1451520),
+    ("Sp(V)", enumerate_sp_k, 2, 2, 979200),
+    ("Sp(Vt)", enumerate_sp_R, 1, 2, 737280),
+    ("Sp(Vt)", enumerate_sp_R, 3, 1, 258048),
+    ("ASp(V)", enumerate_asp, 3, 1, 132120576),
+])
+def test_refused_above_max_group(monkeypatch, group, enumerate_group, d, n, order):
+    monkeypatch.delenv("WEIL2_UNSAFE_NO_CAPS", raising=False)
+    sp = SympSpace(ring(d), n)
+    assert group_order(sp, group) == order > heisenberg.MAX_GROUP
+    with pytest.raises(CapExceeded, match=f"build {order:,} elements"):
+        enumerate_group(sp)
+
+
+def test_override_lifts_group_refusal(monkeypatch):
+    sp = SympSpace(ring(2), 1)
+    monkeypatch.setattr(heisenberg, "MAX_GROUP", 59)
+    monkeypatch.delenv("WEIL2_UNSAFE_NO_CAPS", raising=False)
+    with pytest.raises(CapExceeded, match="build 60 elements > 59"):
+        enumerate_sp_k(sp)
+    monkeypatch.setenv("WEIL2_UNSAFE_NO_CAPS", "1")
+    assert len(enumerate_sp_k(sp)) == 60
+
+
+@pytest.mark.parametrize("group,enumerate_group", [
+    ("Sp(V)", enumerate_sp_k), ("Sp(Vt)", enumerate_sp_R),
+    ("ASp(V)", enumerate_asp),
+])
+def test_count_check_catches_a_wrong_order(monkeypatch, group, enumerate_group):
+    """With the formula for one group off by one, its enumeration raises."""
+    exact = group_order
+    monkeypatch.setattr(heisenberg, "group_order",
+                        lambda sp, g: exact(sp, g) + (g == group))
+    with pytest.raises(RuntimeError, match=re.escape(f"{group} enumeration found")):
+        enumerate_group(_space())
+
+
+# -- Weil's pseudo-symplectic group is a strict subgroup ----------------------
+
+
+def _orthogonal_plus_order(q, n):
+    """|O+_{2n}(F_q)| = 2 q^{n(n-1)} (q^n - 1) prod_{i<n} (q^{2i} - 1)."""
+    return (2 * q ** (n * (n - 1)) * (q ** n - 1)
+            * math.prod(q ** (2 * i) - 1 for i in range(1, n)))
+
+
+@pytest.mark.parametrize("d,n,count", [
+    (1, 1, 2), (2, 1, 6), (1, 2, 72), (3, 1, 14), (4, 1, 30),
+])
+def test_residue_quadratic_preservers_are_orthogonal_plus(d, n, count):
+    """The elements of Sp(V) preserving the residue quadratic form are a
+    proper subgroup of order |O+_{2n}(F_q)|."""
+    sp = SympSpace(ring(d), n)
+    spk = enumerate_sp_k(sp)
+    winners = [g for g in spk if preserves_residue_quadratic(sp, g)]
+    assert len(winners) == count == _orthogonal_plus_order(2 ** d, n)
+    assert count < len(spk)
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (1, 2)])
+def test_residue_polarization_iff_orthogonal(d, n):
+    sp = SympSpace(ring(d), n)
     for g in enumerate_sp_k(sp):
         pol = residue_polarization(sp, g)
         assert (pol is not None) == preserves_residue_quadratic(sp, g)
