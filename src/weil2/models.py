@@ -13,6 +13,8 @@ The right translation pi_L(h) f = f(. h) realizes H(V) on H_L with one
 psi-entry per matrix row.  Between two models the canonical intertwiner is
 averaging over the source Lagrangian:
     (F_{M,L} f)(h) = sum_{m in M} f((m, alpha_M(m)) * h).
+Its term m in row t_M needs the split of m + t_M along L; the split is
+k-linear, so each m and each t_M is split once per matrix.
 Operators are ZiMatrix values: a unit zeta^e sqrt2^s times a
 Gaussian-integer matrix.  For a transversal pair every matrix entry of
 F_{M,L} is a single fourth root of unity, and the composition route to the
@@ -25,6 +27,7 @@ import functools
 
 from . import linalg
 from .cyclotomic import Cyc8
+from .symplectic import _xor
 from .witt import gauss_sum, trace_form
 
 
@@ -83,32 +86,29 @@ def standard_model(space):
     return Model(space, enh)
 
 
-def _intertwiner_term(model_M, model_L, m, tM):
-    """(psi-exponent, l, t_L) of the term m of F_{M,L} in row t_M, where
-    m + t_M = l + t_L with l in L: the exponent of
-    psi(alpha_M(m) + beta(m, t_M) - alpha_L(l) - beta(l, t_L))."""
-    sp = model_M.space
-    R = sp.R
-    l, tL = model_L.split(tuple(a ^ b for a, b in zip(m, tM)))
-    e = R.psi_exp(R.sub(
-        R.sub(R.add(model_M.enh.alpha_of(m), sp.beta(m, tM)),
-              model_L.enh.alpha_of(l)),
-        sp.beta(l, tL),
-    ))
-    return e, l, tL
-
-
 def intertwiner_matrix(model_M, model_L):
     """F_{M,L} as a ZiMatrix; works for any pair (entries are Z[i] sums
-    over the fibre of m + t_M + t_L in L)."""
+    over the fibre of m + t_M + t_L in L).  The term m of row t_M is
+    psi(alpha_M(m) + beta(m, t_M) - alpha_L(l) - beta(l, t_L)), where
+    m + t_M = l + t_L with l in L.  Model.split is k-linear, so each m and
+    each t_M is split once per matrix and the term's split is the XOR of
+    the two."""
+    sp = model_M.space
+    R = sp.R
+    add, sub, psi_exp, beta = R.add, R.sub, R.psi_exp, sp.beta
+    aM, aL = model_M.enh._amap, model_L.enh._amap
     spanL = set(model_L.enh.elements)
+    split_m = [(m, aM[m], *model_L.split(m)) for m in model_M.enh.elements]
+    split_t = [(tM, *model_L.split(tM)) for tM in model_M.reps]
+    if any(l not in spanL for *_, l, _ in split_m + split_t):
+        raise RuntimeError("split left the Lagrangian")
     out = []
-    for tM in model_M.reps:
+    for tM, l_t, t_t in split_t:
         row = [[0, 0, 0, 0] for _ in range(model_L.dim)]
-        for m in model_M.enh.elements:
-            e, l, tL = _intertwiner_term(model_M, model_L, m, tM)
-            if l not in spanL:
-                raise RuntimeError("split left the Lagrangian")
+        for m, am, l_m, t_m in split_m:
+            l = _xor(l_m, l_t)
+            tL = _xor(t_m, t_t)
+            e = psi_exp(sub(sub(add(am, beta(m, tM)), aL[l]), beta(l, tL)))
             row[model_L.rep_index[tL]][e] += 1
         out.append(tuple((c[0] - c[2], c[1] - c[3]) for c in row))
     return ZiMatrix(0, 0, out)

@@ -12,6 +12,8 @@ k-vectors are tuples of bitmasks, R-vectors tuples of ring indices.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import os
 
 from . import linalg
@@ -90,6 +92,9 @@ class SympSpace:
         self._transversal = {}   # (rows1, rows2) -> transversal_k
         self._r_maps = {}        # (M, N, L) rows -> (r_map dict, r_terms)
         self._r_factors = {}     # (Nt, Lt) -> linalg.factor of (Nt + Lt)^T
+        # 2 * lift(x) indexed by the residue x; beta reads it at beta_field
+        self._two_lift = tuple(ring.mul(ring.two, ring.lift(x))
+                               for x in range(ring.field_size))
 
     # -- forms ---------------------------------------------------------------
     def bt(self, vt, wt):
@@ -113,20 +118,22 @@ class SympSpace:
         return tuple(self.R.reduce(x) for x in vt)
 
     def beta(self, v, w):
-        """beta = 2*bt on V; independent of the coordinate lifts."""
-        R = self.R
-        return R.mul(R.two, self.bt(self.lift_vec(v), self.lift_vec(w)))
+        """beta = 2*bt on V, read as 2 * lift(beta_field(v, w)): 2x in R
+        depends only on the residue of x, and bt of the {0,1}-lifts reduces
+        to beta_field.  So beta is independent of the coordinate lifts and
+        biadditive."""
+        return self._two_lift[self.beta_field(v, w)]
 
     def omega(self, v, w):
         return self.R.sub(self.beta(v, w), self.beta(w, v))
 
     def beta_field(self, v, w):
-        """The k-valued residue of bt; only used for the pseudo-symplectic
-        obstruction from the introduction."""
-        R, n = self.R, self.n
+        """The k-valued residue of bt: sum_i v_i w_{n+i} over k."""
+        fmul, n = self.R.field_mul, self.n
         s = 0
         for i in range(n):
-            s ^= R.field_mul(v[i], w[n + i])
+            if v[i]:
+                s ^= fmul(v[i], w[n + i])
         return s
 
     def omega_field(self, v, w):
@@ -150,21 +157,40 @@ class SympSpace:
         """All n-dimensional isotropic subspaces of V as canonical RREF bases,
         sorted.  For each pivot set the echelon rows are chosen one at a
         time, and a row that is not orthogonal to the rows above it is
-        pruned with every completion of it."""
+        pruned with every completion of it.  Rows are packed into ints, d
+        bits per coordinate, and bit a of omega_field(v, row) is the parity
+        of packed(v) & masks(row)[a]: orthogonal means every parity even."""
         _check_cap(self.R.d, self.n)
-        n, m, q = self.n, self.dim, self.R.field_size
+        R, n, m, q, d = self.R, self.n, self.dim, self.R.field_size, self.R.d
         found = []
         chosen = []
+        masks = []
 
         def extend(candidates):
             if len(chosen) == n:
                 found.append(tuple(chosen))
                 return
-            for row in candidates[len(chosen)]:
-                if all(self.omega_field(row, r) == 0 for r in chosen):
+            for row, packed, row_masks in candidates[len(chosen)]:
+                for mask in masks:
+                    if (packed & mask).bit_count() & 1:
+                        break
+                else:
                     chosen.append(row)
+                    masks.extend(row_masks)
                     extend(candidates)
                     chosen.pop()
+                    del masks[-d:]
+
+        def packed_with_masks(row):
+            # omega_field(v, row) = sum_j v_j c_j with c = (row[n:], row[:n])
+            row_masks = [0] * d
+            for j, c in enumerate(row[n:] + row[:n]):
+                for b in range(d):
+                    y = R.field_mul(1 << b, c)
+                    for a in range(d):
+                        row_masks[a] |= ((y >> a) & 1) << (j * d + b)
+            packed = sum(x << (j * d) for j, x in enumerate(row))
+            return row, packed, tuple(row_masks)
 
         for pivots in itertools.combinations(range(m), n):
             candidates = []
@@ -176,9 +202,12 @@ class SympSpace:
                     row[p] = 1
                     for c, v in zip(free, vals):
                         row[c] = v
-                    rows.append(tuple(row))
+                    rows.append(packed_with_masks(tuple(row)))
                 candidates.append(rows)
             extend(candidates)
+        want = math.prod(q ** i + 1 for i in range(1, n + 1))
+        if len(found) != want:
+            raise RuntimeError(f"{len(found)} Lagrangians, expected {want}")
         return tuple(sorted(found))
 
     def standard_lagrangian(self):
@@ -473,22 +502,25 @@ class EnhancedLagrangian:
             self._validate()
 
     def _validate(self):
+        """Isotropy, then polarization, on L x G for the dn F2-generators
+        G = {xi^a * row_i} of L.  That is the all-pairs check: beta is
+        biadditive, so omega(x, .) vanishes on L once it does on G, and the
+        defect D(x, y) = alpha(x + y) - alpha(x) - alpha(y) - beta(x, y)
+        obeys D(x, y + g) = D(x, y) + D(x + y, g) - D(y, g) and
+        D(x, 0) = D(0, g), so induction on a word for y covers L x L."""
         sp, R = self.space, self.space.R
         if len(self.rows) != sp.n:
             raise ValueError("subspace is not middle-dimensional")
-        # each unordered pair once: omega(l1, l2) = b12 - b21, and once
-        # b12 = b21 both conditions are symmetric in (l1, l2)
-        elems = self.elements
-        for i, l1 in enumerate(elems):
-            for l2 in elems[i:]:
-                b12 = sp.beta(l1, l2)
-                if b12 != sp.beta(l2, l1):
-                    raise ValueError("subspace is not isotropic")
-                lhs = R.sub(
-                    R.sub(self._amap[_xor(l1, l2)], self._amap[l1]), self._amap[l2]
-                )
-                if lhs != b12:
-                    raise ValueError("alpha does not polarize beta")
+        gens = [tuple(R.field_mul(1 << a, c) for c in row)
+                for row in self.rows for a in range(R.d)]
+        pairs = [(x, g, sp.beta(x, g)) for x in self.elements for g in gens]
+        for x, g, b in pairs:
+            if b != sp.beta(g, x):
+                raise ValueError("subspace is not isotropic")
+        amap = self._amap
+        for x, g, b in pairs:
+            if R.sub(R.sub(amap[_xor(x, g)], amap[x]), amap[g]) != b:
+                raise ValueError("alpha does not polarize beta")
 
     def alpha_of(self, v):
         return self._amap[v]
@@ -510,7 +542,7 @@ class EnhancedLagrangian:
 
 
 def _xor(u, v):
-    return tuple(a ^ b for a, b in zip(u, v))
+    return tuple(map(operator.xor, u, v))
 
 
 class Twists:

@@ -16,6 +16,12 @@ from weil2.cli import main
 # SHA-256 of `verify --suite weil --format json`, with and without -O
 WEIL_JSON_SHA256 = \
     "0e1e53fe2465ec3afb400c7170394c6b46cb16849186e915f2f915c8ea237bdf"
+# the sampled d1n4 cocycle report of the verify-sampled benchmark input
+D1N4_SAMPLED_ARGV = ("verify", "--suite", "cocycle", "--d", "1", "--n", "4",
+                     "--mode", "sampled", "--sample-count", "20", "--seed", "3",
+                     "--format", "json")
+D1N4_SAMPLED_SHA256 = \
+    "bb2866d50052e026e1079192277e7462c012c39ed70fd3f769b738f133a8f3a9"
 
 
 def run_cli(capsys, *argv):
@@ -332,6 +338,22 @@ def test_verify_weil_json_golden(capsys):
     rc, out = run_cli(capsys, "verify", "--suite", "weil", "--format", "json")
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == WEIL_JSON_SHA256
+
+
+def test_verify_sampled_d1n4_json_golden(capsys):
+    rc, out = run_cli(capsys, *D1N4_SAMPLED_ARGV)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == D1N4_SAMPLED_SHA256
+
+
+def test_verify_sampled_d1n4_json_golden_under_optimize():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "weil2.cli", *D1N4_SAMPLED_ARGV],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == D1N4_SAMPLED_SHA256
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -108,6 +108,49 @@ def test_intertwiner_entries_are_fourth_roots():
                     assert x in mu4
 
 
+def _intertwiner_reference(model_M, model_L):
+    """F_{M,L} term by term: m + t_M split afresh for every term."""
+    sp = model_M.space
+    R = sp.R
+    spanL = set(model_L.enh.elements)
+    out = []
+    for tM in model_M.reps:
+        row = [[0, 0, 0, 0] for _ in range(model_L.dim)]
+        for m in model_M.enh.elements:
+            l, tL = model_L.split(tuple(a ^ b for a, b in zip(m, tM)))
+            if l not in spanL:
+                raise RuntimeError("split left the Lagrangian")
+            e = R.psi_exp(R.sub(
+                R.sub(R.add(model_M.enh.alpha_of(m), sp.beta(m, tM)),
+                      model_L.enh.alpha_of(l)),
+                sp.beta(l, tL),
+            ))
+            row[model_L.rep_index[tL]][e] += 1
+        out.append(tuple((c[0] - c[2], c[1] - c[3]) for c in row))
+    return ZiMatrix(0, 0, out)
+
+
+@pytest.mark.parametrize("d,n,pairs,transversal", [
+    (1, 2, 3600, 1920), (2, 1, 6400, 5120),
+])
+def test_intertwiner_matrix_matches_term_by_term(d, n, pairs, transversal):
+    """Every ordered pair of enhanced Lagrangians, transversal or not: the
+    matrix built from once-per-matrix splits has the same exponents and
+    the same Gaussian-integer rows as the term-by-term loop."""
+    sp = SympSpace(ring(d), n)
+    models = [Model(sp, e) for e in enumerate_enhanced(sp)]
+    seen = crossing = 0
+    for mM in models:
+        for mL in models:
+            F = intertwiner_matrix(mM, mL)
+            ref = _intertwiner_reference(mM, mL)
+            assert (F.zeta_exp, F.sqrt2_exp, F.rows) == (
+                ref.zeta_exp, ref.sqrt2_exp, ref.rows)
+            seen += 1
+            crossing += sp.transversal_k(mM.enh.rows, mL.enh.rows)
+    assert (seen, crossing) == (pairs, transversal)
+
+
 FROZEN_TRIANGLE = {
     ("std", "dual", "third"): ONE - I,
     ("std", "third", "dual"): ONE + I,

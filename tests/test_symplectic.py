@@ -9,6 +9,7 @@ The census numbers are frozen from exhaustive enumeration:
   (1, 2)       15              8                   4                240
 """
 
+import collections
 import itertools
 import math
 import os
@@ -18,7 +19,7 @@ import sys
 
 import pytest
 
-from weil2.galois import ring
+from weil2.galois import GaloisRing, ring
 from weil2.symplectic import (
     MAX_SWEEP, CapExceeded, EnhancedLagrangian, SympSpace, check_sweep,
     enumerate_enhanced, transversal_triple_count,
@@ -140,6 +141,124 @@ def test_alpha_changed_at_one_element_is_refused(d, n):
                 alpha[v] = R.add(alpha[v], delta)
                 with pytest.raises(ValueError, match="^alpha does not polarize beta$"):
                     EnhancedLagrangian(sp, rows, alpha)
+
+
+def _validate_all_pairs(e):
+    """Reference validation: isotropy and polarization on every unordered
+    pair of elements, in order, the first failure raised."""
+    sp, R = e.space, e.space.R
+    if len(e.rows) != sp.n:
+        raise ValueError("subspace is not middle-dimensional")
+    # each unordered pair once: omega(l1, l2) = b12 - b21, and once
+    # b12 = b21 both conditions are symmetric in (l1, l2)
+    elems = e.elements
+    for i, l1 in enumerate(elems):
+        for l2 in elems[i:]:
+            b12 = sp.beta(l1, l2)
+            if b12 != sp.beta(l2, l1):
+                raise ValueError("subspace is not isotropic")
+            l12 = tuple(a ^ b for a, b in zip(l1, l2))
+            lhs = R.sub(R.sub(e.alpha_of(l12), e.alpha_of(l1)), e.alpha_of(l2))
+            if lhs != b12:
+                raise ValueError("alpha does not polarize beta")
+
+
+def _verdict(validate, *args):
+    try:
+        validate(*args)
+    except ValueError as exc:
+        return str(exc)
+    return "ok"
+
+
+def _verdicts(sp, rows, alpha):
+    """(generator validator, all-pairs reference) on one candidate."""
+    mine = _verdict(EnhancedLagrangian, sp, rows, alpha)
+    ref = _verdict(_validate_all_pairs,
+                   EnhancedLagrangian(sp, rows, alpha, validate=False))
+    return mine, ref
+
+
+@pytest.mark.parametrize("d,n,count", [(1, 2, 60), (2, 1, 80)])
+def test_generator_validation_matches_all_pairs(d, n, count):
+    """Every enhancement, and every change of one of its values by 1 or by
+    2: the L x generators check and the all-pairs reference accept or
+    refuse together, with the same message."""
+    sp = SympSpace(ring(d), n)
+    R = sp.R
+    enh = enumerate_enhanced(sp)
+    assert len(enh) == count
+    refused = 0
+    for e in enh:
+        assert _verdicts(sp, e.rows, e._amap) == ("ok", "ok")
+        for v in e.elements:
+            for delta in (R.one, R.two):
+                alpha = dict(e._amap)
+                alpha[v] = R.add(alpha[v], delta)
+                mine, ref = _verdicts(sp, e.rows, alpha)
+                assert mine == ref == "alpha does not polarize beta"
+                refused += 1
+    assert refused == count * 2 * (2 ** d) ** n
+
+
+def test_generator_validation_matches_all_pairs_off_lagrangians():
+    """Every 2-dimensional subspace of k^4 at d1n2 that is not isotropic
+    (one per echelon pattern), under three alphas: both validators refuse.
+    The generator validator runs its isotropy pass first, so it always
+    names isotropy, as no alpha polarizes beta there.  The all-pairs
+    reference names the first failing pair, which for some alphas is a
+    polarization failure met before any non-isotropic pair; on span(e1, f1)
+    with alpha = 0 both name isotropy."""
+    sp = SympSpace(ring(1), 2)
+    R = sp.R
+    lagrangians = set(sp.enumerate_lagrangians())
+    verdicts = collections.Counter()
+    for pivots in itertools.combinations(range(4), 2):
+        free = [(i, c) for i in range(2) for c in range(pivots[i] + 1, 4)
+                if c not in pivots]
+        for vals in itertools.product(range(2), repeat=len(free)):
+            rows = [[int(c == p) for c in range(4)] for p in pivots]
+            for (i, c), v in zip(free, vals):
+                rows[i][c] = v
+            rows = tuple(tuple(r) for r in rows)
+            if rows in lagrangians:
+                continue
+            elems = sp.span_k(rows)
+            assert any(sp.omega(v, w) for v in elems for w in elems)
+            for alpha in ({v: 0 for v in elems},
+                          {v: sp.beta(v, v) for v in elems},
+                          {v: R.one if any(v) else 0 for v in elems}):
+                mine, ref = _verdicts(sp, rows, alpha)
+                assert mine == "subspace is not isotropic"
+                verdicts[ref] += 1
+    assert verdicts == {"subspace is not isotropic": 36,
+                        "alpha does not polarize beta": 24}
+    e1_f1 = ((1, 0, 0, 0), (0, 0, 1, 0))
+    assert _verdicts(sp, e1_f1, {v: 0 for v in sp.span_k(e1_f1)}) == (
+        ("subspace is not isotropic",) * 2)
+
+
+def test_beta_is_twice_bt_of_the_lifts():
+    """beta, read from its residue table, equals 2 * bt of the
+    {0,1}-coordinate lifts on every pair, and is biadditive: additive in
+    each argument along every F2-generator of V, which gives additivity on
+    all of V by induction."""
+    for d, n in ((1, 2), (2, 1), (2, 2)):
+        sp = SympSpace(ring(d), n)
+        R = sp.R
+        vecs = list(sp.all_vectors_k())
+        gens = [tuple((1 << a) * (j == i) for j in range(sp.dim))
+                for i in range(sp.dim) for a in range(d)]
+        beta = {(v, w): sp.beta(v, w) for v in vecs for w in vecs}
+        for (v, w), b in beta.items():
+            assert b == R.mul(R.two, sp.bt(sp.lift_vec(v), sp.lift_vec(w)))
+        add = R.add
+        for g in gens:
+            for v in vecs:
+                vg = tuple(a ^ b for a, b in zip(v, g))
+                assert all(beta[vg, w] == add(beta[v, w], beta[g, w])
+                           and beta[w, vg] == add(beta[w, v], beta[w, g])
+                           for w in vecs)
 
 
 def test_enhance_from_lift_canonical():
@@ -458,10 +577,24 @@ def _lagrangians_by_echelon_filter(sp):
     return tuple(sorted(found))
 
 
-@pytest.mark.parametrize("d,n", [(1, 1), (2, 1), (3, 1), (1, 2), (1, 3)])
+@pytest.mark.parametrize("d,n", [
+    (1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (2, 2), (1, 3),
+])
 def test_backtracking_lagrangians_match_echelon_filter(d, n):
+    """The packed-mask pruning against the plain filter, with d > 1 and
+    n > 1 together at d2n2 and the largest field at d4n1."""
     sp = SympSpace(ring(d), n)
     assert sp.enumerate_lagrangians() == _lagrangians_by_echelon_filter(sp)
+
+
+def test_lagrangian_count_guard_raises():
+    """A field multiplication that returns 0 makes every functional mask
+    zero, so all 35 echelon patterns at d1n2 pass the pruning; the count
+    guard refuses the result."""
+    R = GaloisRing(1)
+    R.field_mul = lambda x, y: 0
+    with pytest.raises(RuntimeError, match="^35 Lagrangians, expected 15$"):
+        SympSpace(R, 2).enumerate_lagrangians()
 
 
 @pytest.mark.parametrize("d,n", [(1, 1), (2, 1), (1, 2), (2, 2), (1, 4)])
