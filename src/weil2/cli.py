@@ -18,7 +18,7 @@ from . import verify, witt
 from .cyclotomic import Cyc8
 from .galois import MAX_D, ring
 from .heisenberg import enumerate_asp, enumerate_sp_R
-from .models import formula_scalar
+from .models import CharacterSum, formula_scalar
 from .symplectic import SympSpace, check_sweep, enumerate_enhanced
 from .weil import SplitWeilRepresentation, WeilRepresentation, lambda_root, mu_root
 from .transport import splitting_transport, trivialization_transport
@@ -105,8 +105,8 @@ def cmd_witt(args):
 
 def _cocycle_rows(d, n, mode, sample_count, seed):
     """The cocycle table as (repr N, repr M, repr L, C) rows; an exhaustive
-    sweep computes each enhanced Lagrangian's repr and each subspace
-    triple's character-sum terms once."""
+    sweep computes each enhanced Lagrangian's repr once, and packs it once
+    per subspace triple into that triple's CharacterSum."""
     if mode == "exhaustive":
         check_sweep(d, n)
     R = ring(d)
@@ -117,12 +117,15 @@ def _cocycle_rows(d, n, mode, sample_count, seed):
         enh = {s: [(e, repr(e.key())) for e in sp.enumerate_enhancements(s)]
                for s in subs}
         for (rN, rM, rL) in verify._transversal_triples(sp, subs):
-            terms = sp.r_terms(rM, rN, rL)
+            k = CharacterSum(sp, rM, rN, rL)
+            packs_M = [(kM, k.pack_M(eM)) for eM, kM in enh[rM]]
+            packs_L = [(kL, k.pack_L(eL)) for eL, kL in enh[rL]]
             for eN, kN in enh[rN]:
-                for eM, kM in enh[rM]:
-                    for eL, kL in enh[rL]:
-                        rows.append((kN, kM, kL,
-                                     formula_scalar(sp, eN, eM, eL, terms)))
+                pN = k.pack_N(eN)
+                for kM, pM in packs_M:
+                    pNM = pN + pM
+                    for kL, pL in packs_L:
+                        rows.append((kN, kM, kL, k.value(pNM + pL)))
     else:
         rng = random.Random(seed)
         for _ in range(sample_count):

@@ -331,22 +331,74 @@ def composition_scalar(space, eN, eM, eL):
     return c
 
 
-def formula_scalar(space, eN, eM, eL, terms=None):
+def formula_scalar(space, eN, eM, eL):
     """Route 2: the quadratic character sum
     C = sum_{m in M} psi(alpha_M(m) + alpha_N(r(m)) - alpha_L(m - r(m))
                          - beta(m, r(m))),
-    with r the projection onto N along L.  Everything but the three alphas
-    depends on the subspaces alone: terms is space.r_terms of (M, N, L),
-    read here when the caller does not pass it."""
-    R = space.R
-    add, sub, psi_exp = R.add, R.sub, R.psi_exp
-    aM, aN, aL = eM._amap, eN._amap, eL._amap
-    if terms is None:
-        terms = space.r_terms(eM.rows, eN.rows, eL.rows)
-    tally = [0, 0, 0, 0]
-    for m, rm, lm, b in terms:
-        tally[psi_exp(sub(sub(add(aM[m], aN[rm]), aL[lm]), b))] += 1
-    return _gaussian_scalar(tally[0] - tally[2], tally[1] - tally[3])
+    with r the projection onto N along L, through the CharacterSum of the
+    subspace triple."""
+    k = CharacterSum(space, eM.rows, eN.rows, eL.rows)
+    return k.value(k.pack_N(eN) + k.pack_M(eM) + k.pack_L(eL))
+
+
+class CharacterSum:
+    """Route 2 over one subspace triple (M, N, L), with the enhancements as
+    packed Z/4 digit vectors.
+
+    psi is an additive character, so the psi-exponent of the term at m_j
+    (the j-th element of M in span_k order, as in space.r_terms) is a sum
+    mod 4 of three digits, one per enhancement:
+        eM: psi_exp(alpha_M(m_j)) - psi_exp(beta(m_j, r(m_j)))
+        eN: psi_exp(alpha_N(r(m_j)))
+        eL: -psi_exp(alpha_L(m_j - r(m_j)))
+    Each pack_* reduces its digits mod 4 and puts digit j in bits 4j..4j+3
+    of one int.  The sum of one pack of each kind holds at most 9 < 16 per
+    field, so no carry crosses a field, and bits 0 and 1 of field j are the
+    term's exponent mod 4; `value` counts the exponents by popcount.  A
+    sweep packs each enhancement once per subspace triple and pays two int
+    additions and one `value` per enhanced triple."""
+
+    __slots__ = ("size", "_rows", "_m", "_n", "_l", "_ones", "_psi_exp")
+
+    def __init__(self, space, M_rows, N_rows, L_rows):
+        terms = space.r_terms(M_rows, N_rows, L_rows)
+        self._rows = (tuple(M_rows), tuple(N_rows), tuple(L_rows))
+        self.size = len(terms)
+        self._psi_exp = psi_exp = space.R.psi_exp
+        shifts = range(0, 4 * self.size, 4)
+        self._m = tuple((m, psi_exp(b), s)
+                        for (m, _, _, b), s in zip(terms, shifts))
+        self._n = tuple((rm, s) for (_, rm, _, _), s in zip(terms, shifts))
+        self._l = tuple((lm, s) for (_, _, lm, _), s in zip(terms, shifts))
+        # bit 0 of every field
+        self._ones = sum(1 << s for s in shifts)
+
+    def _alpha(self, e, i, name):
+        if e.rows != self._rows[i]:
+            raise ValueError(f"enhancement is not over {name}")
+        return e._amap
+
+    def pack_M(self, eM):
+        a, psi_exp = self._alpha(eM, 0, "M"), self._psi_exp
+        return sum(((psi_exp(a[m]) - b) % 4) << s for m, b, s in self._m)
+
+    def pack_N(self, eN):
+        a, psi_exp = self._alpha(eN, 1, "N"), self._psi_exp
+        return sum(psi_exp(a[rm]) << s for rm, s in self._n)
+
+    def pack_L(self, eL):
+        a, psi_exp = self._alpha(eL, 2, "L"), self._psi_exp
+        return sum((-psi_exp(a[lm]) % 4) << s for lm, s in self._l)
+
+    def value(self, packed):
+        """C for a sum of one pack of each kind.  With lo and hi the bits 0
+        and 1 of the fields, n1 + n3 = |lo|, n2 + n3 = |hi| and
+        n3 = |lo & hi|, where n_e counts the terms with exponent e, and
+        C = (n0 - n2) + i (n1 - n3)."""
+        lo = packed & self._ones
+        hi = (packed >> 1) & self._ones
+        a, b, c = lo.bit_count(), hi.bit_count(), (lo & hi).bit_count()
+        return _gaussian_scalar(self.size - a - 2 * b + 2 * c, a - 2 * c)
 
 
 @functools.cache

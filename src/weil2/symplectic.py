@@ -309,15 +309,15 @@ class SympSpace:
         return basis
 
     def _dual_family(self, basis):
-        """Vectors c_j with omt(b_i, c_j) = delta_ij (no isotropy demanded)."""
+        """Vectors c_j with omt(b_i, c_j) = delta_ij (no isotropy demanded),
+        from one elimination with the unit vectors as right-hand sides."""
         R, n = self.R, self.n
-        rows = []
-        for bvec in basis:
-            rows.append(tuple(R.neg(x) for x in bvec[n:]) + tuple(bvec[:n]))
-        duals = []
-        for j in range(len(basis)):
-            target = tuple(R.one if i == j else 0 for i in range(len(basis)))
-            duals.append(linalg.solve_ring(R, tuple(rows), target))
+        rows = [tuple(R.neg(x) for x in b[n:]) + tuple(b[:n]) for b in basis]
+        units = [tuple(R.one if i == j else 0 for i in range(len(basis)))
+                 for j in range(len(basis))]
+        duals = linalg.solve_many(linalg.ring_ops(R), rows, units)
+        if duals is None:
+            raise ValueError("inconsistent or non-unit-pivot system")
         return duals
 
     def _lift_frame(self, rows):

@@ -17,10 +17,10 @@ from weil2.galois import ring
 from weil2.heisenberg import all_h_elements, h_mul
 from weil2.cyclotomic import sqrt2_pow
 from weil2.models import (
-    Model, ZiMatrix, composition_scalar, formula_scalar, gauss_scalar,
-    intertwiner_matrix, monomial_exponents, standard_model,
+    CharacterSum, Model, ZiMatrix, composition_scalar, formula_scalar,
+    gauss_scalar, intertwiner_matrix, monomial_exponents, standard_model,
 )
-from weil2.symplectic import SympSpace, enumerate_enhanced
+from weil2.symplectic import EnhancedLagrangian, SympSpace, enumerate_enhanced
 
 MINUS_FOUR = Cyc8.from_rational(-4)
 
@@ -222,10 +222,10 @@ def _formula_reference(sp, eN, eM, eL):
 
 def test_formula_scalar_terms_once_per_subspace_triple():
     """All 30,720 enhanced triples at d1n2 against the term-by-term sum,
-    with the terms read inside formula_scalar and passed by the caller; both
-    give the same shared Cyc8.  The subspace terms are computed once per
-    subspace triple: 480 entries, and beta runs once per element of M of
-    each (4 * 480 times)."""
+    from one CharacterSum per subspace triple with each enhancement packed
+    once, and through formula_scalar; both give the same shared Cyc8.  The
+    subspace terms are computed once per subspace triple: 480 entries, and
+    beta runs once per element of M of each (4 * 480 times)."""
     from weil2.verify import _transversal_triples
 
     sp = SympSpace(ring(1), 2)
@@ -243,13 +243,16 @@ def test_formula_scalar_terms_once_per_subspace_triple():
     sp.beta = counted_beta
     count = 0
     for rN, rM, rL in _transversal_triples(sp, subs):
-        terms = sp.r_terms(rM, rN, rL)
+        k = CharacterSum(sp, rM, rN, rL)
+        packs_M = [(eM, k.pack_M(eM)) for eM in enh[rM]]
+        packs_L = [(eL, k.pack_L(eL)) for eL in enh[rL]]
         for eN in enh[rN]:
-            for eM in enh[rM]:
-                for eL in enh[rL]:
-                    c = formula_scalar(sp, eN, eM, eL)
+            pN = k.pack_N(eN)
+            for eM, pM in packs_M:
+                for eL, pL in packs_L:
+                    c = k.value(pN + pM + pL)
                     assert c == _formula_reference(ref, eN, eM, eL)
-                    assert formula_scalar(sp, eN, eM, eL, terms) is c
+                    assert formula_scalar(sp, eN, eM, eL) is c
                     count += 1
     assert count == 30720
     assert len(sp._r_maps) == 480
@@ -258,6 +261,80 @@ def test_formula_scalar_terms_once_per_subspace_triple():
         assert sp.r_terms(M, N, L) is terms
         assert [t[:2] for t in terms] == list(r.items())
         assert [t[0] for t in terms] == list(sp.span_k(M))
+
+
+def _seeded_subspace_triples(sp, count, seed):
+    from weil2.verify import _sample_transversal_triple
+
+    rng = random.Random(seed)
+    subs = sp.enumerate_lagrangians()
+    return [_sample_transversal_triple(sp, subs, rng) for _ in range(count)]
+
+
+@pytest.mark.parametrize("d,n,per_subspace", [(1, 4, None), (4, 1, 16)])
+def test_character_sum_widest_digit_vectors(d, n, per_subspace):
+    """|M| = 16 elements, the widest packs any route builds (64-bit ints,
+    16 fields), against the term-by-term sum above two seeded subspace
+    triples: at d1n4 every one of the 16^3 enhanced triples; at d4n1, where
+    each subspace has 2^16 enhancements, the 16^3 triples of 16 seeded
+    random enhancements per subspace."""
+    sp = SympSpace(ring(d), n)
+    ref = SympSpace(ring(d), n)
+    rng = random.Random(5)
+    count = 0
+    for rN, rM, rL in _seeded_subspace_triples(sp, 2, seed=7):
+        k = CharacterSum(sp, rM, rN, rL)
+        assert k.size == 16
+        if per_subspace is None:
+            enh = {r: sp.enumerate_enhancements(r) for r in (rN, rM, rL)}
+        else:
+            enh = {r: [sp.random_enhancement(sp.random_lift(r, rng), rng)
+                       for _ in range(per_subspace)] for r in (rN, rM, rL)}
+        assert all(len(es) == 16 for es in enh.values())
+        for eN in enh[rN]:
+            pN = k.pack_N(eN)
+            for eM in enh[rM]:
+                pM = k.pack_M(eM)
+                for eL in enh[rL]:
+                    c = k.value(pN + pM + k.pack_L(eL))
+                    assert c == _formula_reference(ref, eN, eM, eL)
+                    count += 1
+    assert count == 2 * 16 ** 3
+
+
+@pytest.mark.parametrize("d,n", [(1, 2), (2, 1), (1, 4), (4, 1)])
+def test_character_sum_tracks_a_tampered_alpha(d, n):
+    """alpha_L(l) + x at each l of L in turn (no longer an enhancement), for
+    x = 1 and for an x of trace 1: m -> m - r(m) maps M onto L one to one,
+    so exactly one term turns by i^-tr(x), and C changes exactly when
+    tr(x) != 0 mod 4 (tr(1) = d).  The packed sum and the term-by-term sum
+    change C identically.  An enhancement over the wrong subspace is
+    refused."""
+    sp = SympSpace(ring(d), n)
+    R = sp.R
+    rN, rM, rL = _seeded_subspace_triples(sp, 1, seed=11)[0]
+    k = CharacterSum(sp, rM, rN, rL)
+    rng = random.Random(3)
+    eN, eM, eL = (sp.random_enhancement(sp.random_lift(r, rng), rng)
+                  for r in (rN, rM, rL))
+    pNM = k.pack_N(eN) + k.pack_M(eM)
+    c = k.value(pNM + k.pack_L(eL))
+    assert c == _formula_reference(sp, eN, eM, eL)
+    trace_one = next(x for x in range(R.size) if R.psi_exp(x) == 1)
+    changed = 0
+    for x in (R.one, trace_one):
+        for l in eL.elements:
+            amap = dict(eL._amap)
+            amap[l] = R.add(amap[l], x)
+            bad = EnhancedLagrangian(sp, eL.rows, amap, validate=False)
+            got = k.value(pNM + k.pack_L(bad))
+            assert got == _formula_reference(sp, eN, eM, bad)
+            assert (got != c) == (R.psi_exp(x) != 0)
+            changed += got != c
+    assert changed == len(eL.elements) * (1 + (d % 4 != 0))
+    for pack, wrong in ((k.pack_M, eL), (k.pack_N, eM), (k.pack_L, eN)):
+        with pytest.raises(ValueError, match="enhancement is not over"):
+            pack(wrong)
 
 
 @pytest.mark.parametrize("d,n,stride,pairs", [

@@ -1,6 +1,7 @@
 import pytest
 
 from weil2 import verify
+from weil2.cyclotomic import I, ONE
 from weil2.galois import ring
 from weil2.heisenberg import all_h_elements, asp_mul, enumerate_asp, enumerate_sp_R
 from weil2.symplectic import SympSpace
@@ -27,6 +28,33 @@ def test_run_suite_rejects_unknown_name():
 def test_exhaustive_triple_sweep_cap():
     with pytest.raises(ValueError):
         verify.cocycle_checks_exhaustive(3, 2)
+
+
+def test_exhaustive_sweeps_count_each_wrong_value(monkeypatch):
+    """Both d1n1 sweeps read C off the CharacterSum of each subspace triple:
+    one wrong value (1, whose fourth power is not -4) is one fourth-power
+    failure; every value turned by i keeps every fourth power and breaks
+    every oriented identity."""
+    plain = verify.CharacterSum.value
+    calls = 0
+
+    def first_wrong(self, packed):
+        nonlocal calls
+        calls += 1
+        return ONE if calls == 1 else plain(self, packed)
+
+    monkeypatch.setattr(verify.CharacterSum, "value", first_wrong)
+    pow_check, or_check = verify.cocycle_checks_exhaustive(1, 1)
+    assert (pow_check.passed, or_check.passed) == (False, True)
+    assert pow_check.detail.endswith("on 48 enhanced triples, 1 failures")
+    assert calls == 96
+
+    monkeypatch.setattr(verify.CharacterSum, "value",
+                        lambda self, packed: plain(self, packed) * I)
+    pow_check, or_check = verify.cocycle_checks_exhaustive(1, 1)
+    assert (pow_check.passed, or_check.passed) == (True, False)
+    assert or_check.detail.endswith(
+        "on 48 canonical lift triples, 48 failures")
 
 
 def test_sampled_checks_are_reproducible():
