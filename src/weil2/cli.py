@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import random
 import sys
@@ -105,8 +106,8 @@ def cmd_witt(args):
 
 def _cocycle_rows(d, n, mode, sample_count, seed):
     """The cocycle table as (repr N, repr M, repr L, C) rows; an exhaustive
-    sweep computes each enhanced Lagrangian's repr once, and packs it once
-    per subspace triple into that triple's CharacterSum."""
+    sweep computes each enhanced Lagrangian's repr once, and reads C off
+    the CharacterSum of each subspace triple."""
     if mode == "exhaustive":
         check_sweep(d, n)
     R = ring(d)
@@ -114,23 +115,17 @@ def _cocycle_rows(d, n, mode, sample_count, seed):
     subs = sp.enumerate_lagrangians()
     rows = []
     if mode == "exhaustive":
-        enh = {s: [(e, repr(e.key())) for e in sp.enumerate_enhancements(s)]
-               for s in subs}
-        for (rN, rM, rL) in verify._transversal_triples(sp, subs):
-            k = CharacterSum(sp, rM, rN, rL)
-            packs_M = [(kM, k.pack_M(eM)) for eM, kM in enh[rM]]
-            packs_L = [(kL, k.pack_L(eL)) for eL, kL in enh[rL]]
-            for eN, kN in enh[rN]:
-                pN = k.pack_N(eN)
-                for kM, pM in packs_M:
-                    pNM = pN + pM
-                    for kL, pL in packs_L:
-                        rows.append((kN, kM, kL, k.value(pNM + pL)))
+        enh = {s: sp.enumerate_enhancements(s) for s in subs}
+        keys = {s: [repr(e.key()) for e in enh[s]] for s in subs}
+        for (rN, rM, rL) in sp.transversal_triples(subs):
+            cs = CharacterSum(sp, rM, rN, rL).values(enh[rN], enh[rM], enh[rL])
+            rows.extend((kN, kM, kL, c) for (kN, kM, kL), c in zip(
+                itertools.product(keys[rN], keys[rM], keys[rL]), cs))
     else:
         rng = random.Random(seed)
         for _ in range(sample_count):
             eN, eM, eL = (sp.random_enhancement(sp.random_lift(r, rng), rng)
-                          for r in verify._sample_transversal_triple(sp, subs, rng))
+                          for r in sp.sample_transversal_triple(subs, rng))
             rows.append((repr(eN.key()), repr(eM.key()), repr(eL.key()),
                          formula_scalar(sp, eN, eM, eL)))
     return rows

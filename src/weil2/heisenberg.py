@@ -262,17 +262,8 @@ def symplectic_lift_matrix(space, g):
     symplectic Gram-Schmidt over R.  All correction coefficients live in 2R,
     so the residue never moves."""
     R, n = space.R, space.n
-    b = [space.lift_vec(tuple(g[i])) for i in range(n)]
+    b = space.make_isotropic([space.lift_vec(tuple(g[i])) for i in range(n)])
     c = [space.lift_vec(tuple(g[n + i])) for i in range(n)]
-    # make the b-block isotropic against an exact dual family
-    duals = space._dual_family(b)
-    for i in range(n):
-        corr = b[i]
-        for j in range(i + 1, n):
-            w = space.omt(b[i], b[j])
-            if w:
-                corr = linalg.vec_add(R, corr, linalg.vec_scale(R, w, duals[j]))
-        b[i] = corr
     # restore the exact b-c pairing: subtract the 2-torsion defects along
     # fresh duals of the corrected b's
     duals = space._dual_family(b)

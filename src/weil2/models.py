@@ -354,9 +354,10 @@ class CharacterSum:
     Each pack_* reduces its digits mod 4 and puts digit j in bits 4j..4j+3
     of one int.  The sum of one pack of each kind holds at most 9 < 16 per
     field, so no carry crosses a field, and bits 0 and 1 of field j are the
-    term's exponent mod 4; `value` counts the exponents by popcount.  A
-    sweep packs each enhancement once per subspace triple and pays two int
-    additions and one `value` per enhanced triple."""
+    term's exponent mod 4; `value` counts the exponents by popcount.
+    `values` sweeps enhanced triples over the subspace triple: it packs
+    each enhancement once and pays two int additions and one `value` per
+    enhanced triple."""
 
     __slots__ = ("size", "_rows", "_m", "_n", "_l", "_ones", "_psi_exp")
 
@@ -399,6 +400,19 @@ class CharacterSum:
         hi = (packed >> 1) & self._ones
         a, b, c = lo.bit_count(), hi.bit_count(), (lo & hi).bit_count()
         return _gaussian_scalar(self.size - a - 2 * b + 2 * c, a - 2 * c)
+
+    def values(self, eNs, eMs, eLs):
+        """C for every (eN, eM, eL) of the three enhancement lists, in
+        itertools.product order; each enhancement is packed once."""
+        value = self.value
+        packs_M = [self.pack_M(eM) for eM in eMs]
+        packs_L = [self.pack_L(eL) for eL in eLs]
+        for eN in eNs:
+            pN = self.pack_N(eN)
+            for pM in packs_M:
+                pNM = pN + pM
+                for pL in packs_L:
+                    yield value(pNM + pL)
 
 
 @functools.cache

@@ -229,6 +229,28 @@ class SympSpace:
                 linalg.rank_field(self.R, key[0] + key[1]) == self.dim)
         return ok
 
+    def transversal_triples(self, subs):
+        """Every (a, b, c) in subs^3 whose three pairs are transversal, in
+        itertools.product order."""
+        out = []
+        for a in subs:
+            for b in subs:
+                if not self.transversal_k(a, b):
+                    continue
+                for c in subs:
+                    if self.transversal_k(a, c) and self.transversal_k(b, c):
+                        out.append((a, b, c))
+        return out
+
+    def sample_transversal_triple(self, subs, rng):
+        """Draw triples of subs uniformly (three rng.choice calls each) until
+        one is pairwise transversal."""
+        while True:
+            a, b, c = (rng.choice(subs) for _ in range(3))
+            if (self.transversal_k(a, b) and self.transversal_k(b, c)
+                    and self.transversal_k(a, c)):
+                return a, b, c
+
     def transversal_R(self, basis1, basis2):
         # Nakayama: a pair of free submodules is transversal over R iff the
         # reductions are transversal over k.
@@ -293,20 +315,28 @@ class SympSpace:
         """One free isotropic lift of the subspace spanned by `rows`:
         {0,1}-lift the basis, then cancel the 2R-valued pairing defects
         against an exact dual family."""
-        R, n = self.R, self.n
-        b = [self.lift_vec(r) for r in rows]
-        duals = self._dual_family(b)
-        for i in range(len(b)):
-            corr = b[i]
-            for j in range(i + 1, len(b)):
-                w = self.omt(b[i], b[j])
-                if w:
-                    corr = linalg.vec_add(R, corr, linalg.vec_scale(R, w, duals[j]))
-            b[i] = corr
+        b = self.make_isotropic([self.lift_vec(r) for r in rows])
         if any(self.omt(bi, bj) for bi in b for bj in b):
             raise RuntimeError("lift correction failed")
-        basis, _ = linalg.rref_ring(R, b)
+        basis, _ = linalg.rref_ring(self.R, b)
         return basis
+
+    def make_isotropic(self, b):
+        """b_i + sum_{j > i} omt(b_i, b_j) c_j for each i, with c an exact
+        dual family of b.  When b reduces to an isotropic family, every
+        omt(b_i, b_j) lies in 2R, whose products vanish, so the corrected
+        family is isotropic and has the same reduction."""
+        R = self.R
+        duals = self._dual_family(b)
+        out = []
+        for i, bi in enumerate(b):
+            corr = bi
+            for j in range(i + 1, len(b)):
+                w = self.omt(bi, b[j])
+                if w:
+                    corr = linalg.vec_add(R, corr, linalg.vec_scale(R, w, duals[j]))
+            out.append(corr)
+        return out
 
     def _dual_family(self, basis):
         """Vectors c_j with omt(b_i, c_j) = delta_ij (no isotropy demanded),

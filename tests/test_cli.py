@@ -346,6 +346,27 @@ def test_verify_sampled_d1n4_json_golden(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == D1N4_SAMPLED_SHA256
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (("verify", "--suite", "all", "--d", "2", "--n", "2", "--mode", "sampled",
+      "--sample-count", "40", "--seed", "7", "--format", "json"),
+     "23600b5651e6cb2321adc7a0605913af62e7c437c7de44edb9bc1df78dfebd04"),
+    (("verify", "--suite", "trivialization", "--format", "json"),
+     "ac925595591f921f80c800722eff09a6a1c5eaca4815e516214e80010ce1ea11"),
+    (("verify", "--suite", "witt", "--format", "json"),
+     "4021bad769ad0ff1769f0f10ee96bcac60724d6495acb7721cd591c0957f11bb"),
+    # three checks, the fourth-power sweep reported once
+    (("verify", "--suite", "cocycle", "--d", "1", "--n", "1", "--format", "json"),
+     "ba3b0d9c0d52262edd76e5fa34cafaba8cfa532a82b5d293e906dcb1784c53cd"),
+], ids=["all-d2n2-sampled", "trivialization", "witt", "cocycle-d1n1"])
+def test_verify_json_golden(capsys, argv, digest):
+    """The acceptance gate's determinism report (criterion 10) and the
+    default trivialization, witt and d1n1 cocycle reports, pinned by their
+    hashes."""
+    rc, out = run_cli(capsys, *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_sampled_d1n4_json_golden_under_optimize():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))

@@ -226,8 +226,6 @@ def test_formula_scalar_terms_once_per_subspace_triple():
     once, and through formula_scalar; both give the same shared Cyc8.  The
     subspace terms are computed once per subspace triple: 480 entries, and
     beta runs once per element of M of each (4 * 480 times)."""
-    from weil2.verify import _transversal_triples
-
     sp = SympSpace(ring(1), 2)
     ref = SympSpace(ring(1), 2)
     subs = sp.enumerate_lagrangians()
@@ -242,18 +240,14 @@ def test_formula_scalar_terms_once_per_subspace_triple():
 
     sp.beta = counted_beta
     count = 0
-    for rN, rM, rL in _transversal_triples(sp, subs):
+    for rN, rM, rL in sp.transversal_triples(subs):
         k = CharacterSum(sp, rM, rN, rL)
-        packs_M = [(eM, k.pack_M(eM)) for eM in enh[rM]]
-        packs_L = [(eL, k.pack_L(eL)) for eL in enh[rL]]
-        for eN in enh[rN]:
-            pN = k.pack_N(eN)
-            for eM, pM in packs_M:
-                for eL, pL in packs_L:
-                    c = k.value(pN + pM + pL)
-                    assert c == _formula_reference(ref, eN, eM, eL)
-                    assert formula_scalar(sp, eN, eM, eL) is c
-                    count += 1
+        fibres = (enh[rN], enh[rM], enh[rL])
+        for (eN, eM, eL), c in zip(itertools.product(*fibres),
+                                   k.values(*fibres), strict=True):
+            assert c == _formula_reference(ref, eN, eM, eL)
+            assert formula_scalar(sp, eN, eM, eL) is c
+            count += 1
     assert count == 30720
     assert len(sp._r_maps) == 480
     assert beta_calls == 4 * 480
@@ -264,11 +258,9 @@ def test_formula_scalar_terms_once_per_subspace_triple():
 
 
 def _seeded_subspace_triples(sp, count, seed):
-    from weil2.verify import _sample_transversal_triple
-
     rng = random.Random(seed)
     subs = sp.enumerate_lagrangians()
-    return [_sample_transversal_triple(sp, subs, rng) for _ in range(count)]
+    return [sp.sample_transversal_triple(subs, rng) for _ in range(count)]
 
 
 @pytest.mark.parametrize("d,n,per_subspace", [(1, 4, None), (4, 1, 16)])

@@ -698,11 +698,9 @@ def test_enhanced_lagrangian_invariants_survive_optimize():
     (1, 1, 6), (2, 1, 60), (1, 2, 480), (3, 1, 504), (1, 3, 241920),
 ])
 def test_transversal_triple_count_formula(d, n, triples):
-    from weil2.verify import _transversal_triples
-
     assert transversal_triple_count(2 ** d, n) == triples
     sp = SympSpace(ring(d), n)
-    assert len(_transversal_triples(sp, sp.enumerate_lagrangians())) == triples
+    assert len(sp.transversal_triples(sp.enumerate_lagrangians())) == triples
 
 
 @pytest.mark.parametrize("d,n", [(1, 1), (2, 1), (1, 2)])

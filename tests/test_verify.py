@@ -1,10 +1,11 @@
 import pytest
 
-from weil2 import verify
+from weil2 import linalg, verify
+from weil2.cli import main as cli_main
 from weil2.cyclotomic import I, ONE
 from weil2.galois import ring
 from weil2.heisenberg import all_h_elements, asp_mul, enumerate_asp, enumerate_sp_R
-from weil2.symplectic import SympSpace
+from weil2.symplectic import SympSpace, enumerate_enhanced
 from weil2.weil import SplitWeilRepresentation, WeilRepresentation
 
 
@@ -198,3 +199,82 @@ def test_egorov_fails_on_a_right_translated_operator():
     check = verify.egorov_check(_RightTranslated(W, asp[9], h0), asp, pi)
     assert check.name == "weil.egorov"
     assert not check.passed
+
+
+def test_check_passes_only_when_it_saw_a_case_and_none_failed():
+    assert verify.Check("x", 0, 0).passed is False
+    assert verify.Check("x", 3, 1).passed is False
+    assert verify.Check("x", 3, 0).passed is True
+    assert verify._count([True, False, True]) == (3, 1)
+    assert verify._count(iter(())) == (0, 0)
+
+
+def test_cocycle_checks_fail_when_no_triple_is_visited(monkeypatch, capsys):
+    monkeypatch.setattr(SympSpace, "transversal_triples", lambda self, subs: [])
+    small = verify.cocycle_checks_small()
+    exhaustive = verify.cocycle_checks_exhaustive(1, 1)
+    for c in small + exhaustive:
+        assert (c.total, c.failures, c.passed) == (0, 0, False), c.name
+    assert cli_main(["verify", "--suite", "cocycle", "--d", "1", "--n", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL cocycle.fourth-power.d1n1" in out
+
+
+@pytest.mark.parametrize("suite,d,n", [
+    ("cocycle", 1, 1), ("weil", None, None), ("trivialization", None, None),
+    ("witt", None, None),
+])
+def test_check_names_do_not_repeat(suite, d, n):
+    names = [c.name for c in verify.run_suite(suite, d, n)]
+    assert names and len(set(names)) == len(names)
+
+
+def test_cocycle_d1n1_reports_each_check_once():
+    names = [c.name for c in verify.suite_cocycle(1, 1)]
+    assert names == ["cocycle.three-route.d1n1", "cocycle.fourth-power.d1n1",
+                     "cocycle.oriented-identity.d1n1"]
+
+
+def _nested_triples(sp, fibre):
+    """The transversal-triple x fibre walk as a four-deep loop nest."""
+    subs = sorted(fibre)
+    out = []
+    for a in subs:
+        for b in subs:
+            if not sp.transversal_k(a, b):
+                continue
+            for c in subs:
+                if not (sp.transversal_k(a, c) and sp.transversal_k(b, c)):
+                    continue
+                for x in fibre[a]:
+                    for y in fibre[b]:
+                        for z in fibre[c]:
+                            out.append((x, y, z))
+    return out
+
+
+def _oriented_by_reduction(sp):
+    """enumerate_oriented grouped by the RREF of each basis's reduction."""
+    by_rows = {}
+    for o in sp.enumerate_oriented():
+        red, _ = linalg.rref_field(sp.R, [sp.reduce_vec(b) for b in o.basis])
+        by_rows.setdefault(red, []).append(o)
+    return by_rows
+
+
+@pytest.mark.parametrize("d,n", [(1, 1), (1, 2)])
+def test_oriented_fibres_match_grouping_by_reduction(d, n):
+    sp = SympSpace(ring(d), n)
+    assert verify._oriented_by_rows(sp) == _oriented_by_reduction(sp)
+
+
+def test_fibred_walk_matches_the_loop_nest():
+    sp = SympSpace(ring(1), 1)
+    enhanced = {}
+    for e in enumerate_enhanced(sp):
+        enhanced.setdefault(e.rows, []).append(e)
+    # 6 subspace triples, with 2 enhancements or 4 oriented lifts each
+    for fibre, count in ((enhanced, 48), (verify._oriented_by_rows(sp), 384)):
+        walk = list(verify._fibred(sp, fibre))
+        assert walk == _nested_triples(sp, fibre)
+        assert len(walk) == count
