@@ -223,38 +223,25 @@ def _matrix_json(M):
 
 
 def cmd_weil_matrix(args):
-    R = ring(args.d)
-    sp = SympSpace(R, args.n)
+    sp = SympSpace(ring(args.d), args.n)
     if args.split:
-        S = SplitWeilRepresentation(sp)
-        group = enumerate_sp_R(sp)
-        if not 0 <= args.element < len(group):
-            print(f"element index out of range (0..{len(group) - 1})",
-                  file=sys.stderr)
-            return 2
-        g = group[args.element]
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "split", "d": args.d, "n": args.n,
-            "element_index": args.element,
-            "symplectic_matrix": [list(r) for r in g],
-            "matrix": _matrix_json(S.operator(g)),
-        }
+        rep, group = SplitWeilRepresentation(sp), enumerate_sp_R(sp)
     else:
-        W = WeilRepresentation(sp)
-        group = enumerate_asp(sp)
-        if not 0 <= args.element < len(group):
-            print(f"element index out of range (0..{len(group) - 1})",
-                  file=sys.stderr)
-            return 2
-        a = group[args.element]
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "enhanced", "d": args.d, "n": args.n,
-            "element_index": args.element,
-            "residue_matrix": [list(r) for r in a.g],
-            "matrix": _matrix_json(W.operator(a)),
-        }
+        rep, group = WeilRepresentation(sp), enumerate_asp(sp)
+    if not 0 <= args.element < len(group):
+        print(f"element index out of range (0..{len(group) - 1})",
+              file=sys.stderr)
+        return 2
+    x = group[args.element]
+    kind, label, rows = (("split", "symplectic_matrix", x) if args.split
+                         else ("enhanced", "residue_matrix", x.g))
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "kind": kind, "d": args.d, "n": args.n,
+        "element_index": args.element,
+        label: [list(r) for r in rows],
+        "matrix": _matrix_json(rep.operator(x)),
+    }
     _print(args.out, json.dumps(payload, indent=2) + "\n")
     return 0
 
@@ -357,15 +344,19 @@ def build_parser():
                     "Galois rings of characteristic 4.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(q, d_default=1, n_default=1):
-        q.add_argument("--d", type=DEGREE, default=d_default,
+    def add_shape(q, default=1):
+        q.add_argument("--d", type=DEGREE, default=default,
                        help="Galois ring degree (1..4)")
-        q.add_argument("--n", type=POSITIVE, default=n_default,
+        q.add_argument("--n", type=POSITIVE, default=default,
                        help="number of hyperbolic pairs")
-        q.add_argument("--seed", type=int, default=0)
-        q.add_argument("--mode", choices=("exhaustive", "sampled"), default=None)
-        q.add_argument("--sample-count", type=POSITIVE, default=200)
         q.add_argument("--out", default=None, help="write output to a file")
+
+    def add_sampling(q, mode=True):
+        q.add_argument("--seed", type=int, default=0)
+        if mode:
+            q.add_argument("--mode", choices=("exhaustive", "sampled"),
+                           default=None)
+        q.add_argument("--sample-count", type=POSITIVE, default=200)
 
     q = sub.add_parser("ring-info", help="Galois ring parameters")
     q.add_argument("--d", type=DEGREE, required=True)
@@ -380,31 +371,29 @@ def build_parser():
     q.set_defaults(func=cmd_witt)
 
     q = sub.add_parser("cocycle-table", help="tabulate intertwiner cocycle values")
-    add_common(q)
+    add_shape(q)
+    add_sampling(q)
     q.add_argument("--format", choices=("csv", "json"), default="csv")
     q.set_defaults(func=cmd_cocycle_table)
 
     q = sub.add_parser("verify", help="run exact verification suites")
     q.add_argument("--suite", default="all",
                    choices=verify.SUITE_NAMES + ("all",))
-    q.add_argument("--d", type=DEGREE, default=None)
-    q.add_argument("--n", type=POSITIVE, default=None)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--mode", choices=("exhaustive", "sampled"), default=None)
-    q.add_argument("--sample-count", type=POSITIVE, default=200)
-    q.add_argument("--out", default=None)
+    add_shape(q, default=None)
+    add_sampling(q)
     q.add_argument("--format", choices=("text", "json"), default="text")
     q.set_defaults(func=cmd_verify)
 
     q = sub.add_parser("weil-matrix", help="print one Weil operator")
-    add_common(q)
+    add_shape(q)
     q.add_argument("--element", type=int, default=0)
     q.add_argument("--split", action="store_true",
                    help="use the sign-cocycle construction over Sp(Z/4)")
     q.set_defaults(func=cmd_weil_matrix)
 
     q = sub.add_parser("emit-corpus", help="write the regression corpus")
-    add_common(q)
+    add_shape(q)
+    add_sampling(q, mode=False)
     q.set_defaults(func=cmd_emit_corpus)
     return p
 

@@ -9,17 +9,19 @@ so the commutator of (v, 0) and (w, 0) is (0, om(v, w)) and the center is
     alpha(v1 + v2) - alpha(v1) - alpha(v2) = beta(g v1, g v2) - beta(v1, v2);
 it acts on H(V) by (v, z) -> (g v, z + alpha(v)).
 
-Sp(V) and Sp(Vt) come from one row-by-row builder, and ASp(V) from Sp(V);
-each enumeration is refused above MAX_GROUP elements predicted by
-group_order and checks its count against the same closed form.
+Sp(V) and Sp(Vt) come from one row-by-row builder, and ASp(V) from Sp(V).
+Each enumeration, H(V)'s included, is a Group: refused above MAX_GROUP
+elements predicted by group_order, checked against the same closed form,
+and carrying its product, positions and Cayley table.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 from . import linalg
-from .symplectic import EnhancedLagrangian, Twists, _check_cap, _refuse_above
+from .symplectic import EnhancedLagrangian, Twists, _refuse_above
 
 MAX_GROUP = 2 ** 16
 
@@ -54,10 +56,9 @@ def center_element(space, z):
 
 
 def all_h_elements(space):
-    _check_cap(space.R.d, space.n, "Heisenberg group enumeration")
-    for v in space.all_vectors_k():
-        for z in range(space.R.size):
-            yield (v, z)
+    """All of H(V), (v, z) in lexicographic order."""
+    return _enumerate_group(space, "H(V)", h_mul, itertools.product,
+                            space.all_vectors_k(), range(space.R.size))
 
 
 # -- ASp(V) ------------------------------------------------------------------
@@ -136,7 +137,7 @@ def asp_mul(space, a, b):
     """(g, alpha_g) (h, alpha_h) = (g h, alpha_g o h + alpha_h): apply b
     first, then a."""
     R = space.R
-    comp = tuple(a.apply_g(r) for r in b.g)
+    comp = _sp_k_mul(space, a.g, b.g)
     alpha = {
         v: R.add(a.alpha_of(b.apply_g(v)), b.alpha_of(v))
         for v in space.all_vectors_k()
@@ -154,28 +155,73 @@ def asp_inv(space, a):
 
 # -- symplectic groups and lifts ----------------------------------------------
 
+def _sp_k_mul(space, g, h):
+    """The product of Sp(V), and the g-part of asp_mul: the matrix with
+    rows h[i] g (h acts first)."""
+    return tuple(linalg.vec_mat_field(space.R, r, g) for r in h)
+
+
+def _sp_R_mul(space, g, h):
+    """The product of Sp(Vt) in the same convention: rows h[i] g."""
+    return tuple(apply_sp_R(space, g, r) for r in h)
+
+
 def group_order(space, group):
-    """The closed-form order of "Sp(V)", "Sp(Vt)" or "ASp(V)", q = 2^d:
-    |Sp_{2n}(F_q)| = q^{n^2} prod_{i<=n} (q^{2i} - 1); reduction
-    Sp(Vt) -> Sp(V) is onto with kernel 1 + 2 sp_{2n}(F_q), of order
-    q^{n(2n+1)}; ASp(V) is Sp(V) times the torsor Hom(V, 2R), of order
-    q^{2dn}."""
+    """The closed-form order of "H(V)", "Sp(V)", "Sp(Vt)" or "ASp(V)",
+    q = 2^d: |H(V)| = |V| |R| = q^{2n+2}; |Sp_{2n}(F_q)| =
+    q^{n^2} prod_{i<=n} (q^{2i} - 1); reduction Sp(Vt) -> Sp(V) is onto
+    with kernel 1 + 2 sp_{2n}(F_q), of order q^{n(2n+1)}; ASp(V) is Sp(V)
+    times the torsor Hom(V, 2R), of order q^{2dn}."""
     q, n = space.R.field_size, space.n
     sp = q ** (n * n) * math.prod(q ** (2 * i) - 1 for i in range(1, n + 1))
-    return {"Sp(V)": sp, "Sp(Vt)": sp * q ** (n * (2 * n + 1)),
+    return {"H(V)": q ** (2 * n + 2), "Sp(V)": sp,
+            "Sp(Vt)": sp * q ** (n * (2 * n + 1)),
             "ASp(V)": sp * q ** (2 * space.dn)}[group]
 
 
-def _enumerate_group(space, group, build, *args):
-    """build(*args) as a tuple, refused before it starts above MAX_GROUP
-    elements predicted by group_order, and a RuntimeError unless it holds
-    exactly that many distinct elements."""
+class Group(tuple):
+    """The elements of an enumerated finite group, in enumeration order,
+    with three members:
+
+    mul(x, y)    the product in the operator convention: the element xy
+                 with W(x) W(y) in mu4 W(xy) (pi(x) pi(y) = pi(xy) on H(V));
+    position(x)  the position of x, a RuntimeError for an element outside;
+    table()      the Cayley table as positions, built once and refused
+                 above MAX_GROUP entries."""
+
+    def __new__(cls, elements, mul, name):
+        self = super().__new__(cls, elements)
+        self.mul, self.name = mul, name
+        self._pos = {x: i for i, x in enumerate(self)}
+        self._table = None
+        return self
+
+    def position(self, x):
+        try:
+            return self._pos[x]
+        except KeyError:
+            raise RuntimeError(f"{x!r} is not an element of {self.name}") from None
+
+    def table(self):
+        """table[i][j] = position(mul(self[i], self[j]))."""
+        if self._table is None:
+            _refuse_above(len(self) ** 2, MAX_GROUP,
+                          f"the {self.name} Cayley table", "fill {:,} entries")
+            self._table = tuple(tuple(self.position(self.mul(x, y)) for y in self)
+                                for x in self)
+        return self._table
+
+
+def _enumerate_group(space, group, mul, build, *args):
+    """build(*args) as a Group with product mul(space, x, y), refused
+    before it starts above MAX_GROUP elements predicted by group_order, and
+    a RuntimeError unless it holds exactly that many distinct elements."""
     order = group_order(space, group)
     _refuse_above(order, MAX_GROUP,
                   f"{group} enumeration at d{space.R.d}n{space.n}",
                   "build {:,} elements")
-    out = tuple(build(*args))
-    count = len(set(out))
+    out = Group(build(*args), functools.partial(mul, space), group)
+    count = len(out._pos)
     if count != order:
         raise RuntimeError(f"{group} enumeration found {count:,} distinct "
                            f"elements, expected {order:,}")
@@ -214,7 +260,7 @@ def enumerate_sp_k(space):
     lexicographic order."""
     e = [space.std_basis_k(i) for i in range(space.dim)]
     gram = [[space.omega_field(a, b) for b in e] for a in e]
-    return _enumerate_group(space, "Sp(V)", _symplectic_matrices,
+    return _enumerate_group(space, "Sp(V)", _sp_k_mul, _symplectic_matrices,
                             space.all_vectors_k(), space.omega_field, gram)
 
 
@@ -224,7 +270,7 @@ def enumerate_sp_R(space):
     e = [space.lift_vec(space.std_basis_k(i)) for i in range(space.dim)]
     gram = [[space.omt(a, b) for b in e] for a in e]
     vectors = itertools.product(range(space.R.size), repeat=space.dim)
-    return _enumerate_group(space, "Sp(Vt)", _symplectic_matrices,
+    return _enumerate_group(space, "Sp(Vt)", _sp_R_mul, _symplectic_matrices,
                             vectors, space.omt, gram)
 
 
@@ -306,7 +352,7 @@ def act_on_enhanced(space, a, enh):
 def enumerate_asp(space):
     """All of ASp(V), refused above MAX_GROUP predicted elements before
     Sp(V) is built."""
-    return _enumerate_group(space, "ASp(V)", _asp_elements, space)
+    return _enumerate_group(space, "ASp(V)", asp_mul, _asp_elements, space)
 
 
 def _asp_elements(space):

@@ -21,8 +21,6 @@ from .cyclotomic import Cyc8, I, ONE, mu4_exponent
 from .galois import MAX_D, ring
 from .heisenberg import (
     all_h_elements,
-    apply_sp_R,
-    asp_mul,
     enumerate_asp,
     enumerate_sp_R,
     enumerate_sp_k,
@@ -599,24 +597,6 @@ def _ring_unimodular_rank2_sample(R):
 # -- Weil representation (suite "weil") ---------------------------------------
 
 
-def asp_cayley_table(space, asp):
-    """The index pos (key -> position in asp) of the enumerated group asp
-    and its Cayley table as positions: table[i][j] = pos of
-    asp_mul(asp[i], asp[j]).  One asp_mul per ordered pair; a product
-    outside asp raises."""
-    pos = {a.key(): i for i, a in enumerate(asp)}
-    table = []
-    for a in asp:
-        row = []
-        for b in asp:
-            p = pos.get(asp_mul(space, a, b).key())
-            if p is None:
-                raise RuntimeError("ASp(V) enumeration is not closed under products")
-            row.append(p)
-        table.append(row)
-    return pos, table
-
-
 def egorov_check(W, asp, pi):
     """weil.egorov: W(a) pi(h) = pi(a h) W(a) as ZiMatrix values for every a
     in asp and every h of pi, a dict h -> pi(h) on the base model; an image
@@ -640,7 +620,7 @@ def suite_weil():
     sp = SympSpace(R, 1)
     asp = enumerate_asp(sp)
     spR = enumerate_sp_R(sp)
-    H = list(all_h_elements(sp))
+    H = all_h_elements(sp)
     W = WeilRepresentation(sp)
     S = SplitWeilRepresentation(sp)
     checks = []
@@ -654,7 +634,7 @@ def suite_weil():
     # coboundary_ratio raise outside mu4), so sums mod 4 over the Cayley
     # table test the products exactly
     N = len(asp)
-    pos, table = asp_cayley_table(sp, asp)
+    table = asp.table()
     cc = [[W.cocycle(a, b, asp[p]) for b, p in zip(asp, row)]
           for a, row in zip(asp, table)]
     cvals = {e for row in cc for e in row}
@@ -674,38 +654,21 @@ def suite_weil():
     checks.append(Check("weil.cocycle-identity", N ** 3, bad,
                         f"2-cocycle identity on {N ** 3} triples"))
 
-    # products in Sp over Z4, h first: sp_prod[(g, h)] has rows h[i] * g
-    sp_prod = {(g, h): tuple(apply_sp_R(sp, g, h[i]) for i in range(sp.dim))
-               for g in spR for h in spR}
-    total, bad = _count(S.cocycle(g, h, sp_prod[(g, h)]) in (0, 2)
-                        for g in spR for h in spR)
+    spt = spR.table()
+    total, bad = _count(S.cocycle(g, h, spR[p]) in (0, 2)
+                        for g, row in zip(spR, spt) for h, p in zip(spR, row))
     checks.append(Check("weil.split-cocycle-mu2", total, bad,
                         f"{total} pairs in Sp over Z4; values are signs"))
 
-    lifts = {g: lift_sp(sp, g) for g in spR}
+    at = [asp.position(lift_sp(sp, g)) for g in spR]
     total, bad = _count(r is not None and mu4_exponent(r) is not None
-                        for r in (S.operator(g).ratio(W.operator(lifts[g]))
-                                  for g in spR))
+                        for r in (S.operator(g).ratio(W.operator(asp[p]))
+                                  for g, p in zip(spR, at)))
     checks.append(Check("weil.split-vs-enhanced", total, bad,
                         f"W_s(g) is a mu4 multiple of W(lift(g)) for all {total} g"))
 
-    lift_pos = {g: pos.get(a.key()) for g, a in lifts.items()}
-
-    def lift_product_key(g2, g1):
-        """lift(g2) lift(g1), read off the Cayley table when both lifts are
-        enumerated elements."""
-        p2, p1 = lift_pos[g2], lift_pos[g1]
-        if p2 is None or p1 is None:
-            return asp_mul(sp, lifts[g2], lifts[g1]).key()
-        return asp[table[p2][p1]].key()
-
-    def lift_of(g):
-        # a product missing from spR is lifted on its own: closure is not
-        # assumed
-        return lifts[g] if g in lifts else lift_sp(sp, g)
-
-    total, bad = _count(lift_product_key(g2, g1) == lift_of(sp_prod[(g2, g1)]).key()
-                        for g1 in spR for g2 in spR)
+    total, bad = _count(table[at[i]][at[j]] == at[p]
+                        for i, row in enumerate(spt) for j, p in enumerate(row))
     checks.append(Check("weil.lift-multiplicative", total, bad,
                         f"lift(g1 g2) = lift(g2) lift(g1) on {total} pairs"))
 

@@ -116,9 +116,7 @@ class _TransportedRepresentation:
 
     def cocycle(self, x, y, xy):
         """The exponent c in 0..3 with W(x) W(y) = i^c W(xy), for the
-        caller's group product xy (asp_mul(space, x, y) for ASp(V); for
-        Sp(Vt), whose operator product acts by y first, the matrix with
-        rows apply_sp_R(space, x, y[i]) = y[i] * x)."""
+        product xy = Group.mul(x, y) of the enumerated group (heisenberg)."""
         return _mu4_ratio(self.operator(x) @ self.operator(y),
                           self.operator(xy), "cocycle")
 

@@ -293,6 +293,23 @@ def test_weil_matrix_refuses_sp_search_promptly(capsys, monkeypatch, d, n, count
     assert elapsed < 5.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["weil-matrix", "--element", "1", "--seed", "9"],
+    ["weil-matrix", "--element", "1", "--mode", "sampled"],
+    ["weil-matrix", "--element", "1", "--sample-count", "5"],
+    ["emit-corpus", "--d", "2", "--n", "2", "--mode", "exhaustive"],
+])
+def test_unused_options_are_not_parsed(capsys, argv):
+    """weil-matrix takes no sampling options, and emit-corpus picks its
+    mode from d*n alone."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {argv[-2]}" in captured.err
+    assert captured.out == ""
+
+
 def test_weil_matrix_out_of_range(capsys):
     rc, _ = run_cli(capsys, "weil-matrix", "--d", "1", "--n", "1",
                     "--element", "999")

@@ -17,11 +17,11 @@ from weil2 import heisenberg, linalg
 from weil2.galois import ring
 from weil2.symplectic import CapExceeded, SympSpace, enumerate_enhanced
 from weil2.heisenberg import (
-    act_on_enhanced, all_h_elements, apply_sp_R, asp_identity, asp_inv,
-    asp_mul, center_element, enumerate_asp, enumerate_sp_R, enumerate_sp_k,
-    group_order, h_commutator, h_identity, h_inv, h_mul, is_symplectic_R,
-    lift_sp, preserves_residue_quadratic, residue_polarization,
-    symplectic_lift_matrix,
+    AspElement, act_on_enhanced, all_h_elements, apply_sp_R, asp_identity,
+    asp_inv, asp_mul, center_element, enumerate_asp, enumerate_sp_R,
+    enumerate_sp_k, group_order, h_commutator, h_identity, h_inv, h_mul,
+    is_symplectic_R, lift_sp, preserves_residue_quadratic,
+    residue_polarization, symplectic_lift_matrix,
 )
 
 
@@ -74,13 +74,12 @@ def test_symplectic_membership():
 
 def test_sp_R_is_closed_under_row_products():
     sp = _space()
-    gs = list(enumerate_sp_R(sp))
+    gs = enumerate_sp_R(sp)
     keys = set(gs)
     rng = random.Random(3)
     for _ in range(200):
         g, h = rng.choice(gs), rng.choice(gs)
-        gh = tuple(apply_sp_R(sp, h, g[i]) for i in range(sp.dim))
-        assert gh in keys
+        assert gs.mul(h, g) in keys
 
 
 def test_asp_group_axioms():
@@ -134,11 +133,11 @@ def test_lift_sp_kernel_is_plus_minus_one():
 
 def test_lift_sp_multiplicative():
     sp = _space()
-    gs = list(enumerate_sp_R(sp))
+    gs = enumerate_sp_R(sp)
     rng = random.Random(11)
     for _ in range(150):
         g1, g2 = rng.choice(gs), rng.choice(gs)
-        g12 = tuple(apply_sp_R(sp, g2, g1[i]) for i in range(sp.dim))
+        g12 = gs.mul(g2, g1)
         lhs = asp_mul(sp, lift_sp(sp, g2), lift_sp(sp, g1))
         assert lhs.key() == lift_sp(sp, g12).key()
 
@@ -215,6 +214,9 @@ def test_sp_R_builder_matches_filter():
 
 # every shape each enumeration accepts, with its closed-form order
 ACCEPTED_ORDERS = [
+    ("H(V)", all_h_elements, 1, 1, 16),
+    ("H(V)", all_h_elements, 2, 1, 256),
+    ("H(V)", all_h_elements, 1, 5, 4096),
     ("Sp(V)", enumerate_sp_k, 1, 1, 6),
     ("Sp(V)", enumerate_sp_k, 2, 1, 60),
     ("Sp(V)", enumerate_sp_k, 1, 2, 720),
@@ -236,6 +238,7 @@ def test_closed_form_orders(group, enumerate_group, d, n, order):
 
 
 @pytest.mark.parametrize("group,enumerate_group,d,n,order", [
+    ("H(V)", all_h_elements, 3, 2, 262144),
     ("Sp(V)", enumerate_sp_k, 1, 3, 1451520),
     ("Sp(V)", enumerate_sp_k, 2, 2, 979200),
     ("Sp(Vt)", enumerate_sp_R, 1, 2, 737280),
@@ -261,8 +264,8 @@ def test_override_lifts_group_refusal(monkeypatch):
 
 
 @pytest.mark.parametrize("group,enumerate_group", [
-    ("Sp(V)", enumerate_sp_k), ("Sp(Vt)", enumerate_sp_R),
-    ("ASp(V)", enumerate_asp),
+    ("H(V)", all_h_elements), ("Sp(V)", enumerate_sp_k),
+    ("Sp(Vt)", enumerate_sp_R), ("ASp(V)", enumerate_asp),
 ])
 def test_count_check_catches_a_wrong_order(monkeypatch, group, enumerate_group):
     """With the formula for one group off by one, its enumeration raises."""
@@ -271,6 +274,53 @@ def test_count_check_catches_a_wrong_order(monkeypatch, group, enumerate_group):
                         lambda sp, g: exact(sp, g) + (g == group))
     with pytest.raises(RuntimeError, match=re.escape(f"{group} enumeration found")):
         enumerate_group(_space())
+
+
+def test_h_elements_keep_their_order():
+    sp = _space()
+    assert list(all_h_elements(sp)) == [
+        (v, z) for v in sp.all_vectors_k() for z in range(sp.R.size)]
+
+
+@pytest.mark.parametrize("enumerate_group,product", [
+    (enumerate_asp, asp_mul),
+    (enumerate_sp_R, lambda sp, g, h: tuple(apply_sp_R(sp, g, r) for r in h)),
+], ids=["ASp(V)", "Sp(Vt)"])
+def test_group_tables_are_the_group_law(enumerate_group, product):
+    """Every row and column of the Cayley table is a permutation of the
+    positions, and every entry is the position of the product, which is
+    the row-action product written out."""
+    sp = _space()
+    group = enumerate_group(sp)
+    table = group.table()
+    everything = list(range(len(group)))
+    for i, x in enumerate(group):
+        assert sorted(table[i]) == everything
+        assert sorted(row[i] for row in table) == everything
+        for j, y in enumerate(group):
+            assert group.mul(x, y) == product(sp, x, y)
+            assert table[i][j] == group.position(group.mul(x, y))
+
+
+def test_position_refuses_an_element_outside():
+    sp = _space()
+    with pytest.raises(RuntimeError, match="not an element of Sp"):
+        enumerate_sp_R(sp).position(((1, 0), (0, 2)))
+    # alpha(0) = 1 is not the identity's shift, nor any element's
+    outside = AspElement(sp, asp_identity(sp).g,
+                         {v: 1 for v in sp.all_vectors_k()}, validate=False)
+    with pytest.raises(RuntimeError, match="not an element of ASp"):
+        enumerate_asp(sp).position(outside)
+
+
+def test_cayley_table_refused_above_max_group(monkeypatch):
+    monkeypatch.delenv("WEIL2_UNSAFE_NO_CAPS", raising=False)
+    monkeypatch.setattr(heisenberg, "MAX_GROUP", 575)
+    asp = enumerate_asp(_space())
+    with pytest.raises(CapExceeded, match="fill 576 entries > 575"):
+        asp.table()
+    monkeypatch.setattr(heisenberg, "MAX_GROUP", 576)
+    assert len(asp.table()) == 24
 
 
 # -- Weil's pseudo-symplectic group is a strict subgroup ----------------------

@@ -371,10 +371,10 @@ def test_wedge_pairing_values():
 
 
 def test_oriented_transform_is_group_action():
-    from weil2.heisenberg import apply_sp_R, enumerate_sp_R
+    from weil2.heisenberg import enumerate_sp_R
 
     sp = SympSpace(ring(1), 1)
-    gs = list(enumerate_sp_R(sp))
+    gs = enumerate_sp_R(sp)
     assert len(gs) == 48
     oriented = list(sp.enumerate_oriented())
     ident = linalg.identity(sp.R, 2)
@@ -384,7 +384,7 @@ def test_oriented_transform_is_group_action():
     # row-composite matrix whose rows are g[i] * h
     for g in gs[::7]:
         for h in gs[::5]:
-            gh = tuple(apply_sp_R(sp, h, g[i]) for i in range(sp.dim))
+            gh = gs.mul(h, g)
             for o in oriented[::3]:
                 assert (sp.oriented_transform(h, sp.oriented_transform(g, o)).key()
                         == sp.oriented_transform(gh, o).key())

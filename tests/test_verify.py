@@ -4,7 +4,7 @@ from weil2 import linalg, verify
 from weil2.cli import main as cli_main
 from weil2.cyclotomic import I, ONE
 from weil2.galois import ring
-from weil2.heisenberg import all_h_elements, asp_mul, enumerate_asp, enumerate_sp_R
+from weil2.heisenberg import all_h_elements, enumerate_asp, enumerate_sp_R
 from weil2.symplectic import SympSpace, enumerate_enhanced
 from weil2.weil import SplitWeilRepresentation, WeilRepresentation
 
@@ -104,23 +104,6 @@ def _weil_space():
     return SympSpace(ring(1), 1)
 
 
-def test_asp_cayley_table_is_the_group_law():
-    """Every row and column is a permutation of the positions, and every
-    entry is the position of the asp_mul product."""
-    sp = _weil_space()
-    asp = enumerate_asp(sp)
-    pos, table = verify.asp_cayley_table(sp, asp)
-    n = len(asp)
-    assert n == 24
-    assert pos == {a.key(): i for i, a in enumerate(asp)}
-    everything = list(range(n))
-    for i in range(n):
-        assert sorted(table[i]) == everything
-        assert sorted(table[j][i] for j in range(n)) == everything
-        for j in range(n):
-            assert asp[table[i][j]].key() == asp_mul(sp, asp[i], asp[j]).key()
-
-
 def _weil_passed():
     checks = verify.suite_weil()
     passed = {c.name: c.passed for c in checks}
@@ -171,6 +154,26 @@ def test_split_cocycle_fails_on_a_shifted_exponent(monkeypatch):
     monkeypatch.setattr(SplitWeilRepresentation, "cocycle", cocycle)
     passed = _weil_passed()
     assert not passed["weil.split-cocycle-mu2"]
+    assert passed["weil.cocycle-identity"]
+
+
+def test_lift_checks_fail_on_a_retwisted_lift(monkeypatch):
+    """A lift of one g0 moved to another element over the same residue
+    (alpha shifted by a twist in Hom(V, 2R)) breaks multiplicativity and
+    the split comparison, and leaves the ASp cocycle alone."""
+    sp = _weil_space()
+    g0 = enumerate_sp_R(sp)[5]
+    honest = verify.lift_sp
+    a0 = honest(sp, g0)
+    other = next(a for a in enumerate_asp(sp) if a.g == a0.g and a != a0)
+
+    def lift_sp(space, gt, validate=True):
+        return other if gt == g0 else honest(space, gt, validate)
+
+    monkeypatch.setattr(verify, "lift_sp", lift_sp)
+    passed = _weil_passed()
+    assert not passed["weil.lift-multiplicative"]
+    assert not passed["weil.split-vs-enhanced"]
     assert passed["weil.cocycle-identity"]
 
 

@@ -18,7 +18,7 @@ import pytest
 from weil2.cyclotomic import ZETA, Cyc8, I, ONE, mu4_exponent, sqrt2_pow
 from weil2.galois import ring
 from weil2.heisenberg import (
-    all_h_elements, apply_sp_R, asp_identity, asp_mul, enumerate_asp,
+    all_h_elements, asp_identity, asp_mul, enumerate_asp,
     enumerate_sp_R, lift_sp,
 )
 from weil2.models import Model, intertwiner_matrix
@@ -144,12 +144,11 @@ def test_cocycle_raises_off_mu4():
 def test_split_cocycle_is_sign():
     sp = _space()
     Ws = SplitWeilRepresentation(sp)
-    gs = list(enumerate_sp_R(sp))
+    gs = enumerate_sp_R(sp)
     minus = 0
     for g in gs:
         for h in gs:
-            gh = tuple(apply_sp_R(sp, g, h[i]) for i in range(sp.dim))
-            c = Ws.cocycle(g, h, gh)
+            c = Ws.cocycle(g, h, gs.mul(g, h))
             assert c in (0, 2)
             if c == 2:
                 minus += 1
