@@ -20,7 +20,7 @@ from .cyclotomic import Cyc8
 from .galois import MAX_D, ring
 from .heisenberg import enumerate_asp, enumerate_sp_R
 from .models import CharacterSum, formula_scalar
-from .symplectic import SympSpace, check_sweep, enumerate_enhanced
+from .symplectic import SympSpace, check_sweep, enumerate_enhanced, exhaustive_by_default
 from .weil import SplitWeilRepresentation, WeilRepresentation, lambda_root, mu_root
 from .transport import splitting_transport, trivialization_transport
 
@@ -29,17 +29,24 @@ SCHEMA_VERSION = 1
 
 def _parse_gram(text):
     data = json.loads(text)
-    if isinstance(data, int):
+    if type(data) is int:
         data = [[data]]
-    B = tuple(tuple(int(x) % 4 for x in row) for row in data)
+    if not (type(data) is list and all(
+            type(row) is list and all(type(x) is int for x in row) for row in data)):
+        raise ValueError("gram must be a JSON integer or a list of lists of "
+                         f"integers, got {text!r}")
+    B = tuple(tuple(x % 4 for x in row) for row in data)
     witt.validate_gram(B)
     return B
 
 
 def _print(out_path, text):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_path}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -164,8 +171,8 @@ def _dumps_with_rows(payload, rows):
 
 
 def cmd_cocycle_table(args):
-    dn = args.d * args.n
-    mode = args.mode or ("exhaustive" if dn <= 2 else "sampled")
+    mode = args.mode or (
+        "exhaustive" if exhaustive_by_default(args.d, args.n) else "sampled")
     rows = _cocycle_rows(args.d, args.n, mode, args.sample_count, args.seed)
     if args.format == "json":
         payload = {
@@ -225,9 +232,9 @@ def _matrix_json(M):
 def cmd_weil_matrix(args):
     sp = SympSpace(ring(args.d), args.n)
     if args.split:
-        rep, group = SplitWeilRepresentation(sp), enumerate_sp_R(sp)
+        group, rep = enumerate_sp_R(sp), SplitWeilRepresentation(sp)
     else:
-        rep, group = WeilRepresentation(sp), enumerate_asp(sp)
+        group, rep = enumerate_asp(sp), WeilRepresentation(sp)
     if not 0 <= args.element < len(group):
         print(f"element index out of range (0..{len(group) - 1})",
               file=sys.stderr)
@@ -264,7 +271,7 @@ def cmd_emit_corpus(args):
         },
     }
 
-    if dn <= 2:
+    if exhaustive_by_default(args.d, args.n):
         enh = enumerate_enhanced(sp)
         corpus["enhanced_lagrangians"] = [repr(e.key()) for e in enh]
         corpus["oriented_count"] = len(sp.enumerate_oriented())

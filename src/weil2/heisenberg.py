@@ -10,7 +10,7 @@ so the commutator of (v, 0) and (w, 0) is (0, om(v, w)) and the center is
 it acts on H(V) by (v, z) -> (g v, z + alpha(v)).
 
 Sp(V) and Sp(Vt) come from one row-by-row builder, and ASp(V) from Sp(V).
-Each enumeration, H(V)'s included, is a Group: refused above MAX_GROUP
+Each enumeration, H(V)'s included, is a Group: refused above MAX_LISTING
 elements predicted by group_order, checked against the same closed form,
 and carrying its product, positions and Cayley table.
 """
@@ -20,10 +20,8 @@ import functools
 import itertools
 import math
 
-from . import linalg
+from . import linalg, symplectic
 from .symplectic import EnhancedLagrangian, Twists, _refuse_above
-
-MAX_GROUP = 2 ** 16
 
 
 # -- the group H(V) ---------------------------------------------------------
@@ -187,7 +185,7 @@ class Group(tuple):
                  with W(x) W(y) in mu4 W(xy) (pi(x) pi(y) = pi(xy) on H(V));
     position(x)  the position of x, a RuntimeError for an element outside;
     table()      the Cayley table as positions, built once and refused
-                 above MAX_GROUP entries."""
+                 above MAX_LISTING entries."""
 
     def __new__(cls, elements, mul, name):
         self = super().__new__(cls, elements)
@@ -205,7 +203,7 @@ class Group(tuple):
     def table(self):
         """table[i][j] = position(mul(self[i], self[j]))."""
         if self._table is None:
-            _refuse_above(len(self) ** 2, MAX_GROUP,
+            _refuse_above(len(self) ** 2, symplectic.MAX_LISTING,
                           f"the {self.name} Cayley table", "fill {:,} entries")
             self._table = tuple(tuple(self.position(self.mul(x, y)) for y in self)
                                 for x in self)
@@ -214,10 +212,10 @@ class Group(tuple):
 
 def _enumerate_group(space, group, mul, build, *args):
     """build(*args) as a Group with product mul(space, x, y), refused
-    before it starts above MAX_GROUP elements predicted by group_order, and
+    before it starts above MAX_LISTING elements predicted by group_order, and
     a RuntimeError unless it holds exactly that many distinct elements."""
     order = group_order(space, group)
-    _refuse_above(order, MAX_GROUP,
+    _refuse_above(order, symplectic.MAX_LISTING,
                   f"{group} enumeration at d{space.R.d}n{space.n}",
                   "build {:,} elements")
     out = Group(build(*args), functools.partial(mul, space), group)
@@ -350,7 +348,7 @@ def act_on_enhanced(space, a, enh):
 
 
 def enumerate_asp(space):
-    """All of ASp(V), refused above MAX_GROUP predicted elements before
+    """All of ASp(V), refused above MAX_LISTING predicted elements before
     Sp(V) is built."""
     return _enumerate_group(space, "ASp(V)", asp_mul, _asp_elements, space)
 

@@ -32,7 +32,7 @@ from .witt import gauss_sum, trace_form
 
 
 class Model:
-    __slots__ = ("space", "enh", "reps", "rep_index", "_pivset")
+    __slots__ = ("space", "enh", "reps", "rep_index")
 
     def __init__(self, space, enh):
         self.space = space
@@ -41,7 +41,6 @@ class Model:
                 if j not in enh.pivots]
         self.reps = tuple(sorted(space.span_k(comp))) if comp else ((0,) * space.dim,)
         self.rep_index = {t: i for i, t in enumerate(self.reps)}
-        self._pivset = enh.pivots
 
     @property
     def dim(self):

@@ -14,71 +14,74 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import os
 
 from . import linalg
 
-MAX_EXHAUSTIVE_DN = 4
+MAX_LISTING = 2 ** 16
 MAX_SWEEP = 2 ** 20
+MAX_N = 16  # no Lagrangian list fits past n = 4; larger counts are slow
 
 
 class CapExceeded(ValueError):
     pass
 
 
-def _check_cap(d, n, what="exhaustive enumeration"):
-    if d * n > MAX_EXHAUSTIVE_DN and not os.environ.get("WEIL2_UNSAFE_NO_CAPS"):
-        raise CapExceeded(
-            f"{what} refused at d*n = {d * n} > {MAX_EXHAUSTIVE_DN} "
-            "(set WEIL2_UNSAFE_NO_CAPS=1 to override)"
-        )
-
-
 def _refuse_above(count, cap, what, work):
     """Refuse `what` before it starts when it would do `count` > `cap`
     units of `work`, a phrase such as "build {:,} elements"."""
-    if count > cap and not os.environ.get("WEIL2_UNSAFE_NO_CAPS"):
-        raise CapExceeded(
-            f"{what} refused: it would {work.format(count)} > {cap:,} "
-            "(set WEIL2_UNSAFE_NO_CAPS=1 to override)"
-        )
+    if count > cap:
+        raise CapExceeded(f"{what} refused: it would {work.format(count)} > {cap:,}")
+
+
+def lagrangian_count(q, n):
+    """#Lag = prod_{i<=n} (q^i + 1), the Lagrangian subspaces of k^{2n}."""
+    return math.prod(q ** i + 1 for i in range(1, n + 1))
 
 
 def transversal_triple_count(q, n):
     """The number of pairwise-transversal triples of Lagrangian subspaces of
-    k^{2n}, |k| = q, in closed form: prod_{i<=n} (q^i + 1) Lagrangians N,
+    k^{2n}, |k| = q, in closed form: #Lag Lagrangians N,
     q^{n(n+1)/2} Lagrangians L transversal to N (graphs of symmetric maps),
     and sigma_n(q) = q^{n(n+1)/2} prod_{i<=ceil(n/2)} (1 - q^{1-2i})
     Lagrangians M transversal to both (the invertible symmetric n x n
     matrices over k)."""
-    lagrangians = 1
-    for i in range(1, n + 1):
-        lagrangians *= q ** i + 1
     half = (n + 1) // 2
     sigma = q ** (n * (n + 1) // 2 - half * half)
     for i in range(1, half + 1):
         sigma *= q ** (2 * i - 1) - 1
-    return lagrangians * q ** (n * (n + 1) // 2) * sigma
+    return lagrangian_count(q, n) * q ** (n * (n + 1) // 2) * sigma
+
+
+def sweep_count(d, n):
+    """The enhanced triples an exhaustive cocycle sweep over GR(4, d)^{2n}
+    visits: q^{3dn} per pairwise-transversal subspace triple.  The sweep
+    over free lifts in verify needs no count of its own: at MAX_SWEEP,
+    every shape whose lift triples (q^{3n(n+1)/2} per subspace triple)
+    outnumber its enhanced triples is refused by the enhanced count, except
+    d1n2 with 245,760 lift triples."""
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
+    q = 2 ** d
+    return transversal_triple_count(q, n) * q ** (3 * d * n)
+
+
+def exhaustive_by_default(d, n):
+    """The default cocycle mode: exhaustive where check_sweep admits it."""
+    return sweep_count(d, n) <= MAX_SWEEP
 
 
 def check_sweep(d, n):
-    """Refuse an exhaustive cocycle sweep over GR(4, d)^{2n} before any
-    work: always at d*n > MAX_EXHAUSTIVE_DN, and otherwise above MAX_SWEEP
-    enhanced triples, q^{3dn} per subspace triple.  The sweep over free
-    lifts in verify needs no count of its own: at this cap, every shape
-    whose lift triples (q^{3n(n+1)/2} per subspace triple) outnumber its
-    enhanced triples is refused by the enhanced count, except d1n2 with
-    245,760 lift triples."""
-    what = f"exhaustive cocycle sweep at d{d}n{n}"
-    if d * n > MAX_EXHAUSTIVE_DN:
-        raise CapExceeded(f"{what} rejected for d*n > {MAX_EXHAUSTIVE_DN}")
-    q = 2 ** d
-    _refuse_above(transversal_triple_count(q, n) * q ** (3 * d * n), MAX_SWEEP,
-                  what, "visit {:,} enhanced triples")
+    """Refuse an exhaustive cocycle sweep above MAX_SWEEP enhanced triples
+    before any work."""
+    _refuse_above(sweep_count(d, n), MAX_SWEEP,
+                  f"exhaustive cocycle sweep at d{d}n{n}",
+                  "visit {:,} enhanced triples")
 
 
 class SympSpace:
     def __init__(self, ring, n: int):
+        if not 1 <= n <= MAX_N:
+            raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
         self.R = ring
         self.n = n
         self.dim = 2 * n
@@ -160,8 +163,10 @@ class SympSpace:
         pruned with every completion of it.  Rows are packed into ints, d
         bits per coordinate, and bit a of omega_field(v, row) is the parity
         of packed(v) & masks(row)[a]: orthogonal means every parity even."""
-        _check_cap(self.R.d, self.n)
         R, n, m, q, d = self.R, self.n, self.dim, self.R.field_size, self.R.d
+        want = lagrangian_count(q, n)
+        _refuse_above(want, MAX_LISTING, f"Lagrangian enumeration at d{d}n{n}",
+                      "list {:,} Lagrangians")
         found = []
         chosen = []
         masks = []
@@ -205,7 +210,6 @@ class SympSpace:
                     rows.append(packed_with_masks(tuple(row)))
                 candidates.append(rows)
             extend(candidates)
-        want = math.prod(q ** i + 1 for i in range(1, n + 1))
         if len(found) != want:
             raise RuntimeError(f"{len(found)} Lagrangians, expected {want}")
         return tuple(sorted(found))
@@ -410,7 +414,10 @@ class SympSpace:
 
     def enumerate_oriented(self):
         """All oriented Lagrangians (canonical submodule basis, unit)."""
-        _check_cap(self.R.d, self.n)
+        R, n, q = self.R, self.n, self.R.field_size
+        _refuse_above(lagrangian_count(q, n) * q ** (n * (n + 1) // 2) * len(R.units),
+                      MAX_LISTING, f"oriented Lagrangian enumeration at d{R.d}n{n}",
+                      "list {:,} oriented Lagrangians")
         out = []
         for rows in self.enumerate_lagrangians():
             for basis in self.enumerate_submodule_lifts(rows):
@@ -650,6 +657,10 @@ class OrientedLagrangian:
 
 def enumerate_enhanced(space):
     """All enhanced Lagrangians of the space, in a fixed deterministic order."""
+    q = space.R.field_size
+    _refuse_above(lagrangian_count(q, space.n) * q ** space.dn, MAX_LISTING,
+                  f"enhanced Lagrangian enumeration at d{space.R.d}n{space.n}",
+                  "list {:,} enhanced Lagrangians")
     out = []
     for rows in space.enumerate_lagrangians():
         out.extend(space.enumerate_enhancements(rows))

@@ -42,6 +42,7 @@ from .symplectic import (
     SympSpace,
     check_sweep,
     enumerate_enhanced,
+    exhaustive_by_default,
 )
 from .transport import (
     ScaledTransport,
@@ -317,7 +318,7 @@ def cocycle_checks_sampled(d, n, count, seed):
 def suite_cocycle(d=None, n=None, mode=None, sample_count=200, seed=0):
     if d is not None or n is not None:
         d, n = _shape(d, n)
-        if mode == "exhaustive" or (mode is None and d * n <= 2):
+        if mode == "exhaustive" or (mode is None and exhaustive_by_default(d, n)):
             checks = cocycle_checks_exhaustive(d, n)
             if d * n == 1:
                 # the small checks include the same fourth-power sweep

@@ -76,9 +76,24 @@ def test_witt_isometric_requires_two_grams(capsys):
     assert rc == 2
 
 
-def test_witt_rejects_bad_gram(capsys):
-    rc, _ = run_cli(capsys, "witt", "classify", "[[1,2],[3,1]]")
+@pytest.mark.parametrize("argv", [
+    ("classify", "[[1,2],[3,1]]"),
+    ("gauss", "null"),
+    ("gauss", "1.5"),
+    ("gauss", "[1,2]"),
+    ("gauss", "[[1.5]]"),
+    ("gauss", "true"),
+    ("isometric", "[[1]]", "[1]"),
+], ids=["asymmetric", "null", "float", "flat-list", "float-entry", "bool",
+        "flat-second"])
+def test_witt_rejects_bad_gram(capsys, argv):
+    """Only a JSON integer or a list of lists of integers is a gram; 1.5
+    is not read as 1."""
+    rc = main(["witt", *argv])
+    captured = capsys.readouterr()
     assert rc == 2
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
 
 
 def test_cocycle_table_csv(capsys):
@@ -174,12 +189,12 @@ def test_cocycle_table_rejects_large_exhaustive(capsys):
     (2, 2, "4,380,866,641,920"),
     (1, 3, "123,863,040"),
     (3, 1, "67,645,734,912"),
+    (3, 2, "2,417,261,343,418,899,643,760,640"),
 ])
 @pytest.mark.parametrize("command", ["cocycle-table", "verify"])
-def test_exhaustive_sweep_refused_promptly(capsys, monkeypatch, command, d, n, count):
+def test_exhaustive_sweep_refused_promptly(capsys, command, d, n, count):
     """The predicted number of enhanced triples is above the cap, so both
     commands exit 2 with the count before enumerating anything."""
-    monkeypatch.delenv("WEIL2_UNSAFE_NO_CAPS", raising=False)
     argv = [command, "--d", str(d), "--n", str(n), "--mode", "exhaustive"]
     if command == "verify":
         argv += ["--suite", "cocycle"]
@@ -278,11 +293,10 @@ def test_weil_matrix_d1n1_unchanged(capsys):
     (3, 1, "132,120,576"),
     (4, 1, "17,523,466,567,680"),
 ])
-def test_weil_matrix_refuses_sp_search_promptly(capsys, monkeypatch, d, n, count):
+def test_weil_matrix_refuses_sp_search_promptly(capsys, d, n, count):
     """ASp(V) is refused above 2^16 elements predicted by its closed-form
     order, before Sp(V) is built; d3n1 and d4n1 used to run out of
     memory instead."""
-    monkeypatch.delenv("WEIL2_UNSAFE_NO_CAPS", raising=False)
     t0 = time.perf_counter()
     rc = main(["weil-matrix", "--d", str(d), "--n", str(n)])
     elapsed = time.perf_counter() - t0
@@ -399,6 +413,57 @@ def test_out_flag_writes_file(tmp_path, capsys):
     rc, out = run_cli(capsys, "ring-info", "--d", "1", "--out", str(p))
     assert rc == 0
     assert json.loads(p.read_text())["size"] == 4
+
+
+def test_out_into_a_missing_directory_exits_2(tmp_path, capsys):
+    p = tmp_path / "missing" / "ring.json"
+    rc = main(["ring-info", "--d", "1", "--out", str(p)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == (f"error: cannot write {p}: "
+                            "No such file or directory\n")
+    assert captured.out == ""
+    assert not p.parent.exists()
+
+
+def test_sampled_cocycle_runs_past_the_old_d_times_n_cap(capsys):
+    """d3n2 lists 585 Lagrangians, so a sampled run needs no override."""
+    rc, out = run_cli(capsys, "verify", "--suite", "cocycle", "--d", "3",
+                      "--n", "2", "--sample-count", "2")
+    lines = out.strip().split("\n")
+    assert rc == 0
+    assert [line.split(":")[0] for line in lines[:-1]] == [
+        "PASS cocycle.three-route.d3n2", "PASS cocycle.fourth-power.d3n2",
+        "PASS cocycle.oriented-identity.d3n2"]
+    assert lines[-1] == "3/3 checks passed"
+
+
+@pytest.mark.parametrize("argv", [
+    ["cocycle-table", "--d", "4", "--n", "17"],
+    ["verify", "--suite", "cocycle", "--d", "1", "--n", "100000"],
+    ["emit-corpus", "--d", "1", "--n", "100000"],
+    ["weil-matrix", "--d", "1", "--n", "100000"],
+])
+def test_rank_above_max_n_exits_2_promptly(capsys, argv):
+    """No closed-form count is computed past n = 16, where it would grow
+    without bound."""
+    t0 = time.perf_counter()
+    rc = main(argv)
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"n must be in 1..16, got {argv[-1]}" in captured.err
+    assert captured.out == ""
+    assert elapsed < 2.0
+
+
+def test_weil_matrix_refuses_before_building_the_base_model(capsys):
+    """At d4n16 the base model would list 2^64 elements; the group
+    refusal comes first."""
+    rc = main(["weil-matrix", "--d", "4", "--n", "16", "--split"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "Sp(Vt) enumeration at d4n16 refused" in captured.err
 
 
 def test_weil_suite_passes_under_optimize():

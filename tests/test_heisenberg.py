@@ -13,7 +13,7 @@ import re
 
 import pytest
 
-from weil2 import heisenberg, linalg
+from weil2 import heisenberg, linalg, symplectic
 from weil2.galois import ring
 from weil2.symplectic import CapExceeded, SympSpace, enumerate_enhanced
 from weil2.heisenberg import (
@@ -245,22 +245,18 @@ def test_closed_form_orders(group, enumerate_group, d, n, order):
     ("Sp(Vt)", enumerate_sp_R, 3, 1, 258048),
     ("ASp(V)", enumerate_asp, 3, 1, 132120576),
 ])
-def test_refused_above_max_group(monkeypatch, group, enumerate_group, d, n, order):
-    monkeypatch.delenv("WEIL2_UNSAFE_NO_CAPS", raising=False)
+def test_refused_above_max_group(group, enumerate_group, d, n, order):
     sp = SympSpace(ring(d), n)
-    assert group_order(sp, group) == order > heisenberg.MAX_GROUP
+    assert group_order(sp, group) == order > symplectic.MAX_LISTING
     with pytest.raises(CapExceeded, match=f"build {order:,} elements"):
         enumerate_group(sp)
 
 
-def test_override_lifts_group_refusal(monkeypatch):
+def test_lowered_listing_cap_refuses_a_group(monkeypatch):
     sp = SympSpace(ring(2), 1)
-    monkeypatch.setattr(heisenberg, "MAX_GROUP", 59)
-    monkeypatch.delenv("WEIL2_UNSAFE_NO_CAPS", raising=False)
+    monkeypatch.setattr(symplectic, "MAX_LISTING", 59)
     with pytest.raises(CapExceeded, match="build 60 elements > 59"):
         enumerate_sp_k(sp)
-    monkeypatch.setenv("WEIL2_UNSAFE_NO_CAPS", "1")
-    assert len(enumerate_sp_k(sp)) == 60
 
 
 @pytest.mark.parametrize("group,enumerate_group", [
@@ -314,12 +310,11 @@ def test_position_refuses_an_element_outside():
 
 
 def test_cayley_table_refused_above_max_group(monkeypatch):
-    monkeypatch.delenv("WEIL2_UNSAFE_NO_CAPS", raising=False)
-    monkeypatch.setattr(heisenberg, "MAX_GROUP", 575)
+    monkeypatch.setattr(symplectic, "MAX_LISTING", 575)
     asp = enumerate_asp(_space())
     with pytest.raises(CapExceeded, match="fill 576 entries > 575"):
         asp.table()
-    monkeypatch.setattr(heisenberg, "MAX_GROUP", 576)
+    monkeypatch.setattr(symplectic, "MAX_LISTING", 576)
     assert len(asp.table()) == 24
 
 

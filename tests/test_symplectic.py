@@ -16,13 +16,14 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
 from weil2.galois import GaloisRing, ring
 from weil2.symplectic import (
     MAX_SWEEP, CapExceeded, EnhancedLagrangian, SympSpace, check_sweep,
-    enumerate_enhanced, transversal_triple_count,
+    enumerate_enhanced, exhaustive_by_default, transversal_triple_count,
 )
 from weil2 import linalg
 
@@ -552,8 +553,33 @@ def test_transversal_k_memo_matches_rank():
 
 def test_exhaustive_cap_guard():
     sp = SympSpace(ring(1), 5)
-    with pytest.raises(CapExceeded):
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceeded, match="list 75,735 Lagrangians > 65,536"):
         list(sp.enumerate_lagrangians())
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("d,n,listing,count", [
+    (1, 4, SympSpace.enumerate_oriented, "4,700,160 oriented Lagrangians"),
+    (4, 1, enumerate_enhanced, "1,114,112 enhanced Lagrangians"),
+    (2, 3, enumerate_enhanced, "22,630,400 enhanced Lagrangians"),
+], ids=["oriented-d1n4", "enhanced-d4n1", "enhanced-d2n3"])
+def test_listing_refused_on_its_own_count(d, n, listing, count):
+    """#Lag * q^{n(n+1)/2} * |R^x| oriented and #Lag * q^{dn} enhanced
+    Lagrangians, refused before the Lagrangian search starts."""
+    sp = SympSpace(ring(d), n)
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceeded, match=f"list {count} > 65,536"):
+        listing(sp)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_rank_outside_range_is_refused():
+    """n above MAX_N is refused before any closed-form count is computed."""
+    with pytest.raises(ValueError, match=r"n must be in 1\.\.16, got 17"):
+        SympSpace(ring(1), 17)
+    with pytest.raises(ValueError, match=r"n must be in 1\.\.16, got 10000"):
+        check_sweep(1, 10 ** 4)
 
 
 def _lagrangians_by_echelon_filter(sp):
@@ -597,7 +623,9 @@ def test_lagrangian_count_guard_raises():
         SympSpace(R, 2).enumerate_lagrangians()
 
 
-@pytest.mark.parametrize("d,n", [(1, 1), (2, 1), (1, 2), (2, 2), (1, 4)])
+@pytest.mark.parametrize("d,n", [
+    (1, 1), (2, 1), (1, 2), (2, 2), (1, 4), (3, 2), (2, 3), (4, 2),
+])
 def test_lagrangian_count_formula(d, n):
     """#Lagrangians of a 2n-dimensional symplectic space over F_q is
     prod_{i <= n} (q^i + 1); 2,295 at d = 1, n = 4."""
@@ -704,26 +732,35 @@ def test_transversal_triple_count_formula(d, n, triples):
 
 
 @pytest.mark.parametrize("d,n", [(1, 1), (2, 1), (1, 2)])
-def test_check_sweep_keeps_the_gated_shapes(monkeypatch, d, n):
-    monkeypatch.delenv("WEIL2_UNSAFE_NO_CAPS", raising=False)
+def test_check_sweep_keeps_the_gated_shapes(d, n):
     check_sweep(d, n)
 
 
-@pytest.mark.parametrize("d,n", [(3, 1), (2, 2), (1, 3), (4, 1), (1, 4)])
-def test_check_sweep_refuses_with_the_count(monkeypatch, d, n):
-    monkeypatch.delenv("WEIL2_UNSAFE_NO_CAPS", raising=False)
+@pytest.mark.parametrize("d,n", [
+    (3, 1), (2, 2), (1, 3), (4, 1), (1, 4), (3, 2), (1, 5), (4, 2),
+])
+def test_check_sweep_refuses_with_the_count(d, n):
     q = 2 ** d
     enhanced = transversal_triple_count(q, n) * q ** (3 * d * n)
     assert enhanced > MAX_SWEEP
     with pytest.raises(CapExceeded, match=f"visit {enhanced:,} enhanced triples"):
         check_sweep(d, n)
-    monkeypatch.setenv("WEIL2_UNSAFE_NO_CAPS", "1")
-    check_sweep(d, n)
 
 
-@pytest.mark.parametrize("d,n", [(3, 2), (1, 5), (4, 2)])
-def test_check_sweep_refuses_past_d_times_n_4_under_the_override(monkeypatch, d, n):
-    """No sweep at d*n > 4 can finish, so the override does not lift it."""
-    monkeypatch.setenv("WEIL2_UNSAFE_NO_CAPS", "1")
-    with pytest.raises(CapExceeded, match=r"rejected for d\*n > 4"):
-        check_sweep(d, n)
+def test_exhaustive_by_default_is_d_times_n_at_most_2():
+    """The closed-form sweep count alone admits exactly the shapes with
+    d*n <= 2, so the default mode needs no rule of its own."""
+    for d in range(1, 5):
+        for n in range(1, 9):
+            assert exhaustive_by_default(d, n) == (d * n <= 2), (d, n)
+
+
+def test_no_module_reads_the_environment():
+    """Caps are lowered by setting the module constant, never by an
+    environment variable."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "weil2")
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                text = fh.read()
+            assert "environ" not in text and "getenv" not in text, name
