@@ -14,7 +14,6 @@ from .symplectic import (
     OrientedLagrangian,
     SympSpace,
 )
-from .witt import WittClass
 
 __version__ = "0.1.0"
 
@@ -26,6 +25,5 @@ __all__ = [
     "EnhancedLagrangian",
     "OrientedLagrangian",
     "CapExceeded",
-    "WittClass",
     "__version__",
 ]

@@ -16,7 +16,6 @@ import random
 import sys
 
 from . import verify, witt
-from .cyclotomic import Cyc8
 from .galois import MAX_D, ring
 from .heisenberg import enumerate_asp, enumerate_sp_R
 from .models import CharacterSum, formula_scalar
@@ -77,17 +76,20 @@ def cmd_ring_info(args):
 
 def cmd_witt(args):
     B = _parse_gram(args.gram)
+    if args.action == "isometric" and args.gram2 is None:
+        raise ValueError("isometric needs a second gram")
+    if args.action != "isometric" and args.gram2 is not None:
+        raise ValueError(f"{args.action} takes one gram, got two")
     if args.action == "classify":
         counts, U = witt.decompose(B)
-        cls = witt.WittClass(counts)
         info = {
             "schema_version": SCHEMA_VERSION,
             "gram": [list(r) for r in B],
             "block_counts": {"one": counts[0], "three": counts[1],
                              "hyp": counts[2], "m4": counts[3]},
-            "rank": cls.rank,
-            "disc": cls.disc,
-            "gw_class": cls.gw,
+            "rank": witt.counts_rank(counts),
+            "disc": witt.counts_disc(counts),
+            "gw_class": witt.gw_exponent(counts),
             "gauss": witt.gauss_sum(B).to_json(),
             "witness": [list(r) for r in U],
         }
@@ -98,9 +100,6 @@ def cmd_witt(args):
         _print(args.out, f"{g}\n")
         return 0
     if args.action == "isometric":
-        if not args.gram2:
-            print("isometric needs a second gram", file=sys.stderr)
-            return 2
         B2 = _parse_gram(args.gram2)
         same = witt.is_isometric(B, B2)
         _print(args.out, ("true" if same else "false") + "\n")
@@ -236,9 +235,7 @@ def cmd_weil_matrix(args):
     else:
         group, rep = enumerate_asp(sp), WeilRepresentation(sp)
     if not 0 <= args.element < len(group):
-        print(f"element index out of range (0..{len(group) - 1})",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"element index out of range (0..{len(group) - 1})")
     x = group[args.element]
     kind, label, rows = (("split", "symplectic_matrix", x) if args.split
                          else ("enhanced", "residue_matrix", x.g))

@@ -213,14 +213,6 @@ class Cyc8:
         """Four coordinate strings "p/q" (a0..a3 over the common denominator)."""
         return [str(Fraction(c, self.den)) for c in self.a]
 
-    @staticmethod
-    def from_json(data) -> "Cyc8":
-        fracs = [Fraction(s) for s in data]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
-        return Cyc8(tuple(f.numerator * (den // f.denominator) for f in fracs), den)
-
 
 ZERO = Cyc8((0, 0, 0, 0))
 ONE = Cyc8((1, 0, 0, 0))
@@ -236,14 +228,8 @@ def sqrt2_pow(k: int) -> Cyc8:
 
 
 _MU4 = {ONE: 0, I: 1, Cyc8((-1, 0, 0, 0)): 2, Cyc8((0, 0, -1, 0)): 3}
-_MU4_NAMES = {0: "1", 1: "i", 2: "-1", 3: "-i"}
 
 
 def mu4_exponent(x: Cyc8):
     """k with x = i^k, or None when x is not a 4th root of unity."""
     return _MU4.get(x)
-
-
-def mu4_classify(x: Cyc8) -> str:
-    k = mu4_exponent(x)
-    return _MU4_NAMES[k] if k is not None else "not-a-4th-root"

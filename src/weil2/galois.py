@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import itertools
 
-from .cyclotomic import Cyc8
-
 # irreducible ground polynomials over F2 (coefficients low -> high, monic)
 GROUND_POLYS = {
     1: (1, 1),          # x + 1
@@ -199,9 +197,6 @@ class GaloisRing:
         except KeyError:
             raise ZeroDivisionError(f"element {self.coords(a)} is not a unit") from None
 
-    def frobenius(self, a: int) -> int:
-        return self._frob[a]
-
     def trace(self, a: int) -> int:
         return self._trace[a]
 
@@ -220,9 +215,6 @@ class GaloisRing:
     def psi_exp(self, a: int) -> int:
         """Exponent e with psi(a) = i^e; the workhorse for hot loops."""
         return self._trace[a]
-
-    def psi(self, a: int) -> Cyc8:
-        return Cyc8.i_pow(self._trace[a])
 
     # -- residue field ------------------------------------------------------
     def reduce(self, a: int) -> int:

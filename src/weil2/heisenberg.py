@@ -21,36 +21,16 @@ import itertools
 import math
 
 from . import linalg, symplectic
-from .symplectic import EnhancedLagrangian, Twists, _refuse_above
+from .symplectic import EnhancedLagrangian, Twists, _refuse_above, _xor
 
 
 # -- the group H(V) ---------------------------------------------------------
-
-def h_identity(space):
-    return (space.zero_vec_k(), 0)
-
 
 def h_mul(space, h1, h2):
     v1, z1 = h1
     v2, z2 = h2
     R = space.R
-    v = tuple(a ^ b for a, b in zip(v1, v2))
-    return (v, R.add(R.add(z1, z2), space.beta(v1, v2)))
-
-
-def h_inv(space, h):
-    v, z = h
-    R = space.R
-    return (v, R.add(R.neg(z), space.beta(v, v)))
-
-
-def h_commutator(space, h1, h2):
-    return h_mul(space, h_mul(space, h1, h2),
-                 h_inv(space, h_mul(space, h2, h1)))
-
-
-def center_element(space, z):
-    return (space.zero_vec_k(), z)
+    return (_xor(v1, v2), R.add(R.add(z1, z2), space.beta(v1, v2)))
 
 
 def all_h_elements(space):
@@ -87,7 +67,7 @@ class AspElement:
             for w in vecs:
                 gw = self.apply_g(w)
                 lhs = R.sub(
-                    R.sub(self._amap[tuple(a ^ b for a, b in zip(v, w))],
+                    R.sub(self._amap[_xor(v, w)],
                           self._amap[v]),
                     self._amap[w],
                 )
@@ -120,15 +100,6 @@ class AspElement:
 
     def __repr__(self):
         return f"AspElement(g={self.g}, alpha={self.alpha_table})"
-
-
-def asp_identity(space):
-    g = tuple(
-        tuple(1 if i == j else 0 for j in range(space.dim))
-        for i in range(space.dim)
-    )
-    return AspElement(space, g, {v: 0 for v in space.all_vectors_k()},
-                      validate=False)
 
 
 def asp_mul(space, a, b):
@@ -204,7 +175,7 @@ class Group(tuple):
         """table[i][j] = position(mul(self[i], self[j]))."""
         if self._table is None:
             _refuse_above(len(self) ** 2, symplectic.MAX_LISTING,
-                          f"the {self.name} Cayley table", "fill {:,} entries")
+                          f"the {self.name} Cayley table", "fill {} entries")
             self._table = tuple(tuple(self.position(self.mul(x, y)) for y in self)
                                 for x in self)
         return self._table
@@ -217,7 +188,7 @@ def _enumerate_group(space, group, mul, build, *args):
     order = group_order(space, group)
     _refuse_above(order, symplectic.MAX_LISTING,
                   f"{group} enumeration at d{space.R.d}n{space.n}",
-                  "build {:,} elements")
+                  "build {} elements")
     out = Group(build(*args), functools.partial(mul, space), group)
     count = len(out._pos)
     if count != order:
@@ -401,7 +372,6 @@ def residue_polarization(space, g):
         phi[v] = s
     for v in phi:
         for w in phi:
-            vw = tuple(a ^ b for a, b in zip(v, w))
-            if phi[vw] ^ phi[v] ^ phi[w] != c(v, w):
+            if phi[_xor(v, w)] ^ phi[v] ^ phi[w] != c(v, w):
                 return None
     return phi

@@ -17,11 +17,10 @@ row update), and there are three of them:
 
 `rref`, `solve_many` (one elimination for several right-hand sides),
 `factor` (the row transform of one elimination, kept for later right-hand
-sides) and `invert` work in any of the three algebras.  On them sit the
-ring wrappers `rref_ring`, `solve_ring`, `inverse_ring` and the n > 5
-branch of `det_ring`, which reads the signed product of the pivots; the
-field wrappers `rref_field`, `solve_field`, `rank_field` and
-`inverse_field`; and, with `CYC8_OPS`, `weil.commutant_dimension`.
+sides) and `invert` work in any of the three algebras.  On them sit
+`rref_ring` and the n > 5 branch of `det_ring`, which reads the signed
+product of the pivots, over the ring; `rref_field`, `rank_field` and
+`inverse_field` over k; and, with `CYC8_OPS`, `weil.commutant_dimension`.
 `SympSpace.r_map_tilde` keeps one `factor` per pair of lifts.
 `vec_mat` and `vec_mat_field` are the row action v -> sum_j v[j] * A[j].
 """
@@ -201,12 +200,6 @@ def vec_scale(R, c, v):
     return tuple(R.mul(c, x) for x in v)
 
 
-def identity(R, n):
-    return tuple(
-        tuple(R.one if i == j else 0 for j in range(n)) for i in range(n)
-    )
-
-
 def transpose(A):
     return tuple(zip(*A))
 
@@ -219,20 +212,6 @@ def rref_ring(R, rows):
     this library manipulates they never occur.
     """
     return rref(ring_ops(R), rows)
-
-
-def solve_ring(R, A, b):
-    """One solution x of A x = b over the ring; A's columns must admit unit
-    pivots covering all nonzero rows (true for the full-rank systems used
-    here).  Raises ValueError when inconsistent."""
-    xs = solve_many(ring_ops(R), A, (b,))
-    if xs is None:
-        raise ValueError("inconsistent or non-unit-pivot system")
-    return xs[0]
-
-
-def inverse_ring(R, A):
-    return invert(ring_ops(R), A, "the ring")
 
 
 def det_ring(R, A):
@@ -274,12 +253,6 @@ def vec_mat_field(R, v, A):
 def rref_field(R, rows):
     """Reduced row echelon form over k; returns (rows, pivot columns)."""
     return rref(field_ops(R), rows)
-
-
-def solve_field(R, A, b):
-    """One solution of A x = b over k, or None when inconsistent."""
-    xs = solve_many(field_ops(R), A, (b,))
-    return None if xs is None else xs[0]
 
 
 def inverse_field(R, A):

@@ -50,8 +50,7 @@ class Model:
         """v = l + t with l in L and t in the transversal."""
         l = linalg.vec_mat_field(
             self.space.R, [v[p] for p in self.enh.pivots], self.enh.rows)
-        t = tuple(a ^ b for a, b in zip(v, l))
-        return l, t
+        return l, _xor(v, l)
 
     def eval_exponent(self, h):
         """psi-exponent bookkeeping for f((v, z)) = psi(z - alpha(l) -
@@ -68,9 +67,7 @@ class Model:
         w, z = h
         out = []
         for t in self.reps:
-            ht = ((tuple(a ^ b for a, b in zip(t, w))),
-                  R.add(z, sp.beta(t, w)))
-            e, t2 = self.eval_exponent(ht)
+            e, t2 = self.eval_exponent((_xor(t, w), R.add(z, sp.beta(t, w))))
             out.append((e, self.rep_index[t2]))
         return tuple(out)
 
@@ -78,11 +75,6 @@ class Model:
         """pi(h) as a ZiMatrix of fourth roots of unity (one nonzero per
         row)."""
         return ZiMatrix.monomial(self.pi_exponents(h), self.dim)
-
-
-def standard_model(space):
-    enh = space.enhance_from_lift(space.standard_oriented().basis)
-    return Model(space, enh)
 
 
 def intertwiner_matrix(model_M, model_L):

@@ -20,6 +20,7 @@ from . import linalg
 MAX_LISTING = 2 ** 16
 MAX_SWEEP = 2 ** 20
 MAX_N = 16  # no Lagrangian list fits past n = 4; larger counts are slow
+MAX_SHOWN_DIGITS = 48  # a refused count longer than this is shown by size
 
 
 class CapExceeded(ValueError):
@@ -28,9 +29,13 @@ class CapExceeded(ValueError):
 
 def _refuse_above(count, cap, what, work):
     """Refuse `what` before it starts when it would do `count` > `cap`
-    units of `work`, a phrase such as "build {:,} elements"."""
+    units of `work`, a phrase such as "build {} elements".  A count of more
+    than MAX_SHOWN_DIGITS digits is shown as "more than 2^k (D digits)"."""
     if count > cap:
-        raise CapExceeded(f"{what} refused: it would {work.format(count)} > {cap:,}")
+        digits = len(str(count))
+        shown = (f"{count:,}" if digits <= MAX_SHOWN_DIGITS else
+                 f"more than 2^{(count - 1).bit_length() - 1} ({digits} digits)")
+        raise CapExceeded(f"{what} refused: it would {work.format(shown)} > {cap:,}")
 
 
 def lagrangian_count(q, n):
@@ -75,7 +80,7 @@ def check_sweep(d, n):
     before any work."""
     _refuse_above(sweep_count(d, n), MAX_SWEEP,
                   f"exhaustive cocycle sweep at d{d}n{n}",
-                  "visit {:,} enhanced triples")
+                  "visit {} enhanced triples")
 
 
 class SympSpace:
@@ -93,7 +98,7 @@ class SympSpace:
         self._lift_frames = {}   # Lagrangian rows -> (initial lift, dual family)
         self._enhanced = {}      # lift basis -> enhance_from_lift
         self._transversal = {}   # (rows1, rows2) -> transversal_k
-        self._r_maps = {}        # (M, N, L) rows -> (r_map dict, r_terms)
+        self._r_maps = {}        # (M, N, L) rows -> r_terms
         self._r_factors = {}     # (Nt, Lt) -> linalg.factor of (Nt + Lt)^T
         # 2 * lift(x) indexed by the residue x; beta reads it at beta_field
         self._two_lift = tuple(ring.mul(ring.two, ring.lift(x))
@@ -127,9 +132,6 @@ class SympSpace:
         biadditive."""
         return self._two_lift[self.beta_field(v, w)]
 
-    def omega(self, v, w):
-        return self.R.sub(self.beta(v, w), self.beta(w, v))
-
     def beta_field(self, v, w):
         """The k-valued residue of bt: sum_i v_i w_{n+i} over k."""
         fmul, n = self.R.field_mul, self.n
@@ -143,9 +145,6 @@ class SympSpace:
         """The residue symplectic form: omega(v, w) = 2 * lift(omega_field(v, w)),
         so a k-subspace is omega-isotropic exactly when it is omega_field-isotropic."""
         return self.beta_field(v, w) ^ self.beta_field(w, v)
-
-    def zero_vec_k(self):
-        return (0,) * self.dim
 
     def all_vectors_k(self):
         return itertools.product(range(self.R.field_size), repeat=self.dim)
@@ -166,7 +165,7 @@ class SympSpace:
         R, n, m, q, d = self.R, self.n, self.dim, self.R.field_size, self.R.d
         want = lagrangian_count(q, n)
         _refuse_above(want, MAX_LISTING, f"Lagrangian enumeration at d{d}n{n}",
-                      "list {:,} Lagrangians")
+                      "list {} Lagrangians")
         found = []
         chosen = []
         masks = []
@@ -214,10 +213,6 @@ class SympSpace:
             raise RuntimeError(f"{len(found)} Lagrangians, expected {want}")
         return tuple(sorted(found))
 
-    def standard_lagrangian(self):
-        """span(e_1 .. e_n) -- the first half of the splitting."""
-        return tuple(self.std_basis_k(i) for i in range(self.n))
-
     def dual_standard_lagrangian(self):
         return tuple(self.std_basis_k(self.n + i) for i in range(self.n))
 
@@ -254,14 +249,6 @@ class SympSpace:
             if (self.transversal_k(a, b) and self.transversal_k(b, c)
                     and self.transversal_k(a, c)):
                 return a, b, c
-
-    def transversal_R(self, basis1, basis2):
-        # Nakayama: a pair of free submodules is transversal over R iff the
-        # reductions are transversal over k.
-        return self.transversal_k(
-            tuple(self.reduce_vec(b) for b in basis1),
-            tuple(self.reduce_vec(b) for b in basis2),
-        )
 
     # -- enhanced Lagrangians ---------------------------------------------------
     def enhance_from_lift(self, basis):
@@ -417,7 +404,7 @@ class SympSpace:
         R, n, q = self.R, self.n, self.R.field_size
         _refuse_above(lagrangian_count(q, n) * q ** (n * (n + 1) // 2) * len(R.units),
                       MAX_LISTING, f"oriented Lagrangian enumeration at d{R.d}n{n}",
-                      "list {:,} oriented Lagrangians")
+                      "list {} oriented Lagrangians")
         out = []
         for rows in self.enumerate_lagrangians():
             for basis in self.enumerate_submodule_lifts(rows):
@@ -445,36 +432,27 @@ class SympSpace:
             raise ValueError("wedge pairing of a non-transversal pair")
         return R.mul(R.mul(oL.unit, oM.unit), det)
 
-    def r_map(self, M_rows, N_rows, L_rows):
-        """The projection onto N along L, restricted to M, as a dense dict.
-        Defined by r(m) - m in L; requires N + L = V.  One elimination
-        solves for the images of M's basis rows; r is linear and span_k is
-        linear in its coefficient tuple, so the two spans match term by
-        term.  The dict is memoized per (M, N, L) and shared by every
-        caller: it must not be mutated."""
-        return self._projection(M_rows, N_rows, L_rows)[0]
-
     def r_terms(self, M_rows, N_rows, L_rows):
         """The enhancement-free terms of the character sum over M, one
         (m, r(m), m - r(m), beta(m, r(m))) per element of M in span_k
-        order; kept in the same per-(M, N, L) entry as r_map."""
-        return self._projection(M_rows, N_rows, L_rows)[1]
-
-    def _projection(self, M_rows, N_rows, L_rows):
+        order, where r is the projection onto N along L (r(m) - m in L;
+        requires N + L = V).  One elimination solves for the images of M's
+        basis rows; r is linear and span_k is linear in its coefficient
+        tuple, so the two spans match term by term.  The tuple is memoized
+        per (M, N, L)."""
         key = (tuple(M_rows), tuple(N_rows), tuple(L_rows))
-        entry = self._r_maps.get(key)
-        if entry is None:
+        terms = self._r_maps.get(key)
+        if terms is None:
             R = self.R
             if not self.transversal_k(N_rows, L_rows):
-                raise ValueError("r_map needs N transversal to L")
+                raise ValueError("r_terms needs N transversal to L")
             cols = linalg.transpose(key[1] + key[2])
             xs = linalg.solve_many(linalg.field_ops(R), cols, M_rows)
             images = [linalg.vec_mat_field(R, x[:len(N_rows)], N_rows) for x in xs]
-            r = dict(zip(self.span_k(M_rows), self.span_k(images)))
-            terms = tuple((m, rm, _xor(m, rm), self.beta(m, rm))
-                          for m, rm in r.items())
-            entry = self._r_maps[key] = (r, terms)
-        return entry
+            terms = self._r_maps[key] = tuple(
+                (m, rm, _xor(m, rm), self.beta(m, rm))
+                for m, rm in zip(self.span_k(M_rows), self.span_k(images)))
+        return terms
 
     def r_map_tilde(self, Mt, Nt, Lt):
         """Images of Mt's basis under the projection onto Nt along Lt: the
@@ -660,7 +638,7 @@ def enumerate_enhanced(space):
     q = space.R.field_size
     _refuse_above(lagrangian_count(q, space.n) * q ** space.dn, MAX_LISTING,
                   f"enhanced Lagrangian enumeration at d{space.R.d}n{space.n}",
-                  "list {:,} enhanced Lagrangians")
+                  "list {} enhanced Lagrangians")
     out = []
     for rows in space.enumerate_lagrangians():
         out.extend(space.enumerate_enhancements(rows))

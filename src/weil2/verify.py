@@ -489,23 +489,12 @@ def suite_splitting(seed=0):
     checks.append(Check("splitting.square-is-trivialization", total, bad,
                         f"S^2 = T on {total} oriented pairs"))
 
-    grams = [()] + [g for r in (1, 2, 3) for g in _all_symmetric_grams(r)]
+    grams = [()] + [g for r in (1, 2, 3) for g in witt.symmetric_grams(r)]
     total, bad = _count(witt.gauss_sum(B) == witt.gauss_sum(witt.neg_gram(B)).conj()
                         for B in grams)
     checks.append(Check("splitting.gauss-conj-symmetry", total, bad,
                         f"G(B) = conj(G(-B)) over {total} grams of size <= 3"))
     return checks
-
-
-def _all_symmetric_grams(r):
-    idx = [(i, j) for i in range(r) for j in range(i, r)]
-    out = []
-    for vals in itertools.product(range(4), repeat=len(idx)):
-        M = [[0] * r for _ in range(r)]
-        for (i, j), v in zip(idx, vals):
-            M[i][j] = M[j][i] = v
-        out.append(tuple(tuple(row) for row in M))
-    return out
 
 
 # -- Discriminant lemmas (suite "disc", reported under "splitting") -----------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 
 from . import linalg
-from .cyclotomic import Cyc8, sqrt2_pow
+from .cyclotomic import Cyc8
 
 HYP = ((0, 1), (1, 0))
 M4 = ((2, 1), (1, 2))
@@ -125,15 +125,6 @@ def apply_congruence(U, B):
 
 # -- invariants ----------------------------------------------------------------
 
-def rank(B):
-    return len(B)
-
-
-def disc4(B):
-    """Discriminant: the class of det B in (Z/4)^x / squares = {1, 3}."""
-    return det4(B)
-
-
 def gw_exponent(counts):
     """The mu8-exponent of the Gauss character on the canonical blocks:
     G = zeta^gw * 2^{rank/2}."""
@@ -149,10 +140,6 @@ def counts_rank(counts):
 def counts_disc(counts):
     n1, n3, nh, nm = counts
     return 3 if (n3 + nh + nm) % 2 else 1
-
-
-def gauss_from_exponent(gw, r):
-    return Cyc8.zeta_pow(gw % 8) * sqrt2_pow(r)
 
 
 # -- canonical decomposition ---------------------------------------------------
@@ -325,17 +312,20 @@ def is_isometric(A, B):
     return extend([])
 
 
-def all_unimodular_grams(r):
-    """Every symmetric unimodular gram of the given rank (4^{r(r+1)/2}
-    candidates, filtered); exhaustive, keep r small."""
+def symmetric_grams(r):
+    """Every symmetric gram mod 4 of the given rank, 4^{r(r+1)/2} of them,
+    in itertools.product order of the upper triangle; keep r small."""
     idx = [(i, j) for i in range(r) for j in range(i, r)]
     for vals in itertools.product(range(4), repeat=len(idx)):
         M = [[0] * r for _ in range(r)]
         for (i, j), v in zip(idx, vals):
             M[i][j] = M[j][i] = v
-        M = tuple(tuple(row) for row in M)
-        if det4(M) % 2:
-            yield M
+        yield tuple(tuple(row) for row in M)
+
+
+def all_unimodular_grams(r):
+    """The symmetric grams of the given rank with odd determinant."""
+    return (M for M in symmetric_grams(r) if det4(M) % 2)
 
 
 def tuples_of_rank(r):
@@ -370,65 +360,8 @@ def trace_form(R, B):
     return tuple(tuple(row) for row in out)
 
 
-def ring_gauss(R, B):
-    """G of the trace form of an R-valued symmetric gram."""
-    return gauss_sum(trace_form(R, B))
-
-
 def ring_disc(R, B):
     """Discriminant of an R-valued unimodular gram: det in R^x modulo
     squares of units (canonical orbit representative)."""
     return R.disc_class(linalg.det_ring(R, B))
 
-
-class WittClass:
-    """A point of the monoid: the canonical block multiset of some gram."""
-
-    __slots__ = ("counts",)
-
-    def __init__(self, counts):
-        self.counts = tuple(counts)
-
-    @classmethod
-    def of(cls, B):
-        return cls(decompose(B)[0])
-
-    @property
-    def rank(self):
-        return counts_rank(self.counts)
-
-    @property
-    def disc(self):
-        return counts_disc(self.counts)
-
-    @property
-    def gw(self):
-        return gw_exponent(self.counts)
-
-    def gauss(self):
-        return gauss_from_exponent(self.gw, self.rank)
-
-    def gram(self):
-        return canonical_gram(self.counts)
-
-    def __add__(self, other):
-        return WittClass(tuple(a + b for a, b in zip(self.counts, other.counts)))
-
-    def stably_equal(self, other):
-        """Equality in the monoid: rank, discriminant and Gauss exponent
-        agree (a complete set of invariants for unimodular forms mod the
-        defining relations)."""
-        return (
-            self.rank == other.rank
-            and self.disc == other.disc
-            and self.gw == other.gw
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, WittClass) and self.counts == other.counts
-
-    def __hash__(self):
-        return hash(self.counts)
-
-    def __repr__(self):
-        return f"WittClass(counts={self.counts})"

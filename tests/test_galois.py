@@ -8,7 +8,6 @@ import random
 
 import pytest
 
-from weil2.cyclotomic import Cyc8
 from weil2.galois import graeffe_lift, is_irreducible_f2, ring
 
 # (d, modulus low->high, |R|, |R^x|, residue field size)
@@ -80,7 +79,7 @@ def test_frobenius_order(d):
     for a in range(R.size):
         x = a
         for _ in range(d):
-            x = R.frobenius(x)
+            x = R._frob[x]
         assert x == a
 
 
@@ -113,9 +112,9 @@ def test_psi_character():
     for d in (1, 2):
         R = ring(d)
         for a in range(R.size):
-            assert R.psi(a) == Cyc8.i_pow(R.psi_exp(a))
             for b in range(R.size):
-                assert R.psi(R.add(a, b)) == R.psi(a) * R.psi(b)
+                assert R.psi_exp(R.add(a, b)) == \
+                    (R.psi_exp(a) + R.psi_exp(b)) % 4
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -17,9 +17,8 @@ from weil2 import heisenberg, linalg, symplectic
 from weil2.galois import ring
 from weil2.symplectic import CapExceeded, SympSpace, enumerate_enhanced
 from weil2.heisenberg import (
-    AspElement, act_on_enhanced, all_h_elements, apply_sp_R, asp_identity,
-    asp_inv, asp_mul, center_element, enumerate_asp, enumerate_sp_R,
-    enumerate_sp_k, group_order, h_commutator, h_identity, h_inv, h_mul,
+    AspElement, act_on_enhanced, all_h_elements, apply_sp_R, asp_inv, asp_mul,
+    enumerate_asp, enumerate_sp_R, enumerate_sp_k, group_order, h_mul,
     is_symplectic_R, lift_sp, preserves_residue_quadratic,
     residue_polarization, symplectic_lift_matrix,
 )
@@ -27,6 +26,16 @@ from weil2.heisenberg import (
 
 def _space():
     return SympSpace(ring(1), 1)
+
+
+# the identity of ASp(V) at d = n = 1: the lift of the identity of Sp(Vt)
+ASP_IDENTITY_D1N1 = ((1, 0), (0, 1))
+
+
+def _h_inv(sp, h):
+    """(v, z)^-1 = (v, -z + beta(v, v)) in H(V)."""
+    v, z = h
+    return (v, sp.R.add(sp.R.neg(z), sp.beta(v, v)))
 
 
 def test_group_orders():
@@ -40,11 +49,11 @@ def test_group_orders():
 def test_heisenberg_group_axioms():
     sp = _space()
     elems = list(all_h_elements(sp))
-    e = h_identity(sp)
+    e = ((0,) * sp.dim, 0)
     for h in elems:
         assert h_mul(sp, h, e) == h
         assert h_mul(sp, e, h) == h
-        assert h_mul(sp, h, h_inv(sp, h)) == e
+        assert h_mul(sp, h, _h_inv(sp, h)) == e
     rng = random.Random(0)
     for _ in range(400):
         a, b, c = (rng.choice(elems) for _ in range(3))
@@ -53,16 +62,20 @@ def test_heisenberg_group_axioms():
 
 def test_center_and_commutators():
     sp = _space()
-    elems = list(all_h_elements(spc := sp))
+    R = sp.R
+    elems = list(all_h_elements(sp))
+    zero = (0,) * sp.dim
     for z in range(4):
-        zc = center_element(sp, z)
+        zc = (zero, z)
         for h in elems:
             assert h_mul(sp, zc, h) == h_mul(sp, h, zc)
-    # the commutator of h1 and h2 is the central element omega(v1, v2)
+    # the commutator of h1 and h2 is the central element
+    # omega(v1, v2) = 2 * lift(omega_field(v1, v2))
     for h1 in elems:
         for h2 in elems[::5]:
-            comm = h_commutator(spc, h1, h2)
-            assert comm == center_element(sp, sp.omega(h1[0], h2[0]))
+            comm = h_mul(sp, h_mul(sp, h1, h2), _h_inv(sp, h_mul(sp, h2, h1)))
+            omega = R.mul(R.two, R.lift(sp.omega_field(h1[0], h2[0])))
+            assert comm == (zero, omega)
 
 
 def test_symplectic_membership():
@@ -85,7 +98,7 @@ def test_sp_R_is_closed_under_row_products():
 def test_asp_group_axioms():
     sp = _space()
     asp = list(enumerate_asp(sp))
-    e = asp_identity(sp)
+    e = lift_sp(sp, ASP_IDENTITY_D1N1)
     keys = {a.key() for a in asp}
     assert len(keys) == 24
     for a in asp:
@@ -100,7 +113,8 @@ def test_asp_acts_on_heisenberg():
     elems = list(all_h_elements(sp))
     for a in enumerate_asp(sp):
         for z in range(4):
-            assert a.apply_h(center_element(sp, z)) == center_element(sp, z)
+            zc = ((0,) * sp.dim, z)
+            assert a.apply_h(zc) == zc
         for h1 in elems[::7]:
             for h2 in elems[::5]:
                 assert a.apply_h(h_mul(sp, h1, h2)) == h_mul(
@@ -146,7 +160,7 @@ def test_act_on_enhanced_is_group_action():
     sp = _space()
     enh = enumerate_enhanced(sp)
     keys = {e.key() for e in enh}
-    ident = asp_identity(sp)
+    ident = lift_sp(sp, ASP_IDENTITY_D1N1)
     for e in enh:
         assert act_on_enhanced(sp, ident, e).key() == e.key()
     for a in enumerate_asp(sp):
@@ -180,7 +194,7 @@ def _filter_sp_k(sp):
     for entries in itertools.product(range(R.field_size), repeat=m * m):
         g = tuple(tuple(entries[i * m:(i + 1) * m]) for i in range(m))
         if linalg.rank_field(R, g) == m and all(
-                sp.omega(g[i], g[j]) == sp.omega(e[i], e[j])
+                sp.omega_field(g[i], g[j]) == sp.omega_field(e[i], e[j])
                 for i in range(m) for j in range(i + 1, m)):
             out.append(g)
     return tuple(out)
@@ -303,7 +317,7 @@ def test_position_refuses_an_element_outside():
     with pytest.raises(RuntimeError, match="not an element of Sp"):
         enumerate_sp_R(sp).position(((1, 0), (0, 2)))
     # alpha(0) = 1 is not the identity's shift, nor any element's
-    outside = AspElement(sp, asp_identity(sp).g,
+    outside = AspElement(sp, lift_sp(sp, ASP_IDENTITY_D1N1).g,
                          {v: 1 for v in sp.all_vectors_k()}, validate=False)
     with pytest.raises(RuntimeError, match="not an element of ASp"):
         enumerate_asp(sp).position(outside)

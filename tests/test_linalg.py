@@ -22,13 +22,14 @@ def _random_invertible(R, rng, n):
 @pytest.mark.parametrize("d", [1, 2])
 def test_inverse_ring_roundtrip(d):
     R = ring(d)
+    ops = linalg.ring_ops(R)
     rng = random.Random(d)
     for n in (1, 2, 3):
         for _ in range(20):
             A = _random_invertible(R, rng, n)
-            Ainv = linalg.inverse_ring(R, A)
-            assert linalg.mat_mul(R, A, Ainv) == linalg.identity(R, n)
-            assert linalg.mat_mul(R, Ainv, A) == linalg.identity(R, n)
+            Ainv = linalg.invert(ops, A, "the ring")
+            assert linalg.mat_mul(R, A, Ainv) == _identity(ops, n)
+            assert linalg.mat_mul(R, Ainv, A) == _identity(ops, n)
 
 
 def test_det_multiplicative():
@@ -56,7 +57,7 @@ def test_solve_ring():
         A = _random_invertible(R, rng, 3)
         x = tuple(rng.randrange(R.size) for _ in range(3))
         b = linalg.vec_mat(R, x, linalg.transpose(A))
-        assert linalg.solve_ring(R, A, b) == x
+        assert linalg.solve_many(linalg.ring_ops(R), A, (b,)) == [x]
 
 
 def test_rref_ring_recovers_pivot_columns():
@@ -86,8 +87,7 @@ def test_solve_field():
     R = ring(1)
     A = ((1, 1), (0, 1))
     b = (0, 1)
-    x = linalg.solve_field(R, A, b)
-    assert x is not None
+    x, = linalg.solve_many(linalg.field_ops(R), A, (b,))
     got = tuple(sum(A[i][j] * x[j] for j in range(2)) % 2 for i in range(2))
     assert got == b
 
@@ -195,19 +195,19 @@ def test_wrappers_match_kernel(d):
         assert _field_mat_mul(R, A, linalg.inverse_field(R, A)) == \
             _identity(linalg.field_ops(R), 3)
         b = tuple(rng.randrange(R.field_size) for _ in range(3))
-        x = linalg.solve_field(R, A, b)
+        x, = linalg.solve_many(linalg.field_ops(R), A, (b,))
         assert _field_mat_mul(R, A, tuple((c,) for c in x)) == tuple((c,) for c in b)
 
 
 def test_singular_inverse_raises():
     R = ring(1)
     with pytest.raises(ZeroDivisionError):
-        linalg.inverse_ring(R, ((2, 0), (0, 1)))
+        linalg.invert(linalg.ring_ops(R), ((2, 0), (0, 1)), "the ring")
     with pytest.raises(ZeroDivisionError):
         linalg.inverse_field(R, ((1, 1), (1, 1)))
-    with pytest.raises(ValueError):
-        linalg.solve_ring(R, ((1, 0), (0, 2)), (0, 1))
-    assert linalg.solve_field(R, ((1, 1), (1, 1)), (0, 1)) is None
+    # a non-unit pivot over the ring, an inconsistent system over k
+    assert linalg.solve_many(linalg.ring_ops(R), ((1, 0), (0, 2)), ((0, 1),)) is None
+    assert linalg.solve_many(linalg.field_ops(R), ((1, 1), (1, 1)), ((0, 1),)) is None
 
 
 def _leibniz_det(R, A):

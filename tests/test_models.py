@@ -18,7 +18,7 @@ from weil2.heisenberg import all_h_elements, h_mul
 from weil2.cyclotomic import sqrt2_pow
 from weil2.models import (
     CharacterSum, Model, ZiMatrix, composition_scalar, formula_scalar,
-    gauss_scalar, intertwiner_matrix, monomial_exponents, standard_model,
+    gauss_scalar, intertwiner_matrix, monomial_exponents,
 )
 from weil2.symplectic import EnhancedLagrangian, SympSpace, enumerate_enhanced
 
@@ -30,7 +30,7 @@ def _space():
 
 
 def _named_enhanced(sp):
-    std = sp.standard_lagrangian()
+    std = tuple(sp.std_basis_k(i) for i in range(sp.n))
     dual = sp.dual_standard_lagrangian()
     third = next(s for s in sp.enumerate_lagrangians() if s not in (std, dual))
     return {
@@ -48,7 +48,7 @@ def test_model_dimensions():
 
 def test_pi_is_a_representation():
     sp = _space()
-    m = standard_model(sp)
+    m = Model(sp, sp.enhance_from_lift(sp.standard_oriented().basis))
     elems = list(all_h_elements(sp))
     for h1 in elems:
         for h2 in elems:
@@ -62,7 +62,7 @@ def test_pi_central_character():
     for e in enumerate_enhanced(sp):
         m = Model(sp, e)
         for z in range(4):
-            mat = m.pi_matrix((sp.zero_vec_k(), z)).to_cyc()
+            mat = m.pi_matrix(((0,) * sp.dim, z)).to_cyc()
             for r in range(m.dim):
                 for c in range(m.dim):
                     want = Cyc8.i_pow(z) if r == c else Cyc8.from_rational(0)
@@ -209,7 +209,7 @@ def _formula_reference(sp, eN, eM, eL):
     """The character sum term by term: r(m), m - r(m) and beta(m, r(m))
     recomputed for every element of M."""
     R = sp.R
-    r = sp.r_map(eM.rows, eN.rows, eL.rows)
+    r = {m: rm for m, rm, *_ in sp.r_terms(eM.rows, eN.rows, eL.rows)}
     tally = [0, 0, 0, 0]
     for m in eM.elements:
         rm = r[m]
@@ -251,9 +251,8 @@ def test_formula_scalar_terms_once_per_subspace_triple():
     assert count == 30720
     assert len(sp._r_maps) == 480
     assert beta_calls == 4 * 480
-    for (M, N, L), (r, terms) in sp._r_maps.items():
+    for (M, N, L), terms in sp._r_maps.items():
         assert sp.r_terms(M, N, L) is terms
-        assert [t[:2] for t in terms] == list(r.items())
         assert [t[0] for t in terms] == list(sp.span_k(M))
 
 

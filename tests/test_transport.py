@@ -36,7 +36,7 @@ def test_trivializing_scalar():
 
 def test_trivialization_scalar_frozen():
     sp = _space()
-    std = sp.enhance_from_lift(sp.initial_lift(sp.standard_lagrangian()))
+    std = sp.enhance_from_lift(sp.standard_oriented().basis)
     dual = sp.enhance_from_lift(sp.initial_lift(sp.dual_standard_lagrangian()))
     T = trivialization_transport(sp, dual, std)
     assert T.scalar == Cyc8.from_rational(Fraction(-1, 4))
@@ -76,7 +76,9 @@ def test_splitting_scalar_histogram():
     hist = {}
     for o in sp.enumerate_oriented():
         T = splitting_transport(sp, o, base)
-        if sp.transversal_R(o.basis, base.basis):
+        # transversal over R exactly when the reductions are (Nakayama)
+        if sp.transversal_k(tuple(map(sp.reduce_vec, o.basis)),
+                            tuple(map(sp.reduce_vec, base.basis))):
             # the direct transversal formula matches the transport scalar
             assert splitting_scalar(sp, o, base) == T.scalar
         key = str(T.scalar)

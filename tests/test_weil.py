@@ -18,7 +18,7 @@ import pytest
 from weil2.cyclotomic import ZETA, Cyc8, I, ONE, mu4_exponent, sqrt2_pow
 from weil2.galois import ring
 from weil2.heisenberg import (
-    all_h_elements, asp_identity, asp_mul, enumerate_asp,
+    all_h_elements, asp_mul, enumerate_asp,
     enumerate_sp_R, lift_sp,
 )
 from weil2.models import Model, intertwiner_matrix
@@ -81,7 +81,7 @@ def test_sqrt2_pow_consistency():
 def test_weil_identity_and_unitarity():
     sp = _space()
     W = WeilRepresentation(sp)
-    assert W.operator(asp_identity(sp)).to_cyc() == _identity(2)
+    assert W.operator(lift_sp(sp, ((1, 0), (0, 1)))).to_cyc() == _identity(2)
     for a in enumerate_asp(sp):
         M = W.operator(a).to_cyc()
         assert _mul(M, _dagger(M)) == _identity(2)
@@ -199,7 +199,7 @@ def test_object_independence_coboundary():
 def test_transition_inverts():
     sp = _space()
     W = WeilRepresentation(sp)
-    std = sp.enhance_from_lift(sp.initial_lift(sp.standard_lagrangian()))
+    std = sp.enhance_from_lift(sp.standard_oriented().basis)
     dual = sp.enhance_from_lift(sp.initial_lift(sp.dual_standard_lagrangian()))
     fwd = W.transition(dual, std)
     back = W.transition(std, dual)

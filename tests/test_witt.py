@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from weil2 import witt
-from weil2.cyclotomic import Cyc8, I, ONE
+from weil2.cyclotomic import Cyc8, I, ONE, sqrt2_pow
 from weil2.galois import ring
 
 RANK1_HIST = {(0, 1, 0, 0): 1, (1, 0, 0, 0): 1}
@@ -46,6 +46,8 @@ def test_block_forms():
     assert witt.M4 == ((2, 1), (1, 2))
     assert witt.det4(witt.HYP) == 3
     assert witt.det4(witt.M4) == 3
+    assert witt.det4(((1,),)) == 1
+    assert witt.det4(((3,),)) == 3
 
 
 @pytest.mark.parametrize("r,hist", [(1, RANK1_HIST), (2, RANK2_HIST), (3, RANK3_HIST)])
@@ -108,7 +110,10 @@ def test_gauss_purity_rank2():
 def test_gauss_matches_class_invariant():
     for r in (1, 2):
         for B in witt.all_unimodular_grams(r):
-            assert witt.WittClass.of(B).gauss() == witt.gauss_sum(B)
+            counts, _ = witt.decompose(B)
+            assert witt.gauss_sum(B) == \
+                Cyc8.zeta_pow(witt.gw_exponent(counts)) * \
+                sqrt2_pow(witt.counts_rank(counts))
 
 
 def test_gw_exponent_table():
@@ -116,21 +121,27 @@ def test_gw_exponent_table():
     got = []
     for k in range(1, 9):
         diag = tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
-        got.append(witt.WittClass.of(diag).gw)
+        got.append(_gw(diag))
     assert got == [1, 2, 3, 4, 5, 6, 7, 0]
-    assert witt.WittClass.of(witt.M4).gw == 4
-    assert witt.WittClass.of(witt.HYP).gw == 0
+    assert _gw(witt.M4) == 4
+    assert _gw(witt.HYP) == 0
+
+
+def _gw(B):
+    return witt.gw_exponent(witt.decompose(B)[0])
 
 
 def test_witt_class_addition_and_stability():
-    a = witt.WittClass.of(((1,),))
-    b = witt.WittClass.of(((3,),))
-    s = a + b
-    assert s.rank == 2 and s.gw == 0
-    assert s.stably_equal(witt.WittClass.of(witt.HYP))
-    assert not s.stably_equal(witt.WittClass.of(witt.M4))
+    def invariants(counts):
+        return (witt.counts_rank(counts), witt.counts_disc(counts),
+                witt.gw_exponent(counts))
+
+    s, _ = witt.decompose(witt.direct_sum(((1,),), ((3,),)))
+    hyp, _ = witt.decompose(witt.HYP)
+    m4, _ = witt.decompose(witt.M4)
     # <1> + <3> and HYP have the same invariants but different counts
-    assert s != witt.WittClass.of(witt.HYP)
+    assert invariants(s) == invariants(hyp) != invariants(m4)
+    assert s != hyp
 
 
 def test_scale_and_neg():
@@ -138,12 +149,6 @@ def test_scale_and_neg():
     assert witt.neg_gram(B) == ((3, 2), (2, 1))
     assert witt.scale_gram(3, B) == ((3, 2), (2, 1))
     assert witt.scale_gram(2, ((1,),)) == ((2,),)
-
-
-def test_disc4():
-    assert witt.disc4(((1,),)) == 1
-    assert witt.disc4(((3,),)) == 3
-    assert witt.disc4(witt.HYP) == witt.disc4(witt.M4)
 
 
 def test_trace_form_discriminant_is_one():
@@ -160,6 +165,3 @@ def test_ring_gauss_and_disc_consistency():
     R = ring(2)
     B = ((R.one,),)
     assert witt.ring_disc(R, B) in R.units
-    g = witt.ring_gauss(R, B)
-    tr = witt.gauss_sum(witt.trace_form(R, B))
-    assert g == tr
