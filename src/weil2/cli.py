@@ -8,18 +8,26 @@ module, recorded in every report header), and no timestamps are emitted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import itertools
 import json
+import os
 import random
 import sys
+import types
 
 from . import verify, witt
 from .galois import MAX_D, ring
 from .heisenberg import enumerate_asp, enumerate_sp_R
 from .models import CharacterSum, formula_scalar
-from .symplectic import SympSpace, check_sweep, enumerate_enhanced, exhaustive_by_default
+from .symplectic import (
+    SympSpace,
+    check_lagrangians,
+    check_sweep,
+    enumerate_enhanced,
+    exhaustive_by_default,
+)
 from .weil import SplitWeilRepresentation, WeilRepresentation, lambda_root, mu_root
 from .transport import splitting_transport, trivialization_transport
 
@@ -39,15 +47,55 @@ def _parse_gram(text):
     return B
 
 
-def _print(out_path, text):
-    if out_path:
+def _print(fh, text):
+    """Write text to the open stream fh; every byte a command outputs passes
+    here."""
+    fh.write(text)
+
+
+def _open_beside(path):
+    """A new file beside path under a random name, made with open(..., "x")
+    so the umask applies; returns (file, name)."""
+    while True:
+        tmp = f"{path}.{os.urandom(4).hex()}.tmp"
         try:
-            with open(out_path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
+            return open(tmp, "x"), tmp
+        except FileExistsError:
+            continue
+
+
+@contextlib.contextmanager
+def _output(out_path):
+    """The stream a command writes to: standard output (never closed here),
+    or with --out the file at out_path.  A regular file there, or none, is
+    written all-or-nothing: a new file beside it takes the output and
+    replaces it only when the command finishes, and on any exception the
+    new file is removed and the old one left as it was.  Anything else
+    there, such as a symlink (/dev/stdout and /dev/fd/N are ones), a device
+    or a FIFO, is opened and written directly.  Any OSError inside the
+    block is reported as "cannot write out_path".  Enter it after every
+    refusal has run."""
+    if not out_path:
+        yield sys.stdout
+        return
+    direct = os.path.islink(out_path) or (
+        os.path.exists(out_path) and not os.path.isfile(out_path))
+    try:
+        fh, tmp = ((open(out_path, "w"), None) if direct
+                   else _open_beside(out_path))
+    except OSError as exc:
+        raise ValueError(f"cannot write {out_path}: {exc.strerror}") from None
+    try:
+        with fh:
+            yield fh
+        if tmp:
+            os.replace(tmp, out_path)
+    except BaseException as exc:
+        if tmp:
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
             raise ValueError(f"cannot write {out_path}: {exc.strerror}") from None
-    else:
-        sys.stdout.write(text)
+        raise
 
 
 # -- ring-info -----------------------------------------------------------------
@@ -67,7 +115,8 @@ def cmd_ring_info(args):
         "two_torsion": list(R.two_torsion()),
         "trace_one_witness": witness,
     }
-    _print(args.out, json.dumps(info, indent=2) + "\n")
+    with _output(args.out) as fh:
+        _print(fh, json.dumps(info, indent=2) + "\n")
     return 0
 
 
@@ -93,104 +142,129 @@ def cmd_witt(args):
             "gauss": witt.gauss_sum(B).to_json(),
             "witness": [list(r) for r in U],
         }
-        _print(args.out, json.dumps(info, indent=2) + "\n")
-        return 0
-    if args.action == "gauss":
-        g = witt.gauss_sum(B)
-        _print(args.out, f"{g}\n")
-        return 0
-    if args.action == "isometric":
-        B2 = _parse_gram(args.gram2)
-        same = witt.is_isometric(B, B2)
-        _print(args.out, ("true" if same else "false") + "\n")
-        return 0
-    raise AssertionError(args.action)
+        text = json.dumps(info, indent=2) + "\n"
+    elif args.action == "gauss":
+        text = f"{witt.gauss_sum(B)}\n"
+    elif args.action == "isometric":
+        same = witt.is_isometric(B, _parse_gram(args.gram2))
+        text = ("true" if same else "false") + "\n"
+    else:
+        raise AssertionError(args.action)
+    with _output(args.out) as fh:
+        _print(fh, text)
+    return 0
 
 
 # -- cocycle-table ---------------------------------------------------------------
 
 
-def _cocycle_rows(d, n, mode, sample_count, seed):
-    """The cocycle table as (repr N, repr M, repr L, C) rows; an exhaustive
-    sweep computes each enhanced Lagrangian's repr once, and reads C off
-    the CharacterSum of each subspace triple."""
+def _cocycle_rows(d, n, mode, sample_count, seed, label):
+    """The cocycle table in groups of rows, one group per subspace triple
+    (one per draw when sampled): an iterator of (N labels, M labels,
+    L labels, Cs), whose rows are the itertools.product of the three label
+    lists, with the C of each row in Cs in the same order.  label(e) names
+    the enhanced Lagrangian e in the output.  The refusal, the Lagrangians,
+    the enhancements and their labels are computed at the call; a group's
+    CharacterSum is built only when the iterator reaches it, so nothing
+    holds all the rows."""
     if mode == "exhaustive":
         check_sweep(d, n)
+    else:
+        check_lagrangians(d, n)
     R = ring(d)
     sp = SympSpace(R, n)
     subs = sp.enumerate_lagrangians()
-    rows = []
     if mode == "exhaustive":
         enh = {s: sp.enumerate_enhancements(s) for s in subs}
-        keys = {s: [repr(e.key()) for e in enh[s]] for s in subs}
-        for (rN, rM, rL) in sp.transversal_triples(subs):
-            cs = CharacterSum(sp, rM, rN, rL).values(enh[rN], enh[rM], enh[rL])
-            rows.extend((kN, kM, kL, c) for (kN, kM, kL), c in zip(
-                itertools.product(keys[rN], keys[rM], keys[rL]), cs))
-    else:
-        rng = random.Random(seed)
+        labels = {s: [label(e) for e in enh[s]] for s in subs}
+        return ((labels[rN], labels[rM], labels[rL],
+                 CharacterSum(sp, rM, rN, rL).values(enh[rN], enh[rM], enh[rL]))
+                for (rN, rM, rL) in sp.transversal_triples(subs))
+    rng = random.Random(seed)
+
+    def draws():
         for _ in range(sample_count):
             eN, eM, eL = (sp.random_enhancement(sp.random_lift(r, rng), rng)
                           for r in sp.sample_transversal_triple(subs, rng))
-            rows.append((repr(eN.key()), repr(eM.key()), repr(eL.key()),
-                         formula_scalar(sp, eN, eM, eL)))
-    return rows
+            yield ([label(eN)], [label(eM)], [label(eL)],
+                   [formula_scalar(sp, eN, eM, eL)])
+    return draws()
 
 
-# stands in for the table rows in a payload handed to _dumps_with_rows
+def _csv_label(e):
+    return repr(e.key())
+
+
+def _json_label(e):
+    return json.dumps(repr(e.key()))
+
+
+# stands in for the table rows in a payload handed to _write_json
 _ROWS = "\0rows"
+# one row object, laid out as json.dumps(..., indent=2) lays it out at
+# depth 2 of a document
+_ROW = ('    {\n      "N": %s,\n      "M": %s,\n      "L": %s,\n'
+        '      "C": %s\n    }')
 
 
-def _rows_json(rows):
-    """The rows as the JSON list {"N", "M", "L", "C"} objects that
-    json.dumps(..., indent=2) writes at depth 1 of a document, byte for
-    byte, assembled from fragments encoded once per distinct key and C."""
-    if not rows:
-        return "[]"
-    keys, values = {}, {}
-    blocks = []
-    for kN, kM, kL, c in rows:
-        for k in (kN, kM, kL):
-            if k not in keys:
-                keys[k] = json.dumps(k)
-        if c not in values:
-            values[c] = "[\n" + ",\n".join(
-                "        " + json.dumps(x) for x in c.to_json()) + "\n      ]"
-        blocks.append(
-            '    {\n      "N": %s,\n      "M": %s,\n      "L": %s,\n'
-            '      "C": %s\n    }' % (keys[kN], keys[kM], keys[kL], values[c]))
-    return "[\n" + ",\n".join(blocks) + "\n  ]"
+def _write_json(fh, payload, groups):
+    """Write json.dumps(payload, indent=2) + "\n" to fh, where payload holds
+    the top-level value _ROWS in place of the list of {"N", "M", "L", "C"}
+    rows of `groups` (from _cocycle_rows with _json_label), byte for byte.
+    Each group is written as it is read, and each distinct C is encoded
+    once."""
+    head, tail = json.dumps(payload, indent=2).split(json.dumps(_ROWS))
+    _print(fh, head)
+    values = {}
+    sep = "[\n"
+    for kNs, kMs, kLs, cs in groups:
+        blocks = []
+        for (kN, kM, kL), c in zip(itertools.product(kNs, kMs, kLs), cs):
+            v = values.get(c)
+            if v is None:
+                v = values[c] = "[\n" + ",\n".join(
+                    "        " + json.dumps(x) for x in c.to_json()) + "\n      ]"
+            blocks.append(_ROW % (kN, kM, kL, v))
+        _print(fh, sep + ",\n".join(blocks))
+        sep = ",\n"
+    _print(fh, ("[]" if sep == "[\n" else "\n  ]") + tail + "\n")
 
 
-def _dumps_with_rows(payload, rows):
-    """json.dumps(payload, indent=2) + "\n", where payload holds the
-    top-level value _ROWS in place of the table rows."""
-    text = json.dumps(payload, indent=2)
-    return text.replace(json.dumps(_ROWS), _rows_json(rows), 1) + "\n"
+def _write_csv(fh, groups):
+    """Write the rows of `groups` (from _cocycle_rows with _csv_label) to fh
+    as CSV, one group at a time."""
+    lines = []
+    w = csv.writer(types.SimpleNamespace(write=lines.append),
+                   lineterminator="\n")
+    w.writerow(["N", "M", "L", "c0", "c1", "c2", "c3"])
+    coords = {}
+    for kNs, kMs, kLs, cs in groups:
+        _print(fh, "".join(lines))
+        lines.clear()
+        for (kN, kM, kL), c in zip(itertools.product(kNs, kMs, kLs), cs):
+            if c not in coords:
+                coords[c] = c.to_json()
+            w.writerow([kN, kM, kL, *coords[c]])
+    _print(fh, "".join(lines))
 
 
 def cmd_cocycle_table(args):
     mode = args.mode or (
         "exhaustive" if exhaustive_by_default(args.d, args.n) else "sampled")
-    rows = _cocycle_rows(args.d, args.n, mode, args.sample_count, args.seed)
-    if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "prng": verify.PRNG_NAME,
-            "d": args.d, "n": args.n, "mode": mode, "seed": args.seed,
-            "rows": _ROWS,
-        }
-        _print(args.out, _dumps_with_rows(payload, rows))
-    else:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["N", "M", "L", "c0", "c1", "c2", "c3"])
-        coords = {}
-        for (kN, kM, kL, c) in rows:
-            if c not in coords:
-                coords[c] = c.to_json()
-            w.writerow([kN, kM, kL, *coords[c]])
-        _print(args.out, buf.getvalue())
+    as_json = args.format == "json"
+    groups = _cocycle_rows(args.d, args.n, mode, args.sample_count, args.seed,
+                           _json_label if as_json else _csv_label)
+    with _output(args.out) as fh:
+        if as_json:
+            payload = {
+                "schema_version": SCHEMA_VERSION,
+                "prng": verify.PRNG_NAME,
+                "d": args.d, "n": args.n, "mode": mode, "seed": args.seed,
+                "rows": _ROWS,
+            }
+            _write_json(fh, payload, groups)
+        else:
+            _write_csv(fh, groups)
     return 0
 
 
@@ -212,12 +286,14 @@ def cmd_verify(args):
                        for c in checks],
             "failures": len(failures),
         }
-        _print(args.out, json.dumps(payload, indent=2) + "\n")
+        text = json.dumps(payload, indent=2) + "\n"
     else:
         lines = [f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}"
                  for c in checks]
         lines.append(f"{len(checks) - len(failures)}/{len(checks)} checks passed")
-        _print(args.out, "\n".join(lines) + "\n")
+        text = "\n".join(lines) + "\n"
+    with _output(args.out) as fh:
+        _print(fh, text)
     return 1 if failures else 0
 
 
@@ -246,7 +322,8 @@ def cmd_weil_matrix(args):
         label: [list(r) for r in rows],
         "matrix": _matrix_json(rep.operator(x)),
     }
-    _print(args.out, json.dumps(payload, indent=2) + "\n")
+    with _output(args.out) as fh:
+        _print(fh, json.dumps(payload, indent=2) + "\n")
     return 0
 
 
@@ -272,10 +349,11 @@ def cmd_emit_corpus(args):
         enh = enumerate_enhanced(sp)
         corpus["enhanced_lagrangians"] = [repr(e.key()) for e in enh]
         corpus["oriented_count"] = len(sp.enumerate_oriented())
-        rows = _cocycle_rows(args.d, args.n, "exhaustive", 0, args.seed)
+        groups = _cocycle_rows(args.d, args.n, "exhaustive", 0, args.seed,
+                               _json_label)
     else:
-        rows = _cocycle_rows(args.d, args.n, "sampled", args.sample_count,
-                             args.seed)
+        groups = _cocycle_rows(args.d, args.n, "sampled", args.sample_count,
+                               args.seed, _json_label)
     corpus["cocycle_table"] = _ROWS
 
     classifications = []
@@ -316,7 +394,8 @@ def cmd_emit_corpus(args):
                        "mu": mu_root(St.scalar).to_json()})
         corpus["mu_roots"] = mu
 
-    _print(args.out, _dumps_with_rows(corpus, rows))
+    with _output(args.out) as fh:
+        _write_json(fh, corpus, groups)
     return 0
 
 

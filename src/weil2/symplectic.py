@@ -38,6 +38,11 @@ def _refuse_above(count, cap, what, work):
         raise CapExceeded(f"{what} refused: it would {work.format(shown)} > {cap:,}")
 
 
+def _check_rank(n):
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
+
+
 def lagrangian_count(q, n):
     """#Lag = prod_{i<=n} (q^i + 1), the Lagrangian subspaces of k^{2n}."""
     return math.prod(q ** i + 1 for i in range(1, n + 1))
@@ -64,8 +69,7 @@ def sweep_count(d, n):
     every shape whose lift triples (q^{3n(n+1)/2} per subspace triple)
     outnumber its enhanced triples is refused by the enhanced count, except
     d1n2 with 245,760 lift triples."""
-    if not 1 <= n <= MAX_N:
-        raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
+    _check_rank(n)
     q = 2 ** d
     return transversal_triple_count(q, n) * q ** (3 * d * n)
 
@@ -83,10 +87,19 @@ def check_sweep(d, n):
                   "visit {} enhanced triples")
 
 
+def check_lagrangians(d, n):
+    """#Lag at d, n; listing them is refused above MAX_LISTING before any
+    work."""
+    _check_rank(n)
+    want = lagrangian_count(2 ** d, n)
+    _refuse_above(want, MAX_LISTING, f"Lagrangian enumeration at d{d}n{n}",
+                  "list {} Lagrangians")
+    return want
+
+
 class SympSpace:
     def __init__(self, ring, n: int):
-        if not 1 <= n <= MAX_N:
-            raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
+        _check_rank(n)
         self.R = ring
         self.n = n
         self.dim = 2 * n
@@ -163,9 +176,7 @@ class SympSpace:
         bits per coordinate, and bit a of omega_field(v, row) is the parity
         of packed(v) & masks(row)[a]: orthogonal means every parity even."""
         R, n, m, q, d = self.R, self.n, self.dim, self.R.field_size, self.R.d
-        want = lagrangian_count(q, n)
-        _refuse_above(want, MAX_LISTING, f"Lagrangian enumeration at d{d}n{n}",
-                      "list {} Lagrangians")
+        want = check_lagrangians(d, n)
         found = []
         chosen = []
         masks = []

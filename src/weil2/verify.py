@@ -40,6 +40,7 @@ from .models import (
 from .symplectic import (
     OrientedLagrangian,
     SympSpace,
+    check_lagrangians,
     check_sweep,
     enumerate_enhanced,
     exhaustive_by_default,
@@ -268,6 +269,13 @@ def _check_count(count):
         raise ValueError(f"sample count must be >= 1, got {count}")
 
 
+def _refuse_sampled(d, n, count):
+    """The refusals of a sampled check at (d, n), before any work: the
+    sample count, then the listing of the Lagrangians it draws from."""
+    _check_count(count)
+    check_lagrangians(d, n)
+
+
 def _shape(d, n):
     """(d, n) with None meaning 1; ValueError for d outside 1..4 or n < 1."""
     d = 1 if d is None else d
@@ -282,7 +290,7 @@ def _shape(d, n):
 def cocycle_checks_sampled(d, n, count, seed):
     """Seeded sample of pairwise-transversal triples: three-route agreement,
     fourth power, and the oriented identity."""
-    _check_count(count)
+    _refuse_sampled(d, n, count)
     rng = random.Random(seed)
     R = ring(d)
     sp = SympSpace(R, n)
@@ -315,10 +323,20 @@ def cocycle_checks_sampled(d, n, count, seed):
     ]
 
 
+def _refuse_cocycle(d, n, mode, sample_count):
+    """Apply the refusals of suite_cocycle at the shape (d, n) before any
+    work; True when it sweeps every triple, False when it samples."""
+    if mode == "exhaustive" or (mode is None and exhaustive_by_default(d, n)):
+        check_sweep(d, n)
+        return True
+    _refuse_sampled(d, n, sample_count)
+    return False
+
+
 def suite_cocycle(d=None, n=None, mode=None, sample_count=200, seed=0):
     if d is not None or n is not None:
         d, n = _shape(d, n)
-        if mode == "exhaustive" or (mode is None and exhaustive_by_default(d, n)):
+        if _refuse_cocycle(d, n, mode, sample_count):
             checks = cocycle_checks_exhaustive(d, n)
             if d * n == 1:
                 # the small checks include the same fourth-power sweep
@@ -382,7 +400,7 @@ def suite_trivialization():
 
 def transport_checks_sampled(d, n, count, seed):
     """Seeded multiplicativity spot-checks of T and S at larger sizes."""
-    _check_count(count)
+    _refuse_sampled(d, n, count)
     rng = random.Random(seed)
     R = ring(d)
     sp = SympSpace(R, n)
@@ -719,6 +737,16 @@ def suite_intro():
 SUITE_NAMES = ("witt", "cocycle", "trivialization", "splitting", "weil")
 
 
+def _refuse_trivialization(d, n, sample_count):
+    """Apply the refusals of the trivialization suite at the shape (d, n)
+    before any work; True when it samples there, False when it runs the
+    fixed d1n1 suite."""
+    if (d, n) == (1, 1):
+        return False
+    _refuse_sampled(d, n, sample_count)
+    return True
+
+
 def run_suite(name, d=None, n=None, mode=None, sample_count=200, seed=0):
     if name == "witt":
         return suite_witt()
@@ -727,7 +755,7 @@ def run_suite(name, d=None, n=None, mode=None, sample_count=200, seed=0):
     if name == "trivialization":
         if d is not None or n is not None:
             dd, nn = _shape(d, n)
-            if (dd, nn) != (1, 1):
+            if _refuse_trivialization(dd, nn, sample_count):
                 return transport_checks_sampled(dd, nn, sample_count, seed)
         return suite_trivialization()
     if name == "splitting":
@@ -735,6 +763,11 @@ def run_suite(name, d=None, n=None, mode=None, sample_count=200, seed=0):
     if name == "weil":
         return suite_weil() + suite_intro()
     if name == "all":
+        if d is not None or n is not None:
+            # the shaped suites' refusals, before any suite runs
+            dd, nn = _shape(d, n)
+            _refuse_cocycle(dd, nn, mode, sample_count)
+            _refuse_trivialization(dd, nn, sample_count)
         out = []
         for s in SUITE_NAMES:
             out += run_suite(s, d, n, mode, sample_count, seed)

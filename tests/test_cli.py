@@ -2,15 +2,19 @@
 determinism of every report."""
 
 import hashlib
+import io
+import itertools
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
-from weil2 import cli
+from weil2 import cli, models, verify
 from weil2.cli import main
 
 # SHA-256 of `verify --suite weil --format json`, with and without -O
@@ -156,16 +160,23 @@ _TAIL = {"after": [[1, 2], {"x": "y"}], "last": 0}
     (1, 1, "empty", 0, 0, _TAIL),
 ])
 def test_row_writer_matches_json_dumps(d, n, mode, count, seed, tail):
-    """The pre-encoded rows are laid out exactly as json.dumps(indent=2)
-    lays out the row dicts, in a table payload and in a payload whose rows
-    are followed by other keys, as in emit-corpus."""
-    rows = [] if mode == "empty" else cli._cocycle_rows(d, n, mode, count, seed)
+    """The streamed rows are laid out exactly as json.dumps(indent=2) lays
+    out the row dicts, in a table payload and in a payload whose rows are
+    followed by other keys, as in emit-corpus."""
+    def groups(label):
+        if mode == "empty":
+            return iter(())
+        return cli._cocycle_rows(d, n, mode, count, seed, label)
+
     dicts = [{"N": kN, "M": kM, "L": kL, "C": c.to_json()}
-             for (kN, kM, kL, c) in rows]
+             for kNs, kMs, kLs, cs in groups(lambda e: repr(e.key()))
+             for (kN, kM, kL), c in zip(itertools.product(kNs, kMs, kLs), cs)]
     head = {"schema_version": 1, "d": d, "n": n, "mode": mode}
     want = json.dumps({**head, "rows": dicts, **tail}, indent=2) + "\n"
-    got = cli._dumps_with_rows({**head, "rows": cli._ROWS, **tail}, rows)
-    assert got == want
+    fh = io.StringIO()
+    cli._write_json(fh, {**head, "rows": cli._ROWS, **tail},
+                    groups(cli._json_label))
+    assert fh.getvalue() == want
 
 
 def test_cocycle_table_sampled_seeded(capsys):
@@ -431,6 +442,138 @@ def test_out_into_a_missing_directory_exits_2(tmp_path, capsys):
                             "No such file or directory\n")
     assert captured.out == ""
     assert not p.parent.exists()
+
+
+def test_refused_run_creates_no_file(tmp_path, capsys):
+    p = tmp_path / "table.csv"
+    rc = main(["cocycle-table", "--d", "3", "--n", "2", "--mode", "exhaustive",
+               "--out", str(p)])
+    assert rc == 2
+    assert "refused" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_out_is_kept_when_a_run_fails_midway(tmp_path, monkeypatch):
+    """--out is all-or-nothing: a run that raises after writing part of the
+    table leaves the old file byte-identical and no temporary file."""
+    p = tmp_path / "table.json"
+    p.write_bytes(b"old table\n")
+    real = models.CharacterSum.values
+    seen = []
+
+    def values(self, *lists):
+        seen.append(sorted(os.listdir(tmp_path)))
+        if len(seen) > 1:
+            raise RuntimeError("failed after the first subspace triple")
+        return real(self, *lists)
+
+    monkeypatch.setattr(models.CharacterSum, "values", values)
+    with pytest.raises(RuntimeError, match="after the first subspace triple"):
+        main(["cocycle-table", "--d", "1", "--n", "2", "--format", "json",
+              "--out", str(p)])
+    # the first triple's rows were being written to a file beside p
+    assert len(seen) == 2 and len(seen[1]) == 2
+    assert p.read_bytes() == b"old table\n"
+    assert os.listdir(tmp_path) == ["table.json"]
+
+
+def test_out_writes_through_a_fifo(tmp_path, capsys):
+    """--out at a path that is not a regular file, here a FIFO, is opened
+    and written directly, not replaced by a file."""
+    _, want = run_cli(capsys, "ring-info", "--d", "1")
+    p = tmp_path / "fifo"
+    os.mkfifo(p)
+    # a reader opened first lets the writer open the FIFO without blocking;
+    # the report fits in the pipe buffer
+    fd = os.open(p, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(["ring-info", "--d", "1", "--out", str(p)]) == 0
+        got = os.read(fd, 1 << 16)
+    finally:
+        os.close(fd)
+    assert got.decode() == want
+    assert stat.S_ISFIFO(os.stat(p).st_mode)
+    assert os.listdir(tmp_path) == ["fifo"]
+
+
+def test_out_writes_through_a_symlink(tmp_path, capsys):
+    """--out at a symlink writes the file it names, as /dev/stdout and
+    /dev/fd/N need, and keeps the link."""
+    _, want = run_cli(capsys, "ring-info", "--d", "1")
+    target = tmp_path / "ring.json"
+    target.write_text("old\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert main(["ring-info", "--d", "1", "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_text() == want
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "ring.json"]
+
+
+def test_out_skips_a_leftover_temporary_name(tmp_path, capsys, monkeypatch):
+    """A temporary file left by a killed run does not block later runs: the
+    next run draws another name."""
+    p = tmp_path / "ring.json"
+    stale = tmp_path / "ring.json.00000000.tmp"
+    stale.write_text("left by a killed run\n")
+    draws = iter([b"\0" * 4, b"\1" * 4])
+    monkeypatch.setattr(cli.os, "urandom", lambda k: next(draws))
+    assert main(["ring-info", "--d", "1", "--out", str(p)]) == 0
+    assert json.loads(p.read_text())["size"] == 4
+    assert stale.read_text() == "left by a killed run\n"
+    assert sorted(os.listdir(tmp_path)) == ["ring.json",
+                                            "ring.json.00000000.tmp"]
+
+
+def test_out_into_a_missing_directory_exits_2_before_the_sweep(
+        tmp_path, capsys, monkeypatch):
+    def no_sum(*_):
+        raise AssertionError("a CharacterSum was built")
+
+    monkeypatch.setattr(cli, "CharacterSum", no_sum)
+    p = tmp_path / "missing" / "table.json"
+    rc = main(["cocycle-table", "--d", "1", "--n", "2", "--out", str(p)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == (f"error: cannot write {p}: "
+                            "No such file or directory\n")
+    assert not p.parent.exists()
+
+
+def test_streamed_table_memory(tmp_path):
+    """The d1n2 table (8 MB of JSON) is written while it is computed, so
+    the run's traced peak stays under half the output."""
+    p = tmp_path / "table.json"
+    tracemalloc.start()
+    try:
+        rc = main(["cocycle-table", "--d", "1", "--n", "2", "--format", "json",
+                   "--out", str(p)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert p.stat().st_size == 8056454
+    assert peak < 4 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("shape", [
+    ["--d", "4", "--n", "16", "--sample-count", "1"],
+    ["--d", "2", "--n", "2", "--mode", "exhaustive"],
+], ids=["d4n16-sampled", "d2n2-exhaustive"])
+def test_verify_all_refuses_before_any_suite(capsys, monkeypatch, shape):
+    """--suite all meets the cocycle suite's refusal before witt runs."""
+    assert main(["verify", "--suite", "cocycle", *shape]) == 2
+    want = capsys.readouterr().err
+
+    def no_witt():
+        raise AssertionError("the witt suite ran")
+
+    monkeypatch.setattr(verify, "suite_witt", no_witt)
+    assert main(["verify", "--suite", "all", *shape]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == want
+    assert captured.err.startswith("error: ") and "refused" in captured.err
+    assert captured.out == ""
 
 
 def test_sampled_cocycle_runs_past_the_old_d_times_n_cap(capsys):
