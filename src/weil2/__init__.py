@@ -17,6 +17,12 @@ from .symplectic import (
 
 __version__ = "0.1.0"
 
+# the seeded generator every sampled report names, and the suites
+# `verify --suite` runs; here so that the CLI's parser and headers read them
+# without importing the verification suites
+PRNG_NAME = "python-random-mt19937"
+SUITE_NAMES = ("witt", "cocycle", "trivialization", "splitting", "weil")
+
 __all__ = [
     "Cyc8",
     "GaloisRing",

@@ -4,6 +4,10 @@ tables, verification suites, Weil matrices, and the regression corpus.
 All output is deterministic for a fixed argument list: enumeration orders
 are canonical, sampling is seeded (Mersenne Twister via the stdlib `random`
 module, recorded in every report header), and no timestamps are emitted.
+
+Each command imports the modules only it needs inside its own function, so
+`ring-info`, `witt` and `cocycle-table` load none of the verification
+suites, the Heisenberg groups or the Weil representation.
 """
 from __future__ import annotations
 
@@ -17,9 +21,8 @@ import random
 import sys
 import types
 
-from . import verify, witt
+from . import PRNG_NAME, SUITE_NAMES
 from .galois import MAX_D, ring
-from .heisenberg import enumerate_asp, enumerate_sp_R
 from .models import CharacterSum, formula_scalar
 from .symplectic import (
     SympSpace,
@@ -28,13 +31,13 @@ from .symplectic import (
     enumerate_enhanced,
     exhaustive_by_default,
 )
-from .weil import SplitWeilRepresentation, WeilRepresentation, lambda_root, mu_root
-from .transport import splitting_transport, trivialization_transport
 
 SCHEMA_VERSION = 1
 
 
 def _parse_gram(text):
+    from . import witt
+
     data = json.loads(text)
     if type(data) is int:
         data = [[data]]
@@ -124,6 +127,8 @@ def cmd_ring_info(args):
 
 
 def cmd_witt(args):
+    from . import witt
+
     B = _parse_gram(args.gram)
     if args.action == "isometric" and args.gram2 is None:
         raise ValueError("isometric needs a second gram")
@@ -202,29 +207,34 @@ def _json_label(e):
 # stands in for the table rows in a payload handed to _write_json
 _ROWS = "\0rows"
 # one row object, laid out as json.dumps(..., indent=2) lays it out at
-# depth 2 of a document
-_ROW = ('    {\n      "N": %s,\n      "M": %s,\n      "L": %s,\n'
-        '      "C": %s\n    }')
+# depth 2 of a document, in three pieces: the N and M labels, the L label,
+# and the C value with the closing brace
+_ROW_NM = '    {\n      "N": %s,\n      "M": %s,\n      "L": '
+_ROW_L = ',\n      "C": '
+_ROW_C = "[\n%s\n      ]\n    }"
 
 
 def _write_json(fh, payload, groups):
     """Write json.dumps(payload, indent=2) + "\n" to fh, where payload holds
     the top-level value _ROWS in place of the list of {"N", "M", "L", "C"}
     rows of `groups` (from _cocycle_rows with _json_label), byte for byte.
-    Each group is written as it is read, and each distinct C is encoded
-    once."""
+    Each group is written as it is read.  Its N-M pieces are built once
+    per (N, M) and its L pieces once per L, and each distinct C is encoded
+    once, so a row is the concatenation of three ready pieces."""
     head, tail = json.dumps(payload, indent=2).split(json.dumps(_ROWS))
     _print(fh, head)
     values = {}
     sep = "[\n"
     for kNs, kMs, kLs, cs in groups:
+        nms = [_ROW_NM % (kN, kM) for kN in kNs for kM in kMs]
+        ls = [kL + _ROW_L for kL in kLs]
         blocks = []
-        for (kN, kM, kL), c in zip(itertools.product(kNs, kMs, kLs), cs):
+        for (nm, l), c in zip(itertools.product(nms, ls), cs):
             v = values.get(c)
             if v is None:
-                v = values[c] = "[\n" + ",\n".join(
-                    "        " + json.dumps(x) for x in c.to_json()) + "\n      ]"
-            blocks.append(_ROW % (kN, kM, kL, v))
+                v = values[c] = _ROW_C % ",\n".join(
+                    "        " + json.dumps(x) for x in c.to_json())
+            blocks.append(nm + l + v)
         _print(fh, sep + ",\n".join(blocks))
         sep = ",\n"
     _print(fh, ("[]" if sep == "[\n" else "\n  ]") + tail + "\n")
@@ -258,7 +268,7 @@ def cmd_cocycle_table(args):
         if as_json:
             payload = {
                 "schema_version": SCHEMA_VERSION,
-                "prng": verify.PRNG_NAME,
+                "prng": PRNG_NAME,
                 "d": args.d, "n": args.n, "mode": mode, "seed": args.seed,
                 "rows": _ROWS,
             }
@@ -272,13 +282,15 @@ def cmd_cocycle_table(args):
 
 
 def cmd_verify(args):
+    from . import verify
+
     checks = verify.run_suite(args.suite, args.d, args.n, args.mode,
                               args.sample_count, args.seed)
     failures = [c for c in checks if not c.passed]
     if args.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
-            "prng": verify.PRNG_NAME,
+            "prng": PRNG_NAME,
             "suite": args.suite,
             "config": {"d": args.d, "n": args.n, "seed": args.seed,
                        "mode": args.mode, "sample_count": args.sample_count},
@@ -305,6 +317,10 @@ def _matrix_json(M):
 
 
 def cmd_weil_matrix(args):
+    from .heisenberg import check_group, enumerate_asp, enumerate_sp_R
+    from .weil import SplitWeilRepresentation, WeilRepresentation
+
+    check_group(args.d, args.n, "Sp(Vt)" if args.split else "ASp(V)")
     sp = SympSpace(ring(args.d), args.n)
     if args.split:
         group, rep = enumerate_sp_R(sp), SplitWeilRepresentation(sp)
@@ -331,12 +347,28 @@ def cmd_weil_matrix(args):
 
 
 def cmd_emit_corpus(args):
+    from . import witt
+    from .heisenberg import enumerate_asp, enumerate_sp_R
+    from .transport import splitting_transport, trivialization_transport
+    from .weil import (
+        SplitWeilRepresentation,
+        WeilRepresentation,
+        lambda_root,
+        mu_root,
+    )
+
+    # the table's refusal runs here, before the ring is built; the other
+    # listings run only at shapes the sweep admits, far below MAX_LISTING
+    exhaustive = exhaustive_by_default(args.d, args.n)
+    groups = _cocycle_rows(args.d, args.n,
+                           "exhaustive" if exhaustive else "sampled",
+                           args.sample_count, args.seed, _json_label)
     R = ring(args.d)
     sp = SympSpace(R, args.n)
     dn = args.d * args.n
     corpus = {
         "schema_version": SCHEMA_VERSION,
-        "prng": verify.PRNG_NAME,
+        "prng": PRNG_NAME,
         "config": {"d": args.d, "n": args.n, "seed": args.seed},
         "ring": {
             "d": R.d, "size": R.size,
@@ -345,15 +377,10 @@ def cmd_emit_corpus(args):
         },
     }
 
-    if exhaustive_by_default(args.d, args.n):
+    if exhaustive:
         enh = enumerate_enhanced(sp)
         corpus["enhanced_lagrangians"] = [repr(e.key()) for e in enh]
         corpus["oriented_count"] = len(sp.enumerate_oriented())
-        groups = _cocycle_rows(args.d, args.n, "exhaustive", 0, args.seed,
-                               _json_label)
-    else:
-        groups = _cocycle_rows(args.d, args.n, "sampled", args.sample_count,
-                               args.seed, _json_label)
     corpus["cocycle_table"] = _ROWS
 
     classifications = []
@@ -461,7 +488,7 @@ def build_parser():
 
     q = sub.add_parser("verify", help="run exact verification suites")
     q.add_argument("--suite", default="all",
-                   choices=verify.SUITE_NAMES + ("all",))
+                   choices=SUITE_NAMES + ("all",))
     add_shape(q, default=None)
     add_sampling(q)
     q.add_argument("--format", choices=("text", "json"), default="text")

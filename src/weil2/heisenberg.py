@@ -21,7 +21,13 @@ import itertools
 import math
 
 from . import linalg, symplectic
-from .symplectic import EnhancedLagrangian, Twists, _refuse_above, _xor
+from .symplectic import (
+    EnhancedLagrangian,
+    Twists,
+    _check_rank,
+    _refuse_above,
+    _xor,
+)
 
 
 # -- the group H(V) ---------------------------------------------------------
@@ -135,17 +141,27 @@ def _sp_R_mul(space, g, h):
     return tuple(apply_sp_R(space, g, r) for r in h)
 
 
-def group_order(space, group):
-    """The closed-form order of "H(V)", "Sp(V)", "Sp(Vt)" or "ASp(V)",
-    q = 2^d: |H(V)| = |V| |R| = q^{2n+2}; |Sp_{2n}(F_q)| =
+def group_order(d, n, group):
+    """The closed-form order of "H(V)", "Sp(V)", "Sp(Vt)" or "ASp(V)" over
+    GR(4, d)^{2n}, q = 2^d: |H(V)| = |V| |R| = q^{2n+2}; |Sp_{2n}(F_q)| =
     q^{n^2} prod_{i<=n} (q^{2i} - 1); reduction Sp(Vt) -> Sp(V) is onto
     with kernel 1 + 2 sp_{2n}(F_q), of order q^{n(2n+1)}; ASp(V) is Sp(V)
     times the torsor Hom(V, 2R), of order q^{2dn}."""
-    q, n = space.R.field_size, space.n
+    q = 2 ** d
     sp = q ** (n * n) * math.prod(q ** (2 * i) - 1 for i in range(1, n + 1))
     return {"H(V)": q ** (2 * n + 2), "Sp(V)": sp,
             "Sp(Vt)": sp * q ** (n * (2 * n + 1)),
-            "ASp(V)": sp * q ** (2 * space.dn)}[group]
+            "ASp(V)": sp * q ** (2 * d * n)}[group]
+
+
+def check_group(d, n, group):
+    """The order of `group` at d, n; listing it is refused above
+    MAX_LISTING before any work, the ring included."""
+    _check_rank(n)
+    order = group_order(d, n, group)
+    _refuse_above(order, symplectic.MAX_LISTING,
+                  f"{group} enumeration at d{d}n{n}", "build {} elements")
+    return order
 
 
 class Group(tuple):
@@ -182,13 +198,10 @@ class Group(tuple):
 
 
 def _enumerate_group(space, group, mul, build, *args):
-    """build(*args) as a Group with product mul(space, x, y), refused
-    before it starts above MAX_LISTING elements predicted by group_order, and
-    a RuntimeError unless it holds exactly that many distinct elements."""
-    order = group_order(space, group)
-    _refuse_above(order, symplectic.MAX_LISTING,
-                  f"{group} enumeration at d{space.R.d}n{space.n}",
-                  "build {} elements")
+    """build(*args) as a Group with product mul(space, x, y), refused by
+    check_group before it starts, and a RuntimeError unless it holds
+    exactly group_order many distinct elements."""
+    order = check_group(space.R.d, space.n, group)
     out = Group(build(*args), functools.partial(mul, space), group)
     count = len(out._pos)
     if count != order:

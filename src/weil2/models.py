@@ -28,7 +28,6 @@ import functools
 from . import linalg
 from .cyclotomic import Cyc8
 from .symplectic import _xor
-from .witt import gauss_sum, trace_form
 
 
 class Model:
@@ -421,7 +420,10 @@ def gauss_scalar(space, eN, eM, eL, lifts=None):
     omt_L(mt, mt) plus a 2R-valued defect sigma; sigma matches a linear
     character psi(2 omt_L(mt_s, .)) and completes into the square, so
     C = psi(-omt_L(mt_s, mt_s)) * G([Mt, tr omt_L]).
+    Imports witt on its first call, so that route 2 alone does not load it.
     """
+    from .witt import gauss_sum, trace_form
+
     R = space.R
     if lifts is None:
         Mt = space.initial_lift(eM.rows)

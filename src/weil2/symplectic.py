@@ -104,7 +104,7 @@ class SympSpace:
         self.n = n
         self.dim = 2 * n
         self.dn = ring.d * n
-        # six per-space caches of geometry that the enhancement and lift
+        # seven per-space caches of geometry that the enhancement and lift
         # loops ask for again and again; each starts empty, fills on first
         # use only and has no size limit
         self._lifted = {}        # k-vector -> its {0,1}-coordinate lift
@@ -112,6 +112,7 @@ class SympSpace:
         self._enhanced = {}      # lift basis -> enhance_from_lift
         self._transversal = {}   # (rows1, rows2) -> transversal_k
         self._r_maps = {}        # (M, N, L) rows -> r_terms
+        self._projections = {}   # (N, L) rows -> r on the standard basis
         self._r_factors = {}     # (Nt, Lt) -> linalg.factor of (Nt + Lt)^T
         # 2 * lift(x) indexed by the residue x; beta reads it at beta_field
         self._two_lift = tuple(ring.mul(ring.two, ring.lift(x))
@@ -447,23 +448,40 @@ class SympSpace:
         """The enhancement-free terms of the character sum over M, one
         (m, r(m), m - r(m), beta(m, r(m))) per element of M in span_k
         order, where r is the projection onto N along L (r(m) - m in L;
-        requires N + L = V).  One elimination solves for the images of M's
-        basis rows; r is linear and span_k is linear in its coefficient
-        tuple, so the two spans match term by term.  The tuple is memoized
-        per (M, N, L)."""
+        requires N + L = V).  The images of M's basis rows are read off
+        the pair's projection matrix; r is linear and span_k is linear in
+        its coefficient tuple, so the two spans match term by term.  The
+        tuple is memoized per (M, N, L)."""
         key = (tuple(M_rows), tuple(N_rows), tuple(L_rows))
         terms = self._r_maps.get(key)
         if terms is None:
             R = self.R
-            if not self.transversal_k(N_rows, L_rows):
-                raise ValueError("r_terms needs N transversal to L")
-            cols = linalg.transpose(key[1] + key[2])
-            xs = linalg.solve_many(linalg.field_ops(R), cols, M_rows)
-            images = [linalg.vec_mat_field(R, x[:len(N_rows)], N_rows) for x in xs]
+            P = self._projection(key[1], key[2])
+            images = [linalg.vec_mat_field(R, m, P) for m in M_rows]
             terms = self._r_maps[key] = tuple(
                 (m, rm, _xor(m, rm), self.beta(m, rm))
                 for m, rm in zip(self.span_k(M_rows), self.span_k(images)))
         return terms
+
+    def _projection(self, N_rows, L_rows):
+        """The projection r onto N along L as a matrix: row i is r(e_i),
+        so r(v) = vec_mat_field(v, P).  One elimination of (N + L)^T with
+        the 2n standard basis vectors as right-hand sides, cached per
+        (N, L)."""
+        key = (N_rows, L_rows)
+        P = self._projections.get(key)
+        if P is None:
+            R = self.R
+            if not self.transversal_k(N_rows, L_rows):
+                raise ValueError("r_terms needs N transversal to L")
+            units = [self.std_basis_k(i) for i in range(self.dim)]
+            xs = linalg.solve_many(linalg.field_ops(R),
+                                   linalg.transpose(N_rows + L_rows), units)
+            if xs is None:
+                raise RuntimeError("inconsistent projection onto N along L")
+            P = self._projections[key] = tuple(
+                linalg.vec_mat_field(R, x[:len(N_rows)], N_rows) for x in xs)
+        return P
 
     def r_map_tilde(self, Mt, Nt, Lt):
         """Images of Mt's basis under the projection onto Nt along Lt: the

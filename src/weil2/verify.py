@@ -13,10 +13,10 @@ import collections
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from . import linalg, witt
+from . import PRNG_NAME, SUITE_NAMES, linalg, witt
 from .cyclotomic import Cyc8, I, ONE, mu4_exponent
 from .galois import MAX_D, ring
 from .heisenberg import (
@@ -61,11 +61,8 @@ from .weil import (
     commutant_dimension,
 )
 
-PRNG_NAME = "python-random-mt19937"
 
-
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """A named check over `total` cases, `failures` of which failed.  It
     passes only when it saw at least one case and none failed."""
     name: str
@@ -733,9 +730,6 @@ def suite_intro():
 
 
 # -- Dispatch ------------------------------------------------------------------
-
-SUITE_NAMES = ("witt", "cocycle", "trivialization", "splitting", "weil")
-
 
 def _refuse_trivialization(d, n, sample_count):
     """Apply the refusals of the trivialization suite at the shape (d, n)

@@ -633,6 +633,32 @@ def test_refusal_at_d4n16_is_one_short_line(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["weil-matrix"],
+    ["weil-matrix", "--split"],
+    ["emit-corpus"],
+    ["cocycle-table"],
+    ["verify", "--suite", "cocycle", "--sample-count", "1"],
+    ["verify", "--suite", "all", "--sample-count", "1"],
+])
+def test_refusal_at_d4n16_runs_before_the_ring(capsys, monkeypatch, argv):
+    """Every refusal is computed from (d, n) alone, so a run that would
+    build ring(4) and then refuse exits 2 with the same line without it."""
+    assert main([*argv, "--d", "4", "--n", "16"]) == 2
+    want = capsys.readouterr().err
+
+    def no_ring(d):
+        raise AssertionError(f"ring({d}) was built")
+
+    monkeypatch.setattr(cli, "ring", no_ring)
+    monkeypatch.setattr(verify, "ring", no_ring)
+    assert main([*argv, "--d", "4", "--n", "16"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == want
+    assert captured.err.startswith("error: ") and "refused" in captured.err
+    assert captured.out == ""
+
+
 def test_weil_suite_passes_under_optimize():
     """Every invariant of the weil and intro suites is an explicit raise, so
     the suite still runs, passes and writes the same report with asserts

@@ -1,7 +1,8 @@
 """Every weil2 module imports on its own in a fresh interpreter, so an
 import cycle between modules shows as a failure here instead of hiding
-behind whichever module a test happened to import first; and every
-definition in the package has a caller in the package."""
+behind whichever module a test happened to import first; the commands that
+need no suite import none; and every definition in the package has a
+caller in the package."""
 
 import ast
 import collections
@@ -28,6 +29,47 @@ def test_module_imports_alone(module):
     proc = subprocess.run([sys.executable, "-c", f"import weil2.{module}"],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# a command that runs no suite loads none of these
+SUITE_MODULES = {"weil2.verify", "weil2.heisenberg", "weil2.weil",
+                 "weil2.transport", "dataclasses"}
+FOOTPRINT = """\
+import contextlib, io, sys
+from weil2.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main({argv!r})
+print(rc, *sorted(sys.modules))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["cocycle-table", "--d", "1", "--n", "1"],
+    ["ring-info", "--d", "1"],
+    ["witt", "gauss", "1"],
+], ids=lambda argv: argv[0])
+def test_light_commands_import_no_suite(argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT.format(argv=argv)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    rc, *loaded = proc.stdout.split()
+    assert rc == "0"
+    assert "weil2.cli" in loaded
+    assert not SUITE_MODULES & set(loaded), sorted(SUITE_MODULES & set(loaded))
+
+
+def test_verify_help_lists_every_suite(capsys):
+    from weil2 import verify
+    from weil2.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    names = ("witt", "cocycle", "trivialization", "splitting", "weil")
+    assert verify.SUITE_NAMES == names
+    assert "{" + ",".join(names + ("all",)) + "}" in out
 
 
 def _definitions(tree):

@@ -466,6 +466,38 @@ def test_r_map_matches_per_element_solves(d, n):
     assert seen == TRANSVERSAL_PAIRS[(d, n)] * len(lags)
 
 
+def _r_terms_per_triple(sp, M_rows, N_rows, L_rows):
+    """r_terms by one solve_many per subspace triple, with M's basis rows as
+    the right-hand sides."""
+    R = sp.R
+    xs = linalg.solve_many(linalg.field_ops(R),
+                           linalg.transpose(tuple(N_rows) + tuple(L_rows)),
+                           M_rows)
+    images = [linalg.vec_mat_field(R, x[:len(N_rows)], N_rows) for x in xs]
+    return tuple((m, rm, tuple(a ^ b for a, b in zip(m, rm)), sp.beta(m, rm))
+                 for m, rm in zip(sp.span_k(M_rows), sp.span_k(images)))
+
+
+@pytest.mark.parametrize("d,n", [(1, 2), (2, 1)])
+def test_r_terms_read_one_projection_per_pair(d, n):
+    """Over every transversal triple, the terms read off the cached
+    projection of each (N, L) equal a per-triple solve, and there is one
+    projection per transversal pair; a non-transversal pair still raises
+    and caches nothing."""
+    sp = SympSpace(ring(d), n)
+    lags = sp.enumerate_lagrangians()
+    triples = sp.transversal_triples(lags)
+    for N, M, L in triples:
+        assert sp.r_terms(M, N, L) == _r_terms_per_triple(sp, M, N, L)
+    assert len(sp._projections) == TRANSVERSAL_PAIRS[(d, n)]
+    N = lags[0]
+    M = next(M for M in lags if sp.transversal_k(M, N))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="r_terms needs N transversal to L"):
+            sp.r_terms(M, N, N)
+    assert (N, N) not in sp._projections
+
+
 def _r_map_tilde_reference(sp, Mt, Nt, Lt):
     """r^Lt on Mt's basis by one solve per basis vector."""
     R = sp.R
