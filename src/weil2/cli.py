@@ -163,21 +163,25 @@ def cmd_witt(args):
 # -- cocycle-table ---------------------------------------------------------------
 
 
-def _cocycle_rows(d, n, mode, sample_count, seed, label):
-    """The cocycle table in groups of rows, one group per subspace triple
-    (one per draw when sampled): an iterator of (N labels, M labels,
-    L labels, Cs), whose rows are the itertools.product of the three label
-    lists, with the C of each row in Cs in the same order.  label(e) names
-    the enhanced Lagrangian e in the output.  The refusal, the Lagrangians,
-    the enhancements and their labels are computed at the call; a group's
-    CharacterSum is built only when the iterator reaches it, so nothing
-    holds all the rows."""
+def _table_space(d, n, mode):
+    """The space of a cocycle table in `mode`, built after the table's
+    refusal has run."""
     if mode == "exhaustive":
         check_sweep(d, n)
     else:
         check_lagrangians(d, n)
-    R = ring(d)
-    sp = SympSpace(R, n)
+    return SympSpace(ring(d), n)
+
+
+def _cocycle_rows(sp, mode, sample_count, seed, label):
+    """The cocycle table of the space sp in groups of rows, one group per
+    subspace triple (one per draw when sampled): an iterator of (N labels,
+    M labels, L labels, Cs), whose rows are the itertools.product of the
+    three label lists, with the C of each row in Cs in the same order.
+    label(e) names the enhanced Lagrangian e in the output.  The
+    Lagrangians, the enhancements and their labels are computed at the
+    call; a group's CharacterSum is built only when the iterator reaches
+    it, so nothing holds all the rows."""
     subs = sp.enumerate_lagrangians()
     if mode == "exhaustive":
         enh = {s: sp.enumerate_enhancements(s) for s in subs}
@@ -262,7 +266,8 @@ def cmd_cocycle_table(args):
     mode = args.mode or (
         "exhaustive" if exhaustive_by_default(args.d, args.n) else "sampled")
     as_json = args.format == "json"
-    groups = _cocycle_rows(args.d, args.n, mode, args.sample_count, args.seed,
+    groups = _cocycle_rows(_table_space(args.d, args.n, mode), mode,
+                           args.sample_count, args.seed,
                            _json_label if as_json else _csv_label)
     with _output(args.out) as fh:
         if as_json:
@@ -360,11 +365,10 @@ def cmd_emit_corpus(args):
     # the table's refusal runs here, before the ring is built; the other
     # listings run only at shapes the sweep admits, far below MAX_LISTING
     exhaustive = exhaustive_by_default(args.d, args.n)
-    groups = _cocycle_rows(args.d, args.n,
-                           "exhaustive" if exhaustive else "sampled",
-                           args.sample_count, args.seed, _json_label)
-    R = ring(args.d)
-    sp = SympSpace(R, args.n)
+    mode = "exhaustive" if exhaustive else "sampled"
+    sp = _table_space(args.d, args.n, mode)
+    R = sp.R
+    groups = _cocycle_rows(sp, mode, args.sample_count, args.seed, _json_label)
     dn = args.d * args.n
     corpus = {
         "schema_version": SCHEMA_VERSION,

@@ -138,7 +138,7 @@ def _sp_k_mul(space, g, h):
 
 def _sp_R_mul(space, g, h):
     """The product of Sp(Vt) in the same convention: rows h[i] g."""
-    return tuple(apply_sp_R(space, g, r) for r in h)
+    return linalg.mat_mul(space.R, h, g)
 
 
 def group_order(d, n, group):
@@ -249,24 +249,22 @@ def enumerate_sp_k(space):
 def enumerate_sp_R(space):
     """All of Sp(Vt) over R (row-action), in lexicographic order of ring
     indices; the {0,1} lifts of e_1..f_n are the standard R-basis."""
-    e = [space.lift_vec(space.std_basis_k(i)) for i in range(space.dim)]
-    gram = [[space.omt(a, b) for b in e] for a in e]
     vectors = itertools.product(range(space.R.size), repeat=space.dim)
     return _enumerate_group(space, "Sp(Vt)", _sp_R_mul, _symplectic_matrices,
-                            vectors, space.omt, gram)
+                            vectors, space.omt, _standard_omt_gram(space))
 
 
-def apply_sp_R(space, gt, vt):
-    """Row-action of an R-matrix: v -> sum_j v[j] * gt[j]."""
-    return linalg.vec_mat(space.R, vt, gt)
+def _standard_omt_gram(space):
+    """The omt Gram matrix of e_1..f_n, the {0,1} lifts of the standard
+    basis of V."""
+    e = [space.lift_vec(space.std_basis_k(i)) for i in range(space.dim)]
+    return space.omt_gram(e, e)
 
 
 def is_symplectic_R(space, gt):
     """Whether the rows of gt, the images of e_1..f_n, keep their omt Gram
     matrix."""
-    e = [space.lift_vec(space.std_basis_k(i)) for i in range(space.dim)]
-    return all(space.omt(gt[i], gt[j]) == space.omt(e[i], e[j])
-               for i in range(space.dim) for j in range(space.dim))
+    return space.omt_gram(gt, gt) == _standard_omt_gram(space)
 
 
 def lift_sp(space, gt, validate=True):
@@ -280,7 +278,7 @@ def lift_sp(space, gt, validate=True):
     alpha = {}
     for v in space.all_vectors_k():
         vt = space.lift_vec(v)
-        gvt = apply_sp_R(space, gt, vt)
+        gvt = linalg.vec_mat(R, vt, gt)
         alpha[v] = R.sub(space.bt(gvt, gvt), space.bt(vt, vt))
     return AspElement(space, g_red, alpha, validate=validate)
 

@@ -15,13 +15,14 @@ row update), and there are three of them:
 * ``field_ops(R)``: k, where every nonzero entry is a pivot.
 * ``CYC8_OPS``: Q(zeta_8), likewise a field.
 
-`rref`, `solve_many` (one elimination for several right-hand sides),
-`factor` (the row transform of one elimination, kept for later right-hand
-sides) and `invert` work in any of the three algebras.  On them sit
-`rref_ring` and the n > 5 branch of `det_ring`, which reads the signed
-product of the pivots, over the ring; `rref_field`, `rank_field` and
-`inverse_field` over k; and, with `CYC8_OPS`, `weil.commutant_dimension`.
-`SympSpace.r_map_tilde` keeps one `factor` per pair of lifts.
+`rref`, `solve_many` (one elimination for several right-hand sides) and
+`invert` work in any of the three algebras.  On them sit `rref_ring` and
+the n > 5 branch of `det_ring`, which reads the signed product of the
+pivots, over the ring; `rref_field`, `rank_field` and `inverse_field` over
+k; and, with `CYC8_OPS`, `weil.commutant_dimension`.  With the unit vectors
+as right-hand sides, `solve_many` also gives `SympSpace._projection`, the
+projection matrix that `SympSpace.r_terms` reads over k and
+`SympSpace.r_map_tilde` over the ring.
 `vec_mat` and `vec_mat_field` are the row action v -> sum_j v[j] * A[j].
 """
 from __future__ import annotations
@@ -128,26 +129,20 @@ def solve_many(ops, A, rhs):
     return out
 
 
-def factor(ops, A):
-    """One elimination of [A | I]: (the row transform E, the pivot columns,
-    whether a row left without a pivot is nonzero on A).  The pivots depend
-    on A alone, so `solve_many` reduces each right-hand side b to E b: with
-    the pivots and that flag, E answers every system A x = b."""
-    n, m = len(A), len(A[0])
-    aug = [list(row) + [ops.one if j == i else ops.zero for j in range(n)]
-           for i, row in enumerate(A)]
-    pivots = eliminate(ops, aug, m)
-    stuck = any(any(row[:m]) for row in aug[len(pivots):])
-    return tuple(tuple(row[m:]) for row in aug), tuple(pivots), stuck
+def unit_vectors(ops, n):
+    """The n standard basis vectors of the algebra of ops, e_1 first."""
+    return [tuple(ops.one if j == i else ops.zero for j in range(n))
+            for i in range(n)]
 
 
 def invert(ops, A, over):
-    """A^-1 from one elimination of [A | I]; ZeroDivisionError naming the
+    """A^-1: its column j solves A x = e_j, so it is the transpose of one
+    solve_many against the unit vectors; ZeroDivisionError naming the
     algebra `over` when A is singular."""
-    E, pivots, _ = factor(ops, A)
-    if len(pivots) < len(A):
+    xs = solve_many(ops, A, unit_vectors(ops, len(A)))
+    if xs is None:
         raise ZeroDivisionError(f"matrix is not invertible over {over}")
-    return E
+    return transpose(xs)
 
 
 def rref(ops, rows):

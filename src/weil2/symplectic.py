@@ -104,16 +104,19 @@ class SympSpace:
         self.n = n
         self.dim = 2 * n
         self.dn = ring.d * n
-        # seven per-space caches of geometry that the enhancement and lift
-        # loops ask for again and again; each starts empty, fills on first
-        # use only and has no size limit
+        # the Lagrangian list and seven per-space caches of geometry that
+        # the enhancement and lift loops ask for again and again; each
+        # starts empty, fills on first use only and has no size limit
+        self._lagrangians = None  # enumerate_lagrangians, once it has run
         self._lifted = {}        # k-vector -> its {0,1}-coordinate lift
         self._lift_frames = {}   # Lagrangian rows -> (initial lift, dual family)
         self._enhanced = {}      # lift basis -> enhance_from_lift
         self._transversal = {}   # (rows1, rows2) -> transversal_k
         self._r_maps = {}        # (M, N, L) rows -> r_terms
-        self._projections = {}   # (N, L) rows -> r on the standard basis
-        self._r_factors = {}     # (Nt, Lt) -> linalg.factor of (Nt + Lt)^T
+        # (N, L) -> the projection matrix onto N along L, one cache per
+        # algebra: at d = 1 a k-row and an R-row can be the same tuple
+        self._projections = {}    # over k, for r_terms
+        self._projections_R = {}  # over R, for r_map_tilde
         # 2 * lift(x) indexed by the residue x; beta reads it at beta_field
         self._two_lift = tuple(ring.mul(ring.two, ring.lift(x))
                                for x in range(ring.field_size))
@@ -175,7 +178,10 @@ class SympSpace:
         time, and a row that is not orthogonal to the rows above it is
         pruned with every completion of it.  Rows are packed into ints, d
         bits per coordinate, and bit a of omega_field(v, row) is the parity
-        of packed(v) & masks(row)[a]: orthogonal means every parity even."""
+        of packed(v) & masks(row)[a]: orthogonal means every parity even.
+        The list is built once per space; a refused call caches nothing."""
+        if self._lagrangians is not None:
+            return self._lagrangians
         R, n, m, q, d = self.R, self.n, self.dim, self.R.field_size, self.R.d
         want = check_lagrangians(d, n)
         found = []
@@ -223,7 +229,8 @@ class SympSpace:
             extend(candidates)
         if len(found) != want:
             raise RuntimeError(f"{len(found)} Lagrangians, expected {want}")
-        return tuple(sorted(found))
+        self._lagrangians = tuple(sorted(found))
+        return self._lagrangians
 
     def dual_standard_lagrangian(self):
         return tuple(self.std_basis_k(self.n + i) for i in range(self.n))
@@ -343,14 +350,15 @@ class SympSpace:
 
     def _dual_family(self, basis):
         """Vectors c_j with omt(b_i, c_j) = delta_ij (no isotropy demanded),
-        from one elimination with the unit vectors as right-hand sides."""
+        from one elimination with the unit vectors as right-hand sides.
+        Every caller passes a free family, for which the system is
+        solvable; a RuntimeError when it is not."""
         R, n = self.R, self.n
+        ops = linalg.ring_ops(R)
         rows = [tuple(R.neg(x) for x in b[n:]) + tuple(b[:n]) for b in basis]
-        units = [tuple(R.one if i == j else 0 for i in range(len(basis)))
-                 for j in range(len(basis))]
-        duals = linalg.solve_many(linalg.ring_ops(R), rows, units)
+        duals = linalg.solve_many(ops, rows, linalg.unit_vectors(ops, len(basis)))
         if duals is None:
-            raise ValueError("inconsistent or non-unit-pivot system")
+            raise RuntimeError("no dual family: the family is not free")
         return duals
 
     def _lift_frame(self, rows):
@@ -432,14 +440,16 @@ class SympSpace:
         return OrientedLagrangian(basis, self.R.one)
 
     # -- pairings and projections ---------------------------------------------------
+    def omt_gram(self, As, Bs):
+        """The matrix [omt(a, b)], one row per a in As, one column per b
+        in Bs."""
+        return tuple(tuple(self.omt(a, b) for b in Bs) for a in As)
+
     def wedge_pairing(self, oL, oM):
         """omt_wedge(o_L, o_M) = u_L * u_M * det[omt(l_i, m_j)]; a unit
         exactly when the pair is transversal."""
         R = self.R
-        W = tuple(
-            tuple(self.omt(li, mj) for mj in oM.basis) for li in oL.basis
-        )
-        det = linalg.det_ring(R, W)
+        det = linalg.det_ring(R, self.omt_gram(oL.basis, oM.basis))
         if not R.is_unit(det):
             raise ValueError("wedge pairing of a non-transversal pair")
         return R.mul(R.mul(oL.unit, oM.unit), det)
@@ -463,59 +473,46 @@ class SympSpace:
                 for m, rm in zip(self.span_k(M_rows), self.span_k(images)))
         return terms
 
-    def _projection(self, N_rows, L_rows):
-        """The projection r onto N along L as a matrix: row i is r(e_i),
-        so r(v) = vec_mat_field(v, P).  One elimination of (N + L)^T with
-        the 2n standard basis vectors as right-hand sides, cached per
-        (N, L)."""
+    def _projection(self, N_rows, L_rows, over_k=True):
+        """The projection onto N along L as a matrix P: row i is the image
+        of e_i, so v maps to the row action of v on P (vec_mat_field over
+        k, vec_mat over R).  One elimination of (N + L)^T with the 2n unit
+        vectors as right-hand sides, cached per (N, L) in the algebra's
+        own cache.  A ValueError unless N + L = V, checked over R on the
+        reductions: free submodules are transversal exactly when their
+        reductions are (Nakayama)."""
+        cache = self._projections if over_k else self._projections_R
         key = (N_rows, L_rows)
-        P = self._projections.get(key)
+        P = cache.get(key)
         if P is None:
             R = self.R
-            if not self.transversal_k(N_rows, L_rows):
-                raise ValueError("r_terms needs N transversal to L")
-            units = [self.std_basis_k(i) for i in range(self.dim)]
-            xs = linalg.solve_many(linalg.field_ops(R),
-                                   linalg.transpose(N_rows + L_rows), units)
+            if over_k:
+                ops, act, what = linalg.field_ops(R), linalg.vec_mat_field, "r_terms"
+                reduced = key
+            else:
+                ops, act, what = linalg.ring_ops(R), linalg.vec_mat, "r_map_tilde"
+                reduced = [tuple(map(self.reduce_vec, rows)) for rows in key]
+            if not self.transversal_k(*reduced):
+                raise ValueError(f"{what} needs N transversal to L")
+            xs = linalg.solve_many(ops, linalg.transpose(N_rows + L_rows),
+                                   linalg.unit_vectors(ops, self.dim))
             if xs is None:
                 raise RuntimeError("inconsistent projection onto N along L")
-            P = self._projections[key] = tuple(
-                linalg.vec_mat_field(R, x[:len(N_rows)], N_rows) for x in xs)
+            P = cache[key] = tuple(act(R, x[:len(N_rows)], N_rows) for x in xs)
         return P
 
     def r_map_tilde(self, Mt, Nt, Lt):
-        """Images of Mt's basis under the projection onto Nt along Lt: the
-        solutions linalg.solve_many finds (free unknowns zero), read off
-        one linalg.factor of (Nt + Lt)^T cached per (Nt, Lt)."""
-        R = self.R
-        key = (tuple(Nt), tuple(Lt))
-        fac = self._r_factors.get(key)
-        if fac is None:
-            E, pivots, stuck = linalg.factor(
-                linalg.ring_ops(R), linalg.transpose(key[0] + key[1]))
-            # E m as the row action of m on E^T, which skips m's zeros
-            fac = self._r_factors[key] = (linalg.transpose(E), pivots, stuck)
-        Et, pivots, stuck = fac
-        ys = [linalg.vec_mat(R, m, Et) for m in Mt]
-        if stuck or any(any(y[len(pivots):]) for y in ys):
-            raise ValueError("inconsistent or non-unit-pivot system")
-        images = []
-        for y in ys:
-            coeffs = [0] * len(Nt)
-            for yi, c in zip(y, pivots):
-                if c < len(Nt):
-                    coeffs[c] = yi
-            images.append(linalg.vec_mat(R, coeffs, Nt))
-        return images
+        """Images of Mt's basis under the projection onto Nt along Lt, read
+        off the pair's projection matrix over R, as r_terms reads it over
+        k; a ValueError unless the reductions of Nt and Lt are
+        transversal."""
+        P = self._projection(tuple(Nt), tuple(Lt), over_k=False)
+        return [linalg.vec_mat(self.R, m, P) for m in Mt]
 
     def omega_tilde_L_gram(self, Mt, Nt, Lt):
         """Gram matrix of the R-valued symmetric form omt_L(m1, m2) =
         omt(r^Lt(m1), m2) on the basis of Mt."""
-        r = self.r_map_tilde(Mt, Nt, Lt)
-        return tuple(
-            tuple(self.omt(r[i], Mt[j]) for j in range(len(Mt)))
-            for i in range(len(Mt))
-        )
+        return self.omt_gram(self.r_map_tilde(Mt, Nt, Lt), Mt)
 
     def oriented_transform(self, gt, oriented):
         """g acts on (Lt, o) by moving the submodule and pushing the top

@@ -515,13 +515,6 @@ def suite_splitting(seed=0):
 # -- Discriminant lemmas (suite "disc", reported under "splitting") -----------
 
 
-def _pair_det(sp, At, Bt):
-    R = sp.R
-    return linalg.det_ring(R, tuple(
-        tuple(sp.omt(a, b) for b in Bt) for a in At
-    ))
-
-
 def wedge_identity_checks(d, n):
     """Per lift triple (Lt, Nt, Mt) over pairwise-transversal subspaces,
     whether det of the r-map gram matches the three pairwise wedge dets;
@@ -532,9 +525,10 @@ def wedge_identity_checks(d, n):
     sign = R.one if n % 2 == 0 else R.neg(R.one)
     # the pairwise dets depend on a lift pair only; the gram det is
     # evaluated afresh on every triple
-    pair_det = functools.cache(lambda At, Bt: _pair_det(sp, At, Bt))
+    pair_det = functools.cache(
+        lambda At, Bt: linalg.det_ring(R, sp.omt_gram(At, Bt)))
     for Lt, Nt, Mt in _fibred(sp, lifts):
-        det_g = _pair_det(sp, sp.r_map_tilde(Mt, Nt, Lt), Mt)
+        det_g = linalg.det_ring(R, sp.omega_tilde_L_gram(Mt, Nt, Lt))
         yield (R.mul(det_g, pair_det(Lt, Nt))
                == R.mul(sign, R.mul(pair_det(Lt, Mt), pair_det(Mt, Nt))))
 

@@ -16,6 +16,7 @@ import pytest
 
 from weil2 import cli, models, verify
 from weil2.cli import main
+from weil2.symplectic import SympSpace
 
 # SHA-256 of `verify --suite weil --format json`, with and without -O
 WEIL_JSON_SHA256 = \
@@ -166,7 +167,8 @@ def test_row_writer_matches_json_dumps(d, n, mode, count, seed, tail):
     def groups(label):
         if mode == "empty":
             return iter(())
-        return cli._cocycle_rows(d, n, mode, count, seed, label)
+        return cli._cocycle_rows(cli._table_space(d, n, mode), mode, count,
+                                 seed, label)
 
     dicts = [{"N": kN, "M": kM, "L": kL, "C": c.to_json()}
              for kNs, kMs, kLs, cs in groups(lambda e: repr(e.key()))
@@ -381,6 +383,31 @@ def test_emit_corpus_d1n1_golden(capsys):
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "63198c3a9d13001b5f76019aa70ebfa9e06198a4c1c6a47e3bbbf6bcf0b546d1")
+
+
+@pytest.mark.parametrize("argv,shapes", [
+    (["emit-corpus", "--d", "1", "--n", "1"], [(1, 1)]),
+    (["emit-corpus", "--d", "1", "--n", "2"], [(1, 2)]),
+    (["cocycle-table", "--d", "1", "--n", "2"], [(1, 2)]),
+    (["verify", "--suite", "trivialization"], [(1, 1)]),
+], ids=["emit-corpus-d1n1", "emit-corpus-d1n2", "cocycle-table-d1n2",
+        "verify-trivialization"])
+def test_each_command_lists_the_lagrangians_once(capsys, monkeypatch, argv,
+                                                  shapes):
+    """A command builds one space per shape and lists its Lagrangians
+    once, however often it asks for them."""
+    listed = []
+    real = SympSpace.enumerate_lagrangians
+
+    def counted(space):
+        if space._lagrangians is None:
+            listed.append((space.R.d, space.n))
+        return real(space)
+
+    monkeypatch.setattr(SympSpace, "enumerate_lagrangians", counted)
+    rc, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    assert listed == shapes
 
 
 def test_verify_weil_json_golden(capsys):

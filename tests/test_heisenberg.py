@@ -17,7 +17,7 @@ from weil2 import heisenberg, linalg, symplectic
 from weil2.galois import ring
 from weil2.symplectic import CapExceeded, SympSpace, enumerate_enhanced
 from weil2.heisenberg import (
-    AspElement, act_on_enhanced, all_h_elements, apply_sp_R, asp_inv, asp_mul,
+    AspElement, act_on_enhanced, all_h_elements, asp_inv, asp_mul,
     enumerate_asp, enumerate_sp_R, enumerate_sp_k, group_order, h_mul,
     is_symplectic_R, lift_sp, preserves_residue_quadratic,
     residue_polarization, symplectic_lift_matrix,
@@ -294,7 +294,7 @@ def test_h_elements_keep_their_order():
 
 @pytest.mark.parametrize("enumerate_group,product", [
     (enumerate_asp, asp_mul),
-    (enumerate_sp_R, lambda sp, g, h: tuple(apply_sp_R(sp, g, r) for r in h)),
+    (enumerate_sp_R, lambda sp, g, h: tuple(linalg.vec_mat(sp.R, r, g) for r in h)),
 ], ids=["ASp(V)", "Sp(Vt)"])
 def test_group_tables_are_the_group_law(enumerate_group, product):
     """Every row and column of the Cayley table is a permutation of the

@@ -522,21 +522,6 @@ def _outcome(fn, *args):
         return "inconsistent"
 
 
-def test_r_map_tilde_matches_per_vector_solves():
-    sp = SympSpace(ring(1), 2)
-    lags = sp.enumerate_lagrangians()
-    rng = random.Random(17)
-    transversal = 0
-    for _ in range(200):
-        Mt, Nt, Lt = (sp.random_lift(rng.choice(lags), rng) for _ in range(3))
-        transversal += _transversal_R(sp, Nt, Lt)
-        # off the transversal pairs both report the same inconsistency or
-        # the same particular solution
-        assert _outcome(sp.r_map_tilde, Mt, Nt, Lt) == \
-            _outcome(_r_map_tilde_reference, sp, Mt, Nt, Lt)
-    assert transversal > 100
-
-
 @pytest.mark.parametrize("d,n", [(1, 2), (2, 1)])
 def test_r_map_memo_matches_a_fresh_space(d, n):
     sp = SympSpace(ring(d), n)
@@ -558,33 +543,56 @@ def test_r_map_memo_raises_on_every_non_transversal_call():
             sp.r_terms(sp.dual_standard_lagrangian(), std, std)
 
 
-def test_r_map_tilde_factor_matches_per_vector_solves():
-    """Every lift of every Lagrangian through the cached factor of a few
-    fixed (Nt, Lt): transversal pairs, a non-transversal pair on which
-    some Mt have particular solutions, and two lifts of one subspace."""
-    sp = SympSpace(ring(1), 2)
+@pytest.mark.parametrize("d,n", [(1, 2), (2, 1)])
+def test_r_map_tilde_reads_one_projection_per_pair(d, n):
+    """r~ read off the cached projection of each (Nt, Lt) equals one solve
+    per basis vector: at d2n1 for every lift against every lift pair over
+    a transversal subspace pair, at d1n2 for every lift against four
+    transversal lift pairs, two of them over one subspace pair.  There is
+    one projection per pair.  Every non-transversal pair raises twice and
+    caches nothing, the first one on which the per-vector solves find
+    particular solutions included, for every lift on that one."""
+    sp = SympSpace(ring(d), n)
     lags = sp.enumerate_lagrangians()
     lifts = {L: sp.enumerate_submodule_lifts(L) for L in lags}
     every_Mt = [Mt for L in lags for Mt in lifts[L]]
     transversal = [(N, L) for N in lags for L in lags if sp.transversal_k(N, L)]
-    pairs = [(lifts[N][0], lifts[L][1]) for N, L in transversal[:3]]
-    pairs.append(next(
-        (lifts[N][0], lifts[L][1]) for N in lags for L in lags
-        if not sp.transversal_k(N, L) and any(
-            _outcome(_r_map_tilde_reference, sp, Mt, lifts[N][0], lifts[L][1])
-            != "inconsistent" for Mt in every_Mt)))
-    pairs.append((lifts[lags[0]][0], lifts[lags[0]][1]))
-    outcomes = {"inconsistent": 0, "particular": 0}
-    for Nt, Lt in pairs:
-        for _ in range(2):
+    if n == 1:
+        pairs = [(Nt, Lt) for N, L in transversal
+                 for Nt in lifts[N] for Lt in lifts[L]]
+    else:
+        pairs = [(lifts[N][0], lifts[L][1]) for N, L in transversal[:3]]
+        pairs.append((lifts[transversal[0][0]][1], lifts[transversal[0][1]][0]))
+    for _ in range(2):
+        for Nt, Lt in pairs:
             for Mt in every_Mt:
-                got = _outcome(sp.r_map_tilde, Mt, Nt, Lt)
-                assert got == _outcome(_r_map_tilde_reference, sp, Mt, Nt, Lt)
-                if not _transversal_R(sp, Nt, Lt):
-                    outcomes["inconsistent" if got == "inconsistent"
-                             else "particular"] += 1
-    assert len(sp._r_factors) == len(pairs)
-    assert outcomes["inconsistent"] > 1 and outcomes["particular"] > 1
+                assert sp.r_map_tilde(Mt, Nt, Lt) == \
+                    _r_map_tilde_reference(sp, Mt, Nt, Lt)
+    assert len(sp._projections_R) == len(pairs)
+    assert not sp._projections
+
+    off = [(Nt, Lt) for N in lags for L in lags if not sp.transversal_k(N, L)
+           for Nt in lifts[N] for Lt in lifts[L]]
+    particular = next(pair for pair in off if any(
+        _outcome(_r_map_tilde_reference, sp, Mt, *pair) != "inconsistent"
+        for Mt in every_Mt))
+    for pair in off:
+        for Mt in every_Mt if pair == particular else every_Mt[:1]:
+            for _ in range(2):
+                with pytest.raises(ValueError,
+                                   match="r_map_tilde needs N transversal to L"):
+                    sp.r_map_tilde(Mt, *pair)
+    assert len(sp._projections_R) == len(pairs)
+
+
+def test_dual_family_failure_is_a_program_fault(monkeypatch):
+    """Every caller passes a free family, so a dual system without a
+    solution is an invariant failure, not bad input."""
+    sp = SympSpace(ring(1), 1)
+    base = sp.initial_lift(sp.enumerate_lagrangians()[0])
+    monkeypatch.setattr(linalg, "solve_many", lambda *args: None)
+    with pytest.raises(RuntimeError, match="no dual family"):
+        sp._dual_family(base)
 
 
 def test_transversal_k_memo_matches_rank():
