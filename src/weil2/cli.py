@@ -24,13 +24,7 @@ import types
 from . import PRNG_NAME, SUITE_NAMES
 from .galois import MAX_D, ring
 from .models import CharacterSum, formula_scalar
-from .symplectic import (
-    SympSpace,
-    check_lagrangians,
-    check_sweep,
-    enumerate_enhanced,
-    exhaustive_by_default,
-)
+from .symplectic import SympSpace, check_cocycle, enumerate_enhanced
 
 SCHEMA_VERSION = 1
 
@@ -163,25 +157,16 @@ def cmd_witt(args):
 # -- cocycle-table ---------------------------------------------------------------
 
 
-def _table_space(d, n, mode):
-    """The space of a cocycle table in `mode`, built after the table's
-    refusal has run."""
-    if mode == "exhaustive":
-        check_sweep(d, n)
-    else:
-        check_lagrangians(d, n)
-    return SympSpace(ring(d), n)
-
-
 def _cocycle_rows(sp, mode, sample_count, seed, label):
     """The cocycle table of the space sp in groups of rows, one group per
     subspace triple (one per draw when sampled): an iterator of (N labels,
     M labels, L labels, Cs), whose rows are the itertools.product of the
     three label lists, with the C of each row in Cs in the same order.
-    label(e) names the enhanced Lagrangian e in the output.  The
-    Lagrangians, the enhancements and their labels are computed at the
-    call; a group's CharacterSum is built only when the iterator reaches
-    it, so nothing holds all the rows."""
+    label(e) names the enhanced Lagrangian e in the output.  A sampled
+    table lists the triples that verify's sampled cocycle check draws with
+    the same count and seed.  The Lagrangians, the enhancements and their
+    labels are computed at the call; a group's CharacterSum is built only
+    when the iterator reaches it, so nothing holds all the rows."""
     subs = sp.enumerate_lagrangians()
     if mode == "exhaustive":
         enh = {s: sp.enumerate_enhancements(s) for s in subs}
@@ -193,7 +178,7 @@ def _cocycle_rows(sp, mode, sample_count, seed, label):
 
     def draws():
         for _ in range(sample_count):
-            eN, eM, eL = (sp.random_enhancement(sp.random_lift(r, rng), rng)
+            eN, eM, eL = (sp.random_enhanced(r, rng)[1]
                           for r in sp.sample_transversal_triple(subs, rng))
             yield ([label(eN)], [label(eM)], [label(eL)],
                    [formula_scalar(sp, eN, eM, eL)])
@@ -263,10 +248,9 @@ def _write_csv(fh, groups):
 
 
 def cmd_cocycle_table(args):
-    mode = args.mode or (
-        "exhaustive" if exhaustive_by_default(args.d, args.n) else "sampled")
+    mode = check_cocycle(args.d, args.n, args.mode, args.sample_count)
     as_json = args.format == "json"
-    groups = _cocycle_rows(_table_space(args.d, args.n, mode), mode,
+    groups = _cocycle_rows(SympSpace(ring(args.d), args.n), mode,
                            args.sample_count, args.seed,
                            _json_label if as_json else _csv_label)
     with _output(args.out) as fh:
@@ -364,9 +348,8 @@ def cmd_emit_corpus(args):
 
     # the table's refusal runs here, before the ring is built; the other
     # listings run only at shapes the sweep admits, far below MAX_LISTING
-    exhaustive = exhaustive_by_default(args.d, args.n)
-    mode = "exhaustive" if exhaustive else "sampled"
-    sp = _table_space(args.d, args.n, mode)
+    mode = check_cocycle(args.d, args.n, None, args.sample_count)
+    sp = SympSpace(ring(args.d), args.n)
     R = sp.R
     groups = _cocycle_rows(sp, mode, args.sample_count, args.seed, _json_label)
     dn = args.d * args.n
@@ -381,7 +364,7 @@ def cmd_emit_corpus(args):
         },
     }
 
-    if exhaustive:
+    if mode == "exhaustive":
         enh = enumerate_enhanced(sp)
         corpus["enhanced_lagrangians"] = [repr(e.key()) for e in enh]
         corpus["oriented_count"] = len(sp.enumerate_oriented())

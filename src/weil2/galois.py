@@ -82,16 +82,14 @@ def graeffe_lift(g) -> tuple:
 class GaloisRing:
     """GR(4, d) with all element operations precomputed as tables."""
 
-    def __init__(self, d: int, modulus=None):
+    def __init__(self, d: int):
         if not (1 <= d <= MAX_D):
             raise ValueError(f"d must be in 1..{MAX_D}, got {d}")
-        if modulus is None:
-            modulus = graeffe_lift(GROUND_POLYS[d])
-        modulus = tuple(c % 4 for c in modulus)
+        modulus = graeffe_lift(GROUND_POLYS[d])
         if len(modulus) != d + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree d")
+            raise RuntimeError("modulus must be monic of degree d")
         if not is_irreducible_f2(modulus):
-            raise ValueError("modulus does not reduce to an irreducible over F2")
+            raise RuntimeError("modulus does not reduce to an irreducible over F2")
         self.d = d
         self.modulus = modulus
         self.size = 4 ** d
@@ -150,9 +148,6 @@ class GaloisRing:
                     self._inv[a] = b
                     break
         self.unit_squares = frozenset(self._mul[u][u] for u in self.units)
-        self.teichmuller = tuple(
-            a for a in range(size) if self.pow_elem(a, self.field_size) == a
-        )
         # residue field tables (bitmask encoding)
         self._fmul = [
             [self.reduce(self._mul[self.lift(x)][self.lift(y)])
@@ -178,15 +173,6 @@ class GaloisRing:
 
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
-
-    def pow_elem(self, a: int, k: int) -> int:
-        r = self.one
-        while k:
-            if k & 1:
-                r = self._mul[r][a]
-            a = self._mul[a][a]
-            k >>= 1
-        return r
 
     def is_unit(self, a: int) -> bool:
         return a in self._inv

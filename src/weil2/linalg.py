@@ -16,10 +16,11 @@ row update), and there are three of them:
 * ``CYC8_OPS``: Q(zeta_8), likewise a field.
 
 `rref`, `solve_many` (one elimination for several right-hand sides) and
-`invert` work in any of the three algebras.  On them sit `rref_ring` and
-the n > 5 branch of `det_ring`, which reads the signed product of the
-pivots, over the ring; `rref_field`, `rank_field` and `inverse_field` over
-k; and, with `CYC8_OPS`, `weil.commutant_dimension`.  With the unit vectors
+`invert` work in any of the three algebras.  On them sit `rref_ring` over
+the ring; `rref_field`, `rank_field` and `inverse_field` over k; and, with
+`CYC8_OPS`, `weil.commutant_dimension`.  `det_ring` is the Leibniz
+formula alone: its matrices are n x n, and n <= 4 wherever they are built,
+since the Lagrangian listing refuses every n >= 5.  With the unit vectors
 as right-hand sides, `solve_many` also gives `SympSpace._projection`, the
 projection matrix that `SympSpace.r_terms` reads over k and
 `SympSpace.r_map_tilde` over the ring.
@@ -75,15 +76,12 @@ CYC8_OPS = ScalarOps(
 )
 
 
-def eliminate(ops, rows, ncols, with_det=False):
+def eliminate(ops, rows, ncols):
     """Reduce the list of row lists `rows` to reduced row echelon form on its
     first `ncols` columns, in place, using pivots that pass ops.is_pivot;
     later columns (right-hand sides) ride along.  Returns the pivot columns;
-    pivoted rows come first, in pivot order.  With `with_det`, returns
-    (pivot columns, signed product of the pivots): the determinant of a
-    square matrix whose columns all pivot."""
+    pivoted rows come first, in pivot order."""
     is_pivot, inv, scale, update = ops.is_pivot, ops.inv, ops.scale, ops.update
-    det = ops.one
     nrows = len(rows)
     pivots = []
     r = 0
@@ -95,11 +93,7 @@ def eliminate(ops, rows, ncols, with_det=False):
             continue
         if p != r:
             rows[r], rows[p] = rows[p], rows[r]
-            if with_det:
-                det = update([ops.zero], det, [ops.one])[0]  # 0 - det * 1
         pv = rows[r][c]
-        if with_det:
-            det = scale(pv, [det])[0]  # pv * det
         prow = rows[r] = scale(inv(pv), rows[r])
         for i in range(nrows):
             f = rows[i][c]
@@ -107,7 +101,7 @@ def eliminate(ops, rows, ncols, with_det=False):
                 rows[i] = update(rows[i], f, prow)
         pivots.append(c)
         r += 1
-    return (pivots, det) if with_det else pivots
+    return pivots
 
 
 def solve_many(ops, A, rhs):
@@ -210,24 +204,16 @@ def rref_ring(R, rows):
 
 
 def det_ring(R, A):
-    """Determinant over the ring; Leibniz for size <= 5, else the signed
-    pivot product of a unit-pivot elimination (sufficient for the invertible
-    matrices used at size > 5)."""
+    """Determinant over the ring by the Leibniz formula (1 when A is
+    empty, from its one empty permutation)."""
     n = len(A)
-    if n == 0:
-        return R.one
-    if n <= 5:
-        det = 0
-        for perm in itertools.permutations(range(n)):
-            inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-            term = R.one
-            for i in range(n):
-                term = R.mul(term, A[i][perm[i]])
-            det = R.add(det, R.neg(term) if inv % 2 else term)
-        return det
-    pivots, det = eliminate(ring_ops(R), [list(r) for r in A], n, with_det=True)
-    if len(pivots) < n:
-        raise ValueError("no unit pivot; use a smaller matrix for Leibniz")
+    det = 0
+    for perm in itertools.permutations(range(n)):
+        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = R.one
+        for i in range(n):
+            term = R.mul(term, A[i][perm[i]])
+        det = R.add(det, R.neg(term) if inv % 2 else term)
     return det
 
 

@@ -411,12 +411,12 @@ def _gaussian_scalar(re, im):
     return Cyc8((re, 0, im, 0))
 
 
-def gauss_scalar(space, eN, eM, eL, lifts=None):
+def gauss_scalar(space, eN, eM, eL):
     """Route 3: reduce the character sum to a Gauss character of the
     R-valued symmetric form omt_L(m1, m2) = omt(r^Lt(m1), m2) on a free
     lift Mt.
 
-    Choosing free lifts (Mt, Nt, Lt) splits Q into the lift part
+    The initial free lifts (Mt, Nt, Lt) split Q into the lift part
     omt_L(mt, mt) plus a 2R-valued defect sigma; sigma matches a linear
     character psi(2 omt_L(mt_s, .)) and completes into the square, so
     C = psi(-omt_L(mt_s, mt_s)) * G([Mt, tr omt_L]).
@@ -425,12 +425,9 @@ def gauss_scalar(space, eN, eM, eL, lifts=None):
     from .witt import gauss_sum, trace_form
 
     R = space.R
-    if lifts is None:
-        Mt = space.initial_lift(eM.rows)
-        Nt = space.initial_lift(eN.rows)
-        Lt = space.initial_lift(eL.rows)
-    else:
-        Mt, Nt, Lt = lifts
+    Mt = space.initial_lift(eM.rows)
+    Nt = space.initial_lift(eN.rows)
+    Lt = space.initial_lift(eL.rows)
     gram = space.omega_tilde_L_gram(Mt, Nt, Lt)
     if gram != linalg.transpose(gram):
         raise RuntimeError("omt_L must be symmetric")

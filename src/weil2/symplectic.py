@@ -97,6 +97,28 @@ def check_lagrangians(d, n):
     return want
 
 
+def check_sampled(d, n, count):
+    """The refusals of a sampled run at (d, n), before any work: the sample
+    count (a run of no draws would pass vacuously), then the listing of
+    the Lagrangians it draws from."""
+    if count < 1:
+        raise ValueError(f"sample count must be >= 1, got {count}")
+    check_lagrangians(d, n)
+
+
+def check_cocycle(d, n, mode, sample_count):
+    """The mode of a cocycle run at (d, n), "exhaustive" or "sampled",
+    after that mode's refusals and before any work.  None means
+    exhaustive where exhaustive_by_default admits it, else sampled."""
+    if mode is None:
+        mode = "exhaustive" if exhaustive_by_default(d, n) else "sampled"
+    if mode == "exhaustive":
+        check_sweep(d, n)
+    else:
+        check_sampled(d, n, sample_count)
+    return mode
+
+
 class SympSpace:
     def __init__(self, ring, n: int):
         _check_rank(n)
@@ -320,6 +342,13 @@ class SympSpace:
         alpha = _enhancement_twists(base).sample(rng)
         return EnhancedLagrangian(self, base.rows, dict(zip(base.elements, alpha)))
 
+    def random_enhanced(self, rows, rng):
+        """(lift, enhancement) over the subspace: a random_lift, then a
+        random_enhancement of that lift.  Every sampled cocycle and
+        trivialization draw goes through here, one subspace at a time."""
+        lift = self.random_lift(rows, rng)
+        return lift, self.random_enhancement(lift, rng)
+
     # -- free submodule lifts -----------------------------------------------------
     def initial_lift(self, rows):
         """One free isotropic lift of the subspace spanned by `rows`:
@@ -418,6 +447,12 @@ class SympSpace:
             idx, v = divmod(idx, q)
             vals.append(v)
         return self._lift_at(rows, vals)
+
+    def random_oriented(self, rows, rng):
+        """A random_lift of the subspace, then a uniform orientation unit
+        (one rng.choice over R.units, which is in ascending order)."""
+        return OrientedLagrangian(self.random_lift(rows, rng),
+                                  rng.choice(self.R.units))
 
     def enumerate_oriented(self):
         """All oriented Lagrangians (canonical submodule basis, unit)."""

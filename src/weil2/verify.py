@@ -40,10 +40,10 @@ from .models import (
 from .symplectic import (
     OrientedLagrangian,
     SympSpace,
-    check_lagrangians,
+    check_cocycle,
+    check_sampled,
     check_sweep,
     enumerate_enhanced,
-    exhaustive_by_default,
 )
 from .transport import (
     ScaledTransport,
@@ -260,19 +260,6 @@ def cocycle_checks_exhaustive(d, n):
     return checks
 
 
-def _check_count(count):
-    """A sampled check visits `count` triples; none would pass vacuously."""
-    if count < 1:
-        raise ValueError(f"sample count must be >= 1, got {count}")
-
-
-def _refuse_sampled(d, n, count):
-    """The refusals of a sampled check at (d, n), before any work: the
-    sample count, then the listing of the Lagrangians it draws from."""
-    _check_count(count)
-    check_lagrangians(d, n)
-
-
 def _shape(d, n):
     """(d, n) with None meaning 1; ValueError for d outside 1..4 or n < 1."""
     d = 1 if d is None else d
@@ -286,8 +273,9 @@ def _shape(d, n):
 
 def cocycle_checks_sampled(d, n, count, seed):
     """Seeded sample of pairwise-transversal triples: three-route agreement,
-    fourth power, and the oriented identity."""
-    _refuse_sampled(d, n, count)
+    fourth power, and the oriented identity.  It draws what a sampled
+    cocycle table with the same d, n, count and seed lists."""
+    check_sampled(d, n, count)
     rng = random.Random(seed)
     R = ring(d)
     sp = SympSpace(R, n)
@@ -298,15 +286,15 @@ def cocycle_checks_sampled(d, n, count, seed):
 
     def outcomes():
         """(routes agree, fourth power, oriented identity) on one draw."""
-        lts = [sp.random_lift(r, rng) for r in sp.sample_transversal_triple(subs, rng)]
-        eN, eM, eL = (sp.random_enhancement(lt, rng) for lt in lts)
+        (Nt, eN), (Mt, eM), (Lt, eL) = (
+            sp.random_enhanced(r, rng)
+            for r in sp.sample_transversal_triple(subs, rng))
         c1 = composition_scalar(sp, eN, eM, eL)
         c2 = formula_scalar(sp, eN, eM, eL)
         c3 = gauss_scalar(sp, eN, eM, eL)
-        Nt, Mt, Lt = lts
         G = witt.gauss_sum(witt.trace_form(R, sp.omega_tilde_L_gram(Mt, Nt, Lt)))
         return (c1 == c2 == c3, c2 ** 4 == target4,
-                formula_scalar(sp, *map(sp.enhance_from_lift, lts)) == G)
+                formula_scalar(sp, *map(sp.enhance_from_lift, (Nt, Mt, Lt))) == G)
 
     route, power, oriented = zip(*(outcomes() for _ in range(count)))
     total, bad_route = _count(route)
@@ -320,20 +308,10 @@ def cocycle_checks_sampled(d, n, count, seed):
     ]
 
 
-def _refuse_cocycle(d, n, mode, sample_count):
-    """Apply the refusals of suite_cocycle at the shape (d, n) before any
-    work; True when it sweeps every triple, False when it samples."""
-    if mode == "exhaustive" or (mode is None and exhaustive_by_default(d, n)):
-        check_sweep(d, n)
-        return True
-    _refuse_sampled(d, n, sample_count)
-    return False
-
-
 def suite_cocycle(d=None, n=None, mode=None, sample_count=200, seed=0):
     if d is not None or n is not None:
         d, n = _shape(d, n)
-        if _refuse_cocycle(d, n, mode, sample_count):
+        if check_cocycle(d, n, mode, sample_count) == "exhaustive":
             checks = cocycle_checks_exhaustive(d, n)
             if d * n == 1:
                 # the small checks include the same fourth-power sweep
@@ -397,7 +375,7 @@ def suite_trivialization():
 
 def transport_checks_sampled(d, n, count, seed):
     """Seeded multiplicativity spot-checks of T and S at larger sizes."""
-    _refuse_sampled(d, n, count)
+    check_sampled(d, n, count)
     rng = random.Random(seed)
     R = ring(d)
     sp = SympSpace(R, n)
@@ -406,10 +384,10 @@ def transport_checks_sampled(d, n, count, seed):
     def outcomes():
         """(T multiplicative, S multiplicative) on one draw."""
         rows3 = [rng.choice(subs) for _ in range(3)]
-        a, b, c = (sp.random_enhancement(sp.random_lift(r, rng), rng) for r in rows3)
+        a, b, c = (sp.random_enhanced(r, rng)[1] for r in rows3)
         t_ok = (trivialization_transport(sp, a, b).compose(
             trivialization_transport(sp, b, c)) == trivialization_transport(sp, a, c))
-        oa, ob, oc = (_random_oriented(sp, r, rng) for r in rows3)
+        oa, ob, oc = (sp.random_oriented(r, rng) for r in rows3)
         s_ok = (splitting_transport(sp, oa, ob).compose(splitting_transport(sp, ob, oc))
                 == splitting_transport(sp, oa, oc))
         return t_ok, s_ok
@@ -425,12 +403,6 @@ def transport_checks_sampled(d, n, count, seed):
     ]
 
 
-def _random_oriented(sp, rows, rng):
-    """A uniform free lift of the subspace, then a uniform orientation unit."""
-    return OrientedLagrangian(sp.random_lift(rows, rng),
-                              rng.choice(sorted(sp.R.units)))
-
-
 def _sampled_oriented_checks(name, holds, count, rng):
     """`name`.d2n1 and .d1n2: holds(sp, oN, oM, oL) on `count` sampled
     pairwise-transversal oriented triples at each shape."""
@@ -439,7 +411,7 @@ def _sampled_oriented_checks(name, holds, count, rng):
         sp = SympSpace(ring(d), n)
         subs = sp.enumerate_lagrangians()
         total, bad = _count(
-            holds(sp, *[_random_oriented(sp, r, rng)
+            holds(sp, *[sp.random_oriented(r, rng)
                         for r in sp.sample_transversal_triple(subs, rng)])
             for _ in range(count))
         checks.append(Check(f"{name}.d{d}n{n}", total, bad,
@@ -731,7 +703,7 @@ def _refuse_trivialization(d, n, sample_count):
     fixed d1n1 suite."""
     if (d, n) == (1, 1):
         return False
-    _refuse_sampled(d, n, sample_count)
+    check_sampled(d, n, sample_count)
     return True
 
 
@@ -754,7 +726,7 @@ def run_suite(name, d=None, n=None, mode=None, sample_count=200, seed=0):
         if d is not None or n is not None:
             # the shaped suites' refusals, before any suite runs
             dd, nn = _shape(d, n)
-            _refuse_cocycle(dd, nn, mode, sample_count)
+            check_cocycle(dd, nn, mode, sample_count)
             _refuse_trivialization(dd, nn, sample_count)
         out = []
         for s in SUITE_NAMES:

@@ -142,9 +142,8 @@ class SplitWeilRepresentation(_TransportedRepresentation):
     """Oriented-level construction: operators attach to Sp(Vt) and the
     cocycle lands in {+1, -1} (exponents 0 and 2)."""
 
-    def __init__(self, space, base=None):
-        if base is None:
-            base = space.standard_oriented()
+    def __init__(self, space):
+        base = space.standard_oriented()
         super().__init__(space, base, enhanced_of_oriented(space, base),
                          splitting_transport, mu_root)
 

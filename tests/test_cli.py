@@ -1,6 +1,7 @@
 """Command-line interface: output schemas, exit codes, and byte-level
 determinism of every report."""
 
+import collections
 import hashlib
 import io
 import itertools
@@ -11,12 +12,14 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 
 import pytest
 
 from weil2 import cli, models, verify
 from weil2.cli import main
-from weil2.symplectic import SympSpace
+from weil2.galois import ring
+from weil2.symplectic import SympSpace, check_cocycle
 
 # SHA-256 of `verify --suite weil --format json`, with and without -O
 WEIL_JSON_SHA256 = \
@@ -167,7 +170,8 @@ def test_row_writer_matches_json_dumps(d, n, mode, count, seed, tail):
     def groups(label):
         if mode == "empty":
             return iter(())
-        return cli._cocycle_rows(cli._table_space(d, n, mode), mode, count,
+        return cli._cocycle_rows(SympSpace(ring(d), n),
+                                 check_cocycle(d, n, mode, count), count,
                                  seed, label)
 
     dicts = [{"N": kN, "M": kM, "L": kL, "C": c.to_json()}
@@ -179,6 +183,60 @@ def test_row_writer_matches_json_dumps(d, n, mode, count, seed, tail):
     cli._write_json(fh, {**head, "rows": cli._ROWS, **tail},
                     groups(cli._json_label))
     assert fh.getvalue() == want
+
+
+def _table_rows(d, n, mode, count, seed):
+    """The cocycle table's rows as (N, M, L, C), each enhanced Lagrangian
+    named by its key."""
+    groups = cli._cocycle_rows(SympSpace(ring(d), n),
+                               check_cocycle(d, n, mode, count), count, seed,
+                               lambda e: e.key())
+    return [(kN, kM, kL, c) for kNs, kMs, kLs, cs in groups
+            for (kN, kM, kL), c in zip(itertools.product(kNs, kMs, kLs), cs)]
+
+
+@pytest.mark.parametrize("d,n,count,seed", [(2, 2, 40, 7), (1, 4, 20, 3)])
+def test_sampled_table_lists_the_triples_the_check_verified(
+        monkeypatch, d, n, count, seed):
+    """With the same d, n, count and seed, the sampled table's rows are the
+    enhanced triples the sampled cocycle check hands to route 1, in draw
+    order, and each row's C is route 1's value."""
+    checked = []
+    route1 = verify.composition_scalar
+
+    def recorded(sp, eN, eM, eL):
+        c = route1(sp, eN, eM, eL)
+        checked.append((eN.key(), eM.key(), eL.key(), c))
+        return c
+
+    monkeypatch.setattr(verify, "composition_scalar", recorded)
+    assert all(c.passed for c in verify.cocycle_checks_sampled(d, n, count, seed))
+    assert len(checked) == count
+    assert _table_rows(d, n, "sampled", count, seed) == checked
+
+
+def test_exhaustive_table_values_are_the_sweeps(monkeypatch):
+    """The exhaustive d1n2 table lists, as a multiset, the C values of the
+    check's fourth-power sweep.  The sweep's counter is read once the sweep
+    is done, and the check is stopped there."""
+    class SweepDone(Exception):
+        pass
+
+    swept = collections.Counter()
+
+    class Recorded(collections.Counter):
+        def values(self):
+            swept.update(dict(self.items()))
+            raise SweepDone
+
+    monkeypatch.setattr(verify, "collections",
+                        types.SimpleNamespace(Counter=Recorded))
+    with pytest.raises(SweepDone):
+        verify.cocycle_checks_exhaustive(1, 2)
+    table = collections.Counter(
+        c for *_, c in _table_rows(1, 2, None, 0, 0))
+    assert sum(table.values()) == 30720
+    assert table == swept
 
 
 def test_cocycle_table_sampled_seeded(capsys):
@@ -665,7 +723,9 @@ def test_refusal_at_d4n16_is_one_short_line(capsys, argv):
     ["weil-matrix", "--split"],
     ["emit-corpus"],
     ["cocycle-table"],
+    ["cocycle-table", "--mode", "sampled"],
     ["verify", "--suite", "cocycle", "--sample-count", "1"],
+    ["verify", "--suite", "trivialization", "--sample-count", "1"],
     ["verify", "--suite", "all", "--sample-count", "1"],
 ])
 def test_refusal_at_d4n16_runs_before_the_ring(capsys, monkeypatch, argv):

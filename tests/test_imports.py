@@ -1,8 +1,8 @@
 """Every weil2 module imports on its own in a fresh interpreter, so an
 import cycle between modules shows as a failure here instead of hiding
 behind whichever module a test happened to import first; the commands that
-need no suite import none; and every definition in the package has a
-caller in the package."""
+need no suite import none; every definition in the package has a caller
+in the package; and every attribute it stores on self is read in it."""
 
 import ast
 import collections
@@ -116,3 +116,23 @@ def test_every_definition_has_a_caller():
                     and used[short] <= _references(node)[short]:
                 dead.append(f"{module}.{name}")
     assert not dead, dead
+
+
+def test_every_stored_attribute_is_read():
+    """Every `self.X = ...` in weil2 has a load of `.X` somewhere in weil2,
+    on any object: a stored attribute that nothing reads is dead code that
+    the caller check above cannot see."""
+    stored, read = {}, set()
+    for path in sorted((SRC / "weil2").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"):
+                stored.setdefault(node.attr, f"{path.stem}:{node.lineno}")
+    unread = sorted(f"{where} self.{attr}" for attr, where in stored.items()
+                    if attr not in read)
+    assert stored and not unread, unread

@@ -22,8 +22,9 @@ import pytest
 
 from weil2.galois import GaloisRing, ring
 from weil2.symplectic import (
-    MAX_SWEEP, CapExceeded, EnhancedLagrangian, SympSpace, check_sweep,
-    enumerate_enhanced, exhaustive_by_default, transversal_triple_count,
+    MAX_SWEEP, CapExceeded, EnhancedLagrangian, SympSpace, check_cocycle,
+    check_sweep, enumerate_enhanced, exhaustive_by_default,
+    transversal_triple_count,
 )
 from weil2 import linalg
 
@@ -810,6 +811,31 @@ def test_exhaustive_by_default_is_d_times_n_at_most_2():
     for d in range(1, 5):
         for n in range(1, 9):
             assert exhaustive_by_default(d, n) == (d * n <= 2), (d, n)
+
+
+@pytest.mark.parametrize("d,n,mode,count,want", [
+    (1, 2, None, 0, "exhaustive"),
+    (2, 2, None, 1, "sampled"),
+    (1, 1, "sampled", 1, "sampled"),
+    (1, 2, "exhaustive", 0, "exhaustive"),
+])
+def test_check_cocycle_resolves_the_mode(d, n, mode, count, want):
+    """No mode means the sweep where it is admitted; an exhaustive run
+    ignores the sample count."""
+    assert check_cocycle(d, n, mode, count) == want
+
+
+@pytest.mark.parametrize("d,n,mode,count,message", [
+    (2, 2, None, 0, "sample count must be >= 1, got 0"),
+    (1, 5, "sampled", 0, "sample count must be >= 1, got 0"),
+    (1, 5, "sampled", 1, "list 75,735 Lagrangians"),
+    (2, 2, "exhaustive", 1, "visit 4,380,866,641,920 enhanced triples"),
+    (1, 17, None, 1, "n must be in 1..16, got 17"),
+])
+def test_check_cocycle_refuses_in_order(d, n, mode, count, message):
+    """A sampled run checks its count before its listing."""
+    with pytest.raises(ValueError, match=message):
+        check_cocycle(d, n, mode, count)
 
 
 def test_no_module_reads_the_environment():
