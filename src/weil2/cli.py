@@ -24,7 +24,8 @@ import types
 from . import PRNG_NAME, SUITE_NAMES
 from .galois import MAX_D, ring
 from .models import CharacterSum, formula_scalar
-from .symplectic import SympSpace, check_cocycle, enumerate_enhanced
+from .symplectic import (
+    MAX_LISTING, SympSpace, _refuse_above, check_cocycle, enumerate_enhanced)
 
 SCHEMA_VERSION = 1
 
@@ -40,6 +41,9 @@ def _parse_gram(text):
         raise ValueError("gram must be a JSON integer or a list of lists of "
                          f"integers, got {text!r}")
     B = tuple(tuple(x % 4 for x in row) for row in data)
+    # gauss_sum, which classify runs too, walks 2^rank vectors
+    _refuse_above(2 ** len(B), MAX_LISTING, f"Gauss sum of a rank-{len(B)} gram",
+                  "sum {} terms")
     witt.validate_gram(B)
     return B
 

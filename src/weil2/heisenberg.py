@@ -138,7 +138,7 @@ def _sp_k_mul(space, g, h):
 
 def _sp_R_mul(space, g, h):
     """The product of Sp(Vt) in the same convention: rows h[i] g."""
-    return linalg.mat_mul(space.R, h, g)
+    return tuple(linalg.vec_mat(space.R, r, g) for r in h)
 
 
 def group_order(d, n, group):
@@ -293,21 +293,15 @@ def symplectic_lift_matrix(space, g):
     # restore the exact b-c pairing: subtract the 2-torsion defects along
     # fresh duals of the corrected b's
     duals = space._dual_family(b)
-    for j in range(n):
-        corr = c[j]
-        for i in range(n):
-            eps = R.sub(space.omt(b[i], c[j]), R.one if i == j else 0)
-            if eps:
-                corr = linalg.vec_sub(R, corr, linalg.vec_scale(R, eps, duals[i]))
-        c[j] = corr
-    # clear the c-c pairings by adding b's (leaves the b-c pairing alone)
-    for j in range(n):
-        corr = c[j]
-        for i in range(j):
-            w = space.omt(c[i], c[j])
-            if w:
-                corr = linalg.vec_add(R, corr, linalg.vec_scale(R, w, b[i]))
-        c[j] = corr
+    c = [linalg.vec_add(R, cj, linalg.vec_mat(
+             R, [R.sub(R.one if i == j else 0, space.omt(bi, cj))
+                 for i, bi in enumerate(b)], duals))
+         for j, cj in enumerate(c)]
+    # clear the c-c pairings by adding b's (leaves the b-c pairing alone, so
+    # the c_i from before this step pair with c_j as the corrected ones do)
+    c = [linalg.vec_add(R, cj, linalg.vec_mat(
+             R, [space.omt(ci, cj) if i < j else 0 for i, ci in enumerate(c)], b))
+         for j, cj in enumerate(c)]
     gt = tuple(b) + tuple(c)
     if not is_symplectic_R(space, gt):
         raise RuntimeError("symplectic lift failed")

@@ -24,7 +24,10 @@ since the Lagrangian listing refuses every n >= 5.  With the unit vectors
 as right-hand sides, `solve_many` also gives `SympSpace._projection`, the
 projection matrix that `SympSpace.r_terms` reads over k and
 `SympSpace.r_map_tilde` over the ring.
-`vec_mat` and `vec_mat_field` are the row action v -> sum_j v[j] * A[j].
+
+`vec_mat` over the ring and `vec_mat_field` over k are each algebra's one
+row action v -> sum_j v[j] * A[j]: every linear combination of rows, and
+every matrix product (row by row), goes through them.
 """
 from __future__ import annotations
 
@@ -151,22 +154,6 @@ def rref(ops, rows):
 # ring matrices
 # ---------------------------------------------------------------------------
 
-def mat_mul(R, A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    add, mul = R.add, R.mul
-    out = []
-    for i in range(n):
-        Ai = A[i]
-        row = []
-        for j in range(m):
-            s = 0
-            for t in range(k):
-                s = add(s, mul(Ai[t], B[t][j]))
-            row.append(s)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def vec_mat(R, v, A):
     """The row action v -> sum_j v[j] * A[j] over the ring."""
     add, mul = R.add, R.mul
@@ -179,14 +166,6 @@ def vec_mat(R, v, A):
 
 def vec_add(R, u, v):
     return tuple(R.add(a, b) for a, b in zip(u, v))
-
-
-def vec_sub(R, u, v):
-    return tuple(R.sub(a, b) for a, b in zip(u, v))
-
-
-def vec_scale(R, c, v):
-    return tuple(R.mul(c, x) for x in v)
 
 
 def transpose(A):

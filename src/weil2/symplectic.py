@@ -11,6 +11,8 @@ k-vectors are tuples of bitmasks, R-vectors tuples of ring indices.
 """
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import math
 import operator
@@ -32,7 +34,10 @@ def _refuse_above(count, cap, what, work):
     units of `work`, a phrase such as "build {} elements".  A count of more
     than MAX_SHOWN_DIGITS digits is shown as "more than 2^k (D digits)"."""
     if count > cap:
-        digits = len(str(count))
+        # D from the bit length, one short at most: str() refuses an int of
+        # more than sys.get_int_max_str_digits() digits
+        digits = int(count.bit_length() * math.log10(2))
+        digits += count >= 10 ** digits
         shown = (f"{count:,}" if digits <= MAX_SHOWN_DIGITS else
                  f"more than 2^{(count - 1).bit_length() - 1} ({digits} digits)")
         raise CapExceeded(f"{what} refused: it would {work.format(shown)} > {cap:,}")
@@ -119,6 +124,24 @@ def check_cocycle(d, n, mode, sample_count):
     return mode
 
 
+def _cached(method):
+    """Memoize a SympSpace method on its positional arguments, which must
+    be hashable, in self._caches[method name].  A call that raises caches
+    nothing."""
+    name = method.__name__
+    missing = object()
+
+    @functools.wraps(method)
+    def cached(self, *args):
+        cache = self._caches[name]
+        out = cache.get(args, missing)
+        if out is missing:
+            out = cache[args] = method(self, *args)
+        return out
+
+    return cached
+
+
 class SympSpace:
     def __init__(self, ring, n: int):
         _check_rank(n)
@@ -126,19 +149,7 @@ class SympSpace:
         self.n = n
         self.dim = 2 * n
         self.dn = ring.d * n
-        # the Lagrangian list and seven per-space caches of geometry that
-        # the enhancement and lift loops ask for again and again; each
-        # starts empty, fills on first use only and has no size limit
-        self._lagrangians = None  # enumerate_lagrangians, once it has run
-        self._lifted = {}        # k-vector -> its {0,1}-coordinate lift
-        self._lift_frames = {}   # Lagrangian rows -> (initial lift, dual family)
-        self._enhanced = {}      # lift basis -> enhance_from_lift
-        self._transversal = {}   # (rows1, rows2) -> transversal_k
-        self._r_maps = {}        # (M, N, L) rows -> r_terms
-        # (N, L) -> the projection matrix onto N along L, one cache per
-        # algebra: at d = 1 a k-row and an R-row can be the same tuple
-        self._projections = {}    # over k, for r_terms
-        self._projections_R = {}  # over R, for r_map_tilde
+        self._caches = collections.defaultdict(dict)  # method name -> memo, see _cached
         # 2 * lift(x) indexed by the residue x; beta reads it at beta_field
         self._two_lift = tuple(ring.mul(ring.two, ring.lift(x))
                                for x in range(ring.field_size))
@@ -154,12 +165,10 @@ class SympSpace:
     def omt(self, vt, wt):
         return self.R.sub(self.bt(vt, wt), self.bt(wt, vt))
 
+    @_cached
     def lift_vec(self, v):
         """The {0,1}-coordinate lift of a k-vector (a tuple), memoized."""
-        vt = self._lifted.get(v)
-        if vt is None:
-            vt = self._lifted[v] = tuple(self.R.lift(x) for x in v)
-        return vt
+        return tuple(self.R.lift(x) for x in v)
 
     def reduce_vec(self, vt):
         return tuple(self.R.reduce(x) for x in vt)
@@ -194,6 +203,7 @@ class SympSpace:
         return tuple(v)
 
     # -- Lagrangian subspaces of V --------------------------------------------
+    @_cached
     def enumerate_lagrangians(self):
         """All n-dimensional isotropic subspaces of V as canonical RREF bases,
         sorted.  For each pivot set the echelon rows are chosen one at a
@@ -202,8 +212,6 @@ class SympSpace:
         bits per coordinate, and bit a of omega_field(v, row) is the parity
         of packed(v) & masks(row)[a]: orthogonal means every parity even.
         The list is built once per space; a refused call caches nothing."""
-        if self._lagrangians is not None:
-            return self._lagrangians
         R, n, m, q, d = self.R, self.n, self.dim, self.R.field_size, self.R.d
         want = check_lagrangians(d, n)
         found = []
@@ -251,8 +259,7 @@ class SympSpace:
             extend(candidates)
         if len(found) != want:
             raise RuntimeError(f"{len(found)} Lagrangians, expected {want}")
-        self._lagrangians = tuple(sorted(found))
-        return self._lagrangians
+        return tuple(sorted(found))
 
     def dual_standard_lagrangian(self):
         return tuple(self.std_basis_k(self.n + i) for i in range(self.n))
@@ -260,14 +267,10 @@ class SympSpace:
     def span_k(self, rows):
         return linalg.span_field(self.R, rows, width=self.dim)
 
+    @_cached
     def transversal_k(self, rows1, rows2):
-        """Whether the spans of the two row lists add up to V, memoized."""
-        key = (tuple(rows1), tuple(rows2))
-        ok = self._transversal.get(key)
-        if ok is None:
-            ok = self._transversal[key] = (
-                linalg.rank_field(self.R, key[0] + key[1]) == self.dim)
-        return ok
+        """Whether the spans of the two row tuples add up to V, memoized."""
+        return linalg.rank_field(self.R, rows1 + rows2) == self.dim
 
     def transversal_triples(self, subs):
         """Every (a, b, c) in subs^3 whose three pairs are transversal, in
@@ -298,12 +301,9 @@ class SympSpace:
         used (the cross terms cancel against isotropy).  Memoized per lift
         basis: the EnhancedLagrangian is shared by every caller and must
         not be mutated."""
-        key = tuple(tuple(b) for b in basis)
-        enh = self._enhanced.get(key)
-        if enh is None:
-            enh = self._enhanced[key] = self._enhance(key)
-        return enh
+        return self._enhance(tuple(tuple(b) for b in basis))
 
+    @_cached
     def _enhance(self, basis):
         R = self.R
         # one elimination of [reduced basis | I] gives the canonical reduced
@@ -367,15 +367,10 @@ class SympSpace:
         family is isotropic and has the same reduction."""
         R = self.R
         duals = self._dual_family(b)
-        out = []
-        for i, bi in enumerate(b):
-            corr = bi
-            for j in range(i + 1, len(b)):
-                w = self.omt(bi, b[j])
-                if w:
-                    corr = linalg.vec_add(R, corr, linalg.vec_scale(R, w, duals[j]))
-            out.append(corr)
-        return out
+        return [linalg.vec_add(R, bi, linalg.vec_mat(
+                    R, [self.omt(bi, bj) if j > i else 0 for j, bj in enumerate(b)],
+                    duals))
+                for i, bi in enumerate(b)]
 
     def _dual_family(self, basis):
         """Vectors c_j with omt(b_i, c_j) = delta_ij (no isotropy demanded),
@@ -390,13 +385,11 @@ class SympSpace:
             raise RuntimeError("no dual family: the family is not free")
         return duals
 
+    @_cached
     def _lift_frame(self, rows):
         """(initial lift, its dual family) of the subspace, cached per rows."""
-        frame = self._lift_frames.get(rows)
-        if frame is None:
-            base = self.initial_lift(rows)
-            frame = self._lift_frames[rows] = (base, self._dual_family(base))
-        return frame
+        base = self.initial_lift(rows)
+        return base, self._dual_family(base)
 
     def _lift_at(self, rows, vals):
         """The lift base + 2*S*duals of the subspace, where S is the
@@ -409,14 +402,10 @@ class SympSpace:
         for i in range(n):
             for j in range(i, n):
                 S[i][j] = S[j][i] = next(it)
-        basis = []
-        for i in range(n):
-            vt = base[i]
-            for j in range(n):
-                if S[i][j]:
-                    c = R.mul(R.two, R.lift(S[i][j]))
-                    vt = linalg.vec_add(R, vt, linalg.vec_scale(R, c, duals[j]))
-            basis.append(vt)
+        two_lift = self._two_lift
+        basis = [linalg.vec_add(R, base[i], linalg.vec_mat(
+                     R, [two_lift[s] for s in S[i]], duals))
+                 for i in range(n)]
         can, _ = linalg.rref_ring(R, basis)
         return can
 
@@ -454,18 +443,23 @@ class SympSpace:
         return OrientedLagrangian(self.random_lift(rows, rng),
                                   rng.choice(self.R.units))
 
-    def enumerate_oriented(self):
-        """All oriented Lagrangians (canonical submodule basis, unit)."""
+    def oriented_by_rows(self):
+        """The oriented Lagrangians over each Lagrangian subspace, {rows:
+        list} in enumerate_lagrangians order: its free lifts, times the
+        units.  Refused above MAX_LISTING before any work."""
         R, n, q = self.R, self.n, self.R.field_size
         _refuse_above(lagrangian_count(q, n) * q ** (n * (n + 1) // 2) * len(R.units),
                       MAX_LISTING, f"oriented Lagrangian enumeration at d{R.d}n{n}",
                       "list {} oriented Lagrangians")
-        out = []
-        for rows in self.enumerate_lagrangians():
-            for basis in self.enumerate_submodule_lifts(rows):
-                for u in self.R.units:
-                    out.append(OrientedLagrangian(basis, u))
-        return tuple(out)
+        return {rows: [OrientedLagrangian(basis, u)
+                       for basis in self.enumerate_submodule_lifts(rows)
+                       for u in R.units]
+                for rows in self.enumerate_lagrangians()}
+
+    def enumerate_oriented(self):
+        """All oriented Lagrangians (canonical submodule basis, unit): the
+        oriented_by_rows fibres, one after another."""
+        return tuple(itertools.chain.from_iterable(self.oriented_by_rows().values()))
 
     def standard_oriented(self):
         basis = tuple(
@@ -489,6 +483,7 @@ class SympSpace:
             raise ValueError("wedge pairing of a non-transversal pair")
         return R.mul(R.mul(oL.unit, oM.unit), det)
 
+    @_cached
     def r_terms(self, M_rows, N_rows, L_rows):
         """The enhancement-free terms of the character sum over M, one
         (m, r(m), m - r(m), beta(m, r(m))) per element of M in span_k
@@ -497,51 +492,42 @@ class SympSpace:
         the pair's projection matrix; r is linear and span_k is linear in
         its coefficient tuple, so the two spans match term by term.  The
         tuple is memoized per (M, N, L)."""
-        key = (tuple(M_rows), tuple(N_rows), tuple(L_rows))
-        terms = self._r_maps.get(key)
-        if terms is None:
-            R = self.R
-            P = self._projection(key[1], key[2])
-            images = [linalg.vec_mat_field(R, m, P) for m in M_rows]
-            terms = self._r_maps[key] = tuple(
-                (m, rm, _xor(m, rm), self.beta(m, rm))
-                for m, rm in zip(self.span_k(M_rows), self.span_k(images)))
-        return terms
+        R = self.R
+        P = self._projection(N_rows, L_rows, True)
+        images = [linalg.vec_mat_field(R, m, P) for m in M_rows]
+        return tuple((m, rm, _xor(m, rm), self.beta(m, rm))
+                     for m, rm in zip(self.span_k(M_rows), self.span_k(images)))
 
-    def _projection(self, N_rows, L_rows, over_k=True):
+    @_cached
+    def _projection(self, N_rows, L_rows, over_k):
         """The projection onto N along L as a matrix P: row i is the image
         of e_i, so v maps to the row action of v on P (vec_mat_field over
         k, vec_mat over R).  One elimination of (N + L)^T with the 2n unit
-        vectors as right-hand sides, cached per (N, L) in the algebra's
-        own cache.  A ValueError unless N + L = V, checked over R on the
-        reductions: free submodules are transversal exactly when their
-        reductions are (Nakayama)."""
-        cache = self._projections if over_k else self._projections_R
-        key = (N_rows, L_rows)
-        P = cache.get(key)
-        if P is None:
-            R = self.R
-            if over_k:
-                ops, act, what = linalg.field_ops(R), linalg.vec_mat_field, "r_terms"
-                reduced = key
-            else:
-                ops, act, what = linalg.ring_ops(R), linalg.vec_mat, "r_map_tilde"
-                reduced = [tuple(map(self.reduce_vec, rows)) for rows in key]
-            if not self.transversal_k(*reduced):
-                raise ValueError(f"{what} needs N transversal to L")
-            xs = linalg.solve_many(ops, linalg.transpose(N_rows + L_rows),
-                                   linalg.unit_vectors(ops, self.dim))
-            if xs is None:
-                raise RuntimeError("inconsistent projection onto N along L")
-            P = cache[key] = tuple(act(R, x[:len(N_rows)], N_rows) for x in xs)
-        return P
+        vectors as right-hand sides, cached per (N, L, over_k): at d = 1 a
+        k-row and an R-row can be the same tuple.  A ValueError unless
+        N + L = V, checked over R on the reductions: free submodules are
+        transversal exactly when their reductions are (Nakayama)."""
+        R = self.R
+        if over_k:
+            ops, act, what = linalg.field_ops(R), linalg.vec_mat_field, "r_terms"
+            reduced = (N_rows, L_rows)
+        else:
+            ops, act, what = linalg.ring_ops(R), linalg.vec_mat, "r_map_tilde"
+            reduced = [tuple(map(self.reduce_vec, rows)) for rows in (N_rows, L_rows)]
+        if not self.transversal_k(*reduced):
+            raise ValueError(f"{what} needs N transversal to L")
+        xs = linalg.solve_many(ops, linalg.transpose(N_rows + L_rows),
+                               linalg.unit_vectors(ops, self.dim))
+        if xs is None:
+            raise RuntimeError("inconsistent projection onto N along L")
+        return tuple(act(R, x[:len(N_rows)], N_rows) for x in xs)
 
     def r_map_tilde(self, Mt, Nt, Lt):
         """Images of Mt's basis under the projection onto Nt along Lt, read
         off the pair's projection matrix over R, as r_terms reads it over
         k; a ValueError unless the reductions of Nt and Lt are
         transversal."""
-        P = self._projection(tuple(Nt), tuple(Lt), over_k=False)
+        P = self._projection(tuple(Nt), tuple(Lt), False)
         return [linalg.vec_mat(self.R, m, P) for m in Mt]
 
     def omega_tilde_L_gram(self, Mt, Nt, Lt):
@@ -554,7 +540,7 @@ class SympSpace:
         wedge forward; the result is re-expressed over the canonical basis.
         Matrices act on row vectors: b -> sum_j b[j] gt[j]."""
         R = self.R
-        img = linalg.mat_mul(R, oriented.basis, gt)
+        img = [linalg.vec_mat(R, b, gt) for b in oriented.basis]
         can, pivots = linalg.rref_ring(R, img)
         T = tuple(tuple(v[p] for p in pivots) for v in img)
         return OrientedLagrangian(can, R.mul(oriented.unit, linalg.det_ring(R, T)))

@@ -38,7 +38,6 @@ from .models import (
     intertwiner_matrix,
 )
 from .symplectic import (
-    OrientedLagrangian,
     SympSpace,
     check_cocycle,
     check_sampled,
@@ -436,22 +435,13 @@ def _a_identity_holds(sp, oN, oM, oL):
             == g * _norm_coeff(sp, oN, oL))
 
 
-def _oriented_by_rows(sp):
-    """The oriented Lagrangians over each Lagrangian subspace, in
-    enumerate_oriented order: its free lifts, times the units."""
-    return {rows: [OrientedLagrangian(basis, u)
-                   for basis in sp.enumerate_submodule_lifts(rows)
-                   for u in sp.R.units]
-            for rows in sp.enumerate_lagrangians()}
-
-
 def suite_splitting(seed=0):
     R = ring(1)
     sp = SympSpace(R, 1)
     oriented = sp.enumerate_oriented()
 
     total, bad = _count(_a_identity_holds(sp, *t)
-                        for t in _fibred(sp, _oriented_by_rows(sp)))
+                        for t in _fibred(sp, sp.oriented_by_rows()))
     checks = [Check("splitting.norm-coeff-identity.d1n1", total, bad,
                     f"A_NM A_ML = G(2[M,-tr w_L]) A_NL on {total} oriented triples")]
 
@@ -544,7 +534,7 @@ def suite_disc(seed=0):
     # the four-term Witt combination has trivial discriminant
     sp = SympSpace(ring(1), 1)
     total, bad = _count(_disc_combination_ok(sp, *t)
-                        for t in _fibred(sp, _oriented_by_rows(sp)))
+                        for t in _fibred(sp, sp.oriented_by_rows()))
     checks.append(Check("disc.four-term-combination.d1n1", total, bad,
                         f"d(X) = 1 on {total} oriented triples"))
 

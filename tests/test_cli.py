@@ -108,6 +108,46 @@ def test_witt_rejects_bad_gram(capsys, argv):
     assert captured.out == ""
 
 
+def _identity_gram(r):
+    return json.dumps([[int(i == j) for j in range(r)] for i in range(r)])
+
+
+@pytest.mark.parametrize("action", ["classify", "gauss", "isometric"])
+def test_witt_refuses_a_gram_above_the_listing_cap(capsys, monkeypatch, action):
+    """A rank-17 gram would sum 2^17 terms: every action refuses it before
+    any work, the second gram of isometric included."""
+    from weil2 import witt
+
+    def no_work(*args):
+        raise AssertionError("a refused gram reached witt")
+
+    for name in ("gauss_sum", "decompose", "is_isometric"):
+        monkeypatch.setattr(witt, name, no_work)
+    grams = ((_identity_gram(16), _identity_gram(17)) if action == "isometric"
+             else (_identity_gram(17),))
+    rc = main(["witt", action, *grams])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == ("error: Gauss sum of a rank-17 gram refused: it "
+                            "would sum 131,072 terms > 65,536\n")
+    assert captured.out == ""
+
+
+def test_witt_refusal_names_a_huge_rank_by_size(capsys):
+    """2^20000 has more digits than str() converts by default."""
+    rc = main(["witt", "gauss", json.dumps([[1]] * 20000)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == ("error: Gauss sum of a rank-20000 gram refused: it would "
+                            "sum more than 2^19999 (6021 digits) terms > 65,536\n")
+
+
+def test_witt_gauss_runs_at_the_listing_cap(capsys):
+    rc, out = run_cli(capsys, "witt", "gauss", _identity_gram(16))
+    assert rc == 0
+    assert out == "256\n"
+
+
 def test_cocycle_table_csv(capsys):
     import csv
     import io
@@ -174,7 +214,10 @@ def test_row_writer_matches_json_dumps(d, n, mode, count, seed, tail):
                                  check_cocycle(d, n, mode, count), count,
                                  seed, label)
 
-    dicts = [{"N": kN, "M": kM, "L": kL, "C": c.to_json()}
+    # a table holds few distinct C: encode each once
+    encoded = {}
+    dicts = [{"N": kN, "M": kM, "L": kL,
+              "C": encoded[c] if c in encoded else encoded.setdefault(c, c.to_json())}
              for kNs, kMs, kLs, cs in groups(lambda e: repr(e.key()))
              for (kN, kM, kL), c in zip(itertools.product(kNs, kMs, kLs), cs)]
     head = {"schema_version": 1, "d": d, "n": n, "mode": mode}
@@ -458,7 +501,7 @@ def test_each_command_lists_the_lagrangians_once(capsys, monkeypatch, argv,
     real = SympSpace.enumerate_lagrangians
 
     def counted(space):
-        if space._lagrangians is None:
+        if not space._caches["enumerate_lagrangians"]:
             listed.append((space.R.d, space.n))
         return real(space)
 

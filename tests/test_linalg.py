@@ -28,8 +28,8 @@ def test_inverse_ring_roundtrip(d):
         for _ in range(20):
             A = _random_invertible(R, rng, n)
             Ainv = linalg.invert(ops, A, "the ring")
-            assert linalg.mat_mul(R, A, Ainv) == _identity(ops, n)
-            assert linalg.mat_mul(R, Ainv, A) == _identity(ops, n)
+            assert _ring_mat_mul(R, A, Ainv) == _identity(ops, n)
+            assert _ring_mat_mul(R, Ainv, A) == _identity(ops, n)
 
 
 def test_det_multiplicative():
@@ -38,7 +38,7 @@ def test_det_multiplicative():
     for _ in range(40):
         A = _random_matrix(R, rng, 3)
         B = _random_matrix(R, rng, 3)
-        dAB = linalg.det_ring(R, linalg.mat_mul(R, A, B))
+        dAB = linalg.det_ring(R, _ring_mat_mul(R, A, B))
         assert dAB == R.mul(linalg.det_ring(R, A), linalg.det_ring(R, B))
 
 
@@ -95,14 +95,16 @@ def test_solve_field():
 def test_vector_helpers():
     R = ring(1)
     assert linalg.vec_add(R, (1, 2), (3, 3)) == (0, 1)
-    assert linalg.vec_sub(R, (0, 0), (1, 3)) == (3, 1)
-    assert linalg.vec_scale(R, 2, (1, 2)) == (2, 0)
 
 
 # -- the elimination kernel, through each algebra's wrappers -------------------
 
 def _random_cyc(rng):
     return Cyc8(tuple(rng.randrange(-2, 3) for _ in range(4)), rng.choice((1, 2)))
+
+
+def _ring_mat_mul(R, A, B):
+    return tuple(linalg.vec_mat(R, row, B) for row in A)
 
 
 def _field_mat_mul(R, A, B):
@@ -125,7 +127,7 @@ def _algebras():
         R = ring(d)
         out.append((f"ring-d{d}", linalg.ring_ops(R),
                     lambda rng, R=R: rng.randrange(R.size),
-                    lambda A, B, R=R: linalg.mat_mul(R, A, B)))
+                    lambda A, B, R=R: _ring_mat_mul(R, A, B)))
         out.append((f"field-d{d}", linalg.field_ops(R),
                     lambda rng, R=R: rng.randrange(R.field_size),
                     lambda A, B, R=R: _field_mat_mul(R, A, B)))

@@ -249,9 +249,9 @@ def test_formula_scalar_terms_once_per_subspace_triple():
             assert formula_scalar(sp, eN, eM, eL) is c
             count += 1
     assert count == 30720
-    assert len(sp._r_maps) == 480
+    assert len(sp._caches["r_terms"]) == 480
     assert beta_calls == 4 * 480
-    for (M, N, L), terms in sp._r_maps.items():
+    for (M, N, L), terms in sp._caches["r_terms"].items():
         assert sp.r_terms(M, N, L) is terms
         assert [t[0] for t in terms] == list(sp.span_k(M))
 

@@ -490,13 +490,13 @@ def test_r_terms_read_one_projection_per_pair(d, n):
     triples = sp.transversal_triples(lags)
     for N, M, L in triples:
         assert sp.r_terms(M, N, L) == _r_terms_per_triple(sp, M, N, L)
-    assert len(sp._projections) == TRANSVERSAL_PAIRS[(d, n)]
+    assert len(sp._caches["_projection"]) == TRANSVERSAL_PAIRS[(d, n)]
     N = lags[0]
     M = next(M for M in lags if sp.transversal_k(M, N))
     for _ in range(2):
         with pytest.raises(ValueError, match="r_terms needs N transversal to L"):
             sp.r_terms(M, N, N)
-    assert (N, N) not in sp._projections
+    assert (N, N, True) not in sp._caches["_projection"]
 
 
 def _r_map_tilde_reference(sp, Mt, Nt, Lt):
@@ -509,10 +509,10 @@ def _r_map_tilde_reference(sp, Mt, Nt, Lt):
         if xs is None:
             raise ValueError("inconsistent or non-unit-pivot system")
         x, = xs
-        nv = (0,) * sp.dim
+        nv = [0] * sp.dim
         for c, row in zip(x[:len(Nt)], Nt):
-            nv = linalg.vec_add(R, nv, linalg.vec_scale(R, c, row))
-        images.append(nv)
+            nv = [R.add(s, R.mul(c, y)) for s, y in zip(nv, row)]
+        images.append(tuple(nv))
     return images
 
 
@@ -569,8 +569,9 @@ def test_r_map_tilde_reads_one_projection_per_pair(d, n):
             for Mt in every_Mt:
                 assert sp.r_map_tilde(Mt, Nt, Lt) == \
                     _r_map_tilde_reference(sp, Mt, Nt, Lt)
-    assert len(sp._projections_R) == len(pairs)
-    assert not sp._projections
+    projections = sp._caches["_projection"]
+    assert len(projections) == len(pairs)
+    assert not any(over_k for _, _, over_k in projections)
 
     off = [(Nt, Lt) for N in lags for L in lags if not sp.transversal_k(N, L)
            for Nt in lifts[N] for Lt in lifts[L]]
@@ -583,7 +584,7 @@ def test_r_map_tilde_reads_one_projection_per_pair(d, n):
                 with pytest.raises(ValueError,
                                    match="r_map_tilde needs N transversal to L"):
                     sp.r_map_tilde(Mt, *pair)
-    assert len(sp._projections_R) == len(pairs)
+    assert len(projections) == len(pairs)
 
 
 def test_dual_family_failure_is_a_program_fault(monkeypatch):
@@ -605,7 +606,28 @@ def test_transversal_k_memo_matches_rank():
             for b in lags:
                 want = linalg.rank_field(R, a + b) == sp.dim
                 assert sp.transversal_k(a, b) == want
-    assert len(sp._transversal) == len(lags) ** 2
+    assert len(sp._caches["transversal_k"]) == len(lags) ** 2
+
+
+def test_space_keeps_its_caches_in_one_dict():
+    """A d1n2 cocycle-table sweep and a walk over every lift fill every
+    memo of the space, and each lives in _caches under the name of its
+    method; no other attribute grows."""
+    from weil2 import cli
+
+    sp = SympSpace(ring(1), 2)
+    for *_, Cs in cli._cocycle_rows(sp, "exhaustive", 1, 0, repr):
+        list(Cs)
+    lags = sp.enumerate_lagrangians()
+    lifts = {rows: sp.enumerate_submodule_lifts(rows) for rows in lags}
+    for rows in lags:
+        for lt in lifts[rows]:
+            sp.enhance_from_lift(lt)
+    N, L = next((N, L) for N in lags for L in lags if sp.transversal_k(N, L))
+    sp.r_map_tilde(lifts[N][0], lifts[N][0], lifts[L][0])
+    assert set(vars(sp)) == {"R", "n", "dim", "dn", "_caches", "_two_lift"}
+    cached = {name for name, f in vars(SympSpace).items() if hasattr(f, "__wrapped__")}
+    assert set(sp._caches) == cached
 
 
 def test_exhaustive_cap_guard():
@@ -618,9 +640,11 @@ def test_exhaustive_cap_guard():
 
 @pytest.mark.parametrize("d,n,listing,count", [
     (1, 4, SympSpace.enumerate_oriented, "4,700,160 oriented Lagrangians"),
+    (1, 4, SympSpace.oriented_by_rows, "4,700,160 oriented Lagrangians"),
     (4, 1, enumerate_enhanced, "1,114,112 enhanced Lagrangians"),
     (2, 3, enumerate_enhanced, "22,630,400 enhanced Lagrangians"),
-], ids=["oriented-d1n4", "enhanced-d4n1", "enhanced-d2n3"])
+], ids=["oriented-d1n4", "oriented-fibres-d1n4", "enhanced-d4n1",
+        "enhanced-d2n3"])
 def test_listing_refused_on_its_own_count(d, n, listing, count):
     """#Lag * q^{n(n+1)/2} * |R^x| oriented and #Lag * q^{dn} enhanced
     Lagrangians, refused before the Lagrangian search starts."""

@@ -177,6 +177,35 @@ def test_lift_checks_fail_on_a_retwisted_lift(monkeypatch):
     assert passed["weil.cocycle-identity"]
 
 
+def test_wedge_identity_fails_on_a_shifted_gram(monkeypatch):
+    """2 added to the one entry of the r-map gram at n = 1 moves its det by
+    2 times a unit, so every lift triple fails."""
+    honest = SympSpace.omega_tilde_L_gram
+
+    def omega_tilde_L_gram(self, Mt, Nt, Lt):
+        gram = [list(row) for row in honest(self, Mt, Nt, Lt)]
+        gram[0][0] = self.R.add(gram[0][0], self.R.two)
+        return tuple(map(tuple, gram))
+
+    monkeypatch.setattr(SympSpace, "omega_tilde_L_gram", omega_tilde_L_gram)
+    outcomes = list(verify.wedge_identity_checks(1, 1))
+    assert len(outcomes) == 48
+    assert not any(outcomes)
+
+
+def test_affine_lift_fails_when_every_g_gets_the_identity_lift(monkeypatch):
+    """The identity's lift reduces to the identity, so the five other
+    elements of Sp(V) at d1n1 fail."""
+    sp = SympSpace(ring(1), 1)
+    identity_lift = verify.symplectic_lift_matrix(sp, ((1, 0), (0, 1)))
+    monkeypatch.setattr(verify, "symplectic_lift_matrix",
+                        lambda space, g: identity_lift)
+    check = next(c for c in verify.suite_intro()
+                 if c.name == "intro.affine-lift-exists")
+    assert (check.total, check.failures) == (6, 5)
+    assert not check.passed
+
+
 class _RightTranslated:
     """A Weil representation whose operator at one element a0 is
     W(a0) pi(h0)."""
@@ -268,7 +297,7 @@ def _oriented_by_reduction(sp):
 @pytest.mark.parametrize("d,n", [(1, 1), (1, 2)])
 def test_oriented_fibres_match_grouping_by_reduction(d, n):
     sp = SympSpace(ring(d), n)
-    assert verify._oriented_by_rows(sp) == _oriented_by_reduction(sp)
+    assert sp.oriented_by_rows() == _oriented_by_reduction(sp)
 
 
 def test_fibred_walk_matches_the_loop_nest():
@@ -277,7 +306,7 @@ def test_fibred_walk_matches_the_loop_nest():
     for e in enumerate_enhanced(sp):
         enhanced.setdefault(e.rows, []).append(e)
     # 6 subspace triples, with 2 enhancements or 4 oriented lifts each
-    for fibre, count in ((enhanced, 48), (verify._oriented_by_rows(sp), 384)):
+    for fibre, count in ((enhanced, 48), (sp.oriented_by_rows(), 384)):
         walk = list(verify._fibred(sp, fibre))
         assert walk == _nested_triples(sp, fibre)
         assert len(walk) == count
