@@ -33,7 +33,10 @@ SCHEMA_VERSION = 1
 def _parse_gram(text):
     from . import witt
 
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("gram nests too deeply to parse") from None
     if type(data) is int:
         data = [[data]]
     if not (type(data) is list and all(
@@ -177,13 +180,13 @@ def _cocycle_rows(sp, mode, sample_count, seed, label):
         labels = {s: [label(e) for e in enh[s]] for s in subs}
         return ((labels[rN], labels[rM], labels[rL],
                  CharacterSum(sp, rM, rN, rL).values(enh[rN], enh[rM], enh[rL]))
-                for (rN, rM, rL) in sp.transversal_triples(subs))
+                for (rN, rM, rL) in sp.transversal_triples())
     rng = random.Random(seed)
 
     def draws():
         for _ in range(sample_count):
             eN, eM, eL = (sp.random_enhanced(r, rng)[1]
-                          for r in sp.sample_transversal_triple(subs, rng))
+                          for r in sp.sample_transversal_triple(rng))
             yield ([label(eN)], [label(eM)], [label(eL)],
                    [formula_scalar(sp, eN, eM, eL)])
     return draws()
@@ -503,7 +506,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

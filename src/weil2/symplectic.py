@@ -272,9 +272,10 @@ class SympSpace:
         """Whether the spans of the two row tuples add up to V, memoized."""
         return linalg.rank_field(self.R, rows1 + rows2) == self.dim
 
-    def transversal_triples(self, subs):
-        """Every (a, b, c) in subs^3 whose three pairs are transversal, in
-        itertools.product order."""
+    def transversal_triples(self):
+        """Every triple of Lagrangians whose three pairs are transversal, in
+        itertools.product order of enumerate_lagrangians()."""
+        subs = self.enumerate_lagrangians()
         out = []
         for a in subs:
             for b in subs:
@@ -285,9 +286,10 @@ class SympSpace:
                         out.append((a, b, c))
         return out
 
-    def sample_transversal_triple(self, subs, rng):
-        """Draw triples of subs uniformly (three rng.choice calls each) until
-        one is pairwise transversal."""
+    def sample_transversal_triple(self, rng):
+        """Draw triples of Lagrangians uniformly (three rng.choice calls on
+        enumerate_lagrangians() each) until one is pairwise transversal."""
+        subs = self.enumerate_lagrangians()
         while True:
             a, b, c = (rng.choice(subs) for _ in range(3))
             if (self.transversal_k(a, b) and self.transversal_k(b, c)

@@ -186,9 +186,9 @@ def gw_checks():
 
 def _fibred(sp, fibre):
     """Every (xN, xM, xL) with each x in the fibre list of its subspace,
-    over the pairwise-transversal subspace triples of sorted(fibre), in
-    itertools.product order."""
-    for rN, rM, rL in sp.transversal_triples(sorted(fibre)):
+    over the pairwise-transversal Lagrangian triples of sp, in
+    itertools.product order; fibre has a list for every Lagrangian."""
+    for rN, rM, rL in sp.transversal_triples():
         yield from itertools.product(fibre[rN], fibre[rM], fibre[rL])
 
 
@@ -219,7 +219,7 @@ def cocycle_checks_exhaustive(d, n):
     R = ring(d)
     sp = SympSpace(R, n)
     subs = sp.enumerate_lagrangians()
-    triples = sp.transversal_triples(subs)
+    triples = sp.transversal_triples()
     enh = {rows: sp.enumerate_enhancements(rows) for rows in subs}
     dn = d * n
     target4 = Cyc8.from_rational(Fraction((-1) ** dn * 4 ** dn))
@@ -278,7 +278,6 @@ def cocycle_checks_sampled(d, n, count, seed):
     rng = random.Random(seed)
     R = ring(d)
     sp = SympSpace(R, n)
-    subs = sp.enumerate_lagrangians()
     dn = d * n
     target4 = Cyc8.from_rational(Fraction((-1) ** dn * 4 ** dn))
     tag = f"d{d}n{n}"
@@ -287,7 +286,7 @@ def cocycle_checks_sampled(d, n, count, seed):
         """(routes agree, fourth power, oriented identity) on one draw."""
         (Nt, eN), (Mt, eM), (Lt, eL) = (
             sp.random_enhanced(r, rng)
-            for r in sp.sample_transversal_triple(subs, rng))
+            for r in sp.sample_transversal_triple(rng))
         c1 = composition_scalar(sp, eN, eM, eL)
         c2 = formula_scalar(sp, eN, eM, eL)
         c3 = gauss_scalar(sp, eN, eM, eL)
@@ -408,10 +407,9 @@ def _sampled_oriented_checks(name, holds, count, rng):
     checks = []
     for (d, n) in ((2, 1), (1, 2)):
         sp = SympSpace(ring(d), n)
-        subs = sp.enumerate_lagrangians()
         total, bad = _count(
             holds(sp, *[sp.random_oriented(r, rng)
-                        for r in sp.sample_transversal_triple(subs, rng)])
+                        for r in sp.sample_transversal_triple(rng)])
             for _ in range(count))
         checks.append(Check(f"{name}.d{d}n{n}", total, bad,
                             f"{count} sampled oriented triples, {bad} failures"))

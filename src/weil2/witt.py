@@ -18,6 +18,8 @@ from .cyclotomic import Cyc8
 
 HYP = ((0, 1), (1, 0))
 M4 = ((2, 1), (1, 2))
+#: the canonical blocks in the order of a counts tuple
+_KINDS = (((1,),), ((3,),), HYP, M4)
 
 #: frozen isometry witnesses for the defining relations (columns are the
 #: images of the new basis in the old one):
@@ -104,23 +106,23 @@ def scale_gram(c, B):
 
 
 def canonical_gram(counts):
-    n1, n3, nh, nm = counts
-    M = None
-    for block, mult in ((((1,),), n1), (((3,),), n3), (HYP, nh), (M4, nm)):
+    M = ()
+    for block, mult in zip(_KINDS, counts):
         for _ in range(mult):
-            M = direct_sum(M, block) if M is not None else block
-    return M if M is not None else ()
+            M = direct_sum(M, block)
+    return M
+
+
+def _pair(B, x, y):
+    """B(x, y) = sum over a, b of x[a] B[a][b] y[b] mod 4, skipping the zero
+    coordinates of x and y."""
+    ys = [(b, yb) for b, yb in enumerate(y) if yb]
+    return sum(xa * row[b] * yb for xa, row in zip(x, B) if xa for b, yb in ys) % 4
 
 
 def apply_congruence(U, B):
-    n = len(B)
-    return tuple(
-        tuple(
-            sum(U[a][i] * B[a][b] * U[b][j] for a in range(n) for b in range(n)) % 4
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+    cols = list(zip(*U))
+    return tuple(tuple(_pair(B, x, y) for y in cols) for x in cols)
 
 
 # -- invariants ----------------------------------------------------------------
@@ -144,132 +146,64 @@ def counts_disc(counts):
 
 # -- canonical decomposition ---------------------------------------------------
 
+def _split_off(B, block, x):
+    """x minus its B-orthogonal projection onto the span of block, one or
+    two vectors with unimodular Gram matrix G:
+    x - sum_ij G^-1[i][j] B(x, b_j) b_i.  G^-1 is det G times the
+    adjugate, since 1 and 3 are their own inverses mod 4."""
+    G = [[_pair(B, b, c) for c in block] for b in block]
+    adj = [[1]] if len(G) == 1 else [[G[1][1], -G[0][1]], [-G[1][0], G[0][0]]]
+    dots = [_pair(B, x, b) for b in block]
+    coeffs = [det4(G) * sum(a * t for a, t in zip(row, dots)) for row in adj]
+    return tuple((xa - sum(c * b[a] for c, b in zip(coeffs, block))) % 4
+                 for a, xa in enumerate(x))
+
+
 def decompose(B):
     """Split a unimodular gram into canonical blocks.
 
     Returns (counts, U) with counts = (#[1], #[3], #hyp, #M4) and
     apply_congruence(U, B) == canonical_gram(counts).
 
-    Deterministic: case 1 peels the lexicographically first {0,1} vector
-    with odd diagonal value; case 2 (all diagonal values even) takes the
-    first unit off-diagonal entry in row-major order and projects off the
-    rank-2 block it spans.
+    Each step takes G, the Gram matrix of the current basis, peels one
+    block and splits it off the rest of the basis (_split_off).  The
+    choices are deterministic: the first v in itertools.product order of
+    {0,1}^m with G(v, v) odd gives [G(v, v)] and replaces the basis
+    vector at v's first 1.  As G(v, v) = sum_k v_k G[k][k] mod 2, that v
+    is b_k for the last k with G[k][k] odd.  Failing that (every G(v, v)
+    is even), the first (i, j) in row-major order with G[i][j] odd gives
+    e = b_i and f = G[i][j] b_j, which replace b_i and b_j.  They span M4
+    when both have length 2 and HYP otherwise; if only f has length 2
+    they are swapped, and if e has length 2 the HYP basis is (e + f, f).
+    U lists the blocks as [1], [3], HYP, M4, each kind in the order it was
+    peeled.
     """
     B = validate_gram(B)
     n = len(B)
+    basis = [tuple(int(a == b) for b in range(n)) for a in range(n)]
+    blocks = []  # (index in _KINDS, so [q] is q // 2; ambient vectors)
+    while basis:
+        m = len(basis)
+        G = [[_pair(B, x, y) for y in basis] for x in basis]
+        odd = [k for k in range(m) if G[k][k] % 2]
+        if odd:
+            k = odd[-1]
+            kind, vecs, used = G[k][k] // 2, [basis[k]], {k}
+        else:
+            i, j = next((i, j) for i in range(m) for j in range(m) if G[i][j] % 2)
+            e, f = basis[i], tuple(G[i][j] * a % 4 for a in basis[j])
+            q = (G[i][i], G[j][j])
+            if q == (0, 2):
+                e, f, q = f, e, (2, 0)
+            if q == (2, 0):
+                e = tuple((a + b) % 4 for a, b in zip(e, f))
+            kind, vecs, used = 3 if q == (2, 2) else 2, [e, f], {i, j}
+        blocks.append((kind, vecs))
+        basis = [_split_off(B, vecs, x) for a, x in enumerate(basis) if a not in used]
 
-    def form(x, y, G):
-        return sum(
-            x[a] * G[a][b] * y[b] for a in range(len(G)) for b in range(len(G))
-        ) % 4
-
-    def ambient(coeffs, bas):
-        return tuple(
-            sum(coeffs[i] * bas[i][a] for i in range(len(bas))) % 4 for a in range(n)
-        )
-
-    blocks = []
-    cols = []
-
-    def rec(G, bas):
-        m = len(G)
-        if m == 0:
-            return
-        # case 1: some 0/1 vector with unit length
-        for v in itertools.product(range(2), repeat=m):
-            if not any(v):
-                continue
-            q = form(v, v, G)
-            if q % 2 == 0:
-                continue
-            blocks.append(((q,),))
-            cols.append(ambient(v, bas))
-            qinv = q  # 1 and 3 are self-inverse mod 4
-            piv = v.index(1)
-            newbas = []
-            for i in range(m):
-                if i == piv:
-                    continue
-                e = tuple(1 if j == i else 0 for j in range(m))
-                c = (form(e, v, G) * qinv) % 4
-                p = tuple((e[j] - c * v[j]) % 4 for j in range(m))
-                newbas.append(ambient(p, bas))
-            newG = tuple(tuple(form(x, y, B) for y in newbas) for x in newbas)
-            rec(newG, newbas)
-            return
-        # case 2: everything on the diagonal is even; grab a unit off
-        # the diagonal and split off the rank-2 block
-        for i in range(m):
-            for j in range(m):
-                if i != j and G[i][j] % 2:
-                    u = G[i][j] % 4
-                    uinv = u  # unit in {1, 3}
-                    e = tuple(1 if a == i else 0 for a in range(m))
-                    f = tuple(uinv if a == j else 0 for a in range(m))
-                    qe, qf = form(e, e, G), form(f, f, G)
-                    if (qe, qf) == (0, 2):
-                        e, f = f, e
-                        qe, qf = qf, qe
-
-                    def proj(v):
-                        ve, vf = form(v, e, G), form(v, f, G)
-                        w = [(v[a] - ve * f[a] - vf * e[a]) % 4 for a in range(m)]
-                        if (qe, qf) == (2, 2):
-                            w = [(w[a] + 2 * ve * e[a] + 2 * vf * f[a]) % 4
-                                 for a in range(m)]
-                        elif (qe, qf) == (2, 0):
-                            w = [(w[a] + 2 * vf * f[a]) % 4 for a in range(m)]
-                        return tuple(w)
-
-                    if (qe, qf) == (0, 0):
-                        be, bf = e, f
-                        blocks.append(HYP)
-                    elif (qe, qf) == (2, 2):
-                        be, bf = e, f
-                        blocks.append(M4)
-                    else:  # (2, 0): e + f, f spans a hyperbolic plane
-                        be = tuple((e[a] + f[a]) % 4 for a in range(m))
-                        bf = f
-                        blocks.append(HYP)
-                    cols.append(ambient(be, bas))
-                    cols.append(ambient(bf, bas))
-                    newbas = []
-                    for a in range(m):
-                        if a in (i, j):
-                            continue
-                        v = tuple(1 if x == a else 0 for x in range(m))
-                        newbas.append(ambient(proj(v), bas))
-                    newG = tuple(tuple(form(x, y, B) for y in newbas) for x in newbas)
-                    rec(newG, newbas)
-                    return
-        raise AssertionError("no unit entry found in a unimodular gram")
-
-    basis0 = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    rec(B, basis0)
-
-    # stable-sort the blocks into canonical order and assemble the witness
-    def block_key(b):
-        if len(b) == 1:
-            return (0, b[0][0])
-        return (1, 0) if b == HYP else (1, 1)
-
-    starts = []
-    s = 0
-    for b in blocks:
-        starts.append(s)
-        s += len(b)
-    ordered = sorted(range(len(blocks)), key=lambda bi: block_key(blocks[bi]))
-    Ucols = []
-    for bi in ordered:
-        for k in range(len(blocks[bi])):
-            Ucols.append(cols[starts[bi] + k])
-    counts = (
-        sum(1 for b in blocks if b == ((1,),)),
-        sum(1 for b in blocks if b == ((3,),)),
-        sum(1 for b in blocks if b == HYP),
-        sum(1 for b in blocks if b == M4),
-    )
-    U = tuple(tuple(Ucols[j][i] for j in range(n)) for i in range(n))
+    counts = tuple(sum(kind == k for kind, _ in blocks) for k in range(4))
+    U = tuple(zip(*(x for k in range(4) for kind, vecs in blocks if kind == k
+                    for x in vecs)))
     if apply_congruence(U, B) != canonical_gram(counts):
         raise RuntimeError("decompose: the congruence witness failed")
     return counts, U
@@ -295,8 +229,7 @@ def is_isometric(A, B):
             ok = True
             for i in range(k + 1):
                 u = ucols[i] if i < k else c
-                val = sum(u[a] * A[a][b] * c[b] for a in range(n) for b in range(n)) % 4
-                if val != B[i][k]:
+                if _pair(A, u, c) != B[i][k]:
                     ok = False
                     break
             if not ok:

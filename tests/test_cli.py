@@ -108,6 +108,20 @@ def test_witt_rejects_bad_gram(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("gauss", "[" * 10000 + "]" * 10000),
+    ("isometric", "[[1]]", "[" * 10000 + "]" * 10000),
+], ids=["gauss", "isometric-second"])
+def test_witt_refuses_a_deeply_nested_gram(capsys, argv):
+    """A gram nested past the JSON parser's recursion limit is bad input:
+    one error line that does not echo it, and no traceback."""
+    rc = main(["witt", *argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: gram nests too deeply to parse\n"
+    assert captured.out == ""
+
+
 def _identity_gram(r):
     return json.dumps([[int(i == j) for j in range(r)] for i in range(r)])
 

@@ -47,6 +47,8 @@ print(rc, *sorted(sys.modules))
     ["cocycle-table", "--d", "1", "--n", "1"],
     ["ring-info", "--d", "1"],
     ["witt", "gauss", "1"],
+    pytest.param(["witt", "classify", "[[2,1],[1,2]]"], id="witt-classify"),
+    pytest.param(["witt", "isometric", "[[1]]", "[[3]]"], id="witt-isometric"),
 ], ids=lambda argv: argv[0])
 def test_light_commands_import_no_suite(argv):
     env = dict(os.environ, PYTHONPATH=str(SRC))

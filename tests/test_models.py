@@ -240,7 +240,7 @@ def test_formula_scalar_terms_once_per_subspace_triple():
 
     sp.beta = counted_beta
     count = 0
-    for rN, rM, rL in sp.transversal_triples(subs):
+    for rN, rM, rL in sp.transversal_triples():
         k = CharacterSum(sp, rM, rN, rL)
         fibres = (enh[rN], enh[rM], enh[rL])
         for (eN, eM, eL), c in zip(itertools.product(*fibres),
@@ -258,8 +258,7 @@ def test_formula_scalar_terms_once_per_subspace_triple():
 
 def _seeded_subspace_triples(sp, count, seed):
     rng = random.Random(seed)
-    subs = sp.enumerate_lagrangians()
-    return [sp.sample_transversal_triple(subs, rng) for _ in range(count)]
+    return [sp.sample_transversal_triple(rng) for _ in range(count)]
 
 
 @pytest.mark.parametrize("d,n,per_subspace", [(1, 4, None), (4, 1, 16)])

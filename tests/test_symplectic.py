@@ -487,7 +487,7 @@ def test_r_terms_read_one_projection_per_pair(d, n):
     and caches nothing."""
     sp = SympSpace(ring(d), n)
     lags = sp.enumerate_lagrangians()
-    triples = sp.transversal_triples(lags)
+    triples = sp.transversal_triples()
     for N, M, L in triples:
         assert sp.r_terms(M, N, L) == _r_terms_per_triple(sp, M, N, L)
     assert len(sp._caches["_projection"]) == TRANSVERSAL_PAIRS[(d, n)]
@@ -810,7 +810,7 @@ def test_enhanced_lagrangian_invariants_survive_optimize():
 def test_transversal_triple_count_formula(d, n, triples):
     assert transversal_triple_count(2 ** d, n) == triples
     sp = SympSpace(ring(d), n)
-    assert len(sp.transversal_triples(sp.enumerate_lagrangians())) == triples
+    assert len(sp.transversal_triples()) == triples
 
 
 @pytest.mark.parametrize("d,n", [(1, 1), (2, 1), (1, 2)])

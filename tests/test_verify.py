@@ -242,7 +242,7 @@ def test_check_passes_only_when_it_saw_a_case_and_none_failed():
 
 
 def test_cocycle_checks_fail_when_no_triple_is_visited(monkeypatch, capsys):
-    monkeypatch.setattr(SympSpace, "transversal_triples", lambda self, subs: [])
+    monkeypatch.setattr(SympSpace, "transversal_triples", lambda self: [])
     small = verify.cocycle_checks_small()
     exhaustive = verify.cocycle_checks_exhaustive(1, 1)
     for c in small + exhaustive:

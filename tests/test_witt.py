@@ -5,6 +5,8 @@ hyperbolic plane and the even plane M4.  The histograms below were frozen
 from an exhaustive sweep of every unimodular gram of the given rank.
 """
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -165,3 +167,39 @@ def test_ring_gauss_and_disc_consistency():
     R = ring(2)
     B = ((R.one,),)
     assert witt.ring_disc(R, B) in R.units
+
+
+def _pinned_grams():
+    """The empty gram, every unimodular gram of rank <= 3, and a seeded
+    list of unimodular grams of rank 4 to 8 whose diagonals are mostly
+    even, so that both splitting cases run at every depth."""
+    yield ()
+    for r in (1, 2, 3):
+        yield from witt.all_unimodular_grams(r)
+    rng = random.Random(22)
+    for r in range(4, 9):
+        found = 0
+        while found < 40:
+            M = [[0] * r for _ in range(r)]
+            for i in range(r):
+                M[i][i] = rng.choice((0, 0, 2, 2, 2, 1, 3) if i % 2 else (0, 2))
+                for j in range(i + 1, r):
+                    M[i][j] = M[j][i] = rng.randrange(4)
+            B = tuple(tuple(row) for row in M)
+            if witt.det4(B) % 2:
+                found += 1
+                yield B
+
+
+def test_decompose_output_is_pinned():
+    """The blocks and the witness U that decompose picks for each pinned
+    gram, byte for byte: its choices (first odd vector, first unit entry,
+    block order) are part of what `witt classify` prints."""
+    digest = hashlib.sha256()
+    count = 0
+    for B in _pinned_grams():
+        digest.update(repr((B, witt.decompose(B))).encode())
+        count += 1
+    assert count == 1 + 1826 + 5 * 40
+    assert digest.hexdigest() == \
+        "98a916e5c27c267f86abd4067bfb9506866840f2d161ba5f7de7d8eb7fd072d4"
