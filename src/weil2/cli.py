@@ -346,12 +346,7 @@ def cmd_emit_corpus(args):
     from . import witt
     from .heisenberg import enumerate_asp, enumerate_sp_R
     from .transport import splitting_transport, trivialization_transport
-    from .weil import (
-        SplitWeilRepresentation,
-        WeilRepresentation,
-        lambda_root,
-        mu_root,
-    )
+    from .weil import SplitWeilRepresentation, WeilRepresentation, canonical_root
 
     # the table's refusal runs here, before the ring is built; the other
     # listings run only at shapes the sweep admits, far below MAX_LISTING
@@ -405,14 +400,14 @@ def cmd_emit_corpus(args):
         for e in enumerate_enhanced(sp):
             T = trivialization_transport(sp, e, base)
             lam.append({"L": repr(e.key()), "scalar": T.scalar.to_json(),
-                        "lambda": lambda_root(T.scalar).to_json()})
+                        "lambda": canonical_root(T.scalar, 4).to_json()})
         corpus["lambda_roots"] = lam
         mu = []
         obase = S.base
         for o in sp.enumerate_oriented():
             St = splitting_transport(sp, o, obase)
             mu.append({"L": repr(o.key()), "scalar": St.scalar.to_json(),
-                       "mu": mu_root(St.scalar).to_json()})
+                       "mu": canonical_root(St.scalar, 2).to_json()})
         corpus["mu_roots"] = mu
 
     with _output(args.out) as fh:

@@ -24,6 +24,7 @@ from . import linalg, symplectic
 from .symplectic import (
     EnhancedLagrangian,
     Twists,
+    _Keyed,
     _check_rank,
     _refuse_above,
     _xor,
@@ -47,7 +48,7 @@ def all_h_elements(space):
 
 # -- ASp(V) ------------------------------------------------------------------
 
-class AspElement:
+class AspElement(_Keyed):
     """(g, alpha): a symplectic k-matrix together with a compatible shift
     of the center coordinate, stored as a dense table on V."""
 
@@ -94,15 +95,6 @@ class AspElement:
 
     def key(self):
         return (self.g, self.alpha_table)
-
-    def __eq__(self, other):
-        return isinstance(other, AspElement) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __lt__(self, other):
-        return self.key() < other.key()
 
     def __repr__(self):
         return f"AspElement(g={self.g}, alpha={self.alpha_table})"

@@ -125,8 +125,8 @@ def check_cocycle(d, n, mode, sample_count):
 
 
 def _cached(method):
-    """Memoize a SympSpace method on its positional arguments, which must
-    be hashable, in self._caches[method name].  A call that raises caches
+    """Memoize a method on its positional arguments, which must be
+    hashable, in self._caches[method name].  A call that raises caches
     nothing."""
     name = method.__name__
     missing = object()
@@ -140,6 +140,21 @@ def _cached(method):
         return out
 
     return cached
+
+
+class _Keyed:
+    """Equality, hash and order of a value by its type and its key()."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(self) is type(other) and self.key() == other.key()
+
+    def __hash__(self):
+        return hash(self.key())
+
+    def __lt__(self, other):
+        return self.key() < other.key()
 
 
 class SympSpace:
@@ -548,7 +563,7 @@ class SympSpace:
         return OrientedLagrangian(can, R.mul(oriented.unit, linalg.det_ring(R, T)))
 
 
-class EnhancedLagrangian:
+class EnhancedLagrangian(_Keyed):
     """A Lagrangian subspace with a quadratic function alpha polarizing beta:
     alpha(l1 + l2) - alpha(l1) - alpha(l2) = beta(l1, l2)."""
 
@@ -591,15 +606,6 @@ class EnhancedLagrangian:
 
     def key(self):
         return (self.rows, self.alpha)
-
-    def __eq__(self, other):
-        return isinstance(other, EnhancedLagrangian) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __lt__(self, other):
-        return self.key() < other.key()
 
     def __repr__(self):
         return f"EnhancedLagrangian(rows={self.rows}, alpha={self.alpha})"
@@ -656,7 +662,7 @@ def _enhancement_twists(base):
                   len(base.rows))
 
 
-class OrientedLagrangian:
+class OrientedLagrangian(_Keyed):
     """A free Lagrangian submodule with a generator of its top wedge, stored
     as (canonical basis, unit): o = unit * (b_1 ^ ... ^ b_n)."""
 
@@ -668,15 +674,6 @@ class OrientedLagrangian:
 
     def key(self):
         return (self.basis, self.unit)
-
-    def __eq__(self, other):
-        return isinstance(other, OrientedLagrangian) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __lt__(self, other):
-        return self.key() < other.key()
 
     def __repr__(self):
         return f"OrientedLagrangian(basis={self.basis}, unit={self.unit})"

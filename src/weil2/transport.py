@@ -1,10 +1,9 @@
-"""Scaled transports: formal p-th-root scalars attached to chains of
-intertwiners, with exact equality testing.
+"""Scaled transports: formal p-th-root scalars attached to intertwiners,
+with exact equality testing.
 
-A ScaledTransport (s, [P1, .., Pk], p) stands for s^{1/p} * P1 ... Pk
-without ever extracting the root: two transports are equal when their
-chain products (ZiMatrix values) are proportional, P = r * P', and
-s == s' * r^p.
+A ScaledTransport (s, P, p) stands for s^{1/p} * P without ever
+extracting the root: two transports are equal when their matrices
+(ZiMatrix values) are proportional, P = r * P', and s == s' * r^p.
 
 The trivializing scalar for the intertwiner groupoid is the rational
     A = (-1)^{dn} / 4^{dn}
@@ -28,39 +27,33 @@ from .witt import gauss_sum, trace_form
 
 
 class ScaledTransport:
-    __slots__ = ("scalar", "chain", "power")
+    __slots__ = ("scalar", "matrix", "power")
 
-    def __init__(self, scalar, chain, power):
+    def __init__(self, scalar, matrix, power):
         self.scalar = scalar
-        self.chain = tuple(chain)
+        self.matrix = matrix
         self.power = power
-
-    def product(self):
-        P = self.chain[0]
-        for Q in self.chain[1:]:
-            P = P @ Q
-        return P
 
     def compose(self, other):
         """Operator product self . other (apply other first)."""
         if self.power != other.power:
             raise ValueError("cannot compose transports of different powers")
         return ScaledTransport(
-            self.scalar * other.scalar, self.chain + other.chain, self.power
+            self.scalar * other.scalar, self.matrix @ other.matrix, self.power
         )
 
     def __eq__(self, other):
         """s1^{1/p} P1 == s2^{1/p} P2: with P1 = r P2 this is s1 r^p == s2."""
         if not isinstance(other, ScaledTransport) or self.power != other.power:
             return NotImplemented
-        r = self.product().ratio(other.product())
+        r = self.matrix.ratio(other.matrix)
         if r is None:
             return False
         return self.scalar * r ** self.power == other.scalar
 
     def __repr__(self):
         return (f"ScaledTransport(scalar={self.scalar}, "
-                f"chain_len={len(self.chain)}, power={self.power})")
+                f"shape={self.matrix.shape}, power={self.power})")
 
 
 def trivializing_scalar(space):
@@ -75,16 +68,17 @@ def first_transversal_rows(space, rows1, rows2):
     raise ValueError("no common transversal subspace found")
 
 
-def _intertwiner_chain(space, eM, eL):
-    """(Kt, chain): the intertwiners from the model of eL to the model of
-    eM, one when the pair is transversal (Kt is None), else two through
-    the enhanced initial lift Kt of their first common transversal."""
+def _intertwiner(space, eM, eL):
+    """(Kt, F): F maps the model of eL to the model of eM.  It is the
+    intertwiner itself when the pair is transversal (Kt is None), else the
+    product of the two through the enhanced initial lift Kt of their first
+    common transversal."""
     if eM.rows != eL.rows and space.transversal_k(eM.rows, eL.rows):
-        return None, [intertwiner_matrix(Model(space, eM), Model(space, eL))]
+        return None, intertwiner_matrix(Model(space, eM), Model(space, eL))
     Kt = space.initial_lift(first_transversal_rows(space, eM.rows, eL.rows))
     mK = Model(space, space.enhance_from_lift(Kt))
-    return Kt, [intertwiner_matrix(Model(space, eM), mK),
-                intertwiner_matrix(mK, Model(space, eL))]
+    return Kt, (intertwiner_matrix(Model(space, eM), mK)
+                @ intertwiner_matrix(mK, Model(space, eL)))
 
 
 def trivialization_transport(space, eM, eL):
@@ -92,8 +86,8 @@ def trivialization_transport(space, eM, eL):
     model of (M, alpha_M); routed through the first common transversal
     when the pair itself is not transversal."""
     A = trivializing_scalar(space)
-    Kt, chain = _intertwiner_chain(space, eM, eL)
-    return ScaledTransport(A if Kt is None else A * A, chain, 4)
+    Kt, F = _intertwiner(space, eM, eL)
+    return ScaledTransport(A if Kt is None else A * A, F, 4)
 
 
 def wedge_form(space, oM, oL):
@@ -118,16 +112,16 @@ def enhanced_of_oriented(space, oX):
 
 def splitting_transport(space, oM, oL):
     """S_{Mt,Lt}: power-2 transport refining T over oriented Lagrangians."""
-    Kt, chain = _intertwiner_chain(space, enhanced_of_oriented(space, oM),
-                                   enhanced_of_oriented(space, oL))
+    Kt, F = _intertwiner(space, enhanced_of_oriented(space, oM),
+                         enhanced_of_oriented(space, oL))
     if Kt is None:
         s = splitting_scalar(space, oM, oL)
     else:
         oK = OrientedLagrangian(Kt, space.R.one)
         s = splitting_scalar(space, oM, oK) * splitting_scalar(space, oK, oL)
-    return ScaledTransport(s, chain, 2)
+    return ScaledTransport(s, F, 2)
 
 
 def transport_square(S):
-    """The power-4 transport with the same chain and squared scalar."""
-    return ScaledTransport(S.scalar * S.scalar, S.chain, 4)
+    """The power-4 transport with the same matrix and squared scalar."""
+    return ScaledTransport(S.scalar * S.scalar, S.matrix, 4)

@@ -331,8 +331,7 @@ def suite_cocycle(d=None, n=None, mode=None, sample_count=200, seed=0):
 
 def materialize_transport(T):
     """The honest matrix on the 4th tensor power: scalar * P tensor ... P."""
-    P = T.product()
-    out = P
+    P = out = T.matrix
     for _ in range(T.power - 1):
         out = out.kron(P)
     return out.scaled(T.scalar)
@@ -342,11 +341,10 @@ def suite_trivialization():
     R = ring(1)
     sp = SympSpace(R, 1)
     enh = enumerate_enhanced(sp)
-    T = {(a.key(), b.key()): trivialization_transport(sp, a, b)
-         for a in enh for b in enh}
+    T = {(a, b): trivialization_transport(sp, a, b) for a in enh for b in enh}
 
     total, bad = _count(
-        T[(a.key(), b.key())].compose(T[(b.key(), c.key())]) == T[(a.key(), c.key())]
+        T[a, b].compose(T[b, c]) == T[a, c]
         for a, b, c in itertools.product(enh, repeat=3))
     checks = [Check("trivialization.multiplicative", total, bad,
                     f"{total} ordered triples, {bad} failures")]
@@ -354,9 +352,9 @@ def suite_trivialization():
     # every admissible auxiliary K yields the same transport
     A = trivializing_scalar(sp)
     total, bad = _count(
-        ScaledTransport(A * A, (intertwiner_matrix(Model(sp, eM), Model(sp, eK)),
-                                intertwiner_matrix(Model(sp, eK), Model(sp, eL))), 4)
-        == T[(eM.key(), eL.key())]
+        ScaledTransport(A * A, intertwiner_matrix(Model(sp, eM), Model(sp, eK))
+                        @ intertwiner_matrix(Model(sp, eK), Model(sp, eL)), 4)
+        == T[eM, eL]
         for eM, eL, eK in itertools.product(enh, repeat=3)
         if sp.transversal_k(eK.rows, eM.rows) and sp.transversal_k(eK.rows, eL.rows))
     checks.append(Check("trivialization.auxiliary-independence", total, bad,
@@ -364,7 +362,7 @@ def suite_trivialization():
 
     mats = {k: materialize_transport(t) for k, t in T.items()}
     total, bad = _count(
-        mats[(a.key(), b.key())] @ mats[(b.key(), c.key())] == mats[(a.key(), c.key())]
+        mats[a, b] @ mats[b, c] == mats[a, c]
         for a, b, c in itertools.product(enh, repeat=3))
     checks.append(Check("trivialization.materialized-16x16", total, bad,
                         f"tensor-power matrices match on {total} triples"))
@@ -420,15 +418,16 @@ def _sampled_oriented_checks(name, holds, count, rng):
 
 
 def _norm_coeff(sp, oM, oL):
-    """A_{M,L} = G(2 [R^n, tr B]) with B = diag(1, .., 1, wedge(o_L, o_M))."""
-    B = wedge_form(sp, oM, oL)
-    return witt.gauss_sum(witt.scale_gram(2, witt.trace_form(sp.R, B)))
+    """A_{M,L} = G(2[R^n, tr B]) = G([R^n, tr B])^2, with 2[X] = X + X the
+    direct sum and B = diag(1, .., 1, wedge(o_L, o_M))."""
+    return witt.gauss_sum(witt.trace_form(sp.R, wedge_form(sp, oM, oL))) ** 2
 
 
 def _a_identity_holds(sp, oN, oM, oL):
-    R = sp.R
+    """A_NM A_ML = G(2[M, -tr w_L]) A_NL, negating the Z/4 trace form
+    (tr(-x) = -tr(x))."""
     gram = sp.omega_tilde_L_gram(oM.basis, oN.basis, oL.basis)
-    g = witt.gauss_sum(witt.scale_gram(2, witt.trace_form(R, witt.neg_gram(gram))))
+    g = witt.gauss_sum(witt.neg_gram(witt.trace_form(sp.R, gram))) ** 2
     return (_norm_coeff(sp, oN, oM) * _norm_coeff(sp, oM, oL)
             == g * _norm_coeff(sp, oN, oL))
 
@@ -447,10 +446,9 @@ def suite_splitting(seed=0):
                                        _a_identity_holds, 100,
                                        random.Random(seed))
 
-    S = {(a.key(), b.key()): splitting_transport(sp, a, b)
-         for a in oriented for b in oriented}
+    S = {(a, b): splitting_transport(sp, a, b) for a in oriented for b in oriented}
     total, bad = _count(
-        S[(a.key(), b.key())].compose(S[(b.key(), c.key())]) == S[(a.key(), c.key())]
+        S[a, b].compose(S[b, c]) == S[a, c]
         for a, b, c in itertools.product(oriented, repeat=3))
     checks.append(Check("splitting.multiplicative", total, bad,
                         f"{total} ordered oriented triples, {bad} failures"))
@@ -458,7 +456,7 @@ def suite_splitting(seed=0):
     # T depends on the enhanced pair only
     triv = functools.cache(lambda ea, eb: trivialization_transport(sp, ea, eb))
     total, bad = _count(
-        transport_square(S[(a.key(), b.key())])
+        transport_square(S[a, b])
         == triv(enhanced_of_oriented(sp, a), enhanced_of_oriented(sp, b))
         for a, b in itertools.product(oriented, repeat=2))
     checks.append(Check("splitting.square-is-trivialization", total, bad,
@@ -589,15 +587,15 @@ def suite_weil():
                      "pi is irreducible: commutant has dimension 1"))
     checks.append(egorov_check(W, asp, dict(zip(H, ops_pi))))
 
-    # cocycle and coboundary values are mu4 exponents (cocycle and
-    # coboundary_ratio raise outside mu4), so sums mod 4 over the Cayley
-    # table test the products exactly
+    # cocycle and coboundary values are mu4 exponents, or None outside
+    # mu4, so sums mod 4 over the Cayley table test the products exactly;
+    # a sum that touches a None fails
     N = len(asp)
     table = asp.table()
     cc = [[W.cocycle(a, b, asp[p]) for b, p in zip(asp, row)]
           for a, row in zip(asp, table)]
-    cvals = {e for row in cc for e in row}
-    total, bad = _count(e in range(4) for row in cc for e in row)
+    cvals = {e for row in cc for e in row} - {None}
+    total, bad = _count(e is not None for row in cc for e in row)
     checks.append(Check("weil.cocycle-mu4", total, bad,
                         f"{N ** 2} pairs; exponents seen: {sorted(cvals)}"))
 
@@ -608,7 +606,10 @@ def suite_weil():
             # c(a, b) + c(ab, c) - c(a, bc) - c(b, c) over all c
             cij, cab, tj, cj = ci[j], cc[ti[j]], table[j], cc[j]
             for k in range(N):
-                if (cij + cab[k] - ci[tj[k]] - cj[k]) % 4:
+                try:
+                    if (cij + cab[k] - ci[tj[k]] - cj[k]) % 4:
+                        bad += 1
+                except TypeError:
                     bad += 1
     checks.append(Check("weil.cocycle-identity", N ** 3, bad,
                         f"2-cocycle identity on {N ** 3} triples"))
@@ -645,7 +646,10 @@ def suite_weil():
         for k in range(N):
             # c'(a, c) + b(ac) - c(a, c) - b(a) - b(c)
             c2 = W2.cocycle(asp[i], asp[k], asp[ti[k]])
-            if (c2 + b[ti[k]] - ci[k] - b[i] - b[k]) % 4:
+            try:
+                if (c2 + b[ti[k]] - ci[k] - b[i] - b[k]) % 4:
+                    bad += 1
+            except TypeError:
                 bad += 1
     checks.append(Check("weil.object-independence", N ** 2, bad,
                         f"base change shifts the cocycle by an explicit coboundary "

@@ -2,8 +2,8 @@
 scaled-transport trivialization, together with its oriented refinement.
 
 For each enhanced Lagrangian the transport T_{L,L0} to the base carries a
-rational scalar whose canonical fourth root lambda_L turns the chain
-product into an honest matrix E_L; transitions E_{M,L} = E_M E_L^{-1} then
+rational scalar whose canonical fourth root lambda_L turns the transport
+matrix into an honest matrix E_L; transitions E_{M,L} = E_M E_L^{-1} then
 compose exactly.  The operator attached to a in ASp(V) is
 
     W(a) = E_{L0, a.L0} P_a,      (P_a f)(h) = f(a^{-1} h),
@@ -17,10 +17,13 @@ through the section lift_sp, and the cocycle drops to mu2 = {+-1}.
 """
 from __future__ import annotations
 
+import collections
+
 from . import linalg
-from .cyclotomic import Cyc8, ZETA, mu4_exponent, sqrt2_pow
+from .cyclotomic import Cyc8, mu4_exponent, sqrt2_pow
 from .heisenberg import act_on_enhanced, asp_inv, lift_sp
-from .models import Model, ZiMatrix
+from .models import Model, ZiMatrix, monomial_exponents
+from .symplectic import _cached
 from .transport import (
     enhanced_of_oriented,
     splitting_transport,
@@ -28,44 +31,17 @@ from .transport import (
 )
 
 
-def lambda_root(s):
-    """Canonical fourth root of the rational transport scalar: |s|^{1/4},
-    times the first power of zeta whose fourth power matches the sign."""
-    if not s.is_rational():
-        raise ValueError("trivialization scalar must be rational")
-    fr = s.rational_value()
-    if fr.numerator not in (1, -1):
-        raise ValueError(f"unexpected scalar {fr}")
-    q = fr.denominator
-    k = (q.bit_length() - 1) // 2
-    if 4 ** k != q:
-        raise ValueError(f"unexpected scalar denominator {q}")
-    root = sqrt2_pow(-k)
-    if fr.numerator < 0:
-        root = ZETA * root
-    if root ** 4 != s:
-        raise RuntimeError(f"{root} is not a fourth root of {s}")
-    return root
-
-
-def mu_root(s):
-    """Canonical square root of a splitting scalar s in Q(i) with |s| a
-    power of 2: zeta^j |s|^{1/2} with the smallest j such that
-    zeta^{2j} = s / |s|."""
-    a2 = s.abs_squared()
-    if a2.numerator != 1:
-        raise ValueError(f"unexpected splitting scalar {s}")
-    q = a2.denominator
-    m = (q.bit_length() - 1) // 2
-    if 4 ** m != q:
-        raise ValueError(f"unexpected splitting scalar norm 1/{q}")
-    unit = s * Cyc8.from_rational(2 ** m)
-    j = mu4_exponent(unit)
-    if j is None:
-        raise ValueError(f"splitting scalar unit part {unit} is not in mu4")
-    root = Cyc8.zeta_pow(j) * sqrt2_pow(-m)
-    if root * root != s:
-        raise RuntimeError(f"{root} is not a square root of {s}")
+def canonical_root(s, p):
+    """The canonical p-th root of a transport scalar s = zeta^e sqrt2^b:
+    zeta^j sqrt2^(b/p) with the smallest j in 0..7 such that p j = e
+    (mod 8).  ValueError unless b <= 0, p divides b and such a j exists."""
+    e, b = monomial_exponents(s)
+    j = next((j for j in range(8) if (p * j - e) % 8 == 0), None)
+    if b > 0 or b % p or j is None:
+        raise ValueError(f"transport scalar {s} has no canonical {p}th root")
+    root = Cyc8.zeta_pow(j) * sqrt2_pow(b // p)
+    if root ** p != s:
+        raise RuntimeError(f"{root} is not a {p}th root of {s}")
     return root
 
 
@@ -82,28 +58,24 @@ def translation_matrix(space, a, model_src, model_dst):
 
 class _TransportedRepresentation:
     """What the enhanced and the oriented construction share: the honest
-    transports E_X = root(s) * (chain product) of the transport from X to
-    the base, their transitions E_{X,Y} = E_X E_Y^{-1}, and the operator
-    E_{base, target} P_a, given the transport function and the root of its
-    scalar."""
+    transports E_X = root(s) * F of the transport (s, F, p) from X to the
+    base, with root(s) its canonical p-th root, their transitions
+    E_{X,Y} = E_X E_Y^{-1}, and the operator E_{base, target} P_a, given
+    the transport function."""
 
-    def __init__(self, space, base, base_enh, transport, root):
+    def __init__(self, space, base, base_enh, transport):
         self.space = space
         self.base = base
         self.base_model = Model(space, base_enh)
         self._transport = transport
-        self._root = root
-        self._ehat = {}
-        self._ops = {}
+        self._caches = collections.defaultdict(dict)  # see symplectic._cached
 
+    @_cached
     def e_hat(self, x):
-        """root(s) * (chain product) of the transport from x to the base:
-        an honest matrix."""
-        key = x.key()
-        if key not in self._ehat:
-            T = self._transport(self.space, x, self.base)
-            self._ehat[key] = T.product().scaled(self._root(T.scalar))
-        return self._ehat[key]
+        """root(s) * F of the transport from x to the base: an honest
+        matrix."""
+        T = self._transport(self.space, x, self.base)
+        return T.matrix.scaled(canonical_root(T.scalar, T.power))
 
     def transition(self, x, y):
         """E_{x,y}: H_y -> H_x, composing exactly (no scalar slack)."""
@@ -116,9 +88,10 @@ class _TransportedRepresentation:
 
     def cocycle(self, x, y, xy):
         """The exponent c in 0..3 with W(x) W(y) = i^c W(xy), for the
-        product xy = Group.mul(x, y) of the enumerated group (heisenberg)."""
+        product xy = Group.mul(x, y) of the enumerated group (heisenberg);
+        None when there is no such c."""
         return _mu4_ratio(self.operator(x) @ self.operator(y),
-                          self.operator(xy), "cocycle")
+                          self.operator(xy))
 
 
 class WeilRepresentation(_TransportedRepresentation):
@@ -127,15 +100,12 @@ class WeilRepresentation(_TransportedRepresentation):
     def __init__(self, space, base=None):
         if base is None:
             base = space.enhance_from_lift(space.standard_oriented().basis)
-        super().__init__(space, base, base, trivialization_transport,
-                         lambda_root)
+        super().__init__(space, base, base, trivialization_transport)
 
+    @_cached
     def operator(self, a):
-        key = a.key()
-        if key not in self._ops:
-            target = act_on_enhanced(self.space, a, self.base)
-            self._ops[key] = self._assemble(a, target, target)
-        return self._ops[key]
+        target = act_on_enhanced(self.space, a, self.base)
+        return self._assemble(a, target, target)
 
 
 class SplitWeilRepresentation(_TransportedRepresentation):
@@ -145,15 +115,13 @@ class SplitWeilRepresentation(_TransportedRepresentation):
     def __init__(self, space):
         base = space.standard_oriented()
         super().__init__(space, base, enhanced_of_oriented(space, base),
-                         splitting_transport, mu_root)
+                         splitting_transport)
 
+    @_cached
     def operator(self, gt):
-        if gt not in self._ops:
-            a = lift_sp(self.space, gt, validate=False)
-            target = self.space.oriented_transform(gt, self.base)
-            self._ops[gt] = self._assemble(
-                a, target, enhanced_of_oriented(self.space, target))
-        return self._ops[gt]
+        a = lift_sp(self.space, gt, validate=False)
+        target = self.space.oriented_transform(gt, self.base)
+        return self._assemble(a, target, enhanced_of_oriented(self.space, target))
 
 
 def commutant_dimension(operators):
@@ -176,18 +144,13 @@ def commutant_dimension(operators):
 
 def coboundary_ratio(rep_alt, rep, Phi, a):
     """The exponent b in 0..3 with W'(a) = i^b Phi W(a) Phi^{-1}: the two
-    constructions differ by an explicit mu4-valued coboundary."""
-    return _mu4_ratio(rep_alt.operator(a),
-                      Phi @ rep.operator(a) @ Phi.inverse(), "coboundary")
+    constructions differ by an explicit mu4-valued coboundary.  None when
+    there is no such b."""
+    return _mu4_ratio(rep_alt.operator(a), Phi @ rep.operator(a) @ Phi.inverse())
 
 
-def _mu4_ratio(X, Y, what):
-    """The exponent c in 0..3 with X = i^c Y; ValueError when X and Y are
-    not proportional or the ratio is not a fourth root of unity."""
+def _mu4_ratio(X, Y):
+    """The exponent c in 0..3 with X = i^c Y; None when X and Y are not
+    proportional or the ratio is not a fourth root of unity."""
     r = X.ratio(Y)
-    if r is None:
-        raise ValueError(f"{what}: operators are not proportional")
-    c = mu4_exponent(r)
-    if c is None:
-        raise ValueError(f"{what} value {r} is not a fourth root of unity")
-    return c
+    return None if r is None else mu4_exponent(r)

@@ -101,10 +101,6 @@ def neg_gram(B):
     return tuple(tuple((-x) % 4 for x in row) for row in B)
 
 
-def scale_gram(c, B):
-    return tuple(tuple((c * x) % 4 for x in row) for row in B)
-
-
 def canonical_gram(counts):
     M = ()
     for block, mult in zip(_KINDS, counts):

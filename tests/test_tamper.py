@@ -1,13 +1,22 @@
-"""Every check family of the witt suite can FAIL: each row of the table
-below mutates one function or constant of weil2.witt and names the family
-that must then fail, together with any other family the same mutation
-breaks.  The suite must still run to the end and report the failures.
-A family is a check name without its .dXnY suffix."""
+"""Every check family of the witt, trivialization and splitting suites can
+FAIL: each row of the tables below mutates one function or constant of
+weil2 and names the family that must then fail, together with any other
+family the same mutation breaks.  The suite must still run to the end and
+report the failures, at every shape of each such family.  A family is a
+check name without its .dXnY suffix."""
+
+import re
 
 import pytest
 
 from weil2 import verify, witt
 from weil2.cyclotomic import I, ONE
+from weil2.transport import ScaledTransport
+
+compose = ScaledTransport.compose
+norm_coeff = verify._norm_coeff
+transport_square = verify.transport_square
+trivializing_scalar = verify.trivializing_scalar
 
 gauss_sum = witt.gauss_sum
 gw_exponent = witt.gw_exponent
@@ -32,6 +41,27 @@ def _identity_witness(B):
                          for i in range(len(B)))
 
 
+def _family(name):
+    return re.sub(r"\.d\d+n\d+$", "", name)
+
+
+def _times_i(T):
+    return ScaledTransport(T.scalar * I, T.matrix, T.power)
+
+
+def _negated_compose(self, other):
+    T = compose(self, other)
+    return ScaledTransport(-T.scalar, T.matrix, T.power)
+
+
+def _unscaled_materialization(T):
+    """materialize_transport without its scalar."""
+    P = out = T.matrix
+    for _ in range(T.power - 1):
+        out = out.kron(P)
+    return out
+
+
 TAMPERS = [
     ("witt.purity.rank<=3", "gauss_sum",
      _gauss_sum_at_rank(2, lambda G: G * (ONE + I)), {"gw.gauss-fourth-power"}),
@@ -53,9 +83,49 @@ TAMPERS = [
 ]
 
 
+TRANSPORT_TAMPERS = [
+    ("trivialization.multiplicative", ScaledTransport, "compose",
+     _negated_compose),
+    ("trivialization.auxiliary-independence", verify, "trivializing_scalar",
+     lambda space: trivializing_scalar(space) * I),
+    ("trivialization.materialized-16x16", verify, "materialize_transport",
+     _unscaled_materialization),
+    ("splitting.multiplicative", ScaledTransport, "compose", _negated_compose),
+    ("splitting.square-is-trivialization", verify, "transport_square",
+     lambda S: _times_i(transport_square(S))),
+    ("splitting.gauss-conj-symmetry", witt, "gauss_sum",
+     lambda B: gauss_sum(B) * I if len(B) == 3 and witt.det4(B) % 2 == 0
+     else gauss_sum(B)),
+    ("splitting.norm-coeff-identity", verify, "_norm_coeff",
+     lambda sp, oM, oL: norm_coeff(sp, oM, oL) * I),
+]
+SUITES = {"trivialization": verify.suite_trivialization,
+          "splitting": lambda: verify.suite_splitting(0)}
+
+
+def _assert_fails_exactly(checks, families):
+    """The failed checks are every check of the given families, at every
+    shape, and no other."""
+    failed = {c.name for c in checks if not c.passed}
+    assert {_family(name) for name in failed} == families
+    assert failed == {c.name for c in checks if _family(c.name) in families}
+
+
 @pytest.mark.parametrize("family,attr,value,also", TAMPERS,
                          ids=[row[0] for row in TAMPERS])
 def test_tampered_witt_fails_its_family(monkeypatch, family, attr, value, also):
     monkeypatch.setattr(witt, attr, value)
-    failed = {c.name for c in verify.suite_witt() if not c.passed}
-    assert failed == {family} | also
+    _assert_fails_exactly(verify.suite_witt(), {family} | also)
+
+
+@pytest.mark.parametrize("family,target,attr,value", TRANSPORT_TAMPERS,
+                         ids=[row[0] for row in TRANSPORT_TAMPERS])
+def test_tampered_transport_fails_its_family(monkeypatch, family, target,
+                                             attr, value):
+    monkeypatch.setattr(target, attr, value)
+    _assert_fails_exactly(SUITES[family.split(".")[0]](), {family})
+
+
+def test_every_transport_family_has_a_tamper_row():
+    reported = {_family(c.name) for suite in SUITES.values() for c in suite()}
+    assert reported == {row[0] for row in TRANSPORT_TAMPERS}

@@ -1,7 +1,7 @@
 """Scaled transports: formal fourth/square roots of intertwiner composites.
 
-A ScaledTransport stores a rational (or Gaussian) scalar s together with a
-chain of intertwiners and the power p such that root^p = s resolves the
+A ScaledTransport stores a rational (or Gaussian) scalar s together with
+one intertwiner matrix and the power p such that root^p = s resolves the
 composite.  Frozen at d = n = 1:
 
   * trivialization scalar between the two standard enhancements: -1/4, p = 4
@@ -11,7 +11,7 @@ composite.  Frozen at d = n = 1:
 
 from fractions import Fraction
 
-from weil2.cyclotomic import Cyc8
+from weil2.cyclotomic import I, Cyc8
 from weil2.galois import ring
 from weil2.models import ZiMatrix
 from weil2.symplectic import SympSpace, enumerate_enhanced
@@ -62,8 +62,8 @@ def test_transport_to_self_is_trivial():
     sp = _space()
     for e in enumerate_enhanced(sp):
         T = trivialization_transport(sp, e, e)
-        M = T.product()
-        # the resolved product is scalar * identity once the root is taken;
+        M = T.matrix
+        # the resolved matrix is scalar * identity once the root is taken;
         # at the transport level the composite must be proportional to 1
         n = M.shape[0]
         ratio = M.ratio(ZiMatrix.monomial([(0, i) for i in range(n)], n))
@@ -119,11 +119,13 @@ def test_first_transversal_rows():
 
 
 def test_scaled_transport_equality_semantics():
-    """Transports compare by resolved value: scalar power p against the
-    materialized product, not by literal chain."""
+    """Transports compare by resolved value: the matrices up to a factor r,
+    with r^p absorbed by the scalar."""
     sp = _space()
     enh = enumerate_enhanced(sp)
     a, b = enh[0], enh[3]
     T = trivialization_transport(sp, a, b)
-    assert T == ScaledTransport(T.scalar, T.chain, T.power)
-    assert not (T == ScaledTransport(-T.scalar, T.chain, T.power))
+    assert T == ScaledTransport(T.scalar, T.matrix, T.power)
+    assert not (T == ScaledTransport(-T.scalar, T.matrix, T.power))
+    # i^4 = 1: i times the matrix is the same transport at p = 4
+    assert T == ScaledTransport(T.scalar, T.matrix.scaled(I), T.power)

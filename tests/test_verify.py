@@ -2,7 +2,7 @@ import pytest
 
 from weil2 import linalg, verify
 from weil2.cli import main as cli_main
-from weil2.cyclotomic import I, ONE
+from weil2.cyclotomic import I, ONE, SQRT2
 from weil2.galois import ring
 from weil2.heisenberg import all_h_elements, enumerate_asp, enumerate_sp_R
 from weil2.symplectic import SympSpace, enumerate_enhanced
@@ -126,6 +126,25 @@ def test_cocycle_identity_fails_on_a_tampered_pair(monkeypatch):
     passed = _weil_passed()
     assert passed["weil.cocycle-mu4"]
     assert not passed["weil.cocycle-identity"]
+
+
+def test_weil_suite_reports_an_operator_off_mu4(monkeypatch, capsys):
+    """sqrt2 times one operator puts its cocycle values outside mu4: the
+    suite runs to the end and fails exactly the checks that read them."""
+    target = enumerate_asp(_weil_space())[5]
+    honest = WeilRepresentation.operator
+
+    def operator(self, a):
+        op = honest(self, a)
+        return op.scaled(SQRT2) if a == target else op
+
+    monkeypatch.setattr(WeilRepresentation, "operator", operator)
+    assert cli_main(["verify", "--suite", "weil"]) == 1
+    failed = {line.split()[1].rstrip(":")
+              for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAIL ")}
+    assert failed == {"weil.cocycle-mu4", "weil.cocycle-identity",
+                      "weil.object-independence", "weil.split-vs-enhanced"}
 
 
 def test_object_independence_fails_on_a_tampered_coboundary(monkeypatch):

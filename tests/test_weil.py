@@ -25,7 +25,7 @@ from weil2.models import Model, intertwiner_matrix
 from weil2.symplectic import SympSpace
 from weil2.weil import (
     SplitWeilRepresentation, WeilRepresentation, _mu4_ratio, coboundary_ratio,
-    commutant_dimension, lambda_root, mu_root,
+    canonical_root, commutant_dimension,
 )
 
 ZERO = Cyc8.from_rational(0)
@@ -55,12 +55,12 @@ def _mul(A, B):
 @pytest.mark.parametrize("num,k", [(1, 0), (-1, 0), (1, 1), (-1, 1), (1, 3)])
 def test_lambda_root_fourth_power(num, k):
     s = Cyc8.from_rational(Fraction(num, 4 ** k))
-    root = lambda_root(s)
+    root = canonical_root(s, 4)
     assert root ** 4 == s
 
 
 def test_lambda_root_frozen_value():
-    assert lambda_root(Cyc8.from_rational(Fraction(-1, 4))) == \
+    assert canonical_root(Cyc8.from_rational(Fraction(-1, 4)), 4) == \
         (ONE + I) * Cyc8.from_rational(Fraction(1, 2))
 
 
@@ -68,14 +68,43 @@ def test_mu_root_squares():
     for s in (ONE, -ONE, I, -I,
               I * Cyc8.from_rational(Fraction(1, 2)),
               Cyc8.from_rational(Fraction(-1, 4))):
-        root = mu_root(s)
+        root = canonical_root(s, 2)
         assert root * root == s
-    assert mu_root(I * Cyc8.from_rational(Fraction(1, 2))) == \
+    assert canonical_root(I * Cyc8.from_rational(Fraction(1, 2)), 2) == \
         (ONE + I) * Cyc8.from_rational(Fraction(1, 2))
 
 
+# (p, e, b) -> (j, c): the canonical p-th root of zeta^e sqrt2^b is
+# zeta^j sqrt2^c; every other s with e in 0..7, b in -8..4 is refused
+ROOTS = {
+    (4, 0, -8): (0, -2), (4, 0, -4): (0, -1), (4, 0, 0): (0, 0),
+    (4, 4, -8): (1, -2), (4, 4, -4): (1, -1), (4, 4, 0): (1, 0),
+    (2, 0, -8): (0, -4), (2, 0, -6): (0, -3), (2, 0, -4): (0, -2),
+    (2, 0, -2): (0, -1), (2, 0, 0): (0, 0),
+    (2, 2, -8): (1, -4), (2, 2, -6): (1, -3), (2, 2, -4): (1, -2),
+    (2, 2, -2): (1, -1), (2, 2, 0): (1, 0),
+    (2, 4, -8): (2, -4), (2, 4, -6): (2, -3), (2, 4, -4): (2, -2),
+    (2, 4, -2): (2, -1), (2, 4, 0): (2, 0),
+    (2, 6, -8): (3, -4), (2, 6, -6): (3, -3), (2, 6, -4): (3, -2),
+    (2, 6, -2): (3, -1), (2, 6, 0): (3, 0),
+}
+
+
+@pytest.mark.parametrize("p", [2, 4])
+def test_root_rule_frozen(p):
+    for e in range(8):
+        for b in range(-8, 5):
+            s = Cyc8.zeta_pow(e) * sqrt2_pow(b)
+            if (p, e, b) in ROOTS:
+                j, c = ROOTS[p, e, b]
+                assert canonical_root(s, p) == Cyc8.zeta_pow(j) * sqrt2_pow(c), (e, b)
+            else:
+                with pytest.raises(ValueError):
+                    canonical_root(s, p)
+
+
 def test_sqrt2_pow_consistency():
-    assert lambda_root(Cyc8.from_rational(Fraction(1, 4))) == sqrt2_pow(-1)
+    assert canonical_root(Cyc8.from_rational(Fraction(1, 4)), 4) == sqrt2_pow(-1)
 
 
 def test_weil_identity_and_unitarity():
@@ -125,20 +154,19 @@ def test_cocycle_identity_sampled():
                 assert (lhs - rhs) % 4 == 0
 
 
-def test_cocycle_raises_off_mu4():
+def test_cocycle_none_off_mu4():
     """A wrong product is not proportional (W(c) fixes the action of c on
-    H(V)), and a ratio outside mu4 is refused."""
+    H(V)), and a ratio outside mu4 is no exponent: both give None."""
     sp = _space()
     W = WeilRepresentation(sp)
     asp = list(enumerate_asp(sp))
     a, b = asp[1], asp[2]
     ab = asp_mul(sp, a, b)
     wrong = next(c for c in asp if c.g != ab.g)
-    with pytest.raises(ValueError, match="not proportional"):
-        W.cocycle(a, b, wrong)
+    assert W.cocycle(a, b, wrong) is None
     X = W.operator(a)
-    with pytest.raises(ValueError, match="not a fourth root of unity"):
-        _mu4_ratio(X.scaled(ZETA), X, "cocycle")
+    assert _mu4_ratio(X.scaled(ZETA), X) is None
+    assert _mu4_ratio(X.scaled(I), X) == 1
 
 
 def test_split_cocycle_is_sign():
