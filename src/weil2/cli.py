@@ -215,8 +215,11 @@ def _write_json(fh, payload, groups):
     the top-level value _ROWS in place of the list of {"N", "M", "L", "C"}
     rows of `groups` (from _cocycle_rows with _json_label), byte for byte.
     Each group is written as it is read.  Its N-M pieces are built once
-    per (N, M) and its L pieces once per L, and each distinct C is encoded
-    once, so a row is the concatenation of three ready pieces."""
+    per (N, M) and its L pieces once per L, and each C instance is encoded
+    once, so a row is the concatenation of three ready pieces.  The C text
+    memo is keyed on id(C) and holds C, so that no id is reused while it
+    lives: hashing a Cyc8 per row costs more than the lookup, and
+    CharacterSum.values yields one shared instance per value."""
     head, tail = json.dumps(payload, indent=2).split(json.dumps(_ROWS))
     _print(fh, head)
     values = {}
@@ -226,11 +229,11 @@ def _write_json(fh, payload, groups):
         ls = [kL + _ROW_L for kL in kLs]
         blocks = []
         for (nm, l), c in zip(itertools.product(nms, ls), cs):
-            v = values.get(c)
-            if v is None:
-                v = values[c] = _ROW_C % ",\n".join(
-                    "        " + json.dumps(x) for x in c.to_json())
-            blocks.append(nm + l + v)
+            hit = values.get(id(c))
+            if hit is None:
+                hit = values[id(c)] = (c, _ROW_C % ",\n".join(
+                    "        " + json.dumps(x) for x in c.to_json()))
+            blocks.append(nm + l + hit[1])
         _print(fh, sep + ",\n".join(blocks))
         sep = ",\n"
     _print(fh, ("[]" if sep == "[\n" else "\n  ]") + tail + "\n")
@@ -238,7 +241,8 @@ def _write_json(fh, payload, groups):
 
 def _write_csv(fh, groups):
     """Write the rows of `groups` (from _cocycle_rows with _csv_label) to fh
-    as CSV, one group at a time."""
+    as CSV, one group at a time; C coordinates are memoized as in
+    _write_json."""
     lines = []
     w = csv.writer(types.SimpleNamespace(write=lines.append),
                    lineterminator="\n")
@@ -248,9 +252,10 @@ def _write_csv(fh, groups):
         _print(fh, "".join(lines))
         lines.clear()
         for (kN, kM, kL), c in zip(itertools.product(kNs, kMs, kLs), cs):
-            if c not in coords:
-                coords[c] = c.to_json()
-            w.writerow([kN, kM, kL, *coords[c]])
+            hit = coords.get(id(c))
+            if hit is None:
+                hit = coords[id(c)] = (c, c.to_json())
+            w.writerow([kN, kM, kL, *hit[1]])
     _print(fh, "".join(lines))
 
 

@@ -17,7 +17,7 @@ row update), and there are three of them:
 
 `rref`, `solve_many` (one elimination for several right-hand sides) and
 `invert` work in any of the three algebras.  On them sit `rref_ring` over
-the ring; `rref_field`, `rank_field` and `inverse_field` over k; and, with
+the ring; `rref_field` and `inverse_field` over k; and, with
 `CYC8_OPS`, `weil.commutant_dimension`.  `det_ring` is the Leibniz
 formula alone: its matrices are n x n, and n <= 4 wherever they are built,
 since the Lagrangian listing refuses every n >= 5.  With the unit vectors
@@ -217,10 +217,6 @@ def rref_field(R, rows):
 
 def inverse_field(R, A):
     return invert(field_ops(R), A, "the residue field")
-
-
-def rank_field(R, rows):
-    return len(rref_field(R, rows)[0])
 
 
 def span_field(R, rows, width=None):

@@ -14,7 +14,8 @@ psi-entry per matrix row.  Between two models the canonical intertwiner is
 averaging over the source Lagrangian:
     (F_{M,L} f)(h) = sum_{m in M} f((m, alpha_M(m)) * h).
 Its term m in row t_M needs the split of m + t_M along L; the split is
-k-linear, so each m and each t_M is split once per matrix.
+k-linear, so each m and each t_M is split once per matrix, on packed
+vectors (see symplectic).
 Operators are ZiMatrix values: a unit zeta^e sqrt2^s times a
 Gaussian-integer matrix.  For a transversal pair every matrix entry of
 F_{M,L} is a single fourth root of unity, and the composition route to the
@@ -36,9 +37,9 @@ class Model:
     def __init__(self, space, enh):
         self.space = space
         self.enh = enh
-        comp = [space.std_basis_k(j) for j in range(space.dim)
-                if j not in enh.pivots]
-        self.reps = tuple(sorted(space.span_k(comp))) if comp else ((0,) * space.dim,)
+        comp = tuple(space.std_basis_k(j) for j in range(space.dim)
+                     if j not in enh.pivots)
+        self.reps = space.subspace(comp).elements
         self.rep_index = {t: i for i, t in enumerate(self.reps)}
 
     @property
@@ -80,26 +81,37 @@ def intertwiner_matrix(model_M, model_L):
     """F_{M,L} as a ZiMatrix; works for any pair (entries are Z[i] sums
     over the fibre of m + t_M + t_L in L).  The term m of row t_M is
     psi(alpha_M(m) + beta(m, t_M) - alpha_L(l) - beta(l, t_L)), where
-    m + t_M = l + t_L with l in L.  Model.split is k-linear, so each m and
-    each t_M is split once per matrix and the term's split is the XOR of
-    the two."""
+    m + t_M = l + t_L with l in L.  On packed vectors, with T the trace
+    mask of symplectic, its exponent is
+        psi_exp(alpha_M(m)) - psi_exp(alpha_L(l))
+            + 2 (parity(m & T(t_M)) xor parity(l & T(t_L)))   mod 4.
+    The split along L is k-linear, so each m and each t_M is split once per
+    matrix and the term's split is the XOR of the two."""
     sp = model_M.space
-    R = sp.R
-    add, sub, psi_exp, beta = R.add, R.sub, R.psi_exp, sp.beta
-    aM, aL = model_M.enh._amap, model_L.enh._amap
-    spanL = set(model_L.enh.elements)
-    split_m = [(m, aM[m], *model_L.split(m)) for m in model_M.enh.elements]
-    split_t = [(tM, *model_L.split(tM)) for tM in model_M.reps]
-    if any(l not in spanL for *_, l, _ in split_m + split_t):
+    psi_exp, pack, trace_mask = sp.R.psi_exp, sp.pack, sp.trace_mask
+    span_M, span_L = model_M.enh.span, model_L.enh.span
+    split = span_L.split
+    aL = {l: psi_exp(a) for l, a in zip(span_L.packed, model_L.enh.alpha)}
+    cols = {pack(t): (j, trace_mask(t)) for j, t in enumerate(model_L.reps)}
+    split_m = []
+    for m, a in zip(span_M.packed, model_M.enh.alpha):
+        l = split(m)
+        split_m.append((m, psi_exp(a), l, m ^ l))
+    split_t = []
+    for t in model_M.reps:
+        v = pack(t)
+        l = split(v)
+        split_t.append((trace_mask(t), l, v ^ l))
+    if any(l not in aL for *_, l, _ in split_m + split_t):
         raise RuntimeError("split left the Lagrangian")
     out = []
-    for tM, l_t, t_t in split_t:
+    for T_M, l_t, t_t in split_t:
         row = [[0, 0, 0, 0] for _ in range(model_L.dim)]
         for m, am, l_m, t_m in split_m:
-            l = _xor(l_m, l_t)
-            tL = _xor(t_m, t_t)
-            e = psi_exp(sub(sub(add(am, beta(m, tM)), aL[l]), beta(l, tL)))
-            row[model_L.rep_index[tL]][e] += 1
+            l = l_m ^ l_t
+            j, T_L = cols[t_m ^ t_t]
+            parity = ((m & T_M) ^ (l & T_L)).bit_count() & 1
+            row[j][(am - aL[l] + 2 * parity) % 4] += 1
         out.append(tuple((c[0] - c[2], c[1] - c[3]) for c in row))
     return ZiMatrix(0, 0, out)
 
@@ -309,16 +321,15 @@ class ZiMatrix:
 
 def composition_scalar(space, eN, eM, eL):
     """Route 1: compose F_{N,M} F_{M,L} and divide by F_{N,L}, checking full
-    proportionality.  Requires all three pairs transversal."""
+    proportionality; None when the composite is not proportional to the
+    target, which the three-route check counts as a disagreement.
+    Requires all three pairs transversal."""
     for a, b in ((eN, eM), (eM, eL), (eN, eL)):
         if not space.transversal_k(a.rows, b.rows):
             raise ValueError("composition route requires a transversal pair")
     mN, mM, mL = Model(space, eN), Model(space, eM), Model(space, eL)
-    c = (intertwiner_matrix(mN, mM) @ intertwiner_matrix(mM, mL)).ratio(
+    return (intertwiner_matrix(mN, mM) @ intertwiner_matrix(mM, mL)).ratio(
         intertwiner_matrix(mN, mL))
-    if c is None:
-        raise ValueError("composite is not proportional to the target")
-    return c
 
 
 def formula_scalar(space, eN, eM, eL):
@@ -425,9 +436,8 @@ def gauss_scalar(space, eN, eM, eL):
     from .witt import gauss_sum, trace_form
 
     R = space.R
-    Mt = space.initial_lift(eM.rows)
-    Nt = space.initial_lift(eN.rows)
-    Lt = space.initial_lift(eL.rows)
+    # the lift frames already hold the initial lifts, so none is recomputed
+    Mt, Nt, Lt = (space._lift_frame(e.rows)[0] for e in (eM, eN, eL))
     gram = space.omega_tilde_L_gram(Mt, Nt, Lt)
     if gram != linalg.transpose(gram):
         raise RuntimeError("omt_L must be symmetric")

@@ -8,6 +8,21 @@ Conventions (standard splitting, first n coordinates vs last n):
     beta = 2*bt  and  om = 2*omt  on V = k^{2n}, valued in the ideal 2R.
 
 k-vectors are tuples of bitmasks, R-vectors tuples of ring indices.
+
+Packed k-vectors.  The per-draw geometry (enumerating Lagrangians,
+validating enhancements, building intertwiners, testing transversality)
+reads a k-vector v packed into one int, d bits per coordinate: coordinate
+j sits in bits jd .. jd + d - 1, so addition over k is XOR.  A k-linear
+form v -> sum_j v_j c_j is F2-linear on those bits, and bit a of its value
+is parity(pack(v) & mask_a) for d masks fixed by c: bit jd + b of mask_a
+is bit a of xi^b c_j, with xi the class of x.  `beta_masks(w)` are the
+masks of beta_field(., w) and `omega_masks(w)` those of omega_field(., w).
+beta is 2R-valued and biadditive and psi is additive, so
+psi_exp(beta(v, w)) = 2 * parity(pack(v) & trace_mask(w)) for one mask per
+w.  `subspace(rows)` holds, once per rows tuple, the RREF rows, pivots and
+sorted elements of a span, its elements packed, and its F2-generators
+xi^a * row_i packed with their masks; a transversality test is the rank
+over F2 of the packed generators of two spans.
 """
 from __future__ import annotations
 
@@ -209,6 +224,62 @@ class SympSpace:
         so a k-subspace is omega-isotropic exactly when it is omega_field-isotropic."""
         return self.beta_field(v, w) ^ self.beta_field(w, v)
 
+    # -- packed k-vectors and the masks of forms ---------------------------------
+    def pack(self, v):
+        """The k-vector v as one int, coordinate j in bits jd .. jd + d - 1."""
+        d = self.R.d
+        out = 0
+        for x in reversed(v):
+            out = (out << d) | x
+        return out
+
+    def _form_masks(self, coeffs):
+        """The d masks of the k-linear form v -> sum_j v_j c_j: bit a of its
+        value is parity(pack(v) & masks[a])."""
+        fmul, d = self.R.field_mul, self.R.d
+        masks = [0] * d
+        for j, c in enumerate(coeffs):
+            if not c:
+                continue
+            for b in range(d):
+                y = fmul(1 << b, c)
+                for a in range(d):
+                    masks[a] |= ((y >> a) & 1) << (j * d + b)
+        return tuple(masks)
+
+    def beta_masks(self, w):
+        """The masks of beta_field(., w) = sum_i v_i w_{n+i}."""
+        return self._form_masks(w[self.n:] + (0,) * self.n)
+
+    def omega_masks(self, w):
+        """The masks of omega_field(., w) = sum_j v_j c_j, c = (w[n:], w[:n])."""
+        return self._form_masks(w[self.n:] + w[:self.n])
+
+    def trace_mask(self, w):
+        """T with psi_exp(beta(v, w)) = 2 * parity(pack(v) & T): that exponent
+        is additive in v and lies in {0, 2}, so bit jd + b of T is
+        psi_exp(beta(xi^b e_j, w)) / 2."""
+        R, d, two_lift = self.R, self.R.d, self._two_lift
+        mask = 0
+        for j, c in enumerate(w[self.n:]):
+            for b in range(d):
+                half = R.psi_exp(two_lift[R.field_mul(1 << b, c)]) >> 1
+                mask |= half << (j * d + b)
+        return mask
+
+    def generators(self, rows):
+        """The F2-generators xi^a * row of the span of rows (rows outer, a
+        inner)."""
+        fmul = self.R.field_mul
+        return [tuple(fmul(1 << a, c) for c in row)
+                for row in rows for a in range(self.R.d)]
+
+    @_cached
+    def subspace(self, rows):
+        """The Subspace spanned by the rows tuple, memoized: every
+        enhancement over the same rows shares one."""
+        return Subspace(self, rows)
+
     def all_vectors_k(self):
         return itertools.product(range(self.R.field_size), repeat=self.dim)
 
@@ -223,11 +294,11 @@ class SympSpace:
         """All n-dimensional isotropic subspaces of V as canonical RREF bases,
         sorted.  For each pivot set the echelon rows are chosen one at a
         time, and a row that is not orthogonal to the rows above it is
-        pruned with every completion of it.  Rows are packed into ints, d
-        bits per coordinate, and bit a of omega_field(v, row) is the parity
-        of packed(v) & masks(row)[a]: orthogonal means every parity even.
-        The list is built once per space; a refused call caches nothing."""
-        R, n, m, q, d = self.R, self.n, self.dim, self.R.field_size, self.R.d
+        pruned with every completion of it: a packed row is orthogonal to
+        the rows above it when its parity against each of their omega masks
+        is even.  The list is built once per space; a refused call caches
+        nothing."""
+        n, m, q, d = self.n, self.dim, self.R.field_size, self.R.d
         want = check_lagrangians(d, n)
         found = []
         chosen = []
@@ -248,17 +319,6 @@ class SympSpace:
                     chosen.pop()
                     del masks[-d:]
 
-        def packed_with_masks(row):
-            # omega_field(v, row) = sum_j v_j c_j with c = (row[n:], row[:n])
-            row_masks = [0] * d
-            for j, c in enumerate(row[n:] + row[:n]):
-                for b in range(d):
-                    y = R.field_mul(1 << b, c)
-                    for a in range(d):
-                        row_masks[a] |= ((y >> a) & 1) << (j * d + b)
-            packed = sum(x << (j * d) for j, x in enumerate(row))
-            return row, packed, tuple(row_masks)
-
         for pivots in itertools.combinations(range(m), n):
             candidates = []
             for p in pivots:
@@ -269,7 +329,8 @@ class SympSpace:
                     row[p] = 1
                     for c, v in zip(free, vals):
                         row[c] = v
-                    rows.append(packed_with_masks(tuple(row)))
+                    row = tuple(row)
+                    rows.append((row, self.pack(row), self.omega_masks(row)))
                 candidates.append(rows)
             extend(candidates)
         if len(found) != want:
@@ -284,8 +345,11 @@ class SympSpace:
 
     @_cached
     def transversal_k(self, rows1, rows2):
-        """Whether the spans of the two row tuples add up to V, memoized."""
-        return linalg.rank_field(self.R, rows1 + rows2) == self.dim
+        """Whether the spans of the two row tuples add up to V, memoized.
+        The rows have rank r over k exactly when their F2-generators have
+        rank rd over F2, so the test is that rank against 2dn."""
+        gens = map(self.pack, self.generators(rows1 + rows2))
+        return _f2_rank(gens) == 2 * self.dn
 
     def transversal_triples(self):
         """Every triple of Lagrangians whose three pairs are transversal, in
@@ -567,14 +631,13 @@ class EnhancedLagrangian(_Keyed):
     """A Lagrangian subspace with a quadratic function alpha polarizing beta:
     alpha(l1 + l2) - alpha(l1) - alpha(l2) = beta(l1, l2)."""
 
-    __slots__ = ("space", "rows", "pivots", "elements", "_amap", "alpha")
+    __slots__ = ("space", "span", "rows", "pivots", "elements", "_amap", "alpha")
 
     def __init__(self, space, rows, alpha_map, validate=True):
         self.space = space
-        rows_r, pivots = linalg.rref_field(space.R, rows)
-        self.rows = rows_r
-        self.pivots = pivots
-        self.elements = tuple(sorted(space.span_k(rows_r)))
+        self.span = space.subspace(tuple(map(tuple, rows)))
+        self.rows, self.pivots, self.elements = (
+            self.span.rows, self.span.pivots, self.span.elements)
         self._amap = dict(alpha_map)
         self.alpha = tuple(self._amap[v] for v in self.elements)
         if validate:
@@ -586,20 +649,27 @@ class EnhancedLagrangian(_Keyed):
         biadditive, so omega(x, .) vanishes on L once it does on G, and the
         defect D(x, y) = alpha(x + y) - alpha(x) - alpha(y) - beta(x, y)
         obeys D(x, y + g) = D(x, y) + D(x + y, g) - D(y, g) and
-        D(x, 0) = D(0, g), so induction on a word for y covers L x L."""
-        sp, R = self.space, self.space.R
+        D(x, 0) = D(0, g), so induction on a word for y covers L x L.
+        Each pair is read on packed vectors, through the omega and beta
+        masks of g."""
+        sp, R, span = self.space, self.space.R, self.span
         if len(self.rows) != sp.n:
             raise ValueError("subspace is not middle-dimensional")
-        gens = [tuple(R.field_mul(1 << a, c) for c in row)
-                for row in self.rows for a in range(R.d)]
-        pairs = [(x, g, sp.beta(x, g)) for x in self.elements for g in gens]
-        for x, g, b in pairs:
-            if b != sp.beta(g, x):
-                raise ValueError("subspace is not isotropic")
-        amap = self._amap
-        for x, g, b in pairs:
-            if R.sub(R.sub(amap[_xor(x, g)], amap[x]), amap[g]) != b:
-                raise ValueError("alpha does not polarize beta")
+        for x in span.packed:
+            for omega_masks, _ in span.gen_masks:
+                for mask in omega_masks:
+                    if (x & mask).bit_count() & 1:
+                        raise ValueError("subspace is not isotropic")
+        sub, two_lift = R.sub, sp._two_lift
+        alpha = dict(zip(span.packed, self.alpha))
+        gens = tuple(zip(span.gens, span.gen_masks))
+        for x, ax in zip(span.packed, self.alpha):
+            for g, (_, beta_masks) in gens:
+                b = 0
+                for a, mask in enumerate(beta_masks):
+                    b |= ((x & mask).bit_count() & 1) << a
+                if sub(sub(alpha[x ^ g], ax), alpha[g]) != two_lift[b]:
+                    raise ValueError("alpha does not polarize beta")
 
     def alpha_of(self, v):
         return self._amap[v]
@@ -611,8 +681,55 @@ class EnhancedLagrangian(_Keyed):
         return f"EnhancedLagrangian(rows={self.rows}, alpha={self.alpha})"
 
 
+class Subspace:
+    """A k-subspace of V as the per-draw geometry reads it: its RREF rows
+    and pivot columns, its elements sorted and, in the same order, packed,
+    and its F2-generators xi^a * row_i (i outer, a inner) packed, with
+    (omega masks, beta masks) of each.  SympSpace.subspace builds one per
+    rows tuple."""
+
+    __slots__ = ("rows", "pivots", "elements", "packed", "gens", "gen_masks",
+                 "_pivot_bits")
+
+    def __init__(self, space, rows):
+        d = space.R.d
+        self.rows, self.pivots = linalg.rref_field(space.R, rows)
+        self.elements = tuple(sorted(space.span_k(self.rows)))
+        self.packed = tuple(map(space.pack, self.elements))
+        gens = space.generators(self.rows)
+        self.gens = tuple(map(space.pack, gens))
+        self.gen_masks = tuple((space.omega_masks(g), space.beta_masks(g))
+                               for g in gens)
+        # generator xi^a row_i is picked by bit a of coordinate pivots[i]
+        self._pivot_bits = tuple(p * d + a for p in self.pivots for a in range(d))
+
+    def split(self, v):
+        """pack(l) for the l in the subspace that agrees with the packed
+        vector v at every pivot: v ^ split(v) is zero at the pivots."""
+        l = 0
+        for bit, g in zip(self._pivot_bits, self.gens):
+            if v >> bit & 1:
+                l ^= g
+        return l
+
+
 def _xor(u, v):
     return tuple(map(operator.xor, u, v))
+
+
+def _f2_rank(vectors):
+    """The rank over F2 of ints read as bit vectors.  The basis is kept in
+    descending order, with distinct leading bits: reducing v by each
+    element in turn clears v's bit at that element's leading bit, and v is
+    in the span exactly when it reduces to 0."""
+    basis = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+    return len(basis)
 
 
 class Twists:

@@ -193,7 +193,8 @@ def _fibred(sp, fibre):
 
 
 def cocycle_checks_small():
-    """n = d = 1: all 48 transversal enhanced triples, three routes."""
+    """n = d = 1: all 48 transversal enhanced triples, three routes; the
+    fourth power is read off route 2, as the sampled check reads it."""
     sp = SympSpace(ring(1), 1)
     by_rows = {}
     for e in enumerate_enhanced(sp):
@@ -202,7 +203,7 @@ def cocycle_checks_small():
                gauss_scalar(sp, *t)) for t in _fibred(sp, by_rows)]
     minus4 = Cyc8.from_rational(-4)
     total, bad_route = _count(c1 == c2 == c3 for c1, c2, c3 in routes)
-    _, bad_pow = _count(c1 ** 4 == minus4 for c1, _, _ in routes)
+    _, bad_pow = _count(c2 ** 4 == minus4 for _, c2, _ in routes)
     return [
         Check("cocycle.three-route.d1n1", total, bad_route,
               f"{total} enhanced triples, {bad_route} disagreements"),

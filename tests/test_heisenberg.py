@@ -193,7 +193,7 @@ def _filter_sp_k(sp):
     out = []
     for entries in itertools.product(range(R.field_size), repeat=m * m):
         g = tuple(tuple(entries[i * m:(i + 1) * m]) for i in range(m))
-        if linalg.rank_field(R, g) == m and all(
+        if len(linalg.rref_field(R, g)[0]) == m and all(
                 sp.omega_field(g[i], g[j]) == sp.omega_field(e[i], e[j])
                 for i in range(m) for j in range(i + 1, m)):
             out.append(g)

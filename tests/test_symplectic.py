@@ -597,6 +597,11 @@ def test_dual_family_failure_is_a_program_fault(monkeypatch):
         sp._dual_family(base)
 
 
+def _rank_over_k(R, rows):
+    """Reference: the rank of rows over k, by elimination."""
+    return len(linalg.rref_field(R, rows)[0])
+
+
 def test_transversal_k_memo_matches_rank():
     R = ring(1)
     sp = SympSpace(R, 2)
@@ -604,9 +609,122 @@ def test_transversal_k_memo_matches_rank():
     for _ in range(2):
         for a in lags:
             for b in lags:
-                want = linalg.rank_field(R, a + b) == sp.dim
+                want = _rank_over_k(R, a + b) == sp.dim
                 assert sp.transversal_k(a, b) == want
     assert len(sp._caches["transversal_k"]) == len(lags) ** 2
+
+
+@pytest.mark.parametrize("d,n,first", [
+    (1, 1, None), (1, 2, None), (2, 1, None), (3, 1, None), (2, 2, 60),
+    (1, 3, 60),
+])
+def test_transversal_k_matches_rank_over_k(d, n, first):
+    """The F2-rank of the packed generators decides transversality as the
+    rank over k does: on every ordered pair of Lagrangians (of the first 60
+    at d2n2 and d1n3), and on 200 seeded pairs of n-row families over k,
+    which may be rank-deficient."""
+    sp = SympSpace(ring(d), n)
+    R = sp.R
+    lags = sp.enumerate_lagrangians()[:first]
+    seen = collections.Counter()
+    for a in lags:
+        for b in lags:
+            want = _rank_over_k(R, a + b) == sp.dim
+            assert sp.transversal_k(a, b) == want
+            seen[want] += 1
+    assert seen[True] and seen[False]
+    rng = random.Random(10 * d + n)
+    for _ in range(200):
+        a, b = (tuple(tuple(rng.randrange(R.field_size) for _ in range(sp.dim))
+                      for _ in range(n)) for _ in range(2))
+        assert sp.transversal_k(a, b) == (_rank_over_k(R, a + b) == sp.dim)
+
+
+def _parity(x):
+    return x.bit_count() & 1
+
+
+@pytest.mark.parametrize("d,n", [(1, 2), (2, 1), (3, 1), (2, 2)])
+def test_packed_forms_match_the_coordinate_loops(d, n):
+    """On every pair (v, w): pack is additive, bit a of beta_field(v, w)
+    and of omega_field(v, w) is the parity of pack(v) against the a-th
+    beta and omega mask of w, and psi_exp(beta(v, w)) is twice its parity
+    against trace_mask(w)."""
+    sp = SympSpace(ring(d), n)
+    R = sp.R
+    vecs = list(sp.all_vectors_k())
+    packed = [sp.pack(v) for v in vecs]
+    assert len(set(packed)) == len(vecs)
+    for w, pw in zip(vecs, packed):
+        beta_masks, omega_masks = sp.beta_masks(w), sp.omega_masks(w)
+        T = sp.trace_mask(w)
+        for v, pv in zip(vecs, packed):
+            assert sp.pack(tuple(a ^ b for a, b in zip(v, w))) == pv ^ pw
+            assert sp.beta_field(v, w) == sum(
+                _parity(pv & m) << a for a, m in enumerate(beta_masks))
+            assert sp.omega_field(v, w) == sum(
+                _parity(pv & m) << a for a, m in enumerate(omega_masks))
+            assert R.psi_exp(sp.beta(v, w)) == 2 * _parity(pv & T)
+
+
+@pytest.mark.parametrize("d,n", [(1, 2), (2, 1), (3, 1)])
+def test_subspace_split_matches_the_row_action(d, n):
+    """For every Lagrangian L and every vector v, L's Subspace splits
+    pack(v) at the pack of the combination of L's RREF rows by v's pivot
+    coordinates, which lies in L and agrees with v at the pivots."""
+    sp = SympSpace(ring(d), n)
+    for rows in sp.enumerate_lagrangians():
+        span = sp.subspace(rows)
+        packed = set(span.packed)
+        for v in sp.all_vectors_k():
+            l = linalg.vec_mat_field(sp.R, [v[p] for p in span.pivots], span.rows)
+            assert all(l[p] == v[p] for p in span.pivots)
+            assert span.split(sp.pack(v)) == sp.pack(l)
+            assert sp.pack(l) in packed
+
+
+def test_packed_validation_names_isotropy_on_every_plane_at_d2n2():
+    """All 357 planes of k^4 over F4, with alpha = 0: the packed validator
+    refuses the 272 that are not isotropic as "subspace is not isotropic",
+    and on the 85 Lagrangians it gives the all-pairs reference's verdict."""
+    sp = SympSpace(ring(2), 2)
+    q = sp.R.field_size
+    lagrangians = set(sp.enumerate_lagrangians())
+    verdicts = collections.Counter()
+    for pivots in itertools.combinations(range(4), 2):
+        free = [(i, c) for i in range(2) for c in range(pivots[i] + 1, 4)
+                if c not in pivots]
+        for vals in itertools.product(range(q), repeat=len(free)):
+            rows = [[int(c == p) for c in range(4)] for p in pivots]
+            for (i, c), v in zip(free, vals):
+                rows[i][c] = v
+            rows = tuple(tuple(r) for r in rows)
+            mine, ref = _verdicts(sp, rows, {v: 0 for v in sp.span_k(rows)})
+            if rows in lagrangians:
+                assert mine == ref
+            else:
+                assert mine == "subspace is not isotropic"
+            verdicts[rows in lagrangians, mine] += 1
+    assert sum(verdicts.values()) == 357
+    assert verdicts[False, "subspace is not isotropic"] == 272
+    assert verdicts[True, "ok"] + verdicts[True, "alpha does not polarize beta"] == 85
+    assert verdicts[True, "ok"] and verdicts[True, "alpha does not polarize beta"]
+
+
+def test_each_subspace_is_lifted_once_per_sampled_run(monkeypatch):
+    """A sampled cocycle run computes the initial lift of each subspace it
+    draws once: route 3 reads the lifts that the lift frames hold."""
+    lifted = collections.Counter()
+    initial_lift = SympSpace.initial_lift
+
+    def counting(self, rows):
+        lifted[rows] += 1
+        return initial_lift(self, rows)
+
+    monkeypatch.setattr(SympSpace, "initial_lift", counting)
+    from weil2 import verify
+    assert all(c.passed for c in verify.cocycle_checks_sampled(1, 3, 6, 0))
+    assert lifted and set(lifted.values()) == {1}
 
 
 def test_space_keeps_its_caches_in_one_dict():

@@ -1,19 +1,22 @@
-"""Every check family of the witt, trivialization and splitting suites can
-FAIL: each row of the tables below mutates one function or constant of
-weil2 and names the family that must then fail, together with any other
-family the same mutation breaks.  The suite must still run to the end and
-report the failures, at every shape of each such family.  A family is a
-check name without its .dXnY suffix."""
+"""Every check family of the witt, trivialization and splitting suites, and
+cocycle.three-route, can FAIL: each row of the tables below mutates one
+function or constant of weil2 and names the family that must then fail,
+together with any other family the same mutation breaks.  The suite must
+still run to the end and report the failures, at every shape of each such
+family.  A family is a check name without its .dXnY suffix."""
 
 import re
 
 import pytest
 
-from weil2 import verify, witt
+from weil2 import models, verify, witt
 from weil2.cyclotomic import I, ONE
+from weil2.models import ZiMatrix
+from weil2.symplectic import SympSpace
 from weil2.transport import ScaledTransport
 
 compose = ScaledTransport.compose
+intertwiner_matrix = models.intertwiner_matrix
 norm_coeff = verify._norm_coeff
 transport_square = verify.transport_square
 trivializing_scalar = verify.trivializing_scalar
@@ -129,3 +132,29 @@ def test_tampered_transport_fails_its_family(monkeypatch, family, target,
 def test_every_transport_family_has_a_tamper_row():
     reported = {_family(c.name) for suite in SUITES.values() for c in suite()}
     assert reported == {row[0] for row in TRANSPORT_TAMPERS}
+
+
+def _first_entry_times_i(mM, mL):
+    """intertwiner_matrix with its first entry multiplied by i."""
+    F = intertwiner_matrix(mM, mL)
+    rows = [list(row) for row in F.rows]
+    re, im = rows[0][0]
+    rows[0][0] = (-im, re)
+    return ZiMatrix(F.zeta_exp, F.sqrt2_exp, rows)
+
+
+ROUTE1_TAMPERS = [
+    (models, "intertwiner_matrix", _first_entry_times_i),
+    # drops beta(m, t_M) and beta(l, t_L) from every intertwiner term
+    (SympSpace, "trace_mask", lambda self, w: 0),
+]
+
+
+@pytest.mark.parametrize("target,attr,value", ROUTE1_TAMPERS,
+                         ids=[row[1] for row in ROUTE1_TAMPERS])
+def test_tampered_route1_fails_three_route(monkeypatch, target, attr, value):
+    """A wrong intertwiner at d1n1 makes route 1's composite not
+    proportional to its target; the run goes on and exactly
+    cocycle.three-route FAILs, as the fourth power is read off route 2."""
+    monkeypatch.setattr(target, attr, value)
+    _assert_fails_exactly(verify.cocycle_checks_small(), {"cocycle.three-route"})
