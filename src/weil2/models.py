@@ -7,11 +7,13 @@ on H(V) with
 where psi(x) = i^{tr x} is the additive character of central character
 psi.  Such f is determined by its values on (t, 0) for t in a fixed
 transversal T_L of L in V (the span of the non-pivot standard basis
-vectors, in lexicographic order).
+vectors, in lexicographic order).  An EnhancedLagrangian stands for its
+model, and SympSpace.transversal holds T_L once per pivot set, packed.
 
-The right translation pi_L(h) f = f(. h) realizes H(V) on H_L with one
-psi-entry per matrix row.  Between two models the canonical intertwiner is
-averaging over the source Lagrangian:
+The right translation pi_L(h) f = f(. h) and the P_a of weil read f by one
+packed rule, `monomial_operator`, with one psi-entry per matrix row.
+Between two models the canonical intertwiner is averaging over the source
+Lagrangian:
     (F_{M,L} f)(h) = sum_{m in M} f((m, alpha_M(m)) * h).
 Its term m in row t_M needs the split of m + t_M along L; the split is
 k-linear, so each m and each t_M is split once per matrix, on packed
@@ -28,56 +30,41 @@ import functools
 
 from . import linalg
 from .cyclotomic import Cyc8
-from .symplectic import _xor
 
 
-class Model:
-    __slots__ = ("space", "enh", "reps", "rep_index")
-
-    def __init__(self, space, enh):
-        self.space = space
-        self.enh = enh
-        comp = tuple(space.std_basis_k(j) for j in range(space.dim)
-                     if j not in enh.pivots)
-        self.reps = space.subspace(comp).elements
-        self.rep_index = {t: i for i, t in enumerate(self.reps)}
-
-    @property
-    def dim(self):
-        return len(self.reps)
-
-    def split(self, v):
-        """v = l + t with l in L and t in the transversal."""
-        l = linalg.vec_mat_field(
-            self.space.R, [v[p] for p in self.enh.pivots], self.enh.rows)
-        return l, _xor(v, l)
-
-    def eval_exponent(self, h):
-        """psi-exponent bookkeeping for f((v, z)) = psi(z - alpha(l) -
-        beta(l, t)) f((t, 0)): returns (exponent, t)."""
-        sp, R = self.space, self.space.R
-        v, z = h
-        l, t = self.split(v)
-        w = R.sub(R.sub(z, self.enh.alpha_of(l)), sp.beta(l, t))
-        return R.psi_exp(w), t
-
-    def pi_exponents(self, h):
-        """pi(h) as (exponent, column) per row: (pi(h) f)[t] = psi(e) f[t']."""
-        sp, R = self.space, self.space.R
-        w, z = h
-        out = []
-        for t in self.reps:
-            e, t2 = self.eval_exponent((_xor(t, w), R.add(z, sp.beta(t, w))))
-            out.append((e, self.rep_index[t2]))
-        return tuple(out)
-
-    def pi_matrix(self, h):
-        """pi(h) as a ZiMatrix of fourth roots of unity (one nonzero per
-        row)."""
-        return ZiMatrix.monomial(self.pi_exponents(h), self.dim)
+def _alpha_exponents(e):
+    """psi_exp(alpha(l)) by packed l in L."""
+    psi_exp = e.space.R.psi_exp
+    return {l: psi_exp(a) for l, a in zip(e.span.packed, e.alpha)}
 
 
-def intertwiner_matrix(model_M, model_L):
+def monomial_operator(e, points):
+    """The monomial ZiMatrix whose row r reads f in the model of e at the
+    r-th point (v, z) of H(V), given as (pack(v), psi_exp(z)):
+        f((v, z)) = psi(z - alpha(l) - beta(l, t)) f((t, 0)),
+    with l = split(pack(v)), t = pack(v) ^ l in the transversal, and
+    psi_exp(beta(l, t)) = 2 parity(l & trace_mask(t))."""
+    split, columns = e.span.split, e.space.transversal(e.pivots)
+    a = _alpha_exponents(e)
+    entries = []
+    for v, z in points:
+        l = split(v)
+        j, T = columns[v ^ l]
+        entries.append((z - a[l] - 2 * ((l & T).bit_count() & 1), j))
+    return ZiMatrix.monomial(entries, len(columns))
+
+
+def pi_matrix(e, h):
+    """pi_L(h) f = f(. h) on the model of e, L = e.span: row t reads f at
+    (t, 0) (w, z) = (t + w, z + beta(t, w))."""
+    sp = e.space
+    w, z = h
+    v, x, T = sp.pack(w), sp.R.psi_exp(z), sp.trace_mask(w)
+    return monomial_operator(e, ((t ^ v, x + 2 * ((t & T).bit_count() & 1))
+                                 for t in sp.transversal(e.pivots)))
+
+
+def intertwiner_matrix(eM, eL):
     """F_{M,L} as a ZiMatrix; works for any pair (entries are Z[i] sums
     over the fibre of m + t_M + t_L in L).  The term m of row t_M is
     psi(alpha_M(m) + beta(m, t_M) - alpha_L(l) - beta(l, t_L)), where
@@ -87,26 +74,23 @@ def intertwiner_matrix(model_M, model_L):
             + 2 (parity(m & T(t_M)) xor parity(l & T(t_L)))   mod 4.
     The split along L is k-linear, so each m and each t_M is split once per
     matrix and the term's split is the XOR of the two."""
-    sp = model_M.space
-    psi_exp, pack, trace_mask = sp.R.psi_exp, sp.pack, sp.trace_mask
-    span_M, span_L = model_M.enh.span, model_L.enh.span
-    split = span_L.split
-    aL = {l: psi_exp(a) for l, a in zip(span_L.packed, model_L.enh.alpha)}
-    cols = {pack(t): (j, trace_mask(t)) for j, t in enumerate(model_L.reps)}
+    sp = eM.space
+    psi_exp, split = sp.R.psi_exp, eL.span.split
+    aL = _alpha_exponents(eL)
+    cols = sp.transversal(eL.pivots)
     split_m = []
-    for m, a in zip(span_M.packed, model_M.enh.alpha):
+    for m, a in zip(eM.span.packed, eM.alpha):
         l = split(m)
         split_m.append((m, psi_exp(a), l, m ^ l))
     split_t = []
-    for t in model_M.reps:
-        v = pack(t)
+    for v, (_, T_M) in sp.transversal(eM.pivots).items():
         l = split(v)
-        split_t.append((trace_mask(t), l, v ^ l))
+        split_t.append((T_M, l, v ^ l))
     if any(l not in aL for *_, l, _ in split_m + split_t):
         raise RuntimeError("split left the Lagrangian")
     out = []
     for T_M, l_t, t_t in split_t:
-        row = [[0, 0, 0, 0] for _ in range(model_L.dim)]
+        row = [[0, 0, 0, 0] for _ in range(len(cols))]
         for m, am, l_m, t_m in split_m:
             l = l_m ^ l_t
             j, T_L = cols[t_m ^ t_t]
@@ -327,9 +311,8 @@ def composition_scalar(space, eN, eM, eL):
     for a, b in ((eN, eM), (eM, eL), (eN, eL)):
         if not space.transversal_k(a.rows, b.rows):
             raise ValueError("composition route requires a transversal pair")
-    mN, mM, mL = Model(space, eN), Model(space, eM), Model(space, eL)
-    return (intertwiner_matrix(mN, mM) @ intertwiner_matrix(mM, mL)).ratio(
-        intertwiner_matrix(mN, mL))
+    return (intertwiner_matrix(eN, eM) @ intertwiner_matrix(eM, eL)).ratio(
+        intertwiner_matrix(eN, eL))
 
 
 def formula_scalar(space, eN, eM, eL):

@@ -22,7 +22,8 @@ psi_exp(beta(v, w)) = 2 * parity(pack(v) & trace_mask(w)) for one mask per
 w.  `subspace(rows)` holds, once per rows tuple, the RREF rows, pivots and
 sorted elements of a span, its elements packed, and its F2-generators
 xi^a * row_i packed with their masks; a transversality test is the rank
-over F2 of the packed generators of two spans.
+over F2 of the packed generators of two spans.  `transversal(pivots)` holds
+the models' transversal of a pivot set, packed, with columns and trace masks.
 """
 from __future__ import annotations
 
@@ -233,6 +234,11 @@ class SympSpace:
             out = (out << d) | x
         return out
 
+    def unpack(self, v):
+        """The k-vector of a packed int: the inverse of pack."""
+        d, low = self.R.d, self.R.field_size - 1
+        return tuple(v >> (j * d) & low for j in range(self.dim))
+
     def _form_masks(self, coeffs):
         """The d masks of the k-linear form v -> sum_j v_j c_j: bit a of its
         value is parity(pack(v) & masks[a])."""
@@ -279,6 +285,17 @@ class SympSpace:
         """The Subspace spanned by the rows tuple, memoized: every
         enhancement over the same rows shares one."""
         return Subspace(self, rows)
+
+    @_cached
+    def transversal(self, pivots):
+        """The transversal T_L shared by the Lagrangians with these pivot
+        columns, the span of the other standard basis vectors: a dict from
+        packed t to (column, trace_mask(t)), in column order (t sorted as
+        k-vectors)."""
+        comp = tuple(self.std_basis_k(j) for j in range(self.dim)
+                     if j not in pivots)
+        return {self.pack(t): (j, self.trace_mask(t))
+                for j, t in enumerate(self.subspace(comp).elements)}
 
     def all_vectors_k(self):
         return itertools.product(range(self.R.field_size), repeat=self.dim)

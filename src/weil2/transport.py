@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclotomic import Cyc8
-from .models import Model, intertwiner_matrix
+from .models import intertwiner_matrix
 from .symplectic import OrientedLagrangian
 from .witt import gauss_sum, trace_form
 
@@ -74,11 +74,10 @@ def _intertwiner(space, eM, eL):
     product of the two through the enhanced initial lift Kt of their first
     common transversal."""
     if eM.rows != eL.rows and space.transversal_k(eM.rows, eL.rows):
-        return None, intertwiner_matrix(Model(space, eM), Model(space, eL))
+        return None, intertwiner_matrix(eM, eL)
     Kt = space.initial_lift(first_transversal_rows(space, eM.rows, eL.rows))
-    mK = Model(space, space.enhance_from_lift(Kt))
-    return Kt, (intertwiner_matrix(Model(space, eM), mK)
-                @ intertwiner_matrix(mK, Model(space, eL)))
+    eK = space.enhance_from_lift(Kt)
+    return Kt, intertwiner_matrix(eM, eK) @ intertwiner_matrix(eK, eL)
 
 
 def trivialization_transport(space, eM, eL):

@@ -31,11 +31,11 @@ from .heisenberg import (
 )
 from .models import (
     CharacterSum,
-    Model,
     composition_scalar,
     formula_scalar,
     gauss_scalar,
     intertwiner_matrix,
+    pi_matrix,
 )
 from .symplectic import (
     SympSpace,
@@ -353,8 +353,8 @@ def suite_trivialization():
     # every admissible auxiliary K yields the same transport
     A = trivializing_scalar(sp)
     total, bad = _count(
-        ScaledTransport(A * A, intertwiner_matrix(Model(sp, eM), Model(sp, eK))
-                        @ intertwiner_matrix(Model(sp, eK), Model(sp, eL)), 4)
+        ScaledTransport(A * A, intertwiner_matrix(eM, eK)
+                        @ intertwiner_matrix(eK, eL), 4)
         == T[eM, eL]
         for eM, eL, eK in itertools.product(enh, repeat=3)
         if sp.transversal_k(eK.rows, eM.rows) and sp.transversal_k(eK.rows, eL.rows))
@@ -557,8 +557,8 @@ def _ring_unimodular_rank2_sample(R):
 
 def egorov_check(W, asp, pi):
     """weil.egorov: W(a) pi(h) = pi(a h) W(a) as ZiMatrix values for every a
-    in asp and every h of pi, a dict h -> pi(h) on the base model; an image
-    a h outside pi gets its own pi_matrix."""
+    in asp and every h of pi, a dict h -> pi(h) on the model of
+    W.base_enhanced; an image a h outside pi gets its own pi_matrix."""
     bad = 0
     for a in asp:
         Wa = W.operator(a)
@@ -566,7 +566,7 @@ def egorov_check(W, asp, pi):
             ah = a.apply_h(h)
             pi_ah = pi.get(ah)
             if pi_ah is None:
-                pi_ah = W.base_model.pi_matrix(ah)
+                pi_ah = pi_matrix(W.base_enhanced, ah)
             if Wa @ pi_h != pi_ah @ Wa:
                 bad += 1
     return Check("weil.egorov", len(asp) * len(pi), bad,
@@ -583,7 +583,7 @@ def suite_weil():
     S = SplitWeilRepresentation(sp)
     checks = []
 
-    ops_pi = [W.base_model.pi_matrix(h) for h in H]
+    ops_pi = [pi_matrix(W.base_enhanced, h) for h in H]
     checks.append(_c("weil.heisenberg-commutant", commutant_dimension(ops_pi) == 1,
                      "pi is irreducible: commutant has dimension 1"))
     checks.append(egorov_check(W, asp, dict(zip(H, ops_pi))))
@@ -639,7 +639,7 @@ def suite_weil():
 
     dual = sp.enhance_from_lift(sp.initial_lift(sp.dual_standard_lagrangian()))
     W2 = WeilRepresentation(sp, base=dual)
-    Phi = intertwiner_matrix(W2.base_model, W.base_model)
+    Phi = intertwiner_matrix(W2.base_enhanced, W.base_enhanced)
     b = [coboundary_ratio(W2, W, Phi, a) for a in asp]
     bad = 0
     for i in range(N):

@@ -22,7 +22,7 @@ import collections
 from . import linalg
 from .cyclotomic import Cyc8, mu4_exponent, sqrt2_pow
 from .heisenberg import act_on_enhanced, asp_inv, lift_sp
-from .models import Model, ZiMatrix, monomial_exponents
+from .models import monomial_exponents, monomial_operator
 from .symplectic import _cached
 from .transport import (
     enhanced_of_oriented,
@@ -45,28 +45,26 @@ def canonical_root(s, p):
     return root
 
 
-def translation_matrix(space, a, model_src, model_dst):
+def translation_matrix(a, src, dst):
     """P_a: H_{src} -> H_{dst} for dst = a.src, (P_a f)(h) = f(a^{-1} h),
-    as a monomial ZiMatrix."""
-    inv = asp_inv(space, a)
-    entries = []
-    for t in model_dst.reps:
-        e, col = model_src.eval_exponent(inv.apply_h((t, 0)))
-        entries.append((e, model_src.rep_index[col]))
-    return ZiMatrix.monomial(entries, model_src.dim)
+    as a monomial ZiMatrix: row t of dst's transversal reads a^{-1} (t, 0)."""
+    sp = src.space
+    inv, psi_exp = asp_inv(sp, a), sp.R.psi_exp
+    points = (inv.apply_h((sp.unpack(t), 0)) for t in sp.transversal(dst.pivots))
+    return monomial_operator(src, ((sp.pack(v), psi_exp(z)) for v, z in points))
 
 
 class _TransportedRepresentation:
     """What the enhanced and the oriented construction share: the honest
     transports E_X = root(s) * F of the transport (s, F, p) from X to the
     base, with root(s) its canonical p-th root, their transitions
-    E_{X,Y} = E_X E_Y^{-1}, and the operator E_{base, target} P_a, given
-    the transport function."""
+    E_{X,Y} = E_X E_Y^{-1}, and the operator E_{base, target} P_a on the
+    model of base_enhanced, given the transport function."""
 
     def __init__(self, space, base, base_enh, transport):
         self.space = space
         self.base = base
-        self.base_model = Model(space, base_enh)
+        self.base_enhanced = base_enh
         self._transport = transport
         self._caches = collections.defaultdict(dict)  # see symplectic._cached
 
@@ -82,8 +80,7 @@ class _TransportedRepresentation:
         return self.e_hat(x) @ self.e_hat(y).inverse()
 
     def _assemble(self, a, target, target_enh):
-        P = translation_matrix(self.space, a, self.base_model,
-                               Model(self.space, target_enh))
+        P = translation_matrix(a, self.base_enhanced, target_enh)
         return self.transition(self.base, target) @ P
 
     def cocycle(self, x, y, xy):

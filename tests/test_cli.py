@@ -418,6 +418,32 @@ def test_weil_matrix_d1n1_unchanged(capsys):
     assert out == json.dumps(_WEIL_MATRIX_D1N1, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (("--d", "2", "--n", "1", "--element", "0"),
+     "604b8d1b40c868b59125f352ef9ae738d8e2cc2139402527678aa9f3d213e47b"),
+    (("--d", "2", "--n", "1", "--element", "7"),
+     "282170eb5b8a4b04e98494d2dc3d095dee32491b08b0138209891a41c515cdc9"),
+    (("--d", "2", "--n", "1", "--element", "15359"),
+     "14e12906f1d53df9c5ebbeeb7d2215ae7bf869dce4c1651c4dcb47a5206d40cb"),
+    (("--d", "1", "--n", "2", "--element", "0"),
+     "11b2f6b07725763f3b15e4e1a38318ba3b7388f078dd61e4fb86256eb9b75dab"),
+    (("--d", "1", "--n", "2", "--element", "7"),
+     "0e6d527f3538df30e15ce4544535f55cff7b41da57b0fd36f65c92c0b6d8a61f"),
+    (("--d", "1", "--n", "2", "--element", "11519"),
+     "27dfa4e72241ee057e5a286fd1c161735f697dbbd85817e82c599e20d7b1b1c0"),
+    (("--d", "2", "--n", "1", "--split", "--element", "7"),
+     "ab55430b5829c6d0aec3648147cae846358839b7d73b4043759c9b11ea6d5a78"),
+], ids=["d2n1-0", "d2n1-7", "d2n1-last", "d1n2-0", "d1n2-7", "d1n2-last",
+        "d2n1-split-7"])
+def test_weil_matrix_golden(capsys, argv, digest):
+    """Weil operators of 4 x 4 models, pinned by their hashes: the first,
+    the eighth and the last element of ASp(V) at d2n1 and d1n2, and the
+    eighth element of Sp(Vt) at d2n1."""
+    rc, out = run_cli(capsys, "weil-matrix", *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("d,n,count", [
     (1, 3, "92,897,280"),
     (2, 2, "64,172,851,200"),

@@ -12,15 +12,21 @@ from fractions import Fraction
 
 import pytest
 
+from weil2 import linalg
 from weil2.cyclotomic import ZETA, Cyc8, I, ONE
 from weil2.galois import ring
-from weil2.heisenberg import all_h_elements, h_mul
+from weil2.heisenberg import (
+    act_on_enhanced, all_h_elements, asp_inv, enumerate_asp, h_mul,
+)
 from weil2.cyclotomic import sqrt2_pow
 from weil2.models import (
-    CharacterSum, Model, ZiMatrix, composition_scalar, formula_scalar,
-    gauss_scalar, intertwiner_matrix, monomial_exponents,
+    CharacterSum, ZiMatrix, composition_scalar, formula_scalar,
+    gauss_scalar, intertwiner_matrix, monomial_exponents, pi_matrix,
 )
-from weil2.symplectic import EnhancedLagrangian, SympSpace, enumerate_enhanced
+from weil2.symplectic import (
+    EnhancedLagrangian, SympSpace, _xor, enumerate_enhanced,
+)
+from weil2.weil import translation_matrix
 
 MINUS_FOUR = Cyc8.from_rational(-4)
 
@@ -40,31 +46,35 @@ def _named_enhanced(sp):
 
 
 def test_model_dimensions():
+    """The transversal of each enhanced Lagrangian has 2^{dn} elements, and
+    every operator on its model is 2^{dn} x 2^{dn}."""
     for d, n in ((1, 1), (2, 1), (1, 2)):
         sp = SympSpace(ring(d), n)
+        h = next(iter(all_h_elements(sp)))
         for e in enumerate_enhanced(sp):
-            assert Model(sp, e).dim == 2 ** (d * n)
+            assert len(sp.transversal(e.pivots)) == 2 ** (d * n)
+            assert pi_matrix(e, h).shape == (2 ** (d * n),) * 2
 
 
 def test_pi_is_a_representation():
     sp = _space()
-    m = Model(sp, sp.enhance_from_lift(sp.standard_oriented().basis))
+    e = sp.enhance_from_lift(sp.standard_oriented().basis)
     elems = list(all_h_elements(sp))
     for h1 in elems:
         for h2 in elems:
-            lhs = (m.pi_matrix(h1) @ m.pi_matrix(h2)).to_cyc()
-            assert lhs == m.pi_matrix(h_mul(sp, h1, h2)).to_cyc()
+            lhs = (pi_matrix(e, h1) @ pi_matrix(e, h2)).to_cyc()
+            assert lhs == pi_matrix(e, h_mul(sp, h1, h2)).to_cyc()
 
 
 def test_pi_central_character():
     """The center acts by i^z; the representation has central character psi."""
     sp = _space()
     for e in enumerate_enhanced(sp):
-        m = Model(sp, e)
+        dim = len(sp.transversal(e.pivots))
         for z in range(4):
-            mat = m.pi_matrix(((0,) * sp.dim, z)).to_cyc()
-            for r in range(m.dim):
-                for c in range(m.dim):
+            mat = pi_matrix(e, ((0,) * sp.dim, z)).to_cyc()
+            for r in range(dim):
+                for c in range(dim):
                     want = Cyc8.i_pow(z) if r == c else Cyc8.from_rational(0)
                     assert mat[r][c] == want
 
@@ -72,7 +82,7 @@ def test_pi_central_character():
 def test_intertwiner_dual_to_std_is_fourier():
     sp = _space()
     e = _named_enhanced(sp)
-    F = intertwiner_matrix(Model(sp, e["std"]), Model(sp, e["dual"]))
+    F = intertwiner_matrix(e["std"], e["dual"])
     assert F.to_cyc() == ((ONE, ONE), (ONE, -ONE))
 
 
@@ -85,11 +95,10 @@ def test_intertwiner_property():
         for eL in enh:
             if not sp.transversal_k(eM.rows, eL.rows):
                 continue
-            mM, mL = Model(sp, eM), Model(sp, eL)
-            F = intertwiner_matrix(mM, mL)
+            F = intertwiner_matrix(eM, eL)
             for h in elems:
-                assert (F @ mL.pi_matrix(h)).to_cyc() == \
-                    (mM.pi_matrix(h) @ F).to_cyc()
+                assert (F @ pi_matrix(eL, h)).to_cyc() == \
+                    (pi_matrix(eM, h) @ F).to_cyc()
 
 
 def test_intertwiner_entries_are_fourth_roots():
@@ -102,30 +111,86 @@ def test_intertwiner_entries_are_fourth_roots():
         for eL in enh:
             if not sp.transversal_k(eM.rows, eL.rows):
                 continue
-            F = intertwiner_matrix(Model(sp, eM), Model(sp, eL)).to_cyc()
+            F = intertwiner_matrix(eM, eL).to_cyc()
             for row in F:
                 for x in row:
                     assert x in mu4
 
 
-def _intertwiner_reference(model_M, model_L):
-    """F_{M,L} term by term: m + t_M split afresh for every term."""
-    sp = model_M.space
+# -- the coordinate reference ----------------------------------------------------
+# The model operators split v along L by coordinates, v = l + t with l the
+# combination of the rows of L by v's pivot coordinates, and evaluate alpha
+# and beta on k-vectors; the package's packed path is checked against it.
+
+def _transversal_reference(sp, e):
+    """T_L as sorted k-vectors: the span of the non-pivot standard basis
+    vectors, in column order."""
+    comp = [sp.std_basis_k(j) for j in range(sp.dim) if j not in e.pivots]
+    return sorted(sp.span_k(comp))
+
+
+def _split_reference(sp, e, v):
+    """v = l + t with l in L and t in the transversal."""
+    l = linalg.vec_mat_field(sp.R, [v[p] for p in e.pivots], e.rows)
+    return l, _xor(v, l)
+
+
+def _eval_reference(sp, e, h):
+    """f((v, z)) = psi(z - alpha(l) - beta(l, t)) f((t, 0)): returns
+    (exponent, t)."""
     R = sp.R
-    spanL = set(model_L.enh.elements)
+    v, z = h
+    l, t = _split_reference(sp, e, v)
+    return R.psi_exp(R.sub(R.sub(z, e.alpha_of(l)), sp.beta(l, t))), t
+
+
+def _monomial_reference(sp, e, points):
+    """The monomial operator whose row r reads f in H_L at the r-th point
+    of H(V)."""
+    index = {t: j for j, t in enumerate(_transversal_reference(sp, e))}
+    entries = []
+    for h in points:
+        x, t = _eval_reference(sp, e, h)
+        entries.append((x, index[t]))
+    return ZiMatrix.monomial(entries, len(index))
+
+
+def _pi_reference(sp, e, h):
+    """pi(h): row t reads f at (t, 0) (w, z) = (t + w, z + beta(t, w))."""
+    w, z = h
+    return _monomial_reference(sp, e, [
+        (_xor(t, w), sp.R.add(z, sp.beta(t, w)))
+        for t in _transversal_reference(sp, e)])
+
+
+def _translation_reference(sp, a, src, dst):
+    """P_a: row t of the transversal of dst reads f at a^{-1} (t, 0)."""
+    inv = asp_inv(sp, a)
+    return _monomial_reference(sp, src, [
+        inv.apply_h((t, 0)) for t in _transversal_reference(sp, dst)])
+
+
+def _triple(M):
+    return M.zeta_exp, M.sqrt2_exp, M.rows
+
+
+def _intertwiner_reference(sp, eM, eL):
+    """F_{M,L} term by term: m + t_M split afresh for every term."""
+    R = sp.R
+    spanL = set(eL.elements)
+    index = {t: j for j, t in enumerate(_transversal_reference(sp, eL))}
     out = []
-    for tM in model_M.reps:
-        row = [[0, 0, 0, 0] for _ in range(model_L.dim)]
-        for m in model_M.enh.elements:
-            l, tL = model_L.split(tuple(a ^ b for a, b in zip(m, tM)))
+    for tM in _transversal_reference(sp, eM):
+        row = [[0, 0, 0, 0] for _ in range(len(index))]
+        for m in eM.elements:
+            l, tL = _split_reference(sp, eL, _xor(m, tM))
             if l not in spanL:
                 raise RuntimeError("split left the Lagrangian")
             e = R.psi_exp(R.sub(
-                R.sub(R.add(model_M.enh.alpha_of(m), sp.beta(m, tM)),
-                      model_L.enh.alpha_of(l)),
+                R.sub(R.add(eM.alpha_of(m), sp.beta(m, tM)), eL.alpha_of(l)),
                 sp.beta(l, tL),
             ))
-            row[model_L.rep_index[tL]][e] += 1
+            row[index[tL]][e] += 1
         out.append(tuple((c[0] - c[2], c[1] - c[3]) for c in row))
     return ZiMatrix(0, 0, out)
 
@@ -138,17 +203,51 @@ def test_intertwiner_matrix_matches_term_by_term(d, n, pairs, transversal):
     matrix built from once-per-matrix splits has the same exponents and
     the same Gaussian-integer rows as the term-by-term loop."""
     sp = SympSpace(ring(d), n)
-    models = [Model(sp, e) for e in enumerate_enhanced(sp)]
+    enh = enumerate_enhanced(sp)
     seen = crossing = 0
-    for mM in models:
-        for mL in models:
-            F = intertwiner_matrix(mM, mL)
-            ref = _intertwiner_reference(mM, mL)
-            assert (F.zeta_exp, F.sqrt2_exp, F.rows) == (
-                ref.zeta_exp, ref.sqrt2_exp, ref.rows)
+    for eM in enh:
+        for eL in enh:
+            F = intertwiner_matrix(eM, eL)
+            assert _triple(F) == _triple(_intertwiner_reference(sp, eM, eL))
             seen += 1
-            crossing += sp.transversal_k(mM.enh.rows, mL.enh.rows)
+            crossing += sp.transversal_k(eM.rows, eL.rows)
     assert (seen, crossing) == (pairs, transversal)
+
+
+@pytest.mark.parametrize("d,n,count", [(1, 2, 60 * 64), (2, 1, 80 * 256)])
+def test_pi_matrix_matches_the_coordinate_reference(d, n, count):
+    """Every enhanced Lagrangian and every h of H(V): the packed pi(h) has
+    the triple of the coordinate loop."""
+    sp = SympSpace(ring(d), n)
+    seen = 0
+    for e in enumerate_enhanced(sp):
+        for h in all_h_elements(sp):
+            assert _triple(pi_matrix(e, h)) == _triple(_pi_reference(sp, e, h))
+            seen += 1
+    assert seen == count
+
+
+@pytest.mark.parametrize("d,n,elements,count", [
+    (1, 1, None, 24 * 6), (2, 1, 12, 12 * 80),
+])
+def test_translation_matrix_matches_the_coordinate_reference(d, n, elements,
+                                                             count):
+    """P_a from the model of e to the model of a.e, against the coordinate
+    loop: every element of ASp(V) and every enhanced Lagrangian at d1n1,
+    and 12 seeded elements against every enhanced Lagrangian at d2n1."""
+    sp = SympSpace(ring(d), n)
+    asp = enumerate_asp(sp)
+    if elements is not None:
+        asp = [asp[i] for i in random.Random(25).sample(range(len(asp)),
+                                                         elements)]
+    seen = 0
+    for a in asp:
+        for e in enumerate_enhanced(sp):
+            dst = act_on_enhanced(sp, a, e)
+            assert _triple(translation_matrix(a, e, dst)) == _triple(
+                _translation_reference(sp, a, e, dst))
+            seen += 1
+    assert seen == count
 
 
 FROZEN_TRIANGLE = {
@@ -337,21 +436,20 @@ def test_intertwiner_adjoint_is_scaled_inverse(d, n, stride, pairs):
     Lagrangians at d1n1 and d2n1; every `stride`-th one at d1n2."""
     sp = SympSpace(ring(d), n)
     enh = enumerate_enhanced(sp)
-    models = [Model(sp, e) for e in enh]
     transversal = [
-        (mM, mL) for mM in models for mL in models
-        if sp.transversal_k(mM.enh.rows, mL.enh.rows)
+        (eM, eL) for eM in enh for eL in enh
+        if sp.transversal_k(eM.rows, eL.rows)
     ][::stride]
     assert len(transversal) == pairs
-    dim = models[0].dim
+    dim = len(sp.transversal(enh[0].pivots))
     scaled_identity = tuple(
         tuple(Cyc8.from_rational(2 ** (d * n) if i == j else 0) for j in range(dim))
         for i in range(dim)
     )
     identity = tuple(tuple(ONE if i == j else Cyc8.from_rational(0)
                            for j in range(dim)) for i in range(dim))
-    for mM, mL in transversal:
-        F = intertwiner_matrix(mM, mL)
+    for eM, eL in transversal:
+        F = intertwiner_matrix(eM, eL)
         Fc = F.to_cyc()
         F_star = tuple(tuple(Fc[j][i].conj() for j in range(dim)) for i in range(dim))
         assert F.adjoint().to_cyc() == F_star

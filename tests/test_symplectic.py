@@ -728,10 +728,10 @@ def test_each_subspace_is_lifted_once_per_sampled_run(monkeypatch):
 
 
 def test_space_keeps_its_caches_in_one_dict():
-    """A d1n2 cocycle-table sweep and a walk over every lift fill every
-    memo of the space, and each lives in _caches under the name of its
-    method; no other attribute grows."""
-    from weil2 import cli
+    """A d1n2 cocycle-table sweep, a walk over every lift and one
+    intertwiner fill every memo of the space, and each lives in _caches
+    under the name of its method; no other attribute grows."""
+    from weil2 import cli, models
 
     sp = SympSpace(ring(1), 2)
     for *_, Cs in cli._cocycle_rows(sp, "exhaustive", 1, 0, repr):
@@ -743,6 +743,7 @@ def test_space_keeps_its_caches_in_one_dict():
             sp.enhance_from_lift(lt)
     N, L = next((N, L) for N in lags for L in lags if sp.transversal_k(N, L))
     sp.r_map_tilde(lifts[N][0], lifts[N][0], lifts[L][0])
+    models.intertwiner_matrix(*(sp.enhance_from_lift(lifts[r][0]) for r in (N, L)))
     assert set(vars(sp)) == {"R", "n", "dim", "dn", "_caches", "_two_lift"}
     cached = {name for name, f in vars(SympSpace).items() if hasattr(f, "__wrapped__")}
     assert set(sp._caches) == cached

@@ -1,8 +1,9 @@
-"""Every check family of the witt, trivialization and splitting suites, and
-cocycle.three-route, can FAIL: each row of the tables below mutates one
-function or constant of weil2 and names the family that must then fail,
-together with any other family the same mutation breaks.  The suite must
-still run to the end and report the failures, at every shape of each such
+"""Every check family of the witt, trivialization and splitting suites,
+cocycle.three-route, weil.heisenberg-commutant and weil.commutant can
+FAIL: each row of the tables below mutates one function or constant of
+weil2 and names the family that must then fail, together with any other
+family the same mutation breaks.  The suite must still run to the end and
+report the failures, at every shape of each such
 family.  A family is a check name without its .dXnY suffix."""
 
 import re
@@ -14,9 +15,12 @@ from weil2.cyclotomic import I, ONE
 from weil2.models import ZiMatrix
 from weil2.symplectic import SympSpace
 from weil2.transport import ScaledTransport
+from weil2.weil import WeilRepresentation
 
 compose = ScaledTransport.compose
 intertwiner_matrix = models.intertwiner_matrix
+pi_matrix = models.pi_matrix
+weil_operator = WeilRepresentation.operator
 norm_coeff = verify._norm_coeff
 transport_square = verify.transport_square
 trivializing_scalar = verify.trivializing_scalar
@@ -134,9 +138,9 @@ def test_every_transport_family_has_a_tamper_row():
     assert reported == {row[0] for row in TRANSPORT_TAMPERS}
 
 
-def _first_entry_times_i(mM, mL):
+def _first_entry_times_i(eM, eL):
     """intertwiner_matrix with its first entry multiplied by i."""
-    F = intertwiner_matrix(mM, mL)
+    F = intertwiner_matrix(eM, eL)
     rows = [list(row) for row in F.rows]
     re, im = rows[0][0]
     rows[0][0] = (-im, re)
@@ -158,3 +162,27 @@ def test_tampered_route1_fails_three_route(monkeypatch, target, attr, value):
     cocycle.three-route FAILs, as the fourth power is read off route 2."""
     monkeypatch.setattr(target, attr, value)
     _assert_fails_exactly(verify.cocycle_checks_small(), {"cocycle.three-route"})
+
+
+def _identity_like(M):
+    """The identity operator of M's shape."""
+    return ZiMatrix.monomial([(0, j) for j in range(M.shape[0])], M.shape[1])
+
+
+WEIL_TAMPERS = [
+    # pi(h) = 1 commutes with every W(a), so Egorov still holds
+    ("weil.heisenberg-commutant", verify, "pi_matrix",
+     lambda e, h: _identity_like(pi_matrix(e, h)), set()),
+    # W(a) = 1 is a representation, with a trivial cocycle and coboundary
+    ("weil.commutant", WeilRepresentation, "operator",
+     lambda self, a: _identity_like(weil_operator(self, a)),
+     {"weil.egorov", "weil.split-vs-enhanced"}),
+]
+
+
+@pytest.mark.parametrize("family,target,attr,value,also", WEIL_TAMPERS,
+                         ids=[row[0] for row in WEIL_TAMPERS])
+def test_tampered_weil_fails_its_family(monkeypatch, family, target, attr,
+                                        value, also):
+    monkeypatch.setattr(target, attr, value)
+    _assert_fails_exactly(verify.suite_weil(), {family} | also)

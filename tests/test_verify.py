@@ -5,6 +5,7 @@ from weil2.cli import main as cli_main
 from weil2.cyclotomic import I, ONE, SQRT2
 from weil2.galois import ring
 from weil2.heisenberg import all_h_elements, enumerate_asp, enumerate_sp_R
+from weil2.models import pi_matrix
 from weil2.symplectic import SympSpace, enumerate_enhanced
 from weil2.weil import SplitWeilRepresentation, WeilRepresentation
 
@@ -230,9 +231,9 @@ class _RightTranslated:
     W(a0) pi(h0)."""
 
     def __init__(self, W, a0, h0):
-        self.base_model = W.base_model
+        self.base_enhanced = W.base_enhanced
         self._W, self._key = W, a0.key()
-        self._pi = W.base_model.pi_matrix(h0)
+        self._pi = pi_matrix(W.base_enhanced, h0)
 
     def operator(self, a):
         op = self._W.operator(a)
@@ -243,7 +244,7 @@ def test_egorov_fails_on_a_right_translated_operator():
     sp = _weil_space()
     asp = enumerate_asp(sp)
     W = WeilRepresentation(sp)
-    pi = {h: W.base_model.pi_matrix(h) for h in all_h_elements(sp)}
+    pi = {h: pi_matrix(W.base_enhanced, h) for h in all_h_elements(sp)}
     assert verify.egorov_check(W, asp, pi).passed
     # h0 = (e_1, 0) does not commute with (f_1, 0): pi(h0) is not central
     h0 = (sp.std_basis_k(0), 0)

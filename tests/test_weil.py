@@ -11,6 +11,7 @@ Frozen facts:
   * the commutant of each system is one-dimensional
 """
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from weil2.heisenberg import (
     all_h_elements, asp_mul, enumerate_asp,
     enumerate_sp_R, lift_sp,
 )
-from weil2.models import Model, intertwiner_matrix
+from weil2.models import intertwiner_matrix, pi_matrix
 from weil2.symplectic import SympSpace
 from weil2.weil import (
     SplitWeilRepresentation, WeilRepresentation, _mu4_ratio, coboundary_ratio,
@@ -119,7 +120,7 @@ def test_weil_identity_and_unitarity():
 def test_egorov_identity_exact():
     sp = _space()
     W = WeilRepresentation(sp)
-    pi = W.base_model.pi_matrix
+    pi = functools.partial(pi_matrix, W.base_enhanced)
     for a in enumerate_asp(sp):
         Wa = W.operator(a)
         for h in all_h_elements(sp):
@@ -199,8 +200,7 @@ def test_commutant_dimensions():
     sp = _space()
     W = WeilRepresentation(sp)
     Ws = SplitWeilRepresentation(sp)
-    m = Model(sp, W.base)
-    pi_ops = [m.pi_matrix(h) for h in all_h_elements(sp)]
+    pi_ops = [pi_matrix(W.base, h) for h in all_h_elements(sp)]
     assert commutant_dimension(pi_ops) == 1
     assert commutant_dimension([W.operator(a) for a in enumerate_asp(sp)]) == 1
     assert commutant_dimension([Ws.operator(g) for g in enumerate_sp_R(sp)]) == 1
@@ -212,7 +212,7 @@ def test_object_independence_coboundary():
     W = WeilRepresentation(sp)
     dual = sp.enhance_from_lift(sp.initial_lift(sp.dual_standard_lagrangian()))
     W2 = WeilRepresentation(sp, base=dual)
-    Phi = intertwiner_matrix(Model(sp, W2.base), Model(sp, W.base))
+    Phi = intertwiner_matrix(W2.base, W.base)
     asp = list(enumerate_asp(sp))
     b = {a.key(): coboundary_ratio(W2, W, Phi, a) for a in asp}
     assert set(b.values()) <= {0, 1, 2, 3}
