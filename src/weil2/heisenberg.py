@@ -7,7 +7,8 @@ Multiplication uses the splitting cocycle beta:
 so the commutator of (v, 0) and (w, 0) is (0, om(v, w)) and the center is
 0 x R.  An element of ASp(V) is a pair (g, alpha) with g in Sp(V) and
     alpha(v1 + v2) - alpha(v1) - alpha(v2) = beta(g v1, g v2) - beta(v1, v2);
-it acts on H(V) by (v, z) -> (g v, z + alpha(v)).
+it acts on H(V) by (v, z) -> (g v, z + alpha(v)).  alpha is a table indexed
+by packed v, filled from the unit generators by symplectic.fill_quadratic.
 
 Sp(V) and Sp(Vt) come from one row-by-row builder, and ASp(V) from Sp(V).
 Each enumeration, H(V)'s included, is a Group: refused above MAX_LISTING
@@ -19,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 
 from . import linalg, symplectic
 from .symplectic import (
@@ -26,8 +28,11 @@ from .symplectic import (
     Twists,
     _Keyed,
     _check_rank,
+    _form_value,
     _refuse_above,
     _xor,
+    fill_quadratic,
+    polarizes,
 )
 
 
@@ -49,74 +54,65 @@ def all_h_elements(space):
 # -- ASp(V) ------------------------------------------------------------------
 
 class AspElement(_Keyed):
-    """(g, alpha): a symplectic k-matrix together with a compatible shift
-    of the center coordinate, stored as a dense table on V."""
+    """(g, alpha): a symplectic k-matrix g together with a compatible shift
+    alpha of the center coordinate, stored as a table indexed by packed v
+    next to act = SympSpace.action(g); key() reads alpha in lexicographic
+    order of V."""
 
-    __slots__ = ("space", "g", "_amap", "alpha_table")
+    __slots__ = ("space", "g", "act", "alpha")
 
-    def __init__(self, space, g, alpha_map, validate=True):
+    def __init__(self, space, g, alpha, validate=True):
         self.space = space
         self.g = tuple(tuple(r) for r in g)
-        self._amap = dict(alpha_map)
-        self.alpha_table = tuple(
-            self._amap[v] for v in sorted(self._amap)
-        )
+        self.act = space.action(self.g)
+        self.alpha = tuple(alpha)
         if validate:
             self._validate()
 
     def _validate(self):
-        sp, R = self.space, self.space.R
-        vecs = tuple(sp.all_vectors_k())
-        if len(self._amap) != len(vecs):
+        """Compatibility on V x the unit generators: the all-pairs check by
+        symplectic.polarizes, as beta(g., g.) - beta is biadditive."""
+        sp = self.space
+        if len(self.alpha) != len(self.act):
             raise ValueError("alpha must be total on V")
-        for v in vecs:
-            gv = self.apply_g(v)
-            for w in vecs:
-                gw = self.apply_g(w)
-                lhs = R.sub(
-                    R.sub(self._amap[_xor(v, w)],
-                          self._amap[v]),
-                    self._amap[w],
-                )
-                rhs = R.sub(sp.beta(gv, gw), sp.beta(v, w))
-                if lhs != rhs:
-                    raise ValueError("alpha is not compatible with g")
-
-    def apply_g(self, v):
-        return linalg.vec_mat_field(self.space.R, v, self.g)
-
-    def alpha_of(self, v):
-        return self._amap[v]
+        if not polarizes(self.alpha, range(len(self.alpha)), sp.whole().gens,
+                         _asp_pairing(sp, self.act, sp._two_lift), sp.R.sub):
+            raise ValueError("alpha is not compatible with g")
 
     def apply_h(self, h):
         """The action on H(V)."""
         v, z = h
-        return (self.apply_g(v), self.space.R.add(z, self._amap[v]))
+        x = self.space.pack(v)
+        return (self.space.unpack(self.act[x]), self.space.R.add(z, self.alpha[x]))
 
     def key(self):
-        return (self.g, self.alpha_table)
+        return (self.g, tuple(map(self.alpha.__getitem__, self.space.whole().packed)))
 
     def __repr__(self):
-        return f"AspElement(g={self.g}, alpha={self.alpha_table})"
+        return f"AspElement(g={self.g}, alpha={self.key()[1]})"
+
+
+def _asp_pairing(space, act, values):
+    """(x, j) -> values[beta_field(g x, g u_j) - beta_field(x, u_j)] on packed
+    x, for the unit generators u_j of V and act the packed action of g.
+    values = space._two_lift gives beta(g x, g u_j) - beta(x, u_j)."""
+    whole = space.whole()
+    gmasks = [space.beta_masks(space.unpack(act[u])) for u in whole.gens]
+    return lambda x, j: values[_form_value(act[x], gmasks[j])
+                               ^ _form_value(x, whole.beta_masks[j])]
 
 
 def asp_mul(space, a, b):
     """(g, alpha_g) (h, alpha_h) = (g h, alpha_g o h + alpha_h): apply b
     first, then a."""
-    R = space.R
-    comp = _sp_k_mul(space, a.g, b.g)
-    alpha = {
-        v: R.add(a.alpha_of(b.apply_g(v)), b.alpha_of(v))
-        for v in space.all_vectors_k()
-    }
-    return AspElement(space, comp, alpha, validate=False)
+    alpha = map(space.R.add, map(a.alpha.__getitem__, b.act), b.alpha)
+    return AspElement(space, _sp_k_mul(space, a.g, b.g), alpha, validate=False)
 
 
 def asp_inv(space, a):
     R = space.R
     ginv = linalg.inverse_field(R, a.g)
-    alpha = {v: R.neg(a.alpha_of(linalg.vec_mat_field(R, v, ginv)))
-             for v in space.all_vectors_k()}
+    alpha = (R.neg(a.alpha[y]) for y in space.action(ginv))
     return AspElement(space, ginv, alpha, validate=False)
 
 
@@ -262,17 +258,18 @@ def is_symplectic_R(space, gt):
 def lift_sp(space, gt, validate=True):
     """The canonical section Sp(Vt) -> ASp(V):
     alpha(v) = bt(g vt, g vt) - bt(vt, vt), with the {0,1} lift vt of v.
-    Well-defined because g preserves omt."""
+    Well-defined because g preserves omt; filled from the unit generators
+    of V, as it polarizes beta(g., g.) - beta."""
     R = space.R
-    g_red = tuple(
-        space.reduce_vec(gt[j]) for j in range(space.dim)
-    )
-    alpha = {}
-    for v in space.all_vectors_k():
-        vt = space.lift_vec(v)
-        gvt = linalg.vec_mat(R, vt, gt)
-        alpha[v] = R.sub(space.bt(gvt, gvt), space.bt(vt, vt))
-    return AspElement(space, g_red, alpha, validate=validate)
+    g = tuple(space.reduce_vec(r) for r in gt)
+    values = []
+    for u in space.whole().gens:
+        ut = space.lift_vec(space.unpack(u))
+        gut = linalg.vec_mat(R, ut, gt)
+        values.append(R.sub(space.bt(gut, gut), space.bt(ut, ut)))
+    alpha = fill_quadratic(space.whole().gens, values,
+                           _asp_pairing(space, space.action(g), space._two_lift), R.add)
+    return AspElement(space, g, alpha.values(), validate=validate)
 
 
 def symplectic_lift_matrix(space, g):
@@ -304,15 +301,11 @@ def symplectic_lift_matrix(space, g):
 
 def act_on_enhanced(space, a, enh):
     """ASp(V) acting on enhanced Lagrangians:
-    (g, alpha_g) . (L, alpha) = (g L, l -> alpha(g^-1 l) + alpha_g(g^-1 l))."""
-    R = space.R
-    inv = asp_inv(space, a)
-    new_rows = tuple(a.apply_g(r) for r in enh.rows)
-    amap = {}
-    for l in space.span_k(new_rows):
-        l0 = inv.apply_g(l)
-        amap[l] = R.add(enh.alpha_of(l0), a.alpha_of(l0))
-    return EnhancedLagrangian(space, new_rows, amap)
+    (g, alpha_g) . (L, alpha) = (g L, g l -> alpha(l) + alpha_g(l))."""
+    R, act = space.R, a.act
+    amap = ((space.unpack(act[x]), R.add(ax, a.alpha[x]))
+            for x, ax in zip(enh.span.packed, enh.alpha))
+    return EnhancedLagrangian(space, _sp_k_mul(space, a.g, enh.rows), amap)
 
 
 def enumerate_asp(space):
@@ -324,12 +317,12 @@ def enumerate_asp(space):
 def _asp_elements(space):
     """One section alpha per g in Sp(V) (via a symplectic lift), shifted by
     the torsor Hom(V, 2R)."""
-    vecs = tuple(space.all_vectors_k())
     for g in enumerate_sp_k(space):
         base = lift_sp(space, symplectic_lift_matrix(space, g), validate=False)
-        twists = Twists(space.R, (base.alpha_of(v) for v in vecs), vecs, space.dim)
+        twists = Twists(space.R, base.alpha, space.whole().gens,
+                        range(len(base.alpha)))
         for alpha in twists.all():
-            yield AspElement(space, g, dict(zip(vecs, alpha)), validate=False)
+            yield AspElement(space, g, alpha, validate=False)
 
 
 # -- the k-valued obstruction -------------------------------------------------
@@ -347,28 +340,12 @@ def preserves_residue_quadratic(space, g):
 def residue_polarization(space, g):
     """A k-valued phi with
     phi(v+w) - phi(v) - phi(w) = bt(gv, gw) - bt(v, w)  (all mod 2),
-    when one exists (iff g preserves the residue quadratic form), else None.
-
-    Construction: the defect c(v, w) is alternating when Q is preserved, so
-    phi(sum x_i e_i) = sum_{i<j} x_i x_j c(e_i, e_j) polarizes it."""
-    R = space.R
-
-    def c(v, w):
-        gv, gw = linalg.vec_mat_field(R, v, g), linalg.vec_mat_field(R, w, g)
-        return space.beta_field(gv, gw) ^ space.beta_field(v, w)
-
-    m = space.dim
-    phi = {}
-    for v in space.all_vectors_k():
-        # v as a sum of F_2-basis vectors, one per set bit
-        bits = [tuple(1 << a if j == i else 0 for j in range(m))
-                for i in range(m) for a in range(R.d) if (v[i] >> a) & 1]
-        s = 0
-        for x, y in itertools.combinations(bits, 2):
-            s ^= c(x, y)
-        phi[v] = s
-    for v in phi:
-        for w in phi:
-            if phi[_xor(v, w)] ^ phi[v] ^ phi[w] != c(v, w):
-                return None
-    return phi
+    as a table indexed by packed v, when one exists (iff g preserves the
+    residue quadratic form), else None.  phi is filled with value 0 on the
+    unit generators; some phi exists exactly when this one polarizes."""
+    pair = _asp_pairing(space, space.action(g), range(space.R.field_size))
+    gens = space.whole().gens
+    phi = fill_quadratic(gens, [0] * len(gens), pair, operator.xor)
+    if not polarizes(phi, phi.keys(), gens, pair, operator.xor):
+        return None
+    return tuple(phi.values())

@@ -24,6 +24,8 @@ sorted elements of a span, its elements packed, and its F2-generators
 xi^a * row_i packed with their masks; a transversality test is the rank
 over F2 of the packed generators of two spans.  `transversal(pivots)` holds
 the models' transversal of a pivot set, packed, with columns and trace masks.
+`fill_quadratic` fills a function of known polarization on a span from
+packed generators, and `polarizes` checks one on span x generators.
 """
 from __future__ import annotations
 
@@ -305,6 +307,20 @@ class SympSpace:
         v[i] = 1
         return tuple(v)
 
+    @_cached
+    def whole(self):
+        """V as a Subspace: its gens are the unit generators 1 << (i d + a),
+        and its packed elements list V in lexicographic order."""
+        return self.subspace(tuple(map(self.std_basis_k, range(self.dim))))
+
+    @_cached
+    def action(self, g):
+        """The row action v -> v g of a k-matrix as a table indexed by packed
+        v: linear, so filled from the images xi^a g[i] of unit generators."""
+        images = map(self.pack, self.generators(g))
+        return tuple(fill_quadratic(self.whole().gens, images,
+                                    lambda x, j: 0, operator.xor).values())
+
     # -- Lagrangian subspaces of V --------------------------------------------
     @_cached
     def enumerate_lagrangians(self):
@@ -396,31 +412,24 @@ class SympSpace:
     def enhance_from_lift(self, basis):
         """The enhancement alpha(l) = bt(lt, lt) of the reduction of a free
         isotropic lift; independent of which lift of l in the submodule is
-        used (the cross terms cancel against isotropy).  Memoized per lift
-        basis: the EnhancedLagrangian is shared by every caller and must
-        not be mutated."""
+        used (the cross terms cancel against isotropy), so filled from the
+        generators xi^a b_i of the reduced basis at lift(xi^a) b_i.
+        Memoized per lift basis: the EnhancedLagrangian is shared by every
+        caller and must not be mutated."""
         return self._enhance(tuple(tuple(b) for b in basis))
 
     @_cached
     def _enhance(self, basis):
         R = self.R
-        # one elimination of [reduced basis | I] gives the canonical reduced
-        # rows and, on the right, the combinations of the basis that reduce
-        # onto them; the same combinations of the lift keep the stored
-        # subspace basis canonical
-        aug = [list(self.reduce_vec(b)) + [int(i == j) for j in range(len(basis))]
-               for i, b in enumerate(basis)]
-        pivots = linalg.eliminate(linalg.field_ops(R), aug, self.dim)
-        rows_r = tuple(tuple(row[:self.dim]) for row in aug[:len(pivots)])
-        basis_can = [
-            linalg.vec_mat(R, [R.lift(c) for c in row[self.dim:]], basis)
-            for row in aug[:len(pivots)]
-        ]
-        alpha = {}
-        for coeffs in itertools.product(range(R.field_size), repeat=len(rows_r)):
-            vt = linalg.vec_mat(R, [R.lift(c) for c in coeffs], basis_can)
-            alpha[self.reduce_vec(vt)] = self.bt(vt, vt)
-        return EnhancedLagrangian(self, rows_r, alpha)
+        rows = tuple(map(self.reduce_vec, basis))
+        gens = self.generators(rows)
+        lifts = [tuple(R.mul(R.lift(1 << a), x) for x in b)
+                 for b in basis for a in range(R.d)]
+        alpha = fill_quadratic(map(self.pack, gens), [self.bt(lt, lt) for lt in lifts],
+                               _beta_pairing(self, map(self.beta_masks, gens)), R.add)
+        span = self.subspace(rows)
+        return EnhancedLagrangian(self, rows, zip(span.elements,
+                                                  map(alpha.__getitem__, span.packed)))
 
     def enumerate_enhancements(self, rows):
         """Every solution alpha of the polarization equation over the fixed
@@ -663,30 +672,18 @@ class EnhancedLagrangian(_Keyed):
     def _validate(self):
         """Isotropy, then polarization, on L x G for the dn F2-generators
         G = {xi^a * row_i} of L.  That is the all-pairs check: beta is
-        biadditive, so omega(x, .) vanishes on L once it does on G, and the
-        defect D(x, y) = alpha(x + y) - alpha(x) - alpha(y) - beta(x, y)
-        obeys D(x, y + g) = D(x, y) + D(x + y, g) - D(y, g) and
-        D(x, 0) = D(0, g), so induction on a word for y covers L x L.
-        Each pair is read on packed vectors, through the omega and beta
-        masks of g."""
+        biadditive, so omega(x, .) vanishes on L once it does on G, and
+        `polarizes` covers L x L from L x G.  Each pair is read on packed
+        vectors, through the omega and beta masks of g."""
         sp, R, span = self.space, self.space.R, self.span
         if len(self.rows) != sp.n:
             raise ValueError("subspace is not middle-dimensional")
-        for x in span.packed:
-            for omega_masks, _ in span.gen_masks:
-                for mask in omega_masks:
-                    if (x & mask).bit_count() & 1:
-                        raise ValueError("subspace is not isotropic")
-        sub, two_lift = R.sub, sp._two_lift
-        alpha = dict(zip(span.packed, self.alpha))
-        gens = tuple(zip(span.gens, span.gen_masks))
-        for x, ax in zip(span.packed, self.alpha):
-            for g, (_, beta_masks) in gens:
-                b = 0
-                for a, mask in enumerate(beta_masks):
-                    b |= ((x & mask).bit_count() & 1) << a
-                if sub(sub(alpha[x ^ g], ax), alpha[g]) != two_lift[b]:
-                    raise ValueError("alpha does not polarize beta")
+        if any(_form_value(x, masks)
+               for x in span.packed for masks in span.omega_masks):
+            raise ValueError("subspace is not isotropic")
+        if not polarizes(dict(zip(span.packed, self.alpha)), span.packed,
+                         span.gens, _beta_pairing(sp, span.beta_masks), R.sub):
+            raise ValueError("alpha does not polarize beta")
 
     def alpha_of(self, v):
         return self._amap[v]
@@ -701,12 +698,12 @@ class EnhancedLagrangian(_Keyed):
 class Subspace:
     """A k-subspace of V as the per-draw geometry reads it: its RREF rows
     and pivot columns, its elements sorted and, in the same order, packed,
-    and its F2-generators xi^a * row_i (i outer, a inner) packed, with
-    (omega masks, beta masks) of each.  SympSpace.subspace builds one per
+    and its F2-generators xi^a * row_i (i outer, a inner) packed, with the
+    omega masks and the beta masks of each.  SympSpace.subspace builds one per
     rows tuple."""
 
-    __slots__ = ("rows", "pivots", "elements", "packed", "gens", "gen_masks",
-                 "_pivot_bits")
+    __slots__ = ("rows", "pivots", "elements", "packed", "gens", "omega_masks",
+                 "beta_masks", "_pivot_bits")
 
     def __init__(self, space, rows):
         d = space.R.d
@@ -715,8 +712,8 @@ class Subspace:
         self.packed = tuple(map(space.pack, self.elements))
         gens = space.generators(self.rows)
         self.gens = tuple(map(space.pack, gens))
-        self.gen_masks = tuple((space.omega_masks(g), space.beta_masks(g))
-                               for g in gens)
+        self.omega_masks = tuple(map(space.omega_masks, gens))
+        self.beta_masks = tuple(map(space.beta_masks, gens))
         # generator xi^a row_i is picked by bit a of coordinate pivots[i]
         self._pivot_bits = tuple(p * d + a for p in self.pivots for a in range(d))
 
@@ -732,6 +729,42 @@ class Subspace:
 
 def _xor(u, v):
     return tuple(map(operator.xor, u, v))
+
+
+def _form_value(x, masks):
+    """The k-value at packed x of the k-linear form with these d masks."""
+    b = 0
+    for a, mask in enumerate(masks):
+        b |= ((x & mask).bit_count() & 1) << a
+    return b
+
+
+def _beta_pairing(space, beta_masks):
+    """(x, j) -> beta(x, g_j) on packed x, given the beta masks of each g_j."""
+    two_lift, masks = space._two_lift, tuple(beta_masks)
+    return lambda x, j: two_lift[_form_value(x, masks[j])]
+
+
+def fill_quadratic(gens, values, pair, add):
+    """The f with f(0) = 0, f(gens[j]) = values[j] and f(x ^ gens[j]) =
+    f(x) + f(gens[j]) + pair(x, j) for x in the span of gens[:j], as a dict
+    packed x -> f(x); add adds values (R.add, or XOR over k).  The keys are
+    in packed order for the unit generators, SympSpace.whole().gens."""
+    f = {0: 0}
+    for j, (g, fg) in enumerate(zip(gens, values)):
+        for x, fx in list(f.items()):
+            f[x ^ g] = add(add(fx, fg), pair(x, j))
+    return f
+
+
+def polarizes(f, xs, gens, pair, sub):
+    """Whether f(x ^ g_j) - f(x) - f(g_j) = pair(x, j) for x in xs and each
+    g_j in gens.  With xs the span and pair(., j) = B(., g_j) for a
+    biadditive B, that is the all-pairs check: the defect D(x, y) =
+    f(x + y) - f(x) - f(y) - B(x, y) obeys D(x, y + g) = D(x, y) +
+    D(x + y, g) - D(y, g) and D(x, 0) = -f(0) = D(0, g)."""
+    return all(sub(sub(f[x ^ g], f[x]), f[g]) == pair(x, j)
+               for j, g in enumerate(gens) for x in xs)
 
 
 def _f2_rank(vectors):
@@ -750,50 +783,39 @@ def _f2_rank(vectors):
 
 
 class Twists:
-    """The torsor twist by Hom(k^m, 2R): the values base[j] + f(coords[j])
-    for a group homomorphism f from k^m into the 2-torsion ideal 2R.  f is
-    fixed by its values on the F2-generators xi^a e_i of k^m, read
-    row-major (i outer, a inner).  `all` gives every f, in itertools.product
-    order of those values over the sorted 2R; `sample` draws one f with an
+    """The torsor twist by Hom(S, 2R) of a function on an F2-space S: the
+    values base[i] + f(packed[i]) for a group homomorphism f from S into
+    the 2-torsion ideal 2R, filled from its values on the packed
+    generators gens of S.  `all` gives every f, in itertools.product order
+    of those values over the sorted 2R; `sample` draws one f with an
     rng.choice over the sorted 2R per generator, in the same order."""
 
-    __slots__ = ("R", "base", "gens", "_bits")
+    __slots__ = ("R", "base", "gens", "packed")
 
-    def __init__(self, R, base, coords, m):
+    def __init__(self, R, base, gens, packed):
         self.R = R
         self.base = tuple(base)
-        self.gens = m * R.d
-        # per vector, the generators its coordinates' bits pick out
-        self._bits = tuple(
-            tuple(i * R.d + a for i, c in enumerate(x) for a in range(R.d)
-                  if (c >> a) & 1)
-            for x in coords)
+        self.gens = tuple(gens)
+        self.packed = packed
 
     def _at(self, vals):
         add = self.R.add
-        out = []
-        for s, bits in zip(self.base, self._bits):
-            for j in bits:
-                s = add(s, vals[j])
-            out.append(s)
-        return tuple(out)
+        f = fill_quadratic(self.gens, vals, lambda x, j: 0, add)
+        return tuple(map(add, self.base, map(f.__getitem__, self.packed)))
 
     def all(self):
         tors = self.R.two_torsion()
         return [self._at(vals)
-                for vals in itertools.product(tors, repeat=self.gens)]
+                for vals in itertools.product(tors, repeat=len(self.gens))]
 
     def sample(self, rng):
         tors = self.R.two_torsion()
-        return self._at([rng.choice(tors) for _ in range(self.gens)])
+        return self._at([rng.choice(tors) for _ in self.gens])
 
 
 def _enhancement_twists(base):
-    """The twists of an enhanced Lagrangian's alpha, on its elements in
-    order, with coordinates against its reduced rows (read at the pivots)."""
-    return Twists(base.space.R, base.alpha,
-                  [tuple(v[p] for p in base.pivots) for v in base.elements],
-                  len(base.rows))
+    """The twists of an enhanced Lagrangian's alpha, on its elements."""
+    return Twists(base.space.R, base.alpha, base.span.gens, base.span.packed)
 
 
 class OrientedLagrangian(_Keyed):

@@ -50,8 +50,8 @@ def translation_matrix(a, src, dst):
     as a monomial ZiMatrix: row t of dst's transversal reads a^{-1} (t, 0)."""
     sp = src.space
     inv, psi_exp = asp_inv(sp, a), sp.R.psi_exp
-    points = (inv.apply_h((sp.unpack(t), 0)) for t in sp.transversal(dst.pivots))
-    return monomial_operator(src, ((sp.pack(v), psi_exp(z)) for v, z in points))
+    return monomial_operator(src, ((inv.act[t], psi_exp(inv.alpha[t]))
+                                   for t in sp.transversal(dst.pivots)))
 
 
 class _TransportedRepresentation:

@@ -156,6 +156,95 @@ def test_lift_sp_multiplicative():
         assert lhs.key() == lift_sp(sp, g12).key()
 
 
+def _lift_sp_reference(sp, gt):
+    """The per-vector rule the generator fill replaced, read as
+    AspElement.key() reads it: the residue of gt, and
+    alpha(v) = bt(g vt, g vt) - bt(vt, vt) for the {0,1} lift vt of each v
+    in lexicographic order of V."""
+    R = sp.R
+    alpha = []
+    for v in sp.all_vectors_k():
+        vt = sp.lift_vec(v)
+        gvt = linalg.vec_mat(R, vt, gt)
+        alpha.append(R.sub(sp.bt(gvt, gvt), sp.bt(vt, vt)))
+    return tuple(sp.reduce_vec(r) for r in gt), tuple(alpha)
+
+
+@pytest.mark.parametrize("d,n", [(1, 1), (1, 2), (2, 1)])
+def test_lift_sp_matches_the_per_vector_reference(d, n):
+    """lift_sp, filled from the unit generators of V, equals the per-vector
+    rule exactly: on all of Sp(Vt) at d1n1, and on symplectic_lift_matrix
+    of every g in Sp(V) at d1n2 and d2n1."""
+    sp = SympSpace(ring(d), n)
+    if (d, n) == (1, 1):
+        gts = enumerate_sp_R(sp)
+        assert len(gts) == 48
+    else:
+        gts = [symplectic_lift_matrix(sp, g) for g in enumerate_sp_k(sp)]
+    for gt in gts:
+        assert lift_sp(sp, gt).key() == _lift_sp_reference(sp, gt)
+
+
+def _compatible_on_all_pairs(sp, g, alpha):
+    """The all-pairs reference of AspElement._validate, for alpha a table
+    indexed by packed v: alpha(v + w) - alpha(v) - alpha(w) =
+    beta(g v, g w) - beta(v, w) on every pair of V."""
+    R = sp.R
+    vecs = list(sp.all_vectors_k())
+    gv = {v: linalg.vec_mat_field(R, v, g) for v in vecs}
+    a = {v: alpha[sp.pack(v)] for v in vecs}
+    return all(R.sub(R.sub(a[tuple(x ^ y for x, y in zip(v, w))], a[v]), a[w])
+               == R.sub(sp.beta(gv[v], gv[w]), sp.beta(v, w))
+               for v in vecs for w in vecs)
+
+
+def _refused(sp, g, alpha):
+    """Whether AspElement refuses (g, alpha), and then with the
+    compatibility message."""
+    try:
+        AspElement(sp, g, alpha)
+    except ValueError as err:
+        assert str(err) == "alpha is not compatible with g"
+        return True
+    return False
+
+
+@pytest.mark.parametrize("d,n,sample", [(1, 1, None), (2, 1, 3), (1, 2, 4)])
+def test_validation_refuses_what_all_pairs_refuses(d, n, sample):
+    """Every element at d1n1, and seeded elements at d2n1 and d1n2, with
+    alpha changed at one packed v by each nonzero ring value: the
+    V x generators check refuses exactly when the all-pairs reference
+    does.  The unchanged elements pass both."""
+    sp = SympSpace(ring(d), n)
+    R = sp.R
+    asp = enumerate_asp(sp)
+    elements = asp if sample is None else random.Random(d * 10 + n).sample(asp, sample)
+    refused = 0
+    for a in elements:
+        assert _compatible_on_all_pairs(sp, a.g, a.alpha)
+        assert not _refused(sp, a.g, a.alpha)
+        for x in range(len(a.alpha)):
+            for r in range(1, R.size):
+                alpha = list(a.alpha)
+                alpha[x] = R.add(alpha[x], r)
+                mine = _refused(sp, a.g, alpha)
+                assert mine == (not _compatible_on_all_pairs(sp, a.g, alpha))
+                refused += mine
+    assert refused > 0
+
+
+def test_validation_refuses_a_partial_table_and_a_nonzero_alpha_of_zero():
+    sp = _space()
+    a = lift_sp(sp, ASP_IDENTITY_D1N1)
+    for alpha in (a.alpha[:-1], a.alpha + (0,)):
+        with pytest.raises(ValueError, match="^alpha must be total on V$"):
+            AspElement(sp, a.g, alpha)
+    assert a.alpha[0] == 0
+    for r in range(1, sp.R.size):
+        with pytest.raises(ValueError, match="^alpha is not compatible with g$"):
+            AspElement(sp, a.g, (r,) + a.alpha[1:])
+
+
 def test_act_on_enhanced_is_group_action():
     sp = _space()
     enh = enumerate_enhanced(sp)
@@ -318,7 +407,7 @@ def test_position_refuses_an_element_outside():
         enumerate_sp_R(sp).position(((1, 0), (0, 2)))
     # alpha(0) = 1 is not the identity's shift, nor any element's
     outside = AspElement(sp, lift_sp(sp, ASP_IDENTITY_D1N1).g,
-                         {v: 1 for v in sp.all_vectors_k()}, validate=False)
+                         (1,) * 4, validate=False)
     with pytest.raises(RuntimeError, match="not an element of ASp"):
         enumerate_asp(sp).position(outside)
 
@@ -354,9 +443,43 @@ def test_residue_quadratic_preservers_are_orthogonal_plus(d, n, count):
     assert count < len(spk)
 
 
-@pytest.mark.parametrize("d,n", [(2, 1), (1, 2)])
+def _residue_polarization_reference(sp, g):
+    """The bit-pair sum the generator fill replaced, as a dict on k-vectors:
+    phi(v) = sum of c(b_i, b_j) over the pairs i < j of F2-basis vectors
+    b_i, one per set bit of v, with c(v, w) = bt(gv, gw) - bt(v, w) mod 2;
+    None unless phi polarizes c on all of V x V."""
+    R, m = sp.R, sp.dim
+    vecs = list(sp.all_vectors_k())
+    gv = {v: linalg.vec_mat_field(R, v, g) for v in vecs}
+
+    def c(v, w):
+        return sp.beta_field(gv[v], gv[w]) ^ sp.beta_field(v, w)
+
+    phi = {}
+    for v in vecs:
+        bits = [tuple(1 << a if j == i else 0 for j in range(m))
+                for i in range(m) for a in range(R.d) if (v[i] >> a) & 1]
+        s = 0
+        for x, y in itertools.combinations(bits, 2):
+            s ^= c(x, y)
+        phi[v] = s
+    for v in vecs:
+        for w in vecs:
+            if phi[tuple(x ^ y for x, y in zip(v, w))] ^ phi[v] ^ phi[w] != c(v, w):
+                return None
+    return phi
+
+
+@pytest.mark.parametrize("d,n", [(1, 1), (2, 1), (1, 2)])
 def test_residue_polarization_iff_orthogonal(d, n):
+    """A polarization exists exactly for the g preserving the residue
+    quadratic form, and its values, filled from the unit generators, are
+    the bit-pair reference's."""
     sp = SympSpace(ring(d), n)
     for g in enumerate_sp_k(sp):
         pol = residue_polarization(sp, g)
         assert (pol is not None) == preserves_residue_quadratic(sp, g)
+        ref = _residue_polarization_reference(sp, g)
+        assert (ref is None) == (pol is None)
+        if pol is not None:
+            assert {sp.unpack(x): y for x, y in enumerate(pol)} == ref

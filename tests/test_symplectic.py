@@ -286,6 +286,39 @@ def test_enhance_from_lift_canonical():
         assert e in sp.enumerate_enhancements(rows)
 
 
+def _enhance_reference(sp, basis):
+    """The per-element rule the generator fill replaced: alpha(l) =
+    bt(lt, lt) at the ring combination lt of the lift basis whose
+    coefficients are {0,1} lifts, one combination per element."""
+    R = sp.R
+    alpha = {}
+    for coeffs in itertools.product(range(R.field_size), repeat=len(basis)):
+        lt = linalg.vec_mat(R, [R.lift(c) for c in coeffs], basis)
+        alpha[sp.reduce_vec(lt)] = sp.bt(lt, lt)
+    return alpha
+
+
+@pytest.mark.parametrize("d,n,seeded", [
+    (1, 2, False), (2, 1, False), (1, 4, True), (2, 2, True), (3, 1, True),
+])
+def test_enhance_matches_the_per_element_reference(d, n, seeded):
+    """enhance_from_lift, filled from the generators of L, equals the
+    per-element rule exactly: on every submodule lift of every Lagrangian,
+    or on 40 seeded random lifts, each also passed with its rows reversed
+    (a basis whose reduction is not in echelon form)."""
+    sp = SympSpace(ring(d), n)
+    subs = sp.enumerate_lagrangians()
+    if seeded:
+        rng = random.Random(d * 10 + n)
+        lifts = [sp.random_lift(rng.choice(subs), rng) for _ in range(40)]
+    else:
+        lifts = [lt for rows in subs for lt in sp.enumerate_submodule_lifts(rows)]
+    for lift in lifts:
+        want = _enhance_reference(sp, lift)
+        for basis in (lift, lift[::-1]):
+            assert sp.enhance_from_lift(basis)._amap == want
+
+
 def _twisted_by_loop(sp, lift_rows, rng):
     """The random enhancement as an explicit loop over generator bits: one
     rng.choice over 2R per F2-generator xi^a of each reduced row, row by
@@ -728,10 +761,11 @@ def test_each_subspace_is_lifted_once_per_sampled_run(monkeypatch):
 
 
 def test_space_keeps_its_caches_in_one_dict():
-    """A d1n2 cocycle-table sweep, a walk over every lift and one
-    intertwiner fill every memo of the space, and each lives in _caches
-    under the name of its method; no other attribute grows."""
-    from weil2 import cli, models
+    """A d1n2 cocycle-table sweep, a walk over every lift, one intertwiner
+    and the key of one ASp(V) element fill every memo of the space, and
+    each lives in _caches under the name of its method; no other attribute
+    grows."""
+    from weil2 import cli, heisenberg, models
 
     sp = SympSpace(ring(1), 2)
     for *_, Cs in cli._cocycle_rows(sp, "exhaustive", 1, 0, repr):
@@ -744,6 +778,8 @@ def test_space_keeps_its_caches_in_one_dict():
     N, L = next((N, L) for N in lags for L in lags if sp.transversal_k(N, L))
     sp.r_map_tilde(lifts[N][0], lifts[N][0], lifts[L][0])
     models.intertwiner_matrix(*(sp.enhance_from_lift(lifts[r][0]) for r in (N, L)))
+    identity = tuple(map(sp.std_basis_k, range(sp.dim)))
+    heisenberg.lift_sp(sp, heisenberg.symplectic_lift_matrix(sp, identity)).key()
     assert set(vars(sp)) == {"R", "n", "dim", "dn", "_caches", "_two_lift"}
     cached = {name for name, f in vars(SympSpace).items() if hasattr(f, "__wrapped__")}
     assert set(sp._caches) == cached

@@ -1,16 +1,16 @@
 """Every check family of the witt, trivialization and splitting suites,
-cocycle.three-route, weil.heisenberg-commutant and weil.commutant can
-FAIL: each row of the tables below mutates one function or constant of
-weil2 and names the family that must then fail, together with any other
-family the same mutation breaks.  The suite must still run to the end and
-report the failures, at every shape of each such
+cocycle.three-route, weil.heisenberg-commutant, weil.commutant and three of
+the four intro families can FAIL: each row of the tables below mutates one
+function or constant of weil2 and names the family that must then fail,
+together with any other family the same mutation breaks.  The suite must
+still run to the end and report the failures, at every shape of each such
 family.  A family is a check name without its .dXnY suffix."""
 
 import re
 
 import pytest
 
-from weil2 import models, verify, witt
+from weil2 import heisenberg, models, verify, witt
 from weil2.cyclotomic import I, ONE
 from weil2.models import ZiMatrix
 from weil2.symplectic import SympSpace
@@ -186,3 +186,34 @@ def test_tampered_weil_fails_its_family(monkeypatch, family, target, attr,
                                         value, also):
     monkeypatch.setattr(target, attr, value)
     _assert_fails_exactly(verify.suite_weil(), {family} | also)
+
+
+# P = P^-1 in Sp(V) at d1n1, which does not commute with the e<->f swap
+P_D1N1 = ((1, 1), (0, 1))
+residue_polarization = heisenberg.residue_polarization
+
+
+def _polarization_at_conjugate(sp, g):
+    """residue_polarization read at P g P: the solvable set becomes P O P,
+    two elements with the identity, but without the swap."""
+    mul = heisenberg._sp_k_mul
+    return residue_polarization(sp, mul(sp, mul(sp, P_D1N1, g), P_D1N1))
+
+
+INTRO_TAMPERS = [
+    ("intro.solvable-iff-orthogonal", verify, "preserves_residue_quadratic",
+     lambda sp, g: True, set()),
+    # every g passes the V x generators check, so every g is solvable
+    ("intro.two-of-six", heisenberg, "polarizes", lambda *args: True,
+     {"intro.solvable-iff-orthogonal"}),
+    ("intro.identity-and-swap", verify, "residue_polarization",
+     _polarization_at_conjugate, {"intro.solvable-iff-orthogonal"}),
+]
+
+
+@pytest.mark.parametrize("family,target,attr,value,also", INTRO_TAMPERS,
+                         ids=[row[0] for row in INTRO_TAMPERS])
+def test_tampered_intro_fails_its_family(monkeypatch, family, target, attr,
+                                         value, also):
+    monkeypatch.setattr(target, attr, value)
+    _assert_fails_exactly(verify.suite_intro(), {family} | also)
