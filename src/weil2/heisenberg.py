@@ -239,20 +239,7 @@ def enumerate_sp_R(space):
     indices; the {0,1} lifts of e_1..f_n are the standard R-basis."""
     vectors = itertools.product(range(space.R.size), repeat=space.dim)
     return _enumerate_group(space, "Sp(Vt)", _sp_R_mul, _symplectic_matrices,
-                            vectors, space.omt, _standard_omt_gram(space))
-
-
-def _standard_omt_gram(space):
-    """The omt Gram matrix of e_1..f_n, the {0,1} lifts of the standard
-    basis of V."""
-    e = [space.lift_vec(space.std_basis_k(i)) for i in range(space.dim)]
-    return space.omt_gram(e, e)
-
-
-def is_symplectic_R(space, gt):
-    """Whether the rows of gt, the images of e_1..f_n, keep their omt Gram
-    matrix."""
-    return space.omt_gram(gt, gt) == _standard_omt_gram(space)
+                            vectors, space.omt, space.standard_omt_gram())
 
 
 def lift_sp(space, gt, validate=True):
@@ -292,7 +279,8 @@ def symplectic_lift_matrix(space, g):
              R, [space.omt(ci, cj) if i < j else 0 for i, ci in enumerate(c)], b))
          for j, cj in enumerate(c)]
     gt = tuple(b) + tuple(c)
-    if not is_symplectic_R(space, gt):
+    # the rows of gt, the images of e_1..f_n, must keep their omt Gram matrix
+    if space.omt_gram(gt, gt) != space.standard_omt_gram():
         raise RuntimeError("symplectic lift failed")
     if tuple(space.reduce_vec(r) for r in gt) != tuple(map(tuple, g)):
         raise RuntimeError("lift does not reduce to g")
@@ -301,11 +289,12 @@ def symplectic_lift_matrix(space, g):
 
 def act_on_enhanced(space, a, enh):
     """ASp(V) acting on enhanced Lagrangians:
-    (g, alpha_g) . (L, alpha) = (g L, g l -> alpha(l) + alpha_g(l))."""
+    (g, alpha_g) . (L, alpha) = (g L, g l -> alpha(l) + alpha_g(l)), read
+    in the span order of g L through the packed action table."""
     R, act = space.R, a.act
-    amap = ((space.unpack(act[x]), R.add(ax, a.alpha[x]))
-            for x, ax in zip(enh.span.packed, enh.alpha))
-    return EnhancedLagrangian(space, _sp_k_mul(space, a.g, enh.rows), amap)
+    moved = {act[x]: R.add(ax, a.alpha[x]) for x, ax in zip(enh.span.packed, enh.alpha)}
+    span = space.subspace(_sp_k_mul(space, a.g, enh.rows))
+    return EnhancedLagrangian(space, span.rows, map(moved.__getitem__, span.packed))
 
 
 def enumerate_asp(space):

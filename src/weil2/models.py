@@ -9,6 +9,9 @@ psi.  Such f is determined by its values on (t, 0) for t in a fixed
 transversal T_L of L in V (the span of the non-pivot standard basis
 vectors, in lexicographic order).  An EnhancedLagrangian stands for its
 model, and SympSpace.transversal holds T_L once per pivot set, packed.
+alpha is one tuple over the elements of L in span order: the operators
+read it through a table keyed by packed l, the character sum at the span
+positions of SympSpace.r_terms.
 
 The right translation pi_L(h) f = f(. h) and the P_a of weil read f by one
 packed rule, `monomial_operator`, with one psi-entry per matrix row.
@@ -330,15 +333,17 @@ class CharacterSum:
     packed Z/4 digit vectors.
 
     psi is an additive character, so the psi-exponent of the term at m_j
-    (the j-th element of M in span_k order, as in space.r_terms) is a sum
-    mod 4 of three digits, one per enhancement:
+    (the j-th element of M in span order) is a sum mod 4 of three digits,
+    one per enhancement:
         eM: psi_exp(alpha_M(m_j)) - psi_exp(beta(m_j, r(m_j)))
         eN: psi_exp(alpha_N(r(m_j)))
         eL: -psi_exp(alpha_L(m_j - r(m_j)))
-    Each pack_* reduces its digits mod 4 and puts digit j in bits 4j..4j+3
-    of one int.  The sum of one pack of each kind holds at most 9 < 16 per
-    field, so no carry crosses a field, and bits 0 and 1 of field j are the
-    term's exponent mod 4; `value` counts the exponents by popcount.
+    Each alpha tuple is read at the span positions that space.r_terms gives
+    for m_j, r(m_j) and m_j - r(m_j).  Each pack_* reduces its digits mod 4
+    and puts digit j in bits 4j..4j+3 of one int.  The sum of one pack of
+    each kind holds at most 9 < 16 per field, so no carry crosses a field,
+    and bits 0 and 1 of field j are the term's exponent mod 4; `value`
+    counts the exponents by popcount.
     `values` sweeps enhanced triples over the subspace triple: it packs
     each enhancement once and pays two int additions and one `value` per
     enhanced triple."""
@@ -349,10 +354,9 @@ class CharacterSum:
         terms = space.r_terms(M_rows, N_rows, L_rows)
         self._rows = (tuple(M_rows), tuple(N_rows), tuple(L_rows))
         self.size = len(terms)
-        self._psi_exp = psi_exp = space.R.psi_exp
+        self._psi_exp = space.R.psi_exp
         shifts = range(0, 4 * self.size, 4)
-        self._m = tuple((m, psi_exp(b), s)
-                        for (m, _, _, b), s in zip(terms, shifts))
+        self._m = tuple((m, b, s) for (m, _, _, b), s in zip(terms, shifts))
         self._n = tuple((rm, s) for (_, rm, _, _), s in zip(terms, shifts))
         self._l = tuple((lm, s) for (_, _, lm, _), s in zip(terms, shifts))
         # bit 0 of every field
@@ -361,7 +365,7 @@ class CharacterSum:
     def _alpha(self, e, i, name):
         if e.rows != self._rows[i]:
             raise ValueError(f"enhancement is not over {name}")
-        return e._amap
+        return e.alpha
 
     def pack_M(self, eM):
         a, psi_exp = self._alpha(eM, 0, "M"), self._psi_exp
@@ -425,23 +429,16 @@ def gauss_scalar(space, eN, eM, eL):
     if gram != linalg.transpose(gram):
         raise RuntimeError("omt_L must be symmetric")
 
-    baseM = space.enhance_from_lift(Mt)
-    baseN = space.enhance_from_lift(Nt)
-    baseL = space.enhance_from_lift(Lt)
-    piv = baseM.pivots
-    # psi-exponent of sigma(m), the enhancement part of the character sum
-    # relative to the canonical enhancements of the lifts
-    sigma_exp = {}
-    for m, rm, lm, _ in space.r_terms(eM.rows, eN.rows, eL.rows):
-        s = R.add(
-            R.sub(eM.alpha_of(m), baseM.alpha_of(m)),
-            R.sub(eN.alpha_of(rm), baseN.alpha_of(rm)),
-        )
-        sigma_exp[m] = R.psi_exp(R.sub(s, R.sub(eL.alpha_of(lm), baseL.alpha_of(lm))))
+    # alpha minus the canonical enhancement of the lift, over the same span
+    dM, dN, dL = (tuple(map(R.sub, e.alpha, space.enhance_from_lift(lt).alpha))
+                  for e, lt in ((eM, Mt), (eN, Nt), (eL, Lt)))
+    # psi-exponent of sigma(m_i), the enhancement part of the character sum
+    # relative to the canonical enhancements, for the elements m_i of M in order
+    sigma_exp = [R.psi_exp(R.sub(R.add(dM[i], dN[j]), dL[k]))
+                 for i, j, k, _ in space.r_terms(eM.rows, eN.rows, eL.rows)]
 
-    def coeffs(m):
-        # ring coefficients of the {0,1}-coordinate lift of m against Mt
-        return tuple(R.lift(m[p]) for p in piv)
+    # ring coefficients of the {0,1}-coordinate lift of each m against Mt
+    coeffs = [tuple(R.lift(m[p]) for p in eM.pivots) for m in eM.span.elements]
 
     def gram_eval(a, b):
         s = 0
@@ -453,18 +450,11 @@ def gauss_scalar(space, eN, eM, eL):
         return s
 
     # match sigma against the linear characters 2 omt_L(mt_s, .)
-    m_sigma = None
-    for cand in eM.elements:
-        cc = coeffs(cand)
-        if all(
-            sigma_exp[m] == R.psi_exp(R.mul(R.two, gram_eval(cc, coeffs(m))))
-            for m in eM.elements
-        ):
-            m_sigma = cand
-            break
-    if m_sigma is None:
+    cs = next((cc for cc in coeffs
+               if all(s == R.psi_exp(R.mul(R.two, gram_eval(cc, cm)))
+                      for s, cm in zip(sigma_exp, coeffs))), None)
+    if cs is None:
         raise ValueError("sigma does not match any linear character")
 
-    cs = coeffs(m_sigma)
     shift = Cyc8.i_pow(-R.psi_exp(gram_eval(cs, cs)) % 4)
     return shift * gauss_sum(trace_form(R, gram))

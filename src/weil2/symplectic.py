@@ -20,9 +20,10 @@ masks of beta_field(., w) and `omega_masks(w)` those of omega_field(., w).
 beta is 2R-valued and biadditive and psi is additive, so
 psi_exp(beta(v, w)) = 2 * parity(pack(v) & trace_mask(w)) for one mask per
 w.  `subspace(rows)` holds, once per rows tuple, the RREF rows, pivots and
-sorted elements of a span, its elements packed, and its F2-generators
-xi^a * row_i packed with their masks; a transversality test is the rank
-over F2 of the packed generators of two spans.  `transversal(pivots)` holds
+sorted elements of a span, its elements packed with the position of each,
+and its F2-generators xi^a * row_i packed with their masks; an enhancement
+alpha is a tuple over those positions, and a transversality test is the
+rank over F2 of the packed generators of two spans.  `transversal(pivots)` holds
 the models' transversal of a pivot set, packed, with columns and trace masks.
 `fill_quadratic` fills a function of known polarization on a span from
 packed generators, and `polarizes` checks one on span x generators.
@@ -427,16 +428,15 @@ class SympSpace:
                  for b in basis for a in range(R.d)]
         alpha = fill_quadratic(map(self.pack, gens), [self.bt(lt, lt) for lt in lifts],
                                _beta_pairing(self, map(self.beta_masks, gens)), R.add)
-        span = self.subspace(rows)
-        return EnhancedLagrangian(self, rows, zip(span.elements,
-                                                  map(alpha.__getitem__, span.packed)))
+        return EnhancedLagrangian(self, rows,
+                                  map(alpha.__getitem__, self.subspace(rows).packed))
 
     def enumerate_enhancements(self, rows):
         """Every solution alpha of the polarization equation over the fixed
         subspace.  The solution set is a torsor over the group homomorphisms
         L -> R (which land in the 2-torsion 2R)."""
         base = self.enhance_from_lift(self.initial_lift(rows))
-        out = [EnhancedLagrangian(self, base.rows, dict(zip(base.elements, alpha)))
+        out = [EnhancedLagrangian(self, base.rows, alpha)
                for alpha in _enhancement_twists(base).all()]
         if len({e.alpha for e in out}) != len(out):
             raise RuntimeError("enhancement torsor has repeated elements")
@@ -446,8 +446,7 @@ class SympSpace:
         """The canonical enhancement of the lift twisted by a uniformly
         random map into 2R: one rng.choice per F2-generator of L."""
         base = self.enhance_from_lift(lift_rows)
-        alpha = _enhancement_twists(base).sample(rng)
-        return EnhancedLagrangian(self, base.rows, dict(zip(base.elements, alpha)))
+        return EnhancedLagrangian(self, base.rows, _enhancement_twists(base).sample(rng))
 
     def random_enhanced(self, rows, rng):
         """(lift, enhancement) over the subspace: a random_lift, then a
@@ -581,6 +580,13 @@ class SympSpace:
         in Bs."""
         return tuple(tuple(self.omt(a, b) for b in Bs) for a in As)
 
+    @_cached
+    def standard_omt_gram(self):
+        """The omt Gram matrix of e_1..f_n, the {0,1} lifts of the standard
+        basis of V, built once per space."""
+        e = [self.lift_vec(self.std_basis_k(i)) for i in range(self.dim)]
+        return self.omt_gram(e, e)
+
     def wedge_pairing(self, oL, oM):
         """omt_wedge(o_L, o_M) = u_L * u_M * det[omt(l_i, m_j)]; a unit
         exactly when the pair is transversal."""
@@ -592,18 +598,22 @@ class SympSpace:
 
     @_cached
     def r_terms(self, M_rows, N_rows, L_rows):
-        """The enhancement-free terms of the character sum over M, one
-        (m, r(m), m - r(m), beta(m, r(m))) per element of M in span_k
-        order, where r is the projection onto N along L (r(m) - m in L;
-        requires N + L = V).  The images of M's basis rows are read off
-        the pair's projection matrix; r is linear and span_k is linear in
-        its coefficient tuple, so the two spans match term by term.  The
-        tuple is memoized per (M, N, L)."""
-        R = self.R
+        """The enhancement-free terms of the character sum over M, by span
+        position: for the i-th element m of M, (i, the position of r(m) in
+        N, the position of m - r(m) in L, psi_exp(beta(m, r(m)))), where r
+        is the projection onto N along L (requires N + L = V).  r is linear,
+        so it is filled on packed vectors from the images of M's
+        F2-generators, read off the pair's projection matrix.  The tuple is
+        memoized per (M, N, L)."""
         P = self._projection(N_rows, L_rows, True)
-        images = [linalg.vec_mat_field(R, m, P) for m in M_rows]
-        return tuple((m, rm, _xor(m, rm), self.beta(m, rm))
-                     for m, rm in zip(self.span_k(M_rows), self.span_k(images)))
+        M = self.subspace(M_rows)
+        N, L = (self.subspace(rows).index for rows in (N_rows, L_rows))
+        images = (self.pack(linalg.vec_mat_field(self.R, g, P))
+                  for g in self.generators(M.rows))
+        r = fill_quadratic(M.gens, images, lambda x, j: 0, operator.xor)
+        return tuple((i, N[r[m]], L[m ^ r[m]],
+                      2 * ((m & self.trace_mask(self.unpack(r[m]))).bit_count() & 1))
+                     for i, m in enumerate(M.packed))
 
     @_cached
     def _projection(self, N_rows, L_rows, over_k):
@@ -655,27 +665,29 @@ class SympSpace:
 
 class EnhancedLagrangian(_Keyed):
     """A Lagrangian subspace with a quadratic function alpha polarizing beta:
-    alpha(l1 + l2) - alpha(l1) - alpha(l2) = beta(l1, l2)."""
+    alpha(l1 + l2) - alpha(l1) - alpha(l2) = beta(l1, l2).  alpha is given
+    and kept as a sequence of values, one per element of span.elements
+    (span.packed) in order."""
 
-    __slots__ = ("space", "span", "rows", "pivots", "elements", "_amap", "alpha")
+    __slots__ = ("space", "span", "rows", "pivots", "alpha")
 
-    def __init__(self, space, rows, alpha_map, validate=True):
+    def __init__(self, space, rows, alpha, validate=True):
         self.space = space
         self.span = space.subspace(tuple(map(tuple, rows)))
-        self.rows, self.pivots, self.elements = (
-            self.span.rows, self.span.pivots, self.span.elements)
-        self._amap = dict(alpha_map)
-        self.alpha = tuple(self._amap[v] for v in self.elements)
+        self.rows, self.pivots = self.span.rows, self.span.pivots
+        self.alpha = tuple(alpha)
         if validate:
             self._validate()
 
     def _validate(self):
-        """Isotropy, then polarization, on L x G for the dn F2-generators
-        G = {xi^a * row_i} of L.  That is the all-pairs check: beta is
-        biadditive, so omega(x, .) vanishes on L once it does on G, and
-        `polarizes` covers L x L from L x G.  Each pair is read on packed
-        vectors, through the omega and beta masks of g."""
+        """Totality, isotropy, then polarization, on L x G for the dn
+        F2-generators G = {xi^a * row_i} of L.  That is the all-pairs check:
+        beta is biadditive, so omega(x, .) vanishes on L once it does on G,
+        and `polarizes` covers L x L from L x G.  Each pair is read on
+        packed vectors, through the omega and beta masks of g."""
         sp, R, span = self.space, self.space.R, self.span
+        if len(self.alpha) != len(span.packed):
+            raise ValueError("alpha must be total on L")
         if len(self.rows) != sp.n:
             raise ValueError("subspace is not middle-dimensional")
         if any(_form_value(x, masks)
@@ -684,9 +696,6 @@ class EnhancedLagrangian(_Keyed):
         if not polarizes(dict(zip(span.packed, self.alpha)), span.packed,
                          span.gens, _beta_pairing(sp, span.beta_masks), R.sub):
             raise ValueError("alpha does not polarize beta")
-
-    def alpha_of(self, v):
-        return self._amap[v]
 
     def key(self):
         return (self.rows, self.alpha)
@@ -698,18 +707,19 @@ class EnhancedLagrangian(_Keyed):
 class Subspace:
     """A k-subspace of V as the per-draw geometry reads it: its RREF rows
     and pivot columns, its elements sorted and, in the same order, packed,
-    and its F2-generators xi^a * row_i (i outer, a inner) packed, with the
-    omega masks and the beta masks of each.  SympSpace.subspace builds one per
-    rows tuple."""
+    the position of each packed element (`index`), and its F2-generators
+    xi^a * row_i (i outer, a inner) packed, with the omega masks and the
+    beta masks of each.  SympSpace.subspace builds one per rows tuple."""
 
-    __slots__ = ("rows", "pivots", "elements", "packed", "gens", "omega_masks",
-                 "beta_masks", "_pivot_bits")
+    __slots__ = ("rows", "pivots", "elements", "packed", "index", "gens",
+                 "omega_masks", "beta_masks", "_pivot_bits")
 
     def __init__(self, space, rows):
         d = space.R.d
         self.rows, self.pivots = linalg.rref_field(space.R, rows)
         self.elements = tuple(sorted(space.span_k(self.rows)))
         self.packed = tuple(map(space.pack, self.elements))
+        self.index = {x: i for i, x in enumerate(self.packed)}
         gens = space.generators(self.rows)
         self.gens = tuple(map(space.pack, gens))
         self.omega_masks = tuple(map(space.omega_masks, gens))

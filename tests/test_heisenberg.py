@@ -19,7 +19,7 @@ from weil2.symplectic import CapExceeded, SympSpace, enumerate_enhanced
 from weil2.heisenberg import (
     AspElement, act_on_enhanced, all_h_elements, asp_inv, asp_mul,
     enumerate_asp, enumerate_sp_R, enumerate_sp_k, group_order, h_mul,
-    is_symplectic_R, lift_sp, preserves_residue_quadratic,
+    lift_sp, preserves_residue_quadratic,
     residue_polarization, symplectic_lift_matrix,
 )
 
@@ -81,8 +81,9 @@ def test_center_and_commutators():
 def test_symplectic_membership():
     sp = _space()
     for g in enumerate_sp_R(sp):
-        assert is_symplectic_R(sp, g)
-    assert not is_symplectic_R(sp, ((1, 0), (0, 2)))
+        assert sp.omt_gram(g, g) == sp.standard_omt_gram()
+    g = ((1, 0), (0, 2))
+    assert sp.omt_gram(g, g) != sp.standard_omt_gram()
 
 
 def test_sp_R_is_closed_under_row_products():
@@ -125,7 +126,7 @@ def test_symplectic_lift_matrix():
     sp = _space()
     for g in enumerate_sp_k(sp):
         gt = symplectic_lift_matrix(sp, g)
-        assert is_symplectic_R(sp, gt)
+        assert sp.omt_gram(gt, gt) == sp.standard_omt_gram()
         assert tuple(sp.reduce_vec(row) for row in gt) == g
 
 

@@ -135,13 +135,18 @@ def _split_reference(sp, e, v):
     return l, _xor(v, l)
 
 
+def _alpha_by_element(e):
+    """alpha of an enhanced Lagrangian as a dict keyed by k-tuples."""
+    return dict(zip(e.span.elements, e.alpha))
+
+
 def _eval_reference(sp, e, h):
     """f((v, z)) = psi(z - alpha(l) - beta(l, t)) f((t, 0)): returns
     (exponent, t)."""
     R = sp.R
     v, z = h
     l, t = _split_reference(sp, e, v)
-    return R.psi_exp(R.sub(R.sub(z, e.alpha_of(l)), sp.beta(l, t))), t
+    return R.psi_exp(R.sub(R.sub(z, _alpha_by_element(e)[l]), sp.beta(l, t))), t
 
 
 def _monomial_reference(sp, e, points):
@@ -177,17 +182,17 @@ def _triple(M):
 def _intertwiner_reference(sp, eM, eL):
     """F_{M,L} term by term: m + t_M split afresh for every term."""
     R = sp.R
-    spanL = set(eL.elements)
+    aM, aL = _alpha_by_element(eM), _alpha_by_element(eL)
     index = {t: j for j, t in enumerate(_transversal_reference(sp, eL))}
     out = []
     for tM in _transversal_reference(sp, eM):
         row = [[0, 0, 0, 0] for _ in range(len(index))]
-        for m in eM.elements:
+        for m in aM:
             l, tL = _split_reference(sp, eL, _xor(m, tM))
-            if l not in spanL:
+            if l not in aL:
                 raise RuntimeError("split left the Lagrangian")
             e = R.psi_exp(R.sub(
-                R.sub(R.add(eM.alpha_of(m), sp.beta(m, tM)), eL.alpha_of(l)),
+                R.sub(R.add(aM[m], sp.beta(m, tM)), aL[l]),
                 sp.beta(l, tL),
             ))
             row[index[tL]][e] += 1
@@ -308,13 +313,14 @@ def _formula_reference(sp, eN, eM, eL):
     """The character sum term by term: r(m), m - r(m) and beta(m, r(m))
     recomputed for every element of M."""
     R = sp.R
-    r = {m: rm for m, rm, *_ in sp.r_terms(eM.rows, eN.rows, eL.rows)}
+    Ms, Ns = eM.span.elements, eN.span.elements
+    r = {Ms[i]: Ns[j] for i, j, *_ in sp.r_terms(eM.rows, eN.rows, eL.rows)}
+    aM, aN, aL = map(_alpha_by_element, (eM, eN, eL))
     tally = [0, 0, 0, 0]
-    for m in eM.elements:
+    for m in Ms:
         rm = r[m]
         lm = tuple(a ^ b for a, b in zip(m, rm))
-        q = R.sub(R.sub(R.add(eM.alpha_of(m), eN.alpha_of(rm)), eL.alpha_of(lm)),
-                  sp.beta(m, rm))
+        q = R.sub(R.sub(R.add(aM[m], aN[rm]), aL[lm]), sp.beta(m, rm))
         tally[R.psi_exp(q)] += 1
     return Cyc8((tally[0] - tally[2], 0, tally[1] - tally[3], 0))
 
@@ -324,20 +330,21 @@ def test_formula_scalar_terms_once_per_subspace_triple():
     from one CharacterSum per subspace triple with each enhancement packed
     once, and through formula_scalar; both give the same shared Cyc8.  The
     subspace terms are computed once per subspace triple: 480 entries, and
-    beta runs once per element of M of each (4 * 480 times)."""
+    psi(beta(m, r(m))) is read once per element of M of each, through one
+    trace mask (4 * 480 of them)."""
     sp = SympSpace(ring(1), 2)
     ref = SympSpace(ring(1), 2)
     subs = sp.enumerate_lagrangians()
     enh = {s: sp.enumerate_enhancements(s) for s in subs}
-    beta_calls = 0
-    plain_beta = sp.beta
+    trace_calls = 0
+    plain_trace_mask = sp.trace_mask
 
-    def counted_beta(v, w):
-        nonlocal beta_calls
-        beta_calls += 1
-        return plain_beta(v, w)
+    def counted_trace_mask(w):
+        nonlocal trace_calls
+        trace_calls += 1
+        return plain_trace_mask(w)
 
-    sp.beta = counted_beta
+    sp.trace_mask = counted_trace_mask
     count = 0
     for rN, rM, rL in sp.transversal_triples():
         k = CharacterSum(sp, rM, rN, rL)
@@ -349,10 +356,10 @@ def test_formula_scalar_terms_once_per_subspace_triple():
             count += 1
     assert count == 30720
     assert len(sp._caches["r_terms"]) == 480
-    assert beta_calls == 4 * 480
+    assert trace_calls == 4 * 480
     for (M, N, L), terms in sp._caches["r_terms"].items():
         assert sp.r_terms(M, N, L) is terms
-        assert [t[0] for t in terms] == list(sp.span_k(M))
+        assert [t[0] for t in terms] == list(range(4))
 
 
 def _seeded_subspace_triples(sp, count, seed):
@@ -412,15 +419,15 @@ def test_character_sum_tracks_a_tampered_alpha(d, n):
     trace_one = next(x for x in range(R.size) if R.psi_exp(x) == 1)
     changed = 0
     for x in (R.one, trace_one):
-        for l in eL.elements:
-            amap = dict(eL._amap)
-            amap[l] = R.add(amap[l], x)
-            bad = EnhancedLagrangian(sp, eL.rows, amap, validate=False)
+        for i in range(len(eL.alpha)):
+            alpha = list(eL.alpha)
+            alpha[i] = R.add(alpha[i], x)
+            bad = EnhancedLagrangian(sp, eL.rows, alpha, validate=False)
             got = k.value(pNM + k.pack_L(bad))
             assert got == _formula_reference(sp, eN, eM, bad)
             assert (got != c) == (R.psi_exp(x) != 0)
             changed += got != c
-    assert changed == len(eL.elements) * (1 + (d % 4 != 0))
+    assert changed == len(eL.alpha) * (1 + (d % 4 != 0))
     for pack, wrong in ((k.pack_M, eL), (k.pack_N, eM), (k.pack_L, eN)):
         with pytest.raises(ValueError, match="enhancement is not over"):
             pack(wrong)

@@ -128,17 +128,22 @@ def test_initial_lift_reduces_to_subspace():
                     assert sp.omt(b, c) == sp.R.zero
 
 
+def _alpha_by_element(e):
+    """alpha of an enhanced Lagrangian as a dict keyed by k-tuples."""
+    return dict(zip(e.span.elements, e.alpha))
+
+
 def test_enhancement_alpha_polarizes_beta():
     """alpha(v + w) = alpha(v) + alpha(w) + beta(v, w) on each subspace."""
     for d, n in ((1, 2), (2, 1)):
         sp = SympSpace(ring(d), n)
         for e in enumerate_enhanced(sp):
-            for v in e.elements:
-                for w in e.elements:
+            alpha = _alpha_by_element(e)
+            for v in alpha:
+                for w in alpha:
                     s = tuple(a ^ b for a, b in zip(v, w))
-                    want = sp.R.add(sp.R.add(e.alpha_of(v), e.alpha_of(w)),
-                                    sp.beta(v, w))
-                    assert e.alpha_of(s) == want
+                    want = sp.R.add(sp.R.add(alpha[v], alpha[w]), sp.beta(v, w))
+                    assert alpha[s] == want
 
 
 @pytest.mark.parametrize("d,n", [(1, 2), (2, 1)])
@@ -149,13 +154,25 @@ def test_alpha_changed_at_one_element_is_refused(d, n):
     R = sp.R
     for rows in sp.enumerate_lagrangians()[:3]:
         e = sp.enhance_from_lift(sp.initial_lift(rows))
-        EnhancedLagrangian(sp, rows, e._amap)
-        for v in e.elements[1:]:
+        EnhancedLagrangian(sp, rows, e.alpha)
+        for i in range(1, len(e.alpha)):
             for delta in (R.one, R.two):
-                alpha = dict(e._amap)
-                alpha[v] = R.add(alpha[v], delta)
+                alpha = list(e.alpha)
+                alpha[i] = R.add(alpha[i], delta)
                 with pytest.raises(ValueError, match="^alpha does not polarize beta$"):
                     EnhancedLagrangian(sp, rows, alpha)
+
+
+@pytest.mark.parametrize("d,n", [(1, 1), (1, 2)])
+def test_alpha_of_the_wrong_length_is_refused(d, n):
+    """An alpha one value short or one value long, over every Lagrangian,
+    is refused with a ValueError before any other check."""
+    sp = SympSpace(ring(d), n)
+    for rows in sp.enumerate_lagrangians():
+        e = sp.enhance_from_lift(sp.initial_lift(rows))
+        for alpha in (e.alpha[:-1], e.alpha + (0,)):
+            with pytest.raises(ValueError, match="^alpha must be total on L$"):
+                EnhancedLagrangian(sp, rows, alpha)
 
 
 def _validate_all_pairs(e):
@@ -166,14 +183,14 @@ def _validate_all_pairs(e):
         raise ValueError("subspace is not middle-dimensional")
     # each unordered pair once: omega(l1, l2) = b12 - b21, and once
     # b12 = b21 both conditions are symmetric in (l1, l2)
-    elems = e.elements
+    elems, alpha = e.span.elements, _alpha_by_element(e)
     for i, l1 in enumerate(elems):
         for l2 in elems[i:]:
             b12 = sp.beta(l1, l2)
             if b12 != sp.beta(l2, l1):
                 raise ValueError("subspace is not isotropic")
             l12 = tuple(a ^ b for a, b in zip(l1, l2))
-            lhs = R.sub(R.sub(e.alpha_of(l12), e.alpha_of(l1)), e.alpha_of(l2))
+            lhs = R.sub(R.sub(alpha[l12], alpha[l1]), alpha[l2])
             if lhs != b12:
                 raise ValueError("alpha does not polarize beta")
 
@@ -205,11 +222,11 @@ def test_generator_validation_matches_all_pairs(d, n, count):
     assert len(enh) == count
     refused = 0
     for e in enh:
-        assert _verdicts(sp, e.rows, e._amap) == ("ok", "ok")
-        for v in e.elements:
+        assert _verdicts(sp, e.rows, e.alpha) == ("ok", "ok")
+        for i in range(len(e.alpha)):
             for delta in (R.one, R.two):
-                alpha = dict(e._amap)
-                alpha[v] = R.add(alpha[v], delta)
+                alpha = list(e.alpha)
+                alpha[i] = R.add(alpha[i], delta)
                 mine, ref = _verdicts(sp, e.rows, alpha)
                 assert mine == ref == "alpha does not polarize beta"
                 refused += 1
@@ -238,19 +255,18 @@ def test_generator_validation_matches_all_pairs_off_lagrangians():
             rows = tuple(tuple(r) for r in rows)
             if rows in lagrangians:
                 continue
-            elems = sp.span_k(rows)
+            elems = sp.subspace(rows).elements
             assert any(sp.omega_field(v, w) for v in elems for w in elems)
-            for alpha in ({v: 0 for v in elems},
-                          {v: sp.beta(v, v) for v in elems},
-                          {v: R.one if any(v) else 0 for v in elems}):
+            for alpha in ([0 for v in elems],
+                          [sp.beta(v, v) for v in elems],
+                          [R.one if any(v) else 0 for v in elems]):
                 mine, ref = _verdicts(sp, rows, alpha)
                 assert mine == "subspace is not isotropic"
                 verdicts[ref] += 1
     assert verdicts == {"subspace is not isotropic": 36,
                         "alpha does not polarize beta": 24}
     e1_f1 = ((1, 0, 0, 0), (0, 0, 1, 0))
-    assert _verdicts(sp, e1_f1, {v: 0 for v in sp.span_k(e1_f1)}) == (
-        ("subspace is not isotropic",) * 2)
+    assert _verdicts(sp, e1_f1, [0] * 4) == (("subspace is not isotropic",) * 2)
 
 
 def test_beta_is_twice_bt_of_the_lifts():
@@ -281,7 +297,7 @@ def test_enhance_from_lift_canonical():
     for rows in sp.enumerate_lagrangians():
         e = sp.enhance_from_lift(sp.initial_lift(rows))
         assert e.rows == rows
-        assert e.alpha_of((0,) * sp.dim) == 0
+        assert e.alpha[e.span.index[0]] == 0
         # the enhancement lies among the full torsor for that subspace
         assert e in sp.enumerate_enhancements(rows)
 
@@ -316,7 +332,7 @@ def test_enhance_matches_the_per_element_reference(d, n, seeded):
     for lift in lifts:
         want = _enhance_reference(sp, lift)
         for basis in (lift, lift[::-1]):
-            assert sp.enhance_from_lift(basis)._amap == want
+            assert _alpha_by_element(sp.enhance_from_lift(basis)) == want
 
 
 def _twisted_by_loop(sp, lift_rows, rng):
@@ -327,15 +343,15 @@ def _twisted_by_loop(sp, lift_rows, rng):
     base = sp.enhance_from_lift(lift_rows)
     tors = list(R.two_torsion())
     dvals = [[rng.choice(tors) for _ in range(R.d)] for _ in base.rows]
-    amap = {}
-    for l, a0 in zip(base.elements, base.alpha):
+    alpha = []
+    for l, a0 in zip(base.span.elements, base.alpha):
         s = a0
         for i, p in enumerate(base.pivots):
             for a in range(R.d):
                 if (l[p] >> a) & 1:
                     s = R.add(s, dvals[i][a])
-        amap[l] = s
-    return EnhancedLagrangian(sp, base.rows, amap)
+        alpha.append(s)
+    return EnhancedLagrangian(sp, base.rows, alpha)
 
 
 @pytest.mark.parametrize("d,n", [(1, 2), (2, 1), (2, 2), (1, 4)])
@@ -459,13 +475,13 @@ def test_r_map_projects_along_complement():
             if not (sp.transversal_k(M, std) and sp.transversal_k(M, N)):
                 continue
             terms = sp.r_terms(M, N, std)
-            assert [m for m, *_ in terms] == list(sp.span_k(M))
-            for m, img, diff, b in terms:
-                # img lies in N and m - img lies in L
-                assert img in set(sp.span_k(N))
-                assert diff == tuple(a ^ b for a, b in zip(m, img))
-                assert diff in set(sp.span_k(std))
-                assert b == sp.beta(m, img)
+            Ms, Ns, Ls = (sp.subspace(rows).elements for rows in (M, N, std))
+            assert [i for i, *_ in terms] == list(range(len(Ms)))
+            for i, j, k, b in terms:
+                # m = img + diff with img in N and diff in L
+                m, img, diff = Ms[i], Ns[j], Ls[k]
+                assert diff == tuple(a ^ c for a, c in zip(m, img))
+                assert b == sp.R.psi_exp(sp.beta(m, img))
 
 
 def _r_map_reference(sp, M_rows, N_rows, L_rows):
@@ -493,9 +509,9 @@ def test_r_map_matches_per_element_solves(d, n):
             if not sp.transversal_k(N, L):
                 continue
             for M in lags:
-                got = {m: rm for m, rm, *_ in sp.r_terms(M, N, L)}
-                want = _r_map_reference(sp, M, N, L)
-                assert list(got.items()) == list(want.items())
+                Ms, Ns = sp.subspace(M).elements, sp.subspace(N).elements
+                got = {Ms[i]: Ns[j] for i, j, *_ in sp.r_terms(M, N, L)}
+                assert got == _r_map_reference(sp, M, N, L)
                 seen += 1
     assert seen == TRANSVERSAL_PAIRS[(d, n)] * len(lags)
 
@@ -512,6 +528,45 @@ def _r_terms_per_triple(sp, M_rows, N_rows, L_rows):
                  for m, rm in zip(sp.span_k(M_rows), sp.span_k(images)))
 
 
+def _r_terms_tuple_rule(sp, M_rows, N_rows, L_rows):
+    """The terms by the rule on k-tuples that r_terms replaced: the pair's
+    projection applied to M's basis rows by vec_mat_field, both spans walked
+    by span_k, and beta on tuples."""
+    P = sp._projection(N_rows, L_rows, True)
+    images = [linalg.vec_mat_field(sp.R, m, P) for m in M_rows]
+    return tuple((m, rm, tuple(a ^ b for a, b in zip(m, rm)), sp.beta(m, rm))
+                 for m, rm in zip(sp.span_k(M_rows), sp.span_k(images)))
+
+
+def _by_position(sp, M_rows, N_rows, L_rows, terms):
+    """Terms (m, r(m), m - r(m), beta(m, r(m))) on k-tuples in the form
+    r_terms gives them: span positions and psi_exp(beta), in M's span
+    order."""
+    M, N, L = (sp.subspace(rows).elements for rows in (M_rows, N_rows, L_rows))
+    return tuple(sorted((M.index(m), N.index(rm), L.index(lm), sp.R.psi_exp(b))
+                        for m, rm, lm, b in terms))
+
+
+@pytest.mark.parametrize("d,n,seeded", [
+    (1, 2, False), (2, 1, False), (1, 4, True), (2, 2, True), (3, 1, True),
+])
+def test_r_terms_match_the_tuple_rule(d, n, seeded):
+    """The packed terms equal the tuple rule read by span position: for
+    every M against every transversal (N, L) at d1n2 and d2n1, and on 20
+    seeded transversal triples at d1n4, d2n2 and d3n1."""
+    sp = SympSpace(ring(d), n)
+    lags = sp.enumerate_lagrangians()
+    if seeded:
+        rng = random.Random(d * 10 + n)
+        triples = [sp.sample_transversal_triple(rng) for _ in range(20)]
+    else:
+        triples = [(N, M, L) for N in lags for L in lags
+                   if sp.transversal_k(N, L) for M in lags]
+    for N, M, L in triples:
+        assert sp.r_terms(M, N, L) == _by_position(
+            sp, M, N, L, _r_terms_tuple_rule(sp, M, N, L))
+
+
 @pytest.mark.parametrize("d,n", [(1, 2), (2, 1)])
 def test_r_terms_read_one_projection_per_pair(d, n):
     """Over every transversal triple, the terms read off the cached
@@ -522,7 +577,8 @@ def test_r_terms_read_one_projection_per_pair(d, n):
     lags = sp.enumerate_lagrangians()
     triples = sp.transversal_triples()
     for N, M, L in triples:
-        assert sp.r_terms(M, N, L) == _r_terms_per_triple(sp, M, N, L)
+        assert sp.r_terms(M, N, L) == _by_position(
+            sp, M, N, L, _r_terms_per_triple(sp, M, N, L))
     assert len(sp._caches["_projection"]) == TRANSVERSAL_PAIRS[(d, n)]
     N = lags[0]
     M = next(M for M in lags if sp.transversal_k(M, N))
@@ -732,7 +788,7 @@ def test_packed_validation_names_isotropy_on_every_plane_at_d2n2():
             for (i, c), v in zip(free, vals):
                 rows[i][c] = v
             rows = tuple(tuple(r) for r in rows)
-            mine, ref = _verdicts(sp, rows, {v: 0 for v in sp.span_k(rows)})
+            mine, ref = _verdicts(sp, rows, [0] * q ** 2)
             if rows in lagrangians:
                 assert mine == ref
             else:
@@ -937,8 +993,7 @@ cases = {
                                      {(1, 0, 0, 0): 1}),
 }
 for message, (rows, changed) in cases.items():
-    alpha = {v: 0 for v in sp.span_k(rows)}
-    alpha.update(changed)
+    alpha = [changed.get(v, 0) for v in sp.subspace(rows).elements]
     try:
         EnhancedLagrangian(sp, rows, alpha)
     except ValueError as exc:

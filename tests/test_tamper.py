@@ -1,6 +1,7 @@
 """Every check family of the witt, trivialization and splitting suites,
-cocycle.three-route, weil.heisenberg-commutant, weil.commutant and three of
-the four intro families can FAIL: each row of the tables below mutates one
+cocycle.three-route (through each of its three routes), weil.heisenberg-
+commutant, weil.commutant, three of the four intro families and three of
+the four disc families can FAIL: each row of the tables below mutates one
 function or constant of weil2 and names the family that must then fail,
 together with any other family the same mutation breaks.  The suite must
 still run to the end and report the failures, at every shape of each such
@@ -13,7 +14,8 @@ import pytest
 from weil2 import heisenberg, models, verify, witt
 from weil2.cyclotomic import I, ONE
 from weil2.models import ZiMatrix
-from weil2.symplectic import SympSpace
+from weil2.galois import ring
+from weil2.symplectic import SympSpace, enumerate_enhanced
 from weil2.transport import ScaledTransport
 from weil2.weil import WeilRepresentation
 
@@ -164,6 +166,61 @@ def test_tampered_route1_fails_three_route(monkeypatch, target, attr, value):
     _assert_fails_exactly(verify.cocycle_checks_small(), {"cocycle.three-route"})
 
 
+pack_M = models.CharacterSum.pack_M
+gauss_scalar = verify.gauss_scalar
+r_terms = SympSpace.r_terms
+
+
+def _last_term_without_r(self, M_rows, N_rows, L_rows):
+    """r_terms with its last entry's N position set to 0: r(m) read as 0
+    at one element m of M.  (At d1n1 every nonzero element of a span has
+    position 1, so swapping an entry's N and L positions changes nothing
+    there.)"""
+    terms = r_terms(self, M_rows, N_rows, L_rows)
+    i, _, k, b = terms[-1]
+    return terms[:-1] + ((i, 0, k, b),)
+
+
+ROUTE23_TAMPERS = [
+    # route 2 only: term 0 turns by -1, which keeps C^4 = -4
+    (models.CharacterSum, "pack_M", lambda self, eM: pack_M(self, eM) + 2,
+     {"cocycle.three-route"}),
+    # route 3 only; the fourth power is read off route 2
+    (verify, "gauss_scalar", lambda *args: gauss_scalar(*args) * I,
+     {"cocycle.three-route"}),
+    # routes 2 and 3; route 2's C^4 = -4 then fails on 16 triples
+    (SympSpace, "r_terms", _last_term_without_r,
+     {"cocycle.three-route", "cocycle.fourth-power"}),
+]
+
+
+@pytest.mark.parametrize("target,attr,value,families", ROUTE23_TAMPERS,
+                         ids=[row[1] for row in ROUTE23_TAMPERS])
+def test_tampered_route23_fails_three_route(monkeypatch, target, attr, value,
+                                            families):
+    """A wrong digit of route 2's character sum, a wrong route 3 scalar, or
+    a wrong r_terms entry, which both routes read, at d1n1: the run goes on
+    and exactly the named families FAIL."""
+    monkeypatch.setattr(target, attr, value)
+    _assert_fails_exactly(verify.cocycle_checks_small(), families)
+
+
+def test_tampered_r_terms_reaches_routes_2_and_3(monkeypatch):
+    """Under the r_terms row above, route 2 disagrees with route 1 on 32 of
+    the 48 enhanced triples at d1n1 and route 3 on 24."""
+    monkeypatch.setattr(SympSpace, "r_terms", _last_term_without_r)
+    sp = SympSpace(ring(1), 1)
+    by_rows = {}
+    for e in enumerate_enhanced(sp):
+        by_rows.setdefault(e.rows, []).append(e)
+    off2 = off3 = 0
+    for t in verify._fibred(sp, by_rows):
+        c1 = models.composition_scalar(sp, *t)
+        off2 += models.formula_scalar(sp, *t) != c1
+        off3 += models.gauss_scalar(sp, *t) != c1
+    assert (off2, off3) == (32, 24)
+
+
 def _identity_like(M):
     """The identity operator of M's shape."""
     return ZiMatrix.monomial([(0, j) for j in range(M.shape[0])], M.shape[1])
@@ -217,3 +274,32 @@ def test_tampered_intro_fails_its_family(monkeypatch, family, target, attr,
                                          value, also):
     monkeypatch.setattr(target, attr, value)
     _assert_fails_exactly(verify.suite_intro(), {family} | also)
+
+
+wedge_identity_checks = verify.wedge_identity_checks
+trace_form = witt.trace_form
+counts_rank = witt.counts_rank
+
+DISC_TAMPERS = [
+    # rank-1 grams only: [R, tr] of the unit form gets determinant -1
+    ("disc.trace-form-unit", "trace_form",
+     lambda R, B: witt.neg_gram(trace_form(R, B)) if len(B) == 1
+     else trace_form(R, B)),
+    ("disc.trace-vs-norm.d2", "ring_disc", lambda R, B: R.one),
+    ("disc.four-term-combination", "counts_rank",
+     lambda counts: counts_rank(counts) + 1),
+]
+
+
+@pytest.mark.parametrize("family,attr,value", DISC_TAMPERS,
+                         ids=[row[0] for row in DISC_TAMPERS])
+def test_tampered_disc_fails_its_family(monkeypatch, family, attr, value):
+    """A wrong trace form, discriminant or rank makes exactly its disc
+    family FAIL.  verify.wedge_identity_checks is stubbed to its d1n1 sweep
+    for both shapes (48 lift triples instead of the 245,760 of d1n2): the
+    wedge identity reads none of the three mutated functions, and its own
+    tamper test is test_verify's shifted gram."""
+    monkeypatch.setattr(verify, "wedge_identity_checks",
+                        lambda d, n: wedge_identity_checks(1, 1))
+    monkeypatch.setattr(witt, attr, value)
+    _assert_fails_exactly(verify.suite_disc(0), {family})
