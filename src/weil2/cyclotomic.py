@@ -226,10 +226,3 @@ def sqrt2_pow(k: int) -> Cyc8:
     half = Cyc8((0, 1, 0, -1), 2)  # sqrt(2)/2
     return SQRT2 ** k if k >= 0 else half ** (-k)
 
-
-_MU4 = {ONE: 0, I: 1, Cyc8((-1, 0, 0, 0)): 2, Cyc8((0, 0, -1, 0)): 3}
-
-
-def mu4_exponent(x: Cyc8):
-    """k with x = i^k, or None when x is not a 4th root of unity."""
-    return _MU4.get(x)

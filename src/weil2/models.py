@@ -26,6 +26,12 @@ Gaussian-integer matrix.  For a transversal pair every matrix entry of
 F_{M,L} is a single fourth root of unity, and the composition route to the
 association scalar is the ZiMatrix product F_{N,M} F_{M,L} divided by
 F_{N,L}.
+Every ZiMatrix product, inverses included, goes through one packed kernel
+(`_zi_product`): each row of the right operand, and i times it, is packed
+once per matrix into one int of fixed-width slots, and each output row is
+one integer linear combination of those ints (Kronecker substitution),
+read back slot by slot.  `mu4_ratio` reads a ratio in {1, i, -1, -i} from
+the Gaussian parts, without Cyc8.
 """
 from __future__ import annotations
 
@@ -148,22 +154,29 @@ def monomial_exponents(c):
     raise ValueError(f"{c} is not zeta^e * sqrt2^s")
 
 
-def _zi_matmul(X, Y):
-    """X Y over Z[i], zero entries skipped (the operators here are monomial
-    or sparse)."""
-    m = len(Y[0])
-    ynz = [[(j, br, bi) for j, (br, bi) in enumerate(row) if br or bi]
-           for row in Y]
+def _zi_product(X, Y):
+    """The Z[i] rows of X Y, for ZiMatrix values X and Y, by Kronecker
+    substitution.  Row k of Y is packed into two ints at a slot width W
+    (Y._packed): P_k with entry j in W-bit slots 2j (re) and 2j + 1 (im),
+    and Q_k the same for i times the row.  Output row r is then the single
+    int bias + sum_k re(X[r][k]) P_k + im(X[r][k]) Q_k, read back slot by
+    slot.  With b(.) the bit length of the largest real or imaginary part,
+    every output part is below k 2^(b(X) + b(Y) + 1) in absolute value, so
+    W = b(X) + b(Y) + bitlen(k) + 2, rounded up to a multiple of 8, keeps
+    it in one slot; the bias adds 2^(W-1) to every slot, so no slot is
+    negative and none borrows from the next."""
+    width = X._entry_bits() + Y._entry_bits() + len(Y.rows).bit_length() + 2
+    width = -(-width // 8) * 8
+    PQ, bias = Y._packed(width)
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    shifts = range(0, 2 * width * len(Y.rows[0]), 2 * width)
     out = []
-    for row in X:
-        re = [0] * m
-        im = [0] * m
-        for k, (ar, ai) in enumerate(row):
-            if ar or ai:
-                for j, br, bi in ynz[k]:
-                    re[j] += ar * br - ai * bi
-                    im[j] += ar * bi + ai * br
-        out.append(tuple(zip(re, im)))
+    for row in X.rows:
+        acc = bias
+        for (ar, ai), (p, q) in zip(row, PQ):
+            acc += ar * p + ai * q
+        out.append(tuple((((acc >> s) & mask) - half,
+                          ((acc >> (s + width)) & mask) - half) for s in shifts))
     return tuple(out)
 
 
@@ -178,19 +191,57 @@ class ZiMatrix:
     a tuple of row tuples of Gaussian integers (re, im).
 
     Two values are equal when the matrices they stand for are, whatever
-    their triples.  Products add exponents; inverses go by the adjoint;
-    `ratio` divides by a proportional operator; `to_cyc` gives the dense
-    Cyc8 matrix."""
+    their triples.  Products add exponents and multiply the Z[i] parts in
+    one packed kernel (`_zi_product`); inverses go by the adjoint; `ratio`
+    divides by a proportional operator and `mu4_ratio` reads a fourth root
+    of unity ratio without Cyc8; `to_cyc` gives the dense Cyc8 matrix.
+    The entry bit bound and the packed rows of the kernel are memoized on
+    the instance, since the value is immutable."""
 
-    __slots__ = ("zeta_exp", "sqrt2_exp", "rows")
+    __slots__ = ("zeta_exp", "sqrt2_exp", "rows", "_bits", "_packs")
 
     def __init__(self, zeta_exp, sqrt2_exp, rows):
         object.__setattr__(self, "zeta_exp", zeta_exp % 8)
         object.__setattr__(self, "sqrt2_exp", sqrt2_exp)
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
+        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
 
     def __setattr__(self, *_):
         raise AttributeError("ZiMatrix is immutable")
+
+    def _entry_bits(self):
+        """The bit length of the largest real or imaginary part."""
+        try:
+            return self._bits
+        except AttributeError:
+            bits = max((abs(x) for row in self.rows for z in row for x in z),
+                       default=0).bit_length()
+            object.__setattr__(self, "_bits", bits)
+            return bits
+
+    def _packed(self, width):
+        """(PQ, bias) of `_zi_product` at slot width `width`: PQ holds the
+        pair (P_k, Q_k) of each row, and bias is 2^(width-1) in every slot
+        of a row."""
+        try:
+            memo = self._packs
+        except AttributeError:
+            memo = {}
+            object.__setattr__(self, "_packs", memo)
+        packs = memo.get(width)
+        if packs is None:
+            cols = len(self.rows[0])
+            starts = range(0, 2 * width * cols, 2 * width)
+            PQ = []
+            for row in self.rows:
+                p = q = 0
+                for s, (re, im) in zip(starts, row):
+                    p += (re << s) + (im << (s + width))
+                    q += (re << (s + width)) - (im << s)
+                PQ.append((p, q))
+            bias = ((1 << (width - 1)) * ((1 << (2 * width * cols)) - 1)
+                    // ((1 << width) - 1))
+            packs = memo[width] = (PQ, bias)
+        return packs
 
     @staticmethod
     def monomial(entries, cols):
@@ -211,9 +262,11 @@ class ZiMatrix:
     def __matmul__(self, other):
         if not isinstance(other, ZiMatrix):
             return NotImplemented
+        if len(self.rows[0]) != len(other.rows):
+            raise ValueError(f"shapes {self.shape} and {other.shape} do not chain")
         return ZiMatrix(self.zeta_exp + other.zeta_exp,
                         self.sqrt2_exp + other.sqrt2_exp,
-                        _zi_matmul(self.rows, other.rows))
+                        _zi_product(self, other))
 
     def scaled(self, c):
         """c * self for a Cyc8 scalar c = zeta^e sqrt2^s."""
@@ -242,40 +295,79 @@ class ZiMatrix:
         Z[i] part satisfies that with c a power of 2 (so that the inverse is
         again of this form)."""
         n, m = self.shape
+        if n != m:
+            raise ValueError("A A* is not a nonzero scalar matrix")
         adj = self.adjoint()
-        P = _zi_matmul(self.rows, adj.rows)
+        P = _zi_product(self, adj)
         c = P[0][0][0]
         k = c.bit_length() - 1
-        if n != m or c <= 0 or any(
-                P[i][j] != ((c, 0) if i == j else (0, 0))
-                for i in range(n) for j in range(n)):
+        if c <= 0 or any(P[i][j] != ((c, 0) if i == j else (0, 0))
+                         for i in range(n) for j in range(n)):
             raise ValueError("A A* is not a nonzero scalar matrix")
         if c != 1 << k:
             raise ValueError(f"A A* = {c} I: not a power of 2")
         return ZiMatrix(-self.zeta_exp, -self.sqrt2_exp - 2 * k, adj.rows)
 
-    def ratio(self, other):
-        """The Cyc8 r with self == r * other, or None when other is zero or
-        the two are not proportional."""
-        if self.shape != other.shape:
-            raise ValueError(f"shapes {self.shape} and {other.shape} differ")
+    def _proportion(self, other):
+        """(p, q) with X q == Y p entrywise, for X and Y the Z[i] parts of
+        self and other, q the first nonzero entry of Y and p the entry of X
+        there; None when Y is zero or X is not proportional to it."""
         X, Y = self.rows, other.rows
+        if len(X) != len(Y) or len(X[0]) != len(Y[0]):
+            raise ValueError(f"shapes {self.shape} and {other.shape} differ")
         first = next(((p, q) for rx, ry in zip(X, Y) for p, q in zip(rx, ry)
                       if q != (0, 0)), None)
         if first is None:
             return None
         (pr, pi), (qr, qi) = first
-        # X q == Y p entrywise over Z[i]
         for rx, ry in zip(X, Y):
             for (xr, xi), (yr, yi) in zip(rx, ry):
                 if (xr * qr - xi * qi != yr * pr - yi * pi
                         or xr * qi + xi * qr != yr * pi + yi * pr):
                     return None
+        return first
+
+    def ratio(self, other):
+        """The Cyc8 r with self == r * other, or None when other is zero or
+        the two are not proportional."""
+        pq = self._proportion(other)
+        if pq is None:
+            return None
+        (pr, pi), (qr, qi) = pq
         u, den = _zeta_coeffs(self.zeta_exp - other.zeta_exp,
                               self.sqrt2_exp - other.sqrt2_exp)
         # p / q = p conj(q) / |q|^2
         return _times_unit((pr * qr + pi * qi, pi * qr - pr * qi), u,
                            den * (qr * qr + qi * qi))
+
+    def mu4_ratio(self, other):
+        """The c in 0..3 with self == i^c * other, or None when there is no
+        such c, in Gaussian integers alone.  With de, ds the differences of
+        the zeta and sqrt2 exponents, zeta^de sqrt2^ds = i^((de + ds)/2)
+        (1 - i)^ds, since sqrt2 = zeta (1 - i); when de + ds is odd the
+        ratio is zeta times an element of Q(i), never a power of i.
+        Otherwise, with (1 - i)^2 = -2i, the ratio is
+        i^((de + o)/2) 2^t (1 - i)^o p / q for o = ds mod 2, t = (ds - o)/2
+        and (p, q) of `_proportion`."""
+        pq = self._proportion(other)
+        de = self.zeta_exp - other.zeta_exp
+        ds = self.sqrt2_exp - other.sqrt2_exp
+        if pq is None or (de + ds) % 2:
+            return None
+        (ar, ai), (br, bi) = pq
+        o = ds % 2
+        if o:
+            ar, ai = ar + ai, ai - ar
+        t = (ds - o) // 2
+        if t > 0:
+            ar, ai = ar << t, ai << t
+        else:
+            br, bi = br << -t, bi << -t
+        # a = i^c b
+        for c, rot in enumerate(((br, bi), (-bi, br), (-br, -bi), (bi, -br))):
+            if (ar, ai) == rot:
+                return ((de + o) // 2 + c) % 4
+        return None
 
     def __eq__(self, other):
         if not isinstance(other, ZiMatrix):
@@ -418,6 +510,8 @@ def gauss_scalar(space, eN, eM, eL):
     omt_L(mt, mt) plus a 2R-valued defect sigma; sigma matches a linear
     character psi(2 omt_L(mt_s, .)) and completes into the square, so
     C = psi(-omt_L(mt_s, mt_s)) * G([Mt, tr omt_L]).
+    None when sigma matches no linear character, which the three-route
+    check counts as a disagreement, as it does route 1's None.
     Imports witt on its first call, so that route 2 alone does not load it.
     """
     from .witt import gauss_sum, trace_form
@@ -454,7 +548,7 @@ def gauss_scalar(space, eN, eM, eL):
                if all(s == R.psi_exp(R.mul(R.two, gram_eval(cc, cm)))
                       for s, cm in zip(sigma_exp, coeffs))), None)
     if cs is None:
-        raise ValueError("sigma does not match any linear character")
+        return None
 
     shift = Cyc8.i_pow(-R.psi_exp(gram_eval(cs, cs)) % 4)
     return shift * gauss_sum(trace_form(R, gram))

@@ -31,6 +31,7 @@ packed generators, and `polarizes` checks one on span x generators.
 from __future__ import annotations
 
 import collections
+import collections.abc
 import functools
 import itertools
 import math
@@ -667,11 +668,15 @@ class EnhancedLagrangian(_Keyed):
     """A Lagrangian subspace with a quadratic function alpha polarizing beta:
     alpha(l1 + l2) - alpha(l1) - alpha(l2) = beta(l1, l2).  alpha is given
     and kept as a sequence of values, one per element of span.elements
-    (span.packed) in order."""
+    (span.packed) in order.  A mapping is refused (ValueError), validated
+    or not: the tuple of its keys would pass for the values."""
 
     __slots__ = ("space", "span", "rows", "pivots", "alpha")
 
     def __init__(self, space, rows, alpha, validate=True):
+        if isinstance(alpha, collections.abc.Mapping):
+            raise ValueError("alpha must be a sequence over span.elements, "
+                             "not a mapping")
         self.space = space
         self.span = space.subspace(tuple(map(tuple, rows)))
         self.rows, self.pivots = self.span.rows, self.span.pivots

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import PRNG_NAME, SUITE_NAMES, linalg, witt
-from .cyclotomic import Cyc8, I, ONE, mu4_exponent
+from .cyclotomic import Cyc8, I, ONE
 from .galois import MAX_D, ring
 from .heisenberg import (
     all_h_elements,
@@ -622,9 +622,8 @@ def suite_weil():
                         f"{total} pairs in Sp over Z4; values are signs"))
 
     at = [asp.position(lift_sp(sp, g)) for g in spR]
-    total, bad = _count(r is not None and mu4_exponent(r) is not None
-                        for r in (S.operator(g).ratio(W.operator(asp[p]))
-                                  for g, p in zip(spR, at)))
+    total, bad = _count(S.operator(g).mu4_ratio(W.operator(asp[p])) is not None
+                        for g, p in zip(spR, at))
     checks.append(Check("weil.split-vs-enhanced", total, bad,
                         f"W_s(g) is a mu4 multiple of W(lift(g)) for all {total} g"))
 

