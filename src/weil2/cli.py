@@ -351,6 +351,7 @@ def cmd_emit_corpus(args):
     from . import witt
     from .heisenberg import enumerate_asp, enumerate_sp_R
     from .transport import splitting_transport, trivialization_transport
+    from .models import monomial_cyc
     from .weil import SplitWeilRepresentation, WeilRepresentation, canonical_root
 
     # the table's refusal runs here, before the ring is built; the other
@@ -403,16 +404,16 @@ def cmd_emit_corpus(args):
         lam = []
         base = W.base
         for e in enumerate_enhanced(sp):
-            T = trivialization_transport(sp, e, base)
-            lam.append({"L": repr(e.key()), "scalar": T.scalar.to_json(),
-                        "lambda": canonical_root(T.scalar, 4).to_json()})
+            s = trivialization_transport(sp, e, base).scalar
+            lam.append({"L": repr(e.key()), "scalar": monomial_cyc(*s).to_json(),
+                        "lambda": monomial_cyc(*canonical_root(s, 4)).to_json()})
         corpus["lambda_roots"] = lam
         mu = []
         obase = S.base
         for o in sp.enumerate_oriented():
-            St = splitting_transport(sp, o, obase)
-            mu.append({"L": repr(o.key()), "scalar": St.scalar.to_json(),
-                       "mu": canonical_root(St.scalar, 2).to_json()})
+            s = splitting_transport(sp, o, obase).scalar
+            mu.append({"L": repr(o.key()), "scalar": monomial_cyc(*s).to_json(),
+                       "mu": monomial_cyc(*canonical_root(s, 2)).to_json()})
         corpus["mu_roots"] = mu
 
     with _output(args.out) as fh:

@@ -219,10 +219,3 @@ ONE = Cyc8((1, 0, 0, 0))
 I = Cyc8((0, 0, 1, 0))
 ZETA = Cyc8((0, 1, 0, 0))
 SQRT2 = Cyc8((0, 1, 0, -1))  # z + z^-1
-
-
-def sqrt2_pow(k: int) -> Cyc8:
-    """Exact 2^{k/2} for any integer k (negative allowed)."""
-    half = Cyc8((0, 1, 0, -1), 2)  # sqrt(2)/2
-    return SQRT2 ** k if k >= 0 else half ** (-k)
-

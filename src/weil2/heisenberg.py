@@ -56,10 +56,10 @@ def all_h_elements(space):
 class AspElement(_Keyed):
     """(g, alpha): a symplectic k-matrix g together with a compatible shift
     alpha of the center coordinate, stored as a table indexed by packed v
-    next to act = SympSpace.action(g); key() reads alpha in lexicographic
-    order of V."""
+    next to act = SympSpace.action(g); key() is (g, alpha in lexicographic
+    order of V), built once."""
 
-    __slots__ = ("space", "g", "act", "alpha")
+    __slots__ = ("space", "g", "act", "alpha", "_key")
 
     def __init__(self, space, g, alpha, validate=True):
         self.space = space
@@ -68,6 +68,8 @@ class AspElement(_Keyed):
         self.alpha = tuple(alpha)
         if validate:
             self._validate()
+        self._key = (self.g, tuple(map(self.alpha.__getitem__,
+                                       space.whole().packed)))
 
     def _validate(self):
         """Compatibility on V x the unit generators: the all-pairs check by
@@ -86,7 +88,7 @@ class AspElement(_Keyed):
         return (self.space.unpack(self.act[x]), self.space.R.add(z, self.alpha[x]))
 
     def key(self):
-        return (self.g, tuple(map(self.alpha.__getitem__, self.space.whole().packed)))
+        return self._key
 
     def __repr__(self):
         return f"AspElement(g={self.g}, alpha={self.key()[1]})"

@@ -30,8 +30,9 @@ Every ZiMatrix product, inverses included, goes through one packed kernel
 (`_zi_product`): each row of the right operand, and i times it, is packed
 once per matrix into one int of fixed-width slots, and each output row is
 one integer linear combination of those ints (Kronecker substitution),
-read back slot by slot.  `mu4_ratio` reads a ratio in {1, i, -1, -i} from
-the Gaussian parts, without Cyc8.
+read back slot by slot.  Every ratio between operators is a monomial
+zeta^e sqrt2^s read by one rule, `gaussian_monomial`, on Gaussian
+integers, and stays an exponent pair (e, s) until output.
 """
 from __future__ import annotations
 
@@ -113,14 +114,15 @@ def intertwiner_matrix(eM, eL):
 # Every operator of the models -> transports -> Weil layers is a unit monomial
 # times a Gaussian-integer matrix: pi(h) and P_a are monomial with mu4
 # entries, intertwiners have Z[i] entries, and every root and transport
-# scalar is zeta^e sqrt2^s.  So an operator is kept as that triple, and
-# Cyc8 numbers are built only for scalars and for output.
+# scalar is zeta^e sqrt2^s.  So an operator is kept as that triple, every
+# scalar as its exponent pair (e, s), and Cyc8 numbers are built only for
+# output and for route 1's value.
 
 _I_POW = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-def _zeta_coeffs(e, s):
-    """zeta^e sqrt2^s as (coefficients over 1, z, z^2, z^3, denominator)."""
+def monomial_cyc(e, s):
+    """zeta^e sqrt2^s as a Cyc8."""
     t, odd = divmod(s, 2)
     c = [0, 0, 0, 0]
     # sqrt2 = z - z^3
@@ -128,30 +130,34 @@ def _zeta_coeffs(e, s):
         k %= 8
         c[k % 4] += sign if k < 4 else -sign
     if t >= 0:
-        return tuple(x << t for x in c), 1
-    return tuple(c), 1 << -t
+        return Cyc8([x << t for x in c])
+    return Cyc8(c, 1 << -t)
 
 
-def _times_unit(z, u, den):
-    """The Cyc8 (re + im z^2) * (u0 + u1 z + u2 z^2 + u3 z^3) / den."""
-    re, im = z
-    u0, u1, u2, u3 = u
-    return Cyc8((re * u0 - im * u2, re * u1 - im * u3,
-                 re * u2 + im * u0, re * u3 + im * u1), den)
+def gaussian_monomial(p, q):
+    """(e, s) with p / q = zeta^e sqrt2^s for Gaussian integers p and q, e in
+    0..7; None when p / q is not of that form, p or q zero included.
 
-
-def monomial_exponents(c):
-    """(e, s) with c = zeta^e sqrt2^s exactly, e in 0..7; ValueError when c
-    is not of that form."""
-    nz = [x for x in c.a if x]
-    if nz:
-        # every nonzero coefficient of zeta^e sqrt2^(2t or 2t+1) is +-2^t
-        t = abs(nz[0]).bit_length() - c.den.bit_length()
-        for s in (2 * t, 2 * t + 1):
-            for e in range(8):
-                if Cyc8(*_zeta_coeffs(e, s)) == c:
-                    return e, s
-    raise ValueError(f"{c} is not zeta^e * sqrt2^s")
+    zeta sqrt2 = 1 + i, so the test is p = i^k (1 + i)^b q, with e = 2k + b
+    and s = b; it forces |p|^2 = 2^b |q|^2, so b is the difference of the
+    bit lengths of the two norms.  With b = 2t + o, o in {0, 1}, and
+    (1 + i)^2 = 2i it reads 2^-t p = i^(k + t) (1 + i)^o q, and then
+    e = 2(k + t) + o."""
+    (pr, pi), (qr, qi) = p, q
+    if not (qr or qi):
+        return None
+    b = (pr * pr + pi * pi).bit_length() - (qr * qr + qi * qi).bit_length()
+    t, o = divmod(b, 2)
+    if o:
+        qr, qi = qr - qi, qr + qi
+    if t > 0:
+        qr, qi = qr << t, qi << t
+    else:
+        pr, pi = pr << -t, pi << -t
+    for c, rot in enumerate(((qr, qi), (-qi, qr), (-qr, -qi), (qi, -qr))):
+        if (pr, pi) == rot:
+            return (2 * c + o) % 8, b
+    return None
 
 
 def _zi_product(X, Y):
@@ -180,12 +186,6 @@ def _zi_product(X, Y):
     return tuple(out)
 
 
-def _zi_scale(X, w):
-    wr, wi = w
-    return tuple(tuple((xr * wr - xi * wi, xr * wi + xi * wr) for xr, xi in row)
-                 for row in X)
-
-
 class ZiMatrix:
     """The exact matrix zeta^zeta_exp * sqrt2^sqrt2_exp * rows, where rows is
     a tuple of row tuples of Gaussian integers (re, im).
@@ -193,8 +193,9 @@ class ZiMatrix:
     Two values are equal when the matrices they stand for are, whatever
     their triples.  Products add exponents and multiply the Z[i] parts in
     one packed kernel (`_zi_product`); inverses go by the adjoint; `ratio`
-    divides by a proportional operator and `mu4_ratio` reads a fourth root
-    of unity ratio without Cyc8; `to_cyc` gives the dense Cyc8 matrix.
+    gives the exponents (e, s) of zeta^e sqrt2^s between proportional
+    operators by `gaussian_monomial`, and `mu4_ratio` and `==` read it;
+    `to_cyc` gives the dense Cyc8 matrix.
     The entry bit bound and the packed rows of the kernel are memoized on
     the instance, since the value is immutable."""
 
@@ -268,9 +269,8 @@ class ZiMatrix:
                         self.sqrt2_exp + other.sqrt2_exp,
                         _zi_product(self, other))
 
-    def scaled(self, c):
-        """c * self for a Cyc8 scalar c = zeta^e sqrt2^s."""
-        e, s = monomial_exponents(c)
+    def scaled(self, e, s):
+        """zeta^e sqrt2^s * self."""
         return ZiMatrix(self.zeta_exp + e, self.sqrt2_exp + s, self.rows)
 
     def kron(self, other):
@@ -328,67 +328,40 @@ class ZiMatrix:
         return first
 
     def ratio(self, other):
-        """The Cyc8 r with self == r * other, or None when other is zero or
-        the two are not proportional."""
+        """(e, s) with self == zeta^e sqrt2^s * other, e in 0..7, or None
+        when either is zero or the ratio is no such monomial."""
         pq = self._proportion(other)
-        if pq is None:
+        r = None if pq is None else gaussian_monomial(*pq)
+        if r is None:
             return None
-        (pr, pi), (qr, qi) = pq
-        u, den = _zeta_coeffs(self.zeta_exp - other.zeta_exp,
-                              self.sqrt2_exp - other.sqrt2_exp)
-        # p / q = p conj(q) / |q|^2
-        return _times_unit((pr * qr + pi * qi, pi * qr - pr * qi), u,
-                           den * (qr * qr + qi * qi))
+        return ((r[0] + self.zeta_exp - other.zeta_exp) % 8,
+                r[1] + self.sqrt2_exp - other.sqrt2_exp)
 
     def mu4_ratio(self, other):
         """The c in 0..3 with self == i^c * other, or None when there is no
-        such c, in Gaussian integers alone.  With de, ds the differences of
-        the zeta and sqrt2 exponents, zeta^de sqrt2^ds = i^((de + ds)/2)
-        (1 - i)^ds, since sqrt2 = zeta (1 - i); when de + ds is odd the
-        ratio is zeta times an element of Q(i), never a power of i.
-        Otherwise, with (1 - i)^2 = -2i, the ratio is
-        i^((de + o)/2) 2^t (1 - i)^o p / q for o = ds mod 2, t = (ds - o)/2
-        and (p, q) of `_proportion`."""
-        pq = self._proportion(other)
-        de = self.zeta_exp - other.zeta_exp
-        ds = self.sqrt2_exp - other.sqrt2_exp
-        if pq is None or (de + ds) % 2:
+        such c."""
+        r = self.ratio(other)
+        if r is None or r[1] or r[0] % 2:
             return None
-        (ar, ai), (br, bi) = pq
-        o = ds % 2
-        if o:
-            ar, ai = ar + ai, ai - ar
-        t = (ds - o) // 2
-        if t > 0:
-            ar, ai = ar << t, ai << t
-        else:
-            br, bi = br << -t, bi << -t
-        # a = i^c b
-        for c, rot in enumerate(((br, bi), (-bi, br), (-br, -bi), (bi, -br))):
-            if (ar, ai) == rot:
-                return ((de + o) // 2 + c) % 4
-        return None
+        return r[0] // 2
 
     def __eq__(self, other):
         if not isinstance(other, ZiMatrix):
             return NotImplemented
         if self.shape != other.shape:
             return False
-        a, b = (self, other) if self.sqrt2_exp <= other.sqrt2_exp else (other, self)
-        de, ds = b.zeta_exp - a.zeta_exp, b.sqrt2_exp - a.sqrt2_exp
-        if (de - ds) % 2:
-            # zeta^de sqrt2^ds lies outside Q(i): equal only when both are 0
-            return a.is_zero() and b.is_zero()
-        (w0, _, w2, _), _ = _zeta_coeffs(de, ds)
-        return a.rows == _zi_scale(b.rows, (w0, w2))
+        r = self.ratio(other)
+        if r is None:
+            return other.is_zero() and self.is_zero()
+        return r == (0, 0)
 
     def is_zero(self):
         return all(x == (0, 0) for row in self.rows for x in row)
 
     def to_cyc(self):
         """The dense matrix of Cyc8 entries."""
-        u, den = _zeta_coeffs(self.zeta_exp, self.sqrt2_exp)
-        return tuple(tuple(_times_unit(x, u, den) for x in row)
+        u = monomial_cyc(self.zeta_exp, self.sqrt2_exp)
+        return tuple(tuple(u * Cyc8((re, 0, im, 0)) for re, im in row)
                      for row in self.rows)
 
     def __repr__(self):
@@ -400,14 +373,16 @@ class ZiMatrix:
 
 def composition_scalar(space, eN, eM, eL):
     """Route 1: compose F_{N,M} F_{M,L} and divide by F_{N,L}, checking full
-    proportionality; None when the composite is not proportional to the
-    target, which the three-route check counts as a disagreement.
+    proportionality; None when the composite is not a monomial
+    zeta^e sqrt2^s times the target, which the three-route check counts as
+    a disagreement.
     Requires all three pairs transversal."""
     for a, b in ((eN, eM), (eM, eL), (eN, eL)):
         if not space.transversal_k(a.rows, b.rows):
             raise ValueError("composition route requires a transversal pair")
-    return (intertwiner_matrix(eN, eM) @ intertwiner_matrix(eM, eL)).ratio(
+    r = (intertwiner_matrix(eN, eM) @ intertwiner_matrix(eM, eL)).ratio(
         intertwiner_matrix(eN, eL))
+    return None if r is None else monomial_cyc(*r)
 
 
 def formula_scalar(space, eN, eM, eL):

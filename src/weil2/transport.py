@@ -4,9 +4,12 @@ with exact equality testing.
 A ScaledTransport (s, P, p) stands for s^{1/p} * P without ever
 extracting the root: two transports are equal when their matrices
 (ZiMatrix values) are proportional, P = r * P', and s == s' * r^p.
+Every scalar here, s and r alike, is a monomial zeta^e sqrt2^s and is kept
+as its exponent pair (e, s), e in 0..7; scalars multiply by adding
+exponents (`monomial_product`).
 
 The trivializing scalar for the intertwiner groupoid is the rational
-    A = (-1)^{dn} / 4^{dn}
+    A = (-1)^{dn} / 4^{dn} = zeta^{4dn} sqrt2^{-4dn}
 (with p = 4); the composite of two canonical intertwiners is C * F with
 C^4 = (-1)^{dn} 4^{dn}, so A-scaled transports compose on the nose.
 
@@ -18,12 +21,14 @@ G([X])^4 = (-1)^{rk} 4^{rk}.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .cyclotomic import Cyc8
-from .models import intertwiner_matrix
+from .models import gaussian_monomial, intertwiner_matrix
 from .symplectic import OrientedLagrangian
 from .witt import gauss_sum, trace_form
+
+
+def monomial_product(a, b, p=1):
+    """a * b^p for exponent pairs (e, s) of zeta^e sqrt2^s."""
+    return (a[0] + p * b[0]) % 8, a[1] + p * b[1]
 
 
 class ScaledTransport:
@@ -38,9 +43,8 @@ class ScaledTransport:
         """Operator product self . other (apply other first)."""
         if self.power != other.power:
             raise ValueError("cannot compose transports of different powers")
-        return ScaledTransport(
-            self.scalar * other.scalar, self.matrix @ other.matrix, self.power
-        )
+        return ScaledTransport(monomial_product(self.scalar, other.scalar),
+                               self.matrix @ other.matrix, self.power)
 
     def __eq__(self, other):
         """s1^{1/p} P1 == s2^{1/p} P2: with P1 = r P2 this is s1 r^p == s2."""
@@ -49,7 +53,7 @@ class ScaledTransport:
         r = self.matrix.ratio(other.matrix)
         if r is None:
             return False
-        return self.scalar * r ** self.power == other.scalar
+        return monomial_product(self.scalar, r, self.power) == other.scalar
 
     def __repr__(self):
         return (f"ScaledTransport(scalar={self.scalar}, "
@@ -57,8 +61,9 @@ class ScaledTransport:
 
 
 def trivializing_scalar(space):
+    """A = (-1)^{dn} / 4^{dn} as its exponent pair."""
     dn = space.dn
-    return Cyc8.from_rational(Fraction((-1) ** dn, 4 ** dn))
+    return 4 * dn % 8, -4 * dn
 
 
 def first_transversal_rows(space, rows1, rows2):
@@ -86,7 +91,7 @@ def trivialization_transport(space, eM, eL):
     when the pair itself is not transversal."""
     A = trivializing_scalar(space)
     Kt, F = _intertwiner(space, eM, eL)
-    return ScaledTransport(A if Kt is None else A * A, F, 4)
+    return ScaledTransport(A if Kt is None else monomial_product(A, A), F, 4)
 
 
 def wedge_form(space, oM, oL):
@@ -100,9 +105,16 @@ def wedge_form(space, oM, oL):
 
 
 def splitting_scalar(space, oM, oL):
-    """A_split(Mt, Lt) / |M|^2 for a transversal oriented pair."""
+    """A_split(Mt, Lt) / |M|^2 = G^2 / 4^{dn} for a transversal oriented
+    pair, from the exponents of the Gaussian integer G = zeta^e sqrt2^s.
+    RuntimeError when G is not of that form."""
     G = gauss_sum(trace_form(space.R, wedge_form(space, oM, oL)))
-    return (G * G) * Cyc8.from_rational(Fraction(1, 4 ** space.dn))
+    a0, a1, a2, a3 = G.a
+    g = (None if a1 or a3 or G.den != 1
+         else gaussian_monomial((a0, a2), (1, 0)))
+    if g is None:
+        raise RuntimeError(f"Gauss sum {G} is not zeta^e sqrt2^s")
+    return monomial_product((0, -4 * space.dn), g, 2)
 
 
 def enhanced_of_oriented(space, oX):
@@ -117,10 +129,11 @@ def splitting_transport(space, oM, oL):
         s = splitting_scalar(space, oM, oL)
     else:
         oK = OrientedLagrangian(Kt, space.R.one)
-        s = splitting_scalar(space, oM, oK) * splitting_scalar(space, oK, oL)
+        s = monomial_product(splitting_scalar(space, oM, oK),
+                             splitting_scalar(space, oK, oL))
     return ScaledTransport(s, F, 2)
 
 
 def transport_square(S):
     """The power-4 transport with the same matrix and squared scalar."""
-    return ScaledTransport(S.scalar * S.scalar, S.matrix, 4)
+    return ScaledTransport(monomial_product(S.scalar, S.scalar), S.matrix, 4)

@@ -47,6 +47,7 @@ from .symplectic import (
 from .transport import (
     ScaledTransport,
     enhanced_of_oriented,
+    monomial_product,
     splitting_transport,
     transport_square,
     trivialization_transport,
@@ -335,7 +336,7 @@ def materialize_transport(T):
     P = out = T.matrix
     for _ in range(T.power - 1):
         out = out.kron(P)
-    return out.scaled(T.scalar)
+    return out.scaled(*T.scalar)
 
 
 def suite_trivialization():
@@ -353,7 +354,7 @@ def suite_trivialization():
     # every admissible auxiliary K yields the same transport
     A = trivializing_scalar(sp)
     total, bad = _count(
-        ScaledTransport(A * A, intertwiner_matrix(eM, eK)
+        ScaledTransport(monomial_product(A, A), intertwiner_matrix(eM, eK)
                         @ intertwiner_matrix(eK, eL), 4)
         == T[eM, eL]
         for eM, eL, eK in itertools.product(enh, repeat=3)

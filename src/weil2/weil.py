@@ -4,7 +4,8 @@ scaled-transport trivialization, together with its oriented refinement.
 For each enhanced Lagrangian the transport T_{L,L0} to the base carries a
 rational scalar whose canonical fourth root lambda_L turns the transport
 matrix into an honest matrix E_L; transitions E_{M,L} = E_M E_L^{-1} then
-compose exactly.  The operator attached to a in ASp(V) is
+compose exactly.  Scalars and roots are monomials zeta^e sqrt2^s, handled
+as their exponent pairs (e, s) throughout.  The operator attached to a in ASp(V) is
 
     W(a) = E_{L0, a.L0} P_a,      (P_a f)(h) = f(a^{-1} h),
 
@@ -20,9 +21,9 @@ from __future__ import annotations
 import collections
 
 from . import linalg
-from .cyclotomic import Cyc8, sqrt2_pow
+from .cyclotomic import Cyc8
 from .heisenberg import act_on_enhanced, asp_inv, lift_sp
-from .models import monomial_exponents, monomial_operator
+from .models import monomial_operator
 from .symplectic import _cached
 from .transport import (
     enhanced_of_oriented,
@@ -32,17 +33,15 @@ from .transport import (
 
 
 def canonical_root(s, p):
-    """The canonical p-th root of a transport scalar s = zeta^e sqrt2^b:
-    zeta^j sqrt2^(b/p) with the smallest j in 0..7 such that p j = e
-    (mod 8).  ValueError unless b <= 0, p divides b and such a j exists."""
-    e, b = monomial_exponents(s)
+    """The canonical p-th root of a transport scalar s = zeta^e sqrt2^b,
+    given and returned as exponent pairs: (j, b/p) with the smallest j in
+    0..7 such that p j = e (mod 8).  ValueError unless b <= 0, p divides b
+    and such a j exists."""
+    e, b = s
     j = next((j for j in range(8) if (p * j - e) % 8 == 0), None)
     if b > 0 or b % p or j is None:
         raise ValueError(f"transport scalar {s} has no canonical {p}th root")
-    root = Cyc8.zeta_pow(j) * sqrt2_pow(b // p)
-    if root ** p != s:
-        raise RuntimeError(f"{root} is not a {p}th root of {s}")
-    return root
+    return j, b // p
 
 
 def translation_matrix(a, src, dst):
@@ -73,7 +72,7 @@ class _TransportedRepresentation:
         """root(s) * F of the transport from x to the base: an honest
         matrix."""
         T = self._transport(self.space, x, self.base)
-        return T.matrix.scaled(canonical_root(T.scalar, T.power))
+        return T.matrix.scaled(*canonical_root(T.scalar, T.power))
 
     def transition(self, x, y):
         """E_{x,y}: H_y -> H_x, composing exactly (no scalar slack)."""

@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from weil2.cyclotomic import (
-    Cyc8, I, ONE, SQRT2, ZERO, ZETA, sqrt2_pow,
+    Cyc8, I, ONE, SQRT2, ZERO, ZETA,
 )
+from weil2.models import monomial_cyc
 
 
 def test_zeta_is_primitive_eighth_root():
@@ -33,11 +34,19 @@ def test_i_pow_cycle():
     assert Cyc8.i_pow(-1) == -I
 
 
+def sqrt2_pow(k):
+    """Exact 2^{k/2} for any integer k (negative allowed), by powers of
+    sqrt2 or of sqrt2 / 2."""
+    half = Cyc8((0, 1, 0, -1), 2)  # sqrt(2)/2
+    return SQRT2 ** k if k >= 0 else half ** (-k)
+
+
 @pytest.mark.parametrize("k", range(-5, 6))
 def test_sqrt2_pow(k):
     x = sqrt2_pow(k)
     assert x * x == Cyc8.from_rational(Fraction(2) ** k)
     assert sqrt2_pow(k) * sqrt2_pow(-k) == ONE
+    assert x == SQRT2 ** k == monomial_cyc(0, k)
 
 
 def mu4_exponent(x):

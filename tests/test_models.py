@@ -13,15 +13,15 @@ from fractions import Fraction
 import pytest
 
 from weil2 import linalg
-from weil2.cyclotomic import ZETA, Cyc8, I, ONE
+from weil2.cyclotomic import SQRT2, ZETA, Cyc8, I, ONE
 from weil2.galois import ring
 from weil2.heisenberg import (
     act_on_enhanced, all_h_elements, asp_inv, enumerate_asp, h_mul,
 )
-from weil2.cyclotomic import sqrt2_pow
 from weil2.models import (
     CharacterSum, ZiMatrix, composition_scalar, formula_scalar,
-    gauss_scalar, intertwiner_matrix, monomial_exponents, pi_matrix,
+    gauss_scalar, gaussian_monomial, intertwiner_matrix, monomial_cyc,
+    pi_matrix,
 )
 from weil2.symplectic import (
     EnhancedLagrangian, SympSpace, _xor, enumerate_enhanced,
@@ -521,13 +521,15 @@ def test_zi_matrix_product_matches_entrywise_sums(shape):
         assert (A @ B).to_cyc() == _matrix_mul_reference(Ac, Bc)
         if rows * mid * cols <= 64:
             assert A.kron(B).to_cyc() == _kron_reference(Ac, Bc)
-        c = ZETA ** rng.randrange(8) * sqrt2_pow(rng.randrange(-4, 5))
-        scaled = B.scaled(c)
+        e, s = rng.randrange(8), rng.randrange(-4, 5)
+        c = ZETA ** e * SQRT2 ** s
+        scaled = B.scaled(e, s)
         assert scaled.to_cyc() == tuple(tuple(c * x for x in r) for r in Bc)
         if not B.is_zero():
-            assert scaled.ratio(B) == c
+            assert scaled.ratio(B) == (e, s)
+            assert cyc8_ratio(scaled, B) == c
             assert scaled == ZiMatrix(0, 0, B.rows).scaled(
-                ZETA ** B.zeta_exp * sqrt2_pow(B.sqrt2_exp) * c)
+                B.zeta_exp + e, B.sqrt2_exp + s)
 
 
 def _zi_matmul_reference(X, Y):
@@ -587,15 +589,97 @@ def mu4_exponent(x):
     return {Cyc8.i_pow(k): k for k in range(4)}.get(x)
 
 
+def monomial_exponents(c):
+    """(e, s) with c = zeta^e sqrt2^s exactly, e in 0..7, by a search over
+    16 Cyc8 candidates; ValueError when c is not of that form.  The
+    reference for gaussian_monomial and ZiMatrix.ratio."""
+    nz = [x for x in c.a if x]
+    if nz:
+        # every nonzero coefficient of zeta^e sqrt2^(2t or 2t+1) is +-2^t
+        t = abs(nz[0]).bit_length() - c.den.bit_length()
+        for s in (2 * t, 2 * t + 1):
+            for e in range(8):
+                if ZETA ** e * SQRT2 ** s == c:
+                    return e, s
+    raise ValueError(f"{c} is not zeta^e * sqrt2^s")
+
+
+def _exponents_or_none(c):
+    try:
+        return monomial_exponents(c)
+    except ValueError:
+        return None
+
+
+def cyc8_ratio(X, Y):
+    """The Cyc8 r with X == r Y on the dense Cyc8 matrices, or None when Y
+    is zero or X is not proportional to it: the reference for ratio."""
+    Xc, Yc = X.to_cyc(), Y.to_cyc()
+    pairs = [(x, y) for rx, ry in zip(Xc, Yc) for x, y in zip(rx, ry)]
+    first = next(((x, y) for x, y in pairs if y), None)
+    if first is None:
+        return None
+    r = first[0] / first[1]
+    return r if all(x == r * y for x, y in pairs) else None
+
+
+def _gaussian(z):
+    re, im = z
+    return Cyc8((re, 0, im, 0))
+
+
+def test_gaussian_monomial_matches_the_search():
+    """gaussian_monomial(p, q) against the search on p / q: p = zeta^e
+    sqrt2^s q for every e in 0..7 and s in -8..8 with e = s (mod 2), the
+    others being outside Q(i), for random Gaussian q divisible by
+    16 = (1 + i)^8; then random pairs, most of them no monomial."""
+    rng = random.Random(29)
+
+    def gaussian(bound):
+        return rng.randint(-bound, bound), rng.randint(-bound, bound)
+
+    for e in range(8):
+        for s in range(-8, 9):
+            c = ZETA ** e * SQRT2 ** s
+            assert monomial_cyc(e, s) == c
+            if (e - s) % 2:
+                continue
+            for _ in range(4):
+                q = (0, 0)
+                while q == (0, 0):
+                    q = gaussian(5)
+                q = (16 * q[0], 16 * q[1])
+                a0, a1, a2, a3 = (c * _gaussian(q)).a
+                assert a1 == a3 == 0
+                assert gaussian_monomial((a0, a2), q) == (e, s)
+    seen = set()
+    for _ in range(2000):
+        p, q = gaussian(4), gaussian(4)
+        want = (None if q == (0, 0)
+                else _exponents_or_none(_gaussian(p) / _gaussian(q)))
+        assert gaussian_monomial(p, q) == want, (p, q)
+        seen.add(want is None)
+    assert seen == {True, False}
+    for p in ((0, 0), (3, 0), (1, 2)):
+        assert gaussian_monomial(p, (1, 0)) is None
+    # (1 + 2i) q over q, and a zero divisor
+    assert gaussian_monomial((-1, 3), (1, 1)) is None
+    assert gaussian_monomial((1, 0), (0, 0)) is None
+    assert gaussian_monomial((0, 0), (0, 0)) is None
+
+
 def test_mu4_ratio_matches_the_cyc8_ratio():
-    """mu4_ratio against mu4_exponent(ratio(...)) over random Z[i] parts:
-    i^c, sqrt2-scaled and (1 + i)-scaled multiples, non-proportional
-    pairs and zero operands, under every zeta and a range of sqrt2
-    exponents on each side."""
+    """ratio, mu4_ratio and == against the Cyc8 reference over random Z[i]
+    parts: i^c, sqrt2-scaled and (1 + i)-scaled multiples, (1 + 2i)-scaled
+    ones, non-proportional pairs and zero operands, under every zeta and a
+    range of sqrt2 exponents on each side."""
     rng = random.Random(4)
 
     def both(X, Y):
-        r = X.ratio(Y)
+        r = cyc8_ratio(X, Y)
+        exponents = None if r is None else _exponents_or_none(r)
+        assert X.ratio(Y) == exponents
+        assert (X == Y) == (r == ONE or X.is_zero() and Y.is_zero())
         return X.mu4_ratio(Y), None if r is None else mu4_exponent(r)
 
     seen = set()
@@ -603,21 +687,26 @@ def test_mu4_ratio_matches_the_cyc8_ratio():
         rows, cols = rng.randint(1, 3), rng.randint(1, 3)
         Y = _random_zi(rng, rows, cols, 0.7, rng.randrange(8),
                        rng.randint(-3, 3))
-        unit = rng.choice([ONE, I, -ONE, -I, ZETA, ONE + I, ONE - I, ZETA * I])
-        c = unit * sqrt2_pow(rng.randint(-3, 3))
+        # 1, i, -1, -i, zeta, 1 + i, 1 - i and zeta i as exponent pairs
+        e, s = rng.choice([(0, 0), (2, 0), (4, 0), (6, 0), (1, 0), (1, 1),
+                           (7, 1), (3, 0)])
+        s += rng.randint(-3, 3)
+        by_1_2i = [[(re - 2 * im, 2 * re + im) for re, im in row]
+                   for row in Y.rows]
         for X in (ZiMatrix(rng.randrange(8), rng.randint(-3, 3), Y.rows),
-                  _random_zi(rng, rows, cols, 0.7, Y.zeta_exp, Y.sqrt2_exp)):
+                  _random_zi(rng, rows, cols, 0.7, Y.zeta_exp, Y.sqrt2_exp),
+                  ZiMatrix(Y.zeta_exp, Y.sqrt2_exp, by_1_2i)):
             got, want = both(X, Y)
             assert got == want
             seen.add(got)
         if not Y.is_zero():
-            got, want = both(Y.scaled(c), Y)
+            got, want = both(Y.scaled(e, s), Y)
             assert got == want
             seen.add(got)
     assert seen == {None, 0, 1, 2, 3}
     X = ZiMatrix(3, -2, [((1, 2), (0, -1))])
     for k in range(4):
-        assert X.scaled(Cyc8.i_pow(k)).mu4_ratio(X) == k
+        assert X.scaled(2 * k, 0).mu4_ratio(X) == k
     # sqrt2 = zeta (1 - i): zeta^-1 sqrt2 = 1 - i, zeta sqrt2 = 1 + i and
     # zeta sqrt2^-1 (1 + i) = (1 + i) / (1 - i) = i
     one = [((1, 0),)]
@@ -650,7 +739,7 @@ def test_zi_matrix_monomial_16x16():
         assert (A @ B).to_cyc() == _matrix_mul_reference(A.to_cyc(), B.to_cyc())
         assert (A @ A.inverse()).to_cyc() == identity
         assert (A.inverse() @ A).to_cyc() == identity
-        assert A.ratio(A @ B @ B.inverse()) == ONE
+        assert A.ratio(A @ B @ B.inverse()) == (0, 0)
     zero = ZiMatrix(3, -2, [[(0, 0)] * 16 for _ in range(16)])
     prod = monomial() @ zero
     assert prod == zero == ZiMatrix(0, 0, zero.rows)
@@ -688,22 +777,29 @@ def test_zi_matrix_ratio_and_equality():
     # non-proportional operands and a zero divisor
     assert A.ratio(ZiMatrix(0, 0, [((1, 2), (0, 1))])) is None
     assert A.ratio(ZiMatrix(5, 3, [((0, 0), (0, 0))])) is None
-    # a zero numerator is proportional with ratio 0
-    assert ZiMatrix(0, 0, [((0, 0), (0, 0))]).ratio(A) == Cyc8.from_rational(0)
-    # X = (1 + 2i) Y with a zero entry first: r = zeta^-4 sqrt2^-3 (1 + 2i)
+    # a zero numerator: the ratio 0 is no monomial
+    assert ZiMatrix(0, 0, [((0, 0), (0, 0))]).ratio(A) is None
+    # (1 + 2i) Y is proportional to Y, but by no monomial
     Y = ((0, 0), (1, -1), (2, 1))
-    X = ((0, 0), (3, 1), (0, 5))
+    assert ZiMatrix(3, -1, [((0, 0), (3, 1), (0, 5))]).ratio(
+        ZiMatrix(7, 2, [Y])) is None
+    # X = (1 + i) Y with a zero entry first: zeta^-4 sqrt2^-3 zeta sqrt2
+    X = ((0, 0), (2, 0), (1, 3))
     r = ZiMatrix(3, -1, [X]).ratio(ZiMatrix(7, 2, [Y]))
-    assert r == ZETA ** -4 * sqrt2_pow(-3) * (ONE + 2 * I)
-    assert ZiMatrix(7, 2, [Y]).ratio(ZiMatrix(3, -1, [X])) == r.inverse()
+    assert r == (5, -2)
+    assert monomial_cyc(*r) == cyc8_ratio(ZiMatrix(3, -1, [X]),
+                                          ZiMatrix(7, 2, [Y]))
+    assert ZiMatrix(7, 2, [Y]).ratio(ZiMatrix(3, -1, [X])) == (3, 2)
     with pytest.raises(ValueError):
         A.ratio(ZiMatrix(0, 0, [X, X]))
 
 
 def test_monomial_exponents():
+    """The reference search, and monomial_cyc against it."""
     for e in range(8):
         for s in range(-5, 6):
-            assert monomial_exponents(ZETA ** e * sqrt2_pow(s)) == (e, s)
+            assert monomial_exponents(ZETA ** e * SQRT2 ** s) == (e, s)
+            assert monomial_exponents(monomial_cyc(e, s)) == (e, s)
     for c in (ONE + ZETA, Cyc8.from_rational(3), Cyc8.from_rational(0),
               ONE + 2 * I, Cyc8.from_rational(Fraction(1, 3))):
         with pytest.raises(ValueError):

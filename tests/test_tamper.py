@@ -6,18 +6,19 @@ constant of weil2 and names the family that must then fail, together with
 any other family the same mutation breaks.  The suite must still run to the
 end and report the failures, at every shape of each such family.  A family
 is a check name without its .dXnY suffix.  The last rows mutate the
-ZiMatrix product kernel itself."""
+ZiMatrix product kernel itself and the one rule that reads every operator
+ratio and Gauss sum as zeta^e sqrt2^s."""
 
 import re
 
 import pytest
 
-from weil2 import heisenberg, models, verify, witt
+from weil2 import heisenberg, models, transport, verify, witt
 from weil2.cyclotomic import I, ONE
 from weil2.models import ZiMatrix
 from weil2.galois import ring
 from weil2.symplectic import SympSpace, enumerate_enhanced
-from weil2.transport import ScaledTransport
+from weil2.transport import ScaledTransport, monomial_product
 from weil2.weil import WeilRepresentation
 
 compose = ScaledTransport.compose
@@ -56,12 +57,14 @@ def _family(name):
 
 
 def _times_i(T):
-    return ScaledTransport(T.scalar * I, T.matrix, T.power)
+    return ScaledTransport(monomial_product(T.scalar, (2, 0)), T.matrix,
+                           T.power)
 
 
 def _negated_compose(self, other):
     T = compose(self, other)
-    return ScaledTransport(-T.scalar, T.matrix, T.power)
+    return ScaledTransport(monomial_product(T.scalar, (4, 0)), T.matrix,
+                           T.power)
 
 
 def _unscaled_materialization(T):
@@ -97,7 +100,7 @@ TRANSPORT_TAMPERS = [
     ("trivialization.multiplicative", ScaledTransport, "compose",
      _negated_compose),
     ("trivialization.auxiliary-independence", verify, "trivializing_scalar",
-     lambda space: trivializing_scalar(space) * I),
+     lambda space: monomial_product(trivializing_scalar(space), (2, 0))),
     ("trivialization.materialized-16x16", verify, "materialize_transport",
      _unscaled_materialization),
     ("splitting.multiplicative", ScaledTransport, "compose", _negated_compose),
@@ -401,3 +404,45 @@ def test_kernel_without_q_fails_inside_inverses(monkeypatch, run, families):
     """The same mutation in the kernel itself, so that inverses use it too."""
     monkeypatch.setattr(models, "_zi_product", _product_without_q)
     _assert_fails_exactly(run(), families)
+
+
+gaussian_monomial = models.gaussian_monomial
+
+
+def _without_b(p, q):
+    """gaussian_monomial with e read as 2k, without its + b."""
+    r = gaussian_monomial(p, q)
+    return None if r is None else ((r[0] - r[1]) % 8, r[1])
+
+
+def _k_off_by_one_at_odd_b(p, q):
+    """gaussian_monomial with k one too large when b is odd."""
+    r = gaussian_monomial(p, q)
+    return None if r is None else ((r[0] + 2 * (r[1] % 2)) % 8, r[1])
+
+
+RULE_TAMPERS = [
+    (_without_b,
+     {"trivialization.multiplicative", "trivialization.auxiliary-independence",
+      "trivialization.materialized-16x16", "weil.cocycle-mu4",
+      "weil.cocycle-identity", "weil.split-vs-enhanced",
+      "weil.object-independence", "cocycle.three-route",
+      "splitting.multiplicative", "splitting.square-is-trivialization"}),
+    # power-4 transports cannot see it, since 4 * 2 = 0 (mod 8)
+    (_k_off_by_one_at_odd_b,
+     {"weil.cocycle-identity", "weil.object-independence",
+      "cocycle.three-route"}),
+]
+
+
+@pytest.mark.parametrize("rule,families", RULE_TAMPERS,
+                         ids=[row[0].__name__ for row in RULE_TAMPERS])
+def test_tampered_monomial_rule_fails_exactly(monkeypatch, rule, families):
+    """A wrong exponent rule in the operator ratios and in the splitting
+    scalar's Gauss sum: the trivialization, weil, d1n1 cocycle and
+    splitting runs go on, and exactly the named families FAIL."""
+    monkeypatch.setattr(models, "gaussian_monomial", rule)
+    monkeypatch.setattr(transport, "gaussian_monomial", rule)
+    checks = (verify.suite_trivialization() + verify.suite_weil()
+              + verify.cocycle_checks_small() + verify.suite_splitting(0))
+    _assert_fails_exactly(checks, families)

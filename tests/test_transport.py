@@ -1,8 +1,8 @@
 """Scaled transports: formal fourth/square roots of intertwiner composites.
 
-A ScaledTransport stores a rational (or Gaussian) scalar s together with
-one intertwiner matrix and the power p such that root^p = s resolves the
-composite.  Frozen at d = n = 1:
+A ScaledTransport stores a scalar s = zeta^e sqrt2^b, as its exponent pair
+(e, b), together with one intertwiner matrix and the power p such that
+root^p = s resolves the composite.  Frozen at d = n = 1:
 
   * trivialization scalar between the two standard enhancements: -1/4, p = 4
   * splitting scalars over all oriented pairs: i/2 (x4), -i/2 (x4),
@@ -11,14 +11,17 @@ composite.  Frozen at d = n = 1:
 
 from fractions import Fraction
 
-from weil2.cyclotomic import I, Cyc8
+import pytest
+
+from weil2 import transport
+from weil2.cyclotomic import Cyc8
 from weil2.galois import ring
-from weil2.models import ZiMatrix
+from weil2.models import ZiMatrix, monomial_cyc
 from weil2.symplectic import SympSpace, enumerate_enhanced
 from weil2.transport import (
     ScaledTransport, enhanced_of_oriented, first_transversal_rows,
-    splitting_scalar, splitting_transport, transport_square,
-    trivialization_transport, trivializing_scalar,
+    monomial_product, splitting_scalar, splitting_transport,
+    transport_square, trivialization_transport, trivializing_scalar,
 )
 
 
@@ -31,7 +34,8 @@ def test_trivializing_scalar():
         sp = SympSpace(ring(d), n)
         dn = d * n
         want = Cyc8.from_rational(Fraction((-1) ** dn, 4 ** dn))
-        assert trivializing_scalar(sp) == want
+        assert trivializing_scalar(sp) == (4 * dn % 8, -4 * dn)
+        assert monomial_cyc(*trivializing_scalar(sp)) == want
 
 
 def test_trivialization_scalar_frozen():
@@ -39,7 +43,8 @@ def test_trivialization_scalar_frozen():
     std = sp.enhance_from_lift(sp.standard_oriented().basis)
     dual = sp.enhance_from_lift(sp.initial_lift(sp.dual_standard_lagrangian()))
     T = trivialization_transport(sp, dual, std)
-    assert T.scalar == Cyc8.from_rational(Fraction(-1, 4))
+    assert T.scalar == (4, -4)
+    assert monomial_cyc(*T.scalar) == Cyc8.from_rational(Fraction(-1, 4))
     assert T.power == 4
 
 
@@ -81,7 +86,7 @@ def test_splitting_scalar_histogram():
                             tuple(map(sp.reduce_vec, base.basis))):
             # the direct transversal formula matches the transport scalar
             assert splitting_scalar(sp, o, base) == T.scalar
-        key = str(T.scalar)
+        key = str(monomial_cyc(*T.scalar))
         hist[key] = hist.get(key, 0) + 1
     assert hist == {"(z^2)/2": 4, "(-z^2)/2": 4, "(1)/4": 2, "(-1)/4": 2}
 
@@ -126,6 +131,26 @@ def test_scaled_transport_equality_semantics():
     a, b = enh[0], enh[3]
     T = trivialization_transport(sp, a, b)
     assert T == ScaledTransport(T.scalar, T.matrix, T.power)
-    assert not (T == ScaledTransport(-T.scalar, T.matrix, T.power))
+    minus = monomial_product(T.scalar, (4, 0))
+    assert not (T == ScaledTransport(minus, T.matrix, T.power))
     # i^4 = 1: i times the matrix is the same transport at p = 4
-    assert T == ScaledTransport(T.scalar, T.matrix.scaled(I), T.power)
+    assert T == ScaledTransport(T.scalar, T.matrix.scaled(2, 0), T.power)
+    # zeta^4 = -1 and (sqrt2 / 2)^4 = 1/4 are taken up by the scalar
+    assert not (T == ScaledTransport(T.scalar, T.matrix.scaled(1, 0), T.power))
+    assert T == ScaledTransport(minus, T.matrix.scaled(1, 0), T.power)
+    assert T == ScaledTransport(monomial_product(T.scalar, (0, 4)),
+                                T.matrix.scaled(0, -1), T.power)
+
+
+def test_splitting_scalar_refuses_a_gauss_sum_off_the_monomials(monkeypatch):
+    """G^2 / 4^dn is read from the exponents of G; a Gauss sum that is no
+    zeta^e sqrt2^s is an invariant broken, not a scalar."""
+    sp = _space()
+    base = sp.standard_oriented()
+    o = next(o for o in sp.enumerate_oriented()
+             if sp.transversal_k(tuple(map(sp.reduce_vec, o.basis)),
+                                 tuple(map(sp.reduce_vec, base.basis))))
+    monkeypatch.setattr(transport, "gauss_sum",
+                        lambda B: Cyc8.from_rational(3))
+    with pytest.raises(RuntimeError, match="not zeta"):
+        splitting_scalar(sp, o, base)

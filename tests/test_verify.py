@@ -2,7 +2,7 @@ import pytest
 
 from weil2 import linalg, verify
 from weil2.cli import main as cli_main
-from weil2.cyclotomic import I, ONE, SQRT2
+from weil2.cyclotomic import I, ONE
 from weil2.galois import ring
 from weil2.heisenberg import all_h_elements, enumerate_asp, enumerate_sp_R
 from weil2.models import pi_matrix
@@ -137,7 +137,7 @@ def test_weil_suite_reports_an_operator_off_mu4(monkeypatch, capsys):
 
     def operator(self, a):
         op = honest(self, a)
-        return op.scaled(SQRT2) if a == target else op
+        return op.scaled(0, 1) if a == target else op
 
     monkeypatch.setattr(WeilRepresentation, "operator", operator)
     assert cli_main(["verify", "--suite", "weil"]) == 1

@@ -16,13 +16,13 @@ from fractions import Fraction
 
 import pytest
 
-from weil2.cyclotomic import ZETA, Cyc8, I, ONE, sqrt2_pow
+from weil2.cyclotomic import SQRT2, Cyc8, I, ONE
 from weil2.galois import ring
 from weil2.heisenberg import (
     all_h_elements, asp_mul, enumerate_asp,
     enumerate_sp_R, lift_sp,
 )
-from weil2.models import intertwiner_matrix, pi_matrix
+from weil2.models import intertwiner_matrix, monomial_cyc, pi_matrix
 from weil2.symplectic import SympSpace
 from weil2.weil import (
     SplitWeilRepresentation, WeilRepresentation, coboundary_ratio,
@@ -55,23 +55,25 @@ def _mul(A, B):
 
 @pytest.mark.parametrize("num,k", [(1, 0), (-1, 0), (1, 1), (-1, 1), (1, 3)])
 def test_lambda_root_fourth_power(num, k):
-    s = Cyc8.from_rational(Fraction(num, 4 ** k))
-    root = canonical_root(s, 4)
-    assert root ** 4 == s
+    s = (0 if num > 0 else 4, -4 * k)
+    assert monomial_cyc(*s) == Cyc8.from_rational(Fraction(num, 4 ** k))
+    assert monomial_cyc(*canonical_root(s, 4)) ** 4 == monomial_cyc(*s)
 
 
 def test_lambda_root_frozen_value():
-    assert canonical_root(Cyc8.from_rational(Fraction(-1, 4)), 4) == \
+    # -1/4 = zeta^4 sqrt2^-4
+    assert monomial_cyc(*canonical_root((4, -4), 4)) == \
         (ONE + I) * Cyc8.from_rational(Fraction(1, 2))
 
 
 def test_mu_root_squares():
-    for s in (ONE, -ONE, I, -I,
-              I * Cyc8.from_rational(Fraction(1, 2)),
-              Cyc8.from_rational(Fraction(-1, 4))):
-        root = canonical_root(s, 2)
-        assert root * root == s
-    assert canonical_root(I * Cyc8.from_rational(Fraction(1, 2)), 2) == \
+    for c, s in ((ONE, (0, 0)), (-ONE, (4, 0)), (I, (2, 0)), (-I, (6, 0)),
+                 (I * Cyc8.from_rational(Fraction(1, 2)), (2, -2)),
+                 (Cyc8.from_rational(Fraction(-1, 4)), (4, -4))):
+        assert monomial_cyc(*s) == c
+        root = monomial_cyc(*canonical_root(s, 2))
+        assert root * root == c
+    assert monomial_cyc(*canonical_root((2, -2), 2)) == \
         (ONE + I) * Cyc8.from_rational(Fraction(1, 2))
 
 
@@ -95,17 +97,20 @@ ROOTS = {
 def test_root_rule_frozen(p):
     for e in range(8):
         for b in range(-8, 5):
-            s = Cyc8.zeta_pow(e) * sqrt2_pow(b)
             if (p, e, b) in ROOTS:
-                j, c = ROOTS[p, e, b]
-                assert canonical_root(s, p) == Cyc8.zeta_pow(j) * sqrt2_pow(c), (e, b)
+                root = canonical_root((e, b), p)
+                assert root == ROOTS[p, e, b], (e, b)
+                assert monomial_cyc(*root) ** p == \
+                    Cyc8.zeta_pow(e) * SQRT2 ** b, (e, b)
             else:
-                with pytest.raises(ValueError):
-                    canonical_root(s, p)
+                with pytest.raises(ValueError, match=f"no canonical {p}th root"):
+                    canonical_root((e, b), p)
 
 
 def test_sqrt2_pow_consistency():
-    assert canonical_root(Cyc8.from_rational(Fraction(1, 4)), 4) == sqrt2_pow(-1)
+    # 1/4 = sqrt2^-4 has the fourth root sqrt2^-1
+    assert canonical_root((0, -4), 4) == (0, -1)
+    assert monomial_cyc(0, -1) == SQRT2 ** -1
 
 
 def test_weil_identity_and_unitarity():
@@ -166,8 +171,9 @@ def test_cocycle_none_off_mu4():
     wrong = next(c for c in asp if c.g != ab.g)
     assert W.cocycle(a, b, wrong) is None
     X = W.operator(a)
-    assert X.scaled(ZETA).mu4_ratio(X) is None
-    assert X.scaled(I).mu4_ratio(X) == 1
+    assert X.scaled(1, 0).mu4_ratio(X) is None
+    assert X.scaled(0, 2).mu4_ratio(X) is None
+    assert X.scaled(2, 0).mu4_ratio(X) == 1
 
 
 def test_split_cocycle_is_sign():
@@ -191,10 +197,8 @@ def test_split_matches_enhanced_up_to_mu4():
     exps = set()
     for g in enumerate_sp_R(sp):
         Wg, Wl = Ws.operator(g), W.operator(lift_sp(sp, g))
-        r = Wg.ratio(Wl)
-        assert r is not None
         c = Wg.mu4_ratio(Wl)
-        assert r == Cyc8.i_pow(c)
+        assert Wg.ratio(Wl) == (2 * c, 0)
         exps.add(c)
     assert exps == {0, 3}
 

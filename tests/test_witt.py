@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from weil2 import witt
-from weil2.cyclotomic import Cyc8, I, ONE, sqrt2_pow
+from weil2.cyclotomic import SQRT2, Cyc8, I, ONE
 from weil2.galois import ring
 
 RANK1_HIST = {(0, 1, 0, 0): 1, (1, 0, 0, 0): 1}
@@ -115,7 +115,7 @@ def test_gauss_matches_class_invariant():
             counts, _ = witt.decompose(B)
             assert witt.gauss_sum(B) == \
                 Cyc8.zeta_pow(witt.gw_exponent(counts)) * \
-                sqrt2_pow(witt.counts_rank(counts))
+                SQRT2 ** witt.counts_rank(counts)
 
 
 def test_gw_exponent_table():
