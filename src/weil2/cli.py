@@ -171,9 +171,10 @@ def _cocycle_rows(sp, mode, sample_count, seed, label):
     three label lists, with the C of each row in Cs in the same order.
     label(e) names the enhanced Lagrangian e in the output.  A sampled
     table lists the triples that verify's sampled cocycle check draws with
-    the same count and seed.  The Lagrangians, the enhancements and their
-    labels are computed at the call; a group's CharacterSum is built only
-    when the iterator reaches it, so nothing holds all the rows."""
+    the same count and seed: both draw by SympSpace.random_enhanced_triple.
+    The Lagrangians, the enhancements and their labels are computed at the
+    call; a group's CharacterSum is built only when the iterator reaches
+    it, so nothing holds all the rows."""
     subs = sp.enumerate_lagrangians()
     if mode == "exhaustive":
         enh = {s: sp.enumerate_enhancements(s) for s in subs}
@@ -185,8 +186,7 @@ def _cocycle_rows(sp, mode, sample_count, seed, label):
 
     def draws():
         for _ in range(sample_count):
-            eN, eM, eL = (sp.random_enhanced(r, rng)[1]
-                          for r in sp.sample_transversal_triple(rng))
+            (_, eN), (_, eM), (_, eL) = sp.random_enhanced_triple(rng)
             yield ([label(eN)], [label(eM)], [label(eL)],
                    [formula_scalar(sp, eN, eM, eL)])
     return draws()

@@ -10,7 +10,8 @@ so the commutator of (v, 0) and (w, 0) is (0, om(v, w)) and the center is
 it acts on H(V) by (v, z) -> (g v, z + alpha(v)).  alpha is a table indexed
 by packed v, filled from the unit generators by symplectic.fill_quadratic.
 
-Sp(V) and Sp(Vt) come from one row-by-row builder, and ASp(V) from Sp(V).
+Sp(V) and Sp(Vt) are frames (linalg.frames) under one live rule,
+linalg.gram_live, and ASp(V) is built from Sp(V).
 Each enumeration, H(V)'s included, is a Group: refused above MAX_LISTING
 elements predicted by group_order, checked against the same closed form,
 and carrying its product, positions and Cayley table.
@@ -200,48 +201,26 @@ def _enumerate_group(space, group, mul, build, *args):
     return out
 
 
-def _symplectic_matrices(vectors, form, gram):
-    """Every matrix g whose rows, drawn from `vectors`, satisfy
-    form(g_i, g_j) = gram[i][j]: the rows are picked one at a time in the
-    order of `vectors`, and a row whose values against the rows above it
-    differ from `gram` is pruned with every completion of it.  A matrix
-    preserving a non-degenerate form is invertible, so no rank test is
-    needed.  Lexicographic when `vectors` is."""
-    vectors = tuple(vectors)
-    m = len(gram)
-    out = []
-    rows = []
-
-    def extend():
-        i = len(rows)
-        if i == m:
-            out.append(tuple(rows))
-            return
-        for v in vectors:
-            if all(form(rows[j], v) == gram[j][i] for j in range(i)):
-                rows.append(v)
-                extend()
-                rows.pop()
-
-    extend()
-    return out
-
-
 def enumerate_sp_k(space):
     """All of Sp(V) over the residue field (row-action convention), in
-    lexicographic order."""
-    e = [space.std_basis_k(i) for i in range(space.dim)]
-    gram = [[space.omega_field(a, b) for b in e] for a in e]
-    return _enumerate_group(space, "Sp(V)", _sp_k_mul, _symplectic_matrices,
-                            space.all_vectors_k(), space.omega_field, gram)
+    lexicographic order: the frames of k-vectors whose omega_field Gram
+    matrix is the residue of standard_omt_gram.  A matrix preserving a
+    non-degenerate form is invertible, so no rank test is needed."""
+    gram = tuple(map(space.reduce_vec, space.standard_omt_gram()))
+    return _enumerate_group(space, "Sp(V)", _sp_k_mul, linalg.frames,
+                            (tuple(space.all_vectors_k()),) * space.dim,
+                            linalg.gram_live(space.omega_field, gram))
 
 
 def enumerate_sp_R(space):
     """All of Sp(Vt) over R (row-action), in lexicographic order of ring
-    indices; the {0,1} lifts of e_1..f_n are the standard R-basis."""
-    vectors = itertools.product(range(space.R.size), repeat=space.dim)
-    return _enumerate_group(space, "Sp(Vt)", _sp_R_mul, _symplectic_matrices,
-                            vectors, space.omt, space.standard_omt_gram())
+    indices: the frames whose omt Gram matrix is that of e_1..f_n, the
+    {0,1} lifts of the standard basis.  A matrix preserving a
+    non-degenerate form is invertible, so no rank test is needed."""
+    vectors = tuple(itertools.product(range(space.R.size), repeat=space.dim))
+    return _enumerate_group(space, "Sp(Vt)", _sp_R_mul, linalg.frames,
+                            (vectors,) * space.dim,
+                            linalg.gram_live(space.omt, space.standard_omt_gram()))
 
 
 def lift_sp(space, gt, validate=True):

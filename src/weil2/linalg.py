@@ -28,6 +28,10 @@ projection matrix that `SympSpace.r_terms` reads over k and
 `vec_mat` over the ring and `vec_mat_field` over k are each algebra's one
 row action v -> sum_j v[j] * A[j]: every linear combination of rows, and
 every matrix product (row by row), goes through them.
+
+`frames` is the one backtracking search (Lagrangians, Sp(V), Sp(Vt),
+transversal triples, isometries of Z/4 forms), and `gram_live` its live
+step for a prescribed Gram matrix.
 """
 from __future__ import annotations
 
@@ -148,6 +152,52 @@ def rref(ops, rows):
     rows = [list(r) for r in rows]
     pivots = eliminate(ops, rows, len(rows[0]) if rows else 0)
     return tuple(tuple(r) for r in rows[:len(pivots)]), tuple(pivots)
+
+
+def frames(levels, live):
+    """Every tuple (x_0, ..., x_{m-1}) with x_i in levels[i] that the live
+    step lets through, in itertools.product order.  live(rows, level) lists
+    the candidates of `level`, the next level, that may follow the prefix
+    tuple `rows`; a candidate it drops is pruned with every completion.
+    Zero levels give one empty tuple.  Lazy: live runs once per prefix
+    reached, so a search that stops at its first frame walks one path."""
+    m = len(levels)
+    if m == 0:
+        yield ()
+        return
+    rows = []
+    stack = [iter(live((), levels[0]))]
+    while stack:
+        # rows[i] came from stack[i]; the top holds level len(rows)'s candidates
+        for x in stack[-1]:
+            rows.append(x)
+            if len(rows) == m:
+                yield tuple(rows)
+                rows.pop()
+            else:
+                stack.append(iter(live(tuple(rows), levels[len(rows)])))
+                break
+        else:
+            stack.pop()
+            if rows:
+                rows.pop()
+
+
+def gram_live(form, gram):
+    """The live step of the frames g with form(g_j, g_i) = gram[j][i] for
+    every j < i; a diagonal that a non-alternating form must meet is the
+    levels' part."""
+    def live(rows, level):
+        want = [gram[j][len(rows)] for j in range(len(rows))]
+        out = []
+        for v in level:
+            for r, w in zip(rows, want):
+                if form(r, v) != w:
+                    break
+            else:
+                out.append(v)
+        return out
+    return live
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ rank over F2 of the packed generators of two spans.  `transversal(pivots)` holds
 the models' transversal of a pivot set, packed, with columns and trace masks.
 `fill_quadratic` fills a function of known polarization on a span from
 packed generators, and `polarizes` checks one on span x generators.
+The Lagrangians and the transversal triples are frames of linalg.frames.
 """
 from __future__ import annotations
 
@@ -327,47 +328,43 @@ class SympSpace:
     @_cached
     def enumerate_lagrangians(self):
         """All n-dimensional isotropic subspaces of V as canonical RREF bases,
-        sorted.  For each pivot set the echelon rows are chosen one at a
-        time, and a row that is not orthogonal to the rows above it is
-        pruned with every completion of it: a packed row is orthogonal to
-        the rows above it when its parity against each of their omega masks
-        is even.  The list is built once per space; a refused call caches
-        nothing."""
+        sorted: per pivot set, the frames (linalg.frames) of packed echelon
+        rows whose live step keeps a row orthogonal to the rows above it,
+        that is, of even parity against each of their omega masks.  The
+        list is built once per space; a refused call caches nothing."""
         n, m, q, d = self.n, self.dim, self.R.field_size, self.R.d
         want = check_lagrangians(d, n)
-        found = []
-        chosen = []
-        masks = []
+        rows, masks = {}, {}  # packed echelon row -> its k-vector, omega masks
 
-        def extend(candidates):
-            if len(chosen) == n:
-                found.append(tuple(chosen))
-                return
-            for row, packed, row_masks in candidates[len(chosen)]:
-                for mask in masks:
-                    if (packed & mask).bit_count() & 1:
+        def live(prefix, level):
+            above = []
+            for x in prefix:
+                above += masks[x]
+            out = []
+            for x in level:
+                for mask in above:
+                    if (x & mask).bit_count() & 1:
                         break
                 else:
-                    chosen.append(row)
-                    masks.extend(row_masks)
-                    extend(candidates)
-                    chosen.pop()
-                    del masks[-d:]
+                    out.append(x)
+            return out
 
+        found = []
         for pivots in itertools.combinations(range(m), n):
-            candidates = []
+            levels = []
             for p in pivots:
-                free = [c for c in range(p + 1, m) if c not in pivots]
-                rows = []
-                for vals in itertools.product(range(q), repeat=len(free)):
-                    row = [0] * m
-                    row[p] = 1
-                    for c, v in zip(free, vals):
-                        row[c] = v
-                    row = tuple(row)
-                    rows.append((row, self.pack(row), self.omega_masks(row)))
-                candidates.append(rows)
-            extend(candidates)
+                # the packed echelon rows with pivot p, in product order
+                level = [1 << p * d]
+                for c in range(p + 1, m):
+                    if c not in pivots:
+                        level = [x | v << c * d for x in level for v in range(q)]
+                levels.append(level)
+                for x in level:
+                    if x not in rows:
+                        rows[x] = self.unpack(x)
+                        masks[x] = self.omega_masks(rows[x])
+            found.extend(tuple(map(rows.__getitem__, frame))
+                         for frame in linalg.frames(levels, live))
         if len(found) != want:
             raise RuntimeError(f"{len(found)} Lagrangians, expected {want}")
         return tuple(sorted(found))
@@ -388,17 +385,18 @@ class SympSpace:
 
     def transversal_triples(self):
         """Every triple of Lagrangians whose three pairs are transversal, in
-        itertools.product order of enumerate_lagrangians()."""
+        itertools.product order of enumerate_lagrangians(): the frames of
+        three positions in that list, each transversal to every one above
+        it, read from one table of transversal_k over all pairs."""
         subs = self.enumerate_lagrangians()
-        out = []
-        for a in subs:
-            for b in subs:
-                if not self.transversal_k(a, b):
-                    continue
-                for c in subs:
-                    if self.transversal_k(a, c) and self.transversal_k(b, c):
-                        out.append((a, b, c))
-        return out
+        transversal = [[self.transversal_k(a, b) for b in subs] for a in subs]
+
+        def live(rows, level):
+            for i in rows:
+                level = [j for j in level if transversal[i][j]]
+            return level
+        return [tuple(map(subs.__getitem__, frame))
+                for frame in linalg.frames((range(len(subs)),) * 3, live)]
 
     def sample_transversal_triple(self, rng):
         """Draw triples of Lagrangians uniformly (three rng.choice calls on
@@ -455,6 +453,12 @@ class SympSpace:
         trivialization draw goes through here, one subspace at a time."""
         lift = self.random_lift(rows, rng)
         return lift, self.random_enhancement(lift, rng)
+
+    def random_enhanced_triple(self, rng):
+        """A random_enhanced over each subspace of a sample_transversal_triple:
+        the one draw of the sampled cocycle check and table."""
+        return tuple(self.random_enhanced(rows, rng)
+                     for rows in self.sample_transversal_triple(rng))
 
     # -- free submodule lifts -----------------------------------------------------
     def initial_lift(self, rows):

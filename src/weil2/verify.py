@@ -286,9 +286,7 @@ def cocycle_checks_sampled(d, n, count, seed):
 
     def outcomes():
         """(routes agree, fourth power, oriented identity) on one draw."""
-        (Nt, eN), (Mt, eM), (Lt, eL) = (
-            sp.random_enhanced(r, rng)
-            for r in sp.sample_transversal_triple(rng))
+        (Nt, eN), (Mt, eM), (Lt, eL) = sp.random_enhanced_triple(rng)
         c1 = composition_scalar(sp, eN, eM, eL)
         c2 = formula_scalar(sp, eN, eM, eL)
         c3 = gauss_scalar(sp, eN, eM, eL)

@@ -86,15 +86,9 @@ def gauss_sum(B):
 
 
 def direct_sum(A, B):
-    n, m = len(A), len(B)
-    out = [[0] * (n + m) for _ in range(n + m)]
-    for i in range(n):
-        for j in range(n):
-            out[i][j] = A[i][j]
-    for i in range(m):
-        for j in range(m):
-            out[n + i][n + j] = B[i][j]
-    return tuple(tuple(r) for r in out)
+    """The block-diagonal gram of A then B."""
+    return (tuple(tuple(row) + (0,) * len(B) for row in A)
+            + tuple((0,) * len(A) + tuple(row) for row in B))
 
 
 def neg_gram(B):
@@ -206,39 +200,23 @@ def decompose(B):
 
 
 def is_isometric(A, B):
-    """Brute-force congruence search (column extension with partial gram
-    pruning); exponential, so only for rank <= 4."""
+    """Whether apply_congruence(U, A) = B for some invertible U: the
+    columns of U are frames whose level k holds the vectors of A-norm
+    B[k][k], gram_live checks their pairings with the columns above, and
+    the first invertible frame ends the search.  Only for rank <= 4."""
     if len(A) != len(B):
         return False
     if len(A) > 4:
         raise ValueError("brute-force isometry search is limited to rank <= 4")
     if det4(A) != det4(B):
         return False
-    n = len(A)
-    cands = list(itertools.product(range(4), repeat=n))
-
-    def extend(ucols):
-        k = len(ucols)
-        if k == n:
-            return True
-        for c in cands:
-            ok = True
-            for i in range(k + 1):
-                u = ucols[i] if i < k else c
-                if _pair(A, u, c) != B[i][k]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if k + 1 == n:
-                U = tuple(tuple((ucols + [c])[j][i] for j in range(n)) for i in range(n))
-                if det4(U) % 2 == 0:
-                    continue
-            if extend(ucols + [c]):
-                return True
-        return False
-
-    return extend([])
+    by_norm = {}
+    for c in itertools.product(range(4), repeat=len(A)):
+        by_norm.setdefault(_pair(A, c, c), []).append(c)
+    levels = [by_norm.get(B[k][k], ()) for k in range(len(B))]
+    live = linalg.gram_live(lambda u, c: _pair(A, u, c), B)
+    # the columns are the rows of U's transpose, which has U's determinant
+    return any(det4(cols) % 2 for cols in linalg.frames(levels, live))
 
 
 def symmetric_grams(r):
@@ -258,14 +236,10 @@ def all_unimodular_grams(r):
 
 
 def tuples_of_rank(r):
-    out = []
-    for n1 in range(r + 1):
-        for n3 in range(r + 1):
-            for nh in range(r // 2 + 1):
-                for nm in range(r // 2 + 1):
-                    if n1 + n3 + 2 * nh + 2 * nm == r:
-                        out.append((n1, n3, nh, nm))
-    return out
+    """The counts tuples of the given rank, in itertools.product order."""
+    blocks, halves = range(r + 1), range(r // 2 + 1)
+    return [c for c in itertools.product(blocks, blocks, halves, halves)
+            if counts_rank(c) == r]
 
 
 # -- trace forms of ring-valued grams ------------------------------------------
@@ -273,20 +247,14 @@ def tuples_of_rank(r):
 def trace_form(R, B):
     """The Z4-gram of tr(B(x, y)) over the power basis {x^a e_i} of R^rank.
     Entries of B are ring element indices."""
-    r = len(B)
     xs = [R.one]
     gen = R.from_coords([0, 1] + [0] * (R.d - 2)) if R.d >= 2 else R.one
     for _ in range(1, R.d):
         xs.append(R.mul(xs[-1], gen))
-    n = r * R.d
-    out = [[0] * n for _ in range(n)]
-    for i in range(r):
-        for a in range(R.d):
-            for j in range(r):
-                for b in range(R.d):
-                    val = R.mul(B[i][j], R.mul(xs[a], xs[b]))
-                    out[i * R.d + a][j * R.d + b] = R.psi_exp(val)
-    return tuple(tuple(row) for row in out)
+    # basis vector i * d + a is x^a e_i
+    basis = [(i, x) for i in range(len(B)) for x in xs]
+    return tuple(tuple(R.psi_exp(R.mul(B[i][j], R.mul(x, y))) for j, y in basis)
+                 for i, x in basis)
 
 
 def ring_disc(R, B):

@@ -79,6 +79,12 @@ def test_witt_isometric(capsys):
     assert out.strip() == "false"
 
 
+def test_witt_isometric_on_empty_grams(capsys):
+    rc, out = run_cli(capsys, "witt", "isometric", "[]", "[]")
+    assert rc == 0
+    assert out == "true\n"
+
+
 def test_witt_isometric_requires_two_grams(capsys):
     rc, _ = run_cli(capsys, "witt", "isometric", "[[1]]")
     assert rc == 2

@@ -235,3 +235,72 @@ def test_det_ring_elimination_branch_matches_leibniz(d):
     # a row swap flips the sign
     B = (A[1], A[0]) + A[2:]
     assert linalg.det_ring(R, B) == R.neg(linalg.det_ring(R, A))
+
+
+# -- frames -------------------------------------------------------------------
+
+def _pairwise_live(allowed):
+    """The live step keeping a candidate x after the prefix rows when
+    allowed(r, x) holds for every row r above it."""
+    def live(rows, level):
+        return [x for x in level if all(allowed(r, x) for r in rows)]
+    return live
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_frames_match_the_filtered_product(seed):
+    """Random levels (some empty, some with repeats) and a random pairwise
+    rule: the frames are itertools.product filtered by brute force, in the
+    same order."""
+    rng = random.Random(seed)
+    levels = [[rng.randrange(6) for _ in range(rng.randrange(5))]
+              for _ in range(rng.randrange(1, 5))]
+    allowed_pairs = {(a, b) for a in range(6) for b in range(6) if rng.random() < 0.7}
+
+    def allowed(a, b):
+        return (a, b) in allowed_pairs
+
+    want = [t for t in itertools.product(*levels)
+            if all(allowed(t[j], t[i]) for i in range(len(t)) for j in range(i))]
+    assert list(linalg.frames(levels, _pairwise_live(allowed))) == want
+    # a live step that keeps everything gives the product itself
+    keep_all = _pairwise_live(lambda a, b: True)
+    assert list(linalg.frames(levels, keep_all)) == list(itertools.product(*levels))
+
+
+def test_frames_of_zero_levels_is_one_empty_tuple():
+    def live(rows, level):
+        raise AssertionError("zero levels need no live step")
+
+    assert list(linalg.frames([], live)) == [()]
+    assert list(linalg.frames((), live)) == [()]
+
+
+def test_frames_are_lazy():
+    """The first frame costs one live call per level, each on a prefix of
+    that frame."""
+    seen = []
+
+    def live(rows, level):
+        seen.append(rows)
+        return [x for x in level if x not in rows]
+
+    levels = [range(5)] * 4
+    first = next(linalg.frames(levels, live))
+    assert first == (0, 1, 2, 3)
+    assert seen == [(), (0,), (0, 1), (0, 1, 2)]
+
+
+def test_gram_live_keeps_the_prescribed_pairings():
+    """gram_live against a brute-force filter: the frames of vectors of
+    (Z/4)^2 with dot products gram[j][i] above the diagonal."""
+    gram = ((1, 2, 3), (2, 0, 1), (3, 1, 3))
+    vectors = tuple(itertools.product(range(4), repeat=2))
+
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v)) % 4
+
+    want = [t for t in itertools.product(vectors, repeat=3)
+            if all(dot(t[j], t[i]) == gram[j][i] for i in range(3) for j in range(i))]
+    got = list(linalg.frames((vectors,) * 3, linalg.gram_live(dot, gram)))
+    assert got == want and got

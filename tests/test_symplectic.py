@@ -1037,6 +1037,21 @@ def test_transversal_triple_count_formula(d, n, triples):
 
 
 @pytest.mark.parametrize("d,n", [(1, 1), (2, 1), (1, 2)])
+def test_transversal_triples_in_product_order(d, n):
+    """The cocycle table lists its triples in this order, so it is pinned
+    against the in-order filter of itertools.product; the transversal_k
+    memo holds every ordered pair of Lagrangians."""
+    sp = SympSpace(ring(d), n)
+    lags = sp.enumerate_lagrangians()
+    triples = sp.transversal_triples()
+    assert set(sp._caches["transversal_k"]) == set(itertools.product(lags, repeat=2))
+    want = [(a, b, c) for a, b, c in itertools.product(lags, repeat=3)
+            if sp.transversal_k(a, b) and sp.transversal_k(a, c)
+            and sp.transversal_k(b, c)]
+    assert triples == want
+
+
+@pytest.mark.parametrize("d,n", [(1, 1), (2, 1), (1, 2)])
 def test_check_sweep_keeps_the_gated_shapes(d, n):
     check_sweep(d, n)
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from weil2 import witt
+from weil2 import linalg, witt
 from weil2.cyclotomic import SQRT2, Cyc8, I, ONE
 from weil2.galois import ring
 
@@ -93,6 +93,32 @@ def test_is_isometric():
     with pytest.raises(ValueError):
         witt.is_isometric(witt.canonical_gram((5, 0, 0, 0)),
                           witt.canonical_gram((5, 0, 0, 0)))
+
+
+def test_is_isometric_on_rank_zero():
+    """The empty gram is isometric to itself: one empty frame, whose
+    empty determinant is 1."""
+    assert witt.is_isometric((), ())
+    assert not witt.is_isometric((), ((1,),))
+
+
+def test_is_isometric_stops_at_its_first_isometry(monkeypatch):
+    """M4 + M4 and hyp + hyp have 73,728 isometries between them; the
+    search returns after a handful of live steps, not after listing them
+    (60,065 live steps)."""
+    calls = []
+    frames = linalg.frames
+
+    def counted(levels, live):
+        def counting(rows, level):
+            calls.append(rows)
+            return live(rows, level)
+        return frames(levels, counting)
+
+    monkeypatch.setattr(linalg, "frames", counted)
+    assert witt.is_isometric(witt.direct_sum(witt.M4, witt.M4),
+                             witt.direct_sum(witt.HYP, witt.HYP))
+    assert 4 <= len(calls) <= 32
 
 
 def test_gauss_sums():
