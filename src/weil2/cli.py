@@ -22,8 +22,9 @@ import sys
 import types
 
 from . import PRNG_NAME, SUITE_NAMES
+from .cyclotomic import Cyc8
 from .galois import MAX_D, ring
-from .models import CharacterSum, formula_scalar
+from .models import CharacterSum, formula_scalar, monomial_cyc
 from .symplectic import (
     MAX_LISTING, SympSpace, _refuse_above, check_cocycle, enumerate_enhanced)
 
@@ -49,6 +50,17 @@ def _parse_gram(text):
                   "sum {} terms")
     witt.validate_gram(B)
     return B
+
+
+def _gaussian_cyc(z):
+    """A cocycle value or Gauss sum z = (re, im) as the Cyc8 reports print."""
+    re, im = z
+    return Cyc8((re, 0, im, 0))
+
+
+def _monomial_json(s):
+    """The exponent pair s of zeta^e sqrt2^s as report JSON."""
+    return monomial_cyc(*s).to_json()
 
 
 def _print(fh, text):
@@ -145,12 +157,12 @@ def cmd_witt(args):
             "rank": witt.counts_rank(counts),
             "disc": witt.counts_disc(counts),
             "gw_class": witt.gw_exponent(counts),
-            "gauss": witt.gauss_sum(B).to_json(),
+            "gauss": _gaussian_cyc(witt.gauss_sum(B)).to_json(),
             "witness": [list(r) for r in U],
         }
         text = json.dumps(info, indent=2) + "\n"
     elif args.action == "gauss":
-        text = f"{witt.gauss_sum(B)}\n"
+        text = f"{_gaussian_cyc(witt.gauss_sum(B))}\n"
     elif args.action == "isometric":
         same = witt.is_isometric(B, _parse_gram(args.gram2))
         text = ("true" if same else "false") + "\n"
@@ -215,11 +227,8 @@ def _write_json(fh, payload, groups):
     the top-level value _ROWS in place of the list of {"N", "M", "L", "C"}
     rows of `groups` (from _cocycle_rows with _json_label), byte for byte.
     Each group is written as it is read.  Its N-M pieces are built once
-    per (N, M) and its L pieces once per L, and each C instance is encoded
-    once, so a row is the concatenation of three ready pieces.  The C text
-    memo is keyed on id(C) and holds C, so that no id is reused while it
-    lives: hashing a Cyc8 per row costs more than the lookup, and
-    CharacterSum.values yields one shared instance per value."""
+    per (N, M) and its L pieces once per L, and each C value (re, im) is
+    encoded once, so a row is the concatenation of three ready pieces."""
     head, tail = json.dumps(payload, indent=2).split(json.dumps(_ROWS))
     _print(fh, head)
     values = {}
@@ -229,11 +238,11 @@ def _write_json(fh, payload, groups):
         ls = [kL + _ROW_L for kL in kLs]
         blocks = []
         for (nm, l), c in zip(itertools.product(nms, ls), cs):
-            hit = values.get(id(c))
-            if hit is None:
-                hit = values[id(c)] = (c, _ROW_C % ",\n".join(
-                    "        " + json.dumps(x) for x in c.to_json()))
-            blocks.append(nm + l + hit[1])
+            text = values.get(c)
+            if text is None:
+                text = values[c] = _ROW_C % ",\n".join(
+                    "        " + json.dumps(x) for x in _gaussian_cyc(c).to_json())
+            blocks.append(nm + l + text)
         _print(fh, sep + ",\n".join(blocks))
         sep = ",\n"
     _print(fh, ("[]" if sep == "[\n" else "\n  ]") + tail + "\n")
@@ -241,8 +250,8 @@ def _write_json(fh, payload, groups):
 
 def _write_csv(fh, groups):
     """Write the rows of `groups` (from _cocycle_rows with _csv_label) to fh
-    as CSV, one group at a time; C coordinates are memoized as in
-    _write_json."""
+    as CSV, one group at a time; the coordinates of each C value are
+    encoded once."""
     lines = []
     w = csv.writer(types.SimpleNamespace(write=lines.append),
                    lineterminator="\n")
@@ -252,10 +261,10 @@ def _write_csv(fh, groups):
         _print(fh, "".join(lines))
         lines.clear()
         for (kN, kM, kL), c in zip(itertools.product(kNs, kMs, kLs), cs):
-            hit = coords.get(id(c))
-            if hit is None:
-                hit = coords[id(c)] = (c, c.to_json())
-            w.writerow([kN, kM, kL, *hit[1]])
+            coord = coords.get(c)
+            if coord is None:
+                coord = coords[c] = _gaussian_cyc(c).to_json()
+            w.writerow([kN, kM, kL, *coord])
     _print(fh, "".join(lines))
 
 
@@ -351,7 +360,6 @@ def cmd_emit_corpus(args):
     from . import witt
     from .heisenberg import enumerate_asp, enumerate_sp_R
     from .transport import splitting_transport, trivialization_transport
-    from .models import monomial_cyc
     from .weil import SplitWeilRepresentation, WeilRepresentation, canonical_root
 
     # the table's refusal runs here, before the ring is built; the other
@@ -386,7 +394,7 @@ def cmd_emit_corpus(args):
                 "gram": [list(row) for row in B],
                 "counts": list(counts),
                 "gw": witt.gw_exponent(counts),
-                "gauss": witt.gauss_sum(B).to_json(),
+                "gauss": _gaussian_cyc(witt.gauss_sum(B)).to_json(),
             })
     corpus["witt_classification_rank<=2"] = classifications
 
@@ -405,15 +413,15 @@ def cmd_emit_corpus(args):
         base = W.base
         for e in enumerate_enhanced(sp):
             s = trivialization_transport(sp, e, base).scalar
-            lam.append({"L": repr(e.key()), "scalar": monomial_cyc(*s).to_json(),
-                        "lambda": monomial_cyc(*canonical_root(s, 4)).to_json()})
+            lam.append({"L": repr(e.key()), "scalar": _monomial_json(s),
+                        "lambda": _monomial_json(canonical_root(s, 4))})
         corpus["lambda_roots"] = lam
         mu = []
         obase = S.base
         for o in sp.enumerate_oriented():
             s = splitting_transport(sp, o, obase).scalar
-            mu.append({"L": repr(o.key()), "scalar": monomial_cyc(*s).to_json(),
-                       "mu": monomial_cyc(*canonical_root(s, 2)).to_json()})
+            mu.append({"L": repr(o.key()), "scalar": _monomial_json(s),
+                       "mu": _monomial_json(canonical_root(s, 2))})
         corpus["mu_roots"] = mu
 
     with _output(args.out) as fh:

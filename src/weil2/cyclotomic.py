@@ -5,9 +5,10 @@ common positive denominator, representing
 
     (a0 + a1*z + a2*z^2 + a3*z^3) / den,      z = e^{2 pi i / 8},  z^4 = -1.
 
-Everything the library ever computes -- character values i^k, Gauss sums,
-intertwiner entries, normalization scalars +-2^{-k} and their 4th roots --
-lives in this field, so no floating point is needed anywhere.
+The library computes in the rings its values live in: character values as
+Z/4 exponents, cocycle values and Gauss sums as Gaussian integers, operators
+as zeta^e sqrt2^s times Gaussian-integer matrices.  Reports print them all
+in Cyc8 coordinates, and weil.commutant_dimension eliminates over Cyc8.
 """
 from __future__ import annotations
 
@@ -40,20 +41,6 @@ class Cyc8:
     def from_rational(q) -> "Cyc8":
         q = Fraction(q)
         return Cyc8((q.numerator, 0, 0, 0), q.denominator)
-
-    @staticmethod
-    def zeta_pow(k: int) -> "Cyc8":
-        """z^k for any integer k."""
-        k %= 8
-        sign = 1 if k < 4 else -1
-        coeffs = [0, 0, 0, 0]
-        coeffs[k % 4] = sign
-        return Cyc8(coeffs)
-
-    @staticmethod
-    def i_pow(k: int) -> "Cyc8":
-        """i^k (i = z^2); the value field of the character psi."""
-        return Cyc8.zeta_pow(2 * k)
 
     # -- basic predicates ------------------------------------------------
     def is_zero(self) -> bool:
@@ -121,11 +108,6 @@ class Cyc8:
 
     __rmul__ = __mul__
 
-    def conj(self) -> "Cyc8":
-        """Complex conjugation, the automorphism z -> z^-1."""
-        a0, a1, a2, a3 = self.a
-        return Cyc8((a0, -a3, -a2, -a1), self.den)
-
     def galois(self, k: int) -> "Cyc8":
         """The Galois automorphism z -> z^k, k odd."""
         if k % 2 == 0:
@@ -169,9 +151,6 @@ class Cyc8:
             base = base * base
             k >>= 1
         return result
-
-    def abs_squared(self) -> Fraction:
-        return (self * self.conj()).rational_value()
 
     # -- equality / hashing ------------------------------------------------
     def __eq__(self, other):

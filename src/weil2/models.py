@@ -9,9 +9,9 @@ psi.  Such f is determined by its values on (t, 0) for t in a fixed
 transversal T_L of L in V (the span of the non-pivot standard basis
 vectors, in lexicographic order).  An EnhancedLagrangian stands for its
 model, and SympSpace.transversal holds T_L once per pivot set, packed.
-alpha is one tuple over the elements of L in span order: the operators
-read it through a table keyed by packed l, the character sum at the span
-positions of SympSpace.r_terms.
+Everything here reads alpha only through the psi digits psi_exp(alpha(l))
+in Z/4 by span position: the operators through Subspace.index, the
+character sum at the span positions of SympSpace.r_terms.
 
 The right translation pi_L(h) f = f(. h) and the P_a of weil read f by one
 packed rule, `monomial_operator`, with one psi-entry per matrix row.
@@ -33,19 +33,13 @@ one integer linear combination of those ints (Kronecker substitution),
 read back slot by slot.  Every ratio between operators is a monomial
 zeta^e sqrt2^s read by one rule, `gaussian_monomial`, on Gaussian
 integers, and stays an exponent pair (e, s) until output.
+The three routes give the association scalar as a Gaussian integer
+(re, im), route 1 through `monomial_gaussian`; `gaussian_mul` multiplies.
 """
 from __future__ import annotations
 
-import functools
-
 from . import linalg
 from .cyclotomic import Cyc8
-
-
-def _alpha_exponents(e):
-    """psi_exp(alpha(l)) by packed l in L."""
-    psi_exp = e.space.R.psi_exp
-    return {l: psi_exp(a) for l, a in zip(e.span.packed, e.alpha)}
 
 
 def monomial_operator(e, points):
@@ -54,13 +48,13 @@ def monomial_operator(e, points):
         f((v, z)) = psi(z - alpha(l) - beta(l, t)) f((t, 0)),
     with l = split(pack(v)), t = pack(v) ^ l in the transversal, and
     psi_exp(beta(l, t)) = 2 parity(l & trace_mask(t))."""
-    split, columns = e.span.split, e.space.transversal(e.pivots)
-    a = _alpha_exponents(e)
+    split, index, psi = e.span.split, e.span.index, e.psi
+    columns = e.space.transversal(e.pivots)
     entries = []
     for v, z in points:
         l = split(v)
         j, T = columns[v ^ l]
-        entries.append((z - a[l] - 2 * ((l & T).bit_count() & 1), j))
+        entries.append((z - psi[index[l]] - 2 * ((l & T).bit_count() & 1), j))
     return ZiMatrix.monomial(entries, len(columns))
 
 
@@ -85,18 +79,17 @@ def intertwiner_matrix(eM, eL):
     The split along L is k-linear, so each m and each t_M is split once per
     matrix and the term's split is the XOR of the two."""
     sp = eM.space
-    psi_exp, split = sp.R.psi_exp, eL.span.split
-    aL = _alpha_exponents(eL)
+    split, index, aL = eL.span.split, eL.span.index, eL.psi
     cols = sp.transversal(eL.pivots)
     split_m = []
-    for m, a in zip(eM.span.packed, eM.alpha):
+    for m, am in zip(eM.span.packed, eM.psi):
         l = split(m)
-        split_m.append((m, psi_exp(a), l, m ^ l))
+        split_m.append((m, am, l, m ^ l))
     split_t = []
     for v, (_, T_M) in sp.transversal(eM.pivots).items():
         l = split(v)
         split_t.append((T_M, l, v ^ l))
-    if any(l not in aL for *_, l, _ in split_m + split_t):
+    if any(l not in index for *_, l, _ in split_m + split_t):
         raise RuntimeError("split left the Lagrangian")
     out = []
     for T_M, l_t, t_t in split_t:
@@ -105,7 +98,7 @@ def intertwiner_matrix(eM, eL):
             l = l_m ^ l_t
             j, T_L = cols[t_m ^ t_t]
             parity = ((m & T_M) ^ (l & T_L)).bit_count() & 1
-            row[j][(am - aL[l] + 2 * parity) % 4] += 1
+            row[j][(am - aL[index[l]] + 2 * parity) % 4] += 1
         out.append(tuple((c[0] - c[2], c[1] - c[3]) for c in row))
     return ZiMatrix(0, 0, out)
 
@@ -115,8 +108,8 @@ def intertwiner_matrix(eM, eL):
 # times a Gaussian-integer matrix: pi(h) and P_a are monomial with mu4
 # entries, intertwiners have Z[i] entries, and every root and transport
 # scalar is zeta^e sqrt2^s.  So an operator is kept as that triple, every
-# scalar as its exponent pair (e, s), and Cyc8 numbers are built only for
-# output and for route 1's value.
+# scalar as its exponent pair (e, s), every cocycle value and Gauss sum as a
+# Gaussian integer (re, im), and Cyc8 numbers are built only for output.
 
 _I_POW = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
@@ -158,6 +151,25 @@ def gaussian_monomial(p, q):
         if (pr, pi) == rot:
             return (2 * c + o) % 8, b
     return None
+
+
+def monomial_gaussian(e, s):
+    """zeta^e sqrt2^s as a Gaussian integer (re, im), the inverse of
+    gaussian_monomial(., (1, 0)); None when it is not one (s < 0, or e - s
+    odd).  With s = 2t + o it is 2^t i^((e - s) / 2 + t) (1 + i)^o."""
+    if s < 0 or (e - s) % 2:
+        return None
+    t, o = divmod(s, 2)
+    re, im = _I_POW[((e - s) // 2 + t) % 4]
+    if o:
+        re, im = re - im, re + im
+    return re << t, im << t
+
+
+def gaussian_mul(p, q):
+    """The product of the Gaussian integers p and q."""
+    (pr, pi), (qr, qi) = p, q
+    return pr * qr - pi * qi, pr * qi + pi * qr
 
 
 def _zi_product(X, Y):
@@ -293,12 +305,15 @@ class ZiMatrix:
     def inverse(self):
         """A^{-1} = A* / c from A A* = c I.  Raises ValueError unless the
         Z[i] part satisfies that with c a power of 2 (so that the inverse is
-        again of this form)."""
+        again of this form).  A A* is summed by row inner products, not by
+        `_zi_product`, so a faulty kernel shows in the products checked."""
         n, m = self.shape
         if n != m:
             raise ValueError("A A* is not a nonzero scalar matrix")
         adj = self.adjoint()
-        P = _zi_product(self, adj)
+        P = [[(sum(ar * br + ai * bi for (ar, ai), (br, bi) in zip(x, y)),
+               sum(ai * br - ar * bi for (ar, ai), (br, bi) in zip(x, y)))
+              for y in self.rows] for x in self.rows]
         c = P[0][0][0]
         k = c.bit_length() - 1
         if c <= 0 or any(P[i][j] != ((c, 0) if i == j else (0, 0))
@@ -373,16 +388,16 @@ class ZiMatrix:
 
 def composition_scalar(space, eN, eM, eL):
     """Route 1: compose F_{N,M} F_{M,L} and divide by F_{N,L}, checking full
-    proportionality; None when the composite is not a monomial
-    zeta^e sqrt2^s times the target, which the three-route check counts as
-    a disagreement.
+    proportionality, as a Gaussian integer (re, im); None when the
+    composite is not a monomial zeta^e sqrt2^s in Z[i] times the target,
+    which the three-route check counts as a disagreement.
     Requires all three pairs transversal."""
     for a, b in ((eN, eM), (eM, eL), (eN, eL)):
         if not space.transversal_k(a.rows, b.rows):
             raise ValueError("composition route requires a transversal pair")
     r = (intertwiner_matrix(eN, eM) @ intertwiner_matrix(eM, eL)).ratio(
         intertwiner_matrix(eN, eL))
-    return None if r is None else monomial_cyc(*r)
+    return None if r is None else monomial_gaussian(*r)
 
 
 def formula_scalar(space, eN, eM, eL):
@@ -390,7 +405,7 @@ def formula_scalar(space, eN, eM, eL):
     C = sum_{m in M} psi(alpha_M(m) + alpha_N(r(m)) - alpha_L(m - r(m))
                          - beta(m, r(m))),
     with r the projection onto N along L, through the CharacterSum of the
-    subspace triple."""
+    subspace triple; a Gaussian integer (re, im)."""
     k = CharacterSum(space, eM.rows, eN.rows, eL.rows)
     return k.value(k.pack_N(eN) + k.pack_M(eM) + k.pack_L(eL))
 
@@ -405,23 +420,23 @@ class CharacterSum:
         eM: psi_exp(alpha_M(m_j)) - psi_exp(beta(m_j, r(m_j)))
         eN: psi_exp(alpha_N(r(m_j)))
         eL: -psi_exp(alpha_L(m_j - r(m_j)))
-    Each alpha tuple is read at the span positions that space.r_terms gives
-    for m_j, r(m_j) and m_j - r(m_j).  Each pack_* reduces its digits mod 4
-    and puts digit j in bits 4j..4j+3 of one int.  The sum of one pack of
-    each kind holds at most 9 < 16 per field, so no carry crosses a field,
-    and bits 0 and 1 of field j are the term's exponent mod 4; `value`
-    counts the exponents by popcount.
+    Each enhancement's psi digits are read at the span positions that
+    space.r_terms gives for m_j, r(m_j) and m_j - r(m_j).  Each pack_*
+    reduces its digits mod 4 and puts digit j in bits 4j..4j+3 of one int.
+    The sum of one pack of each kind holds at most 9 < 16 per field, so no
+    carry crosses a field, and bits 0 and 1 of field j are the term's
+    exponent mod 4; `value` counts the exponents by popcount into a
+    Gaussian integer (re, im).
     `values` sweeps enhanced triples over the subspace triple: it packs
     each enhancement once and pays two int additions and one `value` per
     enhanced triple."""
 
-    __slots__ = ("size", "_rows", "_m", "_n", "_l", "_ones", "_psi_exp")
+    __slots__ = ("size", "_rows", "_m", "_n", "_l", "_ones")
 
     def __init__(self, space, M_rows, N_rows, L_rows):
         terms = space.r_terms(M_rows, N_rows, L_rows)
         self._rows = (tuple(M_rows), tuple(N_rows), tuple(L_rows))
         self.size = len(terms)
-        self._psi_exp = space.R.psi_exp
         shifts = range(0, 4 * self.size, 4)
         self._m = tuple((m, b, s) for (m, _, _, b), s in zip(terms, shifts))
         self._n = tuple((rm, s) for (_, rm, _, _), s in zip(terms, shifts))
@@ -429,22 +444,22 @@ class CharacterSum:
         # bit 0 of every field
         self._ones = sum(1 << s for s in shifts)
 
-    def _alpha(self, e, i, name):
+    def _psi(self, e, i, name):
         if e.rows != self._rows[i]:
             raise ValueError(f"enhancement is not over {name}")
-        return e.alpha
+        return e.psi
 
     def pack_M(self, eM):
-        a, psi_exp = self._alpha(eM, 0, "M"), self._psi_exp
-        return sum(((psi_exp(a[m]) - b) % 4) << s for m, b, s in self._m)
+        a = self._psi(eM, 0, "M")
+        return sum(((a[m] - b) % 4) << s for m, b, s in self._m)
 
     def pack_N(self, eN):
-        a, psi_exp = self._alpha(eN, 1, "N"), self._psi_exp
-        return sum(psi_exp(a[rm]) << s for rm, s in self._n)
+        a = self._psi(eN, 1, "N")
+        return sum(a[rm] << s for rm, s in self._n)
 
     def pack_L(self, eL):
-        a, psi_exp = self._alpha(eL, 2, "L"), self._psi_exp
-        return sum((-psi_exp(a[lm]) % 4) << s for lm, s in self._l)
+        a = self._psi(eL, 2, "L")
+        return sum((-a[lm] % 4) << s for lm, s in self._l)
 
     def value(self, packed):
         """C for a sum of one pack of each kind.  With lo and hi the bits 0
@@ -454,7 +469,7 @@ class CharacterSum:
         lo = packed & self._ones
         hi = (packed >> 1) & self._ones
         a, b, c = lo.bit_count(), hi.bit_count(), (lo & hi).bit_count()
-        return _gaussian_scalar(self.size - a - 2 * b + 2 * c, a - 2 * c)
+        return self.size - a - 2 * b + 2 * c, a - 2 * c
 
     def values(self, eNs, eMs, eLs):
         """C for every (eN, eM, eL) of the three enhancement lists, in
@@ -470,12 +485,6 @@ class CharacterSum:
                     yield value(pNM + pL)
 
 
-@functools.cache
-def _gaussian_scalar(re, im):
-    """re + i im as a Cyc8, one shared (immutable) instance per value."""
-    return Cyc8((re, 0, im, 0))
-
-
 def gauss_scalar(space, eN, eM, eL):
     """Route 3: reduce the character sum to a Gauss character of the
     R-valued symmetric form omt_L(m1, m2) = omt(r^Lt(m1), m2) on a free
@@ -484,7 +493,7 @@ def gauss_scalar(space, eN, eM, eL):
     The initial free lifts (Mt, Nt, Lt) split Q into the lift part
     omt_L(mt, mt) plus a 2R-valued defect sigma; sigma matches a linear
     character psi(2 omt_L(mt_s, .)) and completes into the square, so
-    C = psi(-omt_L(mt_s, mt_s)) * G([Mt, tr omt_L]).
+    C = psi(-omt_L(mt_s, mt_s)) * G([Mt, tr omt_L]) as the pair (re, im).
     None when sigma matches no linear character, which the three-route
     check counts as a disagreement, as it does route 1's None.
     Imports witt on its first call, so that route 2 alone does not load it.
@@ -498,12 +507,13 @@ def gauss_scalar(space, eN, eM, eL):
     if gram != linalg.transpose(gram):
         raise RuntimeError("omt_L must be symmetric")
 
-    # alpha minus the canonical enhancement of the lift, over the same span
-    dM, dN, dL = (tuple(map(R.sub, e.alpha, space.enhance_from_lift(lt).alpha))
+    # psi digits of alpha minus those of the canonical enhancement of the
+    # lift, over the same span: exact mod 4, as the trace is additive
+    dM, dN, dL = ([x - y for x, y in zip(e.psi, space.enhance_from_lift(lt).psi)]
                   for e, lt in ((eM, Mt), (eN, Nt), (eL, Lt)))
     # psi-exponent of sigma(m_i), the enhancement part of the character sum
     # relative to the canonical enhancements, for the elements m_i of M in order
-    sigma_exp = [R.psi_exp(R.sub(R.add(dM[i], dN[j]), dL[k]))
+    sigma_exp = [(dM[i] + dN[j] - dL[k]) % 4
                  for i, j, k, _ in space.r_terms(eM.rows, eN.rows, eL.rows)]
 
     # ring coefficients of the {0,1}-coordinate lift of each m against Mt
@@ -525,5 +535,5 @@ def gauss_scalar(space, eN, eM, eL):
     if cs is None:
         return None
 
-    shift = Cyc8.i_pow(-R.psi_exp(gram_eval(cs, cs)) % 4)
-    return shift * gauss_sum(trace_form(R, gram))
+    shift = _I_POW[-R.psi_exp(gram_eval(cs, cs)) % 4]
+    return gaussian_mul(shift, gauss_sum(trace_form(R, gram)))

@@ -672,10 +672,11 @@ class EnhancedLagrangian(_Keyed):
     """A Lagrangian subspace with a quadratic function alpha polarizing beta:
     alpha(l1 + l2) - alpha(l1) - alpha(l2) = beta(l1, l2).  alpha is given
     and kept as a sequence of values, one per element of span.elements
-    (span.packed) in order.  A mapping is refused (ValueError), validated
-    or not: the tuple of its keys would pass for the values."""
+    (span.packed) in order, and psi holds its Z/4 digits psi_exp(alpha) in
+    that order.  A mapping is refused (ValueError), validated or not: the
+    tuple of its keys would pass for the values."""
 
-    __slots__ = ("space", "span", "rows", "pivots", "alpha")
+    __slots__ = ("space", "span", "rows", "pivots", "alpha", "psi")
 
     def __init__(self, space, rows, alpha, validate=True):
         if isinstance(alpha, collections.abc.Mapping):
@@ -685,6 +686,7 @@ class EnhancedLagrangian(_Keyed):
         self.span = space.subspace(tuple(map(tuple, rows)))
         self.rows, self.pivots = self.span.rows, self.span.pivots
         self.alpha = tuple(alpha)
+        self.psi = tuple(map(space.R.psi_exp, self.alpha))
         if validate:
             self._validate()
 

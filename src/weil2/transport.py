@@ -109,9 +109,7 @@ def splitting_scalar(space, oM, oL):
     pair, from the exponents of the Gaussian integer G = zeta^e sqrt2^s.
     RuntimeError when G is not of that form."""
     G = gauss_sum(trace_form(space.R, wedge_form(space, oM, oL)))
-    a0, a1, a2, a3 = G.a
-    g = (None if a1 or a3 or G.den != 1
-         else gaussian_monomial((a0, a2), (1, 0)))
+    g = gaussian_monomial(G, (1, 0))
     if g is None:
         raise RuntimeError(f"Gauss sum {G} is not zeta^e sqrt2^s")
     return monomial_product((0, -4 * space.dn), g, 2)

@@ -6,15 +6,14 @@ convention: apply_congruence(U, B)[i][j] = sum_ab U[a][i] B[a][b] U[b][j],
 i.e. the columns of U are the new basis vectors.
 
 The Gauss character sums i^{B(v,v)} over a transversal {0,1}^r of V/2V
-(B(v,v) mod 4 only depends on v mod 2V), so |G|^2 = 2^r for every
-unimodular gram ("purity").
+(B(v,v) mod 4 only depends on v mod 2V), so it is a Gaussian integer, kept
+as the pair (re, im), and |G|^2 = 2^r for every unimodular gram ("purity").
 """
 from __future__ import annotations
 
 import itertools
 
 from . import linalg
-from .cyclotomic import Cyc8
 
 HYP = ((0, 1), (1, 0))
 M4 = ((2, 1), (1, 2))
@@ -70,7 +69,7 @@ def det4(B):
 
 
 def gauss_sum(B):
-    """G([V, B]) = sum over V/2V of i^{B(v,v)}, exact in Z[i]."""
+    """G([V, B]) = sum over V/2V of i^{B(v,v)}, as the pair (re, im)."""
     r = len(B)
     tally = [0, 0, 0, 0]
     for v in itertools.product(range(2), repeat=r):
@@ -82,7 +81,7 @@ def gauss_sum(B):
                     if v[j]:
                         q += 2 * B[i][j]
         tally[q % 4] += 1
-    return Cyc8((tally[0] - tally[2], 0, tally[1] - tally[3], 0))
+    return tally[0] - tally[2], tally[1] - tally[3]
 
 
 def direct_sum(A, B):

@@ -234,10 +234,11 @@ def test_row_writer_matches_json_dumps(d, n, mode, count, seed, tail):
                                  check_cocycle(d, n, mode, count), count,
                                  seed, label)
 
-    # a table holds few distinct C: encode each once
+    # a table holds few distinct C (re, im): encode each once
     encoded = {}
     dicts = [{"N": kN, "M": kM, "L": kL,
-              "C": encoded[c] if c in encoded else encoded.setdefault(c, c.to_json())}
+              "C": encoded[c] if c in encoded
+              else encoded.setdefault(c, cli._gaussian_cyc(c).to_json())}
              for kNs, kMs, kLs, cs in groups(lambda e: repr(e.key()))
              for (kN, kM, kL), c in zip(itertools.product(kNs, kMs, kLs), cs)]
     head = {"schema_version": 1, "d": d, "n": n, "mode": mode}

@@ -138,3 +138,40 @@ def test_every_stored_attribute_is_read():
     unread = sorted(f"{where} self.{attr}" for attr, where in stored.items()
                     if attr not in read)
     assert stored and not unread, unread
+
+
+# the only places weil2 may name Cyc8 or reach to_cyc or monomial_cyc: the
+# output encoders, and commutant_dimension with the field ops it eliminates by
+CYC8_SCOPES = {"cli._gaussian_cyc", "cli._monomial_json", "cli._matrix_json",
+               "models.monomial_cyc", "models.ZiMatrix.to_cyc",
+               "weil.commutant_dimension", "linalg.CYC8_OPS"}
+
+
+def _scopes(tree):
+    """(name, node) of each top-level statement of a module: the methods
+    of a class one by one as Class.method, an assignment by its target."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                yield f"{node.name}.{getattr(item, 'name', '?')}", item
+        elif isinstance(node, ast.Assign):
+            yield ",".join(map(ast.unparse, node.targets)), node
+        else:
+            yield getattr(node, "name", type(node).__name__), node
+
+
+def test_cyc8_only_at_the_output_edge():
+    """Outside cyclotomic, a Cyc8 is built, and to_cyc or monomial_cyc
+    called, only in CYC8_SCOPES: cocycle values and Gauss sums are
+    Gaussian integers (re, im), operator scalars exponent pairs, and Q(zeta8)
+    is where they meet for output."""
+    found = set()
+    for path in sorted((SRC / "weil2").glob("*.py")):
+        if path.stem == "cyclotomic":
+            continue
+        for name, node in _scopes(ast.parse(path.read_text())):
+            if any(isinstance(sub, ast.Name) and sub.id in ("Cyc8", "monomial_cyc")
+                   or isinstance(sub, ast.Attribute) and sub.attr == "to_cyc"
+                   for sub in ast.walk(node)):
+                found.add(f"{path.stem}.{name}")
+    assert found == CYC8_SCOPES

@@ -20,8 +20,8 @@ from weil2.heisenberg import (
 )
 from weil2.models import (
     CharacterSum, ZiMatrix, composition_scalar, formula_scalar,
-    gauss_scalar, gaussian_monomial, intertwiner_matrix, monomial_cyc,
-    pi_matrix,
+    gauss_scalar, gaussian_monomial, gaussian_mul, intertwiner_matrix,
+    monomial_cyc, monomial_gaussian, pi_matrix,
 )
 from weil2.symplectic import (
     EnhancedLagrangian, SympSpace, _xor, enumerate_enhanced,
@@ -75,7 +75,7 @@ def test_pi_central_character():
             mat = pi_matrix(e, ((0,) * sp.dim, z)).to_cyc()
             for r in range(dim):
                 for c in range(dim):
-                    want = Cyc8.i_pow(z) if r == c else Cyc8.from_rational(0)
+                    want = monomial_cyc(2 * z, 0) if r == c else Cyc8.from_rational(0)
                     assert mat[r][c] == want
 
 
@@ -106,7 +106,7 @@ def test_intertwiner_entries_are_fourth_roots():
     in particular the matrices are dense."""
     sp = _space()
     enh = enumerate_enhanced(sp)
-    mu4 = {Cyc8.i_pow(k) for k in range(4)}
+    mu4 = {monomial_cyc(2 * k, 0) for k in range(4)}
     for eM in enh:
         for eL in enh:
             if not sp.transversal_k(eM.rows, eL.rows):
@@ -255,13 +255,14 @@ def test_translation_matrix_matches_the_coordinate_reference(d, n, elements,
     assert seen == count
 
 
+# route 1's values as Gaussian integers: 1 - i and 1 + i
 FROZEN_TRIANGLE = {
-    ("std", "dual", "third"): ONE - I,
-    ("std", "third", "dual"): ONE + I,
-    ("dual", "std", "third"): ONE + I,
-    ("dual", "third", "std"): ONE - I,
-    ("third", "std", "dual"): ONE - I,
-    ("third", "dual", "std"): ONE + I,
+    ("std", "dual", "third"): (1, -1),
+    ("std", "third", "dual"): (1, 1),
+    ("dual", "std", "third"): (1, 1),
+    ("dual", "third", "std"): (1, -1),
+    ("third", "std", "dual"): (1, -1),
+    ("third", "dual", "std"): (1, 1),
 }
 
 
@@ -271,7 +272,7 @@ def test_composition_scalar_frozen_triangle():
     for order, want in FROZEN_TRIANGLE.items():
         got = composition_scalar(sp, *(e[name] for name in order))
         assert got == want
-        assert got ** 4 == MINUS_FOUR
+        assert _gaussian(got) ** 4 == MINUS_FOUR
 
 
 @pytest.mark.parametrize("d,n", [(1, 1), (1, 2)])
@@ -304,7 +305,7 @@ def test_three_routes_agree():
                     c = composition_scalar(sp, eN, eM, eL)
                     assert formula_scalar(sp, eN, eM, eL) == c
                     assert gauss_scalar(sp, eN, eM, eL) == c
-                    assert c ** 4 == MINUS_FOUR
+                    assert _gaussian(c) ** 4 == MINUS_FOUR
                     count += 1
     assert count == 48
 
@@ -322,13 +323,13 @@ def _formula_reference(sp, eN, eM, eL):
         lm = tuple(a ^ b for a, b in zip(m, rm))
         q = R.sub(R.sub(R.add(aM[m], aN[rm]), aL[lm]), sp.beta(m, rm))
         tally[R.psi_exp(q)] += 1
-    return Cyc8((tally[0] - tally[2], 0, tally[1] - tally[3], 0))
+    return tally[0] - tally[2], tally[1] - tally[3]
 
 
 def test_formula_scalar_terms_once_per_subspace_triple():
     """All 30,720 enhanced triples at d1n2 against the term-by-term sum,
     from one CharacterSum per subspace triple with each enhancement packed
-    once, and through formula_scalar; both give the same shared Cyc8.  The
+    once, and through formula_scalar; both give the same (re, im).  The
     subspace terms are computed once per subspace triple: 480 entries, and
     psi(beta(m, r(m))) is read once per element of M of each, through one
     trace mask (4 * 480 of them)."""
@@ -352,7 +353,7 @@ def test_formula_scalar_terms_once_per_subspace_triple():
         for (eN, eM, eL), c in zip(itertools.product(*fibres),
                                    k.values(*fibres), strict=True):
             assert c == _formula_reference(ref, eN, eM, eL)
-            assert formula_scalar(sp, eN, eM, eL) is c
+            assert formula_scalar(sp, eN, eM, eL) == c
             count += 1
     assert count == 30720
     assert len(sp._caches["r_terms"]) == 480
@@ -458,7 +459,8 @@ def test_intertwiner_adjoint_is_scaled_inverse(d, n, stride, pairs):
     for eM, eL in transversal:
         F = intertwiner_matrix(eM, eL)
         Fc = F.to_cyc()
-        F_star = tuple(tuple(Fc[j][i].conj() for j in range(dim)) for i in range(dim))
+        F_star = tuple(tuple(Fc[j][i].galois(7) for j in range(dim))
+                       for i in range(dim))
         assert F.adjoint().to_cyc() == F_star
         assert (F.adjoint() @ F).to_cyc() == scaled_identity
         assert (F.inverse() @ F).to_cyc() == identity
@@ -586,7 +588,7 @@ def test_zi_product_refuses_shapes_that_do_not_chain():
 
 def mu4_exponent(x):
     """k with x = i^k, or None: the Cyc8 reference for mu4_ratio."""
-    return {Cyc8.i_pow(k): k for k in range(4)}.get(x)
+    return {monomial_cyc(2 * k, 0): k for k in range(4)}.get(x)
 
 
 def monomial_exponents(c):
@@ -666,6 +668,36 @@ def test_gaussian_monomial_matches_the_search():
     assert gaussian_monomial((-1, 3), (1, 1)) is None
     assert gaussian_monomial((1, 0), (0, 0)) is None
     assert gaussian_monomial((0, 0), (0, 0)) is None
+
+
+def test_monomial_gaussian_inverts_gaussian_monomial():
+    """monomial_gaussian(e, s) against monomial_cyc for every e in 0..7 and
+    s in -8..8: the same number where zeta^e sqrt2^s lies in Z[i], None
+    exactly where it does not, and back to (e, s) through
+    gaussian_monomial(., (1, 0))."""
+    inside = 0
+    for e in range(8):
+        for s in range(-8, 9):
+            c, z = monomial_cyc(e, s), monomial_gaussian(e, s)
+            if c.den == 1 and c.a[1] == c.a[3] == 0:
+                assert _gaussian(z) == c
+                assert gaussian_monomial(z, (1, 0)) == (e, s)
+                inside += 1
+            else:
+                assert z is None, (e, s)
+    # s = 0..8 and the four e with e = s (mod 2)
+    assert inside == 9 * 4
+
+
+def test_gaussian_mul_matches_the_cyc8_product():
+    """The Gaussian product against the Cyc8 product on random pairs, small
+    and far beyond machine words, zero included."""
+    rng = random.Random(30)
+    for bound in (1, 5, 10 ** 30):
+        for _ in range(300):
+            p, q = [(rng.randint(-bound, bound), rng.randint(-bound, bound))
+                    for _ in range(2)]
+            assert _gaussian(gaussian_mul(p, q)) == _gaussian(p) * _gaussian(q)
 
 
 def test_mu4_ratio_matches_the_cyc8_ratio():

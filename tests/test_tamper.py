@@ -14,8 +14,7 @@ import re
 import pytest
 
 from weil2 import heisenberg, models, transport, verify, witt
-from weil2.cyclotomic import I, ONE
-from weil2.models import ZiMatrix
+from weil2.models import ZiMatrix, gaussian_mul
 from weil2.galois import ring
 from weil2.symplectic import SympSpace, enumerate_enhanced
 from weil2.transport import ScaledTransport, monomial_product
@@ -33,6 +32,8 @@ gauss_sum = witt.gauss_sum
 gw_exponent = witt.gw_exponent
 decompose = witt.decompose
 IDENTITY3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+# Gauss sums and cocycle values are Gaussian integers (re, im)
+I = (0, 1)
 
 
 def _gauss_sum_at_rank(rank, change):
@@ -77,21 +78,22 @@ def _unscaled_materialization(T):
 
 TAMPERS = [
     ("witt.purity.rank<=3", "gauss_sum",
-     _gauss_sum_at_rank(2, lambda G: G * (ONE + I)), {"gw.gauss-fourth-power"}),
+     _gauss_sum_at_rank(2, lambda G: gaussian_mul(G, (1, 1))),
+     {"gw.gauss-fourth-power"}),
     ("witt.decompose-witness", "decompose", _identity_witness, set()),
     ("witt.rel1", "REL1_WITNESS",
      tuple(tuple(int(i == j) for j in range(4)) for i in range(4)), set()),
     ("witt.rel2", "REL2_WITNESS", IDENTITY3, set()),
     ("witt.rel3", "REL3_WITNESS", IDENTITY3, set()),
     ("witt.gauss-of-one", "gauss_sum",
-     _gauss_sum_at_rank(1, lambda G: G.conj()), set()),
+     _gauss_sum_at_rank(1, lambda G: (G[0], -G[1])), set()),
     ("gw.additive", "gw_exponent",
      _gw_exponent_plus(1, lambda counts: witt.counts_rank(counts) >= 3),
      {"gw.generator-order", "gw.vanishing"}),
     ("gw.generator-order", "gw_exponent",
      _gw_exponent_plus(4, lambda counts: counts[3] > 0), {"gw.additive"}),
     ("gw.gauss-fourth-power", "gauss_sum",
-     _gauss_sum_at_rank(4, lambda G: -G), set()),
+     _gauss_sum_at_rank(4, lambda G: (-G[0], -G[1])), set()),
     ("gw.vanishing", "counts_disc", lambda counts: 1, set()),
 ]
 
@@ -107,10 +109,10 @@ TRANSPORT_TAMPERS = [
     ("splitting.square-is-trivialization", verify, "transport_square",
      lambda S: _times_i(transport_square(S))),
     ("splitting.gauss-conj-symmetry", witt, "gauss_sum",
-     lambda B: gauss_sum(B) * I if len(B) == 3 and witt.det4(B) % 2 == 0
-     else gauss_sum(B)),
+     lambda B: gaussian_mul(gauss_sum(B), I)
+     if len(B) == 3 and witt.det4(B) % 2 == 0 else gauss_sum(B)),
     ("splitting.norm-coeff-identity", verify, "_norm_coeff",
-     lambda sp, oM, oL: norm_coeff(sp, oM, oL) * I),
+     lambda sp, oM, oL: gaussian_mul(norm_coeff(sp, oM, oL), I)),
 ]
 SUITES = {"trivialization": verify.suite_trivialization,
           "splitting": lambda: verify.suite_splitting(0)}
@@ -190,7 +192,7 @@ ROUTE23_TAMPERS = [
     (models.CharacterSum, "pack_M", lambda self, eM: pack_M(self, eM) + 2,
      {"cocycle.three-route"}),
     # route 3 only; the fourth power is read off route 2
-    (verify, "gauss_scalar", lambda *args: gauss_scalar(*args) * I,
+    (verify, "gauss_scalar", lambda *args: gaussian_mul(gauss_scalar(*args), I),
      {"cocycle.three-route"}),
     # routes 2 and 3; route 2's C^4 = -4 then fails on 16 triples
     (SympSpace, "r_terms", _last_term_without_r,
@@ -385,23 +387,17 @@ KERNEL_TAMPERS = [
 @pytest.mark.parametrize("run,families", KERNEL_TAMPERS,
                          ids=["trivialization", "weil"])
 def test_product_kernel_without_q_fails(monkeypatch, run, families):
-    """Products by the kernel without its ai * Q_k term.  Inverses keep the
-    honest kernel here: with the mutation inside them too, the weil suite
-    stops at its first transition (the xfail case of the next test)."""
+    """Products by the kernel without its ai * Q_k term."""
     monkeypatch.setattr(ZiMatrix, "__matmul__", _matmul_without_q)
     _assert_fails_exactly(run(), families)
 
 
-@pytest.mark.parametrize("run,families", [
-    KERNEL_TAMPERS[0],
-    # known defect (CHANGES.md FOUND): the inverse checks A A* = c I through
-    # the same kernel, so the suite raises on its first Weil transport
-    pytest.param(*KERNEL_TAMPERS[1], marks=pytest.mark.xfail(
-        strict=True, raises=ValueError,
-        reason="ZiMatrix.inverse refuses a transport under a broken kernel")),
-], ids=["trivialization", "weil"])
+@pytest.mark.parametrize("run,families", KERNEL_TAMPERS,
+                         ids=["trivialization", "weil"])
 def test_kernel_without_q_fails_inside_inverses(monkeypatch, run, families):
-    """The same mutation in the kernel itself, so that inverses use it too."""
+    """The same mutation in the kernel itself: ZiMatrix.inverse checks
+    A A* = c I by row inner products, not by the kernel, so the suites run
+    to the end and fail the same families as above."""
     monkeypatch.setattr(models, "_zi_product", _product_without_q)
     _assert_fails_exactly(run(), families)
 

@@ -150,7 +150,6 @@ def test_splitting_scalar_refuses_a_gauss_sum_off_the_monomials(monkeypatch):
     o = next(o for o in sp.enumerate_oriented()
              if sp.transversal_k(tuple(map(sp.reduce_vec, o.basis)),
                                  tuple(map(sp.reduce_vec, base.basis))))
-    monkeypatch.setattr(transport, "gauss_sum",
-                        lambda B: Cyc8.from_rational(3))
+    monkeypatch.setattr(transport, "gauss_sum", lambda B: (3, 0))
     with pytest.raises(RuntimeError, match="not zeta"):
         splitting_scalar(sp, o, base)

@@ -2,10 +2,9 @@ import pytest
 
 from weil2 import linalg, verify
 from weil2.cli import main as cli_main
-from weil2.cyclotomic import I, ONE
 from weil2.galois import ring
 from weil2.heisenberg import all_h_elements, enumerate_asp, enumerate_sp_R
-from weil2.models import pi_matrix
+from weil2.models import gaussian_mul, pi_matrix
 from weil2.symplectic import SympSpace, enumerate_enhanced
 from weil2.weil import SplitWeilRepresentation, WeilRepresentation
 
@@ -36,14 +35,14 @@ def test_exhaustive_sweeps_count_each_wrong_value(monkeypatch):
     """Both d1n1 sweeps read C off the CharacterSum of each subspace triple:
     one wrong value (1, whose fourth power is not -4) is one fourth-power
     failure; every value turned by i keeps every fourth power and breaks
-    every oriented identity."""
+    every oriented identity.  Values are Gaussian integers (re, im)."""
     plain = verify.CharacterSum.value
     calls = 0
 
     def first_wrong(self, packed):
         nonlocal calls
         calls += 1
-        return ONE if calls == 1 else plain(self, packed)
+        return (1, 0) if calls == 1 else plain(self, packed)
 
     monkeypatch.setattr(verify.CharacterSum, "value", first_wrong)
     pow_check, or_check = verify.cocycle_checks_exhaustive(1, 1)
@@ -52,7 +51,7 @@ def test_exhaustive_sweeps_count_each_wrong_value(monkeypatch):
     assert calls == 96
 
     monkeypatch.setattr(verify.CharacterSum, "value",
-                        lambda self, packed: plain(self, packed) * I)
+                        lambda self, packed: gaussian_mul(plain(self, packed), (0, 1)))
     pow_check, or_check = verify.cocycle_checks_exhaustive(1, 1)
     assert (pow_check.passed, or_check.passed) == (True, False)
     assert or_check.detail.endswith(

@@ -7,12 +7,11 @@ from an exhaustive sweep of every unimodular gram of the given rank.
 
 import hashlib
 import random
-from fractions import Fraction
 
 import pytest
 
 from weil2 import linalg, witt
-from weil2.cyclotomic import SQRT2, Cyc8, I, ONE
+from weil2.cyclotomic import SQRT2, ZETA, Cyc8
 from weil2.galois import ring
 
 RANK1_HIST = {(0, 1, 0, 0): 1, (1, 0, 0, 0): 1}
@@ -121,26 +120,34 @@ def test_is_isometric_stops_at_its_first_isometry(monkeypatch):
     assert 4 <= len(calls) <= 32
 
 
+def _cyc(z):
+    re, im = z
+    return Cyc8((re, 0, im, 0))
+
+
 def test_gauss_sums():
-    assert witt.gauss_sum(((1,),)) == ONE + I
-    assert witt.gauss_sum(((1,),)) ** 8 == Cyc8.from_rational(16)
-    assert witt.gauss_sum(((3,),)) == ONE - I
-    assert witt.gauss_sum(witt.HYP) == Cyc8.from_rational(2)
-    assert witt.gauss_sum(witt.M4) == Cyc8.from_rational(-2)
-    assert witt.gauss_sum(()) == ONE
+    """Gaussian integers (re, im); the Cyc8 of G(<1>) = 1 + i has eighth
+    power 16."""
+    assert witt.gauss_sum(((1,),)) == (1, 1)
+    assert _cyc(witt.gauss_sum(((1,),))) ** 8 == Cyc8.from_rational(16)
+    assert witt.gauss_sum(((3,),)) == (1, -1)
+    assert witt.gauss_sum(witt.HYP) == (2, 0)
+    assert witt.gauss_sum(witt.M4) == (-2, 0)
+    assert witt.gauss_sum(()) == (1, 0)
 
 
 def test_gauss_purity_rank2():
     for B in witt.all_unimodular_grams(2):
-        assert witt.gauss_sum(B).abs_squared() == Fraction(4)
+        re, im = witt.gauss_sum(B)
+        assert re * re + im * im == 4
 
 
 def test_gauss_matches_class_invariant():
     for r in (1, 2):
         for B in witt.all_unimodular_grams(r):
             counts, _ = witt.decompose(B)
-            assert witt.gauss_sum(B) == \
-                Cyc8.zeta_pow(witt.gw_exponent(counts)) * \
+            assert _cyc(witt.gauss_sum(B)) == \
+                ZETA ** witt.gw_exponent(counts) * \
                 SQRT2 ** witt.counts_rank(counts)
 
 
