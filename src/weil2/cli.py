@@ -183,12 +183,13 @@ def _cocycle_rows(sp, mode, sample_count, seed, label):
     three label lists, with the C of each row in Cs in the same order.
     label(e) names the enhanced Lagrangian e in the output.  A sampled
     table lists the triples that verify's sampled cocycle check draws with
-    the same count and seed: both draw by SympSpace.random_enhanced_triple.
-    The Lagrangians, the enhancements and their labels are computed at the
-    call; a group's CharacterSum is built only when the iterator reaches
-    it, so nothing holds all the rows."""
-    subs = sp.enumerate_lagrangians()
+    the same count and seed: both draw by SympSpace.random_enhanced_triple,
+    which builds each triple without a list of the Lagrangians.  An
+    exhaustive table lists the Lagrangians, their enhancements and their
+    labels at the call; a group's CharacterSum is built only when the
+    iterator reaches it, so nothing holds all the rows."""
     if mode == "exhaustive":
+        subs = sp.enumerate_lagrangians()
         enh = {s: sp.enumerate_enhancements(s) for s in subs}
         labels = {s: [label(e) for e in enh[s]] for s in subs}
         return ((labels[rN], labels[rM], labels[rL],

@@ -22,12 +22,17 @@ psi_exp(beta(v, w)) = 2 * parity(pack(v) & trace_mask(w)) for one mask per
 w.  `subspace(rows)` holds, once per rows tuple, the RREF rows, pivots and
 sorted elements of a span, its elements packed with the position of each,
 and its F2-generators xi^a * row_i packed with their masks; an enhancement
-alpha is a tuple over those positions, and a transversality test is the
-rank over F2 of the packed generators of two spans.  `transversal(pivots)` holds
-the models' transversal of a pivot set, packed, with columns and trace masks.
-`fill_quadratic` fills a function of known polarization on a span from
-packed generators, and `polarizes` checks one on span x generators.
-The Lagrangians and the transversal triples are frames of linalg.frames.
+alpha is a tuple over those positions.  Multiplying a packed vector by xi
+is a shift and a reduction (`_multiples`), and a span over k is held as
+its F2 echelon (`_f2_insert`), whose rank is its size: a transversality
+test is the rank of the packed generators of two spans.
+`transversal(pivots)` holds the models' transversal of a pivot set,
+packed, with columns and trace masks.  `fill_quadratic` fills a function
+of known polarization on a span from packed generators, and `polarizes`
+checks one on span x generators.  The Lagrangians and the transversal
+triples are frames of linalg.frames; a sampled run lists neither, and
+draws its subspaces by an isotropic walk (`random_lagrangian`) and its
+triples as graphs of symmetric maps (`sample_transversal_triple`).
 """
 from __future__ import annotations
 
@@ -125,8 +130,11 @@ def check_lagrangians(d, n):
 
 def check_sampled(d, n, count):
     """The refusals of a sampled run at (d, n), before any work: the sample
-    count (a run of no draws would pass vacuously), then the listing of
-    the Lagrangians it draws from."""
+    count (a run of no draws would pass vacuously), then the Lagrangian
+    count above MAX_LISTING.  Sampled runs draw their subspaces without a
+    list (random_lagrangian, sample_transversal_triple), so that count no
+    longer measures their work; it stays the cap until a cap on the model
+    dimension q^{dn} replaces it."""
     if count < 1:
         raise ValueError(f"sample count must be >= 1, got {count}")
     check_lagrangians(d, n)
@@ -189,6 +197,10 @@ class SympSpace:
         # 2 * lift(x) indexed by the residue x; beta reads it at beta_field
         self._two_lift = tuple(ring.mul(ring.two, ring.lift(x))
                                for x in range(ring.field_size))
+        # the top bit of each packed coordinate, and x^d mod the modulus
+        d = ring.d
+        self._xi_shift = (sum(1 << j * d + d - 1 for j in range(self.dim)),
+                          ring.field_mul(1 << d - 1, 2) if d > 1 else 0)
 
     # -- forms ---------------------------------------------------------------
     def bt(self, vt, wt):
@@ -380,8 +392,7 @@ class SympSpace:
         """Whether the spans of the two row tuples add up to V, memoized.
         The rows have rank r over k exactly when their F2-generators have
         rank rd over F2, so the test is that rank against 2dn."""
-        gens = map(self.pack, self.generators(rows1 + rows2))
-        return _f2_rank(gens) == 2 * self.dn
+        return len(self._echelon(map(self.pack, rows1 + rows2))) == 2 * self.dn
 
     def transversal_triples(self):
         """Every triple of Lagrangians whose three pairs are transversal, in
@@ -398,15 +409,119 @@ class SympSpace:
         return [tuple(map(subs.__getitem__, frame))
                 for frame in linalg.frames((range(len(subs)),) * 3, live)]
 
+    # -- Lagrangians drawn without a list ------------------------------------------
+    def random_lagrangian(self, rng):
+        """A uniform Lagrangian subspace, as the canonical RREF rows that
+        enumerate_lagrangians lists, by an isotropic walk on packed vectors:
+        v_{i+1} is a uniform F2-combination of an F2-basis of P_i =
+        span(v_1..v_i)^perp (one rng.randrange), redrawn while it lies in
+        span(v_1..v_i), and P_{i+1} is the kernel of omega(., v_{i+1}) on
+        P_i.  Level i has q^{2n-i} - q^i choices whatever came before, so
+        each Lagrangian is reached through its |GL_n(k)| ordered bases with
+        the same probability.  The span is kept as its F2 echelon (see
+        _f2_insert)."""
+        d = self.R.d
+        perp, span = [1 << b for b in range(2 * self.dn)], {}  # P_0 = V
+        for _ in range(self.n):
+            v = _draw_outside(perp, span, rng)
+            for g in self._multiples(v):
+                _f2_insert(g, span)
+            # x -> (x, omega(x, v)) in one int, the value in the low d bits:
+            # the echelon elements with a pivot past them are the kernel's
+            masks = self.omega_masks(self.unpack(v))
+            cut = {}
+            for x in perp:
+                _f2_insert(x << d | _form_value(x, masks), cut)
+            perp = [z >> d for p, z in cut.items() if p >= d]
+        return self._lagrangian_rows(span)
+
     def sample_transversal_triple(self, rng):
-        """Draw triples of Lagrangians uniformly (three rng.choice calls on
-        enumerate_lagrangians() each) until one is pairwise transversal."""
-        subs = self.enumerate_lagrangians()
-        while True:
-            a, b, c = (rng.choice(subs) for _ in range(3))
-            if (self.transversal_k(a, b) and self.transversal_k(b, c)
-                    and self.transversal_k(a, c)):
-                return a, b, c
+        """A uniform pairwise-transversal triple (N, M, L) of Lagrangian
+        subspaces, built rather than searched for.  N is a random_lagrangian
+        with RREF rows n_i.  The unit vectors c_j at the partners of N's
+        pivot columns (j <-> j + n) have omega(n_i, c_j) = n_i[p_j] =
+        delta_ij, so f_j = c_j + sum_{l>j} omega(c_j, c_l) n_l, the
+        correction make_isotropic makes over R, is an isotropic dual family
+        of N with no solve.  L has rows l_j = f_j + sum_i S_ij n_i for a
+        uniform symmetric S: the graphs over span(f) of the symmetric maps
+        into N, which are the Lagrangians transversal to N.  M has rows
+        l_j + sum_i T_ij n_i for a uniform invertible symmetric T, redrawn
+        while T is singular: the Lagrangians transversal to N and L.  That
+        is the count #Lag * q^{n(n+1)/2} * sigma_n(q) of
+        transversal_triple_count, one factor per draw.  Each subspace is
+        checked Lagrangian and each pair transversal (through
+        transversal_k, which the cocycle routes read again), a RuntimeError
+        otherwise."""
+        n, d, dim = self.n, self.R.d, self.dim
+        N = self.random_lagrangian(rng)
+        span = self.subspace(N)
+        mult = [span.gens[i * d:(i + 1) * d] for i in range(n)]  # xi^a n_i
+        row_of = {p: i for i, p in enumerate(span.pivots)}
+        f = []
+        for j, p in enumerate(span.pivots):
+            c = (p + n) % dim
+            i = row_of.get(c, -1)
+            f.append(1 << c * d ^ (mult[i][0] if i > j else 0))
+        S = self._random_symmetric(rng)
+        l = [fj ^ _graph_term(S[j], mult) for j, fj in enumerate(f)]
+        T = self._random_symmetric(rng)
+        while not self._invertible_k(T):
+            T = self._random_symmetric(rng)
+        m = [lj ^ _graph_term(T[j], mult) for j, lj in enumerate(l)]
+        L, M = (self._lagrangian_rows(self._echelon(rows)) for rows in (l, m))
+        if not (self.transversal_k(N, M) and self.transversal_k(M, L)
+                and self.transversal_k(N, L)):
+            raise RuntimeError("sampled triple is not pairwise transversal")
+        return N, M, L
+
+    def _multiples(self, v):
+        """xi^a v packed, for a = 0..d-1: the F2-generators of k v.  xi
+        multiplies each coordinate by shifting it up one bit and, where its
+        top bit falls out, adding x^d reduced by the modulus; coordinates
+        are d bits apart, so that product carries into no other one."""
+        top, reduction = self._xi_shift
+        out = [v]
+        for _ in range(self.R.d - 1):
+            v = (v & ~top) << 1 ^ ((v & top) >> self.R.d - 1) * reduction
+            out.append(v)
+        return out
+
+    def _echelon(self, vectors):
+        """The F2 echelon of the k-span of packed vectors."""
+        echelon = {}
+        for v in vectors:
+            for g in self._multiples(v):
+                _f2_insert(g, echelon)
+        return echelon
+
+    def _random_symmetric(self, rng):
+        """A uniform symmetric n x n matrix over k: one
+        rng.randrange(q^(n(n+1)/2)), whose base-q digits, lowest first, are
+        the upper triangle read row by row."""
+        q, n = self.R.field_size, self.n
+        npos = n * (n + 1) // 2
+        idx = rng.randrange(q ** npos)
+        vals = []
+        for _ in range(npos):
+            idx, v = divmod(idx, q)
+            vals.append(v)
+        return _symmetric(n, vals)
+
+    def _invertible_k(self, A):
+        """Whether the n x n matrix A over k is invertible: its rows, packed,
+        span k^n."""
+        return len(self._echelon(map(self.pack, A))) == self.dn
+
+    def _lagrangian_rows(self, echelon):
+        """The canonical RREF rows of the span of an F2 echelon that is a
+        k-subspace: its elements whose pivot is bit 0 of a column (each is
+        1 there and 0 at the other pivot columns), in pivot order.  A
+        RuntimeError unless the span is Lagrangian."""
+        d = self.R.d
+        rows = tuple(self.unpack(echelon[p]) for p in sorted(echelon) if p % d == 0)
+        if len(echelon) != self.dn or not self.subspace(rows).isotropic():
+            raise RuntimeError("sampled subspace is not Lagrangian")
+        return rows
 
     # -- enhanced Lagrangians ---------------------------------------------------
     def enhance_from_lift(self, basis):
@@ -502,17 +617,11 @@ class SympSpace:
         base = self.initial_lift(rows)
         return base, self._dual_family(base)
 
-    def _lift_at(self, rows, vals):
-        """The lift base + 2*S*duals of the subspace, where S is the
-        symmetric n x n matrix over k whose upper triangle, read row by
-        row, is `vals`."""
+    def _lift_at(self, rows, S):
+        """The lift base + 2*S*duals of the subspace, for a symmetric n x n
+        matrix S over k."""
         R, n = self.R, self.n
         base, duals = self._lift_frame(rows)
-        S = [[0] * n for _ in range(n)]
-        it = iter(vals)
-        for i in range(n):
-            for j in range(i, n):
-                S[i][j] = S[j][i] = next(it)
         two_lift = self._two_lift
         basis = [linalg.vec_add(R, base[i], linalg.vec_mat(
                      R, [two_lift[s] for s in S[i]], duals))
@@ -526,7 +635,7 @@ class SympSpace:
         q, n = self.R.field_size, self.n
         npos = n * (n + 1) // 2
         lifts = tuple(sorted({
-            self._lift_at(rows, vals)
+            self._lift_at(rows, _symmetric(n, vals))
             for vals in itertools.product(range(q), repeat=npos)
         }))
         if len(lifts) != q ** npos:
@@ -537,16 +646,10 @@ class SympSpace:
     def random_lift(self, rows, rng):
         """A uniformly random free Lagrangian submodule over the subspace:
         one uniform draw of S in the torsor that enumerate_submodule_lifts
-        walks.  It takes one rng.randrange(q^(n(n+1)/2)) call, the same
-        draw as rng.choice on the list of all lifts."""
-        q, n = self.R.field_size, self.n
-        npos = n * (n + 1) // 2
-        idx = rng.randrange(q ** npos)
-        vals = []
-        for _ in range(npos):
-            idx, v = divmod(idx, q)
-            vals.append(v)
-        return self._lift_at(rows, vals)
+        walks.  It takes one rng.randrange(q^(n(n+1)/2)) call
+        (_random_symmetric), the same draw as rng.choice on the list of all
+        lifts."""
+        return self._lift_at(rows, self._random_symmetric(rng))
 
     def random_oriented(self, rows, rng):
         """A random_lift of the subspace, then a uniform orientation unit
@@ -701,8 +804,7 @@ class EnhancedLagrangian(_Keyed):
             raise ValueError("alpha must be total on L")
         if len(self.rows) != sp.n:
             raise ValueError("subspace is not middle-dimensional")
-        if any(_form_value(x, masks)
-               for x in span.packed for masks in span.omega_masks):
+        if not span.isotropic():
             raise ValueError("subspace is not isotropic")
         if not polarizes(dict(zip(span.packed, self.alpha)), span.packed,
                          span.gens, _beta_pairing(sp, span.beta_masks), R.sub):
@@ -738,6 +840,12 @@ class Subspace:
         # generator xi^a row_i is picked by bit a of coordinate pivots[i]
         self._pivot_bits = tuple(p * d + a for p in self.pivots for a in range(d))
 
+    def isotropic(self):
+        """Whether omega vanishes on the span: on each pair of its
+        F2-generators, as omega is biadditive."""
+        return not any(_form_value(g, masks)
+                       for g in self.gens for masks in self.omega_masks)
+
     def split(self, v):
         """pack(l) for the l in the subspace that agrees with the packed
         vector v at every pivot: v ^ split(v) is zero at the pivots."""
@@ -746,6 +854,17 @@ class Subspace:
             if v >> bit & 1:
                 l ^= g
         return l
+
+
+def _symmetric(n, vals):
+    """The symmetric n x n matrix whose upper triangle, read row by row, is
+    vals."""
+    S = [[0] * n for _ in range(n)]
+    it = iter(vals)
+    for i in range(n):
+        for j in range(i, n):
+            S[i][j] = S[j][i] = next(it)
+    return S
 
 
 def _xor(u, v):
@@ -788,19 +907,56 @@ def polarizes(f, xs, gens, pair, sub):
                for j, g in enumerate(gens) for x in xs)
 
 
-def _f2_rank(vectors):
-    """The rank over F2 of ints read as bit vectors.  The basis is kept in
-    descending order, with distinct leading bits: reducing v by each
-    element in turn clears v's bit at that element's leading bit, and v is
-    in the span exactly when it reduces to 0."""
-    basis = []
-    for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return len(basis)
+def _combination(bits, vectors):
+    """The XOR of vectors[a] over the set bits a of bits: an F2-combination,
+    or c * v for c in k given the multiples xi^a v of v."""
+    out = 0
+    for a, x in enumerate(vectors):
+        if bits >> a & 1:
+            out ^= x
+    return out
+
+
+def _graph_term(row, multiples):
+    """sum_i row[i] n_i, packed, given the multiples xi^a n_i of each n_i."""
+    out = 0
+    for c, mult in zip(row, multiples):
+        if c:
+            out ^= _combination(c, mult)
+    return out
+
+
+def _f2_reduce(v, echelon):
+    """v reduced by an F2 echelon, a dict from the pivot of each vector
+    (its lowest set bit, clear in every other vector of the echelon) to
+    the vector: v with every pivot bit cleared, 0 exactly when v lies in
+    the span."""
+    for p, x in echelon.items():
+        if v >> p & 1:
+            v ^= x
+    return v
+
+
+def _f2_insert(v, echelon):
+    """Add v to the span of the echelon, in place, keeping every pivot bit
+    clear in the other vectors: then the echelon of a span is unique, its
+    reduced row echelon form over F2 with the lowest bits first."""
+    v = _f2_reduce(v, echelon)
+    if v:
+        p = (v & -v).bit_length() - 1
+        for q, x in echelon.items():
+            if x >> p & 1:
+                echelon[q] = x ^ v
+        echelon[p] = v
+
+
+def _draw_outside(basis, echelon, rng):
+    """A uniform F2-combination of the packed basis, one rng.randrange per
+    try, redrawn while it lies in the span of the echelon."""
+    while True:
+        v = _combination(rng.randrange(1 << len(basis)), basis)
+        if _f2_reduce(v, echelon):
+            return v
 
 
 class Twists:

@@ -67,6 +67,10 @@ def trivializing_scalar(space):
 
 
 def first_transversal_rows(space, rows1, rows2):
+    """The first Lagrangian of enumerate_lagrangians() transversal to both
+    spans.  It is a scan of the list, not a draw: which common transversal
+    is taken fixes the mu4 phase of every Weil operator routed through it,
+    and with it the emit-corpus and weil-matrix outputs."""
     for rows in space.enumerate_lagrangians():
         if space.transversal_k(rows, rows1) and space.transversal_k(rows, rows2):
             return rows

@@ -278,7 +278,8 @@ def _shape(d, n):
 def cocycle_checks_sampled(d, n, count, seed):
     """Seeded sample of pairwise-transversal triples: three-route agreement,
     fourth power, and the oriented identity.  It draws what a sampled
-    cocycle table with the same d, n, count and seed lists."""
+    cocycle table with the same d, n, count and seed lists, each triple
+    built by SympSpace.sample_transversal_triple with no Lagrangian list."""
     check_sampled(d, n, count)
     rng = random.Random(seed)
     R = ring(d)
@@ -373,16 +374,17 @@ def suite_trivialization():
 
 
 def transport_checks_sampled(d, n, count, seed):
-    """Seeded multiplicativity spot-checks of T and S at larger sizes."""
+    """Seeded multiplicativity spot-checks of T and S at larger sizes, on
+    three independent uniform Lagrangians per draw (random_lagrangian; the
+    transports need no transversal pair)."""
     check_sampled(d, n, count)
     rng = random.Random(seed)
     R = ring(d)
     sp = SympSpace(R, n)
-    subs = sp.enumerate_lagrangians()
 
     def outcomes():
         """(T multiplicative, S multiplicative) on one draw."""
-        rows3 = [rng.choice(subs) for _ in range(3)]
+        rows3 = [sp.random_lagrangian(rng) for _ in range(3)]
         a, b, c = (sp.random_enhanced(r, rng)[1] for r in rows3)
         t_ok = (trivialization_transport(sp, a, b).compose(
             trivialization_transport(sp, b, c)) == trivialization_transport(sp, a, c))

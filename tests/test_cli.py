@@ -538,12 +538,18 @@ def test_emit_corpus_d1n1_golden(capsys):
     (["emit-corpus", "--d", "1", "--n", "2"], [(1, 2)]),
     (["cocycle-table", "--d", "1", "--n", "2"], [(1, 2)]),
     (["verify", "--suite", "trivialization"], [(1, 1)]),
+    (["verify", "--suite", "cocycle", "--d", "1", "--n", "4", "--mode",
+      "sampled", "--sample-count", "3"], []),
+    (["cocycle-table", "--d", "2", "--n", "2", "--mode", "sampled",
+      "--sample-count", "3"], []),
 ], ids=["emit-corpus-d1n1", "emit-corpus-d1n2", "cocycle-table-d1n2",
-        "verify-trivialization"])
+        "verify-trivialization", "verify-cocycle-d1n4-sampled",
+        "cocycle-table-d2n2-sampled"])
 def test_each_command_lists_the_lagrangians_once(capsys, monkeypatch, argv,
                                                   shapes):
     """A command builds one space per shape and lists its Lagrangians
-    once, however often it asks for them."""
+    once, however often it asks for them; a sampled cocycle run lists
+    none."""
     listed = []
     real = SympSpace.enumerate_lagrangians
 

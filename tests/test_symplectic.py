@@ -849,7 +849,8 @@ def test_space_keeps_its_caches_in_one_dict():
     models.intertwiner_matrix(*(sp.enhance_from_lift(lifts[r][0]) for r in (N, L)))
     identity = tuple(map(sp.std_basis_k, range(sp.dim)))
     heisenberg.lift_sp(sp, heisenberg.symplectic_lift_matrix(sp, identity)).key()
-    assert set(vars(sp)) == {"R", "n", "dim", "dn", "_caches", "_two_lift"}
+    assert set(vars(sp)) == {"R", "n", "dim", "dn", "_caches", "_two_lift",
+                             "_xi_shift"}
     cached = {name for name, f in vars(SympSpace).items() if hasattr(f, "__wrapped__")}
     assert set(sp._caches) == cached
 
@@ -989,6 +990,103 @@ def test_random_lift_consumes_one_choice_worth_of_rng():
         sp.random_lift(rows, a)
         b.choice(range(size))
         assert a.getstate() == b.getstate()
+
+
+class Redraw(Exception):
+    """A randrange call past those of a draw that redraws nothing."""
+
+
+class _ScriptedRng:
+    """Stands in for random.Random: randrange returns the scripted values
+    in turn, then 0, recording each bound; the call after the first
+    `calls` raises Redraw."""
+
+    def __init__(self, script, calls):
+        self.script, self.calls, self.bounds = script, calls, []
+
+    def randrange(self, stop):
+        i = len(self.bounds)
+        if i == self.calls:
+            raise Redraw
+        self.bounds.append(stop)
+        return self.script[i] if i < len(self.script) else 0
+
+
+def every_outcome(draw, calls):
+    """draw(rng) on every sequence of randrange outcomes, in odometer order,
+    that takes exactly `calls` calls; a sequence that would redraw is
+    dropped.  The bound of each call of such a sequence is fixed, so every
+    kept sequence is equally likely, and a sampler that redraws until it
+    accepts is uniform exactly when the kept outcomes are equally often
+    reached."""
+    script = []
+    while True:
+        rng = _ScriptedRng(script, calls)
+        try:
+            out = draw(rng)
+        except Redraw:
+            pass
+        else:
+            assert len(rng.bounds) == calls
+            yield out
+        script = script + [0] * (len(rng.bounds) - len(script))
+        while script and script[-1] + 1 == rng.bounds[len(script) - 1]:
+            script.pop()
+        if not script:
+            return
+        script[-1] += 1
+
+
+def _gl_order(q, n):
+    return math.prod(q ** n - q ** i for i in range(n))
+
+
+@pytest.mark.parametrize("d,n", [(1, 2), (2, 1)])
+def test_random_lagrangian_is_exactly_uniform(d, n):
+    """Over every outcome of its n draws, the isotropic walk reaches each
+    Lagrangian through its |GL_n(k)| ordered bases, and nothing else."""
+    sp = SympSpace(ring(d), n)
+    counts = collections.Counter(every_outcome(sp.random_lagrangian, n))
+    assert set(counts) == set(sp.enumerate_lagrangians())
+    assert set(counts.values()) == {_gl_order(2 ** d, n)}
+
+
+@pytest.mark.parametrize("d,n,triples", [(1, 2, 480), (2, 1, 60)])
+def test_sample_transversal_triple_is_exactly_uniform(d, n, triples):
+    """Over every outcome of its n + 2 draws (the walk, S and T), the
+    sampler reaches each pairwise-transversal triple equally often: as
+    often as the walk reaches N."""
+    sp = SympSpace(ring(d), n)
+    counts = collections.Counter(every_outcome(sp.sample_transversal_triple, n + 2))
+    assert set(counts) == set(sp.transversal_triples())
+    assert len(counts) == triples
+    assert set(counts.values()) == {_gl_order(2 ** d, n)}
+
+
+@pytest.mark.parametrize("d,n", [(1, 4), (2, 2), (3, 1), (4, 1), (2, 3)])
+def test_seeded_draws_are_listed_lagrangians(d, n):
+    """Seeded draws give canonical rows that enumerate_lagrangians lists,
+    and triples whose pairs have rank 2n over k."""
+    sp = SympSpace(ring(d), n)
+    lags = set(sp.enumerate_lagrangians())
+    rng = random.Random(10 * d + n)
+    for _ in range(20):
+        assert sp.random_lagrangian(rng) in lags
+        triple = sp.sample_transversal_triple(rng)
+        assert set(triple) <= lags
+        for a, b in itertools.combinations(triple, 2):
+            assert len(linalg.rref_field(sp.R, a + b)[0]) == 2 * n
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_packed_multiples_are_the_generators(d):
+    """xi^a v on packed vectors, by shift and reduction, equals the packed
+    generators of v."""
+    sp = SympSpace(ring(d), 2)
+    rng = random.Random(d)
+    for _ in range(100):
+        v = tuple(rng.randrange(2 ** d) for _ in range(sp.dim))
+        assert sp._multiples(sp.pack(v)) == list(map(sp.pack, sp.generators((v,))))
 
 
 _INVALID_UNDER_O = """

@@ -7,13 +7,16 @@ any other family the same mutation breaks.  The suite must still run to the
 end and report the failures, at every shape of each such family.  A family
 is a check name without its .dXnY suffix.  The last rows mutate the
 ZiMatrix product kernel itself and the one rule that reads every operator
-ratio and Gauss sum as zeta^e sqrt2^s."""
+ratio and Gauss sum as zeta^e sqrt2^s.  The sampler rows break the
+construction of a sampled transversal triple, which must then raise its
+own invariant."""
 
+import random
 import re
 
 import pytest
 
-from weil2 import heisenberg, models, transport, verify, witt
+from weil2 import heisenberg, models, symplectic, transport, verify, witt
 from weil2.models import ZiMatrix, gaussian_mul
 from weil2.galois import ring
 from weil2.symplectic import SympSpace, enumerate_enhanced
@@ -221,7 +224,7 @@ def _last_term_N_L_swapped(self, M_rows, N_rows, L_rows):
 def test_tampered_r_terms_fails_sampled_three_route_without_raising(
         monkeypatch):
     """At d2n1 the swapped entry leaves route 3's defect sigma matching no
-    linear character on 2 of the 20 draws: route 3 then gives None, a
+    linear character on 7 of the 20 draws: route 3 then gives None, a
     disagreement, and the sampled run goes on.  Route 2 reads the same
     entry, so its fourth power and the oriented identity fail too."""
     monkeypatch.setattr(SympSpace, "r_terms", _last_term_N_L_swapped)
@@ -233,10 +236,50 @@ def test_tampered_r_terms_fails_sampled_three_route_without_raising(
 
     monkeypatch.setattr(verify, "gauss_scalar", recorded_gauss_scalar)
     checks = verify.cocycle_checks_sampled(2, 1, 20, 0)
-    assert sum(c is None for c in route3) == 2
+    assert sum(c is None for c in route3) == 7
     _assert_fails_exactly(checks, {"cocycle.three-route",
                                    "cocycle.fourth-power",
                                    "cocycle.oriented-identity"})
+
+
+draw_outside = symplectic._draw_outside
+random_symmetric = SympSpace._random_symmetric
+
+
+def _upper_triangular(self, rng):
+    """_random_symmetric with its lower triangle set to 0."""
+    S = random_symmetric(self, rng)
+    return [[x if j >= i else 0 for j, x in enumerate(row)]
+            for i, row in enumerate(S)]
+
+
+SAMPLER_TAMPERS = [
+    # the walk redraws only v = 0, so v may lie in span(v_1..v_i)
+    (symplectic, "_draw_outside",
+     lambda basis, echelon, rng: draw_outside(basis, {}, rng),
+     "sampled subspace is not Lagrangian"),
+    # S (and T) not symmetric: L is not isotropic
+    (SympSpace, "_random_symmetric", _upper_triangular,
+     "sampled subspace is not Lagrangian"),
+    # T never checked for invertibility: M may meet L
+    (SympSpace, "_invertible_k", lambda self, A: True,
+     "sampled triple is not pairwise transversal"),
+]
+
+
+@pytest.mark.parametrize("target,attr,value,message", SAMPLER_TAMPERS,
+                         ids=[row[1] for row in SAMPLER_TAMPERS])
+def test_tampered_sampler_raises_its_invariant(monkeypatch, target, attr,
+                                               value, message):
+    """A walk that may draw v inside the span, an S that is not symmetric
+    or a T that is never checked for invertibility: seeded triple draws at
+    d1n2 raise the sampler's RuntimeError instead of returning a triple."""
+    monkeypatch.setattr(target, attr, value)
+    sp = SympSpace(ring(1), 2)
+    rng = random.Random(0)
+    with pytest.raises(RuntimeError, match=message):
+        for _ in range(100):
+            sp.sample_transversal_triple(rng)
 
 
 def test_tampered_r_terms_reaches_routes_2_and_3(monkeypatch):
