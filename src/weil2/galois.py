@@ -220,11 +220,6 @@ class GaloisRing:
     def field_mul(self, x: int, y: int) -> int:
         return self._fmul[x][y]
 
-    def field_inv(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("inverse of zero in the residue field")
-        return self.reduce(self._inv[self.lift(x)])
-
     def two_torsion(self):
         """The ideal 2R, as element indices; m -> 2*lift(m) is a bijection
         from the residue field."""

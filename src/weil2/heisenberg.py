@@ -100,7 +100,7 @@ def _asp_pairing(space, act, values):
     x, for the unit generators u_j of V and act the packed action of g.
     values = space._two_lift gives beta(g x, g u_j) - beta(x, u_j)."""
     whole = space.whole()
-    gmasks = [space.beta_masks(space.unpack(act[u])) for u in whole.gens]
+    gmasks = [space.beta_masks(act[u]) for u in whole.gens]
     return lambda x, j: values[_form_value(act[x], gmasks[j])
                                ^ _form_value(x, whole.beta_masks[j])]
 
@@ -113,18 +113,24 @@ def asp_mul(space, a, b):
 
 
 def asp_inv(space, a):
-    R = space.R
-    ginv = linalg.inverse_field(R, a.g)
-    alpha = (R.neg(a.alpha[y]) for y in space.action(ginv))
-    return AspElement(space, ginv, alpha, validate=False)
+    """(g, alpha)^-1 = (g^-1, -alpha o g^-1).  The action table of g is a
+    permutation of packed V; inverted, it is the action of g^-1, whose row
+    i is the image of the unit vector 1 << i d."""
+    R, d = space.R, space.R.d
+    inv = [0] * len(a.act)
+    for x, y in enumerate(a.act):
+        inv[y] = x
+    ginv = tuple(space.unpack(inv[1 << i * d]) for i in range(space.dim))
+    return AspElement(space, ginv, (R.neg(a.alpha[y]) for y in inv), validate=False)
 
 
 # -- symplectic groups and lifts ----------------------------------------------
 
 def _sp_k_mul(space, g, h):
     """The product of Sp(V), and the g-part of asp_mul: the matrix with
-    rows h[i] g (h acts first)."""
-    return tuple(linalg.vec_mat_field(space.R, r, g) for r in h)
+    rows h[i] g (h acts first), read off the action table of g."""
+    act = space.action(g)
+    return tuple(space.unpack(act[space.pack(r)]) for r in h)
 
 
 def _sp_R_mul(space, g, h):
@@ -299,9 +305,10 @@ def _asp_elements(space):
 
 def preserves_residue_quadratic(space, g):
     """Whether g preserves Q(v) = bt(v, v) mod 2 (the residue quadratic
-    form of the splitting)."""
-    for v in space.all_vectors_k():
-        gv = linalg.vec_mat_field(space.R, v, g)
+    form of the splitting), on every packed v and its image in the action
+    table of g."""
+    for x, gx in enumerate(space.action(g)):
+        v, gv = space.unpack(x), space.unpack(gx)
         if space.beta_field(gv, gv) != space.beta_field(v, v):
             return False
     return True

@@ -1,33 +1,33 @@
-"""Linear algebra over GR(4,d), its residue field k and Q(zeta_8).
+"""Linear algebra over GR(4,d) and Q(zeta_8).
 
 Matrices are tuples of row tuples.  Ring entries are element indices of a
-GaloisRing; field entries are bitmasks; Q(zeta_8) entries are Cyc8.
+GaloisRing; Q(zeta_8) entries are Cyc8.  The residue field k has no
+section here: k-linear algebra is done on packed k-vectors through the F2
+echelon of weil2.symplectic (spans, RREF rows, ranks, projections and the
+row action of a matrix over k).
 
 Every elimination goes through one kernel, `eliminate`: reduced row echelon
 form on the leading columns, in place, with unit pivots only.  The algebra
 enters through an ops object (zero, one, pivot test, inverse, row scale,
-row update), and there are three of them:
+row update), and there are two of them:
 
 * ``ring_ops(R)``: a pivot must be a unit of R.  Over the local ring every
   invertible matrix has unit pivots (invertibility mod 2 lifts), so this is
   enough for the free submodules and invertible matrices used here; a row
   with no unit entry left is not pivoted.
-* ``field_ops(R)``: k, where every nonzero entry is a pivot.
-* ``CYC8_OPS``: Q(zeta_8), likewise a field.
+* ``CYC8_OPS``: Q(zeta_8), a field, where every nonzero entry is a pivot.
 
-`rref`, `solve_many` (one elimination for several right-hand sides) and
-`invert` work in any of the three algebras.  On them sit `rref_ring` over
-the ring; `rref_field` and `inverse_field` over k; and, with
+`rref` and `solve_many` (one elimination for several right-hand sides)
+work in either algebra.  On them sit `rref_ring` over the ring and, with
 `CYC8_OPS`, `weil.commutant_dimension`.  `det_ring` is the Leibniz
 formula alone: its matrices are n x n, and n <= 4 wherever they are built,
 since the Lagrangian listing refuses every n >= 5.  With the unit vectors
 as right-hand sides, `solve_many` also gives `SympSpace._projection`, the
-projection matrix that `SympSpace.r_terms` reads over k and
-`SympSpace.r_map_tilde` over the ring.
+projection matrix that `SympSpace.r_map_tilde` reads over the ring.
 
-`vec_mat` over the ring and `vec_mat_field` over k are each algebra's one
-row action v -> sum_j v[j] * A[j]: every linear combination of rows, and
-every matrix product (row by row), goes through them.
+`vec_mat` is the ring's one row action v -> sum_j v[j] * A[j]: every
+linear combination of rows, and every matrix product (row by row), goes
+through it.
 
 `frames` is the one backtracking search (Lagrangians, Sp(V), Sp(Vt),
 transversal triples, isometries of Z/4 forms), and `gram_live` its live
@@ -61,17 +61,6 @@ def ring_ops(R):
         0, R.one, R.is_unit, R.inv,
         lambda c, row: [mul(c, x) for x in row],
         lambda row, f, prow: [sub(x, mul(f, y)) for x, y in zip(row, prow)],
-    )
-
-
-@functools.cache
-def field_ops(R):
-    """The ops of the residue field k of R, built once per ring."""
-    fmul = R.field_mul
-    return ScalarOps(
-        0, 1, bool, R.field_inv,
-        lambda c, row: [fmul(c, x) for x in row],
-        lambda row, f, prow: [x ^ fmul(f, y) for x, y in zip(row, prow)],
     )
 
 
@@ -134,16 +123,6 @@ def unit_vectors(ops, n):
     """The n standard basis vectors of the algebra of ops, e_1 first."""
     return [tuple(ops.one if j == i else ops.zero for j in range(n))
             for i in range(n)]
-
-
-def invert(ops, A, over):
-    """A^-1: its column j solves A x = e_j, so it is the transpose of one
-    solve_many against the unit vectors; ZeroDivisionError naming the
-    algebra `over` when A is singular."""
-    xs = solve_many(ops, A, unit_vectors(ops, len(A)))
-    if xs is None:
-        raise ZeroDivisionError(f"matrix is not invertible over {over}")
-    return transpose(xs)
 
 
 def rref(ops, rows):
@@ -244,37 +223,3 @@ def det_ring(R, A):
             term = R.mul(term, A[i][perm[i]])
         det = R.add(det, R.neg(term) if inv % 2 else term)
     return det
-
-
-# ---------------------------------------------------------------------------
-# residue-field matrices (entries are bitmasks of k = F_{2^d})
-# ---------------------------------------------------------------------------
-
-def vec_mat_field(R, v, A):
-    """The row action v -> sum_j v[j] * A[j] over k."""
-    fmul = R.field_mul
-    out = [0] * len(A[0])
-    for c, row in zip(v, A):
-        if c:
-            out = [s ^ fmul(c, x) for s, x in zip(out, row)]
-    return tuple(out)
-
-
-def rref_field(R, rows):
-    """Reduced row echelon form over k; returns (rows, pivot columns)."""
-    return rref(field_ops(R), rows)
-
-
-def inverse_field(R, A):
-    return invert(field_ops(R), A, "the residue field")
-
-
-def span_field(R, rows, width=None):
-    """All k-linear combinations of the given rows, in lexicographic order of
-    the coefficient tuples (deterministic enumeration of a subspace)."""
-    if not rows:
-        return ((0,) * (width or 0),)
-    return tuple(
-        vec_mat_field(R, coeffs, rows)
-        for coeffs in itertools.product(range(R.field_size), repeat=len(rows))
-    )

@@ -63,7 +63,8 @@ def pi_matrix(e, h):
     (t, 0) (w, z) = (t + w, z + beta(t, w))."""
     sp = e.space
     w, z = h
-    v, x, T = sp.pack(w), sp.R.psi_exp(z), sp.trace_mask(w)
+    v, x = sp.pack(w), sp.R.psi_exp(z)
+    T = sp.trace_mask(v)
     return monomial_operator(e, ((t ^ v, x + 2 * ((t & T).bit_count() & 1))
                                  for t in sp.transversal(e.pivots)))
 
@@ -517,7 +518,8 @@ def gauss_scalar(space, eN, eM, eL):
                  for i, j, k, _ in space.r_terms(eM.rows, eN.rows, eL.rows)]
 
     # ring coefficients of the {0,1}-coordinate lift of each m against Mt
-    coeffs = [tuple(R.lift(m[p]) for p in eM.pivots) for m in eM.span.elements]
+    coeffs = [tuple(R.lift(m[p]) for p in eM.pivots)
+              for m in map(space.unpack, eM.span.packed)]
 
     def gram_eval(a, b):
         s = 0

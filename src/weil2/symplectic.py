@@ -7,7 +7,9 @@ Conventions (standard splitting, first n coordinates vs last n):
     omt = bt - bt^T                           (the symplectic form on Vt)
     beta = 2*bt  and  om = 2*omt  on V = k^{2n}, valued in the ideal 2R.
 
-k-vectors are tuples of bitmasks, R-vectors tuples of ring indices.
+k-vectors are tuples of bitmasks as keys and as arguments of the forms,
+and packed (below) for all k-linear algebra; R-vectors are tuples of ring
+indices.
 
 Packed k-vectors.  The per-draw geometry (enumerating Lagrangians,
 validating enhancements, building intertwiners, testing transversality)
@@ -15,17 +17,21 @@ reads a k-vector v packed into one int, d bits per coordinate: coordinate
 j sits in bits jd .. jd + d - 1, so addition over k is XOR.  A k-linear
 form v -> sum_j v_j c_j is F2-linear on those bits, and bit a of its value
 is parity(pack(v) & mask_a) for d masks fixed by c: bit jd + b of mask_a
-is bit a of xi^b c_j, with xi the class of x.  `beta_masks(w)` are the
-masks of beta_field(., w) and `omega_masks(w)` those of omega_field(., w).
-beta is 2R-valued and biadditive and psi is additive, so
-psi_exp(beta(v, w)) = 2 * parity(pack(v) & trace_mask(w)) for one mask per
-w.  `subspace(rows)` holds, once per rows tuple, the RREF rows, pivots and
-sorted elements of a span, its elements packed with the position of each,
-and its F2-generators xi^a * row_i packed with their masks; an enhancement
-alpha is a tuple over those positions.  Multiplying a packed vector by xi
-is a shift and a reduction (`_multiples`), and a span over k is held as
-its F2 echelon (`_f2_insert`), whose rank is its size: a transversality
-test is the rank of the packed generators of two spans.
+is bit a of xi^b c_j, with xi the class of x.  `beta_masks(pack(w))` are
+the masks of beta_field(., w) and `omega_masks(pack(w))` those of
+omega_field(., w).  beta is 2R-valued and biadditive and psi is additive,
+so psi_exp(beta(v, w)) = 2 * parity(pack(v) & trace_mask(pack(w))) for one
+mask per w.  Multiplying a packed vector by xi is a shift and a reduction
+(`_multiples`), and a span over k is held as its F2 echelon
+(`_f2_insert`, `_echelon`), whose rank is its size: a transversality test
+is the rank of the packed generators of two spans.  The echelon of a
+k-subspace is unique and holds its RREF rows over k (`_rows`), so
+`subspace(rows)` reads, once per rows tuple, the RREF rows and pivots of
+a span, its F2-generators xi^a * row_i packed with their masks, and its
+elements packed, in lexicographic order, with the position of each; an
+enhancement alpha is a tuple over those positions.  `action(g)` is the
+row action of a matrix over k as a table on packed V, and `r_terms` reads
+its projection off one tagged echelon.
 `transversal(pivots)` holds the models' transversal of a pivot set,
 packed, with columns and trace masks.  `fill_quadratic` fills a function
 of known polarization on a span from packed generators, and `polarizes`
@@ -256,46 +262,41 @@ class SympSpace:
         d, low = self.R.d, self.R.field_size - 1
         return tuple(v >> (j * d) & low for j in range(self.dim))
 
-    def _form_masks(self, coeffs):
-        """The d masks of the k-linear form v -> sum_j v_j c_j: bit a of its
-        value is parity(pack(v) & masks[a])."""
-        fmul, d = self.R.field_mul, self.R.d
+    def _form_masks(self, c):
+        """The d masks of the k-linear form x -> sum_j x_j c_j, for c
+        packed: bit a of its value is parity(pack(x) & masks[a]).  Bit
+        jd + b of masks[a] is bit a of xi^b c_j, which is bit jd + a of the
+        packed multiple xi^b c."""
+        d = self.R.d
+        lows = self._xi_shift[0] >> d - 1  # bit 0 of every coordinate
         masks = [0] * d
-        for j, c in enumerate(coeffs):
-            if not c:
-                continue
-            for b in range(d):
-                y = fmul(1 << b, c)
-                for a in range(d):
-                    masks[a] |= ((y >> a) & 1) << (j * d + b)
+        for b, x in enumerate(self._multiples(c)):
+            for a in range(d):
+                masks[a] |= (x >> a & lows) << b
         return tuple(masks)
 
-    def beta_masks(self, w):
-        """The masks of beta_field(., w) = sum_i v_i w_{n+i}."""
-        return self._form_masks(w[self.n:] + (0,) * self.n)
+    def beta_masks(self, v):
+        """The masks of beta_field(., w) = sum_i x_i w_{n+i} for packed
+        v = pack(w): c is w's second half, moved down."""
+        return self._form_masks(v >> self.dn)
 
-    def omega_masks(self, w):
-        """The masks of omega_field(., w) = sum_j v_j c_j, c = (w[n:], w[:n])."""
-        return self._form_masks(w[self.n:] + w[:self.n])
+    def omega_masks(self, v):
+        """The masks of omega_field(., w) = sum_j x_j c_j for packed
+        v = pack(w): c = (w[n:], w[:n]), the two halves of v swapped."""
+        return self._form_masks(v >> self.dn | (v & (1 << self.dn) - 1) << self.dn)
 
-    def trace_mask(self, w):
-        """T with psi_exp(beta(v, w)) = 2 * parity(pack(v) & T): that exponent
-        is additive in v and lies in {0, 2}, so bit jd + b of T is
-        psi_exp(beta(xi^b e_j, w)) / 2."""
+    def trace_mask(self, v):
+        """T with psi_exp(beta(x, w)) = 2 * parity(pack(x) & T) for packed
+        v = pack(w): that exponent is additive in x and lies in {0, 2}, so
+        bit jd + b of T is psi_exp(beta(xi^b e_j, w)) / 2, read at
+        coordinate j of the packed multiple xi^b (v >> dn)."""
         R, d, two_lift = self.R, self.R.d, self._two_lift
+        low = R.field_size - 1
         mask = 0
-        for j, c in enumerate(w[self.n:]):
-            for b in range(d):
-                half = R.psi_exp(two_lift[R.field_mul(1 << b, c)]) >> 1
-                mask |= half << (j * d + b)
+        for b, x in enumerate(self._multiples(v >> self.dn)):
+            for j in range(self.n):
+                mask |= (R.psi_exp(two_lift[x >> j * d & low]) >> 1) << (j * d + b)
         return mask
-
-    def generators(self, rows):
-        """The F2-generators xi^a * row of the span of rows (rows outer, a
-        inner)."""
-        fmul = self.R.field_mul
-        return [tuple(fmul(1 << a, c) for c in row)
-                for row in rows for a in range(self.R.d)]
 
     @_cached
     def subspace(self, rows):
@@ -311,8 +312,8 @@ class SympSpace:
         k-vectors)."""
         comp = tuple(self.std_basis_k(j) for j in range(self.dim)
                      if j not in pivots)
-        return {self.pack(t): (j, self.trace_mask(t))
-                for j, t in enumerate(self.subspace(comp).elements)}
+        return {t: (j, self.trace_mask(t))
+                for j, t in enumerate(self.subspace(comp).packed)}
 
     def all_vectors_k(self):
         return itertools.product(range(self.R.field_size), repeat=self.dim)
@@ -332,7 +333,7 @@ class SympSpace:
     def action(self, g):
         """The row action v -> v g of a k-matrix as a table indexed by packed
         v: linear, so filled from the images xi^a g[i] of unit generators."""
-        images = map(self.pack, self.generators(g))
+        images = (x for row in g for x in self._multiples(self.pack(row)))
         return tuple(fill_quadratic(self.whole().gens, images,
                                     lambda x, j: 0, operator.xor).values())
 
@@ -374,7 +375,7 @@ class SympSpace:
                 for x in level:
                     if x not in rows:
                         rows[x] = self.unpack(x)
-                        masks[x] = self.omega_masks(rows[x])
+                        masks[x] = self.omega_masks(x)
             found.extend(tuple(map(rows.__getitem__, frame))
                          for frame in linalg.frames(levels, live))
         if len(found) != want:
@@ -383,9 +384,6 @@ class SympSpace:
 
     def dual_standard_lagrangian(self):
         return tuple(self.std_basis_k(self.n + i) for i in range(self.n))
-
-    def span_k(self, rows):
-        return linalg.span_field(self.R, rows, width=self.dim)
 
     @_cached
     def transversal_k(self, rows1, rows2):
@@ -428,7 +426,7 @@ class SympSpace:
                 _f2_insert(g, span)
             # x -> (x, omega(x, v)) in one int, the value in the low d bits:
             # the echelon elements with a pivot past them are the kernel's
-            masks = self.omega_masks(self.unpack(v))
+            masks = self.omega_masks(v)
             cut = {}
             for x in perp:
                 _f2_insert(x << d | _form_value(x, masks), cut)
@@ -512,13 +510,20 @@ class SympSpace:
         span k^n."""
         return len(self._echelon(map(self.pack, A))) == self.dn
 
+    def _rows(self, echelon):
+        """The canonical RREF rows over k of the span of an F2 echelon that
+        is a k-subspace.  Its RREF rows r_i have F2-generators xi^a r_i,
+        which are already reduced with pivots at bits p_i d + a (the value
+        xi^a sits at pivot column p_i, and every other generator is 0 at
+        bit a of that column), so the echelon holds exactly those, d per
+        pivot column in pivot order, r_i at bit 0 of its column."""
+        return tuple(self.unpack(echelon[p]) for p in sorted(echelon)[::self.R.d])
+
     def _lagrangian_rows(self, echelon):
-        """The canonical RREF rows of the span of an F2 echelon that is a
-        k-subspace: its elements whose pivot is bit 0 of a column (each is
-        1 there and 0 at the other pivot columns), in pivot order.  A
-        RuntimeError unless the span is Lagrangian."""
-        d = self.R.d
-        rows = tuple(self.unpack(echelon[p]) for p in sorted(echelon) if p % d == 0)
+        """The canonical RREF rows (_rows) of the span of an F2 echelon
+        that is a k-subspace; a RuntimeError unless the span is
+        Lagrangian."""
+        rows = self._rows(echelon)
         if len(echelon) != self.dn or not self.subspace(rows).isotropic():
             raise RuntimeError("sampled subspace is not Lagrangian")
         return rows
@@ -537,10 +542,10 @@ class SympSpace:
     def _enhance(self, basis):
         R = self.R
         rows = tuple(map(self.reduce_vec, basis))
-        gens = self.generators(rows)
+        gens = [x for row in rows for x in self._multiples(self.pack(row))]
         lifts = [tuple(R.mul(R.lift(1 << a), x) for x in b)
                  for b in basis for a in range(R.d)]
-        alpha = fill_quadratic(map(self.pack, gens), [self.bt(lt, lt) for lt in lifts],
+        alpha = fill_quadratic(gens, [self.bt(lt, lt) for lt in lifts],
                                _beta_pairing(self, map(self.beta_masks, gens)), R.add)
         return EnhancedLagrangian(self, rows,
                                   map(alpha.__getitem__, self.subspace(rows).packed))
@@ -709,50 +714,52 @@ class SympSpace:
         """The enhancement-free terms of the character sum over M, by span
         position: for the i-th element m of M, (i, the position of r(m) in
         N, the position of m - r(m) in L, psi_exp(beta(m, r(m)))), where r
-        is the projection onto N along L (requires N + L = V).  r is linear,
-        so it is filled on packed vectors from the images of M's
-        F2-generators, read off the pair's projection matrix.  The tuple is
-        memoized per (M, N, L)."""
-        P = self._projection(N_rows, L_rows, True)
-        M = self.subspace(M_rows)
-        N, L = (self.subspace(rows).index for rows in (N_rows, L_rows))
-        images = (self.pack(linalg.vec_mat_field(self.R, g, P))
-                  for g in self.generators(M.rows))
+        is the projection onto N along L (requires N + L = V).  r is read
+        off one tagged F2 echelon: each F2-generator g of N enters as
+        g | g << 2dn and each of L as g, so once N + L = V the entry at
+        unit bit p is 1 << p | r(e_p) << 2dn.  r is linear, so it is filled
+        on packed vectors from the images of M's F2-generators.  The tuple
+        is memoized per (M, N, L)."""
+        if not self.transversal_k(N_rows, L_rows):
+            raise ValueError("r_terms needs N transversal to L")
+        top = 2 * self.dn
+        M, N, L = (self.subspace(rows) for rows in (M_rows, N_rows, L_rows))
+        tagged = {}
+        for g in N.gens:
+            _f2_insert(g | g << top, tagged)
+        for g in L.gens:
+            _f2_insert(g, tagged)
+        units = [tagged[p] >> top for p in range(top)]
+        images = (_combination(g, units) for g in M.gens)
         r = fill_quadratic(M.gens, images, lambda x, j: 0, operator.xor)
-        return tuple((i, N[r[m]], L[m ^ r[m]],
-                      2 * ((m & self.trace_mask(self.unpack(r[m]))).bit_count() & 1))
+        return tuple((i, N.index[r[m]], L.index[m ^ r[m]],
+                      2 * ((m & self.trace_mask(r[m])).bit_count() & 1))
                      for i, m in enumerate(M.packed))
 
     @_cached
-    def _projection(self, N_rows, L_rows, over_k):
-        """The projection onto N along L as a matrix P: row i is the image
-        of e_i, so v maps to the row action of v on P (vec_mat_field over
-        k, vec_mat over R).  One elimination of (N + L)^T with the 2n unit
-        vectors as right-hand sides, cached per (N, L, over_k): at d = 1 a
-        k-row and an R-row can be the same tuple.  A ValueError unless
-        N + L = V, checked over R on the reductions: free submodules are
-        transversal exactly when their reductions are (Nakayama)."""
+    def _projection(self, N_rows, L_rows):
+        """The projection onto N along L over R as a matrix P: row i is the
+        image of e_i, so v maps to vec_mat(v, P).  One elimination of
+        (N + L)^T with the 2n unit vectors as right-hand sides, cached per
+        (N, L).  A ValueError unless N + L = V, checked on the reductions:
+        free submodules are transversal exactly when their reductions are
+        (Nakayama)."""
         R = self.R
-        if over_k:
-            ops, act, what = linalg.field_ops(R), linalg.vec_mat_field, "r_terms"
-            reduced = (N_rows, L_rows)
-        else:
-            ops, act, what = linalg.ring_ops(R), linalg.vec_mat, "r_map_tilde"
-            reduced = [tuple(map(self.reduce_vec, rows)) for rows in (N_rows, L_rows)]
-        if not self.transversal_k(*reduced):
-            raise ValueError(f"{what} needs N transversal to L")
+        ops = linalg.ring_ops(R)
+        if not self.transversal_k(*(tuple(map(self.reduce_vec, rows))
+                                     for rows in (N_rows, L_rows))):
+            raise ValueError("r_map_tilde needs N transversal to L")
         xs = linalg.solve_many(ops, linalg.transpose(N_rows + L_rows),
                                linalg.unit_vectors(ops, self.dim))
         if xs is None:
             raise RuntimeError("inconsistent projection onto N along L")
-        return tuple(act(R, x[:len(N_rows)], N_rows) for x in xs)
+        return tuple(linalg.vec_mat(R, x[:len(N_rows)], N_rows) for x in xs)
 
     def r_map_tilde(self, Mt, Nt, Lt):
         """Images of Mt's basis under the projection onto Nt along Lt, read
-        off the pair's projection matrix over R, as r_terms reads it over
-        k; a ValueError unless the reductions of Nt and Lt are
-        transversal."""
-        P = self._projection(tuple(Nt), tuple(Lt), False)
+        off the pair's projection matrix over R; a ValueError unless the
+        reductions of Nt and Lt are transversal."""
+        P = self._projection(tuple(Nt), tuple(Lt))
         return [linalg.vec_mat(self.R, m, P) for m in Mt]
 
     def omega_tilde_L_gram(self, Mt, Nt, Lt):
@@ -774,8 +781,8 @@ class SympSpace:
 class EnhancedLagrangian(_Keyed):
     """A Lagrangian subspace with a quadratic function alpha polarizing beta:
     alpha(l1 + l2) - alpha(l1) - alpha(l2) = beta(l1, l2).  alpha is given
-    and kept as a sequence of values, one per element of span.elements
-    (span.packed) in order, and psi holds its Z/4 digits psi_exp(alpha) in
+    and kept as a sequence of values, one per element of the span in the
+    order of span.packed, and psi holds its Z/4 digits psi_exp(alpha) in
     that order.  A mapping is refused (ValueError), validated or not: the
     tuple of its keys would pass for the values."""
 
@@ -818,27 +825,36 @@ class EnhancedLagrangian(_Keyed):
 
 
 class Subspace:
-    """A k-subspace of V as the per-draw geometry reads it: its RREF rows
-    and pivot columns, its elements sorted and, in the same order, packed,
-    the position of each packed element (`index`), and its F2-generators
-    xi^a * row_i (i outer, a inner) packed, with the omega masks and the
-    beta masks of each.  SympSpace.subspace builds one per rows tuple."""
+    """A k-subspace of V as the per-draw geometry reads it, from the F2
+    echelon of its rows (SympSpace._echelon): its RREF rows and pivot
+    columns (SympSpace._rows); its F2-generators xi^a * row_i (i outer, a
+    inner), the echelon's entries in pivot order, packed, with the omega
+    masks and the beta masks of each; its elements packed, in
+    lexicographic order of their k-vectors; and the position of each
+    (`index`).  SympSpace.subspace builds one per rows tuple."""
 
-    __slots__ = ("rows", "pivots", "elements", "packed", "index", "gens",
+    __slots__ = ("rows", "pivots", "packed", "index", "gens",
                  "omega_masks", "beta_masks", "_pivot_bits")
 
     def __init__(self, space, rows):
         d = space.R.d
-        self.rows, self.pivots = linalg.rref_field(space.R, rows)
-        self.elements = tuple(sorted(space.span_k(self.rows)))
-        self.packed = tuple(map(space.pack, self.elements))
+        echelon = space._echelon(map(space.pack, rows))
+        # generator xi^a row_i is the entry at bit a of column pivots[i]
+        self._pivot_bits = tuple(sorted(echelon))
+        self.rows = space._rows(echelon)
+        self.pivots = tuple(p // d for p in self._pivot_bits[::d])
+        self.gens = tuple(map(echelon.__getitem__, self._pivot_bits))
+        # elements differ first at a pivot column, where their coefficients
+        # sit, so lexicographic order is that of the coefficient tuples:
+        # fill from the last row's generators up, the lowest bit fastest
+        packed = [0]
+        for i in reversed(range(len(self.rows))):
+            for g in self.gens[i * d:(i + 1) * d]:
+                packed += [x ^ g for x in packed]
+        self.packed = tuple(packed)
         self.index = {x: i for i, x in enumerate(self.packed)}
-        gens = space.generators(self.rows)
-        self.gens = tuple(map(space.pack, gens))
-        self.omega_masks = tuple(map(space.omega_masks, gens))
-        self.beta_masks = tuple(map(space.beta_masks, gens))
-        # generator xi^a row_i is picked by bit a of coordinate pivots[i]
-        self._pivot_bits = tuple(p * d + a for p in self.pivots for a in range(d))
+        self.omega_masks = tuple(map(space.omega_masks, self.gens))
+        self.beta_masks = tuple(map(space.beta_masks, self.gens))
 
     def isotropic(self):
         """Whether omega vanishes on the span: on each pair of its

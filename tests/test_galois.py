@@ -133,9 +133,11 @@ def test_reduce_lift_section(d):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_field_inverse(d):
+    """The lift of a nonzero residue is a unit, and its ring inverse
+    reduces to the inverse over k."""
     R = ring(d)
     for m in range(1, R.field_size):
-        assert R.field_mul(m, R.field_inv(m)) == 1
+        assert R.field_mul(m, R.reduce(R.inv(R.lift(m)))) == 1
 
 
 def test_disc_class_squares():

@@ -13,6 +13,7 @@ import re
 
 import pytest
 
+import kref
 from weil2 import heisenberg, linalg, symplectic
 from weil2.galois import ring
 from weil2.symplectic import CapExceeded, SympSpace, enumerate_enhanced
@@ -108,6 +109,30 @@ def test_asp_group_axioms():
             assert asp_mul(sp, a, b).key() in keys
 
 
+@pytest.mark.parametrize("d,n", [(2, 1), (1, 2)])
+def test_asp_inv_beyond_d1n1(d, n):
+    """On 200 seeded elements (g, alpha), g uniform in Sp(V) and alpha its
+    lifted section twisted by a uniform Hom(V, 2R): a a^-1 = a^-1 a = 1 in
+    ASp(V), and g g^-1 = g^-1 g = I by the row action over k."""
+    sp = SympSpace(ring(d), n)
+    R = sp.R
+    rng = random.Random(10 * d + n)
+    spk = enumerate_sp_k(sp)
+    I = tuple(map(sp.std_basis_k, range(sp.dim)))
+    one = AspElement(sp, I, [0] * R.field_size ** sp.dim).key()
+    for _ in range(200):
+        g = rng.choice(spk)
+        base = lift_sp(sp, symplectic_lift_matrix(sp, g))
+        twists = symplectic.Twists(R, base.alpha, sp.whole().gens,
+                                   range(len(base.alpha)))
+        a = AspElement(sp, g, twists.sample(rng))
+        inv = asp_inv(sp, a)
+        assert asp_mul(sp, a, inv).key() == one
+        assert asp_mul(sp, inv, a).key() == one
+        for x, y in ((g, inv.g), (inv.g, g)):
+            assert tuple(kref.vec_mat(R, row, y) for row in x) == I
+
+
 def test_asp_acts_on_heisenberg():
     """apply_h is an automorphism fixing the center pointwise."""
     sp = _space()
@@ -192,7 +217,7 @@ def _compatible_on_all_pairs(sp, g, alpha):
     beta(g v, g w) - beta(v, w) on every pair of V."""
     R = sp.R
     vecs = list(sp.all_vectors_k())
-    gv = {v: linalg.vec_mat_field(R, v, g) for v in vecs}
+    gv = {v: kref.vec_mat(R, v, g) for v in vecs}
     a = {v: alpha[sp.pack(v)] for v in vecs}
     return all(R.sub(R.sub(a[tuple(x ^ y for x, y in zip(v, w))], a[v]), a[w])
                == R.sub(sp.beta(gv[v], gv[w]), sp.beta(v, w))
@@ -283,7 +308,7 @@ def _filter_sp_k(sp):
     out = []
     for entries in itertools.product(range(R.field_size), repeat=m * m):
         g = tuple(tuple(entries[i * m:(i + 1) * m]) for i in range(m))
-        if len(linalg.rref_field(R, g)[0]) == m and all(
+        if kref.rank(R, g) == m and all(
                 sp.omega_field(g[i], g[j]) == sp.omega_field(e[i], e[j])
                 for i in range(m) for j in range(i + 1, m)):
             out.append(g)
@@ -451,7 +476,7 @@ def _residue_polarization_reference(sp, g):
     None unless phi polarizes c on all of V x V."""
     R, m = sp.R, sp.dim
     vecs = list(sp.all_vectors_k())
-    gv = {v: linalg.vec_mat_field(R, v, g) for v in vecs}
+    gv = {v: kref.vec_mat(R, v, g) for v in vecs}
 
     def c(v, w):
         return sp.beta_field(gv[v], gv[w]) ^ sp.beta_field(v, w)

@@ -175,3 +175,51 @@ def test_cyc8_only_at_the_output_edge():
                    for sub in ast.walk(node)):
                 found.add(f"{path.stem}.{name}")
     assert found == CYC8_SCOPES
+
+
+# the only places outside galois that may name k's multiplication or
+# inverse: the form beta_field, and x^d mod the modulus for _multiples,
+# from which every mask and every packed multiple is built
+FIELD_SCOPES = {"symplectic.SympSpace.beta_field", "symplectic.SympSpace._xi_shift"}
+
+
+def _field_scopes(tree):
+    """(scope, node) of each use of field_mul or field_inv in a module: the
+    innermost enclosing Class.function, or Class.attr for a use inside an
+    assignment to self.attr."""
+    def walk(node, scope, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, ast.FunctionDef):
+            scope = f"{cls}.{node.name}" if cls else node.name
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if (isinstance(target, ast.Attribute)
+                        and isinstance(target.value, ast.Name)
+                        and target.value.id == "self"):
+                    scope = f"{cls}.{target.attr}"
+        if isinstance(node, ast.Attribute) and node.attr in ("field_mul", "field_inv") \
+                or isinstance(node, ast.Name) and node.id in ("field_mul", "field_inv"):
+            yield scope, node
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, scope, cls)
+    return walk(tree, "<module>", None)
+
+
+def test_k_arithmetic_only_in_galois_and_the_forms():
+    """Outside galois, field_mul and field_inv are named only in
+    FIELD_SCOPES: k-linear algebra and the masks of the forms run on
+    packed vectors through _multiples and the F2 echelon, not coordinate
+    by coordinate.  And linalg builds a ScalarOps for the ring and for
+    Q(zeta8) only, none over k."""
+    found = set()
+    for path in sorted((SRC / "weil2").glob("*.py")):
+        if path.stem != "galois":
+            found |= {f"{path.stem}.{scope}"
+                      for scope, _ in _field_scopes(ast.parse(path.read_text()))}
+    assert found == FIELD_SCOPES
+    tree = ast.parse((SRC / "weil2" / "linalg.py").read_text())
+    builds = {name for name, node in _scopes(tree)
+              if any(isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                     and sub.func.id == "ScalarOps" for sub in ast.walk(node))}
+    assert builds == {"ring_ops", "CYC8_OPS"}

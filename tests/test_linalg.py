@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+import kref
 from weil2 import linalg
 from weil2.cyclotomic import Cyc8
 from weil2.galois import ring
+from weil2.symplectic import SympSpace
 
 
 def _random_matrix(R, rng, n):
@@ -27,7 +29,7 @@ def test_inverse_ring_roundtrip(d):
     for n in (1, 2, 3):
         for _ in range(20):
             A = _random_invertible(R, rng, n)
-            Ainv = linalg.invert(ops, A, "the ring")
+            Ainv = kref.invert(ops, A)
             assert _ring_mat_mul(R, A, Ainv) == _identity(ops, n)
             assert _ring_mat_mul(R, Ainv, A) == _identity(ops, n)
 
@@ -73,21 +75,24 @@ def test_rref_ring_recovers_pivot_columns():
 
 
 def test_field_rank_and_span():
+    """The kernel's rank over k counts the brute-force span, and the packed
+    Subspace of the same rows (k^2 is V at d2n1) has that many elements."""
     R = ring(2)  # residue field F4
     rows = ((1, 2), (2, 3))
-    assert len(linalg.rref_field(R, ((1, 0), (0, 1)))[0]) == 2
-    assert len(linalg.rref_field(R, ((1, 1), (1, 1)))[0]) == 1
-    sp = linalg.span_field(R, rows)
+    assert kref.rank(R, ((1, 0), (0, 1))) == 2
+    assert kref.rank(R, ((1, 1), (1, 1))) == 1
+    sp = kref.span(R, rows, 2)
     # one combination per coefficient tuple; distinct values count the span
     assert len(sp) == R.field_size ** len(rows)
-    assert len(set(sp)) == R.field_size ** len(linalg.rref_field(R, rows)[0])
+    assert len(set(sp)) == R.field_size ** kref.rank(R, rows)
+    assert len(SympSpace(R, 1).subspace(rows).packed) == len(set(sp))
 
 
 def test_solve_field():
     R = ring(1)
     A = ((1, 1), (0, 1))
     b = (0, 1)
-    x, = linalg.solve_many(linalg.field_ops(R), A, (b,))
+    x, = linalg.solve_many(kref.field_ops(R), A, (b,))
     got = tuple(sum(A[i][j] * x[j] for j in range(2)) % 2 for i in range(2))
     assert got == b
 
@@ -108,7 +113,7 @@ def _ring_mat_mul(R, A, B):
 
 
 def _field_mat_mul(R, A, B):
-    return tuple(linalg.vec_mat_field(R, row, B) for row in A)
+    return tuple(kref.vec_mat(R, row, B) for row in A)
 
 
 def _cyc_mat_mul(A, B):
@@ -121,14 +126,15 @@ def _cyc_mat_mul(A, B):
 
 def _algebras():
     """(name, ops, random scalar, matrix product) for the ring at
-    d = 1, 2, the residue field at d = 1, 2 and Q(zeta_8)."""
+    d = 1, 2, the residue field at d = 1, 2 (by the test-local ops of k)
+    and Q(zeta_8)."""
     out = []
     for d in (1, 2):
         R = ring(d)
         out.append((f"ring-d{d}", linalg.ring_ops(R),
                     lambda rng, R=R: rng.randrange(R.size),
                     lambda A, B, R=R: _ring_mat_mul(R, A, B)))
-        out.append((f"field-d{d}", linalg.field_ops(R),
+        out.append((f"field-d{d}", kref.field_ops(R),
                     lambda rng, R=R: rng.randrange(R.field_size),
                     lambda A, B, R=R: _field_mat_mul(R, A, B)))
     out.append(("cyc8", linalg.CYC8_OPS, _random_cyc, _cyc_mat_mul))
@@ -160,7 +166,7 @@ def test_kernel_solve_and_inverse(name, ops, scalar, mul):
             b = tuple(scalar(rng) for _ in range(n))
             (x,) = linalg.solve_many(ops, A, (b,))
             assert mul(A, tuple((xi,) for xi in x)) == tuple((bi,) for bi in b)
-            Ainv = linalg.invert(ops, A, name)
+            Ainv = kref.invert(ops, A)
             assert mul(A, Ainv) == _identity(ops, n)
 
 
@@ -187,29 +193,31 @@ def test_kernel_rref_idempotent_and_row_space(name, ops, scalar, mul):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_wrappers_match_kernel(d):
+    """rref_ring is the kernel over the ring; over k, the RREF rows and
+    pivots that SympSpace.subspace reads off the F2 echelon are the
+    kernel's, on rows that may be dependent."""
     R = ring(d)
+    sp = SympSpace(R, 2)
     rng = random.Random(100 + d)
     for _ in range(10):
+        A = _random_square(linalg.ring_ops(R), lambda g: g.randrange(R.size),
+                           rng, 4, invertible=True)[:3]
+        assert linalg.rref_ring(R, A) == linalg.rref(linalg.ring_ops(R), A)
         rows = tuple(tuple(rng.randrange(R.field_size) for _ in range(4)) for _ in range(3))
-        assert linalg.rref_field(R, rows) == linalg.rref(linalg.field_ops(R), rows)
-        A = _random_square(linalg.field_ops(R), lambda g: g.randrange(R.field_size),
-                           rng, 3, invertible=True)
-        assert _field_mat_mul(R, A, linalg.inverse_field(R, A)) == \
-            _identity(linalg.field_ops(R), 3)
-        b = tuple(rng.randrange(R.field_size) for _ in range(3))
-        x, = linalg.solve_many(linalg.field_ops(R), A, (b,))
-        assert _field_mat_mul(R, A, tuple((c,) for c in x)) == tuple((c,) for c in b)
+        span = sp.subspace(rows)
+        assert (span.rows, span.pivots) == kref.rref(R, rows)
 
 
 def test_singular_inverse_raises():
+    """solve_many against the unit vectors finds no inverse of a singular
+    matrix over the ring or over k; a non-unit pivot over the ring, an
+    inconsistent system over k."""
     R = ring(1)
-    with pytest.raises(ZeroDivisionError):
-        linalg.invert(linalg.ring_ops(R), ((2, 0), (0, 1)), "the ring")
-    with pytest.raises(ZeroDivisionError):
-        linalg.inverse_field(R, ((1, 1), (1, 1)))
-    # a non-unit pivot over the ring, an inconsistent system over k
+    for ops, A in ((linalg.ring_ops(R), ((2, 0), (0, 1))),
+                   (kref.field_ops(R), ((1, 1), (1, 1)))):
+        assert kref.invert(ops, A) is None
     assert linalg.solve_many(linalg.ring_ops(R), ((1, 0), (0, 2)), ((0, 1),)) is None
-    assert linalg.solve_many(linalg.field_ops(R), ((1, 1), (1, 1)), ((0, 1),)) is None
+    assert linalg.solve_many(kref.field_ops(R), ((1, 1), (1, 1)), ((0, 1),)) is None
 
 
 def _leibniz_det(R, A):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from weil2 import linalg
+import kref
 from weil2.cyclotomic import SQRT2, ZETA, Cyc8, I, ONE
 from weil2.galois import ring
 from weil2.heisenberg import (
@@ -126,18 +126,18 @@ def _transversal_reference(sp, e):
     """T_L as sorted k-vectors: the span of the non-pivot standard basis
     vectors, in column order."""
     comp = [sp.std_basis_k(j) for j in range(sp.dim) if j not in e.pivots]
-    return sorted(sp.span_k(comp))
+    return sorted(kref.span(sp.R, comp, sp.dim))
 
 
 def _split_reference(sp, e, v):
     """v = l + t with l in L and t in the transversal."""
-    l = linalg.vec_mat_field(sp.R, [v[p] for p in e.pivots], e.rows)
+    l = kref.vec_mat(sp.R, [v[p] for p in e.pivots], e.rows)
     return l, _xor(v, l)
 
 
 def _alpha_by_element(e):
     """alpha of an enhanced Lagrangian as a dict keyed by k-tuples."""
-    return dict(zip(e.span.elements, e.alpha))
+    return dict(zip(kref.elements(e.space, e.span), e.alpha))
 
 
 def _eval_reference(sp, e, h):
@@ -314,7 +314,7 @@ def _formula_reference(sp, eN, eM, eL):
     """The character sum term by term: r(m), m - r(m) and beta(m, r(m))
     recomputed for every element of M."""
     R = sp.R
-    Ms, Ns = eM.span.elements, eN.span.elements
+    Ms, Ns = (kref.elements(sp, e.span) for e in (eM, eN))
     r = {Ms[i]: Ns[j] for i, j, *_ in sp.r_terms(eM.rows, eN.rows, eL.rows)}
     aM, aN, aL = map(_alpha_by_element, (eM, eN, eL))
     tally = [0, 0, 0, 0]

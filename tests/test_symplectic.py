@@ -20,7 +20,8 @@ import time
 
 import pytest
 
-from weil2.galois import GaloisRing, ring
+import kref
+from weil2.galois import ring
 from weil2.symplectic import (
     MAX_SWEEP, CapExceeded, EnhancedLagrangian, SympSpace, check_cocycle,
     check_sweep, enumerate_enhanced, exhaustive_by_default,
@@ -99,7 +100,7 @@ def test_lagrangians_are_omega_isotropic():
         sp = SympSpace(ring(d), n)
         for rows in sp.enumerate_lagrangians():
             assert len(rows) == n
-            span = set(sp.span_k(rows))
+            span = set(kref.span(sp.R, rows, sp.dim))
             assert len(span) == sp.R.field_size ** n
             for v in span:
                 for w in span:
@@ -130,7 +131,7 @@ def test_initial_lift_reduces_to_subspace():
 
 def _alpha_by_element(e):
     """alpha of an enhanced Lagrangian as a dict keyed by k-tuples."""
-    return dict(zip(e.span.elements, e.alpha))
+    return dict(zip(kref.elements(e.space, e.span), e.alpha))
 
 
 def test_enhancement_alpha_polarizes_beta():
@@ -181,7 +182,7 @@ def test_alpha_as_a_mapping_is_refused(validate):
     is validated: its tuple would be the tuple of its keys."""
     sp = SympSpace(ring(1), 1)
     e = sp.enhance_from_lift(sp.initial_lift(sp.enumerate_lagrangians()[0]))
-    by_element = dict(zip(e.span.elements, e.alpha))
+    by_element = dict(zip(kref.elements(sp, e.span), e.alpha))
     with pytest.raises(ValueError, match="not a mapping"):
         EnhancedLagrangian(sp, e.rows, by_element, validate=validate)
     assert EnhancedLagrangian(sp, e.rows, list(by_element.values()),
@@ -196,7 +197,7 @@ def _validate_all_pairs(e):
         raise ValueError("subspace is not middle-dimensional")
     # each unordered pair once: omega(l1, l2) = b12 - b21, and once
     # b12 = b21 both conditions are symmetric in (l1, l2)
-    elems, alpha = e.span.elements, _alpha_by_element(e)
+    elems, alpha = kref.elements(sp, e.span), _alpha_by_element(e)
     for i, l1 in enumerate(elems):
         for l2 in elems[i:]:
             b12 = sp.beta(l1, l2)
@@ -268,7 +269,7 @@ def test_generator_validation_matches_all_pairs_off_lagrangians():
             rows = tuple(tuple(r) for r in rows)
             if rows in lagrangians:
                 continue
-            elems = sp.subspace(rows).elements
+            elems = kref.elements(sp, sp.subspace(rows))
             assert any(sp.omega_field(v, w) for v in elems for w in elems)
             for alpha in ([0 for v in elems],
                           [sp.beta(v, v) for v in elems],
@@ -357,7 +358,7 @@ def _twisted_by_loop(sp, lift_rows, rng):
     tors = list(R.two_torsion())
     dvals = [[rng.choice(tors) for _ in range(R.d)] for _ in base.rows]
     alpha = []
-    for l, a0 in zip(base.span.elements, base.alpha):
+    for l, a0 in zip(kref.elements(sp, base.span), base.alpha):
         s = a0
         for i, p in enumerate(base.pivots):
             for a in range(R.d):
@@ -488,7 +489,7 @@ def test_r_map_projects_along_complement():
             if not (sp.transversal_k(M, std) and sp.transversal_k(M, N)):
                 continue
             terms = sp.r_terms(M, N, std)
-            Ms, Ns, Ls = (sp.subspace(rows).elements for rows in (M, N, std))
+            Ms, Ns, Ls = (kref.elements(sp, sp.subspace(rows)) for rows in (M, N, std))
             assert [i for i, *_ in terms] == list(range(len(Ms)))
             for i, j, k, b in terms:
                 # m = img + diff with img in N and diff in L
@@ -502,8 +503,8 @@ def _r_map_reference(sp, M_rows, N_rows, L_rows):
     R = sp.R
     cols = linalg.transpose(tuple(N_rows) + tuple(L_rows))
     out = {}
-    for m in sp.span_k(M_rows):
-        x, = linalg.solve_many(linalg.field_ops(R), cols, (m,))
+    for m in kref.span(R, M_rows, sp.dim):
+        x, = linalg.solve_many(kref.field_ops(R), cols, (m,))
         nv = [0] * sp.dim
         for c, row in zip(x[:len(N_rows)], N_rows):
             for t, e in enumerate(row):
@@ -522,7 +523,7 @@ def test_r_map_matches_per_element_solves(d, n):
             if not sp.transversal_k(N, L):
                 continue
             for M in lags:
-                Ms, Ns = sp.subspace(M).elements, sp.subspace(N).elements
+                Ms, Ns = (kref.elements(sp, sp.subspace(rows)) for rows in (M, N))
                 got = {Ms[i]: Ns[j] for i, j, *_ in sp.r_terms(M, N, L)}
                 assert got == _r_map_reference(sp, M, N, L)
                 seen += 1
@@ -533,29 +534,35 @@ def _r_terms_per_triple(sp, M_rows, N_rows, L_rows):
     """r_terms by one solve_many per subspace triple, with M's basis rows as
     the right-hand sides."""
     R = sp.R
-    xs = linalg.solve_many(linalg.field_ops(R),
+    xs = linalg.solve_many(kref.field_ops(R),
                            linalg.transpose(tuple(N_rows) + tuple(L_rows)),
                            M_rows)
-    images = [linalg.vec_mat_field(R, x[:len(N_rows)], N_rows) for x in xs]
+    images = [kref.vec_mat(R, x[:len(N_rows)], N_rows) for x in xs]
     return tuple((m, rm, tuple(a ^ b for a, b in zip(m, rm)), sp.beta(m, rm))
-                 for m, rm in zip(sp.span_k(M_rows), sp.span_k(images)))
+                 for m, rm in zip(kref.span(R, M_rows, sp.dim),
+                                  kref.span(R, images, sp.dim)))
 
 
 def _r_terms_tuple_rule(sp, M_rows, N_rows, L_rows):
     """The terms by the rule on k-tuples that r_terms replaced: the pair's
-    projection applied to M's basis rows by vec_mat_field, both spans walked
-    by span_k, and beta on tuples."""
-    P = sp._projection(N_rows, L_rows, True)
-    images = [linalg.vec_mat_field(sp.R, m, P) for m in M_rows]
+    projection matrix, row i the image of e_i from one elimination over k
+    against the unit vectors, applied to M's basis rows; both spans walked
+    by brute force, and beta on tuples."""
+    R, ops = sp.R, kref.field_ops(sp.R)
+    xs = linalg.solve_many(ops, linalg.transpose(N_rows + L_rows),
+                           linalg.unit_vectors(ops, sp.dim))
+    P = [kref.vec_mat(R, x[:len(N_rows)], N_rows) for x in xs]
+    images = [kref.vec_mat(R, m, P) for m in M_rows]
     return tuple((m, rm, tuple(a ^ b for a, b in zip(m, rm)), sp.beta(m, rm))
-                 for m, rm in zip(sp.span_k(M_rows), sp.span_k(images)))
+                 for m, rm in zip(kref.span(R, M_rows, sp.dim),
+                                  kref.span(R, images, sp.dim)))
 
 
 def _by_position(sp, M_rows, N_rows, L_rows, terms):
     """Terms (m, r(m), m - r(m), beta(m, r(m))) on k-tuples in the form
     r_terms gives them: span positions and psi_exp(beta), in M's span
     order."""
-    M, N, L = (sp.subspace(rows).elements for rows in (M_rows, N_rows, L_rows))
+    M, N, L = (kref.elements(sp, sp.subspace(rows)) for rows in (M_rows, N_rows, L_rows))
     return tuple(sorted((M.index(m), N.index(rm), L.index(lm), sp.R.psi_exp(b))
                         for m, rm, lm, b in terms))
 
@@ -581,24 +588,50 @@ def test_r_terms_match_the_tuple_rule(d, n, seeded):
 
 
 @pytest.mark.parametrize("d,n", [(1, 2), (2, 1)])
-def test_r_terms_read_one_projection_per_pair(d, n):
-    """Over every transversal triple, the terms read off the cached
-    projection of each (N, L) equal a per-triple solve, and there is one
-    projection per transversal pair; a non-transversal pair still raises
-    and caches nothing."""
+def test_r_terms_match_a_per_triple_solve(d, n):
+    """Over every transversal triple, the terms read off the tagged echelon
+    equal a per-triple solve over k, and no projection over R is built for
+    them; a non-transversal pair still raises and caches nothing."""
     sp = SympSpace(ring(d), n)
     lags = sp.enumerate_lagrangians()
     triples = sp.transversal_triples()
     for N, M, L in triples:
         assert sp.r_terms(M, N, L) == _by_position(
             sp, M, N, L, _r_terms_per_triple(sp, M, N, L))
-    assert len(sp._caches["_projection"]) == TRANSVERSAL_PAIRS[(d, n)]
+    assert len(sp._caches["r_terms"]) == len(triples)
+    assert not sp._caches["_projection"]
     N = lags[0]
     M = next(M for M in lags if sp.transversal_k(M, N))
     for _ in range(2):
         with pytest.raises(ValueError, match="r_terms needs N transversal to L"):
             sp.r_terms(M, N, N)
-    assert (N, N, True) not in sp._caches["_projection"]
+    assert (M, N, N) not in sp._caches["r_terms"]
+
+
+@pytest.mark.parametrize("d,n", [
+    (1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (2, 2), (1, 3), (1, 4),
+])
+def test_tagged_projection_matches_the_decomposition(d, n):
+    """At every shape with dn <= 4, on every ordering of 8 seeded
+    transversal triples, each term of r_terms(M, N, L) names the m of M,
+    the n of N and the l of L with m = n + l, found among all sums of the
+    brute-force spans of N and L, and psi_exp(beta(m, n))."""
+    sp = SympSpace(ring(d), n)
+    R = sp.R
+    rng = random.Random(100 * d + n)
+    for _ in range(8):
+        for M, N, L in itertools.permutations(sp.sample_transversal_triple(rng)):
+            Ns, Ls = (set(kref.span(R, rows, sp.dim)) for rows in (N, L))
+            split = {tuple(a ^ b for a, b in zip(x, y)): (x, y) for x in Ns for y in Ls}
+            assert len(split) == R.field_size ** sp.dim
+            Ms, Nsorted, Lsorted = (kref.elements(sp, sp.subspace(rows))
+                                    for rows in (M, N, L))
+            terms = sp.r_terms(M, N, L)
+            assert [i for i, *_ in terms] == list(range(len(Ms)))
+            for i, j, k, b in terms:
+                m = Ms[i]
+                assert (Nsorted[j], Lsorted[k]) == split[m]
+                assert b == R.psi_exp(sp.beta(m, Nsorted[j]))
 
 
 def _r_map_tilde_reference(sp, Mt, Nt, Lt):
@@ -673,7 +706,6 @@ def test_r_map_tilde_reads_one_projection_per_pair(d, n):
                     _r_map_tilde_reference(sp, Mt, Nt, Lt)
     projections = sp._caches["_projection"]
     assert len(projections) == len(pairs)
-    assert not any(over_k for _, _, over_k in projections)
 
     off = [(Nt, Lt) for N in lags for L in lags if not sp.transversal_k(N, L)
            for Nt in lifts[N] for Lt in lifts[L]]
@@ -701,7 +733,7 @@ def test_dual_family_failure_is_a_program_fault(monkeypatch):
 
 def _rank_over_k(R, rows):
     """Reference: the rank of rows over k, by elimination."""
-    return len(linalg.rref_field(R, rows)[0])
+    return kref.rank(R, rows)
 
 
 def test_transversal_k_memo_matches_rank():
@@ -750,16 +782,16 @@ def _parity(x):
 def test_packed_forms_match_the_coordinate_loops(d, n):
     """On every pair (v, w): pack is additive, bit a of beta_field(v, w)
     and of omega_field(v, w) is the parity of pack(v) against the a-th
-    beta and omega mask of w, and psi_exp(beta(v, w)) is twice its parity
-    against trace_mask(w)."""
+    beta and omega mask of pack(w), and psi_exp(beta(v, w)) is twice its
+    parity against trace_mask(pack(w))."""
     sp = SympSpace(ring(d), n)
     R = sp.R
     vecs = list(sp.all_vectors_k())
     packed = [sp.pack(v) for v in vecs]
     assert len(set(packed)) == len(vecs)
     for w, pw in zip(vecs, packed):
-        beta_masks, omega_masks = sp.beta_masks(w), sp.omega_masks(w)
-        T = sp.trace_mask(w)
+        beta_masks, omega_masks = sp.beta_masks(pw), sp.omega_masks(pw)
+        T = sp.trace_mask(pw)
         for v, pv in zip(vecs, packed):
             assert sp.pack(tuple(a ^ b for a, b in zip(v, w))) == pv ^ pw
             assert sp.beta_field(v, w) == sum(
@@ -779,10 +811,55 @@ def test_subspace_split_matches_the_row_action(d, n):
         span = sp.subspace(rows)
         packed = set(span.packed)
         for v in sp.all_vectors_k():
-            l = linalg.vec_mat_field(sp.R, [v[p] for p in span.pivots], span.rows)
+            l = kref.vec_mat(sp.R, [v[p] for p in span.pivots], span.rows)
             assert all(l[p] == v[p] for p in span.pivots)
             assert span.split(sp.pack(v)) == sp.pack(l)
             assert sp.pack(l) in packed
+
+
+def _subspace_cases(sp, rng):
+    """Seeded row tuples of 0 to 2n + 1 rows over k: random rows (mostly
+    spanning non-isotropic subspaces), then the same with a dependent row
+    (a k-multiple of one plus another) and with a zero row appended."""
+    q, m = sp.R.field_size, sp.dim
+    out = []
+    for _ in range(12):
+        rows = tuple(tuple(rng.randrange(q) for _ in range(m))
+                     for _ in range(rng.randrange(m + 2)))
+        out.append(rows)
+        if len(rows) >= 2:
+            c = rng.randrange(1, q)
+            out.append(rows + (tuple(sp.R.field_mul(c, x) ^ y
+                                     for x, y in zip(rows[0], rows[1])),))
+        out.append(rows + ((0,) * m,))
+    return out
+
+
+@pytest.mark.parametrize("d,n", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
+def test_subspace_matches_brute_force(d, n):
+    """The packed Subspace of each row tuple against the coordinate
+    references: rows and pivots are the kernel's RREF over k, packed lists
+    the brute-force span sorted as k-vectors, index is the position in
+    packed, and gens are xi^a * row_i, i outer and a inner.  whole() is V
+    on the unit rows."""
+    sp = SympSpace(ring(d), n)
+    R = sp.R
+    cases = _subspace_cases(sp, random.Random(10 * d + n))
+    cases.append(tuple(map(sp.std_basis_k, range(sp.dim))))
+    isotropic = collections.Counter()
+    for rows in cases:
+        span = sp.subspace(rows)
+        assert (span.rows, span.pivots) == kref.rref(R, rows)
+        assert span.packed == tuple(map(sp.pack, sorted(set(kref.span(R, rows, sp.dim)))))
+        assert span.index == {x: i for i, x in enumerate(span.packed)}
+        assert span.gens == tuple(sp.pack(tuple(R.field_mul(1 << a, c) for c in row))
+                                  for row in span.rows for a in range(d))
+        isotropic[span.isotropic()] += 1
+    assert isotropic[False] and isotropic[True]
+    whole = sp.whole()
+    assert whole.rows == cases[-1] and whole.pivots == tuple(range(sp.dim))
+    assert whole.packed == tuple(map(sp.pack, sp.all_vectors_k()))
+    assert whole.gens == tuple(1 << b for b in range(2 * sp.dn))
 
 
 def test_packed_validation_names_isotropy_on_every_plane_at_d2n2():
@@ -920,13 +997,12 @@ def test_backtracking_lagrangians_match_echelon_filter(d, n):
 
 
 def test_lagrangian_count_guard_raises():
-    """A field multiplication that returns 0 makes every functional mask
-    zero, so all 35 echelon patterns at d1n2 pass the pruning; the count
-    guard refuses the result."""
-    R = GaloisRing(1)
-    R.field_mul = lambda x, y: 0
+    """Omega masks that are all zero let all 35 echelon patterns at d1n2
+    pass the pruning; the count guard refuses the result."""
+    sp = SympSpace(ring(1), 2)
+    sp.omega_masks = lambda w: (0,)
     with pytest.raises(RuntimeError, match="^35 Lagrangians, expected 15$"):
-        SympSpace(R, 2).enumerate_lagrangians()
+        sp.enumerate_lagrangians()
 
 
 @pytest.mark.parametrize("d,n", [
@@ -1075,18 +1151,19 @@ def test_seeded_draws_are_listed_lagrangians(d, n):
         triple = sp.sample_transversal_triple(rng)
         assert set(triple) <= lags
         for a, b in itertools.combinations(triple, 2):
-            assert len(linalg.rref_field(sp.R, a + b)[0]) == 2 * n
+            assert kref.rank(sp.R, a + b) == 2 * n
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_packed_multiples_are_the_generators(d):
-    """xi^a v on packed vectors, by shift and reduction, equals the packed
-    generators of v."""
+    """xi^a v on packed vectors, by shift and reduction, equals xi^a v
+    multiplied coordinate by coordinate over k, packed."""
     sp = SympSpace(ring(d), 2)
     rng = random.Random(d)
     for _ in range(100):
         v = tuple(rng.randrange(2 ** d) for _ in range(sp.dim))
-        assert sp._multiples(sp.pack(v)) == list(map(sp.pack, sp.generators((v,))))
+        assert sp._multiples(sp.pack(v)) == [
+            sp.pack(tuple(sp.R.field_mul(1 << a, c) for c in v)) for a in range(d)]
 
 
 _INVALID_UNDER_O = """
@@ -1104,7 +1181,7 @@ cases = {
                                      {(1, 0, 0, 0): 1}),
 }
 for message, (rows, changed) in cases.items():
-    alpha = [changed.get(v, 0) for v in sp.subspace(rows).elements]
+    alpha = [changed.get(sp.unpack(x), 0) for x in sp.subspace(rows).packed]
     try:
         EnhancedLagrangian(sp, rows, alpha)
     except ValueError as exc:

@@ -1,6 +1,7 @@
 import pytest
 
-from weil2 import linalg, verify
+import kref
+from weil2 import verify
 from weil2.cli import main as cli_main
 from weil2.galois import ring
 from weil2.heisenberg import all_h_elements, enumerate_asp, enumerate_sp_R
@@ -308,7 +309,7 @@ def _oriented_by_reduction(sp):
     """enumerate_oriented grouped by the RREF of each basis's reduction."""
     by_rows = {}
     for o in sp.enumerate_oriented():
-        red, _ = linalg.rref_field(sp.R, [sp.reduce_vec(b) for b in o.basis])
+        red, _ = kref.rref(sp.R, [sp.reduce_vec(b) for b in o.basis])
         by_rows.setdefault(red, []).append(o)
     return by_rows
 
