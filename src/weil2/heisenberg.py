@@ -251,7 +251,8 @@ def symplectic_lift_matrix(space, g):
     symplectic Gram-Schmidt over R.  All correction coefficients live in 2R,
     so the residue never moves."""
     R, n = space.R, space.n
-    b = space.make_isotropic([space.lift_vec(tuple(g[i])) for i in range(n)])
+    b = [space.lift_vec(tuple(g[i])) for i in range(n)]
+    b = space.make_isotropic(b, space._dual_family(b))
     c = [space.lift_vec(tuple(g[n + i])) for i in range(n)]
     # restore the exact b-c pairing: subtract the 2-torsion defects along
     # fresh duals of the corrected b's

@@ -18,12 +18,15 @@ row update), and there are two of them:
 * ``CYC8_OPS``: Q(zeta_8), a field, where every nonzero entry is a pivot.
 
 `rref` and `solve_many` (one elimination for several right-hand sides)
-work in either algebra.  On them sit `rref_ring` over the ring and, with
-`CYC8_OPS`, `weil.commutant_dimension`.  `det_ring` is the Leibniz
-formula alone: its matrices are n x n, and n <= 4 wherever they are built,
-since the Lagrangian listing refuses every n >= 5.  With the unit vectors
-as right-hand sides, `solve_many` also gives `SympSpace._projection`, the
-projection matrix that `SympSpace.r_map_tilde` reads over the ring.
+work in either algebra; `weil.commutant_dimension` runs `eliminate` with
+`CYC8_OPS`.  Over the ring, `rref_ring` serves
+`SympSpace.oriented_transform` alone, and `solve_many` with the unit
+vectors as right-hand sides gives `SympSpace._projection`, the projection
+matrix that `SympSpace.r_map_tilde` reads, and `SympSpace._dual_family`,
+the duals of `heisenberg.symplectic_lift_matrix`.  The free lifts of
+Lagrangians are built in closed form and eliminate nothing.  `det_ring`
+is the Leibniz formula alone: its matrices are n x n, and n <= 4 wherever
+they are built, since the Lagrangian listing refuses every n >= 5.
 
 `vec_mat` is the ring's one row action v -> sum_j v[j] * A[j]: every
 linear combination of rows, and every matrix product (row by row), goes

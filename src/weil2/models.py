@@ -38,6 +38,8 @@ The three routes give the association scalar as a Gaussian integer
 """
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from . import linalg
 from .cyclotomic import Cyc8
 
@@ -486,32 +488,52 @@ class CharacterSum:
                     yield value(pNM + pL)
 
 
-def gauss_scalar(space, eN, eM, eL):
-    """Route 3: reduce the character sum to a Gauss character of the
-    R-valued symmetric form omt_L(m1, m2) = omt(r^Lt(m1), m2) on a free
-    lift Mt.
+class LiftGauss(NamedTuple):
+    """What route 3 and the oriented identity read of a free lift triple
+    (Nt, Mt, Lt), built once per triple by `lift_gauss`: the canonical
+    enhancements of Nt, Mt and Lt, the Gram matrix of the R-valued
+    symmetric form omt_L(m1, m2) = omt(r^Lt(m1), m2) on Mt, and its Gauss
+    sum G([Mt, tr omt_L]) as a Gaussian integer."""
+    canon: tuple
+    gram: tuple
+    gauss: tuple
 
-    The initial free lifts (Mt, Nt, Lt) split Q into the lift part
-    omt_L(mt, mt) plus a 2R-valued defect sigma; sigma matches a linear
-    character psi(2 omt_L(mt_s, .)) and completes into the square, so
-    C = psi(-omt_L(mt_s, mt_s)) * G([Mt, tr omt_L]) as the pair (re, im).
-    None when sigma matches no linear character, which the three-route
-    check counts as a disagreement, as it does route 1's None.
-    Imports witt on its first call, so that route 2 alone does not load it.
-    """
+
+def lift_gauss(space, Nt, Mt, Lt):
+    """The LiftGauss of the free lift triple (Nt, Mt, Lt), canonical bases.
+    Imports witt on its first call, so that route 2 alone does not load
+    it."""
     from .witt import gauss_sum, trace_form
 
-    R = space.R
-    # the lift frames already hold the initial lifts, so none is recomputed
-    Mt, Nt, Lt = (space._lift_frame(e.rows)[0] for e in (eM, eN, eL))
     gram = space.omega_tilde_L_gram(Mt, Nt, Lt)
     if gram != linalg.transpose(gram):
         raise RuntimeError("omt_L must be symmetric")
+    return LiftGauss(tuple(map(space.enhance_from_lift, (Nt, Mt, Lt))), gram,
+                     gauss_sum(trace_form(space.R, gram)))
 
+
+def gauss_scalar(space, eN, eM, eL, lifted):
+    """Route 3: reduce the character sum to a Gauss character of omt_L on
+    the free lift Mt of `lifted`, a LiftGauss of lifts over the three
+    subspaces; any canonical lifts work, and their pivots are those of
+    the subspaces.
+
+    The lifts split Q into the lift part omt_L(mt, mt) plus a 2R-valued
+    defect sigma, the enhancements' difference from the lifts' canonical
+    ones; sigma matches a linear character psi(2 omt_L(mt_s, .)) and
+    completes into the square, so
+    C = psi(-omt_L(mt_s, mt_s)) * G([Mt, tr omt_L]) as the pair (re, im).
+    None when sigma matches no linear character, which the three-route
+    check counts as a disagreement, as it does route 1's None.  A
+    ValueError when a canonical enhancement is over another subspace.
+    """
+    R, gram = space.R, lifted.gram
+    pairs = tuple(zip((eN, eM, eL), lifted.canon))
+    if any(c.rows != e.rows for e, c in pairs):
+        raise ValueError("a lift is not over its enhancement's subspace")
     # psi digits of alpha minus those of the canonical enhancement of the
     # lift, over the same span: exact mod 4, as the trace is additive
-    dM, dN, dL = ([x - y for x, y in zip(e.psi, space.enhance_from_lift(lt).psi)]
-                  for e, lt in ((eM, Mt), (eN, Nt), (eL, Lt)))
+    dN, dM, dL = ([x - y for x, y in zip(e.psi, c.psi)] for e, c in pairs)
     # psi-exponent of sigma(m_i), the enhancement part of the character sum
     # relative to the canonical enhancements, for the elements m_i of M in order
     sigma_exp = [(dM[i] + dN[j] - dL[k]) % 4
@@ -538,4 +560,4 @@ def gauss_scalar(space, eN, eM, eL):
         return None
 
     shift = _I_POW[-R.psi_exp(gram_eval(cs, cs)) % 4]
-    return gaussian_mul(shift, gauss_sum(trace_form(R, gram)))
+    return gaussian_mul(shift, lifted.gauss)

@@ -39,6 +39,9 @@ checks one on span x generators.  The Lagrangians and the transversal
 triples are frames of linalg.frames; a sampled run lists neither, and
 draws its subspaces by an isotropic walk (`random_lagrangian`) and its
 triples as graphs of symmetric maps (`sample_transversal_triple`).
+A free lift of a Lagrangian over R is built in closed form from the
+pivot columns of its canonical rows (`initial_lift`, `_lift_at`), with no
+elimination.
 """
 from __future__ import annotations
 
@@ -582,22 +585,33 @@ class SympSpace:
 
     # -- free submodule lifts -----------------------------------------------------
     def initial_lift(self, rows):
-        """One free isotropic lift of the subspace spanned by `rows`:
-        {0,1}-lift the basis, then cancel the 2R-valued pairing defects
-        against an exact dual family."""
-        b = self.make_isotropic([self.lift_vec(r) for r in rows])
+        """The canonical basis of one free isotropic lift of the subspace
+        whose canonical RREF rows are `rows`, in closed form.  The
+        {0,1}-lift b of the rows has b_i[p_j] = delta_ij at the pivots, so
+        the pivot duals (_pivot_duals) are an exact dual family of b, and
+        make_isotropic corrects b against them; its corrections are 2R
+        multiples at the partner columns, and _reduce_pivots re-reduces.
+        A ValueError unless `rows` are the canonical rows of their span
+        (Subspace.rows), on which the closed forms rest."""
+        rows = tuple(map(tuple, rows))
+        span = self.subspace(rows)
+        if span.rows != rows:
+            raise ValueError("a lift needs the canonical RREF rows of a subspace")
+        b = self.make_isotropic([self.lift_vec(r) for r in rows],
+                                self._pivot_duals(span.pivots))
         if any(self.omt(bi, bj) for bi in b for bj in b):
             raise RuntimeError("lift correction failed")
-        basis, _ = linalg.rref_ring(self.R, b)
-        return basis
+        return self._reduce_pivots(b, span.pivots)
 
-    def make_isotropic(self, b):
-        """b_i + sum_{j > i} omt(b_i, b_j) c_j for each i, with c an exact
-        dual family of b.  When b reduces to an isotropic family, every
-        omt(b_i, b_j) lies in 2R, whose products vanish, so the corrected
-        family is isotropic and has the same reduction."""
+    def make_isotropic(self, b, duals):
+        """b_i + sum_{j > i} omt(b_i, b_j) c_j for each i, with c = duals an
+        exact dual family of b: omt(b_i, c_j) = delta_ij.  When b reduces
+        to an isotropic family, every omt(b_i, b_j) lies in 2R, whose
+        products vanish, so the corrected family is isotropic and has the
+        same reduction.  The duals are the pivot duals of canonical rows
+        (initial_lift) or a solved _dual_family
+        (heisenberg.symplectic_lift_matrix, whose rows are not in RREF)."""
         R = self.R
-        duals = self._dual_family(b)
         return [linalg.vec_add(R, bi, linalg.vec_mat(
                     R, [self.omt(bi, bj) if j > i else 0 for j, bj in enumerate(b)],
                     duals))
@@ -605,7 +619,8 @@ class SympSpace:
 
     def _dual_family(self, basis):
         """Vectors c_j with omt(b_i, c_j) = delta_ij (no isotropy demanded),
-        from one elimination with the unit vectors as right-hand sides.
+        from one elimination with the unit vectors as right-hand sides, for
+        a family with no pivot block (heisenberg.symplectic_lift_matrix).
         Every caller passes a free family, for which the system is
         solvable; a RuntimeError when it is not."""
         R, n = self.R, self.n
@@ -617,22 +632,59 @@ class SympSpace:
         return duals
 
     @_cached
+    def _pivot_duals(self, pivots):
+        """The exact dual family of every family b with b_i[p_j] = delta_ij
+        at these pivot columns, read off the pivots: c_j = e_{p_j + n} for
+        p_j < n and -e_{p_j - n} otherwise, since omt(b, c_j) = b[p_j].
+        For b over an isotropic subspace, two exact dual families differ
+        mod 2 by elements of its span, so 2R multiples of either span the
+        same submodule with b: initial_lift and _lift_at give the lifts
+        that solved duals give."""
+        R, n = self.R, self.n
+        duals = []
+        for p in pivots:
+            c = [0] * self.dim
+            c[(p + n) % self.dim] = R.one if p < n else R.neg(R.one)
+            duals.append(tuple(c))
+        return tuple(duals)
+
+    def _reduce_pivots(self, b, pivots):
+        """The canonical basis of the span of a family b whose pivot block
+        [b_i[p_j]] is I + T with T over 2R, as rref_ring would give it.
+        T^2 = 0, as products of 2R vanish, so (I + T)^-1 = I - T and the
+        canonical rows are b - T b."""
+        R = self.R
+        out = []
+        for i, bi in enumerate(b):
+            t = [R.sub(R.one if i == j else 0, bi[p]) for j, p in enumerate(pivots)]
+            out.append(linalg.vec_add(R, bi, linalg.vec_mat(R, t, b)) if any(t)
+                       else tuple(bi))
+        return tuple(out)
+
+    @_cached
     def _lift_frame(self, rows):
-        """(initial lift, its dual family) of the subspace, cached per rows."""
-        base = self.initial_lift(rows)
-        return base, self._dual_family(base)
+        """(initial lift, its pivot columns) of the subspace, cached per
+        rows: every lift _lift_at builds over the rows starts from it."""
+        return self.initial_lift(rows), self.subspace(rows).pivots
 
     def _lift_at(self, rows, S):
         """The lift base + 2*S*duals of the subspace, for a symmetric n x n
-        matrix S over k."""
-        R, n = self.R, self.n
-        base, duals = self._lift_frame(rows)
-        two_lift = self._two_lift
-        basis = [linalg.vec_add(R, base[i], linalg.vec_mat(
-                     R, [two_lift[s] for s in S[i]], duals))
-                 for i in range(n)]
-        can, _ = linalg.rref_ring(R, basis)
-        return can
+        matrix S over k and the pivot duals of the initial lift, in closed
+        form.  Dual c_j is +-1 at the partner column of p_j and 0 elsewhere,
+        and 2R elements are their own negatives, so row i gains
+        2 lift(S_ij) at that column; where it is a pivot column,
+        _reduce_pivots re-reduces."""
+        R, n, dim, two_lift = self.R, self.n, self.dim, self._two_lift
+        base, pivots = self._lift_frame(rows)
+        partners = [(p + n) % dim for p in pivots]
+        basis = []
+        for bi, Si in zip(base, S):
+            row = list(bi)
+            for c, s in zip(partners, Si):
+                if s:
+                    row[c] = R.add(row[c], two_lift[s])
+            basis.append(row)
+        return self._reduce_pivots(basis, pivots)
 
     def enumerate_submodule_lifts(self, rows):
         """All free Lagrangian submodules reducing onto the subspace; they
@@ -652,8 +704,9 @@ class SympSpace:
         """A uniformly random free Lagrangian submodule over the subspace:
         one uniform draw of S in the torsor that enumerate_submodule_lifts
         walks.  It takes one rng.randrange(q^(n(n+1)/2)) call
-        (_random_symmetric), the same draw as rng.choice on the list of all
-        lifts."""
+        (_random_symmetric), so it has the same distribution as rng.choice
+        on the list of all lifts, but not the same draw: that list is
+        sorted, not in S order."""
         return self._lift_at(rows, self._random_symmetric(rng))
 
     def random_oriented(self, rows, rng):

@@ -34,6 +34,7 @@ from .models import (
     gauss_scalar,
     gaussian_mul,
     intertwiner_matrix,
+    lift_gauss,
     pi_matrix,
 )
 from .symplectic import (
@@ -205,7 +206,9 @@ def cocycle_checks_small():
     for e in enumerate_enhanced(sp):
         by_rows.setdefault(e.rows, []).append(e)
     routes = [(composition_scalar(sp, *t), formula_scalar(sp, *t),
-               gauss_scalar(sp, *t)) for t in _fibred(sp, by_rows)]
+               gauss_scalar(sp, *t, lift_gauss(sp, *(sp.initial_lift(e.rows)
+                                                    for e in t))))
+              for t in _fibred(sp, by_rows)]
     total, bad_route = _count(c1 == c2 == c3 for c1, c2, c3 in routes)
     _, bad_pow = _count(_power(c2, 4) == (-4, 0) for _, c2, _ in routes)
     return [
@@ -279,7 +282,9 @@ def cocycle_checks_sampled(d, n, count, seed):
     """Seeded sample of pairwise-transversal triples: three-route agreement,
     fourth power, and the oriented identity.  It draws what a sampled
     cocycle table with the same d, n, count and seed lists, each triple
-    built by SympSpace.sample_transversal_triple with no Lagrangian list."""
+    built by SympSpace.sample_transversal_triple with no Lagrangian list.
+    Route 3 and the oriented identity read one lift_gauss of the drawn
+    lifts: one gram, one Gauss sum and their canonical enhancements."""
     check_sampled(d, n, count)
     rng = random.Random(seed)
     R = ring(d)
@@ -293,10 +298,10 @@ def cocycle_checks_sampled(d, n, count, seed):
         (Nt, eN), (Mt, eM), (Lt, eL) = sp.random_enhanced_triple(rng)
         c1 = composition_scalar(sp, eN, eM, eL)
         c2 = formula_scalar(sp, eN, eM, eL)
-        c3 = gauss_scalar(sp, eN, eM, eL)
-        G = witt.gauss_sum(witt.trace_form(R, sp.omega_tilde_L_gram(Mt, Nt, Lt)))
+        lifted = lift_gauss(sp, Nt, Mt, Lt)
+        c3 = gauss_scalar(sp, eN, eM, eL, lifted)
         return (c1 == c2 == c3, _power(c2, 4) == target4,
-                formula_scalar(sp, *map(sp.enhance_from_lift, (Nt, Mt, Lt))) == G)
+                formula_scalar(sp, *lifted.canon) == lifted.gauss)
 
     route, power, oriented = zip(*(outcomes() for _ in range(count)))
     total, bad_route = _count(route)

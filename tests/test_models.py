@@ -21,7 +21,7 @@ from weil2.heisenberg import (
 from weil2.models import (
     CharacterSum, ZiMatrix, composition_scalar, formula_scalar,
     gauss_scalar, gaussian_monomial, gaussian_mul, intertwiner_matrix,
-    monomial_cyc, monomial_gaussian, pi_matrix,
+    lift_gauss, monomial_cyc, monomial_gaussian, pi_matrix,
 )
 from weil2.symplectic import (
     EnhancedLagrangian, SympSpace, _xor, enumerate_enhanced,
@@ -289,6 +289,18 @@ def test_composition_scalar_refuses_a_non_transversal_pair(d, n):
             composition_scalar(sp, *triple)
 
 
+def test_route3_refuses_lifts_over_other_subspaces():
+    """gauss_scalar reads sigma as psi digit differences by span position,
+    so lifts over other subspaces (here N's and L's swapped) are refused,
+    not read."""
+    sp = SympSpace(ring(1), 2)
+    rows = sp.transversal_triples()[0]
+    lifts = [sp.initial_lift(r) for r in rows]
+    enhanced = [sp.enhance_from_lift(lt) for lt in lifts]
+    with pytest.raises(ValueError, match="not over its enhancement"):
+        gauss_scalar(sp, *enhanced, lift_gauss(sp, *lifts[::-1]))
+
+
 def test_three_routes_agree():
     """Composite, closed formula, and Gauss-sum route give one scalar."""
     sp = _space()
@@ -304,10 +316,33 @@ def test_three_routes_agree():
                 for eL in by_rows[rL]:
                     c = composition_scalar(sp, eN, eM, eL)
                     assert formula_scalar(sp, eN, eM, eL) == c
-                    assert gauss_scalar(sp, eN, eM, eL) == c
+                    frames = (sp.initial_lift(e.rows) for e in (eN, eM, eL))
+                    assert gauss_scalar(sp, eN, eM, eL,
+                                        lift_gauss(sp, *frames)) == c
                     assert _gaussian(c) ** 4 == MINUS_FOUR
                     count += 1
     assert count == 48
+
+
+@pytest.mark.parametrize("d,n,triples,enhanced", [(1, 2, 2, None), (2, 1, 3, 64)])
+def test_route3_on_every_lift_triple(d, n, triples, enhanced):
+    """Route 3 reduces on any free lifts over the subspaces: on seeded
+    subspace triples, gauss_scalar over every lift triple of
+    enumerate_submodule_lifts equals route 2 on every enhancement triple
+    (d1n2), or on 64 seeded ones of the 4,096 (d2n1)."""
+    sp = SympSpace(ring(d), n)
+    rng = random.Random(d * 10 + n)
+    for rN, rM, rL in rng.sample(sp.transversal_triples(), triples):
+        enh = [sp.enumerate_enhancements(rows) for rows in (rN, rM, rL)]
+        cases = list(zip(itertools.product(*enh),
+                         CharacterSum(sp, rM, rN, rL).values(*enh)))
+        if enhanced:
+            cases = rng.sample(cases, enhanced)
+        lifts = [sp.enumerate_submodule_lifts(rows) for rows in (rN, rM, rL)]
+        for lift_triple in itertools.product(*lifts):
+            lifted = lift_gauss(sp, *lift_triple)
+            for t, c in cases:
+                assert gauss_scalar(sp, *t, lifted) == c
 
 
 def _formula_reference(sp, eN, eM, eL):

@@ -27,7 +27,7 @@ from weil2.symplectic import (
     check_sweep, enumerate_enhanced, exhaustive_by_default,
     transversal_triple_count,
 )
-from weil2 import linalg
+from weil2 import linalg, symplectic
 
 CENSUS = [
     # d, n, subspaces, lifts, enhancements, oriented
@@ -127,6 +127,98 @@ def test_initial_lift_reduces_to_subspace():
             for b in lift:
                 for c in lift:
                     assert sp.omt(b, c) == sp.R.zero
+
+
+def _solved_lift(sp, rows, S):
+    """Reference lift by elimination: the {0,1}-lift made isotropic
+    against a solved dual family and row-reduced (the initial lift), then
+    base + 2*S*duals against the solved duals of that base, row-reduced."""
+    R = sp.R
+    b = [sp.lift_vec(r) for r in rows]
+    base, _ = linalg.rref_ring(R, sp.make_isotropic(b, sp._dual_family(b)))
+    duals = sp._dual_family(base)
+    basis = [linalg.vec_add(R, bi, linalg.vec_mat(
+                 R, [R.mul(R.two, R.lift(s)) for s in Si], duals))
+             for bi, Si in zip(base, S)]
+    return linalg.rref_ring(R, basis)[0]
+
+
+def _every_symmetric(sp):
+    """Every symmetric n x n matrix over k."""
+    q, n = sp.R.field_size, sp.n
+    return [symplectic._symmetric(n, vals)
+            for vals in itertools.product(range(q), repeat=n * (n + 1) // 2)]
+
+
+def _lifts_against_the_reference(sp, seeded):
+    """(closed form, reference) for initial_lift and _lift_at: on every
+    Lagrangian and every symmetric S, or on 12 seeded Lagrangians with the
+    zero S and 4 seeded ones each."""
+    if seeded:
+        rng = random.Random(sp.R.d * 10 + sp.n)
+        cases = []
+        for _ in range(12):
+            rows = sp.random_lagrangian(rng)
+            cases += [(rows, sp._random_symmetric(rng)) for _ in range(4)]
+            cases.append((rows, None))
+    else:
+        cases = [(rows, S) for rows in sp.enumerate_lagrangians()
+                 for S in _every_symmetric(sp) + [None]]
+    zero = [[0] * sp.n for _ in range(sp.n)]
+    for rows, S in cases:
+        if S is None:
+            yield sp.initial_lift(rows), _solved_lift(sp, rows, zero)
+        else:
+            yield sp._lift_at(rows, S), _solved_lift(sp, rows, S)
+
+
+@pytest.mark.parametrize("d,n,seeded", [
+    (1, 1, False), (1, 2, False), (2, 1, False),
+    (1, 3, True), (2, 2, True), (3, 1, True), (1, 4, True), (4, 1, True),
+])
+def test_closed_form_lifts_match_the_solved_reference(d, n, seeded):
+    """The lifts built from pivot duals and re-reduced as b - T b equal
+    the lifts found by solving for duals and row-reducing over R: on every
+    Lagrangian and symmetric S at d1n1, d1n2 and d2n1, and on seeded
+    draws past them."""
+    sp = SympSpace(ring(d), n)
+    for mine, ref in _lifts_against_the_reference(sp, seeded):
+        assert mine == ref
+
+
+def test_skipping_the_re_reduction_fails_the_reference(monkeypatch):
+    """Where a partner column is itself a pivot column, the corrections
+    land in the pivot block, so a lift that is not re-reduced differs from
+    the reference: the comparison above has teeth at d1n2."""
+    monkeypatch.setattr(SympSpace, "_reduce_pivots",
+                        lambda self, b, pivots: tuple(map(tuple, b)))
+    sp = SympSpace(ring(1), 2)
+    pairs = _lifts_against_the_reference(sp, False)
+    assert any(mine != ref for mine, ref in pairs)
+
+
+@pytest.mark.parametrize("d,n", [(1, 2), (2, 1)])
+def test_rows_that_are_not_canonical_are_refused(d, n):
+    """The closed forms need the canonical RREF rows of the span: rows in
+    another order, a row added to another and a row scaled by a unit other
+    than 1 are refused by initial_lift and _lift_at, and no lift frame is
+    cached for them."""
+    sp = SympSpace(ring(d), n)
+    R, S = sp.R, _every_symmetric(sp)[-1]
+    for rows in sp.enumerate_lagrangians():
+        summed = (rows[0],) + tuple(map(symplectic._xor, rows[1:], rows[:-1]))
+        bad = [rows[::-1], summed]
+        if d > 1:
+            bad.append((tuple(R.field_mul(2, x) for x in rows[0]),) + rows[1:])
+        for other in bad:
+            if other == rows:
+                continue
+            with pytest.raises(ValueError, match="canonical RREF rows"):
+                sp.initial_lift(other)
+            with pytest.raises(ValueError, match="canonical RREF rows"):
+                sp._lift_at(other, S)
+    framed = {rows for rows, in sp._caches["_lift_frame"]}
+    assert framed <= set(sp.enumerate_lagrangians())
 
 
 def _alpha_by_element(e):
@@ -1044,15 +1136,22 @@ class _CountingRng:
 
 @pytest.mark.parametrize("d,n", [(1, 2), (2, 1), (2, 2)])
 def test_random_lift_is_a_bijection_onto_lifts(d, n):
-    """Driven over every symmetric S, random_lift hits each enumerated lift
-    exactly once, so a uniform S gives a uniform lift."""
+    """Driven over every symmetric S, random_lift, that is
+    S -> _lift_at(rows, S), hits each enumerated lift exactly once, so a
+    uniform S gives a uniform lift.  The list is sorted, not in S order:
+    at d1n2 and d2n2 some subspaces list their lifts in another order than
+    the draws, so random_lift has the distribution of rng.choice on the
+    list but not its draw."""
     sp = SympSpace(ring(d), n)
     size = sp.R.field_size ** (n * (n + 1) // 2)
+    reordered = 0
     for rows in sp.enumerate_lagrangians():
         rng = _CountingRng()
         drawn = [sp.random_lift(rows, rng) for _ in range(size)]
         assert len(set(drawn)) == size
         assert tuple(sorted(drawn)) == sp.enumerate_submodule_lifts(rows)
+        reordered += drawn != sorted(drawn)
+    assert bool(reordered) == ((d, n) != (2, 1))
 
 
 def test_random_lift_consumes_one_choice_worth_of_rng():

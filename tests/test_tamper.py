@@ -223,10 +223,11 @@ def _last_term_N_L_swapped(self, M_rows, N_rows, L_rows):
 
 def test_tampered_r_terms_fails_sampled_three_route_without_raising(
         monkeypatch):
-    """At d2n1 the swapped entry leaves route 3's defect sigma matching no
-    linear character on 7 of the 20 draws: route 3 then gives None, a
-    disagreement, and the sampled run goes on.  Route 2 reads the same
-    entry, so its fourth power and the oriented identity fail too."""
+    """At d2n1 the swapped entry leaves route 3's defect sigma, read on
+    the drawn lifts, matching no linear character on 6 of the 20 draws:
+    route 3 then gives None, a disagreement, and the sampled run goes on.
+    Route 2 reads the same entry, so its fourth power and the oriented
+    identity fail too."""
     monkeypatch.setattr(SympSpace, "r_terms", _last_term_N_L_swapped)
     route3 = []
 
@@ -236,10 +237,29 @@ def test_tampered_r_terms_fails_sampled_three_route_without_raising(
 
     monkeypatch.setattr(verify, "gauss_scalar", recorded_gauss_scalar)
     checks = verify.cocycle_checks_sampled(2, 1, 20, 0)
-    assert sum(c is None for c in route3) == 7
+    assert sum(c is None for c in route3) == 6
     _assert_fails_exactly(checks, {"cocycle.three-route",
                                    "cocycle.fourth-power",
                                    "cocycle.oriented-identity"})
+
+
+def _sigma_from_the_frames(sp, eN, eM, eL, lifted):
+    """Route 3 on the gram of the drawn lifts, but with sigma read against
+    the canonical enhancements of the initial lifts of the subspaces."""
+    frames = (sp.enhance_from_lift(sp.initial_lift(e.rows)) for e in (eN, eM, eL))
+    return gauss_scalar(sp, eN, eM, eL, lifted._replace(canon=tuple(frames)))
+
+
+@pytest.mark.parametrize("d,n", [(1, 2), (2, 1)])
+def test_route3_with_sigma_from_the_frames_fails_sampled_three_route(
+        monkeypatch, d, n):
+    """Route 3 must read sigma and the gram on the same lifts: with sigma
+    taken against the initial lifts while the gram is that of the drawn
+    lifts, the sampled run goes on and exactly cocycle.three-route FAILs
+    (the oriented identity reads the drawn lifts' own enhancements)."""
+    monkeypatch.setattr(verify, "gauss_scalar", _sigma_from_the_frames)
+    _assert_fails_exactly(verify.cocycle_checks_sampled(d, n, 20, 0),
+                          {"cocycle.three-route"})
 
 
 draw_outside = symplectic._draw_outside
@@ -294,7 +314,8 @@ def test_tampered_r_terms_reaches_routes_2_and_3(monkeypatch):
     for t in verify._fibred(sp, by_rows):
         c1 = models.composition_scalar(sp, *t)
         off2 += models.formula_scalar(sp, *t) != c1
-        off3 += models.gauss_scalar(sp, *t) != c1
+        frames = (sp.initial_lift(e.rows) for e in t)
+        off3 += models.gauss_scalar(sp, *t, models.lift_gauss(sp, *frames)) != c1
     assert (off2, off3) == (32, 24)
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 import kref
-from weil2 import verify
+from weil2 import linalg, verify
 from weil2.cli import main as cli_main
 from weil2.galois import ring
 from weil2.heisenberg import all_h_elements, enumerate_asp, enumerate_sp_R
@@ -65,6 +65,28 @@ def test_sampled_checks_are_reproducible():
     assert [(c.name, c.passed, c.detail) for c in a] == \
         [(c.name, c.passed, c.detail) for c in b]
     assert all(c.passed for c in a)
+
+
+def test_sampled_cocycle_draw_runs_one_ring_elimination(monkeypatch):
+    """A sampled cocycle draw builds its lifts in closed form, so its only
+    ring elimination is the projection of the drawn (Nt, Lt) behind
+    route 3's gram: 20 over 20 draws at d1n4 (271 when the lifts were
+    found by elimination), and no rref_ring or solved dual family."""
+    eliminate, calls = linalg.eliminate, []
+
+    def counting(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    def refused(*args):
+        raise AssertionError("a sampled draw eliminated for its lifts")
+
+    monkeypatch.setattr(linalg, "eliminate", counting)
+    monkeypatch.setattr(linalg, "rref_ring", refused)
+    monkeypatch.setattr(SympSpace, "_dual_family", refused)
+    checks = verify.cocycle_checks_sampled(1, 4, 20, 3)
+    assert all(c.passed for c in checks)
+    assert len(calls) == 20
 
 
 def test_suite_routing_names():
