@@ -27,12 +27,16 @@ F_{M,L} is a single fourth root of unity, and the composition route to the
 association scalar is the ZiMatrix product F_{N,M} F_{M,L} divided by
 F_{N,L}.
 Every ZiMatrix product, inverses included, goes through one packed kernel
-(`_zi_product`): each row of the right operand, and i times it, is packed
+(`_zi_rows`): each row of the right operand, and i times it, is packed
 once per matrix into one int of fixed-width slots, and each output row is
-one integer linear combination of those ints (Kronecker substitution),
-read back slot by slot.  Every ratio between operators is a monomial
-zeta^e sqrt2^s read by one rule, `gaussian_monomial`, on Gaussian
-integers, and stays an exponent pair (e, s) until output.
+one integer linear combination of those ints (Kronecker substitution).
+`@` reads the rows back slot by slot; a check that builds a product only
+to compare it (`product_ratio`: cocycles, coboundaries, route 1, the
+transport checks) compares the packed rows with the target's instead, and
+unpacks one entry.  Ratios between operators compare packed rows the same
+way (`_packed_proportion`).  Every ratio is a monomial zeta^e sqrt2^s read
+by one rule, `gaussian_monomial`, on Gaussian integers, and stays an
+exponent pair (e, s) until output.
 The three routes give the association scalar as a Gaussian integer
 (re, im), route 1 through `monomial_gaussian`; `gaussian_mul` multiplies.
 """
@@ -175,30 +179,102 @@ def gaussian_mul(p, q):
     return pr * qr - pi * qi, pr * qi + pi * qr
 
 
+def _slot_width(bits):
+    """bits rounded up to a multiple of 8, so that operators of about one
+    size share their packs."""
+    return -(-bits // 8) * 8
+
+
+def _product_bits(X, Y):
+    """A bound b(X Y) on the bit length of every part of X Y: each part is
+    below k 2^(b(X) + b(Y) + 1), with k the inner dimension and b(.) the
+    bit length of the largest real or imaginary part."""
+    return X._entry_bits() + Y._entry_bits() + len(Y.rows).bit_length() + 1
+
+
+def _zi_rows(X, PQ):
+    """The packed rows of X Y, for PQ the packs of Y at a slot width W
+    (Y._packed): row r is the int sum_k re(X[r][k]) P_k + im(X[r][k]) Q_k
+    (Kronecker substitution), signed and with no bias, which is
+    sum_j re((X Y)[r][j]) 2^(2jW) + im((X Y)[r][j]) 2^((2j+1)W) at any W.
+    The one product kernel: `@` and `product_ratio` both read it."""
+    out = []
+    for row in X.rows:
+        acc = 0
+        for (ar, ai), (p, q) in zip(row, PQ):
+            acc += ar * p + ai * q
+        out.append(acc)
+    return out
+
+
 def _zi_product(X, Y):
-    """The Z[i] rows of X Y, for ZiMatrix values X and Y, by Kronecker
-    substitution.  Row k of Y is packed into two ints at a slot width W
-    (Y._packed): P_k with entry j in W-bit slots 2j (re) and 2j + 1 (im),
-    and Q_k the same for i times the row.  Output row r is then the single
-    int bias + sum_k re(X[r][k]) P_k + im(X[r][k]) Q_k, read back slot by
-    slot.  With b(.) the bit length of the largest real or imaginary part,
-    every output part is below k 2^(b(X) + b(Y) + 1) in absolute value, so
-    W = b(X) + b(Y) + bitlen(k) + 2, rounded up to a multiple of 8, keeps
-    it in one slot; the bias adds 2^(W-1) to every slot, so no slot is
-    negative and none borrows from the next."""
-    width = X._entry_bits() + Y._entry_bits() + len(Y.rows).bit_length() + 2
-    width = -(-width // 8) * 8
+    """The Z[i] rows of X Y, read back from `_zi_rows` slot by slot.  At
+    W = b(X Y) + 1, rounded up, every part is below 2^(W-1) in absolute
+    value; the bias adds 2^(W-1) to every slot, so no slot is negative and
+    none borrows from the next."""
+    width = _slot_width(_product_bits(X, Y) + 1)
     PQ, bias = Y._packed(width)
     half, mask = 1 << (width - 1), (1 << width) - 1
     shifts = range(0, 2 * width * len(Y.rows[0]), 2 * width)
-    out = []
-    for row in X.rows:
-        acc = bias
-        for (ar, ai), (p, q) in zip(row, PQ):
-            acc += ar * p + ai * q
-        out.append(tuple((((acc >> s) & mask) - half,
-                          ((acc >> (s + width)) & mask) - half) for s in shifts))
-    return tuple(out)
+    return tuple(tuple((((acc >> s) & mask) - half,
+                        ((acc >> (s + width)) & mask) - half) for s in shifts)
+                 for acc in (a + bias for a in _zi_rows(X, PQ)))
+
+
+def _packed_proportion(rows, width, Z):
+    """(p, q) with X q == Z p, for the Z[i] matrix X whose packed rows at
+    slot width `width` are `rows` (one int per row, as `_zi_rows` gives
+    them), q the first nonzero entry of Z and p the entry of X there; None
+    when Z is zero or X is not proportional to it.
+
+    Only p is unpacked, with the bias of `_zi_product`.  X q == Z p exactly
+    when X |q|^2 == c Z for c = p conj(q), as conj(q) != 0, which on packed
+    rows is one integer test per row against Z's packs (P_r, Q_r):
+        rows[r] |q|^2 == re(c) P_r + im(c) Q_r.
+    Equal ints mean equal slots when width >= b(X) + 2 b(Z) + 2.  Proof:
+    let S = 2^b(X) - 1 and T = 2^b(Z) - 1 bound the parts of the entries x
+    of X and z of Z.  For Gaussian integers u and v,
+    |re(u v)| + |im(u v)| <= 2 |u|_oo |v|_oo (the sum and the difference of
+    the two parts are each at most that), and a part of u w is at most
+    |u|_oo (|re w| + |im w|).  So every part of c z = p (conj(q) z) is at
+    most 2 S T^2, and so is every part of x |q|^2, as |q|^2 <= 2 T^2.  The
+    slot differences d_j of the two sides are at most
+    4 S T^2 < 2^(b(X) + 2 b(Z) + 2) <= 2^width, and if
+    sum_j d_j 2^(j width) = 0 with some d_j != 0, the lowest such d_j is a
+    nonzero multiple of 2^width, which it is too small to be."""
+    first = Z._anchor()
+    if first is None:
+        return None
+    r0, j0, q = first
+    PQ, bias = Z._packed(width)
+    half, mask, at = 1 << (width - 1), (1 << width) - 1, 2 * j0 * width
+    acc = rows[r0] + bias
+    p = ((acc >> at) & mask) - half, ((acc >> (at + width)) & mask) - half
+    (pr, pi), (qr, qi) = p, q
+    n, cr, ci = qr * qr + qi * qi, pr * qr + pi * qi, pi * qr - pr * qi
+    for a, (P, Q) in zip(rows, PQ):
+        if a * n != cr * P + ci * Q:
+            return None
+    return p, q
+
+
+def _packed_ratio(rows, width, e, s, Z):
+    """(e', s') with zeta^e sqrt2^s X == zeta^e' sqrt2^s' Z, e' in 0..7,
+    for X as in `_packed_proportion`, by `gaussian_monomial` on its
+    (p, q); None when X or Z is zero or the ratio is no such monomial."""
+    pq = _packed_proportion(rows, width, Z)
+    r = None if pq is None else gaussian_monomial(*pq)
+    if r is None:
+        return None
+    return (r[0] + e - Z.zeta_exp) % 8, r[1] + s - Z.sqrt2_exp
+
+
+def mu4_exponent(r):
+    """The c in 0..3 with zeta^e sqrt2^s = i^c for r = (e, s); None when r
+    is None or no power of i."""
+    if r is None or r[1] or r[0] % 2:
+        return None
+    return r[0] // 2
 
 
 class ZiMatrix:
@@ -207,14 +283,15 @@ class ZiMatrix:
 
     Two values are equal when the matrices they stand for are, whatever
     their triples.  Products add exponents and multiply the Z[i] parts in
-    one packed kernel (`_zi_product`); inverses go by the adjoint; `ratio`
+    one packed kernel (`_zi_rows`); inverses go by the adjoint; `ratio`
     gives the exponents (e, s) of zeta^e sqrt2^s between proportional
-    operators by `gaussian_monomial`, and `mu4_ratio` and `==` read it;
-    `to_cyc` gives the dense Cyc8 matrix.
-    The entry bit bound and the packed rows of the kernel are memoized on
-    the instance, since the value is immutable."""
+    operators by `gaussian_monomial`, on packed rows, and `mu4_ratio` and
+    `==` read it; `product_ratio` is the ratio of a product, compared on
+    its packed rows without building it; `to_cyc` gives the dense Cyc8
+    matrix.  The entry bit bound, the first nonzero entry and the packed
+    rows are memoized on the instance, since the value is immutable."""
 
-    __slots__ = ("zeta_exp", "sqrt2_exp", "rows", "_bits", "_packs")
+    __slots__ = ("zeta_exp", "sqrt2_exp", "rows", "_bits", "_first", "_packs")
 
     def __init__(self, zeta_exp, sqrt2_exp, rows):
         object.__setattr__(self, "zeta_exp", zeta_exp % 8)
@@ -234,10 +311,21 @@ class ZiMatrix:
             object.__setattr__(self, "_bits", bits)
             return bits
 
+    def _anchor(self):
+        """(r, j, q) for the first nonzero entry q, in row r and column j;
+        None when every entry is zero."""
+        try:
+            return self._first
+        except AttributeError:
+            first = next(((r, j, z) for r, row in enumerate(self.rows)
+                          for j, z in enumerate(row) if z != (0, 0)), None)
+            object.__setattr__(self, "_first", first)
+            return first
+
     def _packed(self, width):
-        """(PQ, bias) of `_zi_product` at slot width `width`: PQ holds the
-        pair (P_k, Q_k) of each row, and bias is 2^(width-1) in every slot
-        of a row."""
+        """(PQ, bias) at slot width `width`: PQ holds the pair (P_k, Q_k)
+        of each row k, the packs of the row and of i times it, and bias is
+        2^(width-1) in every slot of a row."""
         try:
             memo = self._packs
         except AttributeError:
@@ -309,7 +397,7 @@ class ZiMatrix:
         """A^{-1} = A* / c from A A* = c I.  Raises ValueError unless the
         Z[i] part satisfies that with c a power of 2 (so that the inverse is
         again of this form).  A A* is summed by row inner products, not by
-        `_zi_product`, so a faulty kernel shows in the products checked."""
+        `_zi_rows`, so a faulty kernel shows in the products checked."""
         n, m = self.shape
         if n != m:
             raise ValueError("A A* is not a nonzero scalar matrix")
@@ -326,42 +414,35 @@ class ZiMatrix:
             raise ValueError(f"A A* = {c} I: not a power of 2")
         return ZiMatrix(-self.zeta_exp, -self.sqrt2_exp - 2 * k, adj.rows)
 
-    def _proportion(self, other):
-        """(p, q) with X q == Y p entrywise, for X and Y the Z[i] parts of
-        self and other, q the first nonzero entry of Y and p the entry of X
-        there; None when Y is zero or X is not proportional to it."""
-        X, Y = self.rows, other.rows
-        if len(X) != len(Y) or len(X[0]) != len(Y[0]):
-            raise ValueError(f"shapes {self.shape} and {other.shape} differ")
-        first = next(((p, q) for rx, ry in zip(X, Y) for p, q in zip(rx, ry)
-                      if q != (0, 0)), None)
-        if first is None:
-            return None
-        (pr, pi), (qr, qi) = first
-        for rx, ry in zip(X, Y):
-            for (xr, xi), (yr, yi) in zip(rx, ry):
-                if (xr * qr - xi * qi != yr * pr - yi * pi
-                        or xr * qi + xi * qr != yr * pi + yi * pr):
-                    return None
-        return first
-
     def ratio(self, other):
         """(e, s) with self == zeta^e sqrt2^s * other, e in 0..7, or None
-        when either is zero or the ratio is no such monomial."""
-        pq = self._proportion(other)
-        r = None if pq is None else gaussian_monomial(*pq)
-        if r is None:
-            return None
-        return ((r[0] + self.zeta_exp - other.zeta_exp) % 8,
-                r[1] + self.sqrt2_exp - other.sqrt2_exp)
+        when either is zero or the ratio is no such monomial: the packed
+        comparison of `_packed_proportion`, on self's own packed rows."""
+        if self.shape != other.shape:
+            raise ValueError(f"shapes {self.shape} and {other.shape} differ")
+        width = _slot_width(self._entry_bits() + 2 * other._entry_bits() + 2)
+        return _packed_ratio([P for P, _ in self._packed(width)[0]], width,
+                             self.zeta_exp, self.sqrt2_exp, other)
+
+    def product_ratio(self, other, target):
+        """(self @ other).ratio(target), without building self @ other: its
+        packed rows from `_zi_rows` go straight into `_packed_ratio`, at a
+        width from the bound b(self @ other) of `_product_bits`."""
+        shape = len(self.rows), len(other.rows[0])
+        if len(self.rows[0]) != len(other.rows):
+            raise ValueError(f"shapes {self.shape} and {other.shape} do not chain")
+        if shape != target.shape:
+            raise ValueError(f"shapes {shape} and {target.shape} differ")
+        width = _slot_width(_product_bits(self, other)
+                            + 2 * target._entry_bits() + 2)
+        return _packed_ratio(_zi_rows(self, other._packed(width)[0]), width,
+                             self.zeta_exp + other.zeta_exp,
+                             self.sqrt2_exp + other.sqrt2_exp, target)
 
     def mu4_ratio(self, other):
         """The c in 0..3 with self == i^c * other, or None when there is no
         such c."""
-        r = self.ratio(other)
-        if r is None or r[1] or r[0] % 2:
-            return None
-        return r[0] // 2
+        return mu4_exponent(self.ratio(other))
 
     def __eq__(self, other):
         if not isinstance(other, ZiMatrix):
@@ -374,7 +455,7 @@ class ZiMatrix:
         return r == (0, 0)
 
     def is_zero(self):
-        return all(x == (0, 0) for row in self.rows for x in row)
+        return self._anchor() is None
 
     def to_cyc(self):
         """The dense matrix of Cyc8 entries."""
@@ -398,8 +479,8 @@ def composition_scalar(space, eN, eM, eL):
     for a, b in ((eN, eM), (eM, eL), (eN, eL)):
         if not space.transversal_k(a.rows, b.rows):
             raise ValueError("composition route requires a transversal pair")
-    r = (intertwiner_matrix(eN, eM) @ intertwiner_matrix(eM, eL)).ratio(
-        intertwiner_matrix(eN, eL))
+    r = intertwiner_matrix(eN, eM).product_ratio(
+        intertwiner_matrix(eM, eL), intertwiner_matrix(eN, eL))
     return None if r is None else monomial_gaussian(*r)
 
 

@@ -39,21 +39,27 @@ class ScaledTransport:
         self.matrix = matrix
         self.power = power
 
-    def compose(self, other):
-        """Operator product self . other (apply other first)."""
+    def _matches(self, scalar, r):
+        """scalar^{1/p} P == self, for r the ratio of P to self.matrix."""
+        return r is not None and monomial_product(scalar, r, self.power) == self.scalar
+
+    def is_product(self, scalar, X, Y):
+        """self == scalar^{1/p} X Y, with X Y compared on packed rows, never
+        built (ZiMatrix.product_ratio)."""
+        return self._matches(scalar, X.product_ratio(Y, self.matrix))
+
+    def composes_to(self, other, target):
+        """self . other == target (apply other first)."""
         if self.power != other.power:
             raise ValueError("cannot compose transports of different powers")
-        return ScaledTransport(monomial_product(self.scalar, other.scalar),
-                               self.matrix @ other.matrix, self.power)
+        return target.power == self.power and target.is_product(
+            monomial_product(self.scalar, other.scalar), self.matrix, other.matrix)
 
     def __eq__(self, other):
         """s1^{1/p} P1 == s2^{1/p} P2: with P1 = r P2 this is s1 r^p == s2."""
         if not isinstance(other, ScaledTransport) or self.power != other.power:
             return NotImplemented
-        r = self.matrix.ratio(other.matrix)
-        if r is None:
-            return False
-        return monomial_product(self.scalar, r, self.power) == other.scalar
+        return other._matches(self.scalar, self.matrix.ratio(other.matrix))
 
     def __repr__(self):
         return (f"ScaledTransport(scalar={self.scalar}, "

@@ -23,7 +23,7 @@ import collections
 from . import linalg
 from .cyclotomic import Cyc8
 from .heisenberg import act_on_enhanced, asp_inv, lift_sp
-from .models import monomial_operator
+from .models import monomial_operator, mu4_exponent
 from .symplectic import _cached
 from .transport import (
     enhanced_of_oriented,
@@ -85,9 +85,10 @@ class _TransportedRepresentation:
     def cocycle(self, x, y, xy):
         """The exponent c in 0..3 with W(x) W(y) = i^c W(xy), for the
         product xy = Group.mul(x, y) of the enumerated group (heisenberg);
-        None when there is no such c."""
-        return (self.operator(x) @ self.operator(y)).mu4_ratio(
-            self.operator(xy))
+        None when there is no such c.  W(x) W(y) is compared on packed rows,
+        never built (ZiMatrix.product_ratio)."""
+        return mu4_exponent(self.operator(x).product_ratio(
+            self.operator(y), self.operator(xy)))
 
 
 class WeilRepresentation(_TransportedRepresentation):
@@ -141,5 +142,7 @@ def commutant_dimension(operators):
 def coboundary_ratio(rep_alt, rep, Phi, a):
     """The exponent b in 0..3 with W'(a) = i^b Phi W(a) Phi^{-1}: the two
     constructions differ by an explicit mu4-valued coboundary.  None when
-    there is no such b."""
-    return rep_alt.operator(a).mu4_ratio(Phi @ rep.operator(a) @ Phi.inverse())
+    there is no such b.  Phi is invertible, so this is W'(a) Phi =
+    i^b Phi W(a), and W'(a) Phi is compared on packed rows, never built."""
+    return mu4_exponent(rep_alt.operator(a).product_ratio(
+        Phi, Phi @ rep.operator(a)))

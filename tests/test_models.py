@@ -13,15 +13,17 @@ from fractions import Fraction
 import pytest
 
 import kref
+from weil2 import models
 from weil2.cyclotomic import SQRT2, ZETA, Cyc8, I, ONE
 from weil2.galois import ring
 from weil2.heisenberg import (
     act_on_enhanced, all_h_elements, asp_inv, enumerate_asp, h_mul,
 )
 from weil2.models import (
-    CharacterSum, ZiMatrix, composition_scalar, formula_scalar,
-    gauss_scalar, gaussian_monomial, gaussian_mul, intertwiner_matrix,
-    lift_gauss, monomial_cyc, monomial_gaussian, pi_matrix,
+    CharacterSum, ZiMatrix, _packed_proportion, composition_scalar,
+    formula_scalar, gauss_scalar, gaussian_monomial, gaussian_mul,
+    intertwiner_matrix, lift_gauss, monomial_cyc, monomial_gaussian,
+    pi_matrix,
 )
 from weil2.symplectic import (
     EnhancedLagrangian, SympSpace, _xor, enumerate_enhanced,
@@ -619,6 +621,101 @@ def test_zi_product_matches_the_reference_loop(shape, bound):
 def test_zi_product_refuses_shapes_that_do_not_chain():
     with pytest.raises(ValueError, match="do not chain"):
         ZiMatrix(0, 0, [[(1, 0), (0, 1)]]) @ ZiMatrix(0, 0, [[(1, 0)]])
+
+
+def _product_reference(X, Y):
+    """X @ Y by the schoolbook loop, under the summed exponents."""
+    return ZiMatrix(X.zeta_exp + Y.zeta_exp, X.sqrt2_exp + Y.sqrt2_exp,
+                    _zi_matmul_reference(X.rows, Y.rows))
+
+
+@pytest.mark.parametrize("bound", [1, 3, 2 ** 7, 2 ** 8 - 1, 2 ** 8, 10 ** 30])
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 4, 1), (4, 1, 3),
+                                   (3, 5, 2), (2, 2, 7), (16, 16, 16),
+                                   (2, 127, 2)])
+def test_product_ratio_matches_the_built_product(monkeypatch, shape, bound):
+    """X.product_ratio(Y, Z), which never builds X Y, against
+    (X @ Y).ratio(Z) and the Cyc8 ratio of the schoolbook product, on the
+    shapes and bounds of the kernel test: Z = zeta^e sqrt2^s X Y for every
+    e and s in 0..3 (the Cyc8 reference at s = 0 and 1), with the monomial
+    in Z's Gaussian parts where it lies in Z[i]; Z off by one in its last
+    row and column; a zero Z, a zero X Y and both; and the extreme operands
+    of the kernel test, whose product parts reach its slot bound.  Both
+    sides run the packed test at a width of at least b(X Y) + 2 b(Z) + 2,
+    the bound of test_packed_proportion_width_bound_is_sharp."""
+    rows, mid, cols = shape
+    rng = random.Random(f"ratio{shape}{bound}")
+    packed_proportion, widths = models._packed_proportion, []
+
+    def recording(rows, width, Z):
+        widths.append(width)
+        return packed_proportion(rows, width, Z)
+
+    monkeypatch.setattr(models, "_packed_proportion", recording)
+
+    def ratio(X, Y, Z, cyc8=True):
+        widths.clear()
+        got = X.product_ratio(Y, Z)
+        assert got == (X @ Y).ratio(Z)
+        need = _product_reference(X, Y)._entry_bits() + 2 * Z._entry_bits() + 2
+        assert len(widths) == 2 and min(widths) >= need
+        if cyc8:
+            r = cyc8_ratio(_product_reference(X, Y), Z)
+            assert got == (None if r is None else _exponents_or_none(r))
+        return got
+
+    def random_pair():
+        while True:
+            X = _random_zi(rng, rows, mid, 1.0, rng.randrange(8),
+                           rng.randint(-3, 3), bound)
+            Y = _random_zi(rng, mid, cols, 1.0, rng.randrange(8),
+                           rng.randint(-3, 3), bound)
+            if not _product_reference(X, Y).is_zero():
+                return X, Y
+
+    extreme = (ZiMatrix(0, 0, [[(bound, -bound)] * mid] * rows),
+               ZiMatrix(0, 0, [[(bound, bound)] * cols] * mid))
+    for X, Y in (random_pair(), extreme):
+        XY = _product_reference(X, Y)
+        for e in range(8):
+            for s in range(4):
+                o = (e - s) % 2
+                g = monomial_gaussian(e - o, s)
+                Z = ZiMatrix(XY.zeta_exp + o, XY.sqrt2_exp,
+                             [[gaussian_mul(z, g) for z in row] for row in XY.rows])
+                assert ratio(X, Y, Z, cyc8=s < 2) == (-e % 8, -s)
+        off = [list(row) for row in Z.rows]
+        re, im = off[-1][-1]
+        off[-1][-1] = (re + 1, im)
+        got = ratio(X, Y, ZiMatrix(Z.zeta_exp, Z.sqrt2_exp, off))
+        assert got is None or rows * cols == 1
+        zero = ZiMatrix(0, 0, [[(0, 0)] * cols] * rows)
+        null = ZiMatrix(0, 0, [[(0, 0)] * mid] * rows)
+        assert ratio(X, Y, zero) is ratio(null, Y, Z) is ratio(null, Y, zero) is None
+    with pytest.raises(ValueError, match="do not chain"):
+        X.product_ratio(ZiMatrix(0, 0, [[(1, 0)] * cols] * (mid + 1)), Z)
+    with pytest.raises(ValueError, match="differ"):
+        X.product_ratio(Y, ZiMatrix(0, 0, [[(1, 0)] * (cols + 1)] * rows))
+    with pytest.raises(ValueError, match="differ"):
+        XY.ratio(ZiMatrix(0, 0, [[(1, 0)] * cols] * (rows + 1)))
+
+
+def test_packed_proportion_width_bound_is_sharp():
+    """The packed row test is exact at slot width b(X) + 2 b(Z) + 2 and not
+    one bit below.  These rows have b(X) = 6 and b(Z) = 3 and are not
+    proportional: with q, p the first entries of Z and X, the second entry
+    of X |q|^2 - p conj(q) Z is 2^13 - i.  At 14 bits the test finds that;
+    at 13 the slot pair (2^13, -1) packs to 0, and the test aliases."""
+    X = ZiMatrix(0, 0, [((-59, 37), (60, 5))])
+    Z = ZiMatrix(0, 0, [((-7, -2), (-7, -7))])
+    (p, x), (q, z) = X.rows[0], Z.rows[0]
+    assert gaussian_mul(x, q) != gaussian_mul(z, p)
+    assert X._entry_bits() + 2 * Z._entry_bits() + 2 == 14
+    assert _packed_proportion([P for P, _ in X._packed(14)[0]], 14, Z) is None
+    assert _packed_proportion([P for P, _ in X._packed(13)[0]], 13, Z) == (p, q)
+    # p / q is no monomial, so the ratio cannot show the alias: a false
+    # monomial would need |q|^2 to divide a slot difference of -1
+    assert X.ratio(Z) is None and gaussian_monomial(p, q) is None
 
 
 def mu4_exponent(x):

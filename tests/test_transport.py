@@ -58,9 +58,28 @@ def test_transport_composition():
             for c in enh[::2]:
                 Tab = trivialization_transport(sp, a, b)
                 Tbc = trivialization_transport(sp, b, c)
-                assert Tab.compose(Tbc) == trivialization_transport(sp, a, c)
+                Tac = trivialization_transport(sp, a, c)
+                assert Tab.composes_to(Tbc, Tac)
+                # the built composite, the reference for the packed check
+                built = ScaledTransport(monomial_product(Tab.scalar, Tbc.scalar),
+                                        Tab.matrix @ Tbc.matrix, 4)
+                assert built == Tac
+                minus = ScaledTransport(monomial_product(Tac.scalar, (4, 0)),
+                                        Tac.matrix, 4)
+                assert not Tab.composes_to(Tbc, minus) and not built == minus
                 checked += 1
     assert checked == 54
+
+
+def test_composes_to_refuses_mixed_powers():
+    sp = _space()
+    a, b = enumerate_enhanced(sp)[:2]
+    T = trivialization_transport(sp, a, b)
+    S = ScaledTransport(T.scalar, T.matrix, 2)
+    with pytest.raises(ValueError, match="different powers"):
+        T.composes_to(S, T)
+    # a target of another power is another kind of transport
+    assert not S.composes_to(S, T)
 
 
 def test_transport_to_self_is_trivial():
@@ -111,7 +130,7 @@ def test_splitting_multiplicative_sample():
             for c in oriented[::6]:
                 Sab = splitting_transport(sp, a, b)
                 Sbc = splitting_transport(sp, b, c)
-                assert Sab.compose(Sbc) == splitting_transport(sp, a, c)
+                assert Sab.composes_to(Sbc, splitting_transport(sp, a, c))
 
 
 def test_first_transversal_rows():

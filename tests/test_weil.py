@@ -22,7 +22,7 @@ from weil2.heisenberg import (
     all_h_elements, asp_mul, enumerate_asp,
     enumerate_sp_R, lift_sp,
 )
-from weil2.models import intertwiner_matrix, monomial_cyc, pi_matrix
+from weil2.models import ZiMatrix, intertwiner_matrix, monomial_cyc, pi_matrix
 from weil2.symplectic import SympSpace
 from weil2.weil import (
     SplitWeilRepresentation, WeilRepresentation, coboundary_ratio,
@@ -239,3 +239,50 @@ def test_transition_inverts():
     fwd = W.transition(dual, std)
     back = W.transition(std, dual)
     assert (fwd @ back).to_cyc() == _identity(2)
+
+
+def test_coboundary_matches_the_conjugate():
+    """coboundary_ratio compares W'(a) Phi with Phi W(a) on packed rows;
+    the reference is the mu4 ratio of W'(a) to Phi W(a) Phi^-1, built."""
+    sp = _space()
+    W = WeilRepresentation(sp)
+    dual = sp.enhance_from_lift(sp.initial_lift(sp.dual_standard_lagrangian()))
+    W2 = WeilRepresentation(sp, base=dual)
+    Phi = intertwiner_matrix(W2.base, W.base)
+    seen = set()
+    for a in enumerate_asp(sp):
+        b = coboundary_ratio(W2, W, Phi, a)
+        assert b == W2.operator(a).mu4_ratio(Phi @ W.operator(a) @ Phi.inverse())
+        seen.add(b)
+    assert None not in seen and len(seen) > 1
+
+
+def test_cocycles_build_no_operator(monkeypatch):
+    """Over the cached operators of suite_weil, W.cocycle (576 pairs of
+    ASp(V)) and S.cocycle (2,304 pairs of Sp(Vt)) compare W(x) W(y) with
+    W(xy) on packed rows: no ZiMatrix is constructed.  The values match
+    the built products' mu4 ratios."""
+    sp = _space()
+    asp, spR = enumerate_asp(sp), enumerate_sp_R(sp)
+    W, S = WeilRepresentation(sp), SplitWeilRepresentation(sp)
+    sweeps = [(rep, group, [(x, y, group[p]) for x, row in zip(group, group.table())
+                            for y, p in zip(group, row)])
+              for rep, group in ((W, asp), (S, spR))]
+    for rep, group, _ in sweeps:
+        for x in group:
+            rep.operator(x)
+    built = [[(rep.operator(x) @ rep.operator(y)).mu4_ratio(rep.operator(xy))
+              for x, y, xy in pairs] for rep, _, pairs in sweeps]
+
+    init, calls = ZiMatrix.__init__, []
+
+    def counting(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ZiMatrix, "__init__", counting)
+    values = [[rep.cocycle(*t) for t in pairs] for rep, _, pairs in sweeps]
+    assert [len(v) for v in values] == [576, 2304]
+    assert calls == []
+    assert values == built
+    assert set(values[1]) == {0, 2}
