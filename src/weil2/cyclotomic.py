@@ -8,7 +8,8 @@ common positive denominator, representing
 The library computes in the rings its values live in: character values as
 Z/4 exponents, cocycle values and Gauss sums as Gaussian integers, operators
 as zeta^e sqrt2^s times Gaussian-integer matrices.  Reports print them all
-in Cyc8 coordinates, and weil.commutant_dimension eliminates over Cyc8.
+in Cyc8 coordinates: Cyc8 numbers are built only by the output encoders,
+and no computation runs over Q(zeta_8).
 """
 from __future__ import annotations
 
@@ -35,12 +36,6 @@ class Cyc8:
 
     def __setattr__(self, *_):
         raise AttributeError("Cyc8 is immutable")
-
-    # -- constructors ---------------------------------------------------
-    @staticmethod
-    def from_rational(q) -> "Cyc8":
-        q = Fraction(q)
-        return Cyc8((q.numerator, 0, 0, 0), q.denominator)
 
     # -- basic predicates ------------------------------------------------
     def is_zero(self) -> bool:

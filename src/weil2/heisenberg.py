@@ -134,8 +134,10 @@ def _sp_k_mul(space, g, h):
 
 
 def _sp_R_mul(space, g, h):
-    """The product of Sp(Vt) in the same convention: rows h[i] g."""
-    return tuple(linalg.vec_mat(space.R, r, g) for r in h)
+    """The product of Sp(Vt) in the same convention: rows h[i] g, read off
+    the row action of g over R (SympSpace.ring_action)."""
+    act = space.ring_action(g)
+    return tuple(map(act.__getitem__, h))
 
 
 def group_order(d, n, group):

@@ -1,36 +1,36 @@
-"""Linear algebra over GR(4,d) and Q(zeta_8).
+"""Linear algebra over GR(4,d).
 
-Matrices are tuples of row tuples.  Ring entries are element indices of a
-GaloisRing; Q(zeta_8) entries are Cyc8.  The residue field k has no
-section here: k-linear algebra is done on packed k-vectors through the F2
-echelon of weil2.symplectic (spans, RREF rows, ranks, projections and the
-row action of a matrix over k).
+Matrices are tuples of row tuples of ring element indices of a
+GaloisRing.  The residue field k has no section here: k-linear algebra is
+done on packed k-vectors through the F2 echelon of weil2.symplectic
+(spans, RREF rows, ranks, projections and the row action of a matrix over
+k).  Nothing is eliminated over Q(zeta_8): irreducibility is read off
+operator traces (weil.character_norm_is_one).
 
 Every elimination goes through one kernel, `eliminate`: reduced row echelon
 form on the leading columns, in place, with unit pivots only.  The algebra
 enters through an ops object (zero, one, pivot test, inverse, row scale,
-row update), and there are two of them:
-
-* ``ring_ops(R)``: a pivot must be a unit of R.  Over the local ring every
-  invertible matrix has unit pivots (invertibility mod 2 lifts), so this is
-  enough for the free submodules and invertible matrices used here; a row
-  with no unit entry left is not pivoted.
-* ``CYC8_OPS``: Q(zeta_8), a field, where every nonzero entry is a pivot.
+row update).  The package builds one, ``ring_ops(R)``: a pivot must be a
+unit of R.  Over the local ring every invertible matrix has unit pivots
+(invertibility mod 2 lifts), so this is enough for the free submodules
+and invertible matrices used here; a row with no unit entry left is not
+pivoted.  The tests run the same kernel over k and Q(zeta_8) with ops of
+their own, as references.
 
 `rref` and `solve_many` (one elimination for several right-hand sides)
-work in either algebra; `weil.commutant_dimension` runs `eliminate` with
-`CYC8_OPS`.  Over the ring, `rref_ring` serves
-`SympSpace.oriented_transform` alone, and `solve_many` with the unit
-vectors as right-hand sides gives `SympSpace._projection`, the projection
-matrix that `SympSpace.r_map_tilde` reads, and `SympSpace._dual_family`,
-the duals of `heisenberg.symplectic_lift_matrix`.  The free lifts of
-Lagrangians are built in closed form and eliminate nothing.  `det_ring`
-is the Leibniz formula alone: its matrices are n x n, and n <= 4 wherever
-they are built, since the Lagrangian listing refuses every n >= 5.
+run the kernel.  `rref_ring` serves `SympSpace.oriented_transform` alone,
+and `solve_many` with the unit vectors as right-hand sides gives
+`SympSpace._projection`, the projection matrix that
+`SympSpace.r_map_tilde` reads, and `SympSpace._dual_family`, the duals of
+`heisenberg.symplectic_lift_matrix`.  The free lifts of Lagrangians are
+built in closed form and eliminate nothing.  `det_ring` is the Leibniz
+formula alone: its matrices are n x n, and n <= 4 wherever they are
+built, since the Lagrangian listing refuses every n >= 5.
 
 `vec_mat` is the ring's one row action v -> sum_j v[j] * A[j]: every
 linear combination of rows, and every matrix product (row by row), goes
-through it.
+through it; the product of Sp(Vt) reads it through the memoized table
+`SympSpace.ring_action`.
 
 `frames` is the one backtracking search (Lagrangians, Sp(V), Sp(Vt),
 transversal triples, isometries of Z/4 forms), and `gram_live` its live
@@ -41,8 +41,6 @@ from __future__ import annotations
 import functools
 import itertools
 from typing import NamedTuple
-
-from .cyclotomic import Cyc8
 
 
 class ScalarOps(NamedTuple):
@@ -65,14 +63,6 @@ def ring_ops(R):
         lambda c, row: [mul(c, x) for x in row],
         lambda row, f, prow: [sub(x, mul(f, y)) for x, y in zip(row, prow)],
     )
-
-
-CYC8_OPS = ScalarOps(
-    Cyc8.from_rational(0), Cyc8.from_rational(1), bool,
-    lambda x: x.inverse(),
-    lambda c, row: [c * x for x in row],
-    lambda row, f, prow: [x - f * y for x, y in zip(row, prow)],
-)
 
 
 def eliminate(ops, rows, ncols):

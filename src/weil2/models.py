@@ -287,9 +287,10 @@ class ZiMatrix:
     gives the exponents (e, s) of zeta^e sqrt2^s between proportional
     operators by `gaussian_monomial`, on packed rows, and `mu4_ratio` and
     `==` read it; `product_ratio` is the ratio of a product, compared on
-    its packed rows without building it; `to_cyc` gives the dense Cyc8
-    matrix.  The entry bit bound, the first nonzero entry and the packed
-    rows are memoized on the instance, since the value is immutable."""
+    its packed rows without building it; `trace` is the trace of the Z[i]
+    part; `to_cyc` gives the dense Cyc8 matrix for output.  The entry bit
+    bound, the first nonzero entry and the packed rows are memoized on the
+    instance, since the value is immutable."""
 
     __slots__ = ("zeta_exp", "sqrt2_exp", "rows", "_bits", "_first", "_packs")
 
@@ -456,6 +457,15 @@ class ZiMatrix:
 
     def is_zero(self):
         return self._anchor() is None
+
+    def trace(self):
+        """The trace of the Z[i] part, a Gaussian integer (re, im); the
+        operator's trace is zeta^zeta_exp sqrt2^sqrt2_exp times it."""
+        re = im = 0
+        for i, row in enumerate(self.rows):
+            x, y = row[i]
+            re, im = re + x, im + y
+        return re, im
 
     def to_cyc(self):
         """The dense matrix of Cyc8 entries."""

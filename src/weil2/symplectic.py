@@ -340,6 +340,14 @@ class SympSpace:
         return tuple(fill_quadratic(self.whole().gens, images,
                                     lambda x, j: 0, operator.xor).values())
 
+    @_cached
+    def ring_action(self, gt):
+        """The row action vt -> vt gt of a matrix over R as a dict on every
+        vt in R^{2n}, each entry from linalg.vec_mat."""
+        R = self.R
+        return {vt: linalg.vec_mat(R, vt, gt)
+                for vt in itertools.product(range(R.size), repeat=self.dim)}
+
     # -- Lagrangian subspaces of V --------------------------------------------
     @_cached
     def enumerate_lagrangians(self):

@@ -15,7 +15,7 @@ import itertools
 import random
 from typing import NamedTuple
 
-from . import PRNG_NAME, SUITE_NAMES, linalg, witt
+from . import PRNG_NAME, SUITE_NAMES, linalg, models, witt
 from .galois import MAX_D, ring
 from .heisenberg import (
     all_h_elements,
@@ -29,6 +29,7 @@ from .heisenberg import (
 )
 from .models import (
     CharacterSum,
+    ZiMatrix,
     composition_scalar,
     formula_scalar,
     gauss_scalar,
@@ -56,8 +57,8 @@ from .transport import (
 from .weil import (
     SplitWeilRepresentation,
     WeilRepresentation,
+    character_norm_is_one,
     coboundary_ratio,
-    commutant_dimension,
 )
 
 
@@ -563,15 +564,73 @@ def _ring_unimodular_rank2_sample(R):
 # -- Weil representation (suite "weil") ---------------------------------------
 
 
+def schur_check(name, ops, table, closed, detail):
+    """`name` as one fact: the operators ops[i] = X(g_i) over the whole
+    finite group G, whose Cayley table in positions is `table`, form an
+    irreducible projective representation.  `closed` is the caller's test
+    that X(g_i) X(g_j) is a root of unity times X(g_table[i][j]) for every
+    pair; the check adds that X(1) is a nonzero scalar matrix, 1 the
+    element whose table row is the identity, and then reads Schur's
+    criterion (1/|G|) sum_g |tr X(g)|^2 = 1 (weil.character_norm_is_one).
+
+    Why that suffices: X(1) = l I with l != 0 and X(1) X(1) = c X(1) make
+    l = c a root of unity, so X(g) X(g^-1) is a root of unity times I:
+    every X(g) is invertible, and X(g)^k, k the order of g, is a root of
+    unity times X(1).  So the eigenvalues of X(g) are roots of unity and
+    tr X(g)^-1 = conj(tr X(g)).  Y -> X(g) Y X(g)^-1 is then a
+    linear representation of G on matrices, of character |tr X(g)|^2,
+    whose fixed points are the commutant of the X(g); so the mean of
+    |tr X(g)|^2 is the commutant's dimension, which is 1 exactly when the
+    X(g) are irreducible (Schur's lemma)."""
+    one = next((i for i, row in enumerate(table)
+                if row == tuple(range(len(table)))), None)
+    holds = closed and one is not None and len(ops) == len(table)
+    if holds:
+        m = ops[one].shape[0]
+        identity = ZiMatrix.monomial([(0, j) for j in range(m)], m)
+        holds = (ops[one].ratio(identity) is not None
+                 and character_norm_is_one(ops))
+    return _c(name, holds, detail)
+
+
+def egorov_holds(Wa, pi_h, pi_ah):
+    """W(a) pi(h) == pi(a h) W(a), given the three operators, compared as
+    the packed rows (`_zi_rows`) of the two Z[i] products at one slot
+    width; neither product is built.
+
+    Precondition: pi(h) and pi(a h) have exponents (0, 0).  The two sides
+    are then W(a)'s monomial times their Z[i] products, so they are equal
+    exactly when the products are.  A pair that breaks the precondition
+    fails, as its Z[i] parts may differ by a unit while the operators
+    agree.
+
+    Width: b = max of `_product_bits` over the two products bounds the bit
+    length of every part of either, so each part is below 2^b in absolute
+    value and the difference d_j of the two products' parts in slot j is
+    at most 2^(b+1) - 2 < 2^width for width >= b + 1.  The signed packed
+    rows are sum_j x_j 2^(j width) on each side; if they are equal while
+    some d_j != 0, the lowest such d_j is a nonzero multiple of 2^width,
+    which it is too small to be.  So equal ints mean equal parts."""
+    if Wa.shape != pi_h.shape or pi_h.shape != pi_ah.shape:
+        raise ValueError("W(a), pi(h) and pi(a h) must have one shape")
+    if (pi_h.zeta_exp, pi_h.sqrt2_exp, pi_ah.zeta_exp, pi_ah.sqrt2_exp) \
+            != (0, 0, 0, 0):
+        return False
+    width = models._slot_width(max(models._product_bits(Wa, pi_h),
+                                   models._product_bits(pi_ah, Wa)) + 1)
+    return (models._zi_rows(Wa, pi_h._packed(width)[0])
+            == models._zi_rows(pi_ah, Wa._packed(width)[0]))
+
+
 def egorov_check(W, asp, pi):
-    """weil.egorov: W(a) pi(h) = pi(a h) W(a) as ZiMatrix values for every a
+    """weil.egorov: W(a) pi(h) = pi(a h) W(a) (`egorov_holds`) for every a
     in asp and every h of pi, a dict h -> pi(h) on the model of
     W.base_enhanced over all of H(V), which a maps into itself."""
     bad = 0
     for a in asp:
         Wa = W.operator(a)
         for h, pi_h in pi.items():
-            if Wa.product_ratio(pi_h, pi[a.apply_h(h)] @ Wa) != (0, 0):
+            if not egorov_holds(Wa, pi_h, pi[a.apply_h(h)]):
                 bad += 1
     return Check("weil.egorov", len(asp) * len(pi), bad,
                  f"W(a) pi(h) = pi(a h) W(a) on {len(asp)}x{len(pi)} pairs")
@@ -588,8 +647,12 @@ def suite_weil():
     checks = []
 
     ops_pi = [pi_matrix(W.base_enhanced, h) for h in H]
-    checks.append(_c("weil.heisenberg-commutant", commutant_dimension(ops_pi) == 1,
-                     "pi is irreducible: commutant has dimension 1"))
+    ht = H.table()
+    checks.append(schur_check(
+        "weil.heisenberg-commutant", ops_pi, ht,
+        all(x.product_ratio(y, ops_pi[p]) == (0, 0)
+            for x, row in zip(ops_pi, ht) for y, p in zip(ops_pi, row)),
+        "pi is irreducible: commutant has dimension 1"))
     checks.append(egorov_check(W, asp, dict(zip(H, ops_pi))))
 
     # cocycle and coboundary values are mu4 exponents, or None outside
@@ -636,9 +699,10 @@ def suite_weil():
     checks.append(Check("weil.lift-multiplicative", total, bad,
                         f"lift(g1 g2) = lift(g2) lift(g1) on {total} pairs"))
 
-    checks.append(_c("weil.commutant", commutant_dimension(
-        [W.operator(a) for a in asp]) == 1, "Weil operators span an "
-        "irreducible system"))
+    checks.append(schur_check(
+        "weil.commutant", [W.operator(a) for a in asp], table,
+        all(None not in row for row in cc),
+        "Weil operators span an irreducible system"))
 
     dual = sp.enhance_from_lift(sp.initial_lift(sp.dual_standard_lagrangian()))
     W2 = WeilRepresentation(sp, base=dual)

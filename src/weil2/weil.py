@@ -15,13 +15,15 @@ a -> W(a) is projective with a mu4-valued cocycle.
 At the oriented level the scalars are squares (power-2 transports), the
 canonical square root mu replaces lambda, operators attach to Sp(Vt)
 through the section lift_sp, and the cocycle drops to mu2 = {+-1}.
+
+Irreducibility is read off characters: over a whole group,
+(1/|G|) sum |tr W(a)|^2 = 1 (Schur's criterion), with every trace a
+monomial times a Gaussian integer, so the test runs in integers.
 """
 from __future__ import annotations
 
 import collections
 
-from . import linalg
-from .cyclotomic import Cyc8
 from .heisenberg import act_on_enhanced, asp_inv, lift_sp
 from .models import monomial_operator, mu4_exponent
 from .symplectic import _cached
@@ -121,22 +123,21 @@ class SplitWeilRepresentation(_TransportedRepresentation):
         return self._assemble(a, target, enhanced_of_oriented(self.space, target))
 
 
-def commutant_dimension(operators):
-    """dim of {X : X W = W X for all W}: the exact nullity of the stacked
-    commutator system over Q(zeta8)."""
-    m = operators[0].shape[0]
-    zero = Cyc8.from_rational(0)
-    rows = []
-    for W in (op.to_cyc() for op in operators):
-        # (X W - W X)[i][j] = sum_k X[i][k] W[k][j] - W[i][k] X[k][j]
-        for i in range(m):
-            for j in range(m):
-                row = [zero] * (m * m)
-                for k in range(m):
-                    row[i * m + k] = row[i * m + k] + W[k][j]
-                    row[k * m + j] = row[k * m + j] - W[i][k]
-                rows.append(row)
-    return m * m - len(linalg.eliminate(linalg.CYC8_OPS, rows, m * m))
+def character_norm_is_one(operators):
+    """Whether (1/|G|) sum_g |tr X(g)|^2 = 1 for the list of the operators
+    X(g) over a group G, exactly in integers.  The trace of
+    X = zeta^e sqrt2^s Y is zeta^e sqrt2^s tr Y with tr Y = (re, im) a
+    Gaussian integer (ZiMatrix.trace), so |tr X|^2 = 2^s (re^2 + im^2);
+    both sides are scaled by 2^t, t the largest of 0 and every -s, to
+    stay integral.  For a projective representation of G by operators of
+    finite order this is Schur's criterion for irreducibility
+    (verify.schur_check establishes the rest)."""
+    t = max([0] + [-X.sqrt2_exp for X in operators])
+    total = 0
+    for X in operators:
+        re, im = X.trace()
+        total += (re * re + im * im) << (X.sqrt2_exp + t)
+    return total == len(operators) << t
 
 
 def coboundary_ratio(rep_alt, rep, Phi, a):

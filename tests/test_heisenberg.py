@@ -182,6 +182,41 @@ def test_lift_sp_multiplicative():
         assert lhs.key() == lift_sp(sp, g12).key()
 
 
+VEC_MAT = linalg.vec_mat
+
+
+def _sp_R_mul_reference(sp, g, h):
+    """The product of Sp(Vt) row by row, rows h[i] g by linalg.vec_mat."""
+    return tuple(VEC_MAT(sp.R, r, g) for r in h)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_sp_R_product_reads_the_row_action(d, monkeypatch):
+    """Sp(Vt)'s product reads the memoized row action of SympSpace.ring_action
+    and equals the row-by-row reference: on all 48^2 pairs at d1n1, where
+    the Cayley table is the reference's and costs 48 * 16 row actions
+    (|Sp(Vt)| |R^2|, where row-by-row products take 2 * 48^2), and on 300
+    seeded pairs at d2n1."""
+    sp = SympSpace(ring(d), 1)
+    gs = enumerate_sp_R(sp)
+    calls = []
+    monkeypatch.setattr(linalg, "vec_mat",
+                        lambda *args: calls.append(1) or VEC_MAT(*args))
+    if d == 1:
+        table = gs.table()
+        assert len(calls) == 48 * 16
+        assert len(sp._caches["ring_action"]) == 48
+        assert table == tuple(
+            tuple(gs.position(_sp_R_mul_reference(sp, g, h)) for h in gs)
+            for g in gs)
+    else:
+        rng = random.Random(5)
+        for _ in range(300):
+            g, h = rng.choice(gs), rng.choice(gs)
+            assert gs.mul(g, h) == _sp_R_mul_reference(sp, g, h)
+        assert len(calls) == 256 * len(sp._caches["ring_action"])
+
+
 def _lift_sp_reference(sp, gt):
     """The per-vector rule the generator fill replaced, read as
     AspElement.key() reads it: the residue of gt, and

@@ -141,10 +141,9 @@ def test_every_stored_attribute_is_read():
 
 
 # the only places weil2 may name Cyc8 or reach to_cyc or monomial_cyc: the
-# output encoders, and commutant_dimension with the field ops it eliminates by
+# output encoders
 CYC8_SCOPES = {"cli._gaussian_cyc", "cli._monomial_json", "cli._matrix_json",
-               "models.monomial_cyc", "models.ZiMatrix.to_cyc",
-               "weil.commutant_dimension", "linalg.CYC8_OPS"}
+               "models.monomial_cyc", "models.ZiMatrix.to_cyc"}
 
 
 def _scopes(tree):
@@ -210,8 +209,8 @@ def test_k_arithmetic_only_in_galois_and_the_forms():
     """Outside galois, field_mul and field_inv are named only in
     FIELD_SCOPES: k-linear algebra and the masks of the forms run on
     packed vectors through _multiples and the F2 echelon, not coordinate
-    by coordinate.  And linalg builds a ScalarOps for the ring and for
-    Q(zeta8) only, none over k."""
+    by coordinate.  And linalg builds a ScalarOps for the ring only, none
+    over k or Q(zeta8)."""
     found = set()
     for path in sorted((SRC / "weil2").glob("*.py")):
         if path.stem != "galois":
@@ -222,4 +221,4 @@ def test_k_arithmetic_only_in_galois_and_the_forms():
     builds = {name for name, node in _scopes(tree)
               if any(isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
                      and sub.func.id == "ScalarOps" for sub in ast.walk(node))}
-    assert builds == {"ring_ops", "CYC8_OPS"}
+    assert builds == {"ring_ops"}

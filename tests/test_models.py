@@ -14,7 +14,7 @@ import pytest
 
 import kref
 from weil2 import models
-from weil2.cyclotomic import SQRT2, ZETA, Cyc8, I, ONE
+from weil2.cyclotomic import SQRT2, ZERO, ZETA, Cyc8, I, ONE
 from weil2.galois import ring
 from weil2.heisenberg import (
     act_on_enhanced, all_h_elements, asp_inv, enumerate_asp, h_mul,
@@ -30,7 +30,7 @@ from weil2.symplectic import (
 )
 from weil2.weil import translation_matrix
 
-MINUS_FOUR = Cyc8.from_rational(-4)
+MINUS_FOUR = ONE * -4
 
 
 def _space():
@@ -77,7 +77,7 @@ def test_pi_central_character():
             mat = pi_matrix(e, ((0,) * sp.dim, z)).to_cyc()
             for r in range(dim):
                 for c in range(dim):
-                    want = monomial_cyc(2 * z, 0) if r == c else Cyc8.from_rational(0)
+                    want = monomial_cyc(2 * z, 0) if r == c else ZERO
                     assert mat[r][c] == want
 
 
@@ -488,10 +488,10 @@ def test_intertwiner_adjoint_is_scaled_inverse(d, n, stride, pairs):
     assert len(transversal) == pairs
     dim = len(sp.transversal(enh[0].pivots))
     scaled_identity = tuple(
-        tuple(Cyc8.from_rational(2 ** (d * n) if i == j else 0) for j in range(dim))
+        tuple(ONE * (2 ** (d * n) if i == j else 0) for j in range(dim))
         for i in range(dim)
     )
-    identity = tuple(tuple(ONE if i == j else Cyc8.from_rational(0)
+    identity = tuple(tuple(ONE if i == j else ZERO
                            for j in range(dim)) for i in range(dim))
     for eM, eL in transversal:
         F = intertwiner_matrix(eM, eL)
@@ -506,7 +506,7 @@ def test_intertwiner_adjoint_is_scaled_inverse(d, n, stride, pairs):
 def _matrix_mul_reference(A, B):
     """The definition: each entry a sum of Cyc8 products."""
     return tuple(
-        tuple(sum((A[i][k] * B[k][j] for k in range(len(B))), Cyc8.from_rational(0))
+        tuple(sum((A[i][k] * B[k][j] for k in range(len(B))), ZERO)
               for j in range(len(B[0])))
         for i in range(len(A))
     )
@@ -896,7 +896,7 @@ def test_zi_matrix_monomial_16x16():
         M = ZiMatrix.monomial([(rng.randrange(4), j) for j in perm], 16)
         return ZiMatrix(rng.randrange(8), rng.randrange(-4, 5), M.rows)
 
-    identity = tuple(tuple(ONE if i == j else Cyc8.from_rational(0)
+    identity = tuple(tuple(ONE if i == j else ZERO
                            for j in range(16)) for i in range(16))
     for _ in range(3):
         A, B = monomial(), monomial()
@@ -908,7 +908,7 @@ def test_zi_matrix_monomial_16x16():
     prod = monomial() @ zero
     assert prod == zero == ZiMatrix(0, 0, zero.rows)
     assert prod.is_zero()
-    assert all(x == Cyc8.from_rational(0) for r in prod.to_cyc() for x in r)
+    assert all(x == ZERO for r in prod.to_cyc() for x in r)
 
 
 def test_zi_matrix_inverse_by_adjoint():
@@ -916,7 +916,7 @@ def test_zi_matrix_inverse_by_adjoint():
     prod = (F @ F.inverse()).to_cyc()
     for r in range(2):
         for c in range(2):
-            assert prod[r][c] == (ONE if r == c else Cyc8.from_rational(0))
+            assert prod[r][c] == (ONE if r == c else ZERO)
     assert F.inverse().to_cyc() == tuple(
         tuple(x / 2 for x in row) for row in F.to_cyc())
     # A A* not scalar, not a power of 2 (A A* = 3 I), singular, not square
@@ -964,7 +964,7 @@ def test_monomial_exponents():
         for s in range(-5, 6):
             assert monomial_exponents(ZETA ** e * SQRT2 ** s) == (e, s)
             assert monomial_exponents(monomial_cyc(e, s)) == (e, s)
-    for c in (ONE + ZETA, Cyc8.from_rational(3), Cyc8.from_rational(0),
-              ONE + 2 * I, Cyc8.from_rational(Fraction(1, 3))):
+    for c in (ONE + ZETA, ONE * 3, ZERO,
+              ONE + 2 * I, ONE * Fraction(1, 3)):
         with pytest.raises(ValueError):
             monomial_exponents(c)

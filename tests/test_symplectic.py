@@ -999,10 +999,10 @@ def test_each_subspace_is_lifted_once_per_sampled_run(monkeypatch):
 
 
 def test_space_keeps_its_caches_in_one_dict():
-    """A d1n2 cocycle-table sweep, a walk over every lift, one intertwiner
-    and the key of one ASp(V) element fill every memo of the space, and
-    each lives in _caches under the name of its method; no other attribute
-    grows."""
+    """A d1n2 cocycle-table sweep, a walk over every lift, one intertwiner,
+    the key of one ASp(V) element and one product in Sp(Vt) fill every
+    memo of the space, and each lives in _caches under the name of its
+    method; no other attribute grows."""
     from weil2 import cli, heisenberg, models
 
     sp = SympSpace(ring(1), 2)
@@ -1017,7 +1017,9 @@ def test_space_keeps_its_caches_in_one_dict():
     sp.r_map_tilde(lifts[N][0], lifts[N][0], lifts[L][0])
     models.intertwiner_matrix(*(sp.enhance_from_lift(lifts[r][0]) for r in (N, L)))
     identity = tuple(map(sp.std_basis_k, range(sp.dim)))
-    heisenberg.lift_sp(sp, heisenberg.symplectic_lift_matrix(sp, identity)).key()
+    gt = heisenberg.symplectic_lift_matrix(sp, identity)
+    heisenberg.lift_sp(sp, gt).key()
+    assert heisenberg._sp_R_mul(sp, gt, gt) == gt
     assert set(vars(sp)) == {"R", "n", "dim", "dn", "_caches", "_two_lift",
                              "_xi_shift"}
     cached = {name for name, f in vars(SympSpace).items() if hasattr(f, "__wrapped__")}

@@ -1,15 +1,15 @@
 """Every check family of the witt, trivialization and splitting suites,
 cocycle.three-route (through each of its three routes), weil.heisenberg-
-commutant, weil.commutant, the four intro families and the four disc
-families can FAIL: each row of the tables below mutates one function or
-constant of weil2 and names the family that must then fail, together with
-any other family the same mutation breaks.  The suite must still run to the
-end and report the failures, at every shape of each such family.  A family
-is a check name without its .dXnY suffix.  The last rows mutate the
-ZiMatrix product kernel itself and the one rule that reads every operator
-ratio and Gauss sum as zeta^e sqrt2^s.  The sampler rows break the
-construction of a sampled transversal triple, which must then raise its
-own invariant."""
+commutant (through its norm and its closure), weil.commutant, weil.egorov,
+the four intro families and the four disc families can FAIL: each row of
+the tables below mutates one function or constant of weil2 and names the
+family that must then fail, together with any other family the same
+mutation breaks.  The suite must still run to the end and report the
+failures, at every shape of each such family.  A family is a check name
+without its .dXnY suffix.  The last rows mutate the ZiMatrix product
+kernel itself and the one rule that reads every operator ratio and Gauss
+sum as zeta^e sqrt2^s.  The sampler rows break the construction of a
+sampled transversal triple, which must then raise its own invariant."""
 
 import random
 import re
@@ -325,19 +325,42 @@ def _identity_like(M):
     return ZiMatrix.monomial([(0, j) for j in range(M.shape[0])], M.shape[1])
 
 
-WEIL_TAMPERS = [
+# one h of H(V) at d1n1 that is not central
+H_ZETA = ((1, 0), 0)
+
+
+def _pi_times_zeta_at_one_h(e, h):
+    """pi_matrix with pi(H_ZETA) times zeta: every |tr pi(h)|^2, so the
+    character norm, stays as it was, but pi(x) pi(y) = pi(xy) breaks."""
+    pi_h = pi_matrix(e, h)
+    return pi_h.scaled(1, 0) if h == H_ZETA else pi_h
+
+
+# test id -> (family, target, attribute, value, the other families it fails)
+WEIL_TAMPERS = {
     # pi(h) = 1 commutes with every W(a), so Egorov still holds
-    ("weil.heisenberg-commutant", verify, "pi_matrix",
-     lambda e, h: _identity_like(pi_matrix(e, h)), set()),
+    "weil.heisenberg-commutant": (
+        "weil.heisenberg-commutant", verify, "pi_matrix",
+        lambda e, h: _identity_like(pi_matrix(e, h)), set()),
     # W(a) = 1 is a representation, with a trivial cocycle and coboundary
-    ("weil.commutant", WeilRepresentation, "operator",
-     lambda self, a: _identity_like(weil_operator(self, a)),
-     {"weil.egorov", "weil.split-vs-enhanced"}),
-]
+    "weil.commutant": (
+        "weil.commutant", WeilRepresentation, "operator",
+        lambda self, a: _identity_like(weil_operator(self, a)),
+        {"weil.egorov", "weil.split-vs-enhanced"}),
+    # W(a) pi(h) against pi(h) W(a), with pi(h) in place of pi(a h)
+    "weil.egorov": (
+        "weil.egorov", heisenberg.AspElement, "apply_h", lambda self, h: h,
+        set()),
+    # the group-closure half of the Schur check is not vacuous; Egorov
+    # refuses every pair whose pi carries the zeta
+    "weil.heisenberg-commutant-closure": (
+        "weil.heisenberg-commutant", verify, "pi_matrix",
+        _pi_times_zeta_at_one_h, {"weil.egorov"}),
+}
 
 
-@pytest.mark.parametrize("family,target,attr,value,also", WEIL_TAMPERS,
-                         ids=[row[0] for row in WEIL_TAMPERS])
+@pytest.mark.parametrize("family,target,attr,value,also", WEIL_TAMPERS.values(),
+                         ids=list(WEIL_TAMPERS))
 def test_tampered_weil_fails_its_family(monkeypatch, family, target, attr,
                                         value, also):
     monkeypatch.setattr(target, attr, value)
@@ -447,34 +470,41 @@ def _matmul_without_q(self, other):
                     _product_without_q(self, other))
 
 
+# (suite, the families a faulty `@` fails, the families that read the
+# kernel only through products compared on packed rows)
 KERNEL_TAMPERS = [
     (verify.suite_trivialization,
      {"trivialization.multiplicative", "trivialization.auxiliary-independence",
-      "trivialization.materialized-16x16"}),
-    # egorov and every cocycle family; the other weil checks still pass
+      "trivialization.materialized-16x16"}, set()),
+    # egorov, every cocycle family, and weil.commutant, whose closure reads
+    # the cocycle values; the other weil checks still pass.  pi's closure
+    # in weil.heisenberg-commutant is compared on packed rows, never by `@`
     (verify.suite_weil,
      {"weil.egorov", "weil.cocycle-mu4", "weil.cocycle-identity",
-      "weil.split-cocycle-mu2", "weil.object-independence"}),
+      "weil.split-cocycle-mu2", "weil.object-independence", "weil.commutant"},
+     {"weil.heisenberg-commutant"}),
 ]
 
 
-@pytest.mark.parametrize("run,families", KERNEL_TAMPERS,
+@pytest.mark.parametrize("run,families,packed", KERNEL_TAMPERS,
                          ids=["trivialization", "weil"])
-def test_product_kernel_without_q_fails(monkeypatch, run, families):
+def test_product_kernel_without_q_fails(monkeypatch, run, families, packed):
     """Products by the kernel without its ai * Q_k term."""
     monkeypatch.setattr(ZiMatrix, "__matmul__", _matmul_without_q)
     _assert_fails_exactly(run(), families)
 
 
-@pytest.mark.parametrize("run,families", KERNEL_TAMPERS,
+@pytest.mark.parametrize("run,families,packed", KERNEL_TAMPERS,
                          ids=["trivialization", "weil"])
-def test_kernel_without_q_fails_inside_inverses(monkeypatch, run, families):
+def test_kernel_without_q_fails_inside_inverses(monkeypatch, run, families,
+                                                packed):
     """The same mutation in the kernel itself, which every product and every
     product compared on packed rows reads: ZiMatrix.inverse checks
     A A* = c I by row inner products, not by the kernel, so the suites run
-    to the end and fail the same families as above."""
+    to the end and fail the families above and those that compare products
+    on packed rows only."""
     monkeypatch.setattr(models, "_zi_rows", _rows_without_q)
-    _assert_fails_exactly(run(), families)
+    _assert_fails_exactly(run(), families | packed)
 
 
 gaussian_monomial = models.gaussian_monomial
@@ -493,11 +523,12 @@ def _k_off_by_one_at_odd_b(p, q):
 
 
 RULE_TAMPERS = [
+    # weil.commutant reads its closure off the cocycle values
     (_without_b,
      {"trivialization.multiplicative", "trivialization.auxiliary-independence",
       "trivialization.materialized-16x16", "weil.cocycle-mu4",
       "weil.cocycle-identity", "weil.split-vs-enhanced",
-      "weil.object-independence", "cocycle.three-route",
+      "weil.object-independence", "weil.commutant", "cocycle.three-route",
       "splitting.multiplicative", "splitting.square-is-trivialization"}),
     # power-4 transports cannot see it, since 4 * 2 = 0 (mod 8)
     (_k_off_by_one_at_odd_b,

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from weil2 import transport
-from weil2.cyclotomic import Cyc8
+from weil2.cyclotomic import ONE
 from weil2.galois import ring
 from weil2.models import ZiMatrix, monomial_cyc
 from weil2.symplectic import SympSpace, enumerate_enhanced
@@ -33,7 +33,7 @@ def test_trivializing_scalar():
     for d, n in ((1, 1), (2, 1), (1, 2)):
         sp = SympSpace(ring(d), n)
         dn = d * n
-        want = Cyc8.from_rational(Fraction((-1) ** dn, 4 ** dn))
+        want = ONE * Fraction((-1) ** dn, 4 ** dn)
         assert trivializing_scalar(sp) == (4 * dn % 8, -4 * dn)
         assert monomial_cyc(*trivializing_scalar(sp)) == want
 
@@ -44,7 +44,7 @@ def test_trivialization_scalar_frozen():
     dual = sp.enhance_from_lift(sp.initial_lift(sp.dual_standard_lagrangian()))
     T = trivialization_transport(sp, dual, std)
     assert T.scalar == (4, -4)
-    assert monomial_cyc(*T.scalar) == Cyc8.from_rational(Fraction(-1, 4))
+    assert monomial_cyc(*T.scalar) == ONE * Fraction(-1, 4)
     assert T.power == 4
 
 

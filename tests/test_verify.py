@@ -153,7 +153,9 @@ def test_cocycle_identity_fails_on_a_tampered_pair(monkeypatch):
 
 def test_weil_suite_reports_an_operator_off_mu4(monkeypatch, capsys):
     """sqrt2 times one operator puts its cocycle values outside mu4: the
-    suite runs to the end and fails exactly the checks that read them."""
+    suite runs to the end and fails exactly the checks that read them,
+    weil.commutant included, whose closure is that every cocycle value is
+    in mu4."""
     target = enumerate_asp(_weil_space())[5]
     honest = WeilRepresentation.operator
 
@@ -167,7 +169,8 @@ def test_weil_suite_reports_an_operator_off_mu4(monkeypatch, capsys):
               for line in capsys.readouterr().out.splitlines()
               if line.startswith("FAIL ")}
     assert failed == {"weil.cocycle-mu4", "weil.cocycle-identity",
-                      "weil.object-independence", "weil.split-vs-enhanced"}
+                      "weil.object-independence", "weil.split-vs-enhanced",
+                      "weil.commutant"}
 
 
 def test_object_independence_fails_on_a_tampered_coboundary(monkeypatch):

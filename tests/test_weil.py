@@ -8,7 +8,8 @@ Frozen facts:
   * the split (oriented) representation has a mu_2 cocycle; -1 occurs
     1056 times over the 2304 pairs of Sp(Vt)
   * W_split(g) / W(lift(g)) has mu_4 exponent 0 or 3, never 1 or 2
-  * the commutant of each system is one-dimensional
+  * each system has character norm (1/|G|) sum |tr|^2 = 1, so is
+    irreducible
 """
 
 import functools
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from weil2.cyclotomic import SQRT2, ZETA, Cyc8, I, ONE
+from weil2.cyclotomic import SQRT2, ZERO, ZETA, Cyc8, I, ONE
 from weil2.galois import ring
 from weil2.heisenberg import (
     all_h_elements, asp_mul, enumerate_asp,
@@ -24,12 +25,12 @@ from weil2.heisenberg import (
 )
 from weil2.models import ZiMatrix, intertwiner_matrix, monomial_cyc, pi_matrix
 from weil2.symplectic import SympSpace
+from weil2.verify import egorov_holds, schur_check
 from weil2.weil import (
     SplitWeilRepresentation, WeilRepresentation, coboundary_ratio,
-    canonical_root, commutant_dimension,
+    canonical_root, character_norm_is_one,
 )
 
-ZERO = Cyc8.from_rational(0)
 
 
 def _space():
@@ -56,25 +57,25 @@ def _mul(A, B):
 @pytest.mark.parametrize("num,k", [(1, 0), (-1, 0), (1, 1), (-1, 1), (1, 3)])
 def test_lambda_root_fourth_power(num, k):
     s = (0 if num > 0 else 4, -4 * k)
-    assert monomial_cyc(*s) == Cyc8.from_rational(Fraction(num, 4 ** k))
+    assert monomial_cyc(*s) == ONE * Fraction(num, 4 ** k)
     assert monomial_cyc(*canonical_root(s, 4)) ** 4 == monomial_cyc(*s)
 
 
 def test_lambda_root_frozen_value():
     # -1/4 = zeta^4 sqrt2^-4
     assert monomial_cyc(*canonical_root((4, -4), 4)) == \
-        (ONE + I) * Cyc8.from_rational(Fraction(1, 2))
+        (ONE + I) * Fraction(1, 2)
 
 
 def test_mu_root_squares():
     for c, s in ((ONE, (0, 0)), (-ONE, (4, 0)), (I, (2, 0)), (-I, (6, 0)),
-                 (I * Cyc8.from_rational(Fraction(1, 2)), (2, -2)),
-                 (Cyc8.from_rational(Fraction(-1, 4)), (4, -4))):
+                 (I * Fraction(1, 2), (2, -2)),
+                 (ONE * Fraction(-1, 4), (4, -4))):
         assert monomial_cyc(*s) == c
         root = monomial_cyc(*canonical_root(s, 2))
         assert root * root == c
     assert monomial_cyc(*canonical_root((2, -2), 2)) == \
-        (ONE + I) * Cyc8.from_rational(Fraction(1, 2))
+        (ONE + I) * Fraction(1, 2)
 
 
 # (p, e, b) -> (j, c): the canonical p-th root of zeta^e sqrt2^b is
@@ -203,14 +204,105 @@ def test_split_matches_enhanced_up_to_mu4():
     assert exps == {0, 3}
 
 
+def _norm_reference(ops):
+    """(1/|G|) sum |tr X|^2 over the dense Cyc8 matrices, as a Fraction:
+    complex conjugation is the Galois map z -> z^7."""
+    total = ZERO
+    for M in (X.to_cyc() for X in ops):
+        tr = sum((M[i][i] for i in range(len(M))), ZERO)
+        total = total + tr * tr.galois(7)
+    return total.rational_value() / len(ops)
+
+
+def _identity_of(X):
+    return ZiMatrix.monomial([(0, j) for j in range(X.shape[0])], X.shape[1])
+
+
 def test_commutant_dimensions():
+    """pi over H(V), W over ASp(V) and the 48 split operators over Sp(Vt)
+    have one-dimensional commutants: their character norm, the commutant's
+    dimension on a whole group, is 1, as the Cyc8 reference computes it;
+    ZiMatrix.trace is the Z[i] part's trace.  Changes that move the norm
+    (sqrt2 on every operator, identities in their place, sqrt2^-1 on one
+    operator of nonzero trace) are refused, and one that keeps it (zeta
+    on that operator) is not."""
     sp = _space()
     W = WeilRepresentation(sp)
     Ws = SplitWeilRepresentation(sp)
-    pi_ops = [pi_matrix(W.base, h) for h in all_h_elements(sp)]
-    assert commutant_dimension(pi_ops) == 1
-    assert commutant_dimension([W.operator(a) for a in enumerate_asp(sp)]) == 1
-    assert commutant_dimension([Ws.operator(g) for g in enumerate_sp_R(sp)]) == 1
+    systems = [[pi_matrix(W.base, h) for h in all_h_elements(sp)],
+               [W.operator(a) for a in enumerate_asp(sp)],
+               [Ws.operator(g) for g in enumerate_sp_R(sp)]]
+    assert [len(ops) for ops in systems] == [16, 24, 48]
+    for ops in systems:
+        for X in ops:
+            re, im = X.trace()
+            M = X.to_cyc()
+            assert sum((M[i][i] for i in range(len(M))), ZERO) == \
+                monomial_cyc(X.zeta_exp, X.sqrt2_exp) * Cyc8((re, 0, im, 0))
+        k = next(i for i, X in enumerate(ops) if X.trace() != (0, 0))
+
+        def one_scaled(e, s):
+            return ops[:k] + [ops[k].scaled(e, s)] + ops[k + 1:]
+
+        variants = [(ops, True), ([X.scaled(0, 1) for X in ops], False),
+                    ([_identity_of(X) for X in ops], False),
+                    (one_scaled(1, 0), True), (one_scaled(0, -1), False)]
+        for variant, norm_one in variants:
+            assert (_norm_reference(variant) == 1) == norm_one
+            assert character_norm_is_one(variant) == norm_one
+
+
+def test_schur_check_needs_a_projective_representation():
+    """schur_check passes pi over H(V); it fails when the closure is
+    denied, and on a constant rank-1 projection P, which is closed
+    (P P = P) and has norm 1 but acts at the identity by no scalar."""
+    sp = _space()
+    W = WeilRepresentation(sp)
+    H = all_h_elements(sp)
+    ops = [pi_matrix(W.base, h) for h in H]
+    assert schur_check("x", ops, H.table(), True, "").passed
+    assert not schur_check("x", ops, H.table(), False, "").passed
+    P = ZiMatrix(0, 0, [((1, 0), (0, 0)), ((0, 0), (0, 0))])
+    proj = [P] * len(H)
+    assert all(P.product_ratio(P, proj[p]) == (0, 0)
+               for row in H.table() for p in row)
+    assert character_norm_is_one(proj)
+    assert not schur_check("x", proj, H.table(), True, "").passed
+
+
+def _at_zeta2(X):
+    """The operator X with 2 added to its zeta exponent and its Z[i] part
+    times -i, as zeta^2 = i."""
+    return ZiMatrix(X.zeta_exp + 2, X.sqrt2_exp,
+                    [tuple((y, -x) for x, y in row) for row in X.rows])
+
+
+def test_egorov_packed_matches_the_built_products():
+    """egorov_holds against the built products on all 24 x 16 pairs, and
+    with pi(h) in place of pi(a h), where it fails on some pairs.  A pi
+    with a nonzero exponent fails the pair, whether the operators are
+    equal (written with another Z[i] part) or not (i pi(h), whose Z[i]
+    part is pi(h)'s)."""
+    sp = _space()
+    W = WeilRepresentation(sp)
+    pi = {h: pi_matrix(W.base_enhanced, h) for h in all_h_elements(sp)}
+    swapped = []
+    for a in enumerate_asp(sp):
+        Wa = W.operator(a)
+        for h, pi_h in pi.items():
+            pi_ah = pi[a.apply_h(h)]
+            assert egorov_holds(Wa, pi_h, pi_ah)
+            assert Wa @ pi_h == pi_ah @ Wa
+            swapped.append(egorov_holds(Wa, pi_h, pi_h))
+            assert swapped[-1] == (Wa @ pi_h == pi_h @ Wa)
+            for X in (pi_h, pi_ah):
+                assert _at_zeta2(X) == X
+            assert not egorov_holds(Wa, _at_zeta2(pi_h), pi_ah)
+            assert not egorov_holds(Wa, pi_h, _at_zeta2(pi_ah))
+            # i pi(h) has pi(h)'s Z[i] part: only the precondition refuses it
+            assert Wa @ pi_h.scaled(2, 0) != pi_ah @ Wa
+            assert not egorov_holds(Wa, pi_h.scaled(2, 0), pi_ah)
+    assert len(swapped) == 384 and True in swapped and False in swapped
 
 
 def test_object_independence_coboundary():

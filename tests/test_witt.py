@@ -11,7 +11,7 @@ import random
 import pytest
 
 from weil2 import linalg, witt
-from weil2.cyclotomic import SQRT2, ZETA, Cyc8
+from weil2.cyclotomic import ONE, SQRT2, ZETA, Cyc8
 from weil2.galois import ring
 
 RANK1_HIST = {(0, 1, 0, 0): 1, (1, 0, 0, 0): 1}
@@ -129,7 +129,7 @@ def test_gauss_sums():
     """Gaussian integers (re, im); the Cyc8 of G(<1>) = 1 + i has eighth
     power 16."""
     assert witt.gauss_sum(((1,),)) == (1, 1)
-    assert _cyc(witt.gauss_sum(((1,),))) ** 8 == Cyc8.from_rational(16)
+    assert _cyc(witt.gauss_sum(((1,),))) ** 8 == ONE * 16
     assert witt.gauss_sum(((3,),)) == (1, -1)
     assert witt.gauss_sum(witt.HYP) == (2, 0)
     assert witt.gauss_sum(witt.M4) == (-2, 0)
