@@ -95,18 +95,16 @@ class GaloisRing:
         self.size = 4 ** d
         self.field_size = 2 ** d
         self.zero = 0
-        self.one = self._from_coords([1] + [0] * (d - 1))
-        self.two = self._from_coords([2] + [0] * (d - 1))
+        self.one = self.from_coords([1] + [0] * (d - 1))
+        self.two = self.from_coords([2] + [0] * (d - 1))
         self._build_tables()
 
     # -- coordinates ------------------------------------------------------
     def coords(self, idx: int):
         return tuple((idx >> (2 * i)) & 3 for i in range(self.d))
 
-    def _from_coords(self, cs):
+    def from_coords(self, cs):
         return sum((c % 4) << (2 * i) for i, c in enumerate(cs))
-
-    from_coords = _from_coords
 
     def _build_tables(self):
         d, size = self.d, self.size
@@ -117,10 +115,10 @@ class GaloisRing:
             pa = list(coords[a])
             for b in range(a, size):
                 p = _polmod(_polmul(pa, list(coords[b])), f)
-                v = self._from_coords(p)
+                v = self.from_coords(p)
                 self._mul[a][b] = v
                 self._mul[b][a] = v
-        self._neg = [self._from_coords([-c for c in coords[a]]) for a in range(size)]
+        self._neg = [self.from_coords([-c for c in coords[a]]) for a in range(size)]
         self._add = [[self._raw_add(a, b) for b in range(size)] for a in range(size)]
         # Frobenius: substitution x -> x^2 (the unique lift of y -> y^2)
         self._frob = []
@@ -129,7 +127,7 @@ class GaloisRing:
             for c in reversed(coords[a]):
                 acc = _polmod(_polmul(acc, [0, 0, 1]), f)
                 acc = [(u + v) % 4 for u, v in itertools.zip_longest(acc, [c], fillvalue=0)]
-            self._frob.append(self._from_coords(acc))
+            self._frob.append(self.from_coords(acc))
         self._trace = []
         for a in range(size):
             t, cur = 0, a

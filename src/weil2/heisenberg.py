@@ -5,7 +5,9 @@ Sp(V).
 Multiplication uses the splitting cocycle beta:
     (v1, z1) * (v2, z2) = (v1 + v2, z1 + z2 + beta(v1, v2)),
 so the commutator of (v, 0) and (w, 0) is (0, om(v, w)) and the center is
-0 x R.  An element of ASp(V) is a pair (g, alpha) with g in Sp(V) and
+0 x R.  An element of H(V) is (packed v, z): v + w is an XOR, and beta
+reads masks (SympSpace.beta).  An element of ASp(V) is a pair (g, alpha)
+with g in Sp(V) and
     alpha(v1 + v2) - alpha(v1) - alpha(v2) = beta(g v1, g v2) - beta(v1, v2);
 it acts on H(V) by (v, z) -> (g v, z + alpha(v)).  alpha is a table indexed
 by packed v, filled from the unit generators by symplectic.fill_quadratic.
@@ -13,8 +15,9 @@ by packed v, filled from the unit generators by symplectic.fill_quadratic.
 Sp(V) and Sp(Vt) are frames (linalg.frames) under one live rule,
 linalg.gram_live, and ASp(V) is built from Sp(V).
 Each enumeration, H(V)'s included, is a Group: refused above MAX_LISTING
-elements predicted by group_order, checked against the same closed form,
-and carrying its product, positions and Cayley table.
+elements predicted by group_order before its elements are listed, checked
+against the same closed form, and carrying its product, positions and
+Cayley table.
 """
 from __future__ import annotations
 
@@ -31,7 +34,6 @@ from .symplectic import (
     _check_rank,
     _form_value,
     _refuse_above,
-    _xor,
     fill_quadratic,
     polarizes,
 )
@@ -43,13 +45,14 @@ def h_mul(space, h1, h2):
     v1, z1 = h1
     v2, z2 = h2
     R = space.R
-    return (_xor(v1, v2), R.add(R.add(z1, z2), space.beta(v1, v2)))
+    return (v1 ^ v2, R.add(R.add(z1, z2), space.beta(v1, v2)))
 
 
 def all_h_elements(space):
-    """All of H(V), (v, z) in lexicographic order."""
-    return _enumerate_group(space, "H(V)", h_mul, itertools.product,
-                            space.all_vectors_k(), range(space.R.size))
+    """All of H(V), (packed v, z) in lexicographic order of (v, z):
+    SympSpace.whole().packed lists V in lexicographic order."""
+    return _enumerate_group(space, "H(V)", h_mul, lambda sp: itertools.product(
+        sp.whole().packed, range(sp.R.size)))
 
 
 # -- ASp(V) ------------------------------------------------------------------
@@ -84,9 +87,8 @@ class AspElement(_Keyed):
 
     def apply_h(self, h):
         """The action on H(V)."""
-        v, z = h
-        x = self.space.pack(v)
-        return (self.space.unpack(self.act[x]), self.space.R.add(z, self.alpha[x]))
+        x, z = h
+        return self.act[x], self.space.R.add(z, self.alpha[x])
 
     def key(self):
         return self._key
@@ -96,9 +98,10 @@ class AspElement(_Keyed):
 
 
 def _asp_pairing(space, act, values):
-    """(x, j) -> values[beta_field(g x, g u_j) - beta_field(x, u_j)] on packed
-    x, for the unit generators u_j of V and act the packed action of g.
-    values = space._two_lift gives beta(g x, g u_j) - beta(x, u_j)."""
+    """(x, j) -> values[b(g x, g u_j) - b(x, u_j)] on packed x, for b the
+    k-valued residue of bt read at beta masks, the unit generators u_j of
+    V and act the packed action of g.  values = space._two_lift gives
+    beta(g x, g u_j) - beta(x, u_j)."""
     whole = space.whole()
     gmasks = [space.beta_masks(act[u]) for u in whole.gens]
     return lambda x, j: values[_form_value(act[x], gmasks[j])
@@ -196,12 +199,12 @@ class Group(tuple):
         return self._table
 
 
-def _enumerate_group(space, group, mul, build, *args):
-    """build(*args) as a Group with product mul(space, x, y), refused by
-    check_group before it starts, and a RuntimeError unless it holds
-    exactly group_order many distinct elements."""
+def _enumerate_group(space, group, mul, elements):
+    """The elements(space) as a Group with product mul(space, x, y),
+    refused by check_group before elements is called, and a RuntimeError
+    unless it yields exactly group_order many distinct elements."""
     order = check_group(space.R.d, space.n, group)
-    out = Group(build(*args), functools.partial(mul, space), group)
+    out = Group(elements(space), functools.partial(mul, space), group)
     count = len(out._pos)
     if count != order:
         raise RuntimeError(f"{group} enumeration found {count:,} distinct "
@@ -211,13 +214,21 @@ def _enumerate_group(space, group, mul, build, *args):
 
 def enumerate_sp_k(space):
     """All of Sp(V) over the residue field (row-action convention), in
-    lexicographic order: the frames of k-vectors whose omega_field Gram
-    matrix is the residue of standard_omt_gram.  A matrix preserving a
-    non-degenerate form is invertible, so no rank test is needed."""
+    lexicographic order: the frames of packed vectors, over
+    SympSpace.whole().packed, whose Gram matrix of the residue of omt (read
+    at omega masks) is the residue of standard_omt_gram, each unpacked to
+    its k-vector rows.  A matrix preserving a non-degenerate form is
+    invertible, so no rank test is needed."""
+    return _enumerate_group(space, "Sp(V)", _sp_k_mul, _sp_k_elements)
+
+
+def _sp_k_elements(space):
+    vectors = space.whole().packed
+    masks = dict(zip(vectors, map(space.omega_masks, vectors)))
     gram = tuple(map(space.reduce_vec, space.standard_omt_gram()))
-    return _enumerate_group(space, "Sp(V)", _sp_k_mul, linalg.frames,
-                            (tuple(space.all_vectors_k()),) * space.dim,
-                            linalg.gram_live(space.omega_field, gram))
+    live = linalg.gram_live(lambda x, y: _form_value(y, masks[x]), gram)
+    for frame in linalg.frames((vectors,) * space.dim, live):
+        yield tuple(map(space.unpack, frame))
 
 
 def enumerate_sp_R(space):
@@ -225,10 +236,13 @@ def enumerate_sp_R(space):
     indices: the frames whose omt Gram matrix is that of e_1..f_n, the
     {0,1} lifts of the standard basis.  A matrix preserving a
     non-degenerate form is invertible, so no rank test is needed."""
+    return _enumerate_group(space, "Sp(Vt)", _sp_R_mul, _sp_R_elements)
+
+
+def _sp_R_elements(space):
     vectors = tuple(itertools.product(range(space.R.size), repeat=space.dim))
-    return _enumerate_group(space, "Sp(Vt)", _sp_R_mul, linalg.frames,
-                            (vectors,) * space.dim,
-                            linalg.gram_live(space.omt, space.standard_omt_gram()))
+    return linalg.frames((vectors,) * space.dim,
+                         linalg.gram_live(space.omt, space.standard_omt_gram()))
 
 
 def lift_sp(space, gt, validate=True):
@@ -290,7 +304,7 @@ def act_on_enhanced(space, a, enh):
 def enumerate_asp(space):
     """All of ASp(V), refused above MAX_LISTING predicted elements before
     Sp(V) is built."""
-    return _enumerate_group(space, "ASp(V)", asp_mul, _asp_elements, space)
+    return _enumerate_group(space, "ASp(V)", asp_mul, _asp_elements)
 
 
 def _asp_elements(space):
@@ -309,12 +323,10 @@ def _asp_elements(space):
 def preserves_residue_quadratic(space, g):
     """Whether g preserves Q(v) = bt(v, v) mod 2 (the residue quadratic
     form of the splitting), on every packed v and its image in the action
-    table of g."""
-    for x, gx in enumerate(space.action(g)):
-        v, gv = space.unpack(x), space.unpack(gx)
-        if space.beta_field(gv, gv) != space.beta_field(v, v):
-            return False
-    return True
+    table of g: beta(v, v) = 2 lift(Q(v)) determines Q(v)."""
+    beta = space.beta
+    return all(beta(gx, gx) == beta(x, x)
+               for x, gx in enumerate(space.action(g)))
 
 
 def residue_polarization(space, g):

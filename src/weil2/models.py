@@ -65,12 +65,11 @@ def monomial_operator(e, points):
 
 
 def pi_matrix(e, h):
-    """pi_L(h) f = f(. h) on the model of e, L = e.span: row t reads f at
-    (t, 0) (w, z) = (t + w, z + beta(t, w))."""
+    """pi_L(h) f = f(. h) on the model of e, L = e.span, for h = (packed v,
+    z): row t reads f at (t, 0) (v, z) = (t + v, z + beta(t, v))."""
     sp = e.space
-    w, z = h
-    v, x = sp.pack(w), sp.R.psi_exp(z)
-    T = sp.trace_mask(v)
+    v, z = h
+    x, T = sp.R.psi_exp(z), sp.trace_mask(v)
     return monomial_operator(e, ((t ^ v, x + 2 * ((t & T).bit_count() & 1))
                                  for t in sp.transversal(e.pivots)))
 
@@ -287,7 +286,8 @@ class ZiMatrix:
     gives the exponents (e, s) of zeta^e sqrt2^s between proportional
     operators by `gaussian_monomial`, on packed rows, and `mu4_ratio` and
     `==` read it; `product_ratio` is the ratio of a product, compared on
-    its packed rows without building it; `trace` is the trace of the Z[i]
+    its packed rows without building it, and `intertwines` compares two
+    products the same way; `trace` is the trace of the Z[i]
     part; `to_cyc` gives the dense Cyc8 matrix for output.  The entry bit
     bound, the first nonzero entry and the packed rows are memoized on the
     instance, since the value is immutable."""
@@ -439,6 +439,35 @@ class ZiMatrix:
         return _packed_ratio(_zi_rows(self, other._packed(width)[0]), width,
                              self.zeta_exp + other.zeta_exp,
                              self.sqrt2_exp + other.sqrt2_exp, target)
+
+    def intertwines(self, Y, Z):
+        """Whether self @ Y == Z @ self, compared as the packed rows
+        (`_zi_rows`) of the two Z[i] products at one slot width; neither
+        product is built.
+
+        Precondition: Y and Z have exponents (0, 0).  The two sides are
+        then self's monomial times their Z[i] products, so they are equal
+        exactly when the products are.  A pair that breaks the
+        precondition fails, as its Z[i] parts may differ by a unit while
+        the operators agree.
+
+        Width: b = max of `_product_bits` over the two products bounds the
+        bit length of every part of either, so each part is below 2^b in
+        absolute value and the difference d_j of the two products' parts in
+        slot j is at most 2^(b+1) - 2 < 2^width for width >= b + 1.  The
+        signed packed rows are sum_j x_j 2^(j width) on each side; if they
+        are equal while some d_j != 0, the lowest such d_j is a nonzero
+        multiple of 2^width, which it is too small to be.  So equal ints
+        mean equal parts."""
+        if self.shape != Y.shape or Y.shape != Z.shape:
+            raise ValueError(
+                f"shapes {self.shape}, {Y.shape} and {Z.shape} differ")
+        if (Y.zeta_exp, Y.sqrt2_exp, Z.zeta_exp, Z.sqrt2_exp) != (0, 0, 0, 0):
+            return False
+        width = _slot_width(max(_product_bits(self, Y),
+                                _product_bits(Z, self)) + 1)
+        return (_zi_rows(self, Y._packed(width)[0])
+                == _zi_rows(Z, self._packed(width)[0]))
 
     def mu4_ratio(self, other):
         """The c in 0..3 with self == i^c * other, or None when there is no

@@ -7,9 +7,10 @@ Conventions (standard splitting, first n coordinates vs last n):
     omt = bt - bt^T                           (the symplectic form on Vt)
     beta = 2*bt  and  om = 2*omt  on V = k^{2n}, valued in the ideal 2R.
 
-k-vectors are tuples of bitmasks as keys and as arguments of the forms,
-and packed (below) for all k-linear algebra; R-vectors are tuples of ring
-indices.
+k-vectors are tuples of bitmasks as keys (Subspace.rows, the rows of a
+k-matrix) and packed (below) wherever the package computes with them:
+k-linear algebra, the forms beta and omega, and H(V) (heisenberg);
+R-vectors are tuples of ring indices.
 
 Packed k-vectors.  The per-draw geometry (enumerating Lagrangians,
 validating enhancements, building intertwiners, testing transversality)
@@ -18,20 +19,21 @@ j sits in bits jd .. jd + d - 1, so addition over k is XOR.  A k-linear
 form v -> sum_j v_j c_j is F2-linear on those bits, and bit a of its value
 is parity(pack(v) & mask_a) for d masks fixed by c: bit jd + b of mask_a
 is bit a of xi^b c_j, with xi the class of x.  `beta_masks(pack(w))` are
-the masks of beta_field(., w) and `omega_masks(pack(w))` those of
-omega_field(., w).  beta is 2R-valued and biadditive and psi is additive,
-so psi_exp(beta(v, w)) = 2 * parity(pack(v) & trace_mask(pack(w))) for one
-mask per w.  Multiplying a packed vector by xi is a shift and a reduction
-(`_multiples`), and a span over k is held as its F2 echelon
-(`_f2_insert`, `_echelon`), whose rank is its size: a transversality test
-is the rank of the packed generators of two spans.  The echelon of a
-k-subspace is unique and holds its RREF rows over k (`_rows`), so
-`subspace(rows)` reads, once per rows tuple, the RREF rows and pivots of
-a span, its F2-generators xi^a * row_i packed with their masks, and its
-elements packed, in lexicographic order, with the position of each; an
-enhancement alpha is a tuple over those positions.  `action(g)` is the
-row action of a matrix over k as a table on packed V, and `r_terms` reads
-its projection off one tagged echelon.
+the masks of the k-valued residue of bt(., w), and `omega_masks(pack(w))`
+those of the residue of omt(., w); beta = 2 * lift of the first (`beta`)
+and omega = 2 * lift of the second.  beta is 2R-valued and biadditive and
+psi is additive, so psi_exp(beta(v, w)) = 2 * parity(pack(v) &
+trace_mask(pack(w))) for one mask per w.  Multiplying a packed vector by
+xi is a shift and a reduction (`_multiples`), and a span over k is held
+as its F2 echelon (`_f2_insert`, `_echelon`), whose rank is its size: a
+transversality test is the rank of the packed generators of two spans.
+The echelon of a k-subspace is unique and holds its RREF rows over k
+(`_rows`), so `subspace(rows)` reads, once per rows tuple, the RREF rows
+and pivots of a span, its F2-generators xi^a * row_i packed with their
+masks, and its elements packed, in lexicographic order, with the position
+of each; an enhancement alpha is a tuple over those positions.
+`action(g)` is the row action of a matrix over k as a table on packed V,
+and `r_terms` reads its projection off one tagged echelon.
 `transversal(pivots)` holds the models' transversal of a pivot set,
 packed, with columns and trace masks.  `fill_quadratic` fills a function
 of known polarization on a span from packed generators, and `polarizes`
@@ -203,7 +205,7 @@ class SympSpace:
         self.dim = 2 * n
         self.dn = ring.d * n
         self._caches = collections.defaultdict(dict)  # method name -> memo, see _cached
-        # 2 * lift(x) indexed by the residue x; beta reads it at beta_field
+        # 2 * lift(x) indexed by the residue x; beta reads it at a form value
         self._two_lift = tuple(ring.mul(ring.two, ring.lift(x))
                                for x in range(ring.field_size))
         # the top bit of each packed coordinate, and x^d mod the modulus
@@ -230,26 +232,13 @@ class SympSpace:
     def reduce_vec(self, vt):
         return tuple(self.R.reduce(x) for x in vt)
 
-    def beta(self, v, w):
-        """beta = 2*bt on V, read as 2 * lift(beta_field(v, w)): 2x in R
-        depends only on the residue of x, and bt of the {0,1}-lifts reduces
-        to beta_field.  So beta is independent of the coordinate lifts and
-        biadditive."""
-        return self._two_lift[self.beta_field(v, w)]
-
-    def beta_field(self, v, w):
-        """The k-valued residue of bt: sum_i v_i w_{n+i} over k."""
-        fmul, n = self.R.field_mul, self.n
-        s = 0
-        for i in range(n):
-            if v[i]:
-                s ^= fmul(v[i], w[n + i])
-        return s
-
-    def omega_field(self, v, w):
-        """The residue symplectic form: omega(v, w) = 2 * lift(omega_field(v, w)),
-        so a k-subspace is omega-isotropic exactly when it is omega_field-isotropic."""
-        return self.beta_field(v, w) ^ self.beta_field(w, v)
+    def beta(self, x, y):
+        """beta = 2*bt on V at packed x and y, read as 2 * lift(b) for b
+        the k-valued residue sum_i x_i y_{n+i} of bt, at the beta masks of
+        y: 2c in R depends only on the residue of c, and bt of the
+        {0,1}-lifts reduces to b.  So beta is independent of the coordinate
+        lifts and biadditive."""
+        return self._two_lift[_form_value(x, self.beta_masks(y))]
 
     # -- packed k-vectors and the masks of forms ---------------------------------
     def pack(self, v):
@@ -279,13 +268,14 @@ class SympSpace:
         return tuple(masks)
 
     def beta_masks(self, v):
-        """The masks of beta_field(., w) = sum_i x_i w_{n+i} for packed
-        v = pack(w): c is w's second half, moved down."""
+        """The masks of x -> sum_i x_i w_{n+i}, the residue of bt(., w), for
+        packed v = pack(w): c is w's second half, moved down."""
         return self._form_masks(v >> self.dn)
 
     def omega_masks(self, v):
-        """The masks of omega_field(., w) = sum_j x_j c_j for packed
-        v = pack(w): c = (w[n:], w[:n]), the two halves of v swapped."""
+        """The masks of x -> sum_j x_j c_j, the residue of omt(., w), for
+        packed v = pack(w): c = (w[n:], w[:n]), the two halves of v
+        swapped."""
         return self._form_masks(v >> self.dn | (v & (1 << self.dn) - 1) << self.dn)
 
     def trace_mask(self, v):
@@ -317,9 +307,6 @@ class SympSpace:
                      if j not in pivots)
         return {t: (j, self.trace_mask(t))
                 for j, t in enumerate(self.subspace(comp).packed)}
-
-    def all_vectors_k(self):
-        return itertools.product(range(self.R.field_size), repeat=self.dim)
 
     def std_basis_k(self, i):
         v = [0] * self.dim
@@ -942,10 +929,6 @@ def _symmetric(n, vals):
         for j in range(i, n):
             S[i][j] = S[j][i] = next(it)
     return S
-
-
-def _xor(u, v):
-    return tuple(map(operator.xor, u, v))
 
 
 def _form_value(x, masks):

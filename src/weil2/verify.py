@@ -15,7 +15,7 @@ import itertools
 import random
 from typing import NamedTuple
 
-from . import PRNG_NAME, SUITE_NAMES, linalg, models, witt
+from . import PRNG_NAME, SUITE_NAMES, linalg, witt
 from .galois import MAX_D, ring
 from .heisenberg import (
     all_h_elements,
@@ -593,44 +593,16 @@ def schur_check(name, ops, table, closed, detail):
     return _c(name, holds, detail)
 
 
-def egorov_holds(Wa, pi_h, pi_ah):
-    """W(a) pi(h) == pi(a h) W(a), given the three operators, compared as
-    the packed rows (`_zi_rows`) of the two Z[i] products at one slot
-    width; neither product is built.
-
-    Precondition: pi(h) and pi(a h) have exponents (0, 0).  The two sides
-    are then W(a)'s monomial times their Z[i] products, so they are equal
-    exactly when the products are.  A pair that breaks the precondition
-    fails, as its Z[i] parts may differ by a unit while the operators
-    agree.
-
-    Width: b = max of `_product_bits` over the two products bounds the bit
-    length of every part of either, so each part is below 2^b in absolute
-    value and the difference d_j of the two products' parts in slot j is
-    at most 2^(b+1) - 2 < 2^width for width >= b + 1.  The signed packed
-    rows are sum_j x_j 2^(j width) on each side; if they are equal while
-    some d_j != 0, the lowest such d_j is a nonzero multiple of 2^width,
-    which it is too small to be.  So equal ints mean equal parts."""
-    if Wa.shape != pi_h.shape or pi_h.shape != pi_ah.shape:
-        raise ValueError("W(a), pi(h) and pi(a h) must have one shape")
-    if (pi_h.zeta_exp, pi_h.sqrt2_exp, pi_ah.zeta_exp, pi_ah.sqrt2_exp) \
-            != (0, 0, 0, 0):
-        return False
-    width = models._slot_width(max(models._product_bits(Wa, pi_h),
-                                   models._product_bits(pi_ah, Wa)) + 1)
-    return (models._zi_rows(Wa, pi_h._packed(width)[0])
-            == models._zi_rows(pi_ah, Wa._packed(width)[0]))
-
-
 def egorov_check(W, asp, pi):
-    """weil.egorov: W(a) pi(h) = pi(a h) W(a) (`egorov_holds`) for every a
-    in asp and every h of pi, a dict h -> pi(h) on the model of
-    W.base_enhanced over all of H(V), which a maps into itself."""
+    """weil.egorov: W(a) pi(h) = pi(a h) W(a) (`ZiMatrix.intertwines`, whose
+    precondition pi_matrix meets) for every a in asp and every h of pi, a
+    dict h -> pi(h) on the model of W.base_enhanced over all of H(V), which
+    a maps into itself."""
     bad = 0
     for a in asp:
         Wa = W.operator(a)
         for h, pi_h in pi.items():
-            if not egorov_holds(Wa, pi_h, pi[a.apply_h(h)]):
+            if not Wa.intertwines(pi_h, pi[a.apply_h(h)]):
                 bad += 1
     return Check("weil.egorov", len(asp) * len(pi), bad,
                  f"W(a) pi(h) = pi(a h) W(a) on {len(asp)}x{len(pi)} pairs")

@@ -1,12 +1,15 @@
-"""Reference linear algebra over the residue field k of GR(4, d), on
-k-vectors as tuples of bitmasks, for the tests.  The package does its
-k-linear algebra on packed vectors through the F2 echelon of
-weil2.symplectic; these are the coordinate rules it is checked against:
-the generic elimination kernel of weil2.linalg run with a ScalarOps over
-k, and spans by brute force over every coefficient tuple."""
+"""Reference rules over the residue field k of GR(4, d), on k-vectors as
+tuples of bitmasks, for the tests.  The package computes over k on packed
+vectors (the F2 echelon and the form masks of weil2.symplectic, the packed
+H(V) of weil2.heisenberg); these are the coordinate rules it is checked
+against: the generic elimination kernel of weil2.linalg run with a
+ScalarOps over k, spans by brute force over every coefficient tuple, the
+forms coordinate by coordinate, H(V) on tuples, and Sp(V) walked on
+tuples."""
 
 import functools
 import itertools
+import operator
 
 from weil2 import linalg
 
@@ -58,3 +61,53 @@ def invert(ops, A):
 def elements(space, sub):
     """The k-vectors of a Subspace, in the order of sub.packed."""
     return tuple(map(space.unpack, sub.packed))
+
+
+def vectors(sp):
+    """Every k-vector of V, in itertools.product order."""
+    return itertools.product(range(sp.R.field_size), repeat=sp.dim)
+
+
+def xor(u, v):
+    """u + v over k."""
+    return tuple(map(operator.xor, u, v))
+
+
+def beta_field(sp, v, w):
+    """The k-valued residue of bt: sum_i v_i w_{n+i} over k."""
+    fmul, n = sp.R.field_mul, sp.n
+    s = 0
+    for i in range(n):
+        s ^= fmul(v[i], w[n + i])
+    return s
+
+
+def omega_field(sp, v, w):
+    """The residue of omt: omega(v, w) = 2 * lift(omega_field(v, w))."""
+    return beta_field(sp, v, w) ^ beta_field(sp, w, v)
+
+
+def beta(sp, v, w):
+    """beta(v, w) = 2 * lift(beta_field(v, w)) in R."""
+    R = sp.R
+    return R.mul(R.two, R.lift(beta_field(sp, v, w)))
+
+
+def h_elements(sp):
+    """H(V) as (k-vector, z) in lexicographic order."""
+    return [(v, z) for v in vectors(sp) for z in range(sp.R.size)]
+
+
+def h_mul(sp, h1, h2):
+    """(v1, z1) (v2, z2) = (v1 + v2, z1 + z2 + beta(v1, v2)) on k-vectors."""
+    (v1, z1), (v2, z2) = h1, h2
+    R = sp.R
+    return xor(v1, v2), R.add(R.add(z1, z2), beta(sp, v1, v2))
+
+
+def sp_k(sp):
+    """Sp(V) as the frames of k-vectors whose omega_field Gram matrix is
+    the residue of standard_omt_gram, in lexicographic order."""
+    gram = tuple(map(sp.reduce_vec, sp.standard_omt_gram()))
+    live = linalg.gram_live(lambda v, w: omega_field(sp, v, w), gram)
+    return tuple(linalg.frames((tuple(vectors(sp)),) * sp.dim, live))

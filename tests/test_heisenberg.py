@@ -34,7 +34,7 @@ ASP_IDENTITY_D1N1 = ((1, 0), (0, 1))
 
 
 def _h_inv(sp, h):
-    """(v, z)^-1 = (v, -z + beta(v, v)) in H(V)."""
+    """(v, z)^-1 = (v, -z + beta(v, v)) in H(V), v packed."""
     v, z = h
     return (v, sp.R.add(sp.R.neg(z), sp.beta(v, v)))
 
@@ -50,7 +50,7 @@ def test_group_orders():
 def test_heisenberg_group_axioms():
     sp = _space()
     elems = list(all_h_elements(sp))
-    e = ((0,) * sp.dim, 0)
+    e = (0, 0)
     for h in elems:
         assert h_mul(sp, h, e) == h
         assert h_mul(sp, e, h) == h
@@ -65,9 +65,8 @@ def test_center_and_commutators():
     sp = _space()
     R = sp.R
     elems = list(all_h_elements(sp))
-    zero = (0,) * sp.dim
     for z in range(4):
-        zc = (zero, z)
+        zc = (0, z)
         for h in elems:
             assert h_mul(sp, zc, h) == h_mul(sp, h, zc)
     # the commutator of h1 and h2 is the central element
@@ -75,8 +74,9 @@ def test_center_and_commutators():
     for h1 in elems:
         for h2 in elems[::5]:
             comm = h_mul(sp, h_mul(sp, h1, h2), _h_inv(sp, h_mul(sp, h2, h1)))
-            omega = R.mul(R.two, R.lift(sp.omega_field(h1[0], h2[0])))
-            assert comm == (zero, omega)
+            v1, v2 = sp.unpack(h1[0]), sp.unpack(h2[0])
+            omega = R.mul(R.two, R.lift(kref.omega_field(sp, v1, v2)))
+            assert comm == (0, omega)
 
 
 def test_symplectic_membership():
@@ -139,7 +139,7 @@ def test_asp_acts_on_heisenberg():
     elems = list(all_h_elements(sp))
     for a in enumerate_asp(sp):
         for z in range(4):
-            zc = ((0,) * sp.dim, z)
+            zc = (0, z)
             assert a.apply_h(zc) == zc
         for h1 in elems[::7]:
             for h2 in elems[::5]:
@@ -224,7 +224,7 @@ def _lift_sp_reference(sp, gt):
     in lexicographic order of V."""
     R = sp.R
     alpha = []
-    for v in sp.all_vectors_k():
+    for v in kref.vectors(sp):
         vt = sp.lift_vec(v)
         gvt = linalg.vec_mat(R, vt, gt)
         alpha.append(R.sub(sp.bt(gvt, gvt), sp.bt(vt, vt)))
@@ -251,11 +251,11 @@ def _compatible_on_all_pairs(sp, g, alpha):
     indexed by packed v: alpha(v + w) - alpha(v) - alpha(w) =
     beta(g v, g w) - beta(v, w) on every pair of V."""
     R = sp.R
-    vecs = list(sp.all_vectors_k())
+    vecs = list(kref.vectors(sp))
     gv = {v: kref.vec_mat(R, v, g) for v in vecs}
     a = {v: alpha[sp.pack(v)] for v in vecs}
-    return all(R.sub(R.sub(a[tuple(x ^ y for x, y in zip(v, w))], a[v]), a[w])
-               == R.sub(sp.beta(gv[v], gv[w]), sp.beta(v, w))
+    return all(R.sub(R.sub(a[kref.xor(v, w)], a[v]), a[w])
+               == R.sub(kref.beta(sp, gv[v], gv[w]), kref.beta(sp, v, w))
                for v in vecs for w in vecs)
 
 
@@ -323,7 +323,8 @@ def test_act_on_enhanced_is_group_action():
 
 
 def test_residue_quadratic_preservers():
-    """Exactly two of the six residue symplectic maps preserve beta_field."""
+    """Exactly two of the six residue symplectic maps preserve the residue
+    quadratic form."""
     sp = _space()
     winners = [g for g in enumerate_sp_k(sp) if preserves_residue_quadratic(sp, g)]
     assert winners == [((0, 1), (1, 0)), ((1, 0), (0, 1))]
@@ -344,7 +345,7 @@ def _filter_sp_k(sp):
     for entries in itertools.product(range(R.field_size), repeat=m * m):
         g = tuple(tuple(entries[i * m:(i + 1) * m]) for i in range(m))
         if kref.rank(R, g) == m and all(
-                sp.omega_field(g[i], g[j]) == sp.omega_field(e[i], e[j])
+                kref.omega_field(sp, g[i], g[j]) == kref.omega_field(sp, e[i], e[j])
                 for i in range(m) for j in range(i + 1, m)):
             out.append(g)
     return tuple(out)
@@ -437,9 +438,39 @@ def test_count_check_catches_a_wrong_order(monkeypatch, group, enumerate_group):
 
 
 def test_h_elements_keep_their_order():
-    sp = _space()
-    assert list(all_h_elements(sp)) == [
-        (v, z) for v in sp.all_vectors_k() for z in range(sp.R.size)]
+    """At d1n1, d2n1, d1n2 and d3n1, H(V) is (packed v, z), and unpacked
+    it is the coordinate walk of kref, (v, z) in lexicographic order; its
+    product is kref's."""
+    for d, n in ((1, 1), (2, 1), (1, 2), (3, 1)):
+        sp = SympSpace(ring(d), n)
+        H = all_h_elements(sp)
+        assert all(type(v) is int and type(z) is int for v, z in H)
+        assert [(sp.unpack(v), z) for v, z in H] == kref.h_elements(sp)
+        rng = random.Random(d * 10 + n)
+        for _ in range(200):
+            h1, h2 = rng.choice(H), rng.choice(H)
+            v, z = h_mul(sp, h1, h2)
+            assert (sp.unpack(v), z) == kref.h_mul(
+                sp, (sp.unpack(h1[0]), h1[1]), (sp.unpack(h2[0]), h2[1]))
+
+
+@pytest.mark.parametrize("d,n", [(1, 1), (2, 1), (1, 2), (3, 1)])
+def test_sp_k_is_the_coordinate_walk(d, n):
+    """enumerate_sp_k, walked on packed vectors under the omega masks,
+    gives the tuples of kref's walk on k-vectors, in the same order."""
+    sp = SympSpace(ring(d), n)
+    assert tuple(enumerate_sp_k(sp)) == kref.sp_k(sp)
+
+
+@pytest.mark.parametrize("group,enumerate_group", [
+    ("H(V)", all_h_elements), ("Sp(V)", enumerate_sp_k)])
+def test_refused_listing_builds_no_geometry(group, enumerate_group):
+    """A refused H(V) or Sp(V) raises before it builds whole() or any
+    subspace."""
+    sp = SympSpace(ring(1), 8)
+    with pytest.raises(CapExceeded, match=f"^{re.escape(group)} enumeration at d1n8"):
+        enumerate_group(sp)
+    assert "whole" not in sp._caches and "subspace" not in sp._caches
 
 
 @pytest.mark.parametrize("enumerate_group,product", [
@@ -510,11 +541,11 @@ def _residue_polarization_reference(sp, g):
     b_i, one per set bit of v, with c(v, w) = bt(gv, gw) - bt(v, w) mod 2;
     None unless phi polarizes c on all of V x V."""
     R, m = sp.R, sp.dim
-    vecs = list(sp.all_vectors_k())
+    vecs = list(kref.vectors(sp))
     gv = {v: kref.vec_mat(R, v, g) for v in vecs}
 
     def c(v, w):
-        return sp.beta_field(gv[v], gv[w]) ^ sp.beta_field(v, w)
+        return kref.beta_field(sp, gv[v], gv[w]) ^ kref.beta_field(sp, v, w)
 
     phi = {}
     for v in vecs:
@@ -526,7 +557,7 @@ def _residue_polarization_reference(sp, g):
         phi[v] = s
     for v in vecs:
         for w in vecs:
-            if phi[tuple(x ^ y for x, y in zip(v, w))] ^ phi[v] ^ phi[w] != c(v, w):
+            if phi[kref.xor(v, w)] ^ phi[v] ^ phi[w] != c(v, w):
                 return None
     return phi
 

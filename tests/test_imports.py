@@ -176,10 +176,10 @@ def test_cyc8_only_at_the_output_edge():
     assert found == CYC8_SCOPES
 
 
-# the only places outside galois that may name k's multiplication or
-# inverse: the form beta_field, and x^d mod the modulus for _multiples,
-# from which every mask and every packed multiple is built
-FIELD_SCOPES = {"symplectic.SympSpace.beta_field", "symplectic.SympSpace._xi_shift"}
+# the only place outside galois that may name k's multiplication or
+# inverse: x^d mod the modulus for _multiples, from which every mask and
+# every packed multiple is built
+FIELD_SCOPES = {"symplectic.SympSpace._xi_shift"}
 
 
 def _field_scopes(tree):
@@ -207,9 +207,9 @@ def _field_scopes(tree):
 
 def test_k_arithmetic_only_in_galois_and_the_forms():
     """Outside galois, field_mul and field_inv are named only in
-    FIELD_SCOPES: k-linear algebra and the masks of the forms run on
-    packed vectors through _multiples and the F2 echelon, not coordinate
-    by coordinate.  And linalg builds a ScalarOps for the ring only, none
+    FIELD_SCOPES: k-linear algebra, the forms and H(V) run on packed
+    vectors through _multiples, the form masks and the F2 echelon, not
+    coordinate by coordinate.  And linalg builds a ScalarOps for the ring only, none
     over k or Q(zeta8)."""
     found = set()
     for path in sorted((SRC / "weil2").glob("*.py")):
@@ -222,3 +222,19 @@ def test_k_arithmetic_only_in_galois_and_the_forms():
               if any(isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
                      and sub.func.id == "ScalarOps" for sub in ast.walk(node))}
     assert builds == {"ring_ops"}
+
+
+# the packed Z[i] row format of models' product kernel
+ZI_PACKING = {"_zi_rows", "_packed", "_slot_width", "_product_bits"}
+
+
+def test_zi_packing_stays_in_models():
+    """No weil2 module but models names the packed Z[i] rows: a comparison
+    of operator products is a ZiMatrix method (product_ratio,
+    intertwines), so one module knows the format."""
+    found = set()
+    for path in sorted((SRC / "weil2").glob("*.py")):
+        if path.stem != "models":
+            refs = _references(ast.parse(path.read_text()))
+            found |= {f"{path.stem}.{name}" for name in ZI_PACKING & set(refs)}
+    assert not found, sorted(found)

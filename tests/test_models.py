@@ -26,7 +26,7 @@ from weil2.models import (
     pi_matrix,
 )
 from weil2.symplectic import (
-    EnhancedLagrangian, SympSpace, _xor, enumerate_enhanced,
+    EnhancedLagrangian, SympSpace, enumerate_enhanced,
 )
 from weil2.weil import translation_matrix
 
@@ -74,7 +74,7 @@ def test_pi_central_character():
     for e in enumerate_enhanced(sp):
         dim = len(sp.transversal(e.pivots))
         for z in range(4):
-            mat = pi_matrix(e, ((0,) * sp.dim, z)).to_cyc()
+            mat = pi_matrix(e, (0, z)).to_cyc()
             for r in range(dim):
                 for c in range(dim):
                     want = monomial_cyc(2 * z, 0) if r == c else ZERO
@@ -134,7 +134,7 @@ def _transversal_reference(sp, e):
 def _split_reference(sp, e, v):
     """v = l + t with l in L and t in the transversal."""
     l = kref.vec_mat(sp.R, [v[p] for p in e.pivots], e.rows)
-    return l, _xor(v, l)
+    return l, kref.xor(v, l)
 
 
 def _alpha_by_element(e):
@@ -148,7 +148,7 @@ def _eval_reference(sp, e, h):
     R = sp.R
     v, z = h
     l, t = _split_reference(sp, e, v)
-    return R.psi_exp(R.sub(R.sub(z, _alpha_by_element(e)[l]), sp.beta(l, t))), t
+    return R.psi_exp(R.sub(R.sub(z, _alpha_by_element(e)[l]), kref.beta(sp, l, t))), t
 
 
 def _monomial_reference(sp, e, points):
@@ -163,10 +163,11 @@ def _monomial_reference(sp, e, points):
 
 
 def _pi_reference(sp, e, h):
-    """pi(h): row t reads f at (t, 0) (w, z) = (t + w, z + beta(t, w))."""
+    """pi(h) for h = (k-vector w, z): row t reads f at
+    (t, 0) (w, z) = (t + w, z + beta(t, w))."""
     w, z = h
     return _monomial_reference(sp, e, [
-        (_xor(t, w), sp.R.add(z, sp.beta(t, w)))
+        (kref.xor(t, w), sp.R.add(z, kref.beta(sp, t, w)))
         for t in _transversal_reference(sp, e)])
 
 
@@ -174,7 +175,8 @@ def _translation_reference(sp, a, src, dst):
     """P_a: row t of the transversal of dst reads f at a^{-1} (t, 0)."""
     inv = asp_inv(sp, a)
     return _monomial_reference(sp, src, [
-        inv.apply_h((t, 0)) for t in _transversal_reference(sp, dst)])
+        (sp.unpack(v), z) for v, z in (inv.apply_h((sp.pack(t), 0))
+                                       for t in _transversal_reference(sp, dst))])
 
 
 def _triple(M):
@@ -190,12 +192,12 @@ def _intertwiner_reference(sp, eM, eL):
     for tM in _transversal_reference(sp, eM):
         row = [[0, 0, 0, 0] for _ in range(len(index))]
         for m in aM:
-            l, tL = _split_reference(sp, eL, _xor(m, tM))
+            l, tL = _split_reference(sp, eL, kref.xor(m, tM))
             if l not in aL:
                 raise RuntimeError("split left the Lagrangian")
             e = R.psi_exp(R.sub(
-                R.sub(R.add(aM[m], sp.beta(m, tM)), aL[l]),
-                sp.beta(l, tL),
+                R.sub(R.add(aM[m], kref.beta(sp, m, tM)), aL[l]),
+                kref.beta(sp, l, tL),
             ))
             row[index[tL]][e] += 1
         out.append(tuple((c[0] - c[2], c[1] - c[3]) for c in row))
@@ -223,13 +225,14 @@ def test_intertwiner_matrix_matches_term_by_term(d, n, pairs, transversal):
 
 @pytest.mark.parametrize("d,n,count", [(1, 2, 60 * 64), (2, 1, 80 * 256)])
 def test_pi_matrix_matches_the_coordinate_reference(d, n, count):
-    """Every enhanced Lagrangian and every h of H(V): the packed pi(h) has
-    the triple of the coordinate loop."""
+    """Every enhanced Lagrangian and every h = (packed v, z) of H(V): the
+    packed pi(h) has the triple of the coordinate loop at (v, z)."""
     sp = SympSpace(ring(d), n)
     seen = 0
     for e in enumerate_enhanced(sp):
-        for h in all_h_elements(sp):
-            assert _triple(pi_matrix(e, h)) == _triple(_pi_reference(sp, e, h))
+        for v, z in all_h_elements(sp):
+            assert _triple(pi_matrix(e, (v, z))) == _triple(
+                _pi_reference(sp, e, (sp.unpack(v), z)))
             seen += 1
     assert seen == count
 
@@ -358,7 +361,7 @@ def _formula_reference(sp, eN, eM, eL):
     for m in Ms:
         rm = r[m]
         lm = tuple(a ^ b for a, b in zip(m, rm))
-        q = R.sub(R.sub(R.add(aM[m], aN[rm]), aL[lm]), sp.beta(m, rm))
+        q = R.sub(R.sub(R.add(aM[m], aN[rm]), aL[lm]), kref.beta(sp, m, rm))
         tally[R.psi_exp(q)] += 1
     return tally[0] - tally[2], tally[1] - tally[3]
 

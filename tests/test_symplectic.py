@@ -74,24 +74,25 @@ def test_transversal_pair_count(d, n):
 def test_residue_form_properties():
     sp = SympSpace(ring(1), 2)
     R = sp.R
-    vecs = list(sp.all_vectors_k())
+    vecs = list(kref.vectors(sp))
     assert len(vecs) == 2 ** 4
     for v in vecs[:8]:
-        assert sp.omega_field(v, v) == 0
+        assert kref.omega_field(sp, v, v) == 0
         for w in vecs[:8]:
             # omega = 2 * lift(omega_field) is the polarization of the
-            # quadratic refinement beta
-            assert R.mul(R.two, R.lift(sp.omega_field(v, w))) == \
-                R.sub(sp.beta(v, w), sp.beta(w, v))
-            assert sp.omega_field(v, w) == sp.omega_field(w, v)
+            # quadratic refinement beta, read on packed vectors
+            pv, pw = sp.pack(v), sp.pack(w)
+            assert R.mul(R.two, R.lift(kref.omega_field(sp, v, w))) == \
+                R.sub(sp.beta(pv, pw), sp.beta(pw, pv))
+            assert kref.omega_field(sp, v, w) == kref.omega_field(sp, w, v)
 
 
 def test_omega_nondegenerate():
     for d, n in ((1, 1), (2, 1), (1, 2)):
         sp = SympSpace(ring(d), n)
-        for v in sp.all_vectors_k():
+        for v in kref.vectors(sp):
             if any(v):
-                assert any(sp.omega_field(v, w) for w in sp.all_vectors_k())
+                assert any(kref.omega_field(sp, v, w) for w in kref.vectors(sp))
 
 
 def test_lagrangians_are_omega_isotropic():
@@ -104,7 +105,7 @@ def test_lagrangians_are_omega_isotropic():
             assert len(span) == sp.R.field_size ** n
             for v in span:
                 for w in span:
-                    assert sp.omega_field(v, w) == 0
+                    assert kref.omega_field(sp, v, w) == 0
 
 
 def test_standard_and_dual_lagrangians():
@@ -206,7 +207,7 @@ def test_rows_that_are_not_canonical_are_refused(d, n):
     sp = SympSpace(ring(d), n)
     R, S = sp.R, _every_symmetric(sp)[-1]
     for rows in sp.enumerate_lagrangians():
-        summed = (rows[0],) + tuple(map(symplectic._xor, rows[1:], rows[:-1]))
+        summed = (rows[0],) + tuple(map(kref.xor, rows[1:], rows[:-1]))
         bad = [rows[::-1], summed]
         if d > 1:
             bad.append((tuple(R.field_mul(2, x) for x in rows[0]),) + rows[1:])
@@ -235,7 +236,7 @@ def test_enhancement_alpha_polarizes_beta():
             for v in alpha:
                 for w in alpha:
                     s = tuple(a ^ b for a, b in zip(v, w))
-                    want = sp.R.add(sp.R.add(alpha[v], alpha[w]), sp.beta(v, w))
+                    want = sp.R.add(sp.R.add(alpha[v], alpha[w]), kref.beta(sp, v, w))
                     assert alpha[s] == want
 
 
@@ -292,8 +293,8 @@ def _validate_all_pairs(e):
     elems, alpha = kref.elements(sp, e.span), _alpha_by_element(e)
     for i, l1 in enumerate(elems):
         for l2 in elems[i:]:
-            b12 = sp.beta(l1, l2)
-            if b12 != sp.beta(l2, l1):
+            b12 = kref.beta(sp, l1, l2)
+            if b12 != kref.beta(sp, l2, l1):
                 raise ValueError("subspace is not isotropic")
             l12 = tuple(a ^ b for a, b in zip(l1, l2))
             lhs = R.sub(R.sub(alpha[l12], alpha[l1]), alpha[l2])
@@ -362,9 +363,9 @@ def test_generator_validation_matches_all_pairs_off_lagrangians():
             if rows in lagrangians:
                 continue
             elems = kref.elements(sp, sp.subspace(rows))
-            assert any(sp.omega_field(v, w) for v in elems for w in elems)
+            assert any(kref.omega_field(sp, v, w) for v in elems for w in elems)
             for alpha in ([0 for v in elems],
-                          [sp.beta(v, v) for v in elems],
+                          [kref.beta(sp, v, v) for v in elems],
                           [R.one if any(v) else 0 for v in elems]):
                 mine, ref = _verdicts(sp, rows, alpha)
                 assert mine == "subspace is not isotropic"
@@ -376,17 +377,17 @@ def test_generator_validation_matches_all_pairs_off_lagrangians():
 
 
 def test_beta_is_twice_bt_of_the_lifts():
-    """beta, read from its residue table, equals 2 * bt of the
+    """beta, read at the beta masks of packed vectors, equals 2 * bt of the
     {0,1}-coordinate lifts on every pair, and is biadditive: additive in
     each argument along every F2-generator of V, which gives additivity on
     all of V by induction."""
     for d, n in ((1, 2), (2, 1), (2, 2)):
         sp = SympSpace(ring(d), n)
         R = sp.R
-        vecs = list(sp.all_vectors_k())
+        vecs = list(kref.vectors(sp))
         gens = [tuple((1 << a) * (j == i) for j in range(sp.dim))
                 for i in range(sp.dim) for a in range(d)]
-        beta = {(v, w): sp.beta(v, w) for v in vecs for w in vecs}
+        beta = {(v, w): sp.beta(sp.pack(v), sp.pack(w)) for v in vecs for w in vecs}
         for (v, w), b in beta.items():
             assert b == R.mul(R.two, sp.bt(sp.lift_vec(v), sp.lift_vec(w)))
         add = R.add
@@ -587,7 +588,7 @@ def test_r_map_projects_along_complement():
                 # m = img + diff with img in N and diff in L
                 m, img, diff = Ms[i], Ns[j], Ls[k]
                 assert diff == tuple(a ^ c for a, c in zip(m, img))
-                assert b == sp.R.psi_exp(sp.beta(m, img))
+                assert b == sp.R.psi_exp(kref.beta(sp, m, img))
 
 
 def _r_map_reference(sp, M_rows, N_rows, L_rows):
@@ -630,7 +631,7 @@ def _r_terms_per_triple(sp, M_rows, N_rows, L_rows):
                            linalg.transpose(tuple(N_rows) + tuple(L_rows)),
                            M_rows)
     images = [kref.vec_mat(R, x[:len(N_rows)], N_rows) for x in xs]
-    return tuple((m, rm, tuple(a ^ b for a, b in zip(m, rm)), sp.beta(m, rm))
+    return tuple((m, rm, tuple(a ^ b for a, b in zip(m, rm)), kref.beta(sp, m, rm))
                  for m, rm in zip(kref.span(R, M_rows, sp.dim),
                                   kref.span(R, images, sp.dim)))
 
@@ -645,7 +646,7 @@ def _r_terms_tuple_rule(sp, M_rows, N_rows, L_rows):
                            linalg.unit_vectors(ops, sp.dim))
     P = [kref.vec_mat(R, x[:len(N_rows)], N_rows) for x in xs]
     images = [kref.vec_mat(R, m, P) for m in M_rows]
-    return tuple((m, rm, tuple(a ^ b for a, b in zip(m, rm)), sp.beta(m, rm))
+    return tuple((m, rm, tuple(a ^ b for a, b in zip(m, rm)), kref.beta(sp, m, rm))
                  for m, rm in zip(kref.span(R, M_rows, sp.dim),
                                   kref.span(R, images, sp.dim)))
 
@@ -723,7 +724,7 @@ def test_tagged_projection_matches_the_decomposition(d, n):
             for i, j, k, b in terms:
                 m = Ms[i]
                 assert (Nsorted[j], Lsorted[k]) == split[m]
-                assert b == R.psi_exp(sp.beta(m, Nsorted[j]))
+                assert b == R.psi_exp(kref.beta(sp, m, Nsorted[j]))
 
 
 def _r_map_tilde_reference(sp, Mt, Nt, Lt):
@@ -870,15 +871,17 @@ def _parity(x):
     return x.bit_count() & 1
 
 
-@pytest.mark.parametrize("d,n", [(1, 2), (2, 1), (3, 1), (2, 2)])
+@pytest.mark.parametrize("d,n", [(1, 1), (1, 2), (2, 1), (3, 1), (2, 2)])
 def test_packed_forms_match_the_coordinate_loops(d, n):
-    """On every pair (v, w): pack is additive, bit a of beta_field(v, w)
-    and of omega_field(v, w) is the parity of pack(v) against the a-th
-    beta and omega mask of pack(w), and psi_exp(beta(v, w)) is twice its
-    parity against trace_mask(pack(w))."""
+    """On every pair (v, w), against the coordinate rules of kref: pack is
+    additive, bit a of beta_field(v, w) and of omega_field(v, w) is the
+    parity of pack(v) against the a-th beta and omega mask of pack(w),
+    beta(pack(v), pack(w)) is kref's beta, so beta(pack(v), pack(v)) is
+    twice the lift of Q(v) = beta_field(v, v), and psi_exp(beta(v, w)) is
+    twice its parity against trace_mask(pack(w))."""
     sp = SympSpace(ring(d), n)
     R = sp.R
-    vecs = list(sp.all_vectors_k())
+    vecs = list(kref.vectors(sp))
     packed = [sp.pack(v) for v in vecs]
     assert len(set(packed)) == len(vecs)
     for w, pw in zip(vecs, packed):
@@ -886,11 +889,13 @@ def test_packed_forms_match_the_coordinate_loops(d, n):
         T = sp.trace_mask(pw)
         for v, pv in zip(vecs, packed):
             assert sp.pack(tuple(a ^ b for a, b in zip(v, w))) == pv ^ pw
-            assert sp.beta_field(v, w) == sum(
+            assert kref.beta_field(sp, v, w) == sum(
                 _parity(pv & m) << a for a, m in enumerate(beta_masks))
-            assert sp.omega_field(v, w) == sum(
+            assert kref.omega_field(sp, v, w) == sum(
                 _parity(pv & m) << a for a, m in enumerate(omega_masks))
-            assert R.psi_exp(sp.beta(v, w)) == 2 * _parity(pv & T)
+            assert sp.beta(pv, pw) == kref.beta(sp, v, w)
+            assert R.psi_exp(sp.beta(pv, pw)) == 2 * _parity(pv & T)
+        assert sp.beta(pw, pw) == R.mul(R.two, R.lift(kref.beta_field(sp, w, w)))
 
 
 @pytest.mark.parametrize("d,n", [(1, 2), (2, 1), (3, 1)])
@@ -902,7 +907,7 @@ def test_subspace_split_matches_the_row_action(d, n):
     for rows in sp.enumerate_lagrangians():
         span = sp.subspace(rows)
         packed = set(span.packed)
-        for v in sp.all_vectors_k():
+        for v in kref.vectors(sp):
             l = kref.vec_mat(sp.R, [v[p] for p in span.pivots], span.rows)
             assert all(l[p] == v[p] for p in span.pivots)
             assert span.split(sp.pack(v)) == sp.pack(l)
@@ -933,7 +938,8 @@ def test_subspace_matches_brute_force(d, n):
     references: rows and pivots are the kernel's RREF over k, packed lists
     the brute-force span sorted as k-vectors, index is the position in
     packed, and gens are xi^a * row_i, i outer and a inner.  whole() is V
-    on the unit rows."""
+    on the unit rows, its packed elements, unpacked, in itertools.product
+    order: the order of H(V) and of the Sp(V) walk."""
     sp = SympSpace(ring(d), n)
     R = sp.R
     cases = _subspace_cases(sp, random.Random(10 * d + n))
@@ -950,7 +956,8 @@ def test_subspace_matches_brute_force(d, n):
     assert isotropic[False] and isotropic[True]
     whole = sp.whole()
     assert whole.rows == cases[-1] and whole.pivots == tuple(range(sp.dim))
-    assert whole.packed == tuple(map(sp.pack, sp.all_vectors_k()))
+    assert [sp.unpack(x) for x in whole.packed] == list(
+        itertools.product(range(R.field_size), repeat=sp.dim))
     assert whole.gens == tuple(1 << b for b in range(2 * sp.dn))
 
 
@@ -1074,7 +1081,7 @@ def _lagrangians_by_echelon_filter(sp):
             for (i, c), v in zip(free_pos, vals):
                 rows[i][c] = v
             rows = [tuple(r) for r in rows]
-            if all(sp.omega_field(rows[i], rows[j]) == 0
+            if all(kref.omega_field(sp, rows[i], rows[j]) == 0
                    for i in range(n) for j in range(i + 1, n)):
                 found.append(tuple(rows))
     return tuple(sorted(found))
@@ -1113,15 +1120,17 @@ def test_lagrangian_count_formula(d, n):
 
 
 def test_residue_symplectic_form():
-    """omega(v, w) = beta(v, w) - beta(w, v) is
-    2 * lift(beta_field(v, w) + beta_field(w, v)) on all pairs."""
+    """omega(v, w) = beta(v, w) - beta(w, v), beta read on packed vectors,
+    is 2 * lift(beta_field(v, w) + beta_field(w, v)) on all pairs."""
     for d, n in ((1, 2), (2, 1)):
         sp = SympSpace(ring(d), n)
         R = sp.R
-        for v in sp.all_vectors_k():
-            for w in sp.all_vectors_k():
-                want = R.mul(R.two, R.lift(sp.beta_field(v, w) ^ sp.beta_field(w, v)))
-                assert R.sub(sp.beta(v, w), sp.beta(w, v)) == want
+        for v in kref.vectors(sp):
+            for w in kref.vectors(sp):
+                want = R.mul(R.two, R.lift(kref.beta_field(sp, v, w)
+                                           ^ kref.beta_field(sp, w, v)))
+                pv, pw = sp.pack(v), sp.pack(w)
+                assert R.sub(sp.beta(pv, pw), sp.beta(pw, pv)) == want
 
 
 class _CountingRng:

@@ -1,6 +1,7 @@
 """Every check family of the witt, trivialization and splitting suites,
 cocycle.three-route (through each of its three routes), weil.heisenberg-
-commutant (through its norm and its closure), weil.commutant, weil.egorov,
+commutant (through its norm, its closure and H(V)'s product),
+weil.commutant, weil.egorov,
 the four intro families and the four disc families can FAIL: each row of
 the tables below mutates one function or constant of weil2 and names the
 family that must then fail, together with any other family the same
@@ -325,8 +326,8 @@ def _identity_like(M):
     return ZiMatrix.monomial([(0, j) for j in range(M.shape[0])], M.shape[1])
 
 
-# one h of H(V) at d1n1 that is not central
-H_ZETA = ((1, 0), 0)
+# one h of H(V) at d1n1 that is not central: (e_1, 0), e_1 packed
+H_ZETA = (SympSpace(ring(1), 1).pack((1, 0)), 0)
 
 
 def _pi_times_zeta_at_one_h(e, h):
@@ -334,6 +335,14 @@ def _pi_times_zeta_at_one_h(e, h):
     character norm, stays as it was, but pi(x) pi(y) = pi(xy) breaks."""
     pi_h = pi_matrix(e, h)
     return pi_h.scaled(1, 0) if h == H_ZETA else pi_h
+
+
+def _h_mul_beta_swapped(space, h1, h2):
+    """H(V)'s product with beta(v2, v1) for beta(v1, v2): the opposite
+    group, on which pi(x) pi(y) = pi(xy) fails for non-commuting x, y."""
+    (v1, z1), (v2, z2) = h1, h2
+    R = space.R
+    return v1 ^ v2, R.add(R.add(z1, z2), space.beta(v2, v1))
 
 
 # test id -> (family, target, attribute, value, the other families it fails)
@@ -356,6 +365,10 @@ WEIL_TAMPERS = {
     "weil.heisenberg-commutant-closure": (
         "weil.heisenberg-commutant", verify, "pi_matrix",
         _pi_times_zeta_at_one_h, {"weil.egorov"}),
+    # H(V)'s product itself: the Cayley table the closure reads is wrong
+    "weil.heisenberg-commutant-product": (
+        "weil.heisenberg-commutant", heisenberg, "h_mul", _h_mul_beta_swapped,
+        set()),
 }
 
 

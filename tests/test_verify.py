@@ -272,7 +272,7 @@ def test_egorov_fails_on_a_right_translated_operator():
     pi = {h: pi_matrix(W.base_enhanced, h) for h in all_h_elements(sp)}
     assert verify.egorov_check(W, asp, pi).passed
     # h0 = (e_1, 0) does not commute with (f_1, 0): pi(h0) is not central
-    h0 = (sp.std_basis_k(0), 0)
+    h0 = (sp.pack(sp.std_basis_k(0)), 0)
     check = verify.egorov_check(_RightTranslated(W, asp[9], h0), asp, pi)
     assert check.name == "weil.egorov"
     assert not check.passed

@@ -25,7 +25,7 @@ from weil2.heisenberg import (
 )
 from weil2.models import ZiMatrix, intertwiner_matrix, monomial_cyc, pi_matrix
 from weil2.symplectic import SympSpace
-from weil2.verify import egorov_holds, schur_check
+from weil2.verify import schur_check
 from weil2.weil import (
     SplitWeilRepresentation, WeilRepresentation, coboundary_ratio,
     canonical_root, character_norm_is_one,
@@ -278,11 +278,11 @@ def _at_zeta2(X):
 
 
 def test_egorov_packed_matches_the_built_products():
-    """egorov_holds against the built products on all 24 x 16 pairs, and
-    with pi(h) in place of pi(a h), where it fails on some pairs.  A pi
-    with a nonzero exponent fails the pair, whether the operators are
-    equal (written with another Z[i] part) or not (i pi(h), whose Z[i]
-    part is pi(h)'s)."""
+    """ZiMatrix.intertwines against the built products on all 24 x 16
+    pairs, and with pi(h) in place of pi(a h), where it fails on some
+    pairs.  A pi with a nonzero exponent fails the pair, whether the
+    operators are equal (written with another Z[i] part) or not (i pi(h),
+    whose Z[i] part is pi(h)'s)."""
     sp = _space()
     W = WeilRepresentation(sp)
     pi = {h: pi_matrix(W.base_enhanced, h) for h in all_h_elements(sp)}
@@ -291,17 +291,19 @@ def test_egorov_packed_matches_the_built_products():
         Wa = W.operator(a)
         for h, pi_h in pi.items():
             pi_ah = pi[a.apply_h(h)]
-            assert egorov_holds(Wa, pi_h, pi_ah)
+            assert Wa.intertwines(pi_h, pi_ah)
             assert Wa @ pi_h == pi_ah @ Wa
-            swapped.append(egorov_holds(Wa, pi_h, pi_h))
+            swapped.append(Wa.intertwines(pi_h, pi_h))
             assert swapped[-1] == (Wa @ pi_h == pi_h @ Wa)
             for X in (pi_h, pi_ah):
                 assert _at_zeta2(X) == X
-            assert not egorov_holds(Wa, _at_zeta2(pi_h), pi_ah)
-            assert not egorov_holds(Wa, pi_h, _at_zeta2(pi_ah))
+            assert not Wa.intertwines(_at_zeta2(pi_h), pi_ah)
+            assert not Wa.intertwines(pi_h, _at_zeta2(pi_ah))
             # i pi(h) has pi(h)'s Z[i] part: only the precondition refuses it
             assert Wa @ pi_h.scaled(2, 0) != pi_ah @ Wa
-            assert not egorov_holds(Wa, pi_h.scaled(2, 0), pi_ah)
+            assert not Wa.intertwines(pi_h.scaled(2, 0), pi_ah)
+    with pytest.raises(ValueError, match=r"^shapes \(2, 2\), \(1, 1\) and"):
+        Wa.intertwines(ZiMatrix.monomial([(0, 0)], 1), pi_ah)
     assert len(swapped) == 384 and True in swapped and False in swapped
 
 
