@@ -41,9 +41,9 @@ checks one on span x generators.  The Lagrangians and the transversal
 triples are frames of linalg.frames; a sampled run lists neither, and
 draws its subspaces by an isotropic walk (`random_lagrangian`) and its
 triples as graphs of symmetric maps (`sample_transversal_triple`).
-A free lift of a Lagrangian over R is built in closed form from the
-pivot columns of its canonical rows (`initial_lift`, `_lift_at`), with no
-elimination.
+Every free lift of a Lagrangian over R, the initial lift included, is
+one closed form in the pivot columns of its canonical rows (`_lift_at`),
+with no elimination and no dual family.
 """
 from __future__ import annotations
 
@@ -436,11 +436,11 @@ class SympSpace:
         subspaces, built rather than searched for.  N is a random_lagrangian
         with RREF rows n_i.  The unit vectors c_j at the partners of N's
         pivot columns (j <-> j + n) have omega(n_i, c_j) = n_i[p_j] =
-        delta_ij, so f_j = c_j + sum_{l>j} omega(c_j, c_l) n_l, the
-        correction make_isotropic makes over R, is an isotropic dual family
-        of N with no solve.  L has rows l_j = f_j + sum_i S_ij n_i for a
-        uniform symmetric S: the graphs over span(f) of the symmetric maps
-        into N, which are the Lagrangians transversal to N.  M has rows
+        delta_ij, so f_j = c_j + sum_{l>j} omega(c_j, c_l) n_l is an
+        isotropic dual family of N with no solve.  L has rows l_j = f_j +
+        sum_i S_ij n_i for a uniform symmetric S: the graphs over span(f)
+        of the symmetric maps into N, which are the Lagrangians transversal
+        to N.  M has rows
         l_j + sum_i T_ij n_i for a uniform invertible symmetric T, redrawn
         while T is singular: the Lagrangians transversal to N and L.  That
         is the count #Lag * q^{n(n+1)/2} * sigma_n(q) of
@@ -581,31 +581,22 @@ class SympSpace:
     # -- free submodule lifts -----------------------------------------------------
     def initial_lift(self, rows):
         """The canonical basis of one free isotropic lift of the subspace
-        whose canonical RREF rows are `rows`, in closed form.  The
-        {0,1}-lift b of the rows has b_i[p_j] = delta_ij at the pivots, so
-        the pivot duals (_pivot_duals) are an exact dual family of b, and
-        make_isotropic corrects b against them; its corrections are 2R
-        multiples at the partner columns, and _reduce_pivots re-reduces.
-        A ValueError unless `rows` are the canonical rows of their span
-        (Subspace.rows), on which the closed forms rest."""
-        rows = tuple(map(tuple, rows))
-        span = self.subspace(rows)
-        if span.rows != rows:
-            raise ValueError("a lift needs the canonical RREF rows of a subspace")
-        b = self.make_isotropic([self.lift_vec(r) for r in rows],
-                                self._pivot_duals(span.pivots))
-        if any(self.omt(bi, bj) for bi in b for bj in b):
+        whose canonical RREF rows are `rows`: the lift at S = 0
+        (_lift_at).  A ValueError unless `rows` are the canonical rows of
+        their span (Subspace.rows), on which the closed form rests."""
+        n = self.n
+        lift = self._lift_at(tuple(map(tuple, rows)), [[0] * n] * n)
+        if any(self.omt(bi, bj) for bi in lift for bj in lift):
             raise RuntimeError("lift correction failed")
-        return self._reduce_pivots(b, span.pivots)
+        return lift
 
     def make_isotropic(self, b, duals):
         """b_i + sum_{j > i} omt(b_i, b_j) c_j for each i, with c = duals an
         exact dual family of b: omt(b_i, c_j) = delta_ij.  When b reduces
         to an isotropic family, every omt(b_i, b_j) lies in 2R, whose
         products vanish, so the corrected family is isotropic and has the
-        same reduction.  The duals are the pivot duals of canonical rows
-        (initial_lift) or a solved _dual_family
-        (heisenberg.symplectic_lift_matrix, whose rows are not in RREF)."""
+        same reduction.  heisenberg.symplectic_lift_matrix corrects its
+        rows, which are not in RREF, against a solved _dual_family."""
         R = self.R
         return [linalg.vec_add(R, bi, linalg.vec_mat(
                     R, [self.omt(bi, bj) if j > i else 0 for j, bj in enumerate(b)],
@@ -626,23 +617,6 @@ class SympSpace:
             raise RuntimeError("no dual family: the family is not free")
         return duals
 
-    @_cached
-    def _pivot_duals(self, pivots):
-        """The exact dual family of every family b with b_i[p_j] = delta_ij
-        at these pivot columns, read off the pivots: c_j = e_{p_j + n} for
-        p_j < n and -e_{p_j - n} otherwise, since omt(b, c_j) = b[p_j].
-        For b over an isotropic subspace, two exact dual families differ
-        mod 2 by elements of its span, so 2R multiples of either span the
-        same submodule with b: initial_lift and _lift_at give the lifts
-        that solved duals give."""
-        R, n = self.R, self.n
-        duals = []
-        for p in pivots:
-            c = [0] * self.dim
-            c[(p + n) % self.dim] = R.one if p < n else R.neg(R.one)
-            duals.append(tuple(c))
-        return tuple(duals)
-
     def _reduce_pivots(self, b, pivots):
         """The canonical basis of the span of a family b whose pivot block
         [b_i[p_j]] is I + T with T over 2R, as rref_ring would give it.
@@ -658,26 +632,38 @@ class SympSpace:
 
     @_cached
     def _lift_frame(self, rows):
-        """(initial lift, its pivot columns) of the subspace, cached per
-        rows: every lift _lift_at builds over the rows starts from it."""
-        return self.initial_lift(rows), self.subspace(rows).pivots
+        """What every lift of the subspace reads, cached per rows: the
+        {0,1}-lifts l_i of the rows, U_ij = omt(l_i, l_j) for j > i and 0
+        otherwise, the pivot columns p_j and their partners p_j +- n.  A
+        ValueError, caching nothing, unless `rows` are the canonical rows
+        of their span (Subspace.rows)."""
+        span = self.subspace(rows)
+        if span.rows != rows:
+            raise ValueError("a lift needs the canonical RREF rows of a subspace")
+        lifts = tuple(map(self.lift_vec, rows))
+        U = tuple(tuple(self.omt(li, lj) if j > i else 0 for j, lj in enumerate(lifts))
+                  for i, li in enumerate(lifts))
+        return lifts, U, span.pivots, tuple((p + self.n) % self.dim for p in span.pivots)
 
     def _lift_at(self, rows, S):
-        """The lift base + 2*S*duals of the subspace, for a symmetric n x n
-        matrix S over k and the pivot duals of the initial lift, in closed
-        form.  Dual c_j is +-1 at the partner column of p_j and 0 elsewhere,
-        and 2R elements are their own negatives, so row i gains
-        2 lift(S_ij) at that column; where it is a pivot column,
-        _reduce_pivots re-reduces."""
-        R, n, dim, two_lift = self.R, self.n, self.dim, self._two_lift
-        base, pivots = self._lift_frame(rows)
-        partners = [(p + n) % dim for p in pivots]
+        """The free Lagrangian lift of the subspace at a symmetric n x n
+        matrix S over k, in closed form: row i is l_i plus U_ij +
+        2 lift(S_ij) at the partner column of each pivot p_j, re-reduced
+        (_reduce_pivots) where a partner column is a pivot column.  The
+        rows are l_i[p_j] = delta_ij at the pivots and omt(l, e) = +-l[p_j]
+        for the unit vector e at p_j's partner, so U is the correction that
+        makes l isotropic (make_isotropic) and 2S walks the torsor of
+        lifts; every term lies in 2R, whose elements are their own
+        negatives and whose products vanish, so the signs drop and the
+        two corrections add.  S = 0 gives initial_lift."""
+        R, two_lift = self.R, self._two_lift
+        lifts, U, pivots, partners = self._lift_frame(rows)
         basis = []
-        for bi, Si in zip(base, S):
-            row = list(bi)
-            for c, s in zip(partners, Si):
-                if s:
-                    row[c] = R.add(row[c], two_lift[s])
+        for li, Ui, Si in zip(lifts, U, S):
+            row = list(li)
+            for c, u, s in zip(partners, Ui, Si):
+                if u or s:
+                    row[c] = R.add(row[c], R.add(u, two_lift[s]))
             basis.append(row)
         return self._reduce_pivots(basis, pivots)
 
@@ -729,11 +715,9 @@ class SympSpace:
         return tuple(itertools.chain.from_iterable(self.oriented_by_rows().values()))
 
     def standard_oriented(self):
-        basis = tuple(
-            tuple(self.R.one if j == i else 0 for j in range(self.dim))
-            for i in range(self.n)
-        )
-        return OrientedLagrangian(basis, self.R.one)
+        """The initial lift of the standard Lagrangian, oriented by 1."""
+        rows = tuple(map(self.std_basis_k, range(self.n)))
+        return OrientedLagrangian(self.initial_lift(rows), self.R.one)
 
     # -- pairings and projections ---------------------------------------------------
     def omt_gram(self, As, Bs):

@@ -182,8 +182,8 @@ def test_cyc8_only_at_the_output_edge():
 FIELD_SCOPES = {"symplectic.SympSpace._xi_shift"}
 
 
-def _field_scopes(tree):
-    """(scope, node) of each use of field_mul or field_inv in a module: the
+def _name_scopes(tree, names):
+    """(scope, name) of each use of one of `names` in a module: the
     innermost enclosing Class.function, or Class.attr for a use inside an
     assignment to self.attr."""
     def walk(node, scope, cls):
@@ -197,9 +197,10 @@ def _field_scopes(tree):
                         and isinstance(target.value, ast.Name)
                         and target.value.id == "self"):
                     scope = f"{cls}.{target.attr}"
-        if isinstance(node, ast.Attribute) and node.attr in ("field_mul", "field_inv") \
-                or isinstance(node, ast.Name) and node.id in ("field_mul", "field_inv"):
-            yield scope, node
+        name = node.attr if isinstance(node, ast.Attribute) \
+            else node.id if isinstance(node, ast.Name) else None
+        if name in names:
+            yield scope, name
         for child in ast.iter_child_nodes(node):
             yield from walk(child, scope, cls)
     return walk(tree, "<module>", None)
@@ -215,13 +216,37 @@ def test_k_arithmetic_only_in_galois_and_the_forms():
     for path in sorted((SRC / "weil2").glob("*.py")):
         if path.stem != "galois":
             found |= {f"{path.stem}.{scope}"
-                      for scope, _ in _field_scopes(ast.parse(path.read_text()))}
+                      for scope, _ in _name_scopes(ast.parse(path.read_text()),
+                                                   ("field_mul", "field_inv"))}
     assert found == FIELD_SCOPES
     tree = ast.parse((SRC / "weil2" / "linalg.py").read_text())
     builds = {name for name, node in _scopes(tree)
               if any(isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
                      and sub.func.id == "ScalarOps" for sub in ast.walk(node))}
     assert builds == {"ring_ops"}
+
+
+# the only places weil2 may correct a family against duals or solve for
+# them: a free lift of canonical rows is a closed form (SympSpace._lift_at);
+# heisenberg.symplectic_lift_matrix lifts rows that are not in RREF
+SOLVE_SCOPES = {
+    "make_isotropic": {"heisenberg.symplectic_lift_matrix"},
+    "_dual_family": {"heisenberg.symplectic_lift_matrix"},
+    "solve_many": {"symplectic.SympSpace._projection",
+                   "symplectic.SympSpace._dual_family"},
+}
+
+
+def test_lifts_of_canonical_rows_solve_nothing():
+    """Outside their definitions, make_isotropic and _dual_family are named
+    only in heisenberg.symplectic_lift_matrix, and solve_many only in the
+    projection onto N along L and the solved dual family: no free lift of
+    canonical rows solves a system or needs a dual family."""
+    found = collections.defaultdict(set)
+    for path in sorted((SRC / "weil2").glob("*.py")):
+        for scope, name in _name_scopes(ast.parse(path.read_text()), SOLVE_SCOPES):
+            found[name].add(f"{path.stem}.{scope}")
+    assert found == SOLVE_SCOPES
 
 
 # the packed Z[i] row format of models' product kernel

@@ -10,6 +10,7 @@ The census numbers are frozen from exhaustive enumeration:
 """
 
 import collections
+import functools
 import itertools
 import math
 import os
@@ -990,19 +991,21 @@ def test_packed_validation_names_isotropy_on_every_plane_at_d2n2():
 
 
 def test_each_subspace_is_lifted_once_per_sampled_run(monkeypatch):
-    """A sampled cocycle run computes the initial lift of each subspace it
-    draws once: route 3 reads the lifts that the lift frames hold."""
-    lifted = collections.Counter()
-    initial_lift = SympSpace.initial_lift
+    """A sampled cocycle run builds the lift frame of each subspace it
+    draws once: every lift it draws over the subspace, and route 3's
+    initial lift, read that frame."""
+    framed = collections.Counter()
+    build = SympSpace._lift_frame.__wrapped__
 
+    @functools.wraps(build)
     def counting(self, rows):
-        lifted[rows] += 1
-        return initial_lift(self, rows)
+        framed[rows] += 1
+        return build(self, rows)
 
-    monkeypatch.setattr(SympSpace, "initial_lift", counting)
+    monkeypatch.setattr(SympSpace, "_lift_frame", symplectic._cached(counting))
     from weil2 import verify
     assert all(c.passed for c in verify.cocycle_checks_sampled(1, 3, 6, 0))
-    assert lifted and set(lifted.values()) == {1}
+    assert framed and set(framed.values()) == {1}
 
 
 def test_space_keeps_its_caches_in_one_dict():
