@@ -331,14 +331,14 @@ def cmd_weil_matrix(args):
     from .heisenberg import check_group, enumerate_asp, enumerate_sp_R
     from .weil import SplitWeilRepresentation, WeilRepresentation
 
-    check_group(args.d, args.n, "Sp(Vt)" if args.split else "ASp(V)")
+    order = check_group(args.d, args.n, "Sp(Vt)" if args.split else "ASp(V)")
+    if not 0 <= args.element < order:
+        raise ValueError(f"element index out of range (0..{order - 1})")
     sp = SympSpace(ring(args.d), args.n)
     if args.split:
         group, rep = enumerate_sp_R(sp), SplitWeilRepresentation(sp)
     else:
         group, rep = enumerate_asp(sp), WeilRepresentation(sp)
-    if not 0 <= args.element < len(group):
-        raise ValueError(f"element index out of range (0..{len(group) - 1})")
     x = group[args.element]
     kind, label, rows = (("split", "symplectic_matrix", x) if args.split
                          else ("enhanced", "residue_matrix", x.g))

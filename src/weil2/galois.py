@@ -94,7 +94,6 @@ class GaloisRing:
         self.modulus = modulus
         self.size = 4 ** d
         self.field_size = 2 ** d
-        self.zero = 0
         self.one = self.from_coords([1] + [0] * (d - 1))
         self.two = self.from_coords([2] + [0] * (d - 1))
         self._build_tables()

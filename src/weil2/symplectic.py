@@ -43,7 +43,9 @@ draws its subspaces by an isotropic walk (`random_lagrangian`) and its
 triples as graphs of symmetric maps (`sample_transversal_triple`).
 Every free lift of a Lagrangian over R, the initial lift included, is
 one closed form in the pivot columns of its canonical rows (`_lift_at`),
-with no elimination and no dual family.
+with no elimination and no dual family.  Every other system over R has
+an invertible reduction, and `_ring_solve` solves it from the tagged
+echelon of the reduced rows by one Newton step.
 """
 from __future__ import annotations
 
@@ -596,7 +598,7 @@ class SympSpace:
         to an isotropic family, every omt(b_i, b_j) lies in 2R, whose
         products vanish, so the corrected family is isotropic and has the
         same reduction.  heisenberg.symplectic_lift_matrix corrects its
-        rows, which are not in RREF, against a solved _dual_family."""
+        rows, which are not in RREF, against their _dual_family."""
         R = self.R
         return [linalg.vec_add(R, bi, linalg.vec_mat(
                     R, [self.omt(bi, bj) if j > i else 0 for j, bj in enumerate(b)],
@@ -605,23 +607,27 @@ class SympSpace:
 
     def _dual_family(self, basis):
         """Vectors c_j with omt(b_i, c_j) = delta_ij (no isotropy demanded),
-        from one elimination with the unit vectors as right-hand sides, for
-        a family with no pivot block (heisenberg.symplectic_lift_matrix).
-        Every caller passes a free family, for which the system is
-        solvable; a RuntimeError when it is not."""
+        for a family with no pivot block (heisenberg.symplectic_lift_matrix):
+        omt(b, c) = b' . c for b' = (-b[n:], b[:n]), so with (P, X) the
+        _ring_solve of the rows b', c_j is zero off P and holds X[a][j] at
+        the pivot column P[a].  Every caller passes a free family; a
+        RuntimeError when it is not."""
         R, n = self.R, self.n
-        ops = linalg.ring_ops(R)
-        rows = [tuple(R.neg(x) for x in b[n:]) + tuple(b[:n]) for b in basis]
-        duals = linalg.solve_many(ops, rows, linalg.unit_vectors(ops, len(basis)))
-        if duals is None:
-            raise RuntimeError("no dual family: the family is not free")
+        pivots, X = self._ring_solve(
+            [tuple(R.neg(x) for x in b[n:]) + tuple(b[:n]) for b in basis])
+        duals = []
+        for j in range(len(basis)):
+            c = [0] * self.dim
+            for p, x in zip(pivots, X):
+                c[p] = x[j]
+            duals.append(tuple(c))
         return duals
 
     def _reduce_pivots(self, b, pivots):
         """The canonical basis of the span of a family b whose pivot block
-        [b_i[p_j]] is I + T with T over 2R, as rref_ring would give it.
-        T^2 = 0, as products of 2R vanish, so (I + T)^-1 = I - T and the
-        canonical rows are b - T b."""
+        [b_i[p_j]] is I + T with T over 2R: the Newton step of _ring_solve
+        from X0 = I, which needs no echelon.  T^2 = 0, as products of 2R
+        vanish, so (I + T)^-1 = I - T and the canonical rows are b - T b."""
         R = self.R
         out = []
         for i, bi in enumerate(b):
@@ -771,21 +777,17 @@ class SympSpace:
     @_cached
     def _projection(self, N_rows, L_rows):
         """The projection onto N along L over R as a matrix P: row i is the
-        image of e_i, so v maps to vec_mat(v, P).  One elimination of
-        (N + L)^T with the 2n unit vectors as right-hand sides, cached per
-        (N, L).  A ValueError unless N + L = V, checked on the reductions:
-        free submodules are transversal exactly when their reductions are
-        (Nakayama)."""
+        image of e_i, so v maps to vec_mat(v, P).  With X the inverse of
+        the matrix of rows N + L (_ring_solve), e_i = X_i (N + L), so row i
+        is X_i[:n] N; cached per (N, L).  A ValueError unless N + L = V,
+        checked on the reductions: free submodules are transversal exactly
+        when their reductions are (Nakayama)."""
         R = self.R
-        ops = linalg.ring_ops(R)
         if not self.transversal_k(*(tuple(map(self.reduce_vec, rows))
                                      for rows in (N_rows, L_rows))):
             raise ValueError("r_map_tilde needs N transversal to L")
-        xs = linalg.solve_many(ops, linalg.transpose(N_rows + L_rows),
-                               linalg.unit_vectors(ops, self.dim))
-        if xs is None:
-            raise RuntimeError("inconsistent projection onto N along L")
-        return tuple(linalg.vec_mat(R, x[:len(N_rows)], N_rows) for x in xs)
+        _, X = self._ring_solve(N_rows + L_rows)
+        return tuple(linalg.vec_mat(R, x[:len(N_rows)], N_rows) for x in X)
 
     def r_map_tilde(self, Mt, Nt, Lt):
         """Images of Mt's basis under the projection onto Nt along Lt, read
@@ -805,9 +807,38 @@ class SympSpace:
         Matrices act on row vectors: b -> sum_j b[j] gt[j]."""
         R = self.R
         img = [linalg.vec_mat(R, b, gt) for b in oriented.basis]
-        can, pivots = linalg.rref_ring(R, img)
+        pivots, X = self._ring_solve(img)
+        can = tuple(linalg.vec_mat(R, x, img) for x in X)
         T = tuple(tuple(v[p] for p in pivots) for v in img)
         return OrientedLagrangian(can, R.mul(oriented.unit, linalg.det_ring(R, T)))
+
+    def _ring_solve(self, rows):
+        """(P, X) for rows over R whose reductions are independent over k:
+        P are the pivot columns of the reduced rows and X the inverse over
+        R of the pivot block A = [rows_i[P_j]], so X rows is the canonical
+        basis of their span (unit pivot block I).  Over k, one tagged F2
+        echelon: each generator xi^a rows_i enters reduced, with xi^a e_i
+        packed above bit 2dn, so the entry at bit P_c d holds the k-RREF
+        row c below and, above, row c of the k-inverse of A; an entry
+        with no pivot below bit 2dn is a dependence.  Over R, one Newton
+        step from its {0,1}-lift X0: E = I - X0 A lies in 2R, whose
+        products vanish, so X = X0 + E X0 is exact (X A = I - E^2); and
+        each element of 2R is its own negative, so X = X0 - E X0 =
+        X0 A X0.  A RuntimeError when the reductions are dependent."""
+        R, d, top = self.R, self.R.d, 2 * self.dn
+        echelon = {}
+        for i, row in enumerate(rows):
+            for a, g in enumerate(self._multiples(self.pack(self.reduce_vec(row)))):
+                _f2_insert(g | 1 << i * d + a << top, echelon)
+        if max(echelon) >= top:
+            raise RuntimeError("the rows' reductions are dependent")
+        m, low = len(rows), R.field_size - 1
+        bits = sorted(echelon)[::d]
+        pivots = tuple(p // d for p in bits)
+        X0 = [tuple(R.lift(echelon[p] >> top + j * d & low) for j in range(m))
+              for p in bits]
+        A = [tuple(row[p] for p in pivots) for row in rows]
+        return pivots, [linalg.vec_mat(R, linalg.vec_mat(R, x, A), X0) for x in X0]
 
 
 class EnhancedLagrangian(_Keyed):

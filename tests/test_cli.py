@@ -489,6 +489,27 @@ def test_unused_options_are_not_parsed(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv,order", [
+    (("--d", "1", "--n", "2"), 11520),
+    (("--split",), 48),
+])
+def test_weil_matrix_refuses_an_index_before_listing(capsys, monkeypatch, argv, order):
+    """An index outside the group is refused against the closed-form
+    order, with the message of old, before the group is listed."""
+    from weil2 import heisenberg
+
+    def no_listing(*args):
+        raise AssertionError("an out-of-range index listed the group")
+
+    monkeypatch.setattr(heisenberg, "enumerate_asp", no_listing)
+    monkeypatch.setattr(heisenberg, "enumerate_sp_R", no_listing)
+    rc = main(["weil-matrix", *argv, "--element", "99999"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"error: element index out of range (0..{order - 1})\n"
+    assert captured.out == ""
+
+
 def test_weil_matrix_out_of_range(capsys):
     for element in ("999", "99", "24", "-1"):
         rc = main(["weil-matrix", "--d", "1", "--n", "1", "--element", element])

@@ -206,24 +206,31 @@ def _name_scopes(tree, names):
     return walk(tree, "<module>", None)
 
 
+# the generic elimination kernel, which only the tests keep (tests/kref.py)
+KERNEL_NAMES = ("ScalarOps", "ring_ops", "eliminate", "solve_many",
+                "unit_vectors", "rref", "rref_ring")
+
+
 def test_k_arithmetic_only_in_galois_and_the_forms():
     """Outside galois, field_mul and field_inv are named only in
     FIELD_SCOPES: k-linear algebra, the forms and H(V) run on packed
     vectors through _multiples, the form masks and the F2 echelon, not
-    coordinate by coordinate.  And linalg builds a ScalarOps for the ring only, none
-    over k or Q(zeta8)."""
-    found = set()
+    coordinate by coordinate.  And no weil2 module names the elimination
+    kernel: R-linear systems are solved from k by one Newton step
+    (SympSpace._ring_solve)."""
+    found, kernel = set(), set()
     for path in sorted((SRC / "weil2").glob("*.py")):
+        tree = ast.parse(path.read_text())
         if path.stem != "galois":
             found |= {f"{path.stem}.{scope}"
-                      for scope, _ in _name_scopes(ast.parse(path.read_text()),
-                                                   ("field_mul", "field_inv"))}
+                      for scope, _ in _name_scopes(tree, ("field_mul", "field_inv"))}
+        kernel |= {f"{path.stem}.{scope}: {name}"
+                   for scope, name in _name_scopes(tree, KERNEL_NAMES)}
+        kernel |= {f"{path.stem}: def {node.name}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and node.name in KERNEL_NAMES}
     assert found == FIELD_SCOPES
-    tree = ast.parse((SRC / "weil2" / "linalg.py").read_text())
-    builds = {name for name, node in _scopes(tree)
-              if any(isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
-                     and sub.func.id == "ScalarOps" for sub in ast.walk(node))}
-    assert builds == {"ring_ops"}
+    assert not kernel, sorted(kernel)
 
 
 # the only places weil2 may correct a family against duals or solve for
@@ -232,16 +239,18 @@ def test_k_arithmetic_only_in_galois_and_the_forms():
 SOLVE_SCOPES = {
     "make_isotropic": {"heisenberg.symplectic_lift_matrix"},
     "_dual_family": {"heisenberg.symplectic_lift_matrix"},
-    "solve_many": {"symplectic.SympSpace._projection",
-                   "symplectic.SympSpace._dual_family"},
+    "_ring_solve": {"symplectic.SympSpace._projection",
+                    "symplectic.SympSpace._dual_family",
+                    "symplectic.SympSpace.oriented_transform"},
 }
 
 
 def test_lifts_of_canonical_rows_solve_nothing():
     """Outside their definitions, make_isotropic and _dual_family are named
-    only in heisenberg.symplectic_lift_matrix, and solve_many only in the
-    projection onto N along L and the solved dual family: no free lift of
-    canonical rows solves a system or needs a dual family."""
+    only in heisenberg.symplectic_lift_matrix, and _ring_solve only in the
+    projection onto N along L, the solved dual family and the moved
+    oriented Lagrangian: no free lift of canonical rows solves a system or
+    needs a dual family."""
     found = collections.defaultdict(set)
     for path in sorted((SRC / "weil2").glob("*.py")):
         for scope, name in _name_scopes(ast.parse(path.read_text()), SOLVE_SCOPES):

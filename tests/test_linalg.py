@@ -5,7 +5,6 @@ import pytest
 
 import kref
 from weil2 import linalg
-from weil2.cyclotomic import ONE, ZERO, Cyc8
 from weil2.galois import ring
 from weil2.symplectic import SympSpace
 
@@ -24,7 +23,7 @@ def _random_invertible(R, rng, n):
 @pytest.mark.parametrize("d", [1, 2])
 def test_inverse_ring_roundtrip(d):
     R = ring(d)
-    ops = linalg.ring_ops(R)
+    ops = kref.ring_ops(R)
     rng = random.Random(d)
     for n in (1, 2, 3):
         for _ in range(20):
@@ -59,13 +58,13 @@ def test_solve_ring():
         A = _random_invertible(R, rng, 3)
         x = tuple(rng.randrange(R.size) for _ in range(3))
         b = linalg.vec_mat(R, x, linalg.transpose(A))
-        assert linalg.solve_many(linalg.ring_ops(R), A, (b,)) == [x]
+        assert kref.solve_many(kref.ring_ops(R), A, (b,)) == [x]
 
 
 def test_rref_ring_recovers_pivot_columns():
     R = ring(1)
     rows = ((1, 2, 0), (0, 0, 1))
-    can, pivots = linalg.rref_ring(R, rows)
+    can, pivots = kref.rref_ring(R, rows)
     assert pivots == (0, 2)
     for r, p in zip(can, pivots):
         assert r[p] == 1
@@ -92,7 +91,7 @@ def test_solve_field():
     R = ring(1)
     A = ((1, 1), (0, 1))
     b = (0, 1)
-    x, = linalg.solve_many(kref.field_ops(R), A, (b,))
+    x, = kref.solve_many(kref.field_ops(R), A, (b,))
     got = tuple(sum(A[i][j] * x[j] for j in range(2)) % 2 for i in range(2))
     assert got == b
 
@@ -102,20 +101,7 @@ def test_vector_helpers():
     assert linalg.vec_add(R, (1, 2), (3, 3)) == (0, 1)
 
 
-# -- the elimination kernel, through each algebra's wrappers -------------------
-
-# Q(zeta_8), a field, where every nonzero entry is a pivot: a test-local
-# algebra for the kernel, which the package does not eliminate over
-CYC8_OPS = linalg.ScalarOps(
-    ZERO, ONE, bool, lambda x: x.inverse(),
-    lambda c, row: [c * x for x in row],
-    lambda row, f, prow: [x - f * y for x, y in zip(row, prow)],
-)
-
-
-def _random_cyc(rng):
-    return Cyc8(tuple(rng.randrange(-2, 3) for _ in range(4)), rng.choice((1, 2)))
-
+# -- the reference elimination kernel, through each algebra's ops -----------
 
 def _ring_mat_mul(R, A, B):
     return tuple(linalg.vec_mat(R, row, B) for row in A)
@@ -125,28 +111,18 @@ def _field_mat_mul(R, A, B):
     return tuple(kref.vec_mat(R, row, B) for row in A)
 
 
-def _cyc_mat_mul(A, B):
-    return tuple(
-        tuple(sum((A[i][k] * B[k][j] for k in range(len(B))), ZERO)
-              for j in range(len(B[0])))
-        for i in range(len(A))
-    )
-
-
 def _algebras():
-    """(name, ops, random scalar, matrix product) for the ring at
-    d = 1, 2, the residue field at d = 1, 2 (by the test-local ops of k)
-    and Q(zeta_8) (by CYC8_OPS above)."""
+    """(name, ops, random scalar, matrix product) for the ring and the
+    residue field at d = 1, 2."""
     out = []
     for d in (1, 2):
         R = ring(d)
-        out.append((f"ring-d{d}", linalg.ring_ops(R),
+        out.append((f"ring-d{d}", kref.ring_ops(R),
                     lambda rng, R=R: rng.randrange(R.size),
                     lambda A, B, R=R: _ring_mat_mul(R, A, B)))
         out.append((f"field-d{d}", kref.field_ops(R),
                     lambda rng, R=R: rng.randrange(R.field_size),
                     lambda A, B, R=R: _field_mat_mul(R, A, B)))
-    out.append(("cyc8", CYC8_OPS, _random_cyc, _cyc_mat_mul))
     return out
 
 
@@ -162,7 +138,7 @@ def _random_square(ops, scalar, rng, n, invertible):
     while True:
         A = tuple(tuple(scalar(rng) for _ in range(n)) for _ in range(n))
         rows = [list(r) for r in A]
-        if not invertible or len(linalg.eliminate(ops, rows, n)) == n:
+        if not invertible or len(kref.eliminate(ops, rows, n)) == n:
             return A
 
 
@@ -173,14 +149,14 @@ def test_kernel_solve_and_inverse(name, ops, scalar, mul):
         for _ in range(6):
             A = _random_square(ops, scalar, rng, n, invertible=True)
             b = tuple(scalar(rng) for _ in range(n))
-            (x,) = linalg.solve_many(ops, A, (b,))
+            (x,) = kref.solve_many(ops, A, (b,))
             assert mul(A, tuple((xi,) for xi in x)) == tuple((bi,) for bi in b)
             Ainv = kref.invert(ops, A)
             assert mul(A, Ainv) == _identity(ops, n)
 
 
 def _in_row_space(ops, rows, v):
-    return linalg.solve_many(ops, linalg.transpose(rows), (v,)) is not None
+    return kref.solve_many(ops, linalg.transpose(rows), (v,)) is not None
 
 
 @pytest.mark.parametrize("name,ops,scalar,mul", ALGEBRAS, ids=[a[0] for a in ALGEBRAS])
@@ -193,25 +169,27 @@ def test_kernel_rref_idempotent_and_row_space(name, ops, scalar, mul):
             A = _random_square(ops, scalar, rng, ncols, invertible=True)[:nrows]
             if nrows > 1:
                 A += (tuple(ops.update(list(A[0]), ops.one, A[1])),)
-            can, pivots = linalg.rref(ops, A)
+            can, pivots = kref.rref_by(ops, A)
             assert len(can) == len(pivots) == nrows
-            assert linalg.rref(ops, can) == (can, pivots)
+            assert kref.rref_by(ops, can) == (can, pivots)
             assert all(_in_row_space(ops, A, row) for row in can)
             assert all(_in_row_space(ops, can, row) for row in A)
 
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_wrappers_match_kernel(d):
-    """rref_ring is the kernel over the ring; over k, the RREF rows and
+    """SympSpace._ring_solve gives the kernel's RREF over the ring: its
+    pivots, and X rows as the canonical rows; over k, the RREF rows and
     pivots that SympSpace.subspace reads off the F2 echelon are the
     kernel's, on rows that may be dependent."""
     R = ring(d)
     sp = SympSpace(R, 2)
     rng = random.Random(100 + d)
     for _ in range(10):
-        A = _random_square(linalg.ring_ops(R), lambda g: g.randrange(R.size),
+        A = _random_square(kref.ring_ops(R), lambda g: g.randrange(R.size),
                            rng, 4, invertible=True)[:3]
-        assert linalg.rref_ring(R, A) == linalg.rref(linalg.ring_ops(R), A)
+        pivots, X = sp._ring_solve(A)
+        assert (_ring_mat_mul(R, X, A), pivots) == kref.rref_ring(R, A)
         rows = tuple(tuple(rng.randrange(R.field_size) for _ in range(4)) for _ in range(3))
         span = sp.subspace(rows)
         assert (span.rows, span.pivots) == kref.rref(R, rows)
@@ -222,33 +200,43 @@ def test_singular_inverse_raises():
     matrix over the ring or over k; a non-unit pivot over the ring, an
     inconsistent system over k."""
     R = ring(1)
-    for ops, A in ((linalg.ring_ops(R), ((2, 0), (0, 1))),
+    for ops, A in ((kref.ring_ops(R), ((2, 0), (0, 1))),
                    (kref.field_ops(R), ((1, 1), (1, 1)))):
         assert kref.invert(ops, A) is None
-    assert linalg.solve_many(linalg.ring_ops(R), ((1, 0), (0, 2)), ((0, 1),)) is None
-    assert linalg.solve_many(kref.field_ops(R), ((1, 1), (1, 1)), ((0, 1),)) is None
+    assert kref.solve_many(kref.ring_ops(R), ((1, 0), (0, 2)), ((0, 1),)) is None
+    assert kref.solve_many(kref.field_ops(R), ((1, 1), (1, 1)), ((0, 1),)) is None
 
 
-def _leibniz_det(R, A):
-    n = len(A)
+def _cofactor_det(R, A):
+    """The determinant by cofactor expansion along row 0."""
+    if not A:
+        return R.one
     det = 0
-    for perm in itertools.permutations(range(n)):
-        sign = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-        term = R.one
-        for i in range(n):
-            term = R.mul(term, A[i][perm[i]])
-        det = R.add(det, R.neg(term) if sign % 2 else term)
+    for j, a in enumerate(A[0]):
+        minor = tuple(row[:j] + row[j + 1:] for row in A[1:])
+        term = R.mul(a, _cofactor_det(R, minor))
+        det = R.add(det, R.neg(term) if j % 2 else term)
     return det
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_det_ring_elimination_branch_matches_leibniz(d):
+def test_det_ring_matches_cofactor_expansion(d):
+    """det_ring against an independent rule: cofactor expansion along row
+    0 on random matrices, and det(A) det(X) = 1 for the inverse X that
+    SympSpace._ring_solve gives, for n = 1..4; a row swap flips the
+    sign."""
     R = ring(d)
+    sp = SympSpace(R, 2)
     rng = random.Random(60 + d)
-    for _ in range(4):
-        A = _random_square(linalg.ring_ops(R), lambda g: g.randrange(R.size),
-                           rng, 6, invertible=True)
-        assert linalg.det_ring(R, A) == _leibniz_det(R, A)
+    for n in (1, 2, 3, 4):
+        for _ in range(4):
+            A = _random_matrix(R, rng, n)
+            assert linalg.det_ring(R, A) == _cofactor_det(R, A)
+            A = _random_square(kref.ring_ops(R), lambda g: g.randrange(R.size),
+                               rng, n, invertible=True)
+            pivots, X = sp._ring_solve(A)
+            assert pivots == tuple(range(n))
+            assert R.mul(linalg.det_ring(R, A), linalg.det_ring(R, X)) == R.one
     # a row swap flips the sign
     B = (A[1], A[0]) + A[2:]
     assert linalg.det_ring(R, B) == R.neg(linalg.det_ring(R, A))

@@ -24,11 +24,11 @@ import pytest
 import kref
 from weil2.galois import ring
 from weil2.symplectic import (
-    MAX_SWEEP, CapExceeded, EnhancedLagrangian, SympSpace, check_cocycle,
-    check_sweep, enumerate_enhanced, exhaustive_by_default,
+    MAX_SWEEP, CapExceeded, EnhancedLagrangian, OrientedLagrangian, SympSpace,
+    check_cocycle, check_sweep, enumerate_enhanced, exhaustive_by_default,
     transversal_triple_count,
 )
-from weil2 import linalg, symplectic
+from weil2 import heisenberg, linalg, symplectic
 
 CENSUS = [
     # d, n, subspaces, lifts, enhancements, oriented
@@ -128,7 +128,7 @@ def test_initial_lift_reduces_to_subspace():
             assert tuple(sp.reduce_vec(b) for b in lift) == rows
             for b in lift:
                 for c in lift:
-                    assert sp.omt(b, c) == sp.R.zero
+                    assert sp.omt(b, c) == 0
 
 
 def _solved_lift(sp, rows, S):
@@ -137,12 +137,12 @@ def _solved_lift(sp, rows, S):
     base + 2*S*duals against the solved duals of that base, row-reduced."""
     R = sp.R
     b = [sp.lift_vec(r) for r in rows]
-    base, _ = linalg.rref_ring(R, sp.make_isotropic(b, sp._dual_family(b)))
+    base, _ = kref.rref_ring(R, sp.make_isotropic(b, sp._dual_family(b)))
     duals = sp._dual_family(base)
     basis = [linalg.vec_add(R, bi, linalg.vec_mat(
                  R, [R.mul(R.two, R.lift(s)) for s in Si], duals))
              for bi, Si in zip(base, S)]
-    return linalg.rref_ring(R, basis)[0]
+    return kref.rref_ring(R, basis)[0]
 
 
 def _every_symmetric(sp):
@@ -598,7 +598,7 @@ def _r_map_reference(sp, M_rows, N_rows, L_rows):
     cols = linalg.transpose(tuple(N_rows) + tuple(L_rows))
     out = {}
     for m in kref.span(R, M_rows, sp.dim):
-        x, = linalg.solve_many(kref.field_ops(R), cols, (m,))
+        x, = kref.solve_many(kref.field_ops(R), cols, (m,))
         nv = [0] * sp.dim
         for c, row in zip(x[:len(N_rows)], N_rows):
             for t, e in enumerate(row):
@@ -628,9 +628,9 @@ def _r_terms_per_triple(sp, M_rows, N_rows, L_rows):
     """r_terms by one solve_many per subspace triple, with M's basis rows as
     the right-hand sides."""
     R = sp.R
-    xs = linalg.solve_many(kref.field_ops(R),
-                           linalg.transpose(tuple(N_rows) + tuple(L_rows)),
-                           M_rows)
+    xs = kref.solve_many(kref.field_ops(R),
+                         linalg.transpose(tuple(N_rows) + tuple(L_rows)),
+                         M_rows)
     images = [kref.vec_mat(R, x[:len(N_rows)], N_rows) for x in xs]
     return tuple((m, rm, tuple(a ^ b for a, b in zip(m, rm)), kref.beta(sp, m, rm))
                  for m, rm in zip(kref.span(R, M_rows, sp.dim),
@@ -643,8 +643,8 @@ def _r_terms_tuple_rule(sp, M_rows, N_rows, L_rows):
     against the unit vectors, applied to M's basis rows; both spans walked
     by brute force, and beta on tuples."""
     R, ops = sp.R, kref.field_ops(sp.R)
-    xs = linalg.solve_many(ops, linalg.transpose(N_rows + L_rows),
-                           linalg.unit_vectors(ops, sp.dim))
+    xs = kref.solve_many(ops, linalg.transpose(N_rows + L_rows),
+                         kref.unit_vectors(ops, sp.dim))
     P = [kref.vec_mat(R, x[:len(N_rows)], N_rows) for x in xs]
     images = [kref.vec_mat(R, m, P) for m in M_rows]
     return tuple((m, rm, tuple(a ^ b for a, b in zip(m, rm)), kref.beta(sp, m, rm))
@@ -734,7 +734,7 @@ def _r_map_tilde_reference(sp, Mt, Nt, Lt):
     cols = linalg.transpose(tuple(Nt) + tuple(Lt))
     images = []
     for m in Mt:
-        xs = linalg.solve_many(linalg.ring_ops(R), cols, (m,))
+        xs = kref.solve_many(kref.ring_ops(R), cols, (m,))
         if xs is None:
             raise ValueError("inconsistent or non-unit-pivot system")
         x, = xs
@@ -815,14 +815,86 @@ def test_r_map_tilde_reads_one_projection_per_pair(d, n):
     assert len(projections) == len(pairs)
 
 
-def test_dual_family_failure_is_a_program_fault(monkeypatch):
-    """Every caller passes a free family, so a dual system without a
-    solution is an invariant failure, not bad input."""
+# -- the ring solve against the eliminated reference ---------------------------
+
+RING_SOLVE_SHAPES = [(1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (2, 2), (1, 4), (4, 1), (2, 3)]
+
+
+@pytest.mark.parametrize("d,n", RING_SOLVE_SHAPES)
+def test_projection_matches_the_eliminated_reference(d, n):
+    """_projection on 40 sampled (Nt, Lt) pairs is the projection of the
+    reference kernel: row i from solving (N + L)^T x = e_i."""
+    sp = SympSpace(ring(d), n)
+    R, ops = sp.R, kref.ring_ops(sp.R)
+    rng = random.Random(f"projection d{d}n{n}")
+    for _ in range(40):
+        N, _, L = sp.sample_transversal_triple(rng)
+        Nt, Lt = sp.random_lift(N, rng), sp.random_lift(L, rng)
+        xs = kref.solve_many(ops, linalg.transpose(Nt + Lt), kref.unit_vectors(ops, sp.dim))
+        assert sp._projection(Nt, Lt) == tuple(
+            linalg.vec_mat(R, x[:n], Nt) for x in xs)
+
+
+@pytest.mark.parametrize("d,n", [(1, 1), (2, 1), (1, 2), (3, 1)])
+def test_dual_family_matches_the_eliminated_reference(d, n):
+    """_dual_family on both families that symplectic_lift_matrix solves
+    for, at every element of Sp(V): the {0,1}-lifted rows b and b made
+    isotropic.  The reference solves b' x = e_j for b' = (-b[n:], b[:n])
+    with free unknowns zero."""
+    sp = SympSpace(ring(d), n)
+    R, ops = sp.R, kref.ring_ops(sp.R)
+    units = kref.unit_vectors(ops, n)
+    seen = 0
+    for g in heisenberg.enumerate_sp_k(sp):
+        b = [sp.lift_vec(tuple(g[i])) for i in range(n)]
+        for family in (b, sp.make_isotropic(b, sp._dual_family(b))):
+            rows = [tuple(R.neg(x) for x in v[n:]) + tuple(v[:n]) for v in family]
+            assert sp._dual_family(family) == kref.solve_many(ops, rows, units)
+        seen += 1
+    assert seen == heisenberg.group_order(d, n, "Sp(V)")
+
+
+def test_oriented_transform_matches_the_eliminated_reference():
+    """oriented_transform on all 576 (gt, oriented) pairs at d1n1: the
+    reference kernel's RREF of the moved basis, oriented by the determinant
+    at its pivot columns."""
     sp = SympSpace(ring(1), 1)
-    base = sp.initial_lift(sp.enumerate_lagrangians()[0])
-    monkeypatch.setattr(linalg, "solve_many", lambda *args: None)
-    with pytest.raises(RuntimeError, match="no dual family"):
-        sp._dual_family(base)
+    R = sp.R
+    pairs = [(gt, o) for gt in heisenberg.enumerate_sp_R(sp)
+             for o in sp.enumerate_oriented()]
+    assert len(pairs) == 576
+    for gt, o in pairs:
+        img = [linalg.vec_mat(R, b, gt) for b in o.basis]
+        can, pivots = kref.rref_ring(R, img)
+        det = linalg.det_ring(R, tuple(tuple(v[p] for p in pivots) for v in img))
+        assert sp.oriented_transform(gt, o).key() == \
+            OrientedLagrangian(can, R.mul(o.unit, det)).key()
+
+
+@pytest.mark.parametrize("family", ["zero-row", "repeated-row", "two-torsion-row"])
+def test_ring_solve_refuses_dependent_reductions(family):
+    """Rows whose reductions are dependent over k have no unit pivot
+    block: a RuntimeError, even where the rows are distinct over R."""
+    sp = SympSpace(ring(2), 2)
+    R = sp.R
+    b, c = sp.initial_lift(sp.enumerate_lagrangians()[5])
+    twice = tuple(R.mul(R.two, x) for x in c)
+    rows = {"zero-row": [b, twice], "repeated-row": [b, c, b],
+            "two-torsion-row": [b, c, linalg.vec_add(R, b, twice)]}[family]
+    with pytest.raises(RuntimeError, match="reductions are dependent"):
+        sp._ring_solve(rows)
+
+
+def test_dual_family_failure_is_a_program_fault():
+    """Every caller passes a free family, so a dual system without a
+    solution is an invariant failure, not bad input: 2 b and a repeated
+    row reduce to dependent rows."""
+    sp = SympSpace(ring(1), 1)
+    R = sp.R
+    (b,) = sp.initial_lift(sp.enumerate_lagrangians()[0])
+    for family in ([tuple(R.mul(R.two, x) for x in b)], [b, b]):
+        with pytest.raises(RuntimeError, match="reductions are dependent"):
+            sp._dual_family(family)
 
 
 def _rank_over_k(R, rows):

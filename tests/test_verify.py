@@ -1,7 +1,7 @@
 import pytest
 
 import kref
-from weil2 import linalg, verify
+from weil2 import verify
 from weil2.cli import main as cli_main
 from weil2.galois import ring
 from weil2.heisenberg import all_h_elements, enumerate_asp, enumerate_sp_R
@@ -69,20 +69,20 @@ def test_sampled_checks_are_reproducible():
 
 def test_sampled_cocycle_draw_runs_one_ring_elimination(monkeypatch):
     """A sampled cocycle draw builds its lifts in closed form, so its only
-    ring elimination is the projection of the drawn (Nt, Lt) behind
-    route 3's gram: 20 over 20 draws at d1n4 (271 when the lifts were
-    found by elimination), and no rref_ring or solved dual family."""
-    eliminate, calls = linalg.eliminate, []
+    ring solve is the projection of the drawn (Nt, Lt) behind route 3's
+    gram: 20 _ring_solve calls over 20 draws at d1n4 (271 eliminations
+    when the lifts were found by elimination), and no solved dual
+    family."""
+    ring_solve, calls = SympSpace._ring_solve, []
 
-    def counting(*args):
-        calls.append(args)
-        return eliminate(*args)
+    def counting(self, rows):
+        calls.append(rows)
+        return ring_solve(self, rows)
 
     def refused(*args):
-        raise AssertionError("a sampled draw eliminated for its lifts")
+        raise AssertionError("a sampled draw solved for its lifts")
 
-    monkeypatch.setattr(linalg, "eliminate", counting)
-    monkeypatch.setattr(linalg, "rref_ring", refused)
+    monkeypatch.setattr(SympSpace, "_ring_solve", counting)
     monkeypatch.setattr(SympSpace, "_dual_family", refused)
     checks = verify.cocycle_checks_sampled(1, 4, 20, 3)
     assert all(c.passed for c in checks)
